@@ -25,10 +25,13 @@ Concurrency contract (docs/CONCURRENCY.md): engines sharing one cluster
 also share its :class:`~repro.cluster.locks.LockManager`.  Every public
 method acquires the locks it needs — reads hold their object's stripe
 shared, mutations hold the container shared plus their object stripes
-exclusive, listings hold the container exclusive — so non-conflicting
+exclusive (a put or part upload only while it commits, not while it
+streams), listings hold the container exclusive — so non-conflicting
 operations on different keys proceed in parallel.  Internal helpers never
-acquire engine-level locks, and public methods never call public methods;
-that structural rule is what makes the non-reentrant stripe locks safe.
+acquire engine-level locks, and no method calls a public method while
+holding one (``put``/``upload_part`` drive the ``staged_*`` methods but
+hold nothing themselves); that structural rule is what makes the
+non-reentrant stripe locks safe.
 """
 
 from __future__ import annotations
@@ -43,6 +46,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.cluster.cache import CacheLayer
+from repro.cluster.errors import (  # noqa: F401  (re-exported: the tree imports them from here)
+    InvalidContinuationTokenError,
+    InvalidRangeError,
+    MultipartError,
+    NoSuchUploadError,
+    ObjectNotFoundError,
+    PlacementError,
+    ReadFailedError,
+    WriteFailedError,
+)
 from repro.cluster.hedging import HedgeStats, hedged_fetch
 from repro.cluster.locks import LockManager, StripedMutexes
 from repro.cluster.metadata import MetadataCluster
@@ -55,8 +68,10 @@ from repro.cluster.multipart import (
     multipart_row_key,
 )
 from repro.cluster.statistics import LogAgent, LogRecord
+from repro.cluster.writepath import StagedWrite, Stager, put_object, put_part
 from repro.erasure.rs import CodeCache
 from repro.erasure.striping import (
+    AnyChunk,
     Chunk,
     SyntheticChunk,
     chunk_length,
@@ -70,85 +85,18 @@ from repro.obs.trace import current_trace, record_span
 from repro.storage.merkle import chunk_root
 from repro.providers.health import HedgePolicy
 from repro.providers.provider import (
-    CapacityExceededError,
     ChunkCorruptionError,
     ChunkNotFoundError,
-    ChunkTooLargeError,
     ProviderUnavailableError,
 )
 from repro.providers.registry import ProviderRegistry
 from repro.types import ListPage, ObjectMeta, Placement
 from repro.util.ids import IdGenerator, object_row_key, storage_key
-from repro.util.streams import ByteSource
 
 Payload = Union[bytes, int]  # real bytes, or a synthetic byte count
 
 #: Default stripe size of the streaming data plane (8 MiB, S3-part-like).
 DEFAULT_STRIPE_SIZE = 8 * 1024 * 1024
-
-
-class PlacementError(RuntimeError):
-    """Raised when no feasible placement exists for an object's rule."""
-
-
-class ObjectNotFoundError(KeyError):
-    """Raised when reading or deleting a key that does not exist."""
-
-
-def _causes_suffix(causes: Dict[str, BaseException]) -> str:
-    """Render per-provider failure causes into an error message tail."""
-    if not causes:
-        return ""
-    detail = "; ".join(
-        f"{name}: {type(exc).__name__}: {exc}" for name, exc in sorted(causes.items())
-    )
-    return f" [per-provider causes: {detail}]"
-
-
-class WriteFailedError(RuntimeError):
-    """Raised when a write cannot be placed on any feasible provider set.
-
-    ``causes`` maps provider name → the exception that disqualified it
-    during this write's attempts, so operators (and the chaos suite) can
-    tell a timeout from a capacity reject without re-running the write.
-    """
-
-    def __init__(
-        self, message: str, *, causes: Optional[Dict[str, BaseException]] = None
-    ) -> None:
-        self.causes: Dict[str, BaseException] = dict(causes or {})
-        super().__init__(message + _causes_suffix(self.causes))
-
-
-class ReadFailedError(RuntimeError):
-    """Raised when fewer than ``m`` chunks are reachable for a read.
-
-    ``causes`` maps provider name → the exception (outage, injected
-    fault, missing or corrupt chunk) that kept its chunk out of the
-    decode, so a failed read tells you *which* providers failed *how*.
-    """
-
-    def __init__(
-        self, message: str, *, causes: Optional[Dict[str, BaseException]] = None
-    ) -> None:
-        self.causes: Dict[str, BaseException] = dict(causes or {})
-        super().__init__(message + _causes_suffix(self.causes))
-
-
-class InvalidRangeError(ValueError):
-    """Raised for a byte range that no part of the object satisfies (416)."""
-
-
-class NoSuchUploadError(KeyError):
-    """Raised when an upload id names no in-flight multipart upload (404)."""
-
-
-class MultipartError(ValueError):
-    """Raised for an invalid multipart request (bad part number/etag, 400)."""
-
-
-class InvalidContinuationTokenError(ValueError):
-    """Raised when a list continuation token cannot be decoded (400)."""
 
 
 def encode_list_token(last_entry: str) -> str:
@@ -509,33 +457,15 @@ class Engine:
         and each stripe is erasure-coded and shipped before the next is
         read.  ``size_hint`` improves the initial placement when the
         stream's length is not discoverable; the persisted metadata
-        always carries the exact size.
+        always carries the exact size.  The object's lock is taken at
+        commit only (:func:`~repro.cluster.writepath.put_object`), so a
+        slow source stalls nobody.
         """
-        if isinstance(data, int) and not isinstance(data, bool):
-            size = int(data)
-            if size < 0:
-                raise ValueError("synthetic size must be >= 0")
-            with self._locks.mutate_object(container, object_row_key(container, key)):
-                return self._put_object(
-                    container, key, data, size,
-                    mime=mime, rule=rule, ttl_hint=ttl_hint, now=now, period=period,
-                )
-        if stripe_size < 1:
-            raise ValueError("stripe_size must be >= 1")
-        source = ByteSource(data, size_hint=size_hint)
-        first = source.read(stripe_size)
-        with self._locks.mutate_object(container, object_row_key(container, key)):
-            if len(first) < stripe_size:
-                # The whole payload fits one stripe: the degenerate layout,
-                # byte-identical to the pre-streaming data plane.
-                return self._put_object(
-                    container, key, first, len(first),
-                    mime=mime, rule=rule, ttl_hint=ttl_hint, now=now, period=period,
-                )
-            return self._put_streamed(
-                container, key, source, first, stripe_size,
-                mime=mime, rule=rule, ttl_hint=ttl_hint, now=now, period=period,
-            )
+        return put_object(
+            self.stager(now=now, period=period), container, key, data,
+            stripe_size=stripe_size, size_hint=size_hint,
+            mime=mime, rule=rule, ttl_hint=ttl_hint,
+        )
 
     @_timed_op("get")
     def get(
@@ -946,20 +876,8 @@ class Engine:
     ) -> MultipartState:
         guess = size_hint if size_hint and size_hint > 0 else stripe_size
         class_key = self._planner.classify(guess, mime)
-        exclude: frozenset[str] = frozenset(
-            name for name in self._registry.names()
-            if not self._registry.is_available(name)
-        )
         try:
-            placement = self._planner.place(
-                container=container,
-                key=key,
-                size=guess,
-                mime=mime,
-                rule_name=rule,
-                period=period,
-                exclude=exclude,
-            )
+            placement = self._plan(container, key, guess, mime, rule, period)
         except PlacementError as exc:
             raise WriteFailedError(str(exc)) from exc
         upload_id = self._ids.uuid()
@@ -1004,79 +922,18 @@ class Engine:
     ) -> PartState:
         """Store one part (bytes / file-like / iterator), streamed by stripe.
 
-        Re-uploading a part number writes fresh chunk keys (the state's
-        generation counter) before the staging row flips to reference
-        them; the replaced generation's chunks are deleted afterwards, so
-        a crash anywhere in between can only orphan chunks the scrubber
-        sweeps — never corrupt an acknowledged part.
+        Re-uploading a part number writes fresh chunk keys (a journaled
+        generation) before the staging row flips to reference them; the
+        replaced generation's chunks are deleted afterwards, so a crash
+        anywhere in between can only orphan chunks the scrubber sweeps —
+        never corrupt an acknowledged part.  The staging row is locked
+        to reserve the generation and to commit, not while the part
+        streams (:func:`~repro.cluster.writepath.put_part`).
         """
-        with self._locks.mutate_object(container, multipart_row_key(container, upload_id)):
-            return self._upload_part_impl(
-                container, key, upload_id, part_number, data, now=now, period=period
-            )
-
-    def _upload_part_impl(
-        self,
-        container: str,
-        key: str,
-        upload_id: str,
-        part_number: int,
-        data,
-        *,
-        now: float,
-        period: int,
-    ) -> PartState:
-        state = self._load_upload(container, upload_id)
-        if state.key != key:
-            raise MultipartError(
-                f"upload {upload_id} is for key {state.key!r}, not {key!r}"
-            )
-        if not MIN_PART_NUMBER <= int(part_number) <= MAX_PART_NUMBER:
-            raise MultipartError(
-                f"part number must be in [{MIN_PART_NUMBER}, {MAX_PART_NUMBER}]"
-            )
-        if isinstance(data, int) and not isinstance(data, bool):
-            raise MultipartError("multipart parts must carry real bytes")
-        part_number = int(part_number)
-        gen = state.next_gen
-        source = ByteSource(data)
-        digest = hashlib.md5()
-        written: List[Tuple[str, str]] = []
-        stripes: List[Tuple[str, int]] = []
-        roots: List[Tuple[str, str]] = []
-        with self._locks.in_flight.track(state.skey):
-            try:
-                self._stream_stripes(
-                    source,
-                    state.skey,
-                    lambda s: f"p{part_number}g{gen}.{s}",
-                    state.m,
-                    state.providers,
-                    state.stripe_size,
-                    digest,
-                    written,
-                    stripes,
-                    merkle=roots,
-                )
-            except BaseException:
-                self._delete_refs(written)
-                raise
-            part = PartState(
-                etag=digest.hexdigest(),
-                size=sum(length for _, length in stripes),
-                stripes=tuple(stripes),
-                merkle=tuple(sorted(roots)),
-            )
-            replaced = state.parts.get(part_number)
-            state.parts[part_number] = part
-            state.next_gen = gen + 1
-            self._metadata.write(
-                self.dc, multipart_row_key(container, upload_id), state.to_dict(),
-                uuid=self._ids.uuid(), timestamp=now,
-            )
-        if replaced is not None:
-            self._delete_refs(list(state.part_chunk_keys(replaced)))
-        return part
+        return put_part(
+            self.stager(now=now, period=period),
+            container, key, upload_id, part_number, data,
+        )
 
     def complete_multipart_upload(
         self,
@@ -1172,7 +1029,7 @@ class Engine:
         self._metadata.write(
             self.dc, row_key, meta.to_dict(), uuid=meta.skey, timestamp=now
         )
-        self._write_index(container, key, row_key, now, present=True)
+        keep = self._publish(row_key, meta, old_meta, now, period)
         # Retire the staging row only after the object row is journaled:
         # a crash in between leaves both referencing the same chunks,
         # which abort/scrub resolve without data loss.
@@ -1185,27 +1042,10 @@ class Engine:
         # begin() is in create_multipart_upload; a post-crash completion
         # ends a registration that no longer exists, which is tolerated).
         self._locks.in_flight.end(state.skey)
-        keep = frozenset((p, ck) for _s, _i, p, ck in meta.iter_chunks())
         included = set(numbers)
         for number, part in state.parts.items():
             if number not in included:
                 self._delete_refs(list(state.part_chunk_keys(part)), keep=keep)
-        if old_meta is not None:
-            self._gc_chunks(old_meta, keep=keep)
-        self._log.log(
-            LogRecord(
-                period=period,
-                object_key=row_key,
-                class_key=meta.class_key,
-                op="put",
-                size=size,
-                mime=state.mime,
-                bytes_in=size,
-                insertion=old_meta is None,
-            )
-        )
-        if self._cache is not None:
-            self._cache.invalidate_everywhere(row_key)
         return meta
 
     def abort_multipart_upload(
@@ -1269,18 +1109,40 @@ class Engine:
         return MultipartState.from_dict(resolution.winner.value)
 
     # ------------------------------------------------------------------
-    # staged data plane (pre-forked gateway workers)
+    # staged write protocol (the only way an object or part is written)
     # ------------------------------------------------------------------
     #
-    # In worker mode the erasure coding and checksumming run in gateway
-    # worker processes; the broker's engine only plans placements, ships
-    # pre-encoded chunks to providers, and commits metadata.  The staged
-    # methods decompose ``put``/``upload_part`` into begin / write-stripe
-    # / commit steps the ops RPC can drive, with the same crash-safety
-    # story as the direct paths: the skey's in-flight registration (or
-    # the upload-lifetime registration for parts) protects staged chunks
-    # from the orphan sweep, and nothing is visible until the commit
-    # journals the metadata row.
+    # ``begin → write_stripe* → commit | abort`` (``part_begin`` and
+    # ``part_commit`` for parts).  The loops above these primitives live
+    # in repro.cluster.writepath and run in this process or, through the
+    # ops RPC, in a gateway worker.  A session's skey is registered in
+    # flight from begin until commit or abort, so the orphan sweep never
+    # reaps staged chunks; nothing is visible until commit journals the
+    # metadata row.
+
+    def stager(self, *, now: float = 0.0, period: int = 0) -> Stager:
+        """The staged primitives with the clock bound, for the drivers."""
+        return Stager(
+            begin=functools.partial(self.staged_begin, period=period),
+            part_begin=functools.partial(self.staged_part_begin, now=now),
+            write_stripe=self.staged_write_stripe,
+            commit=functools.partial(self.staged_commit, now=now, period=period),
+            part_commit=functools.partial(self.staged_part_commit, now=now),
+            abort=self.staged_abort,
+            encode=self._encode_stripe,
+        )
+
+    def _plan(
+        self, container, key, size, mime, rule, period, exclude=()
+    ) -> Placement:
+        """Best placement now, on no provider that is down or in ``exclude``."""
+        unavailable = frozenset(
+            name for name in self._registry.names() if not self._registry.is_available(name)
+        )
+        return self._planner.place(
+            container=container, key=key, size=size, mime=mime, rule_name=rule,
+            period=period, exclude=unavailable | frozenset(exclude),
+        )
 
     def staged_begin(
         self,
@@ -1292,134 +1154,140 @@ class Engine:
         rule: Optional[str] = None,
         exclude: Sequence[str] = (),
         period: int = 0,
-    ) -> Tuple[str, Placement]:
-        """Plan a staged write: a placement plus a fresh in-flight skey.
+    ) -> StagedWrite:
+        """Plan a write: a placement plus a fresh in-flight skey.
 
-        ``exclude`` carries the worker's providers-that-failed set so a
-        retry re-plans around them, mirroring the direct path's loop.
-        The returned skey is registered in flight; every staged session
-        must end it via :meth:`staged_commit` or :meth:`staged_abort`.
+        ``exclude`` is the driver's providers-that-failed set.  Raises
+        :class:`PlacementError` when no feasible placement is left.  A
+        session must end in :meth:`staged_commit` or :meth:`staged_abort`.
         """
-        unavailable = frozenset(
-            name
-            for name in self._registry.names()
-            if not self._registry.is_available(name)
+        placement = self._plan(
+            container, key, int(size_guess), mime, rule, period, exclude
         )
-        try:
-            placement = self._planner.place(
-                container=container,
-                key=key,
-                size=max(1, int(size_guess)),
-                mime=mime,
-                rule_name=rule,
-                period=period,
-                exclude=unavailable | frozenset(exclude),
-            )
-        except PlacementError as exc:
-            raise WriteFailedError(str(exc)) from exc
         skey = storage_key(container, key, self._ids.uuid())
         self._locks.in_flight.begin(skey)
-        return skey, placement
+        return StagedWrite(container, key, skey, placement.m, placement.providers)
 
     def staged_write_stripe(
         self,
-        skey: str,
+        session: StagedWrite,
         tag: Optional[str],
-        chunks: Sequence[Chunk],
-        providers: Sequence[str],
-        written: List[Tuple[str, str]],
+        chunks: Sequence[AnyChunk],
+        roots: Sequence[str],
     ) -> None:
-        """Ship one stripe's pre-encoded chunks to its providers.
+        """Ship one stripe's encoded chunks to the session's providers.
 
-        ``tag=None`` selects the degenerate single-stripe layout
-        (``skey:index`` chunk keys, byte-identical to ``_put_object``);
-        otherwise keys are ``skey:tag.index`` as in the streaming path.
-        Appends to ``written`` in place so the caller can clean up the
-        already-shipped chunks when a provider fails mid-stripe; provider
-        errors propagate for the worker's re-plan loop.  Runs under the
-        pending queue's rewrite guards for the same reason
-        :meth:`_stream_stripes` does.
+        ``tag=None`` selects the single-stripe layout (``skey:index``
+        chunk keys); otherwise keys are ``skey:tag.index``.  Refs and
+        roots accumulate on the session as each chunk lands, so an abort
+        after a provider fails mid-stripe cleans up exactly what exists;
+        provider errors propagate for the driver's re-plan loop.
+
+        Discard + put run under the pending queue's rewrite guard: a
+        queued delete for a key being written again could otherwise be
+        claimed by a concurrent flush and destroy the fresh chunk.
         """
-        for chunk, provider_name in zip(chunks, providers):
-            chunk_key = (
-                f"{skey}:{chunk.index}" if tag is None else f"{skey}:{tag}.{chunk.index}"
-            )
+        for chunk, root, provider_name in zip(chunks, roots, session.providers):
+            suffix = str(chunk.index) if tag is None else f"{tag}.{chunk.index}"
+            chunk_key = f"{session.skey}:{suffix}"
             with self._pending.rewrite_guard(chunk_key):
                 self._pending.discard(provider_name, chunk_key)
                 self._registry.get(provider_name).put_chunk(chunk_key, chunk)
-            written.append((provider_name, chunk_key))
+            session.written.append((provider_name, chunk_key))
+            session.merkle.append((suffix, str(root)))
+
+    def _close_staged(self, session: StagedWrite) -> None:
+        session.closed = True
+        self._locks.in_flight.end(session.skey)
 
     def staged_commit(
         self,
-        container: str,
-        key: str,
-        skey: str,
+        session: StagedWrite,
         *,
-        m: int,
-        providers: Sequence[str],
         size: int,
         checksum: str,
         stripes: Sequence[Tuple[str, int]],
         mime: str = "application/octet-stream",
         rule: Optional[str] = None,
         ttl_hint: Optional[float] = None,
-        merkle: Sequence[Tuple[str, str]] = (),
         now: float = 0.0,
         period: int = 0,
     ) -> ObjectMeta:
         """Journal a staged write's metadata; the object becomes visible.
 
-        ``stripes=()`` commits the degenerate single-stripe layout.  The
-        object stripe lock is held only here — staged puts race until
-        commit and the last commit wins, exactly the semantics of two
-        racing direct puts (the loser's chunks are GC'd against the
-        winner's reference set).
+        ``stripes=()`` commits the single-stripe layout; ``checksum`` is
+        the content MD5 (the gateway's ETag; empty for synthetic
+        payloads).  The object's lock is held only here: puts race until
+        commit, the last one wins and collects the loser's chunks.
         """
+        container, key = session.container, session.key
         row_key = object_row_key(container, key)
-        try:
-            with self._locks.mutate_object(container, row_key):
-                old_meta = self._winning_meta(row_key)
-                class_key = self._planner.classify(size, mime)
-                meta = ObjectMeta(
-                    container=container,
-                    key=key,
-                    size=size,
-                    mime=mime,
-                    rule_name=self._planner.rule_for(rule, class_key),
-                    class_key=class_key,
-                    skey=skey,
-                    m=m,
-                    chunk_map=tuple(enumerate(providers)),
-                    created_at=old_meta.created_at if old_meta else now,
-                    checksum=checksum,
-                    ttl_hint=ttl_hint,
-                    stripes=tuple((str(t), int(length)) for t, length in stripes),
-                    modified_at=now,
-                    merkle=tuple(
-                        sorted((str(s), str(r)) for s, r in merkle)
-                    ),
-                )
-                self._commit_put(container, key, row_key, meta, old_meta, now, period)
-        finally:
-            self._locks.in_flight.end(skey)
+        with self._locks.mutate_object(container, row_key):
+            old_meta = self._winning_meta(row_key)
+            class_key = self._planner.classify(size, mime)
+            meta = ObjectMeta(
+                container=container,
+                key=key,
+                size=size,
+                mime=mime,
+                rule_name=self._planner.rule_for(rule, class_key),
+                class_key=class_key,
+                skey=session.skey,
+                m=session.m,
+                chunk_map=tuple(enumerate(session.providers)),
+                created_at=old_meta.created_at if old_meta else now,
+                checksum=checksum,
+                ttl_hint=ttl_hint,
+                stripes=tuple((str(t), int(length)) for t, length in stripes),
+                modified_at=now,
+                merkle=tuple(sorted(session.merkle)),
+            )
+            self._metadata.write(
+                self.dc, row_key, meta.to_dict(), uuid=meta.skey, timestamp=now
+            )
+            # The row owns the chunks from here on.
+            self._close_staged(session)
+            self._publish(row_key, meta, old_meta, now, period)
         return meta
 
-    def staged_abort(
+    def _publish(
         self,
-        skey: str,
-        written: Sequence[Tuple[str, str]],
-        *,
-        end_in_flight: bool = True,
-    ) -> int:
-        """Drop a staged session's shipped chunks; returns deletions.
+        row_key: str,
+        meta: ObjectMeta,
+        old_meta: Optional[ObjectMeta],
+        now: float,
+        period: int,
+    ) -> frozenset:
+        """What every committed write does once its row is journaled:
+        index entry, GC of the replaced version, the ``put`` statistic,
+        cache invalidation.  Returns the new version's chunk refs."""
+        self._write_index(meta.container, meta.key, row_key, now, present=True)
+        keep = frozenset((p, ck) for _s, _i, p, ck in meta.iter_chunks())
+        if old_meta is not None:
+            self._gc_chunks(old_meta, keep=keep)
+        self._log.log(
+            LogRecord(
+                period=period,
+                object_key=row_key,
+                class_key=meta.class_key,
+                op="put",
+                size=meta.size,
+                mime=meta.mime,
+                bytes_in=meta.size,
+                insertion=old_meta is None,
+            )
+        )
+        if self._cache is not None:
+            self._cache.invalidate_everywhere(row_key)
+        return keep
 
-        ``end_in_flight=False`` keeps the skey registered — the retry
-        case, where the same session re-begins with a new skey but a
-        part retry keeps the upload-lifetime registration untouched.
-        """
-        deleted = self._delete_refs(list(written))
-        if end_in_flight:
-            self._locks.in_flight.end(skey)
+    def staged_abort(self, session: StagedWrite) -> int:
+        """Drop a session's shipped chunks (a no-op once committed or
+        aborted); returns deletions."""
+        if session.closed:
+            return 0
+        deleted = self._delete_refs(session.written)
+        self._close_staged(session)
         return deleted
 
     def staged_part_begin(
@@ -1430,25 +1298,26 @@ class Engine:
         part_number: int,
         *,
         now: float = 0.0,
-    ) -> Tuple[MultipartState, int]:
-        """Reserve a generation for a staged part upload.
+    ) -> StagedWrite:
+        """Reserve a generation for one part upload.
 
         The generation counter is bumped and journaled *before* any
-        chunk is written, so a crashed or concurrent retry can never
-        reuse a generation's chunk keys.  Chunks staged under the
-        returned generation are protected by the upload-lifetime
-        in-flight registration made at create time.
+        chunk is written (one staging-row write, under the row's lock),
+        so a crashed, retried or concurrent upload of the same part
+        number can never reuse a chunk key.  The session registers the
+        skey in flight on top of the upload-lifetime registration made
+        at create time: that one does not survive a restart, and a part
+        staged after recovery has no row referencing it until commit.
         """
-        part_number = int(part_number)
-        if not MIN_PART_NUMBER <= part_number <= MAX_PART_NUMBER:
-            raise MultipartError(
-                f"part number must be in [{MIN_PART_NUMBER}, {MAX_PART_NUMBER}]"
-            )
         with self._locks.mutate_object(container, multipart_row_key(container, upload_id)):
             state = self._load_upload(container, upload_id)
             if state.key != key:
                 raise MultipartError(
                     f"upload {upload_id} is for key {state.key!r}, not {key!r}"
+                )
+            if not MIN_PART_NUMBER <= part_number <= MAX_PART_NUMBER:
+                raise MultipartError(
+                    f"part number must be in [{MIN_PART_NUMBER}, {MAX_PART_NUMBER}]"
                 )
             gen = state.next_gen
             state.next_gen = gen + 1
@@ -1456,50 +1325,47 @@ class Engine:
                 self.dc, multipart_row_key(container, upload_id), state.to_dict(),
                 uuid=self._ids.uuid(), timestamp=now,
             )
-        return state, gen
+        self._locks.in_flight.begin(state.skey)
+        return StagedWrite(
+            container, key, state.skey, state.m, state.providers,
+            upload_id=upload_id, part_number=part_number, gen=gen,
+            stripe_size=state.stripe_size,
+        )
 
     def staged_part_commit(
         self,
-        container: str,
-        key: str,
-        upload_id: str,
-        part_number: int,
-        gen: int,
+        session: StagedWrite,
         *,
         etag: str,
         size: int,
         stripes: Sequence[Tuple[str, int]],
-        merkle: Sequence[Tuple[str, str]] = (),
         now: float = 0.0,
     ) -> PartState:
         """Flip the staging row to reference a staged part's chunks.
 
-        Mirrors the tail of :meth:`_upload_part_impl`: the replaced
-        generation's chunks are deleted only after the row references
-        the new ones, so a crash in between orphans (sweepable) chunks
-        rather than corrupting an acknowledged part.
+        The replaced generation's chunks are deleted only after the row
+        references the new ones, so a crash in between orphans
+        (sweepable) chunks rather than corrupting an acknowledged part.
+        Uploads of one part number race until here; the last commit wins.
         """
-        part_number = int(part_number)
+        container, upload_id = session.container, session.upload_id
         with self._locks.mutate_object(container, multipart_row_key(container, upload_id)):
             state = self._load_upload(container, upload_id)
-            if state.key != key:
-                raise MultipartError(
-                    f"upload {upload_id} is for key {state.key!r}, not {key!r}"
-                )
             part = PartState(
                 etag=etag,
                 size=int(size),
                 stripes=tuple((str(t), int(length)) for t, length in stripes),
-                merkle=tuple(sorted((str(s), str(r)) for s, r in merkle)),
+                merkle=tuple(sorted(session.merkle)),
             )
-            replaced = state.parts.get(part_number)
-            state.parts[part_number] = part
-            if state.next_gen <= gen:
-                state.next_gen = gen + 1
+            replaced = state.parts.get(session.part_number)
+            state.parts[session.part_number] = part
+            if state.next_gen <= session.gen:
+                state.next_gen = session.gen + 1
             self._metadata.write(
                 self.dc, multipart_row_key(container, upload_id), state.to_dict(),
                 uuid=self._ids.uuid(), timestamp=now,
             )
+            self._close_staged(session)
         if replaced is not None:
             self._delete_refs(list(state.part_chunk_keys(replaced)))
         return part
@@ -1608,317 +1474,6 @@ class Engine:
         if resolution.winner is None or resolution.winner.value is None:
             return None
         return ObjectMeta.from_dict(resolution.winner.value)
-
-    # -- write paths -------------------------------------------------------
-
-    def _put_object(
-        self,
-        container: str,
-        key: str,
-        data: Payload,
-        size: int,
-        *,
-        mime: str,
-        rule: Optional[str],
-        ttl_hint: Optional[float],
-        now: float,
-        period: int,
-    ) -> ObjectMeta:
-        """Single-stripe write (synthetic sizes and payloads <= one stripe)."""
-        row_key = object_row_key(container, key)
-        old_meta = self._winning_meta(row_key)
-        class_key = self._planner.classify(size, mime)
-        causes: Dict[str, BaseException] = {}
-        exclude: frozenset[str] = frozenset(
-            name for name in self._registry.names() if not self._registry.is_available(name)
-        )
-        for _ in range(max(1, len(self._registry))):
-            try:
-                placement = self._planner.place(
-                    container=container,
-                    key=key,
-                    size=size,
-                    mime=mime,
-                    rule_name=rule,
-                    period=period,
-                    exclude=exclude,
-                )
-            except PlacementError as exc:
-                raise WriteFailedError(str(exc), causes=causes) from exc
-            skey = storage_key(container, key, self._ids.uuid())
-            self._locks.in_flight.begin(skey)
-            try:
-                try:
-                    meta = self._write_chunks(
-                        container, key, data, size, mime, rule, class_key, placement,
-                        skey=skey, ttl_hint=ttl_hint, now=now,
-                        created_at=(old_meta.created_at if old_meta else now),
-                    )
-                except (
-                    ProviderUnavailableError,
-                    CapacityExceededError,
-                    ChunkTooLargeError,
-                ) as exc:
-                    # A provider died, filled up or refused the chunk size
-                    # between planning and writing: exclude it and re-plan
-                    # (Section III-D3 / Section III-E — "use local resources up
-                    # to their capacities, and then use the best suited
-                    # provider(s)").
-                    if not exc.provider_name:
-                        raise
-                    causes[exc.provider_name] = exc
-                    exclude = exclude | {exc.provider_name}
-                    continue
-                self._commit_put(container, key, row_key, meta, old_meta, now, period)
-                return meta
-            finally:
-                self._locks.in_flight.end(skey)
-        raise WriteFailedError(
-            f"no reachable placement for {container}/{key}", causes=causes
-        )
-
-    def _put_streamed(
-        self,
-        container: str,
-        key: str,
-        source: ByteSource,
-        first: bytes,
-        stripe_size: int,
-        *,
-        mime: str,
-        rule: Optional[str],
-        ttl_hint: Optional[float],
-        now: float,
-        period: int,
-    ) -> ObjectMeta:
-        """Multi-stripe streaming write with O(stripe) peak memory."""
-        row_key = object_row_key(container, key)
-        old_meta = self._winning_meta(row_key)
-        # The stream's exact length may be unknowable; place with the best
-        # available guess (the exact size lands in the metadata at the end,
-        # and the periodic optimizer corrects any resulting misplacement).
-        size_guess = source.size_hint if source.size_hint else 2 * stripe_size
-        causes: Dict[str, BaseException] = {}
-        exclude: frozenset[str] = frozenset(
-            name for name in self._registry.names() if not self._registry.is_available(name)
-        )
-        for _ in range(max(1, len(self._registry))):
-            try:
-                placement = self._planner.place(
-                    container=container,
-                    key=key,
-                    size=size_guess,
-                    mime=mime,
-                    rule_name=rule,
-                    period=period,
-                    exclude=exclude,
-                )
-            except PlacementError as exc:
-                raise WriteFailedError(str(exc), causes=causes) from exc
-            uuid = self._ids.uuid()
-            skey = storage_key(container, key, uuid)
-            digest = hashlib.md5()
-            written: List[Tuple[str, str]] = []
-            stripes: List[Tuple[str, int]] = []
-            roots: List[Tuple[str, str]] = []
-            self._locks.in_flight.begin(skey)
-            try:
-                try:
-                    self._stream_stripes(
-                        source, skey, str, placement.m, placement.providers,
-                        stripe_size, digest, written, stripes, first=first,
-                        merkle=roots,
-                    )
-                except (
-                    ProviderUnavailableError,
-                    CapacityExceededError,
-                    ChunkTooLargeError,
-                ) as exc:
-                    self._delete_refs(written)
-                    if not exc.provider_name:
-                        raise
-                    causes[exc.provider_name] = exc
-                    exclude = exclude | {exc.provider_name}
-                    if not source.restart():
-                        raise WriteFailedError(
-                            f"provider {exc.provider_name} failed mid-stream and "
-                            f"the source cannot restart",
-                            causes=causes,
-                        ) from exc
-                    first = source.read(stripe_size)
-                    continue
-                except BaseException:
-                    # Anything else (a corrupt chunked frame, a failed
-                    # Content-MD5 precondition raised by the source) must not
-                    # leak the stripes already shipped.
-                    self._delete_refs(written)
-                    raise
-                size = sum(length for _, length in stripes)
-                class_key = self._planner.classify(size, mime)
-                meta = ObjectMeta(
-                    container=container,
-                    key=key,
-                    size=size,
-                    mime=mime,
-                    rule_name=self._planner.rule_for(rule, class_key),
-                    class_key=class_key,
-                    skey=skey,
-                    m=placement.m,
-                    chunk_map=tuple(enumerate(placement.providers)),
-                    created_at=old_meta.created_at if old_meta else now,
-                    checksum=digest.hexdigest(),
-                    ttl_hint=ttl_hint,
-                    stripes=tuple(stripes),
-                    modified_at=now,
-                    merkle=tuple(sorted(roots)),
-                )
-                self._commit_put(container, key, row_key, meta, old_meta, now, period)
-                return meta
-            finally:
-                self._locks.in_flight.end(skey)
-        raise WriteFailedError(
-            f"no reachable placement for {container}/{key}", causes=causes
-        )
-
-    def _stream_stripes(
-        self,
-        source: ByteSource,
-        skey: str,
-        tag_of: Callable[[int], object],
-        m: int,
-        providers: Tuple[str, ...],
-        stripe_size: int,
-        digest,
-        written: List[Tuple[str, str]],
-        stripes: List[Tuple[str, int]],
-        *,
-        first: Optional[bytes] = None,
-        merkle: Optional[List[Tuple[str, str]]] = None,
-    ) -> None:
-        """Pull, encode and ship stripes until the source is exhausted.
-
-        Appends to ``written``/``stripes`` in place so the caller can
-        clean up the already-shipped chunks when a stripe fails mid-way;
-        ``merkle`` (when given) collects each shipped chunk's Merkle
-        root keyed by its ``tag.index`` suffix — computed here, while
-        the encoded bytes are already hot in cache, never re-read.
-
-        Each chunk's discard + put runs under the pending queue's rewrite
-        guard: a retried multipart part reuses its generation's chunk
-        keys, and a failed earlier attempt may have queued deletes for
-        exactly those keys — without the guard a concurrent flush could
-        claim such an entry and destroy the retry's freshly written
-        chunk after the fact.
-        """
-        index = 0
-        while True:
-            block = first if (index == 0 and first is not None) else source.read(stripe_size)
-            if not block and index > 0:
-                break
-            digest.update(block)
-            tag = str(tag_of(index))
-            chunks = self._encode_stripe(block, m, len(providers))
-            for chunk, provider_name in zip(chunks, providers):
-                chunk_key = f"{skey}:{tag}.{chunk.index}"
-                with self._pending.rewrite_guard(chunk_key):
-                    self._pending.discard(provider_name, chunk_key)
-                    self._registry.get(provider_name).put_chunk(chunk_key, chunk)
-                written.append((provider_name, chunk_key))
-                if merkle is not None:
-                    merkle.append((f"{tag}.{chunk.index}", chunk_root(chunk)))
-            stripes.append((tag, len(block)))
-            index += 1
-            if len(block) < stripe_size:
-                break
-
-    def _commit_put(
-        self,
-        container: str,
-        key: str,
-        row_key: str,
-        meta: ObjectMeta,
-        old_meta: Optional[ObjectMeta],
-        now: float,
-        period: int,
-    ) -> None:
-        """Shared put tail: journal metadata, GC the old version, log."""
-        self._metadata.write(
-            self.dc, row_key, meta.to_dict(), uuid=meta.skey, timestamp=now
-        )
-        self._write_index(container, key, row_key, now, present=True)
-        if old_meta is not None:
-            keep = frozenset((p, ck) for _s, _i, p, ck in meta.iter_chunks())
-            self._gc_chunks(old_meta, keep=keep)
-        self._log.log(
-            LogRecord(
-                period=period,
-                object_key=row_key,
-                class_key=meta.class_key,
-                op="put",
-                size=meta.size,
-                mime=meta.mime,
-                bytes_in=meta.size,
-                insertion=old_meta is None,
-            )
-        )
-        if self._cache is not None:
-            self._cache.invalidate_everywhere(row_key)
-
-    def _write_chunks(
-        self,
-        container: str,
-        key: str,
-        data: Payload,
-        size: int,
-        mime: str,
-        rule: Optional[str],
-        class_key: str,
-        placement: Placement,
-        *,
-        skey: str,
-        ttl_hint: Optional[float],
-        now: float,
-        created_at: float,
-    ) -> ObjectMeta:
-        if isinstance(data, bytes):
-            chunks: Sequence = self._encode_stripe(data, placement.m, placement.n)
-        else:
-            chunks = split_synthetic(size, placement.m, placement.n)
-        written: List[Tuple[str, str]] = []
-        try:
-            for chunk, provider_name in zip(chunks, placement.providers):
-                chunk_key = f"{skey}:{chunk.index}"
-                self._registry.get(provider_name).put_chunk(chunk_key, chunk)
-                written.append((provider_name, chunk_key))
-        except (ProviderUnavailableError, CapacityExceededError, ChunkTooLargeError):
-            for provider_name, chunk_key in written:
-                try:
-                    self._registry.get(provider_name).delete_chunk(chunk_key)
-                except (ProviderUnavailableError, ChunkNotFoundError):
-                    self._pending.add(provider_name, chunk_key)
-            raise
-        return ObjectMeta(
-            container=container,
-            key=key,
-            size=size,
-            mime=mime,
-            rule_name=self._planner.rule_for(rule, class_key),
-            class_key=class_key,
-            skey=skey,
-            m=placement.m,
-            chunk_map=tuple(
-                (chunk.index, provider)
-                for chunk, provider in zip(chunks, placement.providers)
-            ),
-            created_at=created_at,
-            # Content MD5 (the gateway's ETag); synthetic payloads have none.
-            checksum=hashlib.md5(data).hexdigest() if isinstance(data, bytes) else "",
-            ttl_hint=ttl_hint,
-            modified_at=now,
-            merkle=tuple(
-                sorted((str(chunk.index), chunk_root(chunk)) for chunk in chunks)
-            ),
-        )
 
     # -- read paths --------------------------------------------------------
 

@@ -36,6 +36,7 @@ from repro.core.optimizer import OptimizationReport, PeriodicOptimizer
 from repro.core.placement import PlacementEngine
 from repro.core.rules import RuleBook
 from repro.cluster.statistics import StatsDatabase
+from repro.cluster.writepath import Stager
 from repro.obs.events import EventJournal, resolve_journal
 from repro.obs.history import MetricsHistory
 from repro.obs.metrics import MetricsRegistry
@@ -951,99 +952,10 @@ class Scalia:
         """Object metadata without reading data."""
         return self.cluster.route(dc).head(container, key)
 
-    # -- staged data plane (pre-forked gateway workers) --------------------
-
-    def staged_begin(
-        self,
-        container: str,
-        key: str,
-        *,
-        size_guess: int,
-        mime: str = "application/octet-stream",
-        rule: Optional[str] = None,
-        exclude: Sequence[str] = (),
-        dc: Optional[str] = None,
-    ):
-        """Plan a worker-encoded write: placement + in-flight skey."""
-        return self.cluster.route(dc).staged_begin(
-            container, key,
-            size_guess=size_guess, mime=mime, rule=rule, exclude=exclude,
-            period=self._period,
-        )
-
-    def staged_write_stripe(
-        self, skey, tag, chunks, providers, written, *, dc: Optional[str] = None
-    ) -> None:
-        """Ship one stripe of pre-encoded chunks for a staged write."""
-        self.cluster.route(dc).staged_write_stripe(skey, tag, chunks, providers, written)
-
-    def staged_commit(
-        self,
-        container: str,
-        key: str,
-        skey: str,
-        *,
-        m: int,
-        providers: Sequence[str],
-        size: int,
-        checksum: str,
-        stripes: Sequence[Tuple[str, int]],
-        merkle: Sequence[Tuple[str, str]] = (),
-        mime: str = "application/octet-stream",
-        rule: Optional[str] = None,
-        ttl_hint: Optional[float] = None,
-        dc: Optional[str] = None,
-    ) -> ObjectMeta:
-        """Journal a staged write's metadata (the object becomes live)."""
-        return self.cluster.route(dc).staged_commit(
-            container, key, skey,
-            m=m, providers=providers, size=size, checksum=checksum,
-            stripes=stripes, merkle=merkle, mime=mime, rule=rule,
-            ttl_hint=ttl_hint, now=self._now, period=self._period,
-        )
-
-    def staged_abort(
-        self, skey, written, *, end_in_flight: bool = True, dc: Optional[str] = None
-    ) -> int:
-        """Drop a staged session's shipped chunks."""
-        return self.cluster.route(dc).staged_abort(
-            skey, written, end_in_flight=end_in_flight
-        )
-
-    def staged_part_begin(
-        self,
-        container: str,
-        key: str,
-        upload_id: str,
-        part_number: int,
-        *,
-        dc: Optional[str] = None,
-    ):
-        """Reserve a journaled generation for a staged part upload."""
-        return self.cluster.route(dc).staged_part_begin(
-            container, key, upload_id, part_number, now=self._now
-        )
-
-    def staged_part_commit(
-        self,
-        container: str,
-        key: str,
-        upload_id: str,
-        part_number: int,
-        gen: int,
-        *,
-        etag: str,
-        size: int,
-        stripes: Sequence[Tuple[str, int]],
-        merkle: Sequence[Tuple[str, str]] = (),
-        dc: Optional[str] = None,
-    ) -> PartState:
-        """Flip the staging row to a staged part's freshly shipped chunks."""
-        return self.cluster.route(dc).staged_part_commit(
-            container, key, upload_id, part_number, gen,
-            etag=etag, size=size, stripes=stripes, merkle=merkle,
-            now=self._now,
-        )
+    def stager(self, *, dc: Optional[str] = None) -> Stager:
+        """The engine's staged write protocol bound to the current clock
+        (what the ops RPC serves to gateway workers)."""
+        return self.cluster.route(dc).stager(now=self._now, period=self._period)
 
     def fetch_stripe_chunks(
         self, meta: ObjectMeta, stripe: int, *, dc: Optional[str] = None

@@ -9,10 +9,10 @@ metadata, striped locks, the WAL and the control plane; what crosses the
 socket is *encoded chunks* (as raw binary payloads, no base64) and small
 JSON control frames.
 
-Writes run the staged protocol (:meth:`Engine.staged_begin` /
-``staged_write_stripe`` / ``staged_commit``): the worker encodes each
-stripe, ships the shards in one binary frame, and commits with the
-md5 it computed while streaming.  Reads are the mirror image:
+Writes serve the engine's staged protocol (:meth:`Scalia.stager`) to the
+write driver running in the worker (:mod:`repro.cluster.writepath`): it
+encodes each stripe, ships the shards in one binary frame, and commits
+with the md5 it computed while streaming.  Reads are the mirror image:
 ``read_stripe`` returns one stripe's fetched chunks — sorted by shard
 index, shipped back-to-back — and the worker decodes; when the ``m``
 cheapest chunks happen to be the data shards the worker serves a single
@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.engine import (
     InvalidRangeError,
@@ -42,10 +42,12 @@ from repro.cluster.engine import (
     MultipartError,
     NoSuchUploadError,
     ObjectNotFoundError,
+    PlacementError,
     ReadFailedError,
     ReadPlan,
     WriteFailedError,
 )
+from repro.cluster.writepath import StagedWrite
 from repro.erasure.striping import Chunk, SyntheticChunk
 from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
 from repro.obs.workers import WorkerMetricsAggregator
@@ -55,54 +57,86 @@ from repro.providers.provider import (
     ProviderUnavailableError,
 )
 from repro.providers.registry import UnknownProviderError
-from repro.replication.rpc import RpcServer
-from repro.storage.merkle import chunk_root
+from repro.replication.rpc import RpcError, RpcServer
 from repro.types import ObjectMeta
 
 
-def _error_doc(exc: Exception) -> Optional[Dict[str, Any]]:
+def _size(value) -> int:
+    return int(value or 0)
+
+
+def _same(value):
+    return value
+
+
+def _cause_messages(causes) -> Dict[str, str]:
+    return {name: str(exc) for name, exc in (causes or {}).items()}
+
+
+def _cause_errors(messages) -> Dict[str, BaseException]:
+    return {name: RuntimeError(msg) for name, msg in (messages or {}).items()}
+
+
+class _WireError(NamedTuple):
+    """One typed broker exception as it crosses the ops RPC."""
+
+    kind: str
+    cls: type
+    #: Exception attributes that travel too: name -> (to wire, from wire).
+    fields: Dict[str, Tuple[Callable, Callable]] = {}
+
+
+_PROVIDER = {"provider_name": (_same, _same)}
+
+#: The error vocabulary of the ops RPC, declared once: encode
+#: (:func:`error_doc`, broker side) and decode (:func:`error_from_doc`,
+#: worker side) both derive from it.  Encode takes the first row whose
+#: class matches, so a subclass goes before its base; decode takes the
+#: first row of a kind, so ``TypeError`` arrives as ``ValueError`` (the
+#: HTTP layer answers both with 400).
+WIRE_ERRORS: Tuple[_WireError, ...] = (
+    _WireError("object_not_found", ObjectNotFoundError),
+    _WireError("invalid_range", InvalidRangeError, {"object_size": (_size, _size)}),
+    _WireError("write_failed", WriteFailedError,
+               {"causes": (_cause_messages, _cause_errors)}),
+    _WireError("read_failed", ReadFailedError),
+    _WireError("no_placement", PlacementError),
+    _WireError("no_such_upload", NoSuchUploadError),
+    _WireError("multipart", MultipartError),
+    _WireError("bad_token", InvalidContinuationTokenError),
+    _WireError("provider_unavailable", ProviderUnavailableError, _PROVIDER),
+    _WireError("capacity_exceeded", CapacityExceededError, _PROVIDER),
+    _WireError("chunk_too_large", ChunkTooLargeError, _PROVIDER),
+    _WireError("unknown_provider", UnknownProviderError),
+    _WireError("closed", FrontendClosedError),
+    _WireError("value_error", ValueError),
+    _WireError("value_error", TypeError),
+)
+_BY_KIND = {row.kind: row for row in reversed(WIRE_ERRORS)}
+
+
+def error_doc(exc: Exception) -> Optional[Dict[str, Any]]:
     """Map a typed broker exception to a structured wire document."""
-    msg = str(exc.args[0]) if exc.args else str(exc)
-    if isinstance(exc, ObjectNotFoundError):
-        return {"kind": "object_not_found", "msg": msg}
-    if isinstance(exc, InvalidRangeError):
-        return {
-            "kind": "invalid_range",
-            "msg": msg,
-            "object_size": getattr(exc, "object_size", 0),
-        }
-    if isinstance(exc, WriteFailedError):
-        return {"kind": "write_failed", "msg": msg}
-    if isinstance(exc, ReadFailedError):
-        return {"kind": "read_failed", "msg": msg}
-    if isinstance(exc, NoSuchUploadError):
-        return {"kind": "no_such_upload", "msg": msg}
-    if isinstance(exc, MultipartError):
-        return {"kind": "multipart", "msg": msg}
-    if isinstance(exc, InvalidContinuationTokenError):
-        return {"kind": "bad_token", "msg": msg}
-    if isinstance(exc, ProviderUnavailableError):
-        return {
-            "kind": "provider_unavailable", "msg": msg,
-            "provider": getattr(exc, "provider_name", None),
-        }
-    if isinstance(exc, CapacityExceededError):
-        return {
-            "kind": "capacity_exceeded", "msg": msg,
-            "provider": getattr(exc, "provider_name", None),
-        }
-    if isinstance(exc, ChunkTooLargeError):
-        return {
-            "kind": "chunk_too_large", "msg": msg,
-            "provider": getattr(exc, "provider_name", None),
-        }
-    if isinstance(exc, UnknownProviderError):
-        return {"kind": "unknown_provider", "msg": msg}
-    if isinstance(exc, FrontendClosedError):
-        return {"kind": "closed", "msg": msg}
-    if isinstance(exc, (ValueError, TypeError)):
-        return {"kind": "value_error", "msg": msg}
+    for row in WIRE_ERRORS:
+        if isinstance(exc, row.cls):
+            doc = {"kind": row.kind, "msg": str(exc.args[0]) if exc.args else str(exc)}
+            for attr, (to_wire, _) in row.fields.items():
+                doc[attr] = to_wire(getattr(exc, attr, None))
+            return doc
     return None
+
+
+def error_from_doc(err: Dict[str, Any]) -> Exception:
+    """Rebuild the exception an ``err`` document was made from."""
+    kind = err.get("kind")
+    msg = err.get("msg", kind or "remote broker error")
+    row = _BY_KIND.get(kind)
+    if row is None:
+        return RpcError(msg)
+    exc = row.cls(msg)
+    for attr, (_, from_wire) in row.fields.items():
+        setattr(exc, attr, from_wire(err.get(attr)))
+    return exc
 
 
 def _guarded(fn: Callable) -> Callable:
@@ -117,7 +151,7 @@ def _guarded(fn: Callable) -> Callable:
         try:
             return fn(self, request)
         except Exception as exc:  # noqa: BLE001 — mapped or re-raised
-            doc = _error_doc(exc)
+            doc = error_doc(exc)
             if doc is None:
                 raise
             return {"err": doc}
@@ -131,9 +165,10 @@ class OpsService:
     Wire conventions: chunk payloads ride the transport's binary frames
     (``request["_payload"]`` inbound, ``(body, buffers)`` outbound);
     metadata documents use the existing ``to_dict``/``from_dict`` forms.
-    Staged write sessions are tracked broker-side (``sid`` -> shipped
-    refs) so an abort can clean up without trusting the worker to
-    remember what it shipped.
+    Staged write sessions (:class:`~repro.cluster.writepath.StagedWrite`)
+    are kept broker-side by ``sid``: stripes and commits use the
+    placement planned at begin, and an abort cleans up without trusting
+    the worker to remember what it shipped.
     """
 
     def __init__(
@@ -145,7 +180,7 @@ class OpsService:
         self.frontend = frontend
         self.broker = frontend.broker
         self.aggregator = aggregator
-        self._sessions: Dict[str, Dict[str, Any]] = {}
+        self._sessions: Dict[str, StagedWrite] = {}
         self._sessions_lock = threading.Lock()
 
     # -- wiring ---------------------------------------------------------
@@ -193,23 +228,19 @@ class OpsService:
 
     # -- session bookkeeping --------------------------------------------
 
-    def _session(self, sid: str) -> Dict[str, Any]:
+    def _session(self, sid: str) -> StagedWrite:
         with self._sessions_lock:
             session = self._sessions.get(sid)
         if session is None:
             raise ValueError(f"unknown staged session {sid!r}")
         return session
 
-    def _open_session(self, sid: str, skey: str, *, owns_in_flight: bool) -> None:
+    def _open_session(self, session: StagedWrite) -> dict:
         with self._sessions_lock:
-            self._sessions[sid] = {
-                "skey": skey,
-                "written": [],
-                "merkle": [],
-                "owns_in_flight": owns_in_flight,
-            }
+            self._sessions[session.sid] = session
+        return session.to_dict()
 
-    def _close_session(self, sid: str) -> Optional[Dict[str, Any]]:
+    def _close_session(self, sid: str) -> Optional[StagedWrite]:
         with self._sessions_lock:
             return self._sessions.pop(sid, None)
 
@@ -219,7 +250,6 @@ class OpsService:
         return {
             "pid": os.getpid(),
             "stripe_size": self.broker.stripe_size_bytes,
-            "providers": self.broker.registry.names(),
             "mode": self.frontend.mode,
             "metrics_enabled": self.broker.metrics.enabled,
         }
@@ -228,17 +258,16 @@ class OpsService:
 
     @_guarded
     def _op_write_begin(self, request: dict) -> dict:
-        skey, placement = self.broker.staged_begin(
-            request["container"],
-            request["key"],
-            size_guess=int(request.get("size_guess", 1)),
-            mime=request.get("mime", "application/octet-stream"),
-            rule=request.get("rule"),
-            exclude=tuple(request.get("exclude", ())),
+        return self._open_session(
+            self.broker.stager().begin(
+                request["container"],
+                request["key"],
+                size_guess=int(request.get("size_guess", 1)),
+                mime=request.get("mime", "application/octet-stream"),
+                rule=request.get("rule"),
+                exclude=tuple(request.get("exclude", ())),
+            )
         )
-        self._open_session(skey, skey, owns_in_flight=True)
-        return {"sid": skey, "skey": skey, "m": placement.m,
-                "providers": list(placement.providers)}
 
     @_guarded
     def _op_write_stripe(self, request: dict) -> dict:
@@ -246,12 +275,18 @@ class OpsService:
         payload = request.get("_payload")
         if payload is None:
             raise ValueError("write_stripe needs a binary payload")
-        indices = request["indices"]
-        lengths = request["lengths"]
-        checksums = request["checksums"]
-        providers = request["providers"]
-        if not (len(indices) == len(lengths) == len(checksums) == len(providers)):
-            raise ValueError("write_stripe shard lists disagree in length")
+        # Worker and broker are one build spawned by one supervisor, so a
+        # frame without a root per shard is malformed, not an older
+        # layout: a chunk must never commit without its audit anchor.
+        lists = [
+            request.get(name) for name in ("indices", "lengths", "checksums", "roots")
+        ]
+        if any(not isinstance(v, list) or len(v) != session.n for v in lists):
+            raise ValueError(
+                "write_stripe needs indices, lengths, checksums and roots, "
+                "one of each per provider of the session"
+            )
+        indices, lengths, checksums, roots = lists
         chunks: List[Chunk] = []
         offset = 0
         for index, length, checksum in zip(indices, lengths, checksums):
@@ -260,19 +295,7 @@ class OpsService:
             if len(shard) != int(length):
                 raise ValueError("write_stripe payload shorter than its shard list")
             chunks.append(Chunk(index=int(index), data=shard, checksum=checksum))
-        tag = request.get("tag")
-        # Merkle roots normally arrive from the worker (it holds the
-        # plaintext shards anyway); recompute broker-side for clients of
-        # the older frame layout so their objects stay auditable too.
-        roots = request.get("roots") or [chunk_root(c) for c in chunks]
-        self.broker.staged_write_stripe(
-            session["skey"], tag, chunks, providers, session["written"]
-        )
-        for chunk, root in zip(chunks, roots):
-            suffix = (
-                str(chunk.index) if tag is None else f"{tag}.{chunk.index}"
-            )
-            session["merkle"].append((suffix, str(root)))
+        self.broker.stager().write_stripe(session, request.get("tag"), chunks, roots)
         return {"written": len(chunks)}
 
     @_guarded
@@ -281,16 +304,11 @@ class OpsService:
         session = self._session(sid)
         meta = self.frontend.run_op(
             "put",
-            lambda: self.broker.staged_commit(
-                request["container"],
-                request["key"],
-                session["skey"],
-                m=int(request["m"]),
-                providers=tuple(request["providers"]),
+            lambda: self.broker.stager().commit(
+                session,
                 size=int(request["size"]),
                 checksum=request["checksum"],
                 stripes=[(str(t), int(n)) for t, n in request.get("stripes", [])],
-                merkle=session["merkle"],
                 mime=request.get("mime", "application/octet-stream"),
                 rule=request.get("rule"),
                 ttl_hint=request.get("ttl_hint"),
@@ -304,12 +322,7 @@ class OpsService:
         session = self._close_session(request["sid"])
         if session is None:
             return {"deleted": 0}
-        deleted = self.broker.staged_abort(
-            session["skey"],
-            session["written"],
-            end_in_flight=session["owns_in_flight"],
-        )
-        return {"deleted": deleted}
+        return {"deleted": self.broker.stager().abort(session)}
 
     @_guarded
     def _op_put_synthetic(self, request: dict) -> dict:
@@ -330,41 +343,26 @@ class OpsService:
 
     @_guarded
     def _op_part_begin(self, request: dict) -> dict:
-        state, gen = self.broker.staged_part_begin(
-            request["container"],
-            request["key"],
-            request["upload_id"],
-            int(request["part_number"]),
-        )
-        sid = f"{state.skey}#p{int(request['part_number'])}g{gen}"
-        # Part chunks are protected by the upload-lifetime in-flight
-        # registration made at create time; an abort must not end it.
-        self._open_session(sid, state.skey, owns_in_flight=False)
-        return {
-            "sid": sid,
-            "skey": state.skey,
-            "m": state.m,
-            "providers": list(state.providers),
-            "stripe_size": state.stripe_size,
-            "gen": gen,
-        }
-
-    @_guarded
-    def _op_part_commit(self, request: dict) -> dict:
-        sid = request["sid"]
-        session = self._session(sid)  # validates liveness
-        part = self.frontend.run_op(
-            "upload_part",
-            lambda: self.broker.staged_part_commit(
+        return self._open_session(
+            self.broker.stager().part_begin(
                 request["container"],
                 request["key"],
                 request["upload_id"],
                 int(request["part_number"]),
-                int(request["gen"]),
+            )
+        )
+
+    @_guarded
+    def _op_part_commit(self, request: dict) -> dict:
+        sid = request["sid"]
+        session = self._session(sid)
+        part = self.frontend.run_op(
+            "upload_part",
+            lambda: self.broker.stager().part_commit(
+                session,
                 etag=request["etag"],
                 size=int(request["size"]),
                 stripes=[(str(t), int(n)) for t, n in request.get("stripes", [])],
-                merkle=session["merkle"],
             ),
         )
         self._close_session(sid)

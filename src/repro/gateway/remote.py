@@ -11,9 +11,10 @@ holding engine state.
 The split follows the issue's CPU budget: everything per-request and
 compute-bound happens here in the worker — HTTP parsing, body streaming,
 Reed-Solomon encode/decode, MD5/SHA1 checksumming — while the broker
-process only moves chunks and mutates metadata.  Writes run the staged
-protocol (begin / ship encoded stripes as raw binary payloads / commit
-with the streamed MD5); reads fetch one stripe's chunks per RPC and
+process only moves chunks and mutates metadata.  Writes run the engine's
+own write driver (:mod:`repro.cluster.writepath`) against the broker's
+staged protocol (begin / ship encoded stripes as raw binary payloads /
+commit with the streamed MD5); reads fetch one stripe's chunks per RPC and
 decode locally.  When the ``m`` fetched chunks are exactly the data
 shards (the all-healthy common case of a systematic code), their
 back-to-back arrival order means the plaintext is a *single slice of the
@@ -25,71 +26,21 @@ hashing); the ops RPC carries internal container names only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import queue
-import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.engine import (
-    InvalidContinuationTokenError,
-    InvalidRangeError,
-    MultipartError,
-    NoSuchUploadError,
-    ObjectNotFoundError,
-    ReadFailedError,
-    ReadPlan,
-    WriteFailedError,
-)
+from repro.cluster.engine import ReadFailedError, ReadPlan
 from repro.cluster.multipart import MultipartState, PartState
+from repro.cluster.writepath import StagedWrite, put_object, put_part
 from repro.erasure.rs import CodeCache
 from repro.erasure.striping import split_object
 from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
+from repro.gateway.ops import error_from_doc
 from repro.obs.metrics import MetricsRegistry
-from repro.providers.provider import (
-    CapacityExceededError,
-    ChunkTooLargeError,
-    ProviderUnavailableError,
-)
-from repro.providers.registry import UnknownProviderError
 from repro.replication.rpc import Buffer, RpcClient, RpcError
-from repro.storage.merkle import chunk_root
 from repro.types import ListPage, ObjectMeta
-from repro.util.streams import ByteSource
-
-
-def _raise_remote(err: Dict[str, Any]) -> None:
-    """Re-raise a structured ``err`` document as its original exception."""
-    kind = err.get("kind")
-    msg = err.get("msg", kind or "remote broker error")
-    if kind == "object_not_found":
-        raise ObjectNotFoundError(msg)
-    if kind == "invalid_range":
-        exc = InvalidRangeError(msg)
-        exc.object_size = int(err.get("object_size", 0))
-        raise exc
-    if kind == "write_failed":
-        raise WriteFailedError(msg)
-    if kind == "read_failed":
-        raise ReadFailedError(msg)
-    if kind == "no_such_upload":
-        raise NoSuchUploadError(msg)
-    if kind == "multipart":
-        raise MultipartError(msg)
-    if kind == "bad_token":
-        raise InvalidContinuationTokenError(msg)
-    if kind == "provider_unavailable":
-        raise ProviderUnavailableError(msg, err.get("provider"))
-    if kind == "capacity_exceeded":
-        raise CapacityExceededError(msg, err.get("provider"))
-    if kind == "chunk_too_large":
-        raise ChunkTooLargeError(msg, err.get("provider"))
-    if kind == "unknown_provider":
-        raise UnknownProviderError(msg)
-    if kind == "closed":
-        raise FrontendClosedError(msg)
-    if kind == "value_error":
-        raise ValueError(msg)
-    raise RpcError(msg)
 
 
 class _RpcPool:
@@ -148,6 +99,72 @@ class _ClusterStub:
     cache = None
 
 
+class RpcStager:
+    """The staged write protocol over the ops RPC: what the drivers of
+    :mod:`repro.cluster.writepath` talk to in a worker.
+
+    Each call is one frame to the broker, which keeps the session by
+    ``sid``.  ``call`` raises typed broker errors, so a provider failing
+    broker-side reaches the re-plan loop as the exception it would be in
+    process.
+    """
+
+    def __init__(self, call, codes: CodeCache) -> None:
+        self._call = call
+        self.encode = functools.partial(split_object, code_cache=codes)
+
+    def begin(self, container, key, *, size_guess, mime, rule, exclude) -> StagedWrite:
+        return StagedWrite.from_dict(self._call(
+            "write_begin",
+            container=container, key=key, size_guess=size_guess,
+            mime=mime, rule=rule, exclude=list(exclude),
+        ))
+
+    def part_begin(self, container, key, upload_id, part_number) -> StagedWrite:
+        return StagedWrite.from_dict(self._call(
+            "part_begin",
+            container=container, key=key,
+            upload_id=upload_id, part_number=part_number,
+        ))
+
+    def write_stripe(self, session, tag, chunks, roots) -> None:
+        self._call(
+            "write_stripe",
+            _buffers=[c.data for c in chunks],
+            sid=session.sid,
+            tag=tag,
+            indices=[c.index for c in chunks],
+            lengths=[len(c.data) for c in chunks],
+            checksums=[c.checksum for c in chunks],
+            roots=list(roots),
+        )
+
+    def commit(self, session, *, size, checksum, stripes, mime, rule, ttl_hint) -> ObjectMeta:
+        response = self._call(
+            "write_commit",
+            sid=session.sid, size=size, checksum=checksum,
+            stripes=[[t, length] for t, length in stripes],
+            mime=mime, rule=rule, ttl_hint=ttl_hint,
+        )
+        return ObjectMeta.from_dict(response["meta"])
+
+    def part_commit(self, session, *, etag, size, stripes) -> PartState:
+        response = self._call(
+            "part_commit",
+            sid=session.sid, etag=etag, size=size,
+            stripes=[[t, length] for t, length in stripes],
+        )
+        return PartState.from_dict(response["part"])
+
+    def abort(self, session) -> int:
+        """Best-effort: the error being reported stays primary, and an
+        unreachable broker's sessions die with its session table."""
+        try:
+            return int(self._call("staged_abort", sid=session.sid)["deleted"])
+        except Exception:  # noqa: BLE001
+            return 0
+
+
 class _RemoteBroker:
     """Duck-typed stand-in for :class:`~repro.core.broker.Scalia`.
 
@@ -159,49 +176,20 @@ class _RemoteBroker:
     def __init__(self, pool: _RpcPool) -> None:
         self._pool = pool
         self._codes = CodeCache()
+        self._stager = RpcStager(self._call, self._codes)
         self.cluster = _ClusterStub()
         hello = self._call("hello")
         self.stripe_size_bytes = int(hello["stripe_size"])
-        self.provider_names: List[str] = list(hello.get("providers", ()))
         self.broker_pid = int(hello.get("pid", 0))
 
     def _call(self, op: str, _buffers: Sequence[Buffer] = (), **args) -> dict:
         response = self._pool.call(op, _buffers, **args)
         err = response.get("err")
         if err:
-            _raise_remote(err)
+            raise error_from_doc(err)
         return response
 
     # -- write path -----------------------------------------------------
-
-    def _ship_stripe(
-        self,
-        sid: str,
-        tag: Optional[str],
-        block: bytes,
-        m: int,
-        providers: Sequence[str],
-    ) -> None:
-        """Encode one stripe locally and ship its shards in one frame.
-
-        Merkle roots ride along with the checksums: computing them here
-        keeps the hashing on the worker's CPU (same reason the erasure
-        coding lives here) and the broker only stores what it is told —
-        it anchors the roots in metadata at commit, making them the
-        trust reference later audits hold providers to.
-        """
-        chunks = split_object(block, m, len(providers), code_cache=self._codes)
-        self._call(
-            "write_stripe",
-            _buffers=[c.data for c in chunks],
-            sid=sid,
-            tag=tag,
-            indices=[c.index for c in chunks],
-            lengths=[len(c.data) for c in chunks],
-            checksums=[c.checksum for c in chunks],
-            roots=[chunk_root(c) for c in chunks],
-            providers=list(providers),
-        )
 
     def put(
         self,
@@ -214,14 +202,8 @@ class _RemoteBroker:
         ttl_hint: Optional[float] = None,
         size_hint: Optional[int] = None,
     ) -> ObjectMeta:
-        """The staged write protocol, mirroring the engine's direct path.
-
-        Same layout decisions byte for byte: payloads under one stripe
-        use the degenerate single-stripe chunk keys, larger ones stream
-        tagged stripes; a provider failing mid-write aborts the staged
-        session, excludes the provider and re-plans from a restarted
-        source.
-        """
+        """The write driver, run here; a synthetic byte count has nothing
+        to encode, so the broker stores it in one call."""
         if isinstance(data, int) and not isinstance(data, bool):
             response = self._call(
                 "put_synthetic",
@@ -229,89 +211,11 @@ class _RemoteBroker:
                 mime=mime, rule=rule, ttl_hint=ttl_hint,
             )
             return ObjectMeta.from_dict(response["meta"])
-        stripe_size = self.stripe_size_bytes
-        source = ByteSource(data, size_hint=size_hint)
-        first = source.read(stripe_size)
-        exclude: set = set()
-        for _ in range(max(1, len(self.provider_names))):
-            small = len(first) < stripe_size
-            if source.size_hint:
-                size_guess = source.size_hint
-            else:
-                size_guess = len(first) if small else 2 * stripe_size
-            begin = self._call(
-                "write_begin",
-                container=container, key=key,
-                size_guess=max(1, size_guess), mime=mime, rule=rule,
-                exclude=sorted(exclude),
-            )
-            sid = begin["sid"]
-            m = int(begin["m"])
-            providers = list(begin["providers"])
-            digest = hashlib.md5()
-            stripes: List[Tuple[str, int]] = []
-            try:
-                if small:
-                    digest.update(first)
-                    self._ship_stripe(sid, None, first, m, providers)
-                    size = len(first)
-                else:
-                    index = 0
-                    block = first
-                    size = 0
-                    while True:
-                        if index > 0:
-                            block = source.read(stripe_size)
-                            if not block:
-                                break
-                        digest.update(block)
-                        tag = str(index)
-                        self._ship_stripe(sid, tag, block, m, providers)
-                        stripes.append((tag, len(block)))
-                        size += len(block)
-                        index += 1
-                        if len(block) < stripe_size:
-                            break
-                response = self._call(
-                    "write_commit",
-                    sid=sid, container=container, key=key,
-                    m=m, providers=providers, size=size,
-                    checksum=digest.hexdigest(),
-                    stripes=[[t, length] for t, length in stripes],
-                    mime=mime, rule=rule, ttl_hint=ttl_hint,
-                )
-                return ObjectMeta.from_dict(response["meta"])
-            except (
-                ProviderUnavailableError,
-                CapacityExceededError,
-                ChunkTooLargeError,
-            ) as exc:
-                self._abort_quietly(sid)
-                if not exc.provider_name:
-                    raise
-                exclude.add(exc.provider_name)
-                if not source.restart():
-                    raise WriteFailedError(
-                        f"provider {exc.provider_name} failed mid-stream and "
-                        f"the source cannot restart"
-                    ) from exc
-                first = source.read(stripe_size)
-                continue
-            except BaseException:
-                self._abort_quietly(sid)
-                raise
-        raise WriteFailedError(f"no reachable placement for {container}/{key}")
-
-    def _abort_quietly(self, sid: str) -> None:
-        """Best-effort staged abort; the original error stays primary.
-
-        An unreachable broker leaves the session to its crash cleanup
-        (the in-flight registry dies with the session table).
-        """
-        try:
-            self._call("staged_abort", sid=sid)
-        except Exception:  # noqa: BLE001
-            pass
+        return put_object(
+            self._stager, container, key, data,
+            stripe_size=self.stripe_size_bytes, size_hint=size_hint,
+            mime=mime, rule=rule, ttl_hint=ttl_hint,
+        )
 
     # -- read path ------------------------------------------------------
 
@@ -459,50 +363,7 @@ class _RemoteBroker:
     def upload_part(
         self, container: str, key: str, upload_id: str, part_number: int, data
     ) -> PartState:
-        """Staged part upload: worker-encoded stripes under a journaled
-        generation, so retries and races reuse no chunk key."""
-        part_number = int(part_number)
-        begin = self._call(
-            "part_begin",
-            container=container, key=key,
-            upload_id=upload_id, part_number=part_number,
-        )
-        sid = begin["sid"]
-        m = int(begin["m"])
-        providers = list(begin["providers"])
-        stripe_size = int(begin["stripe_size"])
-        gen = int(begin["gen"])
-        source = ByteSource(data)
-        digest = hashlib.md5()
-        stripes: List[Tuple[str, int]] = []
-        size = 0
-        try:
-            index = 0
-            while True:
-                block = source.read(stripe_size)
-                if not block and index > 0:
-                    break
-                digest.update(block)
-                tag = f"p{part_number}g{gen}.{index}"
-                self._ship_stripe(sid, tag, block, m, providers)
-                stripes.append((tag, len(block)))
-                size += len(block)
-                index += 1
-                if len(block) < stripe_size:
-                    break
-            response = self._call(
-                "part_commit",
-                sid=sid, container=container, key=key,
-                upload_id=upload_id, part_number=part_number, gen=gen,
-                etag=digest.hexdigest(), size=size,
-                stripes=[[t, length] for t, length in stripes],
-            )
-            return PartState.from_dict(response["part"])
-        except BaseException:
-            # The part's placement is fixed at create time, so there is
-            # no re-plan loop — clean up the staged chunks and report.
-            self._abort_quietly(sid)
-            raise
+        return put_part(self._stager, container, key, upload_id, part_number, data)
 
     def complete_multipart_upload(
         self,

@@ -7,6 +7,9 @@ import pytest
 
 from repro.cluster.engine import MultipartError, NoSuchUploadError
 from repro.core.broker import Scalia
+from repro.gateway.frontend import BrokerFrontend
+from repro.gateway.ops import OpsService
+from repro.gateway.remote import RemoteBrokerFrontend
 
 STRIPE = 4096
 
@@ -16,9 +19,24 @@ def payload_of(size, seed=0):
 
 
 @pytest.fixture()
-def broker():
+def broker(request):
+    """A broker on the requesting class's stager: with ``rpc`` its
+    ``upload_part`` runs the write driver over the ops RPC against a live
+    ``OpsService`` (the worker's write path without the processes);
+    everything else, reads and multipart control included, stays direct."""
     b = Scalia(stripe_size_bytes=STRIPE)
+    if request.cls.STAGER == "engine":
+        yield b
+        b.close()
+        return
+    frontend = BrokerFrontend(b, mode="direct")
+    server = OpsService(frontend).serve("127.0.0.1", 0)
+    remote = RemoteBrokerFrontend(*server.address)
+    b.upload_part = remote.broker.upload_part
     yield b
+    remote.close()
+    server.close()
+    frontend.close()
     b.close()
 
 
@@ -35,6 +53,8 @@ def referenced_keys(meta):
 
 
 class TestMultipartLifecycle:
+    STAGER = "engine"
+
     def test_roundtrip_with_unaligned_parts(self, broker):
         parts_data = [
             payload_of(STRIPE * 2, seed=1),       # aligned
@@ -154,6 +174,13 @@ class TestMultipartLifecycle:
         # the staged part is still completable after the scrub
         broker.complete_multipart_upload("c", "k", upload.upload_id)
         assert broker.get("c", "k") == payload_of(STRIPE, seed=7)
+
+
+class TestMultipartLifecycleOverRpc(TestMultipartLifecycle):
+    """The same suite with parts uploaded over the ops RPC (subclassed,
+    not parametrised, so the in-process ids stay as they are)."""
+
+    STAGER = "rpc"
 
 
 class TestMultipartCrashRecovery:

@@ -1,8 +1,10 @@
 """The streaming data plane: multi-stripe put/get, ranged reads, migration."""
 
+import dataclasses
 import hashlib
 import io
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +19,12 @@ from repro.cluster.engine import (
 )
 from repro.cluster.metadata import MetadataCluster
 from repro.cluster.statistics import LogAgent, LogAggregator, StatsDatabase
+from repro.cluster.writepath import put_object
+from repro.core.broker import Scalia
+from repro.erasure.rs import CodeCache
+from repro.gateway.frontend import BrokerFrontend
+from repro.gateway.ops import OpsService, error_from_doc
+from repro.gateway.remote import RemoteBrokerFrontend, RpcStager, _RpcPool
 from repro.providers.pricing import paper_catalog
 from repro.providers.provider import ProviderUnavailableError
 from repro.providers.registry import ProviderRegistry
@@ -55,7 +63,15 @@ class StubPlanner:
 
 
 class Harness:
-    def __init__(self, *, m=2, n=3):
+    """One engine behind a stub planner.
+
+    ``stager="rpc"`` routes :meth:`put` through the write driver over an
+    :class:`RpcStager` against a live :class:`OpsService` serving this
+    engine — the worker's write path without the processes (reads and
+    everything else stay direct).  Call :meth:`close` on that one.
+    """
+
+    def __init__(self, *, m=2, n=3, stager="engine"):
         self.registry = ProviderRegistry(paper_catalog())
         self.metadata = MetadataCluster(("dc1",))
         self.stats = StatsDatabase()
@@ -72,10 +88,32 @@ class Harness:
             ids=IdGenerator(seed=7),
             pending_deletes=self.pending,
         )
+        self.server = self.pool = self.remote_stager = None
+        if stager == "rpc":
+            frontend = SimpleNamespace(
+                broker=SimpleNamespace(stager=self.engine.stager),
+                run_op=lambda _op, fn: fn(),
+            )
+            self.server = OpsService(frontend).serve("127.0.0.1", 0)
+            self.pool = _RpcPool(*self.server.address)
+            self.remote_stager = RpcStager(self._call, CodeCache())
+
+    def _call(self, op, _buffers=(), **args):
+        response = self.pool.call(op, _buffers, **args)
+        if response.get("err"):
+            raise error_from_doc(response["err"])
+        return response
+
+    def close(self):
+        if self.server is not None:
+            self.pool.close()
+            self.server.close()
 
     def put(self, key, data, **kwargs):
         kwargs.setdefault("stripe_size", STRIPE)
-        return self.engine.put("c", key, data, **kwargs)
+        if self.remote_stager is None:
+            return self.engine.put("c", key, data, **kwargs)
+        return put_object(self.remote_stager, "c", key, data, **kwargs)
 
     def stored_keys(self):
         out = set()
@@ -92,9 +130,18 @@ def payload_of(size, seed=0):
     return random.Random(seed).randbytes(size)
 
 
+@pytest.fixture()
+def h(request):
+    """A harness on the requesting class's stager."""
+    harness = Harness(stager=request.cls.STAGER)
+    yield harness
+    harness.close()
+
+
 class TestStreamedPut:
-    def test_multi_stripe_roundtrip(self):
-        h = Harness()
+    STAGER = "engine"
+
+    def test_multi_stripe_roundtrip(self, h):
         data = payload_of(STRIPE * 3 + 123)
         meta = h.put("big.bin", data)
         assert meta.stripe_count == 4
@@ -103,22 +150,19 @@ class TestStreamedPut:
         assert meta.checksum == hashlib.md5(data).hexdigest()
         assert h.engine.get("c", "big.bin") == data
 
-    def test_small_payload_stays_legacy_single_stripe(self):
-        h = Harness()
+    def test_small_payload_stays_legacy_single_stripe(self, h):
         meta = h.put("small.bin", b"tiny")
         assert meta.stripes == ()
         assert meta.chunk_key(0) == f"{meta.skey}:0"
         assert h.engine.get("c", "small.bin") == b"tiny"
 
-    def test_file_like_source_streams(self):
-        h = Harness()
+    def test_file_like_source_streams(self, h):
         data = payload_of(STRIPE * 2 + 7, seed=1)
         meta = h.put("file.bin", io.BytesIO(data))
         assert meta.stripe_count == 3
         assert h.engine.get("c", "file.bin") == data
 
-    def test_iterator_source_streams(self):
-        h = Harness()
+    def test_iterator_source_streams(self, h):
         data = payload_of(STRIPE * 2, seed=2)
         blocks = [data[i : i + 1000] for i in range(0, len(data), 1000)]
         meta = h.put("iter.bin", iter(blocks))
@@ -126,28 +170,24 @@ class TestStreamedPut:
         # exactly stripe-aligned input: no phantom trailing stripe
         assert meta.stripe_lengths == (STRIPE, STRIPE)
 
-    def test_no_chunks_beyond_live_references(self):
-        h = Harness()
+    def test_no_chunks_beyond_live_references(self, h):
         meta = h.put("a.bin", payload_of(STRIPE * 2 + 5, seed=3))
         assert h.stored_keys() == h.referenced_keys(meta)
 
-    def test_overwrite_striped_with_small_gc_old_stripes(self):
-        h = Harness()
+    def test_overwrite_striped_with_small_gc_old_stripes(self, h):
         h.put("k", payload_of(STRIPE * 3, seed=4))
         meta2 = h.put("k", b"now tiny")
         assert h.engine.get("c", "k") == b"now tiny"
         assert h.stored_keys() == h.referenced_keys(meta2)
 
-    def test_overwrite_small_with_striped_gc_old(self):
-        h = Harness()
+    def test_overwrite_small_with_striped_gc_old(self, h):
         h.put("k", b"tiny first")
         data = payload_of(STRIPE * 2 + 1, seed=5)
         meta2 = h.put("k", data)
         assert h.engine.get("c", "k") == data
         assert h.stored_keys() == h.referenced_keys(meta2)
 
-    def test_mid_stream_provider_failure_replans_with_bytes(self):
-        h = Harness()
+    def test_mid_stream_provider_failure_replans_with_bytes(self, h):
         data = payload_of(STRIPE * 3, seed=6)
         victim = sorted(h.registry.names())[0]
         provider = h.registry.get(victim)
@@ -167,8 +207,7 @@ class TestStreamedPut:
         # the aborted attempt's chunks were cleaned up
         assert h.stored_keys() == h.referenced_keys(meta)
 
-    def test_mid_stream_failure_with_one_shot_iterator_fails_clean(self):
-        h = Harness()
+    def test_mid_stream_failure_with_one_shot_iterator_fails_clean(self, h):
         data = payload_of(STRIPE * 3, seed=7)
         victim = sorted(h.registry.names())[0]
         provider = h.registry.get(victim)
@@ -188,6 +227,59 @@ class TestStreamedPut:
         assert h.stored_keys() == set()  # nothing leaked
         with pytest.raises(ObjectNotFoundError):
             h.engine.get("c", "gone.bin")
+
+
+class TestStreamedPutOverRpc(TestStreamedPut):
+    """The same suite with the driver on the far side of the ops RPC
+    (subclassed, not parametrised, so the in-process ids stay as they are)."""
+
+    STAGER = "rpc"
+
+
+class TestStagersAgree:
+    """Differential: the in-process stager and the RPC stub are one write
+    path, so the same payloads leave the same metadata and the same bill."""
+
+    SIZES = (0, 1, STRIPE - 1, STRIPE, STRIPE + 1, STRIPE * 2 + STRIPE // 2)
+
+    def test_same_payloads_same_metadata_and_meters(self):
+        direct = Scalia(stripe_size_bytes=STRIPE)
+        served = Scalia(stripe_size_bytes=STRIPE)
+        frontend = BrokerFrontend(served, mode="direct")
+        server = OpsService(frontend).serve("127.0.0.1", 0)
+        remote = RemoteBrokerFrontend(*server.address)
+        try:
+            payloads = [payload_of(size, seed=size) for size in self.SIZES]
+            payloads.append(10_000)  # synthetic byte count
+            metas = {direct: [], served: []}
+            for i, data in enumerate(payloads):
+                metas[direct].append(direct.put("c", f"k{i}", data))
+                metas[served].append(remote.broker.put("c", f"k{i}", data))
+            for a, b in zip(metas[direct], metas[served]):
+                same = dict(skey="", created_at=0.0, modified_at=0.0)
+                assert dataclasses.replace(a, **same) == dataclasses.replace(b, **same)
+            for name in direct.registry.names():
+                assert (
+                    direct.registry.get(name).meter.total()
+                    == served.registry.get(name).meter.total()
+                ), name
+            for broker, written in metas.items():
+                stored = {
+                    (p.name, ck)
+                    for p in broker.registry.providers()
+                    for ck in p.backend.keys()
+                }
+                referenced = {
+                    (p, ck) for meta in written for _s, _i, p, ck in meta.iter_chunks()
+                }
+                assert stored == referenced
+                assert len(broker.cluster.locks.in_flight) == 0
+        finally:
+            remote.close()
+            server.close()
+            frontend.close()
+            served.close()
+            direct.close()
 
 
 class TestRangedReads:

@@ -240,6 +240,76 @@ class TestMultipartHandoffFence:
         )
 
 
+class TestWritesLockAtCommitOnly:
+    """Puts and part uploads stream without their row's lock and take it
+    only to commit (docs/CONCURRENCY.md): racers last-commit-wins, and a
+    slow source stalls nobody."""
+
+    STRIPE = 4096
+
+    def test_same_part_number_from_two_threads(self):
+        """Both uploads stream at once under distinct journaled
+        generations; the upload completes to exactly one of them."""
+        broker = Scalia(stripe_size_bytes=self.STRIPE)
+        up = broker.create_multipart_upload("mpu", "raced.bin")
+        payloads = [bytes([w + 1]) * (self.STRIPE + 100) for w in range(2)]
+        both_begun = threading.Barrier(2, timeout=10)
+
+        def body(payload):
+            # First pulled after part_begin: neither upload streams a byte
+            # until both hold their generation.
+            both_begun.wait()
+            yield payload
+
+        def upload(w: int):
+            return broker.upload_part(
+                "mpu", "raced.bin", up.upload_id, 1, body(payloads[w])
+            )
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            receipts = [f.result(timeout=30) for f in [pool.submit(upload, w) for w in range(2)]]
+
+        (state,) = broker.list_multipart_uploads("mpu")
+        assert state.next_gen == 2
+        gens = {tag.split(".")[0] for r in receipts for tag, _ in r.stripes}
+        assert gens == {"p1g0", "p1g1"}
+        meta = broker.complete_multipart_upload("mpu", "raced.bin", up.upload_id)
+        winner = broker.get("mpu", "raced.bin")
+        assert winner in payloads
+        assert state.parts[1].etag == receipts[payloads.index(winner)].etag
+        report = broker.scrub()
+        assert report.orphans_found == 0
+        stored = {
+            (p.name, ck) for p in broker.registry.providers() for ck in p.backend.keys()
+        }
+        assert stored == {(p, ck) for _s, _i, p, ck in meta.iter_chunks()}
+        assert len(broker.cluster.locks.in_flight) == 0
+
+    def test_get_is_not_stalled_by_a_put_parked_on_a_slow_source(self):
+        broker = Scalia(stripe_size_bytes=self.STRIPE)
+        old = b"old" * 100
+        new = bytes(range(256)) * 40  # 2.5 stripes
+        broker.put("c", "K", old)
+        parked, release = threading.Event(), threading.Event()
+
+        def slow_body():
+            yield new[: self.STRIPE]
+            parked.set()  # the first stripe has shipped; now stall
+            assert release.wait(30)
+            yield new[self.STRIPE :]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            putting = pool.submit(broker.put, "c", "K", slow_body())
+            try:
+                assert parked.wait(10)
+                assert pool.submit(broker.get, "c", "K").result(timeout=10) == old
+                assert not putting.done()
+            finally:
+                release.set()
+            assert putting.result(timeout=30).size == len(new)
+        assert broker.get("c", "K") == new
+
+
 class TestExactBilling:
     def test_concurrent_get_many_bills_exactly(self):
         """N threads x get_many(count=K): ops_get grows by exactly N*K*m."""

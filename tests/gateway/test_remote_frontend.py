@@ -14,13 +14,21 @@ import io
 
 import pytest
 
-from repro.cluster.engine import InvalidRangeError, ObjectNotFoundError
+from repro.cluster.engine import (
+    InvalidRangeError,
+    ObjectNotFoundError,
+    WriteFailedError,
+)
 from repro.core.broker import Scalia
+from repro.erasure.striping import split_object
 from repro.gateway.frontend import BrokerFrontend
-from repro.gateway.ops import OpsService
+from repro.gateway.ops import WIRE_ERRORS, OpsService, error_doc, error_from_doc
 from repro.gateway.remote import RemoteBrokerFrontend
 from repro.gateway.routes import NotModifiedError
 from repro.obs.workers import WorkerMetricsAggregator
+from repro.providers.faults import FaultProfile
+from repro.replication.rpc import RpcError
+from repro.storage.merkle import chunk_root
 
 STRIPE = 4096
 TENANT = "alice"
@@ -232,3 +240,95 @@ class TestAccounting:
         # truth (broker families + folded worker contributions).
         text = remote.metrics.render_text()
         assert "scalia_gateway_workers_live" in text
+
+
+def _stored_keys(broker):
+    return {
+        (p.name, ck) for p in broker.registry.providers() for ck in p.backend.keys()
+    }
+
+
+class TestWriteStripeFrame:
+    """A stripe frame must carry one Merkle root per shard: a chunk never
+    commits without its audit anchor."""
+
+    def _stripe_args(self, call, roots):
+        begin = call("write_begin", container="c", key="k", size_guess=64)
+        chunks = split_object(b"audited" * 9, int(begin["m"]), len(begin["providers"]))
+        args = dict(
+            sid=begin["skey"], tag=None,  # an object session's sid is its skey
+            indices=[c.index for c in chunks],
+            lengths=[len(c.data) for c in chunks],
+            checksums=[c.checksum for c in chunks],
+        )
+        if roots == "short":
+            args["roots"] = [chunk_root(c) for c in chunks][:-1]
+        return begin["skey"], [c.data for c in chunks], args
+
+    @pytest.mark.parametrize("roots", ["short", "missing"])
+    def test_malformed_roots_rejected_before_any_chunk_ships(self, rig, roots):
+        call = rig["remote"].broker._call
+        sid, buffers, args = self._stripe_args(call, roots)
+        with pytest.raises(ValueError, match="roots"):
+            call("write_stripe", _buffers=buffers, **args)
+        assert _stored_keys(rig["broker"]) == set()
+        assert call("staged_abort", sid=sid)["deleted"] == 0
+        assert len(rig["broker"].cluster.locks.in_flight) == 0
+
+
+class TestWriteFailureCauses:
+    def _fail_every_provider(self, broker):
+        for name in broker.registry.names():
+            broker.registry.set_fault_profile(name, FaultProfile(error_rate=1.0, seed=1))
+
+    def test_driver_in_the_worker_collects_causes(self, rig):
+        self._fail_every_provider(rig["broker"])
+        with pytest.raises(WriteFailedError) as excinfo:
+            rig["remote"].put(TENANT, "bkt", "k", b"nowhere to go")
+        causes = excinfo.value.causes
+        assert causes and set(causes) <= set(rig["broker"].registry.names())
+        assert "per-provider causes" in str(excinfo.value)
+        assert _stored_keys(rig["broker"]) == set()
+
+    def test_causes_of_a_broker_side_failure_cross_the_wire(self, rig):
+        # A synthetic put runs its driver in the broker process; the
+        # WriteFailedError it raises reaches the worker with its causes.
+        self._fail_every_provider(rig["broker"])
+        with pytest.raises(WriteFailedError) as excinfo:
+            rig["remote"].put(TENANT, "bkt", "k", 4096)
+        causes = excinfo.value.causes
+        assert causes and set(causes) <= set(rig["broker"].registry.names())
+        assert all(str(exc) for exc in causes.values())
+
+
+class TestErrorCodec:
+    """Encode and decode come from one table, so no kind exists on one
+    side only."""
+
+    @pytest.mark.parametrize("row", WIRE_ERRORS, ids=lambda row: row.cls.__name__)
+    def test_every_kind_round_trips(self, row):
+        original = row.cls("what went wrong")
+        samples = {"object_size": 7, "provider_name": "S3(h)",
+                   "causes": {"S3(h)": RuntimeError("down")}}
+        for attr in row.fields:
+            setattr(original, attr, samples[attr])
+        doc = error_doc(original)
+        assert doc["kind"] == row.kind
+        decoded = error_from_doc(doc)
+        # TypeError deliberately arrives as ValueError (both are a 400).
+        expected = ValueError if row.cls is TypeError else row.cls
+        assert type(decoded) is expected
+        assert decoded.args[0] == "what went wrong"
+        assert error_doc(decoded) == doc
+
+    def test_subclasses_encode_as_their_own_kind(self):
+        kinds = [row.kind for row in WIRE_ERRORS]
+        for row in WIRE_ERRORS:
+            assert error_doc(row.cls("m"))["kind"] == row.kind, (
+                f"{row.cls.__name__} is shadowed by an earlier base class"
+            )
+        assert len(set(kinds)) == len(kinds) - 1  # value_error twice
+
+    def test_unmapped_exceptions_stay_internal_errors(self):
+        assert error_doc(RuntimeError("boom")) is None
+        assert isinstance(error_from_doc({"kind": "from_the_future"}), RpcError)
