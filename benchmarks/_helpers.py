@@ -2,7 +2,7 @@
 
 Each ``bench_figXX`` module regenerates one table or figure of the paper's
 evaluation and prints the paper-vs-measured comparison; run with ``-s`` to
-see the tables (EXPERIMENTS.md captures them).
+see the tables.
 """
 
 from __future__ import annotations

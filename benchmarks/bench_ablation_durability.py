@@ -2,7 +2,7 @@
 
 Both compute the same threshold exactly; the DP is O(n^2) while the literal
 pseudocode enumerates failure combinations (exponential in the tolerated
-failures).  This is the scalability substitution DESIGN.md documents.
+failures).  The DP is the substitution that lets placement scale.
 """
 
 import pytest

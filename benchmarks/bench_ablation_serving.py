@@ -1,7 +1,7 @@
 """Ablation: read-serving provider ranking (egress-only vs egress+ops).
 
-DESIGN.md documents that the paper's reported placements imply ranking
-read sources by egress price alone.  Ranking by total per-chunk cost
+The paper's reported placements imply ranking read sources by egress
+price alone (``CostModel.serving_rank``; docs/FAULTS.md, serving order).  Ranking by total per-chunk cost
 (egress + op) instead is locally cheaper for small chunks — RS's free
 operations win below ~333 KB — and this bench quantifies the per-read gap
 and where the crossover sits.

@@ -38,5 +38,5 @@ def test_fig17_new_provider(benchmark):
     print(
         "note: our Scalia adopts CheapStor for objects written after hour "
         "400; already-stored objects stay put because physically billed "
-        "migration exceeds the 30-day-retention benefit (see EXPERIMENTS.md)."
+        "migration exceeds the 30-day-retention benefit."
     )

@@ -16,7 +16,11 @@ Checks, in order:
    ``scalia_gateway_requests_total`` matches the number of requests the
    clients actually made, and ``scalia_gateway_workers_live`` is 2;
 4. broker-side ``/stats`` op counters account for the workload;
-5. SIGTERM tears the whole tree down cleanly (exit 0, no leftovers).
+5. admin calls answer from a worker as they do in process: a typed broker
+   error keeps its status and message across the ops RPC (``POST /faults``
+   for an unknown provider is 404, a bad profile is a 400 naming the field)
+   and ``POST /audit`` returns its report;
+6. SIGTERM tears the whole tree down cleanly (exit 0, no leftovers).
 
 Exit code 0 means every check held.
 """
@@ -229,6 +233,28 @@ def check_accounting(port, counters, healthz_requests):
     print(f"ok: broker op accounting ({ {k: ops[k] for k in ('put', 'open_read', 'head', 'delete') if k in ops} })")
 
 
+def check_admin(port):
+    def post_fault(provider, profile):
+        body = json.dumps({"provider": provider, "profile": profile})
+        status, _, raw = request(port, "POST", "/faults", body=body)
+        return status, raw.decode()
+
+    status, _, body = request(port, "GET", "/faults")
+    if status != 200:
+        fail(f"GET /faults -> {status}")
+    provider = next(iter(json.loads(body)))
+    status, text = post_fault("no-such-provider", {"latency_ms": 1})
+    if status != 404:
+        fail(f"POST /faults for an unknown provider -> {status} {text}")
+    status, text = post_fault(provider, {"error_rate": 7})
+    if status != 400 or "error_rate" not in text:
+        fail(f"POST /faults with error_rate 7 -> {status} {text}")
+    status, _, body = request(port, "POST", "/audit?seed=1")
+    if status != 200 or "chunks_audited" not in json.loads(body):
+        fail(f"POST /audit?seed=1 -> {status} {body[:200]}")
+    print("ok: admin errors and the audit report cross the ops RPC intact")
+
+
 def main():
     proc, port = boot()
     try:
@@ -236,6 +262,7 @@ def main():
         counters = run_workload(port)
         run_multipart(port)
         check_accounting(port, counters, healthz)
+        check_admin(port)
     finally:
         proc.send_signal(signal.SIGTERM)
         try:

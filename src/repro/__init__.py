@@ -15,8 +15,8 @@ Quickstart::
     print(broker.placement_of("pictures", "cat.gif").label())
     broker.tick(24)                          # advance a day of sim time
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured comparison of every figure.
+See README.md for the system layout; each ``benchmarks/bench_fig*.py``
+prints the paper-vs-measured comparison of one figure.
 """
 
 from repro.types import ObjectMeta, Placement

@@ -1,7 +1,7 @@
 """ASCII rendering of tables and series for the benchmark harness.
 
-The benches print these next to the paper's reported values so
-EXPERIMENTS.md can record paper-vs-measured side by side.
+The benches print these next to the paper's reported values, paper
+and measured side by side.
 """
 
 from __future__ import annotations

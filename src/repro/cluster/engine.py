@@ -43,7 +43,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.cluster.cache import CacheLayer
 from repro.cluster.errors import (  # noqa: F401  (re-exported: the tree imports them from here)
@@ -278,6 +278,53 @@ class ReadPlan:
     start: int
     end: int
     length: int
+
+    def to_dict(self) -> dict:
+        return {
+            "meta": self.meta.to_dict(),
+            "segments": [list(segment) for segment in self.segments],
+            "start": self.start,
+            "end": self.end,
+            "length": self.length,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "ReadPlan":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            meta=ObjectMeta.from_dict(data["meta"]),
+            segments=[(int(s), int(lo), int(hi)) for s, lo, hi in data["segments"]],
+            start=int(data["start"]),
+            end=int(data["end"]),
+            length=int(data["length"]),
+        )
+
+    def materialize(self, read_stripe: Callable[[ObjectMeta, int], Payload]) -> Payload:
+        """The planned bytes (or synthetic byte count), one stripe at a time.
+
+        ``read_stripe(meta, stripe)`` returns a stripe's plaintext or its
+        synthetic length: the engine decodes in process, a gateway worker
+        fetches the chunks over the ops RPC and decodes there.
+        """
+        if not self.segments:
+            # Zero-length read: an empty object (full GET) — synthetic
+            # objects report their (zero) size, real ones empty bytes.
+            return b"" if self.meta.checksum else 0
+        pieces: List[bytes] = []
+        synthetic_total = 0
+        synthetic = False
+        for stripe, lo, hi in self.segments:
+            payload = read_stripe(self.meta, stripe)
+            if isinstance(payload, int):
+                synthetic = True
+                synthetic_total += hi - lo
+            else:
+                pieces.append(payload[lo:hi])
+        if synthetic:
+            return synthetic_total
+        # bytes() of bytes is the same object; a worker's single piece is a
+        # slice of its receive buffer and is copied out here.
+        return bytes(pieces[0]) if len(pieces) == 1 else b"".join(pieces)
 
 
 class _EngineTimers:
@@ -1638,32 +1685,15 @@ class Engine:
         return self._decode_stripe(chunks, meta.m, meta.n, length)
 
     def _fetch_and_reassemble(self, meta: ObjectMeta, *, times: int = 1) -> Payload:
-        pieces: List[bytes] = []
-        for stripe in range(meta.stripe_count):
-            payload = self._read_stripe_payload(meta, stripe, times=times)
-            if isinstance(payload, int):
-                return meta.size
-            pieces.append(payload)
-        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+        """The whole object, every stripe fetched (an empty one included)."""
+        segments = [(s, 0, length) for s, length in enumerate(meta.stripe_lengths)]
+        return self._materialize(
+            ReadPlan(meta=meta, segments=segments, start=0, end=meta.size - 1, length=meta.size),
+            times=times,
+        )
 
     def _materialize(self, plan: ReadPlan, *, times: int = 1) -> Payload:
-        if not plan.segments:
-            # Zero-length read: an empty object (full GET) — synthetic
-            # objects report their (zero) size, real ones empty bytes.
-            return b"" if plan.meta.checksum else 0
-        pieces: List[bytes] = []
-        synthetic_total = 0
-        synthetic = False
-        for stripe, lo, hi in plan.segments:
-            payload = self._read_stripe_payload(plan.meta, stripe, times=times)
-            if isinstance(payload, int):
-                synthetic = True
-                synthetic_total += hi - lo
-            else:
-                pieces.append(payload[lo:hi])
-        if synthetic:
-            return synthetic_total
-        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+        return plan.materialize(functools.partial(self._read_stripe_payload, times=times))
 
     # -- migration ---------------------------------------------------------
 

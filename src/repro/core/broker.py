@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.datacenter import ScaliaCluster
 from repro.cluster.engine import DEFAULT_STRIPE_SIZE, PlacementError, ReadPlan
+from repro.cluster.errors import ObjectNotFoundError
 from repro.cluster.hedging import HedgeStats
 from repro.providers.health import HedgePolicy
 from repro.cluster.multipart import MultipartState, PartState
@@ -624,7 +625,7 @@ class Scalia:
         """
         meta = self.head(container, key)
         if meta is None:
-            raise KeyError(f"{container}/{key} not found")
+            raise ObjectNotFoundError(f"{container}/{key} not found")
         row_key = object_row_key(container, key)
         if isinstance(self.planner, CorePlanner):
             projection, horizon = self.planner._projection_for(  # noqa: SLF001

@@ -123,9 +123,9 @@ def max_feasible_threshold(
     the answer is ``min`` of the two individual thresholds.  Returns 0 when
     the set is infeasible even at m = 1 (full replication).
 
-    This is the refinement of Algorithm 1 discussed in DESIGN.md: the
-    paper's pseudocode derives the threshold from durability alone and
-    rejects the set if availability fails at that threshold, yet every
+    This refines Algorithm 1: the paper's pseudocode derives the
+    threshold from durability alone and rejects the set if availability
+    fails at that threshold, yet every
     placement reported in the evaluation (e.g. ``[S3(h), Azu; m:1]`` during
     the active-repair outage) requires lowering m until availability is met.
     """

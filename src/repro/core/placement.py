@@ -45,7 +45,8 @@ class PlacementEngine:
     ``literal_algorithm1=True`` reproduces the paper's pseudocode exactly
     (threshold from durability only, availability as a reject-only check);
     the default refined mode lowers m until availability is also satisfied,
-    which is what the paper's reported placements require (DESIGN.md).
+    which is what the paper's reported placements require
+    (:func:`~repro.core.durability.max_feasible_threshold`).
     """
 
     def __init__(self, cost_model: CostModel, *, literal_algorithm1: bool = False) -> None:

@@ -4,7 +4,7 @@ The engine stores one chunk per selected provider (Figure 1).  Each chunk
 carries its shard index and a checksum so that corrupted provider responses
 are detected before reassembly.  For the large cost simulations a
 :class:`SyntheticChunk` carries only sizes — same control flow, no payload —
-as called out in DESIGN.md's performance notes.
+which is what keeps the month-long figure scenarios fast.
 """
 
 from __future__ import annotations

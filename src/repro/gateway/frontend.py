@@ -63,6 +63,19 @@ class FrontendClosedError(RuntimeError):
     """Raised when an operation is submitted after :meth:`BrokerFrontend.close`."""
 
 
+def _tenant_facing(fn: Callable[[], Any], bucket: str, key: str) -> Callable[[], Any]:
+    """``fn``, reporting a missing object by the tenant's name for it
+    and not by the internal container."""
+
+    def call():
+        try:
+            return fn()
+        except ObjectNotFoundError:
+            raise ObjectNotFoundError(f"{bucket}/{key} not found") from None
+
+    return call
+
+
 class BrokerFrontend:
     """Thread-safe facade over one :class:`~repro.core.broker.Scalia` broker."""
 
@@ -177,13 +190,7 @@ class BrokerFrontend:
     def get(self, tenant: str, bucket: str, key: str) -> bytes:
         container = self.mapper.internal_container(tenant, bucket)
 
-        def fn():
-            try:
-                return self.broker.get(container, key)
-            except ObjectNotFoundError:
-                # Report the tenant-facing name, not the internal container.
-                raise ObjectNotFoundError(f"{bucket}/{key} not found") from None
-
+        fn = _tenant_facing(lambda: self.broker.get(container, key), bucket, key)
         return self._run("get", fn)
 
     def get_with_meta(
@@ -198,12 +205,7 @@ class BrokerFrontend:
         """
         container = self.mapper.internal_container(tenant, bucket)
 
-        def fn():
-            try:
-                return self.broker.get_with_meta(container, key)
-            except ObjectNotFoundError:
-                raise ObjectNotFoundError(f"{bucket}/{key} not found") from None
-
+        fn = _tenant_facing(lambda: self.broker.get_with_meta(container, key), bucket, key)
         return self._run("get", fn)
 
     def stream_get(
@@ -262,12 +264,7 @@ class BrokerFrontend:
                         # pair is atomic (one broker lock hold), so the
                         # response headers always describe the body sent;
                         # a re-put since the head re-checks below.
-                        try:
-                            payload, served = self.broker.get_with_meta(container, key)
-                        except ObjectNotFoundError:  # deleted since the head
-                            raise ObjectNotFoundError(
-                                f"{bucket}/{key} not found"
-                            ) from None
+                        payload, served = self.broker.get_with_meta(container, key)
                         if served.skey != meta.skey:
                             check_preconditions(served)
                         plan = ReadPlan(
@@ -275,14 +272,7 @@ class BrokerFrontend:
                             end=served.size - 1, length=served.size,
                         )
                         return plan, payload
-                    try:
-                        plan = self.broker.open_read(
-                            container, key, byte_range=byte_range
-                        )
-                    except ObjectNotFoundError:  # deleted since the head
-                        raise ObjectNotFoundError(
-                            f"{bucket}/{key} not found"
-                        ) from None
+                    plan = self.broker.open_read(container, key, byte_range=byte_range)
                 except (InvalidRangeError, RouteError) as exc:
                     if isinstance(exc, RouteError) and exc.status != 416:
                         raise
@@ -295,7 +285,8 @@ class BrokerFrontend:
             check_preconditions(plan.meta)
             return plan, None
 
-        plan, cached = self._run("get", open_fn)
+        # Not found also covers "deleted since the head".
+        plan, cached = self._run("get", _tenant_facing(open_fn, bucket, key))
 
         def blocks():
             if cached is not None:
@@ -331,12 +322,7 @@ class BrokerFrontend:
     def delete(self, tenant: str, bucket: str, key: str) -> None:
         container = self.mapper.internal_container(tenant, bucket)
 
-        def fn():
-            try:
-                return self.broker.delete(container, key)
-            except ObjectNotFoundError:
-                raise ObjectNotFoundError(f"{bucket}/{key} not found") from None
-
+        fn = _tenant_facing(lambda: self.broker.delete(container, key), bucket, key)
         return self._run("delete", fn)
 
     def list(
@@ -530,15 +516,12 @@ class BrokerFrontend:
         container = self.mapper.internal_container(tenant, bucket)
 
         def fn():
-            try:
-                doc = self.broker.explain(container, key)
-            except KeyError:
-                raise ObjectNotFoundError(f"{bucket}/{key} not found") from None
+            doc = self.broker.explain(container, key)
             doc["bucket"] = bucket
             doc["tenant"] = tenant
             return doc
 
-        return self._run("explain", fn)
+        return self._run("explain", _tenant_facing(fn, bucket, key))
 
     def recovery_status(self) -> Dict[str, Any]:
         """Durability/recovery summary for the ``/healthz`` body."""

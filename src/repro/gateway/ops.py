@@ -27,12 +27,17 @@ Every operation that has a direct-mode counterpart runs under
 op/error counters — and everything layered on them (``/stats``,
 ``repro top``) — stay whole-system truthful regardless of which process
 did the encoding.
+
+Everything else a worker asks of the broker is plain call forwarding,
+declared once in :data:`OPERATIONS`: the handler here, the worker's stub
+(:mod:`repro.gateway.remote`) and the cluster's write gate
+(:data:`WRITE_OPS`) all derive from a row.  Only the eight ops that carry
+a session or a binary payload are framed by hand.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import threading
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -47,6 +52,7 @@ from repro.cluster.engine import (
     ReadPlan,
     WriteFailedError,
 )
+from repro.cluster.multipart import MultipartState, PartState
 from repro.cluster.writepath import StagedWrite
 from repro.erasure.striping import Chunk, SyntheticChunk
 from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
@@ -58,7 +64,7 @@ from repro.providers.provider import (
 )
 from repro.providers.registry import UnknownProviderError
 from repro.replication.rpc import RpcError, RpcServer
-from repro.types import ObjectMeta
+from repro.types import ListPage, ObjectMeta
 
 
 def _size(value) -> int:
@@ -120,8 +126,8 @@ def error_doc(exc: Exception) -> Optional[Dict[str, Any]]:
     for row in WIRE_ERRORS:
         if isinstance(exc, row.cls):
             doc = {"kind": row.kind, "msg": str(exc.args[0]) if exc.args else str(exc)}
-            for attr, (to_wire, _) in row.fields.items():
-                doc[attr] = to_wire(getattr(exc, attr, None))
+            for attr, (encode, _) in row.fields.items():
+                doc[attr] = encode(getattr(exc, attr, None))
             return doc
     return None
 
@@ -134,9 +140,116 @@ def error_from_doc(err: Dict[str, Any]) -> Exception:
     if row is None:
         return RpcError(msg)
     exc = row.cls(msg)
-    for attr, (_, from_wire) in row.fields.items():
-        setattr(exc, attr, from_wire(err.get(attr)))
+    for attr, (_, decode) in row.fields.items():
+        setattr(exc, attr, decode(err.get(attr)))
     return exc
+
+
+class Op(NamedTuple):
+    """One call the ops RPC forwards, as it is declared."""
+
+    #: Dotted path from the :class:`OpsService` to the callable
+    #: (``broker.head``); also the op's name on the wire.
+    target: str
+    #: The :class:`BrokerFrontend` counter the call runs under, if any.  A
+    #: ``broker.*`` target is wrapped in ``run_op(counter, …)`` by the
+    #: handler; a ``frontend.*`` method counts itself, under this name.
+    counter: Optional[str] = None
+    #: Mutates broker state: its counter is gated to the leader and waits
+    #: for quorum commit in a cluster (:data:`WRITE_OPS`).
+    write: bool = False
+
+
+#: Every forwarded operation, declared once.  Adding one is adding a row
+#: (docs/API.md, "Adding an operation"); what is *not* here is framed by
+#: hand in :class:`OpsService` because it carries a session or raw chunks.
+OPERATIONS: Tuple[Op, ...] = (
+    Op("broker.head", "head"),
+    Op("broker.open_read", "open_read"),
+    Op("broker.commit_read", "commit_read"),
+    # Synthetic byte counts only: real bytes take the staged protocol.
+    Op("broker.put", "put", write=True),
+    Op("broker.delete", "delete", write=True),
+    Op("broker.list", "list"),
+    Op("broker.create_multipart_upload", "create_upload", write=True),
+    Op("broker.complete_multipart_upload", "complete_upload", write=True),
+    Op("broker.abort_multipart_upload", "abort_upload", write=True),
+    Op("broker.list_multipart_uploads", "list_uploads"),
+    Op("broker.explain", "explain"),
+    Op("frontend.stats", "stats"),
+    # These three journal period closes and repairs.
+    Op("frontend.tick_report", "tick", write=True),
+    Op("frontend.scrub", "scrub", write=True),
+    Op("frontend.audit", "audit", write=True),
+    Op("frontend.history"),
+    Op("frontend.alerts"),
+    Op("frontend.recovery_status"),
+    Op("frontend.fault_profiles", "faults"),
+    # Not a write: each cluster node injects its own faults.
+    Op("frontend.set_fault_profile", "set_fault"),
+    Op("broker.events.query"),
+    Op("broker.events.emit"),
+    Op("broker.events.stats"),
+    Op("broker.metrics.render_text"),
+    Op("broker.metrics.render_openmetrics"),
+    Op("broker.metrics.render_json"),
+    # Served only by a service that was given an aggregator.
+    Op("aggregator.push"),
+    Op("aggregator.retire"),
+)
+
+#: Counters of the two staged commits, the hand-framed writes.
+_COMMIT_COUNTERS = {"write_commit": "put", "part_commit": "upload_part"}
+
+#: Frontend counters that mutate broker state: in a cluster they run on
+#: the leader and wait for quorum commit (``ClusterFrontend._run``).
+WRITE_OPS = frozenset(
+    {op.counter for op in OPERATIONS if op.write} | set(_COMMIT_COUNTERS.values())
+)
+
+#: Typed values that cross as ``{"__wire__": name, "value": to_dict()}``;
+#: everything else crosses as the JSON it already is.
+_TAG = "__wire__"
+_WIRE_TYPES = {
+    cls.__name__: cls
+    for cls in (ObjectMeta, MultipartState, PartState, ListPage, ReadPlan)
+}
+_WIRE_NAMES = {cls: name for name, cls in _WIRE_TYPES.items()}
+
+
+def to_wire(value):
+    """Encode an argument or a result for the RPC's JSON header, by type."""
+    kind = type(value)
+    if kind is dict:
+        doc = {key: to_wire(item) for key, item in value.items()}
+        # A plain dict that happens to use the tag key crosses boxed, so
+        # outside input (a fault profile, event fields) cannot pose as a
+        # typed value.
+        return {_TAG: "dict", "value": doc} if _TAG in doc else doc
+    if kind is list or kind is tuple:
+        return [to_wire(item) for item in value]
+    name = _WIRE_NAMES.get(kind)
+    if name is not None:
+        return {_TAG: name, "value": value.to_dict()}
+    return value
+
+
+def from_wire(value):
+    """Inverse of :func:`to_wire` (tuples arrive as lists)."""
+    kind = type(value)
+    if kind is dict:
+        name = value.get(_TAG)
+        if name is None:
+            return {key: from_wire(item) for key, item in value.items()}
+        if name == "dict":
+            return {key: from_wire(item) for key, item in value["value"].items()}
+        cls = _WIRE_TYPES.get(name)
+        if cls is None:
+            raise ValueError(f"unknown wire type {name!r}")
+        return cls.from_dict(value["value"])
+    if kind is list:
+        return [from_wire(item) for item in value]
+    return value
 
 
 def _guarded(fn: Callable) -> Callable:
@@ -147,9 +260,9 @@ def _guarded(fn: Callable) -> Callable:
     """
 
     @functools.wraps(fn)
-    def wrapper(self, request: dict):
+    def wrapper(self, *args):
         try:
-            return fn(self, request)
+            return fn(self, *args)
         except Exception as exc:  # noqa: BLE001 — mapped or re-raised
             doc = error_doc(exc)
             if doc is None:
@@ -162,13 +275,16 @@ def _guarded(fn: Callable) -> Callable:
 class OpsService:
     """Handler table for one broker's worker-facing ops RPC.
 
-    Wire conventions: chunk payloads ride the transport's binary frames
-    (``request["_payload"]`` inbound, ``(body, buffers)`` outbound);
-    metadata documents use the existing ``to_dict``/``from_dict`` forms.
-    Staged write sessions (:class:`~repro.cluster.writepath.StagedWrite`)
-    are kept broker-side by ``sid``: stripes and commits use the
-    placement planned at begin, and an abort cleans up without trusting
-    the worker to remember what it shipped.
+    Forwarded operations (:data:`OPERATIONS`) share one derived handler.
+    Eight ops are framed by hand, because they are not call forwarding:
+    ``hello`` (the handshake), the staged write protocol ``write_begin``,
+    ``write_stripe``, ``write_commit``, ``part_begin``, ``part_commit``,
+    ``staged_abort`` (sessions kept here by ``sid``, so stripes and
+    commits use the placement planned at begin and an abort cleans up
+    without trusting the worker to remember what it shipped) and
+    ``read_stripe`` (raw chunks).  Chunk payloads ride the transport's
+    binary frames (``request["_payload"]`` inbound, ``(body, buffers)``
+    outbound).
     """
 
     def __init__(
@@ -186,7 +302,7 @@ class OpsService:
     # -- wiring ---------------------------------------------------------
 
     def handlers(self) -> Dict[str, Callable]:
-        return {
+        framed = {
             "hello": self._op_hello,
             "write_begin": self._op_write_begin,
             "write_stripe": self._op_write_stripe,
@@ -194,37 +310,34 @@ class OpsService:
             "part_begin": self._op_part_begin,
             "part_commit": self._op_part_commit,
             "staged_abort": self._op_staged_abort,
-            "put_synthetic": self._op_put_synthetic,
-            "head": self._op_head,
-            "read_open": self._op_read_open,
             "read_stripe": self._op_read_stripe,
-            "read_commit": self._op_read_commit,
-            "delete": self._op_delete,
-            "list": self._op_list,
-            "create_upload": self._op_create_upload,
-            "complete_upload": self._op_complete_upload,
-            "abort_upload": self._op_abort_upload,
-            "list_uploads": self._op_list_uploads,
-            "stats": self._op_stats,
-            "tick": self._op_tick,
-            "scrub": self._op_scrub,
-            "audit": self._op_audit,
-            "history": self._op_history,
-            "alerts": self._op_alerts,
-            "explain": self._op_explain,
-            "recovery": self._op_recovery,
-            "faults_get": self._op_faults_get,
-            "faults_set": self._op_faults_set,
-            "events_query": self._op_events_query,
-            "events_emit": self._op_events_emit,
-            "metrics_push": self._op_metrics_push,
-            "metrics_retire": self._op_metrics_retire,
-            "metrics_render": self._op_metrics_render,
         }
+        forwarded = {
+            op.target: functools.partial(self._forward, op) for op in OPERATIONS
+        }
+        return {**framed, **forwarded}
 
     def serve(self, host: str = "127.0.0.1", port: int = 0) -> RpcServer:
         """Start the ops RPC server; read the port off ``.address``."""
         return RpcServer(host, port, self.handlers())
+
+    @_guarded
+    def _forward(self, op: Op, request: dict) -> dict:
+        """The handler of every :data:`OPERATIONS` row.
+
+        Arguments bind to the target's own signature at the call, so a
+        frame that does not fit it is a ``TypeError`` (a 400 at the
+        worker) before any of the target runs.
+        """
+        target = functools.reduce(getattr, op.target.split("."), self)
+        call = functools.partial(
+            target, *from_wire(request.get("args", [])), **from_wire(request.get("kwargs", {}))
+        )
+        if op.counter is not None and not op.target.startswith("frontend."):
+            result = self.frontend.run_op(op.counter, call)
+        else:
+            result = call()
+        return {"result": to_wire(result)}
 
     # -- session bookkeeping --------------------------------------------
 
@@ -247,12 +360,7 @@ class OpsService:
     # -- handshake ------------------------------------------------------
 
     def _op_hello(self, request: dict) -> dict:
-        return {
-            "pid": os.getpid(),
-            "stripe_size": self.broker.stripe_size_bytes,
-            "mode": self.frontend.mode,
-            "metrics_enabled": self.broker.metrics.enabled,
-        }
+        return {"stripe_size": self.broker.stripe_size_bytes}
 
     # -- staged writes --------------------------------------------------
 
@@ -303,7 +411,7 @@ class OpsService:
         sid = request["sid"]
         session = self._session(sid)
         meta = self.frontend.run_op(
-            "put",
+            _COMMIT_COUNTERS["write_commit"],
             lambda: self.broker.stager().commit(
                 session,
                 size=int(request["size"]),
@@ -324,21 +432,6 @@ class OpsService:
             return {"deleted": 0}
         return {"deleted": self.broker.stager().abort(session)}
 
-    @_guarded
-    def _op_put_synthetic(self, request: dict) -> dict:
-        meta = self.frontend.run_op(
-            "put",
-            lambda: self.broker.put(
-                request["container"],
-                request["key"],
-                int(request["size"]),
-                mime=request.get("mime", "application/octet-stream"),
-                rule=request.get("rule"),
-                ttl_hint=request.get("ttl_hint"),
-            ),
-        )
-        return {"meta": meta.to_dict()}
-
     # -- staged multipart -----------------------------------------------
 
     @_guarded
@@ -357,7 +450,7 @@ class OpsService:
         sid = request["sid"]
         session = self._session(sid)
         part = self.frontend.run_op(
-            "upload_part",
+            _COMMIT_COUNTERS["part_commit"],
             lambda: self.broker.stager().part_commit(
                 session,
                 etag=request["etag"],
@@ -369,35 +462,6 @@ class OpsService:
         return {"part": part.to_dict()}
 
     # -- reads ----------------------------------------------------------
-
-    @_guarded
-    def _op_head(self, request: dict) -> dict:
-        meta = self.frontend.run_op(
-            "head", lambda: self.broker.head(request["container"], request["key"])
-        )
-        return {"meta": meta.to_dict() if meta is not None else None}
-
-    @_guarded
-    def _op_read_open(self, request: dict) -> dict:
-        byte_range = request.get("range")
-        if byte_range is not None:
-            byte_range = (
-                int(byte_range[0]),
-                None if byte_range[1] is None else int(byte_range[1]),
-            )
-        plan = self.frontend.run_op(
-            "open_read",
-            lambda: self.broker.open_read(
-                request["container"], request["key"], byte_range=byte_range
-            ),
-        )
-        return {
-            "meta": plan.meta.to_dict(),
-            "segments": [[s, lo, hi] for s, lo, hi in plan.segments],
-            "start": plan.start,
-            "end": plan.end,
-            "length": plan.length,
-        }
 
     @_guarded
     def _op_read_stripe(self, request: dict):
@@ -421,209 +485,3 @@ class OpsService:
             "checksums": [c.checksum for c in ordered],
         }
         return body, [c.data for c in ordered]
-
-    @_guarded
-    def _op_read_commit(self, request: dict) -> dict:
-        meta = ObjectMeta.from_dict(request["meta"])
-        length = int(request.get("length", meta.size))
-        plan = ReadPlan(
-            meta=meta, segments=[], start=0, end=max(0, length - 1), length=length
-        )
-        self.frontend.run_op(
-            "commit_read",
-            lambda: self.broker.commit_read(plan, count=int(request.get("count", 1))),
-        )
-        return {}
-
-    # -- namespace ops --------------------------------------------------
-
-    @_guarded
-    def _op_delete(self, request: dict) -> dict:
-        self.frontend.run_op(
-            "delete", lambda: self.broker.delete(request["container"], request["key"])
-        )
-        return {}
-
-    @_guarded
-    def _op_list(self, request: dict) -> dict:
-        page = self.frontend.run_op(
-            "list",
-            lambda: self.broker.list(
-                request["container"],
-                prefix=request.get("prefix", ""),
-                delimiter=request.get("delimiter", ""),
-                max_keys=request.get("max_keys"),
-                continuation_token=request.get("continuation_token"),
-            ),
-        )
-        return {
-            "keys": list(page.keys),
-            "common_prefixes": list(page.common_prefixes),
-            "next_token": page.next_token,
-            "is_truncated": page.is_truncated,
-        }
-
-    # -- multipart control ----------------------------------------------
-
-    @_guarded
-    def _op_create_upload(self, request: dict) -> dict:
-        state = self.frontend.run_op(
-            "create_upload",
-            lambda: self.broker.create_multipart_upload(
-                request["container"],
-                request["key"],
-                mime=request.get("mime", "application/octet-stream"),
-                rule=request.get("rule"),
-                size_hint=request.get("size_hint"),
-            ),
-        )
-        return {"state": state.to_dict()}
-
-    @_guarded
-    def _op_complete_upload(self, request: dict) -> dict:
-        raw_parts = request.get("parts")
-        parts = (
-            None
-            if raw_parts is None
-            else [(int(n), etag) for n, etag in raw_parts]
-        )
-        meta = self.frontend.run_op(
-            "complete_upload",
-            lambda: self.broker.complete_multipart_upload(
-                request["container"], request["key"], request["upload_id"], parts
-            ),
-        )
-        return {"meta": meta.to_dict()}
-
-    @_guarded
-    def _op_abort_upload(self, request: dict) -> dict:
-        deleted = self.frontend.run_op(
-            "abort_upload",
-            lambda: self.broker.abort_multipart_upload(
-                request["container"], request["key"], request["upload_id"]
-            ),
-        )
-        return {"deleted": deleted}
-
-    @_guarded
-    def _op_list_uploads(self, request: dict) -> dict:
-        states = self.frontend.run_op(
-            "list_uploads",
-            lambda: self.broker.list_multipart_uploads(request["container"]),
-        )
-        return {"uploads": [s.to_dict() for s in states]}
-
-    # -- admin / observability ------------------------------------------
-
-    @_guarded
-    def _op_stats(self, request: dict) -> dict:
-        return {"stats": self.frontend.stats()}
-
-    @_guarded
-    def _op_tick(self, request: dict) -> dict:
-        return {"report": self.frontend.tick_report(int(request.get("periods", 1)))}
-
-    @_guarded
-    def _op_scrub(self, request: dict) -> dict:
-        return {"report": self.frontend.scrub(repair=bool(request.get("repair", True)))}
-
-    @_guarded
-    def _op_audit(self, request: dict) -> dict:
-        seed = request.get("seed")
-        return {
-            "report": self.frontend.audit(
-                repair=bool(request.get("repair", True)),
-                seed=int(seed) if seed is not None else None,
-            )
-        }
-
-    @_guarded
-    def _op_history(self, request: dict) -> dict:
-        return {
-            "history": self.frontend.history(
-                series=request.get("series"), window_s=request.get("window_s")
-            )
-        }
-
-    @_guarded
-    def _op_alerts(self, request: dict) -> dict:
-        return {"alerts": self.frontend.alerts()}
-
-    @_guarded
-    def _op_explain(self, request: dict) -> dict:
-        def fn():
-            try:
-                return self.broker.explain(request["container"], request["key"])
-            except KeyError:
-                raise ObjectNotFoundError(
-                    f"{request['container']}/{request['key']} not found"
-                ) from None
-
-        return {"doc": self.frontend.run_op("explain", fn)}
-
-    @_guarded
-    def _op_recovery(self, request: dict) -> dict:
-        return {"recovery": self.frontend.recovery_status()}
-
-    @_guarded
-    def _op_faults_get(self, request: dict) -> dict:
-        return {"faults": self.frontend.fault_profiles()}
-
-    @_guarded
-    def _op_faults_set(self, request: dict) -> dict:
-        return {
-            "result": self.frontend.set_fault_profile(
-                request["provider"], request.get("profile")
-            )
-        }
-
-    # -- events ----------------------------------------------------------
-
-    @_guarded
-    def _op_events_query(self, request: dict) -> dict:
-        journal = self.broker.events
-        events = journal.query(
-            type=request.get("type"),
-            since=request.get("since"),
-            key=request.get("key"),
-            limit=request.get("limit"),
-        )
-        return {
-            "events": events,
-            "latest_seq": journal.latest_seq,
-            "stats": journal.stats(),
-        }
-
-    @_guarded
-    def _op_events_emit(self, request: dict) -> dict:
-        fields = request.get("fields") or {}
-        seq = self.broker.events.emit(
-            request["type"], key=request.get("key"), **fields
-        )
-        return {"seq": seq}
-
-    # -- worker metrics ---------------------------------------------------
-
-    @_guarded
-    def _op_metrics_push(self, request: dict) -> dict:
-        if self.aggregator is not None:
-            self.aggregator.push(
-                int(request["slot"]), int(request["incarnation"]), request["doc"]
-            )
-        return {}
-
-    @_guarded
-    def _op_metrics_retire(self, request: dict) -> dict:
-        if self.aggregator is not None:
-            self.aggregator.retire(int(request["slot"]))
-        return {}
-
-    @_guarded
-    def _op_metrics_render(self, request: dict) -> dict:
-        fmt = request.get("fmt", "json")
-        metrics = self.broker.metrics
-        if fmt == "json":
-            return {"doc": metrics.render_json()}
-        if fmt == "openmetrics":
-            return {"text": metrics.render_openmetrics()}
-        return {"text": metrics.render_text()}

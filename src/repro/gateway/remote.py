@@ -29,18 +29,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import queue
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.cluster.engine import ReadFailedError, ReadPlan
-from repro.cluster.multipart import MultipartState, PartState
+from repro.cluster.engine import ReadFailedError
+from repro.cluster.multipart import PartState
 from repro.cluster.writepath import StagedWrite, put_object, put_part
 from repro.erasure.rs import CodeCache
 from repro.erasure.striping import split_object
 from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
-from repro.gateway.ops import error_from_doc
+from repro.gateway.ops import OPERATIONS, error_from_doc, from_wire, to_wire
 from repro.obs.metrics import MetricsRegistry
 from repro.replication.rpc import Buffer, RpcClient, RpcError
-from repro.types import ListPage, ObjectMeta
+from repro.types import ObjectMeta
 
 
 class _RpcPool:
@@ -61,6 +61,11 @@ class _RpcPool:
         self._closed = False
 
     def call(self, op: str, _buffers: Sequence[Buffer] = (), **args) -> dict:
+        """One RPC; a typed broker error comes back as its exception.
+
+        Every call a worker makes goes through here, so this is the one
+        place an ``err`` document is read.
+        """
         if self._closed:
             raise FrontendClosedError("frontend is closed")
         try:
@@ -70,7 +75,7 @@ class _RpcPool:
                 self.host, self.port, timeout=self._timeout, connect_timeout=5.0
             )
         try:
-            return client.call(op, _buffers, **args)
+            response = client.call(op, _buffers, **args)
         finally:
             # A transport failure tears the socket down inside call();
             # a peer-reported error leaves it healthy and reusable.
@@ -78,6 +83,10 @@ class _RpcPool:
                 client.close()
             else:
                 self._idle.put(client)
+        err = response.get("err")
+        if err:
+            raise error_from_doc(err)
+        return response
 
     def close(self) -> None:
         self._closed = True
@@ -86,6 +95,34 @@ class _RpcPool:
                 self._idle.get_nowait().close()
             except queue.Empty:
                 return
+
+
+def _stubs(owner: str) -> type:
+    """A base class holding the worker half of every :data:`OPERATIONS`
+    row whose target is ``<owner>.<method>``: a method of that name which
+    encodes its arguments, makes the one call and decodes the result.  A
+    subclass overrides a stub to add to it and reaches it via ``super()``.
+    """
+
+    def stub(target: str):
+        def call(self, *args, **kwargs):
+            response = self._pool.call(
+                target, args=to_wire(args), kwargs=to_wire(kwargs)
+            )
+            return from_wire(response["result"])
+
+        call.__name__ = call.__qualname__ = target  # what a traceback shows
+        return call
+
+    def __init__(self, pool: _RpcPool) -> None:
+        self._pool = pool
+
+    methods = {"__init__": __init__}
+    for op in OPERATIONS:
+        path, _, method = op.target.rpartition(".")
+        if path == owner:
+            methods[method] = stub(op.target)
+    return type(f"_Stubs:{owner}", (), methods)
 
 
 class _ClusterStub:
@@ -165,29 +202,22 @@ class RpcStager:
             return 0
 
 
-class _RemoteBroker:
+class _RemoteBroker(_stubs("broker")):
     """Duck-typed stand-in for :class:`~repro.core.broker.Scalia`.
 
     Implements exactly the broker surface :class:`BrokerFrontend`'s
-    tenant-facing operations use, backed by the ops RPC.  All erasure
-    coding and checksumming happens here, in the worker process.
+    tenant-facing operations use, backed by the ops RPC: the forwarded
+    calls are the inherited stubs, what is written out here runs in the
+    worker process (all erasure coding and checksumming).
     """
 
     def __init__(self, pool: _RpcPool) -> None:
-        self._pool = pool
+        super().__init__(pool)
+        self._call = pool.call
         self._codes = CodeCache()
         self._stager = RpcStager(self._call, self._codes)
         self.cluster = _ClusterStub()
-        hello = self._call("hello")
-        self.stripe_size_bytes = int(hello["stripe_size"])
-        self.broker_pid = int(hello.get("pid", 0))
-
-    def _call(self, op: str, _buffers: Sequence[Buffer] = (), **args) -> dict:
-        response = self._pool.call(op, _buffers, **args)
-        err = response.get("err")
-        if err:
-            raise error_from_doc(err)
-        return response
+        self.stripe_size_bytes = int(self._call("hello")["stripe_size"])
 
     # -- write path -----------------------------------------------------
 
@@ -205,43 +235,21 @@ class _RemoteBroker:
         """The write driver, run here; a synthetic byte count has nothing
         to encode, so the broker stores it in one call."""
         if isinstance(data, int) and not isinstance(data, bool):
-            response = self._call(
-                "put_synthetic",
-                container=container, key=key, size=int(data),
-                mime=mime, rule=rule, ttl_hint=ttl_hint,
+            return super().put(
+                container, key, data, mime=mime, rule=rule, ttl_hint=ttl_hint
             )
-            return ObjectMeta.from_dict(response["meta"])
         return put_object(
             self._stager, container, key, data,
             stripe_size=self.stripe_size_bytes, size_hint=size_hint,
             mime=mime, rule=rule, ttl_hint=ttl_hint,
         )
 
+    def upload_part(
+        self, container: str, key: str, upload_id: str, part_number: int, data
+    ) -> PartState:
+        return put_part(self._stager, container, key, upload_id, part_number, data)
+
     # -- read path ------------------------------------------------------
-
-    def head(self, container: str, key: str) -> Optional[ObjectMeta]:
-        response = self._call("head", container=container, key=key)
-        doc = response.get("meta")
-        return ObjectMeta.from_dict(doc) if doc is not None else None
-
-    def open_read(
-        self,
-        container: str,
-        key: str,
-        *,
-        byte_range: Optional[Tuple[int, Optional[int]]] = None,
-    ) -> ReadPlan:
-        wire_range = None if byte_range is None else list(byte_range)
-        response = self._call(
-            "read_open", container=container, key=key, range=wire_range
-        )
-        return ReadPlan(
-            meta=ObjectMeta.from_dict(response["meta"]),
-            segments=[tuple(seg) for seg in response["segments"]],
-            start=int(response["start"]),
-            end=int(response["end"]),
-            length=int(response["length"]),
-        )
 
     def read_stripe(self, meta: ObjectMeta, stripe: int):
         """Fetch one stripe's chunks from the broker and decode locally.
@@ -277,122 +285,17 @@ class _RemoteBroker:
         code = self._codes.get(meta.m, meta.n)
         return code.decode(shards, length)
 
-    def commit_read(self, plan: ReadPlan, *, count: int = 1) -> None:
-        self._call(
-            "read_commit",
-            meta=plan.meta.to_dict(), length=plan.length, count=count,
-        )
-
-    def _materialize(self, plan: ReadPlan):
-        """Worker-side mirror of the engine's plan materialization."""
-        if not plan.segments:
-            return b"" if plan.meta.checksum else 0
-        pieces: List[bytes] = []
-        synthetic_total = 0
-        synthetic = False
-        for stripe, lo, hi in plan.segments:
-            payload = self.read_stripe(plan.meta, stripe)
-            if isinstance(payload, int):
-                synthetic = True
-                synthetic_total += hi - lo
-            else:
-                pieces.append(payload[lo:hi])
-        if synthetic:
-            return synthetic_total
-        return bytes(pieces[0]) if len(pieces) == 1 else b"".join(pieces)
-
-    def get(self, container: str, key: str):
-        plan = self.open_read(container, key)
-        payload = self._materialize(plan)
-        self.commit_read(plan)
-        return payload
-
     def get_with_meta(self, container: str, key: str):
         plan = self.open_read(container, key)
-        payload = self._materialize(plan)
+        payload = plan.materialize(self.read_stripe)
         self.commit_read(plan)
         return payload, plan.meta
 
-    # -- namespace ops --------------------------------------------------
-
-    def delete(self, container: str, key: str) -> None:
-        self._call("delete", container=container, key=key)
-
-    def list(
-        self,
-        container: str,
-        *,
-        prefix: str = "",
-        delimiter: str = "",
-        max_keys: Optional[int] = None,
-        continuation_token: Optional[str] = None,
-    ) -> ListPage:
-        response = self._call(
-            "list",
-            container=container, prefix=prefix, delimiter=delimiter,
-            max_keys=max_keys, continuation_token=continuation_token,
-        )
-        return ListPage(
-            keys=list(response["keys"]),
-            common_prefixes=list(response["common_prefixes"]),
-            next_token=response.get("next_token"),
-            is_truncated=bool(response.get("is_truncated")),
-        )
-
-    def explain(self, container: str, key: str) -> dict:
-        return self._call("explain", container=container, key=key)["doc"]
-
-    # -- multipart ------------------------------------------------------
-
-    def create_multipart_upload(
-        self,
-        container: str,
-        key: str,
-        *,
-        mime: str = "application/octet-stream",
-        rule: Optional[str] = None,
-        size_hint: Optional[int] = None,
-    ) -> MultipartState:
-        response = self._call(
-            "create_upload",
-            container=container, key=key,
-            mime=mime, rule=rule, size_hint=size_hint,
-        )
-        return MultipartState.from_dict(response["state"])
-
-    def upload_part(
-        self, container: str, key: str, upload_id: str, part_number: int, data
-    ) -> PartState:
-        return put_part(self._stager, container, key, upload_id, part_number, data)
-
-    def complete_multipart_upload(
-        self,
-        container: str,
-        key: str,
-        upload_id: str,
-        parts: Optional[Sequence[Tuple[int, Optional[str]]]] = None,
-    ) -> ObjectMeta:
-        wire_parts = (
-            None if parts is None else [[int(n), etag] for n, etag in parts]
-        )
-        response = self._call(
-            "complete_upload",
-            container=container, key=key, upload_id=upload_id, parts=wire_parts,
-        )
-        return ObjectMeta.from_dict(response["meta"])
-
-    def abort_multipart_upload(self, container: str, key: str, upload_id: str) -> int:
-        response = self._call(
-            "abort_upload", container=container, key=key, upload_id=upload_id
-        )
-        return int(response["deleted"])
-
-    def list_multipart_uploads(self, container: str) -> List[MultipartState]:
-        response = self._call("list_uploads", container=container)
-        return [MultipartState.from_dict(doc) for doc in response["uploads"]]
+    def get(self, container: str, key: str):
+        return self.get_with_meta(container, key)[0]
 
 
-class _WorkerMetrics:
+class _WorkerMetrics(_stubs("broker.metrics")):
     """Dual-face metrics for a worker process.
 
     Instrumentation (``counter``/``gauge``/``histogram``) lands in the
@@ -405,8 +308,8 @@ class _WorkerMetrics:
     """
 
     def __init__(self, local: MetricsRegistry, pool: _RpcPool) -> None:
+        super().__init__(pool)
         self.local = local
-        self._pool = pool
 
     @property
     def enabled(self) -> bool:
@@ -424,73 +327,53 @@ class _WorkerMetrics:
     def add_collector(self, fn) -> None:
         self.local.add_collector(fn)
 
-    def render_text(self) -> str:
+    def _render(self, method: str):
         try:
-            return self._pool.call("metrics_render", fmt="text")["text"]
+            return getattr(super(), method)()
         except (RpcError, FrontendClosedError):
-            return self.local.render_text()
+            return getattr(self.local, method)()
+
+    def render_text(self) -> str:
+        return self._render("render_text")
 
     def render_openmetrics(self) -> str:
-        try:
-            return self._pool.call("metrics_render", fmt="openmetrics")["text"]
-        except (RpcError, FrontendClosedError):
-            return self.local.render_openmetrics()
+        return self._render("render_openmetrics")
 
     def render_json(self) -> dict:
-        try:
-            return self._pool.call("metrics_render", fmt="json")["doc"]
-        except (RpcError, FrontendClosedError):
-            return self.local.render_json()
+        return self._render("render_json")
 
 
-class _RemoteJournal:
+class _RemoteJournal(_stubs("broker.events")):
     """The broker's event journal, reached over RPC.
 
     ``emit`` is fire-and-forget (event emission must never fail a
-    request); queries surface the broker's journal verbatim.
+    request); ``query`` and ``stats`` surface the broker's journal
+    verbatim.
     """
-
-    def __init__(self, pool: _RpcPool) -> None:
-        self._pool = pool
 
     def emit(self, type: str, key: Optional[str] = None, **fields) -> Optional[int]:
         try:
-            response = self._pool.call(
-                "events_emit", type=type, key=key, fields=fields
-            )
-            return response.get("seq")
+            return super().emit(type, key, **fields)
         except (RpcError, FrontendClosedError):
             return None
 
-    def query(
-        self,
-        *,
-        type: Optional[str] = None,
-        since: Optional[int] = None,
-        key: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> List[dict]:
-        response = self._pool.call(
-            "events_query", type=type, since=since, key=key, limit=limit
-        )
-        return response["events"]
-
     @property
     def latest_seq(self) -> int:
-        return int(self._pool.call("events_query", limit=0)["latest_seq"])
-
-    def stats(self) -> Dict[str, int]:
-        return self._pool.call("events_query", limit=0)["stats"]
+        return int(self.stats()["latest_seq"])
 
 
-class RemoteBrokerFrontend(BrokerFrontend):
+#: The broker's worker-metrics aggregator (``push``, ``retire``).
+_RemoteAggregator = _stubs("aggregator")
+
+
+class RemoteBrokerFrontend(_stubs("frontend"), BrokerFrontend):
     """A ``BrokerFrontend`` whose broker lives in another process.
 
-    Data-plane operations inherit the base class verbatim (they only
-    touch the duck-typed ``self.broker``); admin and observability
-    surfaces are overridden to query the broker process directly, so
-    ``/stats``, ``/history``, ``/alerts`` et al. report whole-system
-    truth no matter which worker answers.
+    Data-plane operations inherit ``BrokerFrontend`` verbatim (they only
+    touch the duck-typed ``self.broker``); the admin and observability
+    surfaces are the stubs, which ask the broker process, so ``/stats``,
+    ``/history``, ``/alerts`` et al. report whole-system truth no matter
+    which worker answers.
     """
 
     def __init__(
@@ -502,14 +385,15 @@ class RemoteBrokerFrontend(BrokerFrontend):
         metrics: Optional[MetricsRegistry] = None,
         rpc_timeout: float = 60.0,
     ) -> None:
-        self._pool = _RpcPool(host, port, timeout=rpc_timeout)
-        broker = _RemoteBroker(self._pool)
-        super().__init__(broker, mode="direct", mapper=mapper)
+        pool = _RpcPool(host, port, timeout=rpc_timeout)
+        self._pool = pool  # what the inherited stubs call through
+        BrokerFrontend.__init__(self, _RemoteBroker(pool), mode="direct", mapper=mapper)
         self.local_metrics = (
             metrics if metrics is not None else MetricsRegistry(enabled=True)
         )
-        self._metrics = _WorkerMetrics(self.local_metrics, self._pool)
-        self._events = _RemoteJournal(self._pool)
+        self._metrics = _WorkerMetrics(self.local_metrics, pool)
+        self._events = _RemoteJournal(pool)
+        self._aggregator = _RemoteAggregator(pool)
 
     # -- observability behind the broker process -------------------------
 
@@ -521,56 +405,19 @@ class RemoteBrokerFrontend(BrokerFrontend):
     def events(self):
         return self._events
 
-    def stats(self) -> Dict[str, Any]:
-        return self._pool.call("stats")["stats"]
-
-    def tick_report(self, periods: int = 1) -> Dict[str, Any]:
-        return self._pool.call("tick", periods=periods)["report"]
-
     def tick(self, periods: int = 1):
         raise NotImplementedError("worker frontends tick via tick_report()")
-
-    def scrub(self, *, repair: bool = True) -> Dict[str, Any]:
-        return self._pool.call("scrub", repair=repair)["report"]
-
-    def audit(
-        self, *, repair: bool = True, seed: Optional[int] = None
-    ) -> Dict[str, Any]:
-        return self._pool.call("audit", repair=repair, seed=seed)["report"]
-
-    def history(self, series: Optional[str] = None, window_s: Optional[float] = None):
-        return self._pool.call("history", series=series, window_s=window_s)["history"]
-
-    def alerts(self) -> Dict[str, Any]:
-        return self._pool.call("alerts")["alerts"]
-
-    def recovery_status(self) -> Dict[str, Any]:
-        return self._pool.call("recovery")["recovery"]
-
-    def fault_profiles(self) -> Dict[str, Any]:
-        return self._pool.call("faults_get")["faults"]
-
-    def set_fault_profile(
-        self, provider: str, profile_doc: Optional[Dict[str, Any]]
-    ) -> Dict[str, Any]:
-        return self._pool.call(
-            "faults_set", provider=provider, profile=profile_doc
-        )["result"]
 
     # -- worker metric shipping ------------------------------------------
 
     def push_metrics(self, slot: int, incarnation: int) -> None:
         """Ship the local registry snapshot to the broker aggregator."""
-        self._pool.call(
-            "metrics_push",
-            slot=slot, incarnation=incarnation,
-            doc=self.local_metrics.render_json(),
-        )
+        self._aggregator.push(slot, incarnation, self.local_metrics.render_json())
 
     def retire_metrics(self, slot: int) -> None:
         """Fold this worker's last snapshot into the broker's retired
         totals (clean-shutdown path; counters survive, gauges die)."""
-        self._pool.call("metrics_retire", slot=slot)
+        self._aggregator.retire(slot)
 
     def close(self) -> None:
         super().close()

@@ -272,11 +272,15 @@ def profile_from_dict(doc: dict) -> FaultProfile:
     """Build a profile from the JSON form the gateway's ``POST /faults``
     accepts (the inverse of :meth:`FaultProfile.describe`)."""
     flap = None
-    if doc.get("flap"):
+    flap_doc = doc.get("flap")
+    if flap_doc:
+        missing = [name for name in ("up_ops", "down_ops") if name not in flap_doc]
+        if missing:
+            raise ValueError(f"flap needs {' and '.join(missing)}")
         flap = FlapSchedule(
-            up_ops=int(doc["flap"]["up_ops"]),
-            down_ops=int(doc["flap"]["down_ops"]),
-            phase=int(doc["flap"].get("phase", 0)),
+            up_ops=int(flap_doc["up_ops"]),
+            down_ops=int(flap_doc["down_ops"]),
+            phase=int(flap_doc.get("phase", 0)),
         )
     return FaultProfile(
         latency_s=float(doc.get("latency_ms", 0.0)) / 1000.0,

@@ -118,7 +118,7 @@ PAPER_PROVIDERS: tuple[ProviderSpec, ...] = (
 
 #: The new provider of Section IV-D.  The paper gives its prices only;
 #: durability/availability are not stated, we assume the common
-#: 99.9999/99.9 tier of the other non-Amazon providers (see DESIGN.md).
+#: 99.9999/99.9 tier of the other non-Amazon providers.
 CHEAPSTOR: ProviderSpec = _spec(
     "CheapStor", 0.999999, 0.999, ("US",), 0.09, 0.10, 0.15, 0.01
 )

@@ -19,25 +19,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.gateway.frontend import BrokerFrontend
+from repro.gateway.ops import WRITE_OPS
 from repro.replication.node import ClusterNode
-
-#: Frontend operations that mutate broker state and therefore must run
-#: on the leader and wait for quorum commit.  ``tick``/``scrub``/
-#: ``audit`` journal period closes and repairs; the multipart ops
-#: journal upload state.
-WRITE_OPS = frozenset(
-    {
-        "put",
-        "delete",
-        "create_upload",
-        "upload_part",
-        "complete_upload",
-        "abort_upload",
-        "tick",
-        "scrub",
-        "audit",
-    }
-)
 
 #: Route kinds whose mutating methods the HTTP server forwards to the
 #: leader before the frontend ever sees them.

@@ -302,3 +302,13 @@ class ListPage:
             "next_token": self.next_token,
             "is_truncated": self.is_truncated,
         }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "ListPage":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            keys=list(data["keys"]),
+            common_prefixes=list(data["common_prefixes"]),
+            next_token=data.get("next_token"),
+            is_truncated=bool(data.get("is_truncated")),
+        )

@@ -5,7 +5,7 @@ the access pattern of a real website: ~2500 visitors/day, 62 % from Europe,
 27 % from North America and 6 % from Asia.  We rebuild that shape as the
 superposition of three time-zone-shifted diurnal profiles with Poisson
 noise — the substitution preserves the burstiness and day/night swing that
-drive momentum detection (see DESIGN.md).
+drive momentum detection.
 """
 
 from __future__ import annotations

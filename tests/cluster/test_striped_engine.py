@@ -23,7 +23,7 @@ from repro.cluster.writepath import put_object
 from repro.core.broker import Scalia
 from repro.erasure.rs import CodeCache
 from repro.gateway.frontend import BrokerFrontend
-from repro.gateway.ops import OpsService, error_from_doc
+from repro.gateway.ops import OpsService
 from repro.gateway.remote import RemoteBrokerFrontend, RpcStager, _RpcPool
 from repro.providers.pricing import paper_catalog
 from repro.providers.provider import ProviderUnavailableError
@@ -96,13 +96,7 @@ class Harness:
             )
             self.server = OpsService(frontend).serve("127.0.0.1", 0)
             self.pool = _RpcPool(*self.server.address)
-            self.remote_stager = RpcStager(self._call, CodeCache())
-
-    def _call(self, op, _buffers=(), **args):
-        response = self.pool.call(op, _buffers, **args)
-        if response.get("err"):
-            raise error_from_doc(response["err"])
-        return response
+            self.remote_stager = RpcStager(self.pool.call, CodeCache())
 
     def close(self):
         if self.server is not None:

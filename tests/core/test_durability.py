@@ -160,7 +160,7 @@ class TestAvailability:
 
 
 class TestMaxFeasibleThreshold:
-    """The refined Algorithm-1 threshold (see DESIGN.md)."""
+    """The refined Algorithm-1 threshold (``max_feasible_threshold``)."""
 
     def test_slashdot_peak_availability_forces_m1(self):
         # [S3(h), S3(l)]: availability 99.99 requires tolerating a failure.

@@ -10,25 +10,40 @@ hop bit-exact.
 """
 
 import hashlib
+import http.client
 import io
+import json
 
 import pytest
 
 from repro.cluster.engine import (
     InvalidRangeError,
     ObjectNotFoundError,
+    ReadPlan,
     WriteFailedError,
 )
+from repro.cluster.multipart import MultipartState, PartState
 from repro.core.broker import Scalia
 from repro.erasure.striping import split_object
-from repro.gateway.frontend import BrokerFrontend
-from repro.gateway.ops import WIRE_ERRORS, OpsService, error_doc, error_from_doc
+from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
+from repro.gateway.ops import (
+    OPERATIONS,
+    WIRE_ERRORS,
+    OpsService,
+    error_doc,
+    error_from_doc,
+    from_wire,
+    to_wire,
+)
 from repro.gateway.remote import RemoteBrokerFrontend
 from repro.gateway.routes import NotModifiedError
+from repro.gateway.server import ScaliaGateway
 from repro.obs.workers import WorkerMetricsAggregator
 from repro.providers.faults import FaultProfile
+from repro.replication.frontend import WRITE_OPS
 from repro.replication.rpc import RpcError
 from repro.storage.merkle import chunk_root
+from repro.types import ListPage, ObjectMeta
 
 STRIPE = 4096
 TENANT = "alice"
@@ -43,7 +58,7 @@ def rig():
     server = ops.serve("127.0.0.1", 0)
     host, port = server.address
     remote = RemoteBrokerFrontend(host, port)
-    yield {"broker": broker, "local": local, "remote": remote, "server": server}
+    yield {"broker": broker, "local": local, "remote": remote, "server": server, "ops": ops}
     remote.close()
     server.close()
     local.close()
@@ -108,6 +123,100 @@ class TestObjectRoundTrip:
         # Metadata written through the RPC path is visible to the local
         # frontend (single broker owns it) and bytes agree.
         assert rig["local"].get(TENANT, "bkt", "both") == payload
+
+    #: Every admin and namespace route, and the errors a worker used to
+    #: answer differently.  ``{upload}`` is the side's last created upload.
+    _PROVIDER = "S3(h)"
+    REQUESTS = [
+        ("GET", "/healthz", None),
+        ("PUT", "/bkt/a", b"alpha" * 2000),
+        ("GET", "/bkt/a", None),
+        ("HEAD", "/bkt/a", None),
+        ("GET", "/bkt/ghost", None),
+        ("HEAD", "/bkt/ghost", None),
+        ("DELETE", "/bkt/ghost", None),
+        ("GET", "/bkt", None),
+        ("GET", "/bkt?prefix=a&max-keys=1&delimiter=/", None),
+        ("GET", "/bkt?continuation-token=garbage", None),
+        ("POST", "/bkt/mp?uploads", None),
+        ("PUT", "/bkt/mp?partNumber=1&uploadId={upload}", b"part one"),
+        ("GET", "/bkt?uploads", None),
+        ("POST", "/bkt/mp?uploadId={upload}", None),
+        ("GET", "/bkt/mp", None),
+        ("POST", "/bkt/mp?uploadId=nope", None),
+        ("POST", "/bkt/dropped?uploads", None),
+        ("DELETE", "/bkt/dropped?uploadId={upload}", None),
+        ("POST", "/explain", {"bucket": "bkt", "key": "a"}),
+        ("POST", "/explain", {"bucket": "bkt", "key": "ghost"}),
+        ("DELETE", "/bkt/a", None),
+        ("GET", "/stats", None),
+        ("GET", "/metrics", None),
+        ("GET", "/metrics?format=json", None),
+        ("GET", "/metrics?format=openmetrics", None),
+        ("GET", "/events?limit=5", None),
+        ("GET", "/events?key=bkt/a&type=placement.", None),
+        ("GET", "/history", None),
+        ("GET", "/history?series=ops.&window=5m", None),
+        ("GET", "/alerts", None),
+        ("POST", "/tick", None),
+        ("POST", "/tick?periods=2", None),
+        ("POST", "/scrub", None),
+        ("POST", "/scrub?repair=0", None),
+        ("POST", "/audit?seed=1", None),
+        ("GET", "/faults", None),
+        ("POST", "/faults", {"provider": _PROVIDER, "profile": {"latency_ms": 1}}),
+        ("POST", "/faults", {"provider": _PROVIDER, "profile": None}),
+        ("POST", "/faults", {"provider": "nope", "profile": {"latency_ms": 1}}),
+        ("POST", "/faults", {"provider": _PROVIDER, "profile": {"error_rate": 7}}),
+        ("POST", "/faults", {"provider": _PROVIDER, "profile": {"flap": {"up_ops": 3}}}),
+        ("GET", "/cluster", None),
+    ]
+
+    def test_http_answers_match_local_frontend(self, rig):
+        """Two gateways over one broker, one per frontend: every route
+        answers with the same status and the same error message.  Each
+        side writes as its own tenant, so neither sees the other's keys."""
+        sides = {
+            name: ScaliaGateway(rig[name], port=0).start() for name in ("local", "remote")
+        }
+        uploads = {}
+
+        def send(name, method, path, body):
+            if isinstance(body, dict):
+                body = json.dumps(body).encode()
+            conn = http.client.HTTPConnection(*sides[name].address, timeout=30)
+            try:
+                conn.request(
+                    method, path.format(upload=uploads.get(name)), body=body,
+                    headers={"x-scalia-tenant": name},
+                )
+                response = conn.getresponse()
+                raw = response.read()
+            finally:
+                conn.close()
+            try:
+                doc = json.loads(raw)
+            except ValueError:
+                doc = {}
+            if isinstance(doc, dict) and "uploadId" in doc:
+                uploads[name] = doc["uploadId"]
+            error = doc.get("error") if isinstance(doc, dict) else None
+            return response.status, error
+
+        try:
+            answers = {
+                (method, path, str(body)[:40]): [
+                    send(name, method, path, body) for name in ("local", "remote")
+                ]
+                for method, path, body in self.REQUESTS
+            }
+        finally:
+            for gateway in sides.values():
+                gateway.close()
+        diverged = {k: v for k, v in answers.items() if v[0] != v[1]}
+        assert not diverged
+        statuses = {status for (status, _error), _ in answers.values()}
+        assert {200, 400, 404} <= statuses  # the errors are in the list
 
 
 class TestStreamGet:
@@ -191,6 +300,14 @@ class TestAdminSurfaces:
         assert isinstance(remote.alerts(), dict)
         assert isinstance(remote.recovery_status(), dict)
         assert isinstance(remote.fault_profiles(), dict)
+
+    def test_closed_broker_frontend_raises_what_the_local_one_does(self, rig):
+        rig["local"].close()
+        with pytest.raises(FrontendClosedError):
+            rig["local"].stats()
+        for call in (rig["remote"].stats, rig["remote"].fault_profiles):
+            with pytest.raises(FrontendClosedError):
+                call()
 
     def test_explain(self, remote):
         remote.put(TENANT, "bkt", "why", b"explain me")
@@ -332,3 +449,144 @@ class TestErrorCodec:
     def test_unmapped_exceptions_stay_internal_errors(self):
         assert error_doc(RuntimeError("boom")) is None
         assert isinstance(error_from_doc({"kind": "from_the_future"}), RpcError)
+
+
+FRAMED = {
+    "hello", "write_begin", "write_stripe", "write_commit",
+    "part_begin", "part_commit", "staged_abort", "read_stripe",
+}
+
+
+def _drives(rig):
+    """One call per table row, through its installed stub, with the
+    arguments ``BrokerFrontend`` and ``gateway/server.py`` pass; and the
+    type each must answer with."""
+    remote = rig["remote"]
+    broker = remote.broker
+    c = remote.mapper.internal_container(TENANT, "bkt")
+    remote.put(TENANT, "bkt", "seed", b"seed" * 3000)
+    remote.put(TENANT, "bkt", "doomed", b"x")
+    plan = broker.open_read(c, "seed")
+    uploads = [broker.create_multipart_upload(c, k) for k in ("done", "dropped")]
+    remote.upload_part(TENANT, "bkt", "done", uploads[0].upload_id, 1, b"part")
+    provider = rig["broker"].registry.names()[0]
+    return {
+        "broker.head": (lambda: broker.head(c, "seed"), ObjectMeta),
+        "broker.open_read": (
+            lambda: broker.open_read(c, "seed", byte_range=(10, None)), ReadPlan),
+        "broker.commit_read": (lambda: broker.commit_read(plan), type(None)),
+        "broker.put": (
+            lambda: broker.put(c, "syn", 4096, mime="a/b", rule=None, size_hint=None),
+            ObjectMeta),
+        "broker.delete": (lambda: broker.delete(c, "doomed"), type(None)),
+        "broker.list": (
+            lambda: broker.list(
+                c, prefix="s", delimiter="/", max_keys=5, continuation_token=None),
+            ListPage),
+        "broker.create_multipart_upload": (
+            lambda: broker.create_multipart_upload(
+                c, "mp", mime="a/b", rule=None, size_hint=None),
+            MultipartState),
+        "broker.complete_multipart_upload": (
+            lambda: broker.complete_multipart_upload(
+                c, "done", uploads[0].upload_id, [(1, None)]),
+            ObjectMeta),
+        "broker.abort_multipart_upload": (
+            lambda: broker.abort_multipart_upload(c, "dropped", uploads[1].upload_id),
+            int),
+        "broker.list_multipart_uploads": (
+            lambda: broker.list_multipart_uploads(c), list),
+        "broker.explain": (lambda: broker.explain(c, "seed"), dict),
+        "frontend.stats": (remote.stats, dict),
+        "frontend.tick_report": (lambda: remote.tick_report(2), dict),
+        "frontend.scrub": (lambda: remote.scrub(repair=False), dict),
+        "frontend.audit": (lambda: remote.audit(repair=True, seed=1), dict),
+        "frontend.history": (
+            lambda: remote.history(series="ops.", window_s=300.0), dict),
+        "frontend.alerts": (remote.alerts, dict),
+        "frontend.recovery_status": (remote.recovery_status, dict),
+        "frontend.fault_profiles": (remote.fault_profiles, dict),
+        "frontend.set_fault_profile": (
+            lambda: remote.set_fault_profile(provider, {"latency_ms": 1}), dict),
+        "broker.events.query": (
+            lambda: remote.events.query(type=None, since=None, key=f"{c}/seed", limit=256),
+            list),
+        "broker.events.emit": (
+            lambda: remote.events.emit(
+                "cluster.unavailable", reason="r", method="PUT", route="object"),
+            int),
+        "broker.events.stats": (remote.events.stats, dict),
+        "broker.metrics.render_text": (remote.metrics.render_text, str),
+        "broker.metrics.render_openmetrics": (remote.metrics.render_openmetrics, str),
+        "broker.metrics.render_json": (remote.metrics.render_json, dict),
+        "aggregator.push": (lambda: remote.push_metrics(0, 1), type(None)),
+        "aggregator.retire": (lambda: remote.retire_metrics(0), type(None)),
+    }
+
+
+class TestOperationTable:
+    """Handler, worker stub, counter and write gate all come from one
+    row, so none of them can exist for an operation the others lack."""
+
+    def test_handlers_are_the_rows_plus_the_framed_ops(self, rig):
+        targets = [op.target for op in OPERATIONS]
+        assert len(set(targets)) == len(targets)
+        assert set(rig["ops"].handlers()) == set(targets) | FRAMED
+
+    def test_every_target_is_a_method_of_the_broker_side(self, rig):
+        roots = {
+            "broker": rig["broker"], "frontend": rig["local"],
+            "aggregator": rig["ops"].aggregator,
+        }
+        for op in OPERATIONS:
+            root, *path = op.target.split(".")
+            target = roots[root]
+            for name in path:
+                target = getattr(target, name)
+            assert callable(target), op.target
+
+    def test_every_row_is_served_through_its_stub(self, rig):
+        drives = _drives(rig)
+        assert set(drives) == {op.target for op in OPERATIONS}
+        for op in OPERATIONS:
+            call, answer = drives[op.target]
+            before = rig["local"].op_counts.get(op.counter, 0)
+            assert type(call()) is answer, op.target
+            if op.counter is not None:  # counted once, whoever counts it
+                assert rig["local"].op_counts[op.counter] == before + 1, op.target
+
+    def test_write_gate_is_the_nine_mutating_counters(self):
+        assert WRITE_OPS == {
+            "put", "delete", "create_upload", "upload_part", "complete_upload",
+            "abort_upload", "tick", "scrub", "audit",
+        }
+
+    def test_a_frame_that_does_not_fit_the_target_is_a_400_not_a_500(self, rig):
+        call = rig["remote"].broker._call
+        with pytest.raises(ValueError, match="no_such_option"):
+            call("broker.head", args=["c", "k"], kwargs={"no_such_option": 1})
+        with pytest.raises(ValueError, match="wire type"):
+            call("broker.commit_read", args=[{"__wire__": "Placement", "value": {}}])
+
+    def test_typed_values_round_trip(self, rig):
+        remote = rig["remote"]
+        meta = remote.put(TENANT, "bkt", "typed", b"t" * (2 * STRIPE + 1))
+        upload = remote.create_upload(TENANT, "bkt", "mp")
+        part = remote.upload_part(TENANT, "bkt", "mp", upload.upload_id, 1, b"p")
+        upload = remote.list_uploads(TENANT, "bkt")[0]
+        plan, _blocks = remote.stream_get(TENANT, "bkt", "typed", range_spec=(5, STRIPE + 5))
+        page = ListPage(keys=["a"], common_prefixes=["b/"], next_token="t", is_truncated=True)
+        values = [meta, upload, part, plan, page]
+        assert [type(v) for v in values] == [
+            ObjectMeta, MultipartState, PartState, ReadPlan, ListPage]
+        assert upload.parts and len(plan.segments) == 2
+        for value in values:
+            wire = json.loads(json.dumps(to_wire(value)))
+            assert from_wire(wire) == value
+        nested = {"plans": [plan, None], "n": (1, 2.5, "x")}
+        assert from_wire(json.loads(json.dumps(to_wire(nested)))) == {
+            "plans": [plan, None], "n": [1, 2.5, "x"]}
+
+    def test_a_plain_dict_cannot_pose_as_a_typed_value(self):
+        doc = {"__wire__": "ObjectMeta", "value": {"nested": {"__wire__": 1}}}
+        assert from_wire(json.loads(json.dumps(to_wire(doc)))) == doc
