@@ -142,6 +142,45 @@ def _host_port(spec: str) -> tuple:
     return (host or "127.0.0.1", int(port))
 
 
+def _start_control_plane(args: argparse.Namespace, broker, gate=None):
+    """Start the background workers ``args`` asks for; ``None`` if none."""
+    from repro.core.controlplane import BackgroundControlPlane
+
+    if not (args.tick_every or args.scrub_every or args.audit_every):
+        return None
+    control_plane = BackgroundControlPlane(
+        broker,
+        tick_interval=args.tick_every or None,
+        scrub_interval=args.scrub_every or None,
+        audit_interval=args.audit_every or None,
+        gate=gate,
+    ).start()
+    print(
+        f"background control plane: tick every {args.tick_every or '-'}s, "
+        f"scrub every {args.scrub_every or '-'}s, "
+        f"audit every {args.audit_every or '-'}s "
+        f"(optimizer batch {args.optimizer_batch}, scrub batch {args.scrub_batch})"
+    )
+    return control_plane
+
+
+def _print_recovery(args: argparse.Namespace, broker) -> None:
+    if broker.recovery is not None:
+        print(
+            f"durable storage: {args.data_dir} (boot #{broker.recovery['boot_epoch']}, "
+            f"snapshot={'yes' if broker.recovery['snapshot_loaded'] else 'no'}, "
+            f"wal records replayed={broker.recovery['wal_records_replayed']}, "
+            f"recovered in {broker.recovery['duration_seconds']:.3f}s)"
+        )
+
+
+def _print_listening(args: argparse.Namespace, host, port, registry) -> None:
+    print(
+        f"scalia gateway listening on http://{host}:{port} "
+        f"(mode={args.mode}, providers={len(registry)})"
+    )
+
+
 def _serve_prefork(args: argparse.Namespace, broker, frontend, registry) -> int:
     """``repro serve --workers N``: pre-forked gateway workers.
 
@@ -166,7 +205,6 @@ def _serve_prefork(args: argparse.Namespace, broker, frontend, registry) -> int:
     import time
     from pathlib import Path
 
-    from repro.core.controlplane import BackgroundControlPlane
     from repro.gateway.ops import OpsService
     from repro.obs.workers import WorkerMetricsAggregator
 
@@ -232,36 +270,14 @@ def _serve_prefork(args: argparse.Namespace, broker, frontend, registry) -> int:
             cmd += ["--reuse-port"]
         return subprocess.Popen(cmd, **popen_kwargs)
 
-    control_plane = None
-    if args.tick_every or args.scrub_every or args.audit_every:
-        control_plane = BackgroundControlPlane(
-            broker,
-            tick_interval=args.tick_every or None,
-            scrub_interval=args.scrub_every or None,
-            audit_interval=args.audit_every or None,
-        ).start()
-        print(
-            f"background control plane: tick every {args.tick_every or '-'}s, "
-            f"scrub every {args.scrub_every or '-'}s, "
-            f"audit every {args.audit_every or '-'}s "
-            f"(optimizer batch {args.optimizer_batch}, scrub batch {args.scrub_batch})"
-        )
-    if broker.recovery is not None:
-        print(
-            f"durable storage: {args.data_dir} (boot #{broker.recovery['boot_epoch']}, "
-            f"snapshot={'yes' if broker.recovery['snapshot_loaded'] else 'no'}, "
-            f"wal records replayed={broker.recovery['wal_records_replayed']}, "
-            f"recovered in {broker.recovery['duration_seconds']:.3f}s)"
-        )
+    control_plane = _start_control_plane(args, broker)
+    _print_recovery(args, broker)
 
     # slot -> [process, incarnation, consecutive_failures, respawn_not_before]
     workers = {
         slot: [spawn(slot, 1), 1, 0, 0.0] for slot in range(args.workers)
     }
-    print(
-        f"scalia gateway listening on http://{host}:{port} "
-        f"(mode={args.mode}, providers={len(registry)})"
-    )
+    _print_listening(args, host, port, registry)
     print(
         f"pre-forked workers: {args.workers} "
         f"({'SO_REUSEPORT' if inherited_fd is None else 'inherited socket'}, "
@@ -333,7 +349,6 @@ def _serve_prefork(args: argparse.Namespace, broker, frontend, registry) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.controlplane import BackgroundControlPlane
     from repro.obs.logging import configure_logging
     from repro.providers.faults import parse_fault_spec
     from repro.providers.health import HedgePolicy
@@ -451,34 +466,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             + f" (heartbeat {args.heartbeat_ms:g}ms, "
             f"election timeout {args.election_timeout_ms:g}ms)"
         )
-    control_plane = None
-    if args.tick_every or args.scrub_every or args.audit_every:
-        control_plane = BackgroundControlPlane(
-            broker,
-            tick_interval=args.tick_every or None,
-            scrub_interval=args.scrub_every or None,
-            audit_interval=args.audit_every or None,
-            # Periodic optimization/scrub/audit is leader-owned in a cluster.
-            gate=node.is_leader if node is not None else None,
-        ).start()
-        print(
-            f"background control plane: tick every {args.tick_every or '-'}s, "
-            f"scrub every {args.scrub_every or '-'}s, "
-            f"audit every {args.audit_every or '-'}s "
-            f"(optimizer batch {args.optimizer_batch}, scrub batch {args.scrub_batch})"
-        )
-    host, port = gateway.address
-    if broker.recovery is not None:
-        print(
-            f"durable storage: {args.data_dir} (boot #{broker.recovery['boot_epoch']}, "
-            f"snapshot={'yes' if broker.recovery['snapshot_loaded'] else 'no'}, "
-            f"wal records replayed={broker.recovery['wal_records_replayed']}, "
-            f"recovered in {broker.recovery['duration_seconds']:.3f}s)"
-        )
-    print(
-        f"scalia gateway listening on http://{host}:{port} "
-        f"(mode={args.mode}, providers={len(registry)})"
+    # Periodic optimization/scrub/audit is leader-owned in a cluster.
+    control_plane = _start_control_plane(
+        args, broker, gate=node.is_leader if node is not None else None
     )
+    host, port = gateway.address
+    _print_recovery(args, broker)
+    _print_listening(args, host, port, registry)
     print(
         "routes: PUT/GET/HEAD/DELETE /<bucket>/<key> (Range + conditionals) | "
         "multipart: POST ?uploads, PUT ?partNumber=&uploadId=, POST/DELETE ?uploadId= | "

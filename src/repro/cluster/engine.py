@@ -42,7 +42,7 @@ import functools
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.cluster.cache import CacheLayer
@@ -1229,19 +1229,27 @@ class Engine:
         roots accumulate on the session as each chunk lands, so an abort
         after a provider fails mid-stripe cleans up exactly what exists;
         provider errors propagate for the driver's re-plan loop.
-
-        Discard + put run under the pending queue's rewrite guard: a
-        queued delete for a key being written again could otherwise be
-        claimed by a concurrent flush and destroy the fresh chunk.
         """
         for chunk, root, provider_name in zip(chunks, roots, session.providers):
             suffix = str(chunk.index) if tag is None else f"{tag}.{chunk.index}"
-            chunk_key = f"{session.skey}:{suffix}"
-            with self._pending.rewrite_guard(chunk_key):
-                self._pending.discard(provider_name, chunk_key)
-                self._registry.get(provider_name).put_chunk(chunk_key, chunk)
-            session.written.append((provider_name, chunk_key))
+            session.written.append(
+                self._land(provider_name, f"{session.skey}:{suffix}", chunk)
+            )
             session.merkle.append((suffix, str(root)))
+
+    def _land(self, provider_name: str, chunk_key: str, chunk: AnyChunk) -> Tuple[str, str]:
+        """Put one chunk at a provider; returns the ``(provider, key)`` ref.
+
+        The key may sit in the pending-delete queue from an earlier
+        outage or a migration away; the chunk is live again, so the
+        queued delete must not fire — and a flush already past its claim
+        must finish its delete before the put (the rewrite guard orders
+        the two; see :class:`PendingDeleteQueue`).
+        """
+        with self._pending.rewrite_guard(chunk_key):
+            self._pending.discard(provider_name, chunk_key)
+            self._registry.get(provider_name).put_chunk(chunk_key, chunk)
+        return provider_name, chunk_key
 
     def _close_staged(self, session: StagedWrite) -> None:
         session.closed = True
@@ -1472,28 +1480,84 @@ class Engine:
             )
             # Same-code moves write fresh chunks under the *existing*
             # skey; a restripe writes under a brand-new one.  Either way
-            # the skey is registered in-flight from the first chunk write
-            # until the metadata row referencing it is committed, so the
-            # orphan sweep can never reap a mid-migration chunk.
-            new_skey = (
-                meta.skey
-                if same_code
-                else storage_key(meta.container, meta.key, self._ids.uuid())
+            # the move is a staged write: the skey is registered in
+            # flight from before the first chunk lands until the row
+            # referencing it is journaled, so the orphan sweep can never
+            # reap a mid-migration chunk, and a failure part-way deletes
+            # exactly the chunks this attempt landed.
+            session = StagedWrite(
+                meta.container,
+                meta.key,
+                meta.skey if same_code else storage_key(container, key, self._ids.uuid()),
+                new_placement.m,
+                new_placement.providers,
             )
-            with self._locks.in_flight.track(new_skey):
-                if same_code:
-                    new_meta, written = self._migrate_same_code(meta, new_placement)
-                else:
-                    new_meta, written = self._migrate_restripe(
-                        meta, new_placement, new_skey
-                    )
-                self._metadata.write(
-                    self.dc, row_key, new_meta.to_dict(),
-                    uuid=self._ids.uuid(), timestamp=now,
-                )
+            self._locks.in_flight.begin(session.skey)
+            try:
+                relocate = self._migrate_same_code if same_code else self._migrate_restripe
+                new_meta = relocate(meta, session)
+                self.rewrite_row(row_key, new_meta, timestamp=now)
+            except BaseException:
+                self.staged_abort(session)
+                raise
+            self._close_staged(session)
             keep = frozenset((p, ck) for _s, _i, p, ck in new_meta.iter_chunks())
             self._gc_chunks(meta, keep=keep)
-            return MigrationReceipt(old_placement, new_placement, written, not same_code)
+            return MigrationReceipt(
+                old_placement, new_placement, len(session.written), not same_code
+            )
+
+    def rewrite_row(self, row_key: str, meta: ObjectMeta, *, timestamp: float) -> None:
+        """Journal ``meta`` as a new version of an existing object's row.
+
+        For maintenance that re-describes an object without a client
+        write (a migration's new chunk map, the scrubber's backfilled
+        Merkle roots).  The caller holds the row's stripe exclusively,
+        which makes its read-modify-write safe; the version merges every
+        visible vector clock and so retires the one it was built from.
+        """
+        self._metadata.write(
+            self.dc, row_key, meta.to_dict(), uuid=self._ids.uuid(), timestamp=timestamp
+        )
+
+    def rebuild_chunk(
+        self,
+        meta: ObjectMeta,
+        stripe: int,
+        index: int,
+        provider_name: str,
+        *,
+        sources: Optional[Dict[int, Sequence[AnyChunk]]] = None,
+    ) -> Tuple[str, str]:
+        """Re-encode chunk ``index`` of ``stripe`` from ``m`` intact ones
+        and land it at ``provider_name`` (Section IV-E, active repair).
+
+        Stripes are independent codes, so the sources come from the
+        chunk's own stripe; the fetch path already skips missing,
+        corrupt and unreachable chunks, so whatever it returns is safe
+        source material.  This is the one rebuild: scrub repair, audit
+        repair (the only time the audit path reads whole chunks) and a
+        migration off a failed provider all end here.  ``sources`` lets
+        a caller rebuilding several chunks of one stripe fetch (and pay
+        for) the ``m`` sources once.  Storage failures propagate; the
+        caller holds the object's stripe exclusively.  Returns the
+        ``(provider, chunk_key)`` written.
+        """
+        if sources is None:
+            sources = {}
+        if stripe not in sources:
+            sources[stripe] = self._fetch_chunks(meta, meta.m, stripe=stripe)
+        fetched = sources[stripe]
+        stripe_len = meta.stripe_lengths[stripe]
+        if isinstance(fetched[0], SyntheticChunk):
+            chunk: AnyChunk = SyntheticChunk(
+                index=index, size=chunk_length(stripe_len, meta.m)
+            )
+        else:
+            chunk = repair_chunk(
+                fetched, index, meta.m, meta.n, stripe_len, code_cache=self._codes
+            )
+        return self._land(provider_name, meta.chunk_key(index, stripe), chunk)
 
     def flush_pending_deletes(self) -> int:
         """Retry postponed deletes (call after provider recoveries)."""
@@ -1697,11 +1761,7 @@ class Engine:
 
     # -- migration ---------------------------------------------------------
 
-    def _migrate_same_code(
-        self,
-        meta: ObjectMeta,
-        new_placement: Placement,
-    ) -> Tuple[ObjectMeta, int]:
+    def _migrate_same_code(self, meta: ObjectMeta, session: StagedWrite) -> ObjectMeta:
         """Cheap path: m and n unchanged, rewrite only relocated chunks.
 
         A relocated chunk whose current provider is reachable is copied
@@ -1710,14 +1770,12 @@ class Engine:
         active-repair case).  Striped objects relocate every stripe's
         chunk at the moved index, one stripe at a time.
         """
-        old_by_provider = {p: i for i, p in meta.chunk_map}
-        kept = [(old_by_provider[p], p) for p in new_placement.providers if p in old_by_provider]
-        freed = sorted(set(range(meta.n)) - {i for i, _ in kept})
-        incoming = [p for p in new_placement.providers if p not in old_by_provider]
-        old_provider_of = {i: p for i, p in meta.chunk_map}
-        written = 0
-        new_map = {i: p for i, p in kept}
-        source_chunks: Dict[int, list] = {}  # stripe -> m chunks, fetched lazily
+        old_index_of = {p: i for i, p in meta.chunk_map}
+        old_provider_of = dict(meta.chunk_map)
+        new_map = {old_index_of[p]: p for p in session.providers if p in old_index_of}
+        freed = sorted(set(range(meta.n)) - set(new_map))
+        incoming = [p for p in session.providers if p not in old_index_of]
+        sources: Dict[int, Sequence[AnyChunk]] = {}  # stripe -> m chunks, fetched lazily
         for index, provider_name in zip(freed, incoming):
             source = old_provider_of[index]
             for stripe in range(meta.stripe_count):
@@ -1728,110 +1786,46 @@ class Engine:
                         chunk = self._registry.get(source).get_chunk(chunk_key)
                     except (ProviderUnavailableError, ChunkNotFoundError):
                         chunk = None
-                if chunk is None:
-                    if stripe not in source_chunks:
-                        source_chunks[stripe] = self._fetch_chunks(
-                            meta, meta.m, stripe=stripe
-                        )
-                    stripe_len = meta.stripe_lengths[stripe]
-                    if isinstance(source_chunks[stripe][0], SyntheticChunk):
-                        chunk = SyntheticChunk(
-                            index=index, size=chunk_length(stripe_len, meta.m)
-                        )
-                    else:
-                        chunk = repair_chunk(
-                            source_chunks[stripe], index, meta.m, meta.n, stripe_len,
-                            code_cache=self._codes,
-                        )
-                # This key may sit in the pending-delete queue from an earlier
-                # migration away from an unavailable provider; the chunk is
-                # live again, so the queued delete must not fire — and a
-                # flush already past its claim must finish its delete before
-                # we write (the rewrite guard orders the two).
-                with self._pending.rewrite_guard(chunk_key):
-                    self._pending.discard(provider_name, chunk_key)
-                    self._registry.get(provider_name).put_chunk(chunk_key, chunk)
-                written += 1
+                if chunk is not None:
+                    ref = self._land(provider_name, chunk_key, chunk)
+                else:
+                    ref = self.rebuild_chunk(
+                        meta, stripe, index, provider_name, sources=sources
+                    )
+                session.written.append(ref)
             new_map[index] = provider_name
-        chunk_map = tuple(sorted(new_map.items()))
-        new_meta = ObjectMeta(
-            container=meta.container,
-            key=meta.key,
-            size=meta.size,
-            mime=meta.mime,
-            rule_name=meta.rule_name,
-            class_key=meta.class_key,
-            skey=meta.skey,
-            m=meta.m,
-            chunk_map=chunk_map,
-            created_at=meta.created_at,
-            checksum=meta.checksum,
-            ttl_hint=meta.ttl_hint,
-            stripes=meta.stripes,
-            modified_at=meta.modified_at,
-            # Same skey, same indices, byte-identical chunk content (a
-            # relocated or repaired chunk re-encodes to the same shard):
-            # the Merkle roots carry over untouched.
-            merkle=meta.merkle,
-        )
-        return new_meta, written
+        # Same skey, same indices, byte-identical chunk content (a
+        # relocated or repaired chunk re-encodes to the same shard): the
+        # Merkle roots carry over untouched.
+        return replace(meta, chunk_map=tuple(sorted(new_map.items())))
 
-    def _migrate_restripe(
-        self,
-        meta: ObjectMeta,
-        new_placement: Placement,
-        skey: str,
-    ) -> Tuple[ObjectMeta, int]:
-        """Full path: decode and re-encode under the new code, per stripe.
-
-        ``skey`` is the pre-generated (and in-flight-registered) storage
-        key the new chunks are written under.
-        """
+    def _migrate_restripe(self, meta: ObjectMeta, session: StagedWrite) -> ObjectMeta:
+        """Full path: decode and re-encode under the new code, per stripe,
+        under the session's fresh storage key."""
         striped = bool(meta.stripes)
-        new_stripes: List[Tuple[str, int]] = []
-        new_merkle: List[Tuple[str, str]] = []
-        written = 0
-        for stripe in range(meta.stripe_count):
-            stripe_len = meta.stripe_lengths[stripe]
+        for stripe, stripe_len in enumerate(meta.stripe_lengths):
             source = self._fetch_chunks(meta, meta.m, stripe=stripe)
             if isinstance(source[0], SyntheticChunk):
-                chunks: Sequence = split_synthetic(
-                    stripe_len, new_placement.m, new_placement.n
-                )
+                chunks: Sequence = split_synthetic(stripe_len, session.m, session.n)
             else:
                 data = self._decode_stripe(source, meta.m, meta.n, stripe_len)
-                chunks = self._encode_stripe(
-                    data, new_placement.m, new_placement.n
-                )
-            tag = str(stripe)
-            for chunk, provider_name in zip(chunks, new_placement.providers):
-                chunk_key = (
-                    f"{skey}:{tag}.{chunk.index}" if striped else f"{skey}:{chunk.index}"
-                )
-                self._registry.get(provider_name).put_chunk(chunk_key, chunk)
-                self._pending.discard(provider_name, chunk_key)
-                suffix = f"{tag}.{chunk.index}" if striped else str(chunk.index)
-                new_merkle.append((suffix, chunk_root(chunk)))
-                written += 1
-            new_stripes.append((tag, stripe_len))
-        new_meta = ObjectMeta(
-            container=meta.container,
-            key=meta.key,
-            size=meta.size,
-            mime=meta.mime,
-            rule_name=meta.rule_name,
-            class_key=meta.class_key,
-            skey=skey,
-            m=new_placement.m,
-            chunk_map=tuple(enumerate(new_placement.providers)),
-            created_at=meta.created_at,
-            checksum=meta.checksum,
-            ttl_hint=meta.ttl_hint,
-            stripes=tuple(new_stripes) if striped else (),
-            modified_at=meta.modified_at,
-            merkle=tuple(sorted(new_merkle)),
+                chunks = self._encode_stripe(data, session.m, session.n)
+            self.staged_write_stripe(
+                session,
+                str(stripe) if striped else None,
+                chunks,
+                [chunk_root(chunk) for chunk in chunks],
+            )
+        return replace(
+            meta,
+            skey=session.skey,
+            m=session.m,
+            chunk_map=tuple(enumerate(session.providers)),
+            stripes=tuple(
+                (str(stripe), length) for stripe, length in enumerate(meta.stripe_lengths)
+            ) if striped else (),
+            merkle=tuple(sorted(session.merkle)),
         )
-        return new_meta, written
 
     # -- chunk deletion ----------------------------------------------------
 

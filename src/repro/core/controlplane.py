@@ -1,11 +1,11 @@
-"""The background control plane: tick and scrub as real-time workers.
+"""The background control plane: tick, scrub and audit as real-time workers.
 
 The paper's architecture (Section III-C) runs the adaptive optimization
 loop in the background on an elected leader *while* the engines keep
 serving clients.  Simulations drive that loop explicitly through
 :meth:`Scalia.tick`; a long-running deployment (``repro serve``) wants it
 driven by wall-clock time instead.  :class:`BackgroundControlPlane` owns
-two daemon threads:
+three daemon threads:
 
 * a **ticker** that closes one sampling period every ``tick_interval``
   seconds — flushing statistics, refreshing class profiles and running
@@ -43,6 +43,36 @@ class ControlPlaneStopped(Exception):
     """Internal signal: the worker observed the stop flag mid-round."""
 
 
+#: worker -> (thread name, one round given the between-batches hook,
+#: what the round's debug line reports of its result).  The hook rides
+#: that one call only — a concurrent manual round (gateway POST /tick)
+#: must never inherit our stop probe.
+_WORKERS = {
+    "tick": (
+        "scalia-ticker",
+        lambda broker, hook: broker.tick(optimizer_yield_fn=hook),
+        lambda broker, _reports: {"period": broker.period},
+    ),
+    "scrub": (
+        "scalia-scrubber",
+        lambda broker, hook: broker.scrubber.scrub(repair=True, yield_fn=hook),
+        lambda _broker, report: {
+            "objects": report.objects_scanned,
+            "repaired": report.repaired,
+        },
+    ),
+    "audit": (
+        "scalia-auditor",
+        lambda broker, hook: broker.auditor.audit(repair=True, yield_fn=hook),
+        lambda _broker, report: {
+            "objects": report.objects_audited,
+            "proofs_failed": report.proofs_failed,
+            "repaired": report.repaired,
+        },
+    ),
+}
+
+
 class BackgroundControlPlane:
     """Runs the broker's periodic work on daemon threads.
 
@@ -63,16 +93,14 @@ class BackgroundControlPlane:
         audit_interval: Optional[float] = None,
         gate: Optional[Callable[[], bool]] = None,
     ) -> None:
-        if tick_interval is not None and tick_interval <= 0:
-            raise ValueError("tick_interval must be > 0 seconds")
-        if scrub_interval is not None and scrub_interval <= 0:
-            raise ValueError("scrub_interval must be > 0 seconds")
-        if audit_interval is not None and audit_interval <= 0:
-            raise ValueError("audit_interval must be > 0 seconds")
         self.broker = broker
         self.tick_interval = tick_interval
         self.scrub_interval = scrub_interval
         self.audit_interval = audit_interval
+        for name in _WORKERS:
+            interval = self._interval(name)
+            if interval is not None and interval <= 0:
+                raise ValueError(f"{name}_interval must be > 0 seconds")
         # In cluster mode the elected leader owns the periodic work
         # (Section III-C): the gate is checked before each round, so a
         # node that loses leadership skips its rounds without restarting
@@ -111,40 +139,22 @@ class BackgroundControlPlane:
         if self.running:
             raise RuntimeError("control plane already started")
         self._stop.clear()
-        self._threads = []
-        if self.tick_interval is not None:
-            self._threads.append(
-                threading.Thread(
-                    target=self._loop,
-                    args=(self.tick_interval, self._tick_once),
-                    name="scalia-ticker",
-                    daemon=True,
-                )
+        self._threads = [
+            threading.Thread(
+                target=self._loop,
+                args=(self._interval(name), name),
+                name=thread_name,
+                daemon=True,
             )
-        if self.scrub_interval is not None:
-            self._threads.append(
-                threading.Thread(
-                    target=self._loop,
-                    args=(self.scrub_interval, self._scrub_once),
-                    name="scalia-scrubber",
-                    daemon=True,
-                )
-            )
-        if self.audit_interval is not None:
-            self._threads.append(
-                threading.Thread(
-                    target=self._loop,
-                    args=(self.audit_interval, self._audit_once),
-                    name="scalia-auditor",
-                    daemon=True,
-                )
-            )
+            for name, (thread_name, _run, _describe) in _WORKERS.items()
+            if self._interval(name) is not None
+        ]
         for thread in self._threads:
             thread.start()
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Signal both workers and join them.
+        """Signal every worker and join them.
 
         A worker mid-round exits at its next batch boundary (the yield
         hook raises), so stop latency is bounded by one batch, not one
@@ -168,83 +178,40 @@ class BackgroundControlPlane:
         if self._stop.is_set():
             raise ControlPlaneStopped
 
-    def _loop(self, interval: float, work) -> None:
+    def _interval(self, name: str) -> Optional[float]:
+        return getattr(self, f"{name}_interval")
+
+    def _loop(self, interval: float, name: str) -> None:
         while not self._stop.wait(interval):
             if self._gate is None or self._gate():
-                work()
+                self._round(name)
 
     def _tick_once(self) -> None:
+        self._round("tick")
+
+    def _round(self, name: str) -> None:
+        """One round of worker ``name``: counted, timed, logged, survived."""
+        _thread_name, run, describe = _WORKERS[name]
         # Background rounds mint their own trace: their lock waits and
         # provider calls must never attribute to some client request.
         trace = start_trace()
         started = time.perf_counter()
         try:
-            # The hook rides this call only — a concurrent manual tick
-            # (gateway POST /tick) must never inherit our stop probe.
-            self.broker.tick(optimizer_yield_fn=self._yield_hook)
-            self.ticks_run += 1
-            self.last_tick_error = None
-            self._observe("tick", started)
+            result = run(self.broker, self._yield_hook)
+            setattr(self, f"{name}s_run", getattr(self, f"{name}s_run") + 1)
+            setattr(self, f"last_{name}_error", None)
+            self._observe(name, started)
             self._log.debug(
-                "controlplane.tick",
-                period=self.broker.period,
+                f"controlplane.{name}",
+                **describe(self.broker, result),
                 duration_ms=round((time.perf_counter() - started) * 1000.0, 3),
                 phases=trace.phases_ms(),
             )
         except ControlPlaneStopped:
             pass
         except Exception as exc:  # noqa: BLE001 — worker must survive
-            self.last_tick_error = exc
-            self._log.warning("controlplane.tick_error", error=repr(exc))
-        finally:
-            end_trace(trace)
-
-    def _scrub_once(self) -> None:
-        trace = start_trace()
-        started = time.perf_counter()
-        try:
-            report = self.broker.scrubber.scrub(
-                repair=True, yield_fn=self._yield_hook
-            )
-            self.scrubs_run += 1
-            self.last_scrub_error = None
-            self._observe("scrub", started)
-            self._log.debug(
-                "controlplane.scrub",
-                objects=report.objects_scanned,
-                repaired=report.repaired,
-                duration_ms=round((time.perf_counter() - started) * 1000.0, 3),
-            )
-        except ControlPlaneStopped:
-            pass
-        except Exception as exc:  # noqa: BLE001 — worker must survive
-            self.last_scrub_error = exc
-            self._log.warning("controlplane.scrub_error", error=repr(exc))
-        finally:
-            end_trace(trace)
-
-    def _audit_once(self) -> None:
-        trace = start_trace()
-        started = time.perf_counter()
-        try:
-            report = self.broker.auditor.audit(
-                repair=True, yield_fn=self._yield_hook
-            )
-            self.audits_run += 1
-            self.last_audit_error = None
-            self._observe("audit", started)
-            self._log.debug(
-                "controlplane.audit",
-                objects=report.objects_audited,
-                proofs_failed=report.proofs_failed,
-                repaired=report.repaired,
-                duration_ms=round((time.perf_counter() - started) * 1000.0, 3),
-            )
-        except ControlPlaneStopped:
-            pass
-        except Exception as exc:  # noqa: BLE001 — worker must survive
-            self.last_audit_error = exc
-            self._log.warning("controlplane.audit_error", error=repr(exc))
+            setattr(self, f"last_{name}_error", exc)
+            self._log.warning(f"controlplane.{name}_error", error=repr(exc))
         finally:
             end_trace(trace)
 
@@ -258,21 +225,12 @@ class BackgroundControlPlane:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        return {
-            "running": self.running,
-            "tick_interval_s": self.tick_interval,
-            "scrub_interval_s": self.scrub_interval,
-            "audit_interval_s": self.audit_interval,
-            "ticks_run": self.ticks_run,
-            "scrubs_run": self.scrubs_run,
-            "audits_run": self.audits_run,
-            "last_tick_error": (
-                repr(self.last_tick_error) if self.last_tick_error else None
-            ),
-            "last_scrub_error": (
-                repr(self.last_scrub_error) if self.last_scrub_error else None
-            ),
-            "last_audit_error": (
-                repr(self.last_audit_error) if self.last_audit_error else None
-            ),
-        }
+        out: dict = {"running": self.running}
+        for name in _WORKERS:
+            out[f"{name}_interval_s"] = self._interval(name)
+        for name in _WORKERS:
+            out[f"{name}s_run"] = getattr(self, f"{name}s_run")
+        for name in _WORKERS:
+            error = getattr(self, f"last_{name}_error")
+            out[f"last_{name}_error"] = repr(error) if error else None
+        return out

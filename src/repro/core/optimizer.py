@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster.datacenter import ScaliaCluster
 from repro.cluster.engine import Engine, PlacementError, ReadFailedError
+from repro.cluster.maintenance import sweep
 from repro.cluster.statistics import StatsDatabase
 from repro.core.classifier import ClassStatistics
 from repro.core.costmodel import AccessProjection, CostModel
@@ -55,7 +55,7 @@ from repro.types import ObjectMeta, Placement
 
 @dataclass(frozen=True)
 class MigrationAppraisal:
-    """The rationale `_worth_migrating` used to throw away.
+    """Why a migration was, or was not, worth its cost.
 
     Costs are dollars over ``horizon_periods``; ``saving`` is
     ``current_cost - new_cost``; the migration is worth it when the
@@ -245,25 +245,20 @@ class PeriodicOptimizer:
             for engine in engines
             for row_key in assignments[engine.engine_id]
         ]
-        batch_size = max(1, batch_size)
-        for start in range(0, len(work), batch_size):
-            if start and yield_fn is not None:
-                yield_fn()  # no locks held: the foreground drains freely
-            batch_started = time.perf_counter()
-            for engine, row_key in work[start:start + batch_size]:
-                outcome = self._optimize_object(
-                    engine, row_key, now, period, pool_changed
-                )
-                if outcome is None:
-                    continue
-                report.examined += 1
-                report.trend_changes += outcome.trend_changed
-                report.recomputations += outcome.recomputed
-                report.migrations += outcome.migrated
-                report.repairs += outcome.repaired
-                report.outcomes.append(outcome)
-            if self._m_batches is not None:
-                self._m_batches.observe(time.perf_counter() - batch_started)
+
+        def visit(item) -> None:
+            engine, row_key = item
+            outcome = self._optimize_object(engine, row_key, now, period, pool_changed)
+            if outcome is None:
+                return
+            report.examined += 1
+            report.trend_changes += outcome.trend_changed
+            report.recomputations += outcome.recomputed
+            report.migrations += outcome.migrated
+            report.repairs += outcome.repaired
+            report.outcomes.append(outcome)
+
+        sweep(work, visit, batch_size, yield_fn, getattr(self._m_batches, "observe", None))
         if self._m_batches is not None:
             self._m_migrations.inc(report.migrations)
         return report
@@ -562,19 +557,6 @@ class PeriodicOptimizer:
             horizon_periods=horizon,
             projection=projection,
         )
-
-    def _worth_migrating(
-        self,
-        meta: ObjectMeta,
-        new_placement: Placement,
-        window_d: int,
-        now: float,
-        period: int,
-    ) -> bool:
-        """Bool view of :meth:`_appraise_migration` (kept for callers)."""
-        return self._appraise_migration(
-            meta, new_placement, window_d, now, period
-        ).worth
 
 
 def _row_key_of(meta: ObjectMeta) -> str:

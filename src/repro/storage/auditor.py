@@ -32,13 +32,14 @@ a proof failed and a repair must write.
 
 from __future__ import annotations
 
+import functools
 import random
-import time
 
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.cluster.datacenter import ScaliaCluster
+from repro.cluster.maintenance import ChunkProblem, inspect, report_dict, sweep
 from repro.erasure.striping import chunk_length
 from repro.obs.events import resolve_journal
 from repro.providers.provider import (
@@ -47,7 +48,6 @@ from repro.providers.provider import (
 )
 from repro.providers.registry import ProviderRegistry
 from repro.storage.merkle import leaf_count, proof_billed_bytes, verify_proof
-from repro.storage.scrubber import repair_object_chunk
 from repro.types import ObjectMeta
 
 #: Audit statuses recorded per damaged chunk.
@@ -55,33 +55,21 @@ AUDIT_PROOF_FAILED = "proof-failed"
 AUDIT_MISSING = "missing"
 
 
-@dataclass
-class AuditProblem:
-    """One chunk that failed its possession proof (or was gone)."""
-
-    container: str
-    key: str
-    chunk_index: int
-    provider: str
-    status: str  # "proof-failed" | "missing"
-    repaired: bool
-    stripe: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "container": self.container,
-            "key": self.key,
-            "chunk_index": self.chunk_index,
-            "stripe": self.stripe,
-            "provider": self.provider,
-            "status": self.status,
-            "repaired": self.repaired,
-        }
+#: One chunk that failed its possession proof (or was gone): the same
+#: record a scrub files, with ``status`` "proof-failed" | "missing".
+AuditProblem = ChunkProblem
 
 
 @dataclass
 class AuditReport:
-    """Outcome of one audit sweep (JSON-ready via :meth:`to_dict`)."""
+    """Outcome of one audit sweep (JSON-ready via :meth:`to_dict`).
+
+    ``leaves_sampled`` and ``proof_bytes`` count *traffic*: every
+    challenge a provider served and billed, including the first pass of
+    an object that was then re-challenged under the exclusive hold.
+    Every other counter, and ``problems``, is a *verdict* and comes from
+    the object's last (authoritative) pass only.
+    """
 
     seed: int = 0
     objects_audited: int = 0
@@ -98,21 +86,7 @@ class AuditReport:
     problems: List[AuditProblem] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "objects_audited": self.objects_audited,
-            "chunks_audited": self.chunks_audited,
-            "proofs_ok": self.proofs_ok,
-            "proofs_failed": self.proofs_failed,
-            "chunks_missing": self.chunks_missing,
-            "chunks_skipped": self.chunks_skipped,
-            "chunks_unrooted": self.chunks_unrooted,
-            "leaves_sampled": self.leaves_sampled,
-            "proof_bytes": self.proof_bytes,
-            "repaired": self.repaired,
-            "unrepairable": self.unrepairable,
-            "problems": [p.to_dict() for p in self.problems[:50]],
-        }
+        return report_dict(self)
 
 
 class Auditor:
@@ -196,18 +170,30 @@ class Auditor:
             seed = (self._base_seed or 0) + self._sweeps - 1
         report = AuditReport(seed=seed)
         engine = self.cluster.all_engines()[0]
-        locks = self.cluster.locks
-        size = max(1, batch_size if batch_size is not None else self.batch_size)
-        pause = yield_fn if yield_fn is not None else self.yield_fn
-        row_keys = engine.live_row_keys()
-        for start in range(0, len(row_keys), size):
-            if start and pause is not None:
-                pause()  # between batches: no locks held
-            batch_started = time.perf_counter()
-            for row_key in row_keys[start:start + size]:
-                self._audit_object(engine, locks, row_key, seed, repair, report)
-            if self._m_batches is not None:
-                self._m_batches.observe(time.perf_counter() - batch_started)
+        check = functools.partial(self._challenge_object, seed, report)
+
+        def visit(row_key: str) -> None:
+            inspect(
+                engine,
+                row_key,
+                check,
+                report,
+                repair=repair,
+                counted_as="objects_audited",
+                emit=self._emit_failure,
+                # A confirmed bad proof is the breaker input — recorded
+                # before the repair so placement stops trusting the
+                # provider even if reconstruction cannot proceed yet.
+                on_confirmed=self.registry.health.record_audit_failure,
+            )
+
+        sweep(
+            engine.live_row_keys(),
+            visit,
+            batch_size if batch_size is not None else self.batch_size,
+            yield_fn if yield_fn is not None else self.yield_fn,
+            getattr(self._m_batches, "observe", None),
+        )
         if self._m_batches is not None:
             self._m_chunks.inc(report.chunks_audited)
             self._m_failures.inc(report.proofs_failed + report.chunks_missing)
@@ -230,54 +216,21 @@ class Auditor:
 
     # -- one object --------------------------------------------------------
 
-    def _audit_object(
-        self, engine, locks, row_key: str, seed: int, repair: bool, report: AuditReport
-    ) -> None:
-        """Challenge one object's chunks under its striped lock.
+    def _challenge_object(self, seed: int, report: AuditReport, meta: ObjectMeta):
+        """Proof round for one object: ``(counters, damaged, None)``.
 
-        The challenge pass — overwhelmingly proofs-pass — holds the
-        stripe *shared*.  Only a failed or missing proof escalates: the
-        exclusive re-acquire re-resolves the metadata and re-challenges
-        before repairing, so a rewrite that won the gap is respected and
-        a repair can never resurrect a superseded version's chunks.
-        """
-        with locks.objects.shared(row_key):
-            meta = engine.resolve_row_unlocked(row_key)
-            if meta is None:
-                return
-            counts, damaged = self._challenge_object(meta, seed, report)
-        if not (repair and damaged):
-            self._commit_outcome(report, meta, counts, damaged, repair, {})
-            return
-        with locks.objects.exclusive(row_key):
-            meta = engine.resolve_row_unlocked(row_key)
-            if meta is None:
-                return  # deleted in the gap: nothing to audit any more
-            counts, damaged = self._challenge_object(meta, seed, report)
-            repaired = {}
-            for stripe, index, provider_name, _status in damaged:
-                # A confirmed bad proof is the breaker input — recorded
-                # before the repair so placement stops trusting the
-                # provider even if reconstruction cannot proceed yet.
-                self.registry.health.record_audit_failure(provider_name)
-                repaired[(stripe, index, provider_name)] = repair_object_chunk(
-                    self.cluster, self.registry, engine, meta,
-                    stripe, index, provider_name,
-                )
-            self._commit_outcome(report, meta, counts, damaged, repair, repaired)
-
-    def _challenge_object(self, meta: ObjectMeta, seed: int, report: AuditReport):
-        """Proof round for one object: ``(counters, damaged)``.
-
-        ``counters`` maps report fields to deltas; ``damaged`` lists
-        ``(stripe, index, provider, status)`` for chunks whose proof
-        failed or whose key the provider no longer holds.  Transient
-        provider trouble skips (never damages) a chunk, matching the
-        scrubber's rule: a repair must rest on evidence, not weather.
+        ``counters`` maps the report's verdict fields to deltas;
+        ``damaged`` lists ``(stripe, index, provider, status)`` for
+        chunks whose proof failed or whose key the provider no longer
+        holds.  Transient provider trouble skips (never damages) a
+        chunk, matching the scrubber's rule: a repair must rest on
+        evidence, not weather.  The traffic fields go straight onto
+        ``report``: a challenge a provider answered was served and
+        billed whether or not this round turns out to be the
+        authoritative one.
         """
         counts = {"chunks_audited": 0, "proofs_ok": 0, "proofs_failed": 0,
-                  "chunks_missing": 0, "chunks_skipped": 0, "chunks_unrooted": 0,
-                  "leaves_sampled": 0, "proof_bytes": 0}
+                  "chunks_missing": 0, "chunks_skipped": 0, "chunks_unrooted": 0}
         damaged = []
         for stripe, index, provider_name, chunk_key in meta.iter_chunks():
             expected_root = meta.merkle_root(index, stripe)
@@ -306,48 +259,27 @@ class Auditor:
             except ProviderUnavailableError:
                 counts["chunks_skipped"] += 1
                 continue
-            counts["leaves_sampled"] += len(indices)
-            counts["proof_bytes"] += proof_billed_bytes(proof)
+            report.leaves_sampled += len(indices)
+            report.proof_bytes += proof_billed_bytes(proof)
             if verify_proof(proof, expected_root, expected_size):
                 counts["proofs_ok"] += 1
             else:
                 counts["proofs_failed"] += 1
                 damaged.append((stripe, index, provider_name, AUDIT_PROOF_FAILED))
-        return counts, damaged
+        return counts, damaged, None
 
-    def _commit_outcome(
-        self, report: AuditReport, meta: ObjectMeta, counts, damaged, repair, repaired
-    ) -> None:
-        report.objects_audited += 1
-        for field_name, delta in counts.items():
-            setattr(report, field_name, getattr(report, field_name) + delta)
-        for stripe, index, provider_name, status in damaged:
-            fixed = bool(repaired.get((stripe, index, provider_name)))
-            report.repaired += int(fixed)
-            report.unrepairable += int(repair and not fixed)
-            report.problems.append(
-                AuditProblem(
-                    container=meta.container,
-                    key=meta.key,
-                    chunk_index=index,
-                    stripe=stripe,
-                    provider=provider_name,
-                    status=status,
-                    repaired=fixed,
-                )
-            )
-        if damaged:
+    def _emit_failure(self, meta: ObjectMeta, damaged, repaired) -> None:
+        self.journal.emit(
+            "audit.fail",
+            key=f"{meta.container}/{meta.key}",
+            damaged=len(damaged),
+            providers=sorted({p for _, _, p, _ in damaged}),
+            statuses=sorted({status for _, _, _, status in damaged}),
+        )
+        if repaired:
             self.journal.emit(
-                "audit.fail",
+                "audit.repair",
                 key=f"{meta.container}/{meta.key}",
-                damaged=len(damaged),
-                providers=sorted({p for _, _, p, _ in damaged}),
-                statuses=sorted({status for _, _, _, status in damaged}),
+                repaired=sum(1 for ok in repaired.values() if ok),
+                unrepairable=sum(1 for ok in repaired.values() if not ok),
             )
-            if repaired:
-                self.journal.emit(
-                    "audit.repair",
-                    key=f"{meta.container}/{meta.key}",
-                    repaired=sum(1 for ok in repaired.values() if ok),
-                    unrepairable=sum(1 for ok in repaired.values() if not ok),
-                )

@@ -21,25 +21,24 @@ This closes the loop the durable backends open: CRC detection lives in
 :mod:`repro.storage.segment`, tolerance lives in the engine's read path
 (any ``m`` of ``n``), and restoration of full redundancy lives here.
 The cheap continuous counterpart — challenge-response proofs at O(log)
-bytes per chunk — is :mod:`repro.storage.auditor`, which shares this
-module's repair path.
+bytes per chunk — is :mod:`repro.storage.auditor`.  The two share the
+batched sweep, the shared → exclusive inspection of each object
+(:mod:`repro.cluster.maintenance`) and the one rebuild
+(:meth:`Engine.rebuild_chunk`); what is the scrubber's own is the
+full-read check, the root backfill and the orphan sweep.
 """
 
 from __future__ import annotations
 
-import time
-
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 from repro.cluster.datacenter import ScaliaCluster
-from repro.cluster.engine import ReadFailedError
-from repro.erasure.striping import SyntheticChunk, chunk_length, repair_chunk
+from repro.cluster.maintenance import ChunkProblem, inspect, report_dict, sweep
 from repro.providers.provider import (
-    CapacityExceededError,
     ChunkCorruptionError,
     ChunkNotFoundError,
-    ChunkTooLargeError,
     ProviderUnavailableError,
 )
 from repro.providers.registry import ProviderRegistry
@@ -47,79 +46,7 @@ from repro.obs.events import resolve_journal
 from repro.storage.backend import VERIFY_CORRUPT, VERIFY_MISSING, VERIFY_OK
 from repro.storage.merkle import SYNTHETIC_ROOT, merkle_root
 from repro.types import ObjectMeta, raw_chunk_refs
-
-
-def repair_object_chunk(
-    cluster: ScaliaCluster,
-    registry: ProviderRegistry,
-    engine,
-    meta: ObjectMeta,
-    stripe: int,
-    index: int,
-    provider_name: str,
-) -> bool:
-    """Re-encode one lost chunk from ``m`` intact ones and rewrite it.
-
-    Stripes are independent codes, so the reconstruction sources come
-    from the damaged chunk's own stripe.  Shared by the scrubber and the
-    Merkle auditor — this *is* the full-read fallback a failed proof
-    triggers, and the only time the audit path reads whole chunks.
-    Caller must hold the object's stripe exclusively.
-    """
-    stripe_len = meta.stripe_lengths[stripe]
-    try:
-        # The engine's fetch path already skips missing, corrupt and
-        # unreachable chunks, so whatever it returns is safe source
-        # material for reconstruction.  Only the expected storage
-        # failures mean "unrepairable" — anything else is a bug and
-        # must surface, not be counted as lost data.
-        source = engine._fetch_chunks(meta, meta.m, stripe=stripe)  # noqa: SLF001 — storage owns its cluster
-    except (
-        ReadFailedError,
-        ProviderUnavailableError,
-        ChunkNotFoundError,
-        ChunkCorruptionError,
-    ):
-        return False
-    if isinstance(source[0], SyntheticChunk):
-        chunk = SyntheticChunk(index=index, size=chunk_length(stripe_len, meta.m))
-    else:
-        chunk = repair_chunk(source, index, meta.m, meta.n, stripe_len)
-    chunk_key = meta.chunk_key(index, stripe)
-    # The rewritten key may have a queued delete from an old outage;
-    # the rewrite guard keeps a concurrent flush from destroying the
-    # repair we are about to write (see PendingDeleteQueue).
-    with cluster.pending_deletes.rewrite_guard(chunk_key):
-        cluster.pending_deletes.discard(provider_name, chunk_key)
-        try:
-            registry.get(provider_name).put_chunk(chunk_key, chunk)
-        except (ProviderUnavailableError, CapacityExceededError, ChunkTooLargeError):
-            return False
-    return True
-
-
-@dataclass
-class ChunkProblem:
-    """One damaged chunk found by a scrub pass."""
-
-    container: str
-    key: str
-    chunk_index: int
-    provider: str
-    status: str  # "missing" | "corrupt"
-    repaired: bool
-    stripe: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "container": self.container,
-            "key": self.key,
-            "chunk_index": self.chunk_index,
-            "stripe": self.stripe,
-            "provider": self.provider,
-            "status": self.status,
-            "repaired": self.repaired,
-        }
+from repro.util.ids import object_row_key
 
 
 @dataclass
@@ -140,20 +67,7 @@ class ScrubReport:
     problems: List[ChunkProblem] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "objects_scanned": self.objects_scanned,
-            "chunks_scanned": self.chunks_scanned,
-            "chunks_ok": self.chunks_ok,
-            "chunks_missing": self.chunks_missing,
-            "chunks_corrupt": self.chunks_corrupt,
-            "chunks_skipped": self.chunks_skipped,
-            "repaired": self.repaired,
-            "unrepairable": self.unrepairable,
-            "orphans_found": self.orphans_found,
-            "orphans_removed": self.orphans_removed,
-            "roots_backfilled": self.roots_backfilled,
-            "problems": [p.to_dict() for p in self.problems[:50]],
-        }
+        return report_dict(self)
 
 
 class Scrubber:
@@ -208,18 +122,26 @@ class Scrubber:
         """One full pass over every live object; repairs unless told not to."""
         report = ScrubReport()
         engine = self.cluster.all_engines()[0]
-        locks = self.cluster.locks
-        size = max(1, batch_size if batch_size is not None else self.batch_size)
-        pause = yield_fn if yield_fn is not None else self.yield_fn
-        row_keys = engine.live_row_keys()
-        for start in range(0, len(row_keys), size):
-            if start and pause is not None:
-                pause()  # between batches: no locks held
-            batch_started = time.perf_counter()
-            for row_key in row_keys[start:start + size]:
-                self._scrub_object(engine, locks, row_key, repair, report)
-            if self._m_batches is not None:
-                self._m_batches.observe(time.perf_counter() - batch_started)
+        check = functools.partial(self._verify_object, engine, repair, report)
+
+        def visit(row_key: str) -> None:
+            inspect(
+                engine,
+                row_key,
+                check,
+                report,
+                repair=repair,
+                counted_as="objects_scanned",
+                emit=self._emit_verdict,
+            )
+
+        sweep(
+            engine.live_row_keys(),
+            visit,
+            batch_size if batch_size is not None else self.batch_size,
+            yield_fn if yield_fn is not None else self.yield_fn,
+            getattr(self._m_batches, "observe", None),
+        )
         if repair:
             self._sweep_orphans(report)
         if self._m_batches is not None:
@@ -228,55 +150,17 @@ class Scrubber:
         self.last_report = report
         return report
 
-    def _scrub_object(self, engine, locks, row_key: str, repair: bool, report: ScrubReport) -> None:
-        """Verify (and repair) one object under its striped lock.
-
-        The verify pass — the overwhelmingly common all-healthy case —
-        holds the object's stripe *shared*, so concurrent reads flow and
-        only writers wait.  Only when damage is found (and repairing is
-        allowed) does the scrub escalate: it re-acquires the stripe
-        *exclusively*, re-resolves the metadata and re-verifies before
-        repairing, so a rewrite or delete that won the gap between the
-        two holds is fully respected and a repair can never resurrect
-        chunks of a superseded version.  The metadata is resolved with
-        ``resolve_row_unlocked`` because the public ``resolve_row``
-        would re-acquire the stripe we already hold.
-        """
-        with locks.objects.shared(row_key):
-            meta = engine.resolve_row_unlocked(row_key)
-            if meta is None:
-                return
-            counts, damaged, _roots = self._verify_object(meta)
-        needs_backfill = repair and not meta.merkle
-        if not (repair and (damaged or needs_backfill)):
-            self._commit_outcome(report, meta, counts, damaged, repair, {})
-            return
-        with locks.objects.exclusive(row_key):
-            meta = engine.resolve_row_unlocked(row_key)
-            if meta is None:
-                return  # deleted in the gap: nothing to scrub any more
-            counts, damaged, roots = self._verify_object(meta)
-            repaired = {}
-            for stripe, index, provider_name, _status in damaged:
-                repaired[(stripe, index, provider_name)] = self._repair(
-                    engine, meta, stripe, index, provider_name
-                )
-            if not meta.merkle and not damaged and not counts["chunks_skipped"]:
-                # Pre-audit metadata and every chunk read back clean: the
-                # full-read pass this object just paid for doubles as the
-                # tree build.  Journal a fresh version carrying the roots
-                # (the exclusive hold makes the read-modify-write safe);
-                # a damaged or unprobeable object waits for a later pass.
-                self._backfill_roots(engine, row_key, meta, roots, report)
-            self._commit_outcome(report, meta, counts, damaged, repair, repaired)
-
-    def _verify_object(self, meta: ObjectMeta):
-        """Chunk verification: ``(counters, damaged, roots)``, no repairs.
+    def _verify_object(self, engine, repair: bool, report, meta: ObjectMeta):
+        """Full-read verification: ``(counters, damaged, backfill)``.
 
         ``counters`` maps the report fields to deltas; ``damaged`` lists
-        ``(stripe, index, provider, status)`` for missing/corrupt chunks;
-        ``roots`` maps each verified chunk's key suffix to the Merkle
-        root computed from the bytes just read (backfill material).
+        ``(stripe, index, provider, status)`` for missing/corrupt chunks.
+        ``backfill`` is set when a repairing pass finds pre-audit
+        metadata and every chunk read back clean: the full read this
+        object just paid for doubles as the tree build, and the roots
+        computed from the bytes are journaled once the pass holds the
+        stripe exclusively.  A damaged or unprobeable object waits for a
+        later pass.
         """
         counts = {"chunks_scanned": 0, "chunks_ok": 0, "chunks_missing": 0,
                   "chunks_corrupt": 0, "chunks_skipped": 0}
@@ -298,11 +182,14 @@ class Scrubber:
                 else:
                     counts["chunks_corrupt"] += 1
                 damaged.append((stripe, index, provider_name, status))
-        return counts, damaged, roots
+        backfill = None
+        if repair and not meta.merkle and not damaged and not counts["chunks_skipped"]:
+            backfill = functools.partial(
+                self._backfill_roots, engine, meta, roots, report
+            )
+        return counts, damaged, backfill
 
-    def _backfill_roots(
-        self, engine, row_key: str, meta: ObjectMeta, roots, report: ScrubReport
-    ) -> None:
+    def _backfill_roots(self, engine, meta: ObjectMeta, roots, report: ScrubReport) -> None:
         """Write a metadata version carrying freshly computed Merkle roots.
 
         The write merges every visible version's vector clock and
@@ -311,14 +198,9 @@ class Scrubber:
         ordinary ``md`` WAL shipping.  Chunk references are unchanged,
         so no GC can trigger.
         """
-        from dataclasses import replace
-
-        new_meta = replace(meta, merkle=tuple(sorted(roots.items())))
-        engine._metadata.write(  # noqa: SLF001 — storage owns its cluster
-            engine.dc,
-            row_key,
-            new_meta.to_dict(),
-            uuid=engine._ids.uuid(),  # noqa: SLF001
+        engine.rewrite_row(
+            object_row_key(meta.container, meta.key),
+            replace(meta, merkle=tuple(sorted(roots.items()))),
             timestamp=meta.last_modified,
         )
         report.roots_backfilled += 1
@@ -328,40 +210,15 @@ class Scrubber:
             chunks=len(roots),
         )
 
-    def _commit_outcome(
-        self, report: ScrubReport, meta: ObjectMeta, counts, damaged, repair, repaired
-    ) -> None:
-        report.objects_scanned += 1
-        for field_name, delta in counts.items():
-            setattr(report, field_name, getattr(report, field_name) + delta)
-        for stripe, index, provider_name, status in damaged:
-            fixed = bool(repaired.get((stripe, index, provider_name)))
-            report.repaired += int(fixed)
-            report.unrepairable += int(repair and not fixed)
-            report.problems.append(
-                ChunkProblem(
-                    container=meta.container,
-                    key=meta.key,
-                    chunk_index=index,
-                    stripe=stripe,
-                    provider=provider_name,
-                    status=status,
-                    repaired=fixed,
-                )
-            )
-        if damaged:
-            # One verdict per damaged object — clean objects stay silent
-            # so a full-store scrub cannot flood the ring.
-            self.journal.emit(
-                "scrub.verdict",
-                key=f"{meta.container}/{meta.key}",
-                damaged=len(damaged),
-                repaired=sum(
-                    1 for s, i, p, _ in damaged if repaired.get((s, i, p))
-                ),
-                providers=sorted({p for _, _, p, _ in damaged}),
-                statuses=sorted({status for _, _, _, status in damaged}),
-            )
+    def _emit_verdict(self, meta: ObjectMeta, damaged, repaired) -> None:
+        self.journal.emit(
+            "scrub.verdict",
+            key=f"{meta.container}/{meta.key}",
+            damaged=len(damaged),
+            repaired=sum(1 for s, i, p, _ in damaged if repaired.get((s, i, p))),
+            providers=sorted({p for _, _, p, _ in damaged}),
+            statuses=sorted({status for _, _, _, status in damaged}),
+        )
 
     def _sweep_orphans(self, report: ScrubReport) -> None:
         """Delete stored chunks no metadata version references any more.
@@ -483,10 +340,3 @@ class Scrubber:
         ):
             return VERIFY_CORRUPT, None
         return VERIFY_OK, computed
-
-    def _repair(
-        self, engine, meta: ObjectMeta, stripe: int, index: int, provider_name: str
-    ) -> bool:
-        return repair_object_chunk(
-            self.cluster, self.registry, engine, meta, stripe, index, provider_name
-        )

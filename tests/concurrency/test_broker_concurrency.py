@@ -472,3 +472,38 @@ class TestBoundedForegroundStall:
         assert report.chunks_corrupt == 0
         # The mid-scrub write must not be reaped as an orphan.
         assert broker.get("scrubbed", "k-new") == b"written-mid-scrub"
+
+    def test_audit_batches_yield_to_foreground(self):
+        broker = Scalia(audit_batch_size=10)
+        for i in range(60):
+            broker.put("audited", f"k{i}", b"payload-%d" % i)
+
+        gate = threading.Event()
+        mid_sweep = threading.Event()
+
+        def yield_fn():
+            mid_sweep.set()
+            gate.wait(30.0)
+
+        results = []
+        auditor_thread = threading.Thread(
+            target=lambda: results.append(
+                broker.auditor.audit(repair=True, yield_fn=yield_fn)
+            ),
+            daemon=True,
+        )
+        auditor_thread.start()
+        assert mid_sweep.wait(30.0)
+        # Sweep suspended between batches holds no object lock: a read
+        # and a write — of a key it already audited, too — complete now.
+        assert broker.get("audited", "k5") == b"payload-5"
+        broker.put("audited", "k5", b"rewritten-mid-audit")
+        broker.put("audited", "k-new", b"written-mid-audit")
+        gate.set()
+        auditor_thread.join(30.0)
+        assert not auditor_thread.is_alive()
+        report = results[0]
+        assert report.proofs_failed == 0 and report.chunks_missing == 0
+        assert report.objects_audited == 60
+        assert broker.get("audited", "k5") == b"rewritten-mid-audit"
+        assert broker.get("audited", "k-new") == b"written-mid-audit"

@@ -41,6 +41,40 @@ class TestBackgroundControlPlane:
         assert broker.scrubber.last_report.chunks_corrupt == 0
         assert plane.last_scrub_error is None
 
+    def test_auditor_runs_and_reports(self):
+        broker = Scalia()
+        for i in range(10):
+            broker.put("bg", f"a{i}", b"payload" * 4)
+        with BackgroundControlPlane(broker, audit_interval=0.02) as plane:
+            assert _wait_until(lambda: plane.audits_run >= 2)
+        report = broker.auditor.last_report
+        assert report is not None
+        assert report.objects_audited == 10
+        assert report.proofs_failed == 0 and report.proofs_ok == report.chunks_audited
+        assert plane.last_audit_error is None
+        assert plane.stats()["audits_run"] == plane.audits_run
+
+    @pytest.mark.parametrize("worker", ["tick", "scrub", "audit"])
+    def test_each_worker_stops_promptly_mid_round(self, worker):
+        """One-object batches and a near-zero interval keep the worker
+        inside a round almost all the time; stop() must still return at
+        the next batch boundary, and the abandoned round is no error."""
+        broker = Scalia(
+            optimizer_batch_size=1, scrub_batch_size=1, audit_batch_size=1
+        )
+        for i in range(60):
+            broker.put("bg", f"k{i}", b"x" * 64)
+        plane = BackgroundControlPlane(
+            broker, **{f"{worker}_interval": 0.001}
+        ).start()
+        assert _wait_until(lambda: getattr(plane, f"{worker}s_run") >= 1)
+        started = time.monotonic()
+        plane.stop()
+        assert time.monotonic() - started < 5.0
+        assert not plane.running
+        assert getattr(plane, f"last_{worker}_error") is None
+        assert broker.now == broker.period * broker.sampling_period_hours
+
     def test_stop_is_prompt_even_mid_round(self):
         broker = Scalia(optimizer_batch_size=1)
         for i in range(50):
