@@ -4,35 +4,25 @@ Not a paper figure — the paper's evaluation is cost-centric — but the
 ROADMAP's "heavy traffic" goal needs a serving-path number.  The benchmark
 boots the S3-style gateway on loopback, hammers it with 16 concurrent
 keep-alive clients against the in-memory simulated providers, and reports
-sustained req/s plus p50/p95/p99 latency for every frontend dispatch mode:
+sustained req/s plus p50/p95/p99 latency.  Request threads call straight
+into the broker: non-conflicting requests run in parallel under its own
+striped-lock concurrency.
 
-``direct``
-    The broker's own striped-lock concurrency — non-conflicting requests
-    run in parallel (the default since the global broker lock was broken
-    up).
-
-``lock`` / ``queue``
-    The legacy serialize-everything baselines (coarse lock; single-writer
-    dispatch queue), kept as compatibility shims and measured here as the
-    global-lock reference point.
-
-Two scenarios run per mode: ``read_heavy`` (10% PUT — the object-store
-steady state) and ``mixed`` (50% PUT).  A standalone run also measures
-the **control-plane stall**: client GET latency while a ``POST /tick``
-optimization round over thousands of objects runs concurrently.  Under
-the legacy ``lock`` mode the round holds the one broker lock end to end,
-so a client request can stall for the entire round; in ``direct`` mode
-the round claims objects in batches under striped locks and the tail
-stays at normal-request scale.  Everything is written to
+Two scenarios run: ``read_heavy`` (10% PUT — the object-store steady
+state) and ``mixed`` (50% PUT).  A standalone run also measures the
+**control-plane stall**: client GET latency while a ``POST /tick``
+optimization round over thousands of objects runs concurrently.  The
+round claims objects in batches under striped locks, so the tail stays at
+normal-request scale (bounded by one batch).  Everything is written to
 ``BENCH_gateway.json``.
 
-Note on parallel speedup: raw req/s gains from breaking the global lock
-only materialize with >1 CPU core (CPython's GIL serializes the compute
-either way); ``cpu_count`` is recorded alongside the numbers.  The stall
-measurement shows the architectural win even on one core.
+Note on parallel speedup: raw req/s only scales with >1 CPU core
+(CPython's GIL serializes the compute either way); ``cpu_count`` is
+recorded alongside the numbers, and the ``--workers {1,2,4}`` sweep is
+the per-box scaling measurement.
 
 Acceptance floor: >= 1000 req/s with zero errors at 16 clients in every
-mode/scenario.
+scenario.
 """
 
 import json
@@ -51,7 +41,7 @@ import pytest
 
 from repro.core.broker import Scalia
 from repro.gateway.client import LoadGenerator
-from repro.gateway.frontend import MODES, BrokerFrontend
+from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.server import ScaliaGateway
 from repro.obs.logging import LogConfig, StructuredLogger
 
@@ -72,13 +62,12 @@ RESULT_PATH = os.path.join(
 
 
 def _measure(
-    mode: str,
     put_ratio: float,
     *,
     requests_per_client: int = REQUESTS_PER_CLIENT,
     enable_metrics: bool = True,
 ):
-    frontend = BrokerFrontend(Scalia(enable_metrics=enable_metrics), mode=mode)
+    frontend = BrokerFrontend(Scalia(enable_metrics=enable_metrics))
     # Warning-level logger: the bench measures broker throughput, not the
     # cost of writing a request.complete line to stderr per request.
     quiet = StructuredLogger("gateway", LogConfig(level="warning"))
@@ -98,15 +87,14 @@ def _measure(
 
 
 @pytest.mark.parametrize("scenario", [name for name, _ in SCENARIOS])
-@pytest.mark.parametrize("mode", MODES)
-def test_gateway_throughput(benchmark, mode, scenario):
+def test_gateway_throughput(benchmark, scenario):
     put_ratio = dict(SCENARIOS)[scenario]
-    report = run_once(benchmark, lambda: _measure(mode, put_ratio))
-    print(f"\n{mode}/{scenario}: {report.summary()}")
+    report = run_once(benchmark, lambda: _measure(put_ratio))
+    print(f"\n{scenario}: {report.summary()}")
     assert report.errors == 0
     assert report.total_requests == CLIENTS * REQUESTS_PER_CLIENT
     assert report.rps >= MIN_RPS, (
-        f"{mode}/{scenario} sustained only {report.rps:.0f} req/s "
+        f"{scenario} sustained only {report.rps:.0f} req/s "
         f"(floor {MIN_RPS:.0f})"
     )
 
@@ -143,9 +131,7 @@ def _overhead_arm(enabled: bool):
     """Boot one live gateway arm and seed its working set."""
     from repro.gateway.client import GatewayClient
 
-    frontend = BrokerFrontend(
-        Scalia(enable_metrics=enabled, enable_events=enabled), mode="direct"
-    )
+    frontend = BrokerFrontend(Scalia(enable_metrics=enabled, enable_events=enabled))
     quiet = StructuredLogger("gateway", LogConfig(level="warning"))
     ctx = ScaliaGateway(frontend, port=0, logger=quiet).start()
     gateway = ctx.__enter__()
@@ -243,7 +229,7 @@ def _measure_metrics_overhead() -> dict:
 def test_metrics_overhead_read_heavy():
     result = _measure_metrics_overhead()
     print(
-        f"\nmetrics overhead (read_heavy/direct): "
+        f"\nmetrics overhead (read_heavy): "
         f"GET on {result['get_us_metrics_on']}us, "
         f"off {result['get_us_metrics_off']}us, pairs "
         f"{result['pair_overhead_pcts']} -> median {result['overhead_pct']}% "
@@ -366,7 +352,7 @@ def test_prefork_worker_parity(workers):
 STALL_OBJECTS = 4000
 
 
-def _measure_tick_stall(mode: str) -> dict:
+def _measure_tick_stall() -> dict:
     """GET latency percentiles while an optimization round runs.
 
     Seeds ``STALL_OBJECTS`` objects, then serves GETs from 4 clients
@@ -376,7 +362,7 @@ def _measure_tick_stall(mode: str) -> dict:
     """
     from repro.gateway.client import GatewayClient
 
-    frontend = BrokerFrontend(Scalia(), mode=mode)
+    frontend = BrokerFrontend(Scalia())
     broker = frontend.broker
     # Seed through the namespace mapper so the HTTP clients see the keys.
     container = frontend.mapper.internal_container("public", "stall")
@@ -437,7 +423,7 @@ def _measure_tick_stall(mode: str) -> dict:
 
 
 def main() -> None:
-    """Standalone run: measures every mode/scenario, writes BENCH_gateway.json."""
+    """Standalone run: measures every scenario, writes BENCH_gateway.json."""
     print(
         f"{CLIENTS} clients, {REQUESTS_PER_CLIENT} requests each, "
         f"{PAYLOAD_BYTES}-byte payloads\n"
@@ -448,52 +434,37 @@ def main() -> None:
         "payload_bytes": PAYLOAD_BYTES,
         "cpu_count": os.cpu_count(),
         "note": (
-            "raw req/s across modes is GIL-bound and converges on few-core "
-            "hosts; parallel speedup from the striped locks needs >1 core. "
-            "tick_stall is the core-count-independent measurement: worst GET "
-            "latency while an optimization round runs (bounded by one batch "
-            "in direct mode vs the whole round under the global lock)."
+            "raw req/s is GIL-bound on few-core hosts; parallel speedup from "
+            "the striped locks needs >1 core. tick_stall is the "
+            "core-count-independent measurement: worst GET latency while an "
+            "optimization round runs (bounded by one batch)."
         ),
         "scenarios": {},
     }
     for scenario, put_ratio in SCENARIOS:
         print(f"--- {scenario} ({put_ratio:.0%} PUTs) ---")
-        modes = {}
-        for mode in MODES:
-            report = _measure(mode, put_ratio)
-            modes[mode] = {
-                "rps": round(report.rps, 1),
-                "p50_ms": round(report.percentile_ms(50), 3),
-                "p95_ms": round(report.percentile_ms(95), 3),
-                "p99_ms": round(report.percentile_ms(99), 3),
-                "errors": report.errors,
-            }
-            print(f"{mode:>6}: {report.summary()}")
-        entry = {"put_ratio": put_ratio, "modes": modes}
-        if modes.get("lock", {}).get("rps"):
-            entry["speedup_direct_over_lock"] = round(
-                modes["direct"]["rps"] / modes["lock"]["rps"], 3
-            )
-        results["scenarios"][scenario] = entry
+        report = _measure(put_ratio)
+        results["scenarios"][scenario] = {
+            "put_ratio": put_ratio,
+            "rps": round(report.rps, 1),
+            "p50_ms": round(report.percentile_ms(50), 3),
+            "p95_ms": round(report.percentile_ms(95), 3),
+            "p99_ms": round(report.percentile_ms(99), 3),
+            "errors": report.errors,
+        }
+        print(report.summary())
         print()
 
     print(f"--- control-plane stall (GET tail during a {STALL_OBJECTS}-object round) ---")
-    stall = {}
-    for mode in ("direct", "lock"):
-        stall[mode] = _measure_tick_stall(mode)
-        s = stall[mode]
-        print(
-            f"{mode:>6}: tick {s['tick_seconds']}s | GET p50 {s['get_p50_ms']}ms "
-            f"p99 {s['get_p99_ms']}ms max {s['get_max_ms']}ms"
-        )
-    if stall["direct"]["get_max_ms"] and stall["lock"]["get_max_ms"]:
-        stall["stall_reduction_direct_over_lock"] = round(
-            stall["lock"]["get_max_ms"] / stall["direct"]["get_max_ms"], 2
-        )
+    stall = _measure_tick_stall()
+    print(
+        f"tick {stall['tick_seconds']}s | GET p50 {stall['get_p50_ms']}ms "
+        f"p99 {stall['get_p99_ms']}ms max {stall['get_max_ms']}ms"
+    )
     results["tick_stall"] = stall
     print()
 
-    print("--- metrics overhead (read_heavy, direct, paired A/B over "
+    print("--- metrics overhead (read_heavy, paired A/B over "
           f"{OVERHEAD_PAIRS} instance pairs) ---")
     overhead = _measure_metrics_overhead()
     print(

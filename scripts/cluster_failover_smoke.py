@@ -4,7 +4,11 @@
 CI runs this (the ``cluster-failover-smoke`` job) against an installed
 ``repro``; it also runs locally from a checkout:
 
-    PYTHONPATH=src python scripts/cluster_failover_smoke.py
+    PYTHONPATH=src python scripts/cluster_failover_smoke.py [--workers N]
+
+``--workers N`` boots every node with N pre-forked gateway workers (the
+composed topology); the kill then takes the leader's supervisor only, and
+its orphaned workers must get out of the way on their own.
 
 Checks, in order:
 
@@ -15,13 +19,16 @@ Checks, in order:
 3. SIGKILL the leader mid-workload: the survivors elect a new leader
    within a few election timeouts;
 4. zero acknowledged writes lost — every 200-acked object is readable
-   from the new leader;
+   from the new leader and, once replicated, from the other survivor;
 5. the 2-of-3 cluster accepts writes again, and ``repro cluster
-   status`` reports the new leader.
+   status`` reports the new leader;
+6. no request was ever answered with a 5xx other than ``503`` +
+   ``Retry-After``.
 
 Exit code 0 means every check held.
 """
 
+import argparse
 import json
 import os
 import signal
@@ -39,19 +46,34 @@ sys.path.insert(0, _SRC)
 #: not installed (the CI job installs it; local runs go via PYTHONPATH).
 _ENV = dict(os.environ)
 _ENV["PYTHONPATH"] = _SRC + os.pathsep + _ENV.get("PYTHONPATH", "")
+_ENV["PYTHONUNBUFFERED"] = "1"  # the banners are read off a pipe
 
 HEARTBEAT_MS = 50
 ELECTION_MS = 500
+
+
+#: Every 5xx any request below was answered with: (status, Retry-After).
+SERVER_ERRORS = []
 
 
 def log(message):
     print(f"[failover-smoke] {message}", flush=True)
 
 
-def spawn_node(data_dir, node_id, join=None):
+def http_open(request, timeout):
+    try:
+        return urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:
+        if exc.code >= 500:
+            SERVER_ERRORS.append((exc.code, exc.headers.get("Retry-After")))
+        raise
+
+
+def spawn_node(data_dir, node_id, join=None, workers=0):
     cmd = [
         sys.executable, "-m", "repro", "serve",
         "--port", "0",
+        "--workers", str(workers),
         "--data-dir", str(data_dir),
         "--node-id", node_id,
         "--cluster-listen", "127.0.0.1:0",
@@ -95,18 +117,18 @@ def put(base_url, key, data):
     request = urllib.request.Request(
         f"{base_url}/smoke/{key}", data=data, method="PUT"
     )
-    with urllib.request.urlopen(request, timeout=15) as response:
+    with http_open(request, 15) as response:
         if response.status != 200:
             raise RuntimeError(f"PUT {key}: {response.status}")
 
 
 def get(base_url, key):
-    with urllib.request.urlopen(f"{base_url}/smoke/{key}", timeout=15) as r:
+    with http_open(f"{base_url}/smoke/{key}", 15) as r:
         return r.read()
 
 
 def cluster_doc(base_url):
-    with urllib.request.urlopen(f"{base_url}/cluster", timeout=5) as r:
+    with http_open(f"{base_url}/cluster", 5) as r:
         return json.loads(r.read())
 
 
@@ -126,13 +148,19 @@ def wait_for(predicate, timeout, what):
 def main():
     import tempfile
 
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--workers", type=int, default=0,
+        help="pre-forked gateway workers per node (0 = in-process gateway)",
+    )
+    workers = parser.parse_args().workers
     root = Path(tempfile.mkdtemp(prefix="cluster-smoke-"))
     nodes = {}
     try:
-        proc, url, rpc = spawn_node(root / "a", "node-a")
+        proc, url, rpc = spawn_node(root / "a", "node-a", workers=workers)
         nodes["node-a"] = (proc, url)
         for node_id, sub in (("node-b", "b"), ("node-c", "c")):
-            p, u, _ = spawn_node(root / sub, node_id, join=rpc)
+            p, u, _ = spawn_node(root / sub, node_id, join=rpc, workers=workers)
             nodes[node_id] = (p, u)
 
         wait_for(
@@ -161,7 +189,7 @@ def main():
         log(f"acked {len(acked)} writes (incl. follower-forwarded)")
 
         leader_proc.send_signal(signal.SIGKILL)
-        log(f"SIGKILLed leader {leader_id}")
+        log(f"SIGKILLed leader {leader_id}" + (" (supervisor only)" if workers else ""))
         for i in range(20):
             key = f"during-{i}.bin"
             payload = os.urandom(256)
@@ -193,7 +221,21 @@ def main():
         put(new_leader_url, "after-failover.bin", b"alive" * 64)
         if get(new_leader_url, "after-failover.bin") != b"alive" * 64:
             raise RuntimeError("post-failover write corrupt")
-        log("cluster writable again at 2 of 3")
+        other_url = next(u for k, (_, u) in followers.items() if k != elected)
+        wait_for(
+            lambda: cluster_doc(other_url)["last_seq"]
+            == cluster_doc(new_leader_url)["last_seq"],
+            30,
+            "survivor replication",
+        )
+        for key, payload in acked.items():
+            if get(other_url, key) != payload:
+                raise RuntimeError(f"acked write {key} not on the follower")
+        log(f"all {len(acked)} acked writes re-read from the follower")
+        put(other_url, "via-follower.bin", b"forwarded" * 64)
+        if get(new_leader_url, "via-follower.bin") != b"forwarded" * 64:
+            raise RuntimeError("post-failover forwarded write corrupt")
+        log("cluster writable again at 2 of 3 (leader and forwarded)")
 
         cli = subprocess.run(
             [sys.executable, "-m", "repro", "cluster", "status",
@@ -205,6 +247,9 @@ def main():
         if f"leader   : {elected}" not in cli.stdout:
             raise RuntimeError(f"cluster status missing leader: {cli.stdout}")
         log("repro cluster status agrees")
+        if any(status != 503 or not retry for status, retry in SERVER_ERRORS):
+            raise RuntimeError(f"5xx other than 503 + Retry-After: {SERVER_ERRORS}")
+        log(f"{len(SERVER_ERRORS)} refusals, each a 503 + Retry-After")
         log("OK")
         return 0
     finally:

@@ -59,7 +59,7 @@ from repro.core.broker import Scalia
 from repro.core.costmodel import AccessProjection, CostModel
 from repro.core.placement import PlacementEngine
 from repro.core.rules import StorageRule
-from repro.gateway.frontend import MODES, BrokerFrontend
+from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.server import ScaliaGateway
 from repro.providers.pricing import paper_catalog
 from repro.providers.registry import ProviderRegistry
@@ -174,180 +174,6 @@ def _print_recovery(args: argparse.Namespace, broker) -> None:
         )
 
 
-def _print_listening(args: argparse.Namespace, host, port, registry) -> None:
-    print(
-        f"scalia gateway listening on http://{host}:{port} "
-        f"(mode={args.mode}, providers={len(registry)})"
-    )
-
-
-def _serve_prefork(args: argparse.Namespace, broker, frontend, registry) -> int:
-    """``repro serve --workers N``: pre-forked gateway workers.
-
-    This process keeps sole ownership of the broker (metadata, striped
-    locks, WAL, control plane) and serves it to the workers over a
-    loopback ops RPC; each worker process runs a full HTTP gateway —
-    parsing, body streaming, erasure coding, checksumming — so request
-    CPU scales past one GIL.  Workers share the listen address via
-    ``SO_REUSEPORT`` (kernel load balancing, no accept lock) or, where
-    the platform lacks it, via a listening socket bound here and
-    inherited through ``fork``/``exec``.
-
-    Supervision: a crashed worker (non-zero exit) is respawned in the
-    same slot with a fresh incarnation number — the metrics aggregator
-    uses the incarnation to fold the dead worker's counters in exactly
-    once.  SIGTERM/SIGINT forward TERM to every worker, wait out their
-    graceful drains, then escalate to SIGKILL.
-    """
-    import os
-    import socket
-    import subprocess
-    import time
-    from pathlib import Path
-
-    from repro.gateway.ops import OpsService
-    from repro.obs.workers import WorkerMetricsAggregator
-
-    import repro as _repro_pkg
-
-    aggregator = WorkerMetricsAggregator(broker.metrics)
-    ops = OpsService(frontend, aggregator=aggregator)
-    rpc_server = ops.serve("127.0.0.1", 0)
-    ops_host, ops_port = rpc_server.address
-
-    # Resolve the shared listen address.  With SO_REUSEPORT the parent
-    # holds a bound (never listening) reservation socket for its whole
-    # lifetime, so the port cannot be stolen between worker restarts and
-    # ``--port 0`` resolves to one concrete port every worker binds.
-    reuse_port = hasattr(socket, "SO_REUSEPORT")
-    reservation = None
-    inherited_fd = None
-    try:
-        if reuse_port:
-            reservation = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            reservation.bind((args.host, args.port))
-            host, port = reservation.getsockname()[:2]
-        else:
-            reservation = socket.create_server(
-                (args.host, args.port), backlog=128
-            )
-            reservation.set_inheritable(True)
-            host, port = reservation.getsockname()[:2]
-            inherited_fd = reservation.fileno()
-    except OSError as exc:
-        print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        rpc_server.close()
-        return 2
-
-    env = dict(os.environ)
-    src_root = str(Path(_repro_pkg.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = (
-        src_root + os.pathsep + env["PYTHONPATH"]
-        if env.get("PYTHONPATH")
-        else src_root
-    )
-
-    def spawn(slot: int, incarnation: int) -> subprocess.Popen:
-        cmd = [
-            sys.executable, "-m", "repro.gateway.worker",
-            "--host", str(host), "--port", str(port),
-            "--ops-host", ops_host, "--ops-port", str(ops_port),
-            "--slot", str(slot), "--incarnation", str(incarnation),
-        ]
-        if args.max_connections is not None:
-            cmd += ["--max-connections", str(args.max_connections)]
-        if args.verbose:
-            cmd += ["--verbose"]
-        if args.trace_slow_ms is not None:
-            cmd += ["--trace-slow-ms", str(args.trace_slow_ms)]
-        popen_kwargs: dict = {"env": env}
-        if inherited_fd is not None:
-            cmd += ["--inherit-fd", str(inherited_fd)]
-            popen_kwargs["pass_fds"] = (inherited_fd,)
-        else:
-            cmd += ["--reuse-port"]
-        return subprocess.Popen(cmd, **popen_kwargs)
-
-    control_plane = _start_control_plane(args, broker)
-    _print_recovery(args, broker)
-
-    # slot -> [process, incarnation, consecutive_failures, respawn_not_before]
-    workers = {
-        slot: [spawn(slot, 1), 1, 0, 0.0] for slot in range(args.workers)
-    }
-    _print_listening(args, host, port, registry)
-    print(
-        f"pre-forked workers: {args.workers} "
-        f"({'SO_REUSEPORT' if inherited_fd is None else 'inherited socket'}, "
-        f"ops rpc {ops_host}:{ops_port}, "
-        f"max connections/worker "
-        f"{args.max_connections if args.max_connections is not None else 'unbounded'})"
-    )
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _terminate)
-    try:
-        while True:
-            time.sleep(0.2)
-            now = time.monotonic()
-            for slot, state in workers.items():
-                proc, incarnation, failures, not_before = state
-                if proc is not None:
-                    code = proc.poll()
-                    if code is None:
-                        continue
-                    # Exit 0 without a shutdown request means the worker
-                    # chose to stop; treat any exit as a respawnable gap.
-                    failures = 0 if code == 0 else failures + 1
-                    delay = min(5.0, 0.5 * failures)
-                    print(
-                        f"worker {slot} (incarnation {incarnation}) exited "
-                        f"with code {code}; respawning"
-                        + (f" in {delay:.1f}s" if delay else "")
-                    )
-                    state[0] = None
-                    state[2] = failures
-                    state[3] = now + delay
-                if state[0] is None and now >= state[3]:
-                    state[1] += 1
-                    state[0] = spawn(slot, state[1])
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        alive = [s[0] for s in workers.values() if s[0] is not None]
-        for proc in alive:
-            try:
-                proc.terminate()
-            except OSError:
-                pass
-        deadline = time.monotonic() + 20.0
-        for proc in alive:
-            remaining = deadline - time.monotonic()
-            try:
-                proc.wait(timeout=max(0.1, remaining))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    pass
-        if control_plane is not None:
-            control_plane.stop()
-        rpc_server.close()
-        if reservation is not None:
-            try:
-                reservation.close()
-            except OSError:
-                pass
-        frontend.close()
-        broker.close()
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.logging import configure_logging
     from repro.providers.faults import parse_fault_spec
@@ -356,12 +182,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     configure_logging(fmt=args.log_format, level=args.log_level)
     if args.workers and args.workers < 0:
         print("--workers must be >= 0", file=sys.stderr)
-        return 2
-    if args.workers and (args.cluster_listen or args.join or args.node_id):
-        # The replication node needs the broker and the HTTP gateway in
-        # one process (leader forwarding, WAL shipping); pre-forked
-        # workers split them.  Scale out with cluster nodes instead.
-        print("--workers cannot be combined with --cluster-listen", file=sys.stderr)
         return 2
     cluster_listen = cluster_join = None
     if args.cluster_listen or args.join or args.node_id:
@@ -441,23 +261,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             heartbeat=args.heartbeat_ms / 1000.0,
             election_timeout=args.election_timeout_ms / 1000.0,
         )
-        frontend = ClusterFrontend(broker, node, mode=args.mode)
+        frontend = ClusterFrontend(broker, node)
     else:
-        frontend = BrokerFrontend(broker, mode=args.mode)
-    if args.workers:
-        return _serve_prefork(args, broker, frontend, registry)
-    gateway = ScaliaGateway(
-        frontend,
+        frontend = BrokerFrontend(broker)
+    # Exactly one listener: the in-process gateway, or a pool of pre-forked
+    # workers serving this frontend over the ops RPC.  Both offer address,
+    # url, serve_forever() and close(), so one lifecycle follows.
+    listener_options = dict(
         host=args.host,
         port=args.port,
         verbose=args.verbose,
         trace_slow_ms=args.trace_slow_ms,
         max_connections=args.max_connections,
     )
+    try:
+        if args.workers:
+            from repro.gateway.supervisor import WorkerPool
+
+            listener = WorkerPool(frontend, workers=args.workers, **listener_options)
+        else:
+            listener = ScaliaGateway(frontend, **listener_options)
+    except OSError as exc:
+        print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
+        frontend.close()
+        broker.close()
+        return 2
     if node is not None:
         # The gateway URL rides join/heartbeat traffic so followers know
         # where to forward writes; it only exists once the socket is bound.
-        node.gateway_url = gateway.url
+        node.gateway_url = listener.url
         node.start()
         rpc_host, rpc_port = node.rpc_address
         print(
@@ -470,9 +302,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     control_plane = _start_control_plane(
         args, broker, gate=node.is_leader if node is not None else None
     )
-    host, port = gateway.address
+    host, port = listener.address
     _print_recovery(args, broker)
-    _print_listening(args, host, port, registry)
+    print(f"scalia gateway listening on http://{host}:{port} (providers={len(registry)})")
+    if args.workers:
+        print(listener.describe())
     print(
         "routes: PUT/GET/HEAD/DELETE /<bucket>/<key> (Range + conditionals) | "
         "multipart: POST ?uploads, PUT ?partNumber=&uploadId=, POST/DELETE ?uploadId= | "
@@ -488,13 +322,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     signal.signal(signal.SIGTERM, _terminate)
     try:
-        gateway.serve_forever()
+        listener.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
         if control_plane is not None:
             control_plane.stop()
-        gateway.close()
+        listener.close()
         if node is not None:
             node.close()
         frontend.close()
@@ -626,8 +460,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     except (GatewayError, *_TRANSFER_ERRORS) as exc:
         print(f"status failed: {exc}", file=sys.stderr)
         return 1
-    print(f"period   : {stats['period']} (t={stats['now_hours']:.1f} h, "
-          f"mode={stats['mode']})")
+    print(f"period   : {stats['period']} (t={stats['now_hours']:.1f} h)")
     print(f"cost     : ${stats['cost_total']:.4f} total")
     print(f"pending  : {stats['pending_deletes']} postponed deletes")
     hedging = stats.get("hedging", {})
@@ -1169,7 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="pre-fork N gateway worker processes sharing the listen port "
         "(SO_REUSEPORT, or an inherited socket where unavailable); each "
         "worker does its own HTTP + erasure coding while this process "
-        "keeps sole ownership of metadata (0 = classic in-process gateway)",
+        "keeps sole ownership of metadata and, with --cluster-listen, of "
+        "the replication node (0 = in-process gateway)",
     )
     serve.add_argument(
         "--max-connections",
@@ -1177,13 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap concurrent connections per gateway (worker); excess "
         "connections get an immediate 503 + Retry-After",
-    )
-    serve.add_argument(
-        "--mode",
-        choices=MODES,
-        default="direct",
-        help="frontend dispatch: 'direct' uses the broker's own striped-lock "
-        "concurrency; 'lock'/'queue' are the legacy serialize-everything shims",
     )
     serve.add_argument(
         "--tick-every",
@@ -1254,7 +1081,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help="enable cluster mode: bind the replication RPC endpoint here "
-        "(port 0 picks a free port); requires --data-dir",
+        "(port 0 picks a free port); requires --data-dir, composes with "
+        "--workers",
     )
     serve.add_argument(
         "--join",

@@ -413,10 +413,7 @@ class Scalia:
         # takes short internal locks, and the control plane (tick,
         # optimizer, scrubber) runs as incremental background work under
         # the same per-object locks.  See docs/CONCURRENCY.md for the
-        # hierarchy.  This coarse lock remains only for legacy callers
-        # (and the gateway frontend's compatibility "lock" mode) that
-        # still want pre-concurrency serialize-everything behaviour.
-        self.lock = threading.RLock()
+        # hierarchy.
         # Serializes clock advancement: concurrent tick() calls close
         # periods one after the other instead of interleaving the
         # flush/refresh/optimize/flush sequence of one period.

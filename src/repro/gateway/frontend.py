@@ -4,37 +4,16 @@ The broker is thread-safe on its own contract: striped per-object locks,
 a shared/exclusive container lock for listings, internally locked
 statistics/metadata/meter structures, and a background control plane that
 claims objects in batches (docs/CONCURRENCY.md).  The frontend therefore
-no longer serializes anything by default — it maps tenant namespaces,
-translates errors, and counts operations:
-
-``direct`` (default)
-    Every request thread calls straight into the broker; non-conflicting
-    operations on different keys run in parallel under the broker's own
-    lock hierarchy.
-
-``lock``
-    The pre-concurrency behaviour, kept as a compatibility shim: every
-    operation runs under the coarse :attr:`Scalia.lock`.  Useful as the
-    benchmark's global-lock baseline and for bisecting suspected
-    concurrency bugs.
-
-``queue``
-    Single-writer dispatch, kept as a compatibility shim: one worker
-    thread owns the broker and drains a job queue; request threads
-    enqueue a closure and block on a future.  The shape a deployment
-    with a non-thread-safe broker core would need.
-
-``bench_gateway_throughput.py`` measures all three; the hammer tests
-assert they stay consistent.  Operation/error counters are updated under
-a dedicated counter mutex so no mode loses updates.
+serializes nothing: every request thread calls straight into the broker,
+and non-conflicting operations on different keys run in parallel under
+the broker's own lock hierarchy.  What is left here is mapping tenant
+namespaces, translating errors and counting operations (under a
+dedicated counter mutex, so no update is lost).
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-from concurrent.futures import Future
-from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.engine import InvalidRangeError, ObjectNotFoundError, ReadPlan
@@ -47,16 +26,10 @@ from repro.gateway.routes import (
     PreconditionFailedError,
     RouteError,
     etag_matches,
+    requires_leader,
     resolve_byte_range,
 )
 from repro.types import ListPage, ObjectMeta
-
-_SHUTDOWN = object()
-
-#: Dispatch strategies understood by :class:`BrokerFrontend`.  ``direct``
-#: relies on the broker's own concurrency contract; ``lock`` and
-#: ``queue`` are the legacy serialize-everything compatibility shims.
-MODES = ("direct", "lock", "queue")
 
 
 class FrontendClosedError(RuntimeError):
@@ -86,65 +59,25 @@ class BrokerFrontend:
         mode: str = "direct",
         mapper: Optional[NamespaceMapper] = None,
     ) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown frontend mode {mode!r}; want one of {MODES}")
+        # A wart kept on purpose: the dispatch modes are gone, but
+        # benchmarks/spine/layers.py passes mode="direct" and this PR may
+        # not edit that tree.  A later benchmark PR drops the argument and
+        # this keyword together.
+        if mode != "direct":
+            raise ValueError(f"unknown frontend mode {mode!r}; want 'direct'")
         self.broker = broker if broker is not None else Scalia()
-        self.mode = mode
         self.mapper = mapper if mapper is not None else NamespaceMapper()
         self.op_counts: Dict[str, int] = {}
         self.error_counts: Dict[str, int] = {}
         self._counter_lock = threading.Lock()
         self._closed = False
-        # Orders queue submissions against close(): holding it guarantees
-        # no job can be enqueued after the shutdown sentinel (a job landing
-        # behind the sentinel would never run and its caller would block on
-        # the future forever).
-        self._submit_lock = threading.Lock()
-        self._jobs: Optional[queue.SimpleQueue] = None
-        self._worker: Optional[threading.Thread] = None
-        if mode == "queue":
-            self._jobs = queue.SimpleQueue()
-            self._worker = threading.Thread(
-                target=self._drain, name="scalia-frontend-writer", daemon=True
-            )
-            self._worker.start()
 
     # -- dispatch ---------------------------------------------------------
 
     def _run(self, op: str, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` under the mode's dispatch strategy."""
-        if self.mode in ("direct", "lock"):
-            if self._closed:
-                raise FrontendClosedError("frontend is closed")
-            # direct: the broker's striped locks do the real coordination;
-            # lock: legacy coarse serialization for baselines and bisects.
-            hold = self.broker.lock if self.mode == "lock" else nullcontext()
-            with hold:
-                return self._execute(op, fn)
-        future: Future = Future()
-        with self._submit_lock:
-            if self._closed:
-                raise FrontendClosedError("frontend is closed")
-            assert self._jobs is not None
-            self._jobs.put((op, fn, future))
-        return future.result()
-
-    def _drain(self) -> None:
-        assert self._jobs is not None
-        while True:
-            job = self._jobs.get()
-            if job is _SHUTDOWN:
-                return
-            op, fn, future = job
-            try:
-                # The worker still takes the broker lock so in-process users
-                # holding Scalia.lock directly stay mutually excluded.
-                with self.broker.lock:
-                    future.set_result(self._execute(op, fn))
-            except BaseException as exc:  # noqa: BLE001 — relayed to caller
-                future.set_exception(exc)
-
-    def _execute(self, op: str, fn: Callable[[], Any]) -> Any:
+        """Run ``fn`` on the calling thread and count it under ``op``."""
+        if self._closed:
+            raise FrontendClosedError("frontend is closed")
         try:
             result = fn()
         except Exception:
@@ -156,7 +89,7 @@ class BrokerFrontend:
         return result
 
     def run_op(self, op: str, fn: Callable[[], Any]) -> Any:
-        """Run a broker operation under the mode's dispatch and counters.
+        """Run a broker operation under the frontend's gate and counters.
 
         The ops RPC service drives staged worker operations through this
         so the broker-side op/error counters stay whole-system truthful
@@ -243,7 +176,7 @@ class BrokerFrontend:
             meta = self.broker.head(container, key)
             if meta is None:
                 raise ObjectNotFoundError(f"{bucket}/{key} not found")
-            # head/open_read are separate lock holds in direct mode, so a
+            # head/open_read are separate lock holds, so a
             # re-put can win the gap between them.  Preconditions and the
             # range must describe the version actually served: when the
             # planned version differs from the one validated, re-validate
@@ -441,7 +374,7 @@ class BrokerFrontend:
     def scrub(self, *, repair: bool = True) -> Dict[str, Any]:
         """Run a broker-wide integrity scrub (the gateway's ``POST /scrub``).
 
-        In direct mode the pass runs concurrently with client traffic:
+        The pass runs concurrently with client traffic:
         each object is verified/repaired under its striped lock and the
         orphan sweep honours the in-flight write registry, so repairs
         cannot race client writes on the same object.
@@ -530,14 +463,22 @@ class BrokerFrontend:
             "recovery": self.broker.recovery,
         }
 
-    # -- cluster surface (no-op defaults; ClusterFrontend overrides) -------
+    # -- cluster surface (standalone answers; ClusterFrontend overrides) ----
+
+    #: Whether a replication node stands behind this frontend.  A worker
+    #: learns it once, from ``hello``.
+    clustered = False
 
     def requires_leader(self, kind: str, method: str) -> bool:
         """Whether the HTTP layer must forward this route to the leader.
 
-        A standalone broker is its own leader for everything.
+        A table lookup, never an RPC; a standalone broker is its own
+        leader for everything.
         """
-        return False
+        return self.clustered and requires_leader(kind, method)
+
+    def ensure_leader(self) -> None:
+        """Raise unless a write may start here (the staged begins ask)."""
 
     def leader_gateway_url(self) -> Optional[str]:
         return None
@@ -556,7 +497,6 @@ class BrokerFrontend:
             ops = dict(self.op_counts)
             errors = dict(self.error_counts)
         return {
-            "mode": self.mode,
             "period": broker.period,
             "now_hours": broker.now,
             "providers": broker.registry.names(),
@@ -600,15 +540,8 @@ class BrokerFrontend:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop accepting work; in queue mode, join the writer thread."""
-        with self._submit_lock:
-            if self._closed:
-                return
-            self._closed = True
-            if self._jobs is not None:
-                self._jobs.put(_SHUTDOWN)
-        if self._worker is not None:
-            self._worker.join(timeout=5.0)
+        """Stop accepting work."""
+        self._closed = True
 
     def __enter__(self) -> "BrokerFrontend":
         return self

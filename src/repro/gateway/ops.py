@@ -63,6 +63,7 @@ from repro.providers.provider import (
     ProviderUnavailableError,
 )
 from repro.providers.registry import UnknownProviderError
+from repro.replication.errors import ClusterUnavailableError, NotLeaderError
 from repro.replication.rpc import RpcError, RpcServer
 from repro.types import ListPage, ObjectMeta
 
@@ -115,6 +116,11 @@ WIRE_ERRORS: Tuple[_WireError, ...] = (
     _WireError("chunk_too_large", ChunkTooLargeError, _PROVIDER),
     _WireError("unknown_provider", UnknownProviderError),
     _WireError("closed", FrontendClosedError),
+    # A follower's (or a deposed leader's) broker refusing a write: the
+    # worker answers the 503 the single-process node would.
+    _WireError("not_leader", NotLeaderError, {"leader_url": (_same, _same)}),
+    _WireError("cluster_unavailable", ClusterUnavailableError,
+               {"retry_after": (_same, _same)}),
     _WireError("value_error", ValueError),
     _WireError("value_error", TypeError),
 )
@@ -184,6 +190,11 @@ OPERATIONS: Tuple[Op, ...] = (
     Op("frontend.history"),
     Op("frontend.alerts"),
     Op("frontend.recovery_status"),
+    # A clustered worker's HTTP layer asks these before it forwards a
+    # write; an unclustered one never does (``hello`` said so).
+    Op("frontend.is_leader"),
+    Op("frontend.leader_gateway_url"),
+    Op("frontend.cluster_status"),
     Op("frontend.fault_profiles", "faults"),
     # Not a write: each cluster node injects its own faults.
     Op("frontend.set_fault_profile", "set_fault"),
@@ -360,12 +371,18 @@ class OpsService:
     # -- handshake ------------------------------------------------------
 
     def _op_hello(self, request: dict) -> dict:
-        return {"stripe_size": self.broker.stripe_size_bytes}
+        return {
+            "stripe_size": self.broker.stripe_size_bytes,
+            "clustered": self.frontend.clustered,
+        }
 
     # -- staged writes --------------------------------------------------
 
     @_guarded
     def _op_write_begin(self, request: dict) -> dict:
+        # A follower refuses before anything is planned or landed; the
+        # commit's own gate covers a leader deposed in between.
+        self.frontend.ensure_leader()
         return self._open_session(
             self.broker.stager().begin(
                 request["container"],
@@ -436,6 +453,7 @@ class OpsService:
 
     @_guarded
     def _op_part_begin(self, request: dict) -> dict:
+        self.frontend.ensure_leader()  # before the begin row is journaled
         return self._open_session(
             self.broker.stager().part_begin(
                 request["container"],

@@ -217,7 +217,9 @@ class _RemoteBroker(_stubs("broker")):
         self._codes = CodeCache()
         self._stager = RpcStager(self._call, self._codes)
         self.cluster = _ClusterStub()
-        self.stripe_size_bytes = int(self._call("hello")["stripe_size"])
+        hello = self._call("hello")
+        self.stripe_size_bytes = int(hello["stripe_size"])
+        self.clustered = bool(hello["clustered"])
 
     # -- write path -----------------------------------------------------
 
@@ -373,7 +375,10 @@ class RemoteBrokerFrontend(_stubs("frontend"), BrokerFrontend):
     touch the duck-typed ``self.broker``); the admin and observability
     surfaces are the stubs, which ask the broker process, so ``/stats``,
     ``/history``, ``/alerts`` et al. report whole-system truth no matter
-    which worker answers.
+    which worker answers.  So does the cluster surface (``is_leader``,
+    ``leader_gateway_url``, ``cluster_status``), except that whether
+    there is a cluster at all is learnt once, from ``hello``: an
+    unclustered worker never pays an RPC to hear that it leads.
     """
 
     def __init__(
@@ -387,7 +392,8 @@ class RemoteBrokerFrontend(_stubs("frontend"), BrokerFrontend):
     ) -> None:
         pool = _RpcPool(host, port, timeout=rpc_timeout)
         self._pool = pool  # what the inherited stubs call through
-        BrokerFrontend.__init__(self, _RemoteBroker(pool), mode="direct", mapper=mapper)
+        BrokerFrontend.__init__(self, _RemoteBroker(pool), mapper=mapper)
+        self.clustered = self.broker.clustered  # said once, by ``hello``
         self.local_metrics = (
             metrics if metrics is not None else MetricsRegistry(enabled=True)
         )

@@ -64,9 +64,26 @@ from repro.providers.provider import (
 )
 from repro.providers.registry import UnknownProviderError
 from repro.replication.errors import ClusterUnavailableError, NotLeaderError
+from repro.replication.rpc import RpcUnreachableError
 
 #: Methods object routes accept (POST only with multipart query params).
 OBJECT_ALLOW = "DELETE, GET, HEAD, POST, PUT"
+
+#: Route kinds whose mutating methods a cluster follower's HTTP server
+#: forwards to the leader before its frontend ever sees them.  Bucket-level
+#: POSTs (multipart create) are kind=object; ``/faults`` is not here: fault
+#: injection is a per-node chaos knob.
+_LEADER_ROUTES = {
+    "object": {"PUT", "POST", "DELETE"},
+    "tick": {"POST"},
+    "scrub": {"POST"},
+    "audit": {"POST"},
+}
+
+
+def requires_leader(kind: str, method: str) -> bool:
+    """Whether a clustered gateway runs this route on the leader only."""
+    return method in _LEADER_ROUTES.get(kind, ())
 
 
 class PreconditionFailedError(Exception):
@@ -315,6 +332,6 @@ def status_for_exception(exc: BaseException) -> int:
         return 400
     if isinstance(exc, (ReadFailedError, ProviderUnavailableError, ChunkCorruptionError)):
         return 503
-    if isinstance(exc, (ClusterUnavailableError, NotLeaderError)):
+    if isinstance(exc, (ClusterUnavailableError, NotLeaderError, RpcUnreachableError)):
         return 503
     return 500

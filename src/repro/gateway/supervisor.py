@@ -1,0 +1,177 @@
+"""The pre-forked listener of ``repro serve --workers N``.
+
+A :class:`WorkerPool` is to ``repro serve`` what a
+:class:`~repro.gateway.server.ScaliaGateway` is — one listen address with
+``address``, ``url``, ``serve_forever()`` and ``close()`` — except that the
+HTTP work happens in N child processes.  The calling process keeps sole
+ownership of the broker (metadata, striped locks, WAL, control plane and,
+in a cluster, the replication node) and serves the frontend it is given
+to the workers over a loopback ops RPC (:mod:`repro.gateway.ops`); each
+worker (:mod:`repro.gateway.worker`) runs a full HTTP gateway — parsing,
+body streaming, erasure coding, checksumming — so request CPU scales past
+one GIL.  Workers share the listen address via ``SO_REUSEPORT`` (kernel
+load balancing, no accept lock) or, where the platform lacks it, via a
+listening socket bound here and inherited through ``fork``/``exec``.
+
+Supervision: a worker that exits is respawned in the same slot with a
+fresh incarnation number — the metrics aggregator uses the incarnation to
+fold the dead worker's counters in exactly once — after a back-off that
+grows with consecutive crashes.  :meth:`WorkerPool.close` forwards TERM to
+every worker, waits out their graceful drains, then escalates to SIGKILL.
+A worker that outlives this process notices within a second and exits on
+its own (see the worker's lifecycle notes).
+"""
+
+from __future__ import annotations
+
+import os
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
+
+import repro
+from repro.gateway.frontend import BrokerFrontend
+from repro.gateway.ops import OpsService
+from repro.obs.workers import WorkerMetricsAggregator
+
+#: How long :meth:`WorkerPool.close` waits for TERMed workers to drain
+#: before it KILLs them.
+DRAIN_DEADLINE_S = 20.0
+
+
+class WorkerPool:
+    """N gateway worker processes behind one listen address."""
+
+    def __init__(
+        self,
+        frontend: BrokerFrontend,
+        *,
+        workers: int,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        verbose: bool = False,
+        trace_slow_ms: Optional[float] = None,
+        max_connections: Optional[int] = None,
+    ) -> None:
+        # With SO_REUSEPORT this process holds a bound (never listening)
+        # reservation socket for its whole lifetime, so the port cannot be
+        # stolen between worker restarts and ``port=0`` resolves to one
+        # concrete port every worker binds.
+        self.reuse_port = hasattr(socket, "SO_REUSEPORT")
+        if self.reuse_port:
+            self._reservation = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self._reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            self._reservation.bind((host, port))
+        else:
+            self._reservation = socket.create_server((host, port), backlog=128)
+            self._reservation.set_inheritable(True)
+        self.address: Tuple[str, int] = self._reservation.getsockname()[:2]
+        aggregator = WorkerMetricsAggregator(frontend.broker.metrics)
+        self._rpc = OpsService(frontend, aggregator=aggregator).serve("127.0.0.1", 0)
+
+        ops_host, ops_port = self._rpc.address
+        self._argv = [
+            sys.executable, "-m", "repro.gateway.worker",
+            "--host", str(self.address[0]), "--port", str(self.address[1]),
+            "--ops-host", ops_host, "--ops-port", str(ops_port),
+        ]
+        if max_connections is not None:
+            self._argv += ["--max-connections", str(max_connections)]
+        if verbose:
+            self._argv += ["--verbose"]
+        if trace_slow_ms is not None:
+            self._argv += ["--trace-slow-ms", str(trace_slow_ms)]
+        env = dict(os.environ)
+        src_root = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = (
+            src_root + os.pathsep + env["PYTHONPATH"]
+            if env.get("PYTHONPATH")
+            else src_root
+        )
+        self._popen_kwargs: dict = {"env": env}
+        if self.reuse_port:
+            self._argv += ["--reuse-port"]
+        else:
+            fd = self._reservation.fileno()
+            self._argv += ["--inherit-fd", str(fd)]
+            self._popen_kwargs["pass_fds"] = (fd,)
+        self.max_connections = max_connections
+        # slot -> [process, incarnation, consecutive_failures, respawn_not_before]
+        self._slots: Dict[int, list] = {
+            slot: [self._spawn(slot, 1), 1, 0, 0.0] for slot in range(workers)
+        }
+
+    @property
+    def url(self) -> str:
+        host, port = self.address
+        return f"http://{host}:{port}"
+
+    def describe(self) -> str:
+        """The banner line ``repro serve`` prints under the listen address."""
+        ops_host, ops_port = self._rpc.address
+        cap = self.max_connections if self.max_connections is not None else "unbounded"
+        return (
+            f"pre-forked workers: {len(self._slots)} "
+            f"({'SO_REUSEPORT' if self.reuse_port else 'inherited socket'}, "
+            f"ops rpc {ops_host}:{ops_port}, max connections/worker {cap})"
+        )
+
+    def _spawn(self, slot: int, incarnation: int) -> subprocess.Popen:
+        return subprocess.Popen(
+            self._argv + ["--slot", str(slot), "--incarnation", str(incarnation)],
+            **self._popen_kwargs,
+        )
+
+    def serve_forever(self) -> None:
+        """Supervise on the calling thread until interrupted."""
+        while True:
+            time.sleep(0.2)
+            now = time.monotonic()
+            for slot, state in self._slots.items():
+                proc, incarnation, failures, _not_before = state
+                if proc is not None:
+                    code = proc.poll()
+                    if code is None:
+                        continue
+                    # Exit 0 without a shutdown request means the worker
+                    # chose to stop; treat any exit as a respawnable gap.
+                    failures = 0 if code == 0 else failures + 1
+                    delay = min(5.0, 0.5 * failures)
+                    print(
+                        f"worker {slot} (incarnation {incarnation}) exited "
+                        f"with code {code}; respawning"
+                        + (f" in {delay:.1f}s" if delay else "")
+                    )
+                    state[0] = None
+                    state[2] = failures
+                    state[3] = now + delay
+                if now >= state[3]:
+                    state[1] += 1
+                    state[0] = self._spawn(slot, state[1])
+
+    def close(self) -> None:
+        """TERM every worker, KILL what has not drained, release the port."""
+        alive: List[subprocess.Popen] = [
+            state[0] for state in self._slots.values() if state[0] is not None
+        ]
+        for proc in alive:
+            try:
+                proc.terminate()
+            except OSError:
+                pass
+        deadline = time.monotonic() + DRAIN_DEADLINE_S
+        for proc in alive:
+            try:
+                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                try:
+                    proc.wait(timeout=5.0)
+                except subprocess.TimeoutExpired:
+                    pass
+        self._rpc.close()
+        self._reservation.close()

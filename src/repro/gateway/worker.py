@@ -19,11 +19,17 @@ Lifecycle:
   final metrics snapshot, retire the slot, exit 0.  The supervisor
   treats exit 0 as clean; anything else is a crash and the slot is
   respawned with a fresh incarnation.
+* A worker whose supervisor is gone (its parent pid changed: the
+  supervisor was SIGKILLed, taking the broker with it) has nothing left
+  to serve.  The pusher thread notices on its next turn and the worker
+  takes the same drain path, then exits 1, so the listen port refuses
+  connections and a restarted supervisor never shares it with a zombie.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import socket
 import sys
@@ -75,6 +81,9 @@ def _connect_frontend(args) -> RemoteBrokerFrontend:
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
+    # Read before connecting: had the supervisor died earlier still, the
+    # connect below fails and the worker never starts.
+    supervisor = os.getppid()
     frontend = _connect_frontend(args)
 
     inherited = None
@@ -101,6 +110,9 @@ def main(argv=None) -> int:
 
     def _push_metrics_loop() -> None:
         while not stop.wait(METRICS_PUSH_INTERVAL_S):
+            if os.getppid() != supervisor:
+                stop.set()
+                return
             try:
                 frontend.push_metrics(args.slot, args.incarnation)
             except Exception:  # noqa: BLE001 — the broker may be mid-restart
@@ -125,7 +137,7 @@ def main(argv=None) -> int:
     except Exception:  # noqa: BLE001 — broker may already be gone
         pass
     gateway.close()
-    return 0
+    return 0 if os.getppid() == supervisor else 1
 
 
 if __name__ == "__main__":

@@ -23,6 +23,10 @@ class NotLeaderError(Exception):
     server's forwarding layer) can proxy instead of failing.
     """
 
+    #: Reaches a client only when leadership moved mid-request; the next
+    #: attempt is forwarded to the new leader.
+    retry_after = 1.0
+
     def __init__(self, message: str, *, leader_url: str | None = None) -> None:
         super().__init__(message)
         self.leader_url = leader_url

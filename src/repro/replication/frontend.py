@@ -22,19 +22,11 @@ from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.ops import WRITE_OPS
 from repro.replication.node import ClusterNode
 
-#: Route kinds whose mutating methods the HTTP server forwards to the
-#: leader before the frontend ever sees them.
-_LEADER_ROUTES = {
-    "object": {"PUT", "POST", "DELETE"},
-    "list": set(),  # GETs only; bucket-level POSTs (multipart create) are kind=object
-    "tick": {"POST"},
-    "scrub": {"POST"},
-    "audit": {"POST"},
-}
-
 
 class ClusterFrontend(BrokerFrontend):
     """Frontend for one node of a replicated cluster."""
+
+    clustered = True
 
     def __init__(self, broker, node: ClusterNode, **kwargs) -> None:
         super().__init__(broker, **kwargs)
@@ -52,10 +44,10 @@ class ClusterFrontend(BrokerFrontend):
         self.node.wait_committed(self.node.dm.last_seq)
         return result
 
-    # -- cluster surface (overrides of BrokerFrontend no-op defaults) ------
+    # -- the gate's answers (overrides of the standalone defaults) ---------
 
-    def requires_leader(self, kind: str, method: str) -> bool:
-        return method in _LEADER_ROUTES.get(kind, set())
+    def ensure_leader(self) -> None:
+        self.node.ensure_leader()
 
     def leader_gateway_url(self) -> Optional[str]:
         return self.node.leader_gateway_url()

@@ -48,6 +48,17 @@ class RpcError(Exception):
     """A transport failure or a peer-reported error."""
 
 
+class RpcUnreachableError(RpcError):
+    """The peer could not be reached or the connection died mid-call.
+
+    Unlike a peer-reported error this says nothing about the request: the
+    peer is down or restarting, so a gateway worker answers ``503`` +
+    ``Retry-After`` rather than ``500``.
+    """
+
+    retry_after = 1.0
+
+
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     buf = bytearray()
     while len(buf) < n:
@@ -157,7 +168,9 @@ class RpcClient:
                 response, payload = recv_message(self._sock)
             except (OSError, ValueError, RpcError) as exc:
                 self._teardown()
-                raise RpcError(f"rpc {op} to {self.host}:{self.port}: {exc}") from None
+                raise RpcUnreachableError(
+                    f"rpc {op} to {self.host}:{self.port}: {exc}"
+                ) from None
         if not response.get("ok"):
             raise RpcError(response.get("error", f"rpc {op}: peer error"))
         if payload is not None:

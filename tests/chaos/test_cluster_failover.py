@@ -8,6 +8,13 @@ Every write the dead leader acknowledged with a 200 must be readable
 from the survivors after failover, the survivors must converge on one
 new leader, and the cluster must accept writes again — the paper's
 "leader elected among all engines" (Fig. 7) made crash-tolerant.
+
+The same run takes the composed topology as an input: with ``workers=2``
+every node serves through two pre-forked gateway workers, only the
+leader's *supervisor* is killed (its orphaned workers must get out of the
+way on their own), and every request below is answered by some worker.
+Whatever the topology, the only 5xx a client may see is ``503`` with
+``Retry-After``.
 """
 
 import json
@@ -26,12 +33,27 @@ HEARTBEAT_MS = 50
 ELECTION_MS = 400
 
 
-def _spawn_node(data_dir, node_id, join=None):
+#: Every 5xx any helper below was answered with: (status, Retry-After).
+_server_errors = []
+
+
+def _open(request, timeout):
+    try:
+        return urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:
+        if exc.code >= 500:
+            _server_errors.append((exc.code, exc.headers.get("Retry-After")))
+        raise
+
+
+def _spawn_node(data_dir, node_id, join=None, workers=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONUNBUFFERED"] = "1"
     cmd = [
         sys.executable, "-m", "repro", "serve",
         "--port", "0",
+        "--workers", str(workers),
         "--data-dir", str(data_dir),
         "--node-id", node_id,
         "--cluster-listen", "127.0.0.1:0",
@@ -73,18 +95,18 @@ def _put(base_url, bucket, key, data, timeout=15):
     request = urllib.request.Request(
         f"{base_url}/{bucket}/{key}", data=data, method="PUT"
     )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
+    with _open(request, timeout) as response:
         assert response.status == 200
         return json.loads(response.read())
 
 
 def _get(base_url, bucket, key, timeout=15):
-    with urllib.request.urlopen(f"{base_url}/{bucket}/{key}", timeout=timeout) as r:
+    with _open(f"{base_url}/{bucket}/{key}", timeout) as r:
         return r.read()
 
 
 def _cluster_doc(base_url, timeout=5):
-    with urllib.request.urlopen(f"{base_url}/cluster", timeout=timeout) as r:
+    with _open(f"{base_url}/cluster", timeout) as r:
         return json.loads(r.read())
 
 
@@ -101,12 +123,21 @@ def _wait_for(predicate, timeout, what):
 
 
 def test_leader_sigkill_mid_workload_loses_no_acked_write(tmp_path):
+    _kill_the_leader_mid_workload(tmp_path, workers=0)
+
+
+def test_leader_supervisor_sigkill_with_workers_loses_no_acked_write(tmp_path):
+    _kill_the_leader_mid_workload(tmp_path, workers=2)
+
+
+def _kill_the_leader_mid_workload(tmp_path, workers):
     nodes = {}
+    del _server_errors[:]
     try:
-        proc, url, rpc = _spawn_node(tmp_path / "a", "node-a")
+        proc, url, rpc = _spawn_node(tmp_path / "a", "node-a", workers=workers)
         nodes["node-a"] = (proc, url)
         for node_id, sub in (("node-b", "b"), ("node-c", "c")):
-            p, u, _ = _spawn_node(tmp_path / sub, node_id, join=rpc)
+            p, u, _ = _spawn_node(tmp_path / sub, node_id, join=rpc, workers=workers)
             nodes[node_id] = (p, u)
 
         # Everyone sees the 3-member cluster and agrees node-a leads.
@@ -134,8 +165,9 @@ def test_leader_sigkill_mid_workload_loses_no_acked_write(tmp_path):
             if i % 3 == 2:
                 assert _get(leader_url, "bkt", key) == payload
 
-        # SIGKILL the leader with writes still flowing: keep PUTting
-        # until one fails, recording everything that got its 200.
+        # SIGKILL the leader (with workers: its supervisor only, the
+        # broker's process) with writes still flowing: keep PUTting until
+        # one fails, recording everything that got its 200.
         leader_proc.send_signal(signal.SIGKILL)
         for i in range(50):
             key = f"during-{i}.bin"
@@ -190,9 +222,17 @@ def test_leader_sigkill_mid_workload_loses_no_acked_write(tmp_path):
         for key, payload in acked.items():
             assert _get(other_url, "bkt", key) == payload, key
 
-        # And the cluster is writable again (2 of 3 is a quorum).
+        # And the cluster is writable again (2 of 3 is a quorum), through
+        # the leader and, forwarded, through the follower.
         _put(new_leader_url, "bkt", "after-failover.bin", b"alive" * 100)
         assert _get(new_leader_url, "bkt", "after-failover.bin") == b"alive" * 100
+        _put(other_url, "bkt", "via-follower.bin", b"forwarded" * 100)
+        assert _get(new_leader_url, "bkt", "via-follower.bin") == b"forwarded" * 100
+
+        # Whoever answered, a failure was always "come back later".
+        assert all(
+            status == 503 and retry_after for status, retry_after in _server_errors
+        ), _server_errors
     finally:
         for proc, _url in nodes.values():
             if proc.poll() is None:

@@ -9,8 +9,12 @@ Real ``repro serve --workers N`` process trees over loopback:
 * ``/metrics`` totals must survive the restart without double-counting:
   counters folded from the dead incarnation plus the replacement's own
   add up to exactly the requests served.
+* SIGKILL to the *supervisor* must not leave a zombie worker holding the
+  port: the orphan drains, exits non-zero and the port refuses, so a
+  restarted supervisor on the same ``--port`` serves alone.
 """
 
+import ctypes
 import http.client
 import json
 import os
@@ -19,6 +23,7 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -31,12 +36,13 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 PUSH_SETTLE_S = 2.5
 
 
-@pytest.fixture()
-def prefork():
+def _boot(port=0):
+    """``repro serve --workers 1`` on ``port``; returns (process, port)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--workers", "1", "--port", "0"],
+        [sys.executable, "-m", "repro", "serve", "--workers", "1", "--port", str(port)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True,
     )
     port = None
@@ -53,12 +59,22 @@ def prefork():
             break
     assert port, "serve never reported its port"
     _wait_healthy(port)
-    yield port
+    return proc, port
+
+
+def _shut_down(proc):
     proc.send_signal(signal.SIGTERM)
     try:
         proc.wait(timeout=30)
     except subprocess.TimeoutExpired:
         proc.kill()
+
+
+@pytest.fixture()
+def prefork():
+    proc, port = _boot()
+    yield port
+    _shut_down(proc)
 
 
 def _wait_healthy(port, timeout=30):
@@ -171,3 +187,50 @@ class TestWorkerLifecycle:
         # Folded dead-incarnation total (5) + live replacement (3): the
         # counter is monotone and exact — no reset, no double fold.
         assert after == 8.0
+
+
+PR_SET_CHILD_SUBREAPER = 36
+
+
+def test_worker_of_a_sigkilled_supervisor_exits_and_frees_the_port():
+    # As a subreaper this process adopts the orphan, so its exit status
+    # can be read; the worker sees its parent pid change all the same.
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    assert prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) == 0
+    proc, port = _boot()
+    restarted = None
+    try:
+        worker_pid = _healthz_pid(port)
+        proc.kill()
+        proc.wait(timeout=10)
+
+        # While the orphan lives it may say only "come back later".
+        exit_status = None
+        deadline = time.monotonic() + 10
+        while exit_status is None and time.monotonic() < deadline:
+            try:
+                with urllib.request.urlopen(
+                    f"http://127.0.0.1:{port}/healthz", timeout=5
+                ):
+                    pytest.fail("a worker with no broker answered 200")
+            except urllib.error.HTTPError as exc:
+                assert exc.code == 503 and exc.headers["Retry-After"], exc
+            except (OSError, http.client.HTTPException):
+                pass  # refused, or the connection died with the drain
+            pid, status = os.waitpid(worker_pid, os.WNOHANG)
+            if pid == worker_pid:
+                exit_status = os.waitstatus_to_exitcode(status)
+            time.sleep(0.1)
+        assert exit_status == 1, "orphaned worker still alive after 10 s"
+        with pytest.raises(ConnectionRefusedError):
+            http.client.HTTPConnection("127.0.0.1", port, timeout=5).connect()
+
+        # A restarted supervisor on the same port shares it with nobody.
+        restarted, _ = _boot(port)
+        pids = {_healthz_pid(port) for _ in range(20)}
+        assert len(pids) == 1 and worker_pid not in pids
+    finally:
+        prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0)
+        for process in (proc, restarted):
+            if process is not None and process.poll() is None:
+                _shut_down(process)

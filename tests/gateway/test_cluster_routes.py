@@ -2,20 +2,28 @@
 
 Two full gateway+node stacks in one process — writes to the follower's
 gateway must transparently land on the leader, reads stay local, and an
-unavailable cluster answers 503 + Retry-After instead of hanging.
+unavailable cluster answers 503 + Retry-After instead of hanging.  Each
+stack can also grow the gateway of a pre-forked worker (``Stack.worker``:
+the node's ``ClusterFrontend`` behind ``OpsService``, a
+``RemoteBrokerFrontend`` over loopback), which must answer as the
+in-process gateway does.
 """
 
 import http.client
 import json
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.broker import Scalia
 from repro.gateway.client import GatewayClient, GatewayError
 from repro.gateway.frontend import BrokerFrontend
+from repro.gateway.ops import OpsService
+from repro.gateway.remote import RemoteBrokerFrontend
 from repro.gateway.server import ScaliaGateway
+from repro.replication.errors import ClusterUnavailableError, NotLeaderError
 from repro.replication.frontend import ClusterFrontend
 from repro.replication.node import ClusterNode
 
@@ -35,8 +43,8 @@ def wait_for(predicate, timeout=15.0, what="condition"):
 class Stack:
     """One broker + cluster node + gateway, like ``repro serve --join``."""
 
-    def __init__(self, root, tag, join=None):
-        self.broker = Scalia(data_dir=str(root / tag))
+    def __init__(self, root, tag, join=None, **broker_options):
+        self.broker = Scalia(data_dir=str(root / tag), **broker_options)
         self.node = ClusterNode(
             self.broker,
             node_id=tag,
@@ -50,12 +58,38 @@ class Stack:
         self.gateway = ScaliaGateway(self.frontend, port=0).start()
         self.node.gateway_url = self.gateway.url
         self.node.start()
+        self._worker = None
 
     def client(self):
         host, port = self.gateway.address
         return GatewayClient(host, port, tenant="alice")
 
+    def worker(self):
+        """The gateway of a pre-forked worker of this node, minus the fork:
+        ``ops`` serves the node's frontend, ``remote`` reaches it over the
+        ops RPC, ``gateway`` is the worker's HTTP server."""
+        if self._worker is None:
+            ops = OpsService(self.frontend)
+            server = ops.serve("127.0.0.1", 0)
+            remote = RemoteBrokerFrontend(*server.address)
+            gateway = ScaliaGateway(remote, port=0).start()
+            self._worker = SimpleNamespace(
+                ops=ops, server=server, remote=remote, gateway=gateway
+            )
+        return self._worker
+
+    def stored_keys(self):
+        return {
+            (p.name, key)
+            for p in self.broker.registry.providers()
+            for key in p.backend.keys()
+        }
+
     def close(self):
+        if self._worker is not None:
+            self._worker.gateway.close()
+            self._worker.remote.close()
+            self._worker.server.close()
         self.gateway.close()
         self.node.close()
         self.frontend.close()
@@ -241,3 +275,130 @@ class TestUnavailability:
             with pytest.raises(GatewayError) as excinfo:
                 client.put("photos", "new.bin", b"n")
             assert excinfo.value.status == 503
+
+
+def _replicated(leader, follower):
+    wait_for(
+        lambda: follower.broker.durability.last_seq
+        == leader.broker.durability.last_seq,
+        what="replication to the follower",
+    )
+
+
+class TestWorkerOnAClusterNode:
+    """``--workers`` composed with ``--cluster-listen``: the worker asks
+    its broker who leads, and the broker refuses what a follower may not
+    start."""
+
+    def test_worker_learns_from_hello_that_it_is_clustered(self, pair):
+        _, follower = pair
+        remote = follower.worker().remote
+        assert remote.clustered
+        assert remote.requires_leader("object", "PUT")
+        assert not remote.requires_leader("object", "GET")
+        assert not remote.requires_leader("faults", "POST")
+        assert remote.is_leader() is False
+        assert remote.leader_gateway_url() == pair[0].gateway.url
+
+    def test_follower_worker_reads_locally_and_forwards_writes(self, pair):
+        leader, follower = pair
+        host, port = follower.worker().gateway.address
+        payload = b"via-the-follower's-worker" * 40
+        with GatewayClient(host, port, tenant="alice") as client:
+            doc, own = client.cluster(), follower.node.status()  # its broker's
+            for field in ("node_id", "role", "leader", "leader_gateway", "members"):
+                assert doc[field] == own[field]
+            info = client.put("photos", "w.bin", payload)  # forwarded, acked
+            assert info["size"] == len(payload)
+            assert leader.frontend.get("alice", "photos", "w.bin") == payload
+            _replicated(leader, follower)
+            leader.gateway.close()  # the read below is local
+            assert client.get("photos", "w.bin") == payload
+
+    def test_begins_on_a_follower_are_refused_before_anything_lands(self, pair):
+        leader, follower = pair
+        upload = leader.frontend.create_upload("alice", "photos", "mp")
+        _replicated(leader, follower)
+        worker = follower.worker()
+        call = worker.remote.broker._call
+        container = worker.remote.mapper.internal_container("alice", "photos")
+        seq, landed = follower.node.dm.last_seq, follower.stored_keys()
+        for op, args in (
+            ("write_begin", dict(container=container, key="k", size_guess=64)),
+            ("part_begin", dict(container=container, key="mp",
+                                upload_id=upload.upload_id, part_number=1)),
+        ):
+            with pytest.raises(NotLeaderError) as refused:
+                call(op, **args)
+            # crossed the RPC as itself, with what the HTTP layer relays
+            assert refused.value.leader_url == leader.gateway.url
+        # not planned, not landed, not journaled (no part_begin row)
+        assert follower.node.dm.last_seq == seq
+        assert follower.stored_keys() == landed
+        assert worker.ops._sessions == {}
+        assert len(follower.broker.cluster.locks.in_flight) == 0
+
+    def test_begin_with_no_leader_known_is_cluster_unavailable(self, tmp_path):
+        probe = random.Random(5).randrange(20000, 65000)
+        stack = Stack(tmp_path, "orphan", join=("127.0.0.1", probe))
+        try:
+            worker = stack.worker()
+            with pytest.raises(ClusterUnavailableError) as refused:
+                worker.remote.broker._call(
+                    "write_begin", container="c", key="k", size_guess=1
+                )
+            assert refused.value.retry_after == stack.node.election_timeout
+            assert worker.ops._sessions == {}
+        finally:
+            stack.close()
+
+    def test_refused_begin_is_the_503_of_the_single_process_node(
+        self, pair, monkeypatch
+    ):
+        # Leadership moved between the HTTP layer's check and the write:
+        # both gateways believed they led when they looked.
+        _, follower = pair
+        worker = follower.worker()
+        monkeypatch.setattr(follower.frontend, "is_leader", lambda: True)
+        answers = []
+        for gateway in (follower.gateway, worker.gateway):
+            status, headers, body = _raw(
+                gateway, "PUT", "/photos/late.bin", body=b"l" * 64,
+                headers={"Content-Length": "64"},
+            )
+            answers.append((status, headers.get("Retry-After"), body))
+        assert answers[0] == answers[1]
+        assert answers[0][:2] == (503, "1")
+        assert b"not the leader" in answers[0][2]
+        assert worker.ops._sessions == {}
+
+    def test_leader_deposed_between_begin_and_commit_leaves_nothing_behind(
+        self, tmp_path, monkeypatch
+    ):
+        stripe = 4096
+        leader = Stack(tmp_path, "solo", stripe_size_bytes=stripe)
+        try:
+            wait_for(leader.node.is_leader, what="bootstrap election")
+            worker = leader.worker()
+            landed = leader.stored_keys()
+
+            def deposed():
+                raise NotLeaderError("node solo is not the leader", leader_url=None)
+
+            def body():
+                yield b"a" * stripe  # read before the begin, shipped after it
+                assert worker.ops._sessions  # begun, first stripe landed
+                assert leader.stored_keys() != landed
+                monkeypatch.setattr(leader.node, "ensure_leader", deposed)
+                yield b"b" * 100
+
+            with pytest.raises(NotLeaderError):
+                worker.remote.put("alice", "photos", "torn.bin", body())
+            # the commit was refused and the driver's abort cleaned up
+            assert leader.stored_keys() == landed
+            assert worker.ops._sessions == {}
+            assert len(leader.broker.cluster.locks.in_flight) == 0
+            monkeypatch.undo()
+            assert leader.frontend.head("alice", "photos", "torn.bin") is None
+        finally:
+            leader.close()

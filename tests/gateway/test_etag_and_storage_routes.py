@@ -14,7 +14,7 @@ from repro.gateway.server import ScaliaGateway
 
 @pytest.fixture()
 def gateway():
-    frontend = BrokerFrontend(Scalia(), mode="lock")
+    frontend = BrokerFrontend(Scalia())
     gw = ScaliaGateway(frontend, port=0).start()
     yield gw
     gw.close()
@@ -124,7 +124,7 @@ class TestStorageRoutes:
 class TestDurableGatewayStats:
     def test_stats_surface_durability_block(self, tmp_path):
         broker = Scalia(data_dir=str(tmp_path))
-        frontend = BrokerFrontend(broker, mode="lock")
+        frontend = BrokerFrontend(broker)
         with ScaliaGateway(frontend, port=0).start() as gw:
             host, port = gw.address
             with GatewayClient(host, port) as client:

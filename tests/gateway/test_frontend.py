@@ -1,14 +1,16 @@
-"""BrokerFrontend semantics (single-threaded paths, both modes)."""
+"""BrokerFrontend semantics (single-threaded paths)."""
 
 import pytest
 
 from repro.cluster.engine import ObjectNotFoundError
 from repro.core.broker import Scalia
-from repro.gateway.frontend import MODES, BrokerFrontend, FrontendClosedError
+from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
 from repro.gateway.namespace import NamespaceError
 
 
-@pytest.fixture(params=MODES)
+# The one spelling of the keyword that is left; the id keeps the tests'
+# names stable across the removal of the lock and queue modes.
+@pytest.fixture(params=["direct"])
 def frontend(request):
     fe = BrokerFrontend(Scalia(), mode=request.param)
     yield fe
@@ -66,7 +68,7 @@ class TestAdminAPI:
         frontend.put("alice", "photos", "k", b"v")
         frontend.get("alice", "photos", "k")
         stats = frontend.stats()
-        assert stats["mode"] == frontend.mode
+        assert "mode" not in stats
         assert stats["ops"]["put"] == 1
         assert stats["ops"]["get"] == 1
         assert stats["period"] == 0
@@ -90,24 +92,12 @@ class TestLifecycle:
         frontend.close()
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            BrokerFrontend(Scalia(), mode="optimistic")
+        for gone in ("optimistic", "lock", "queue"):
+            with pytest.raises(ValueError):
+                BrokerFrontend(Scalia(), mode=gone)
 
     def test_context_manager(self):
-        with BrokerFrontend(Scalia(), mode="queue") as fe:
+        with BrokerFrontend(Scalia()) as fe:
             fe.put("alice", "photos", "k", b"v")
         with pytest.raises(FrontendClosedError):
             fe.get("alice", "photos", "k")
-
-
-class TestSharedLock:
-    def test_frontends_share_one_broker_lock(self):
-        broker = Scalia()
-        fe1 = BrokerFrontend(broker, mode="lock")
-        fe2 = BrokerFrontend(broker, mode="queue")
-        try:
-            fe1.put("alice", "photos", "k", b"via-fe1")
-            assert fe2.get("alice", "photos", "k") == b"via-fe1"
-        finally:
-            fe1.close()
-            fe2.close()

@@ -1,10 +1,10 @@
 """Hammer the BrokerFrontend from a thread pool.
 
-The broker core is single-threaded by construction; these tests assert the
-frontend's serialization actually protects it: operation counters see no
-lost updates, the statistics pipeline records every operation exactly once,
-and no object ends up with torn metadata (mismatched chunk maps, duplicate
-providers, unreadable payloads).
+The frontend serializes nothing; these tests assert the broker's own lock
+hierarchy protects it: operation counters see no lost updates, the
+statistics pipeline records every operation exactly once, and no object
+ends up with torn metadata (mismatched chunk maps, duplicate providers,
+unreadable payloads).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +12,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.broker import Scalia
-from repro.gateway.frontend import MODES, BrokerFrontend
+from repro.gateway.frontend import BrokerFrontend
+
+#: The one dispatch left; parametrised so the ids survive the removal of
+#: the lock and queue modes.
+MODES = ("direct",)
 
 WORKERS = 8
 OPS_PER_WORKER = 40
@@ -138,16 +142,3 @@ def test_close_racing_with_submissions_never_hangs(mode):
         t.join(timeout=10.0)
         assert not t.is_alive(), "submitter hung after close()"
     assert len(outcomes) == 4
-
-
-def test_queue_mode_relays_exceptions_across_threads():
-    """Worker-thread exceptions surface on the calling thread, not the queue."""
-    with BrokerFrontend(Scalia(), mode="queue") as frontend:
-        def doomed(_):
-            with pytest.raises(KeyError):
-                frontend.get("alice", "photos", "missing")
-            return True
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            assert all(pool.map(doomed, range(8)))
-        assert frontend.error_counts["get"] == 8

@@ -13,8 +13,10 @@ import hashlib
 import http.client
 import io
 import json
+import random
 
 import pytest
+from test_cluster_routes import Stack, _raw, wait_for  # same directory, rootless tests
 
 from repro.cluster.engine import (
     InvalidRangeError,
@@ -426,7 +428,8 @@ class TestErrorCodec:
     def test_every_kind_round_trips(self, row):
         original = row.cls("what went wrong")
         samples = {"object_size": 7, "provider_name": "S3(h)",
-                   "causes": {"S3(h)": RuntimeError("down")}}
+                   "causes": {"S3(h)": RuntimeError("down")},
+                   "leader_url": "http://127.0.0.1:8090", "retry_after": 0.4}
         for attr in row.fields:
             setattr(original, attr, samples[attr])
         doc = error_doc(original)
@@ -505,6 +508,9 @@ def _drives(rig):
             lambda: remote.history(series="ops.", window_s=300.0), dict),
         "frontend.alerts": (remote.alerts, dict),
         "frontend.recovery_status": (remote.recovery_status, dict),
+        "frontend.is_leader": (remote.is_leader, bool),
+        "frontend.leader_gateway_url": (remote.leader_gateway_url, type(None)),
+        "frontend.cluster_status": (remote.cluster_status, type(None)),
         "frontend.fault_profiles": (remote.fault_profiles, dict),
         "frontend.set_fault_profile": (
             lambda: remote.set_fault_profile(provider, {"latency_ms": 1}), dict),
@@ -590,3 +596,118 @@ class TestOperationTable:
     def test_a_plain_dict_cannot_pose_as_a_typed_value(self):
         doc = {"__wire__": "ObjectMeta", "value": {"nested": {"__wire__": 1}}}
         assert from_wire(json.loads(json.dumps(to_wire(doc)))) == doc
+
+
+def _count_frames(server):
+    """Wrap an ``RpcServer``'s handlers in place; returns the list every
+    served op name is appended to (as ``benchmarks/spine/layers.py`` counts)."""
+    frames = []
+
+    def counted(op, handler):
+        def wrapper(request):
+            frames.append(op)
+            return handler(request)
+
+        return wrapper
+
+    server.handlers = {op: counted(op, h) for op, h in server.handlers.items()}
+    return frames
+
+
+def _send(gateway, method, path, body=None, headers=None):
+    status, answered, raw = _raw(gateway, method, path, body=body, headers=headers)
+    try:
+        doc = json.loads(raw)
+    except ValueError:
+        doc = {}
+    return status, answered.get("Retry-After"), doc
+
+
+class TestClusterSurface:
+    """The four HTTP-layer answers of a cluster node (``requires_leader``,
+    ``is_leader``, ``leader_gateway_url``, ``cluster_status``) from a
+    worker: free when there is no cluster, the broker's when there is."""
+
+    def test_unclustered_worker_pays_no_rpc_to_hear_that_it_leads(self, rig):
+        frames = _count_frames(rig["server"])
+        remote = rig["remote"]
+        assert remote.clustered is False
+        for kind, method in (("object", "PUT"), ("tick", "POST"), ("object", "GET")):
+            assert remote.requires_leader(kind, method) is False
+        assert frames == []
+        gateway = ScaliaGateway(remote, port=0).start()
+        try:
+            assert _send(gateway, "PUT", "/bkt/k", body=b"v" * 100)[0] == 200
+            assert frames == ["write_begin", "write_stripe", "write_commit"]
+            assert _send(gateway, "DELETE", "/bkt/k")[0] == 204
+            assert _send(gateway, "POST", "/tick")[0] == 200
+        finally:
+            gateway.close()
+        assert not {"frontend.is_leader", "frontend.leader_gateway_url"} & set(frames)
+
+    def test_clustered_worker_pays_one_is_leader_per_mutating_request(self, tmp_path):
+        leader = Stack(tmp_path, "solo")
+        try:
+            wait_for(leader.node.is_leader, what="bootstrap election")
+            worker = leader.worker()
+            frames = _count_frames(worker.server)
+            assert _send(worker.gateway, "PUT", "/bkt/k", body=b"v" * 100)[0] == 200
+            assert frames == [
+                "frontend.is_leader", "write_begin", "write_stripe", "write_commit"
+            ]
+            del frames[:]
+            assert _send(worker.gateway, "GET", "/bkt/k")[0] == 200
+            assert "frontend.is_leader" not in frames
+        finally:
+            leader.close()
+
+    def test_cluster_answers_match_the_in_process_gateway(self, tmp_path):
+        """Worker and in-process gateway of the same node, request by
+        request: ``GET /cluster``, a follower write (forwarded), a write
+        already forwarded once to a non-leader, a write with no leader."""
+        leader = Stack(tmp_path, "n1")
+        wait_for(leader.node.is_leader, what="bootstrap election")
+        follower = Stack(tmp_path, "n2", join=leader.node.rpc_address)
+        probe = random.Random(11).randrange(20000, 65000)
+        orphan = Stack(tmp_path, "orphan", join=("127.0.0.1", probe))
+        try:
+            wait_for(lambda: len(follower.node.members) == 2, what="membership")
+            wait_for(
+                lambda: follower.node.leader_gateway_url() == leader.gateway.url,
+                what="the follower to learn the leader's gateway",
+            )
+            stable = ("node_id", "role", "leader", "leader_gateway", "quorum")
+
+            def both(stack, method, path, **kwargs):
+                answers = [
+                    _send(gateway, method, path, **kwargs)
+                    for gateway in (stack.gateway, stack.worker().gateway)
+                ]
+                return [
+                    (status, retry, doc.get("error", {k: doc.get(k) for k in stable}))
+                    for status, retry, doc in answers
+                ]
+
+            body = dict(body=b"w" * 300, headers={"Content-Length": "300"})
+            once = dict(body=b"w" * 300,
+                        headers={"Content-Length": "300", "x-scalia-forwarded": "1"})
+            answers = {
+                "cluster": both(follower, "GET", "/cluster"),
+                "forwarded write": both(follower, "PUT", "/bkt/fwd", **body),
+                "second hop": both(follower, "PUT", "/bkt/hop", **once),
+                "no leader": both(orphan, "PUT", "/bkt/none", **body),
+                "no leader, cluster": both(orphan, "GET", "/cluster"),
+            }
+            diverged = {k: v for k, v in answers.items() if v[0] != v[1]}
+            assert not diverged
+            assert answers["cluster"][0][2]["role"] == "follower"
+            assert answers["forwarded write"][0][0] == 200
+            assert leader.frontend.head("public", "bkt", "fwd").size == 300
+            for refused, why in (("second hop", "leadership changed"),
+                                 ("no leader", "no cluster leader")):
+                status, retry, error = answers[refused][0]
+                assert status == 503 and int(retry) >= 1 and why in error
+        finally:
+            orphan.close()
+            follower.close()
+            leader.close()

@@ -27,6 +27,7 @@ from repro.providers.provider import (
     ChunkTooLargeError,
     ProviderUnavailableError,
 )
+from repro.replication.rpc import RpcError, RpcUnreachableError
 
 
 class TestParseRoute:
@@ -167,6 +168,10 @@ class TestStatusMapping:
             (NoSuchUploadError("u-404"), 404),
             (MultipartError("bad part"), 400),
             (InvalidContinuationTokenError("junk"), 400),
+            # A worker that cannot reach its broker says "come back
+            # later"; an error the broker reported stays a server bug.
+            (RpcUnreachableError("rpc head to 127.0.0.1:1: refused"), 503),
+            (RpcError("unexpected failure in the broker"), 500),
         ],
     )
     def test_mapping(self, exc, status):

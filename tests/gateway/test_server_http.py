@@ -13,7 +13,7 @@ from repro.gateway.server import ScaliaGateway
 
 @pytest.fixture()
 def gateway():
-    frontend = BrokerFrontend(Scalia(), mode="lock")
+    frontend = BrokerFrontend(Scalia())
     gw = ScaliaGateway(frontend, port=0).start()
     yield gw
     gw.close()
@@ -101,7 +101,7 @@ class TestAdminRoutes:
         assert stats["ops"]["put"] == 1
         assert stats["ops"]["get"] == 1
         assert stats["period"] == 0
-        assert stats["mode"] == "lock"
+        assert "mode" not in stats
         assert stats["providers"]
 
     def test_tick_advances_broker(self, client):

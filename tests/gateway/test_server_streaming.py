@@ -23,7 +23,7 @@ def payload_of(size, seed=0):
 
 @pytest.fixture()
 def gateway():
-    frontend = BrokerFrontend(Scalia(stripe_size_bytes=STRIPE), mode="lock")
+    frontend = BrokerFrontend(Scalia(stripe_size_bytes=STRIPE))
     gw = ScaliaGateway(frontend, port=0).start()
     yield gw
     gw.close()
@@ -331,7 +331,7 @@ class TestCachedGateway:
         broker = Scalia(
             stripe_size_bytes=STRIPE, cache_capacity_bytes=16 * 1024 * 1024
         )
-        frontend = BrokerFrontend(broker, mode="lock")
+        frontend = BrokerFrontend(broker)
         gw = ScaliaGateway(frontend, port=0).start()
         try:
             host, port = gw.address

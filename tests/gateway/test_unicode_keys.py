@@ -60,7 +60,7 @@ class TestRowKeyHashing:
 class TestLiveRoundTrip:
     @pytest.fixture()
     def client(self):
-        frontend = BrokerFrontend(Scalia(), mode="lock")
+        frontend = BrokerFrontend(Scalia())
         gw = ScaliaGateway(frontend, port=0).start()
         host, port = gw.address
         with GatewayClient(host, port, tenant="uni") as c:

@@ -69,7 +69,7 @@ class TestPutGet:
         from repro.gateway.frontend import BrokerFrontend
         from repro.gateway.server import ScaliaGateway
 
-        frontend = BrokerFrontend(Scalia(stripe_size_bytes=64 * 1024), mode="lock")
+        frontend = BrokerFrontend(Scalia(stripe_size_bytes=64 * 1024))
         gw = ScaliaGateway(frontend, port=0).start()
         yield gw.url
         gw.close()
