@@ -4,7 +4,8 @@ Two acceptance numbers for the multi-stripe redesign:
 
 * **Range amplification** — a ranged GET of ``k`` bytes from an N-stripe
   object must fetch (and bill, via the provider bandwidth meters) only
-  the stripes covering the range, not the whole object.
+  the 64 KiB Merkle leaves covering the range plus their proofs, not the
+  covering stripes and never the whole object.
 * **O(stripe) writes** — a streamed PUT and a multipart PUT of a 64 MiB
   object must complete with peak buffered payload bounded by a small
   multiple of the stripe size, never O(object).  Chunks land in durable
@@ -22,6 +23,7 @@ from pathlib import Path
 
 from _helpers import run_once
 from repro.core.broker import Scalia
+from repro.storage.merkle import LEAF_SIZE, leaf_count
 
 MiB = 1024 * 1024
 STRIPE = 4 * MiB
@@ -46,6 +48,24 @@ def _bytes_out(broker):
     return sum(p.meter.total().bytes_out for p in broker.registry.providers())
 
 
+def _covering_bound(meta, start, end):
+    """Most provider bytes a ranged read of inclusive ``[start, end]`` may
+    bill: per touched row of each covering stripe, the 64 KiB Merkle
+    leaves that cover its slice, each with one sibling hash per tree
+    level; the stripe itself where that is no narrower."""
+    bound = 0
+    for stripe, lo, hi in meta.stripes_for_range(start, end):
+        length = meta.stripe_lengths[stripe]
+        row = -(-length // meta.m)
+        levels = (leaf_count(row) - 1).bit_length()
+        leaves = 0
+        for r in range(lo // row, (hi - 1) // row + 1):
+            a, b = max(lo, r * row) - r * row, min(hi, (r + 1) * row) - r * row
+            leaves += (b - 1) // LEAF_SIZE - a // LEAF_SIZE + 1
+        bound += min(leaves * (LEAF_SIZE + 32 * levels), length + meta.m)
+    return bound
+
+
 def test_range_read_amplification(benchmark):
     def run():
         with Scalia(stripe_size_bytes=STRIPE) as broker:
@@ -65,7 +85,10 @@ def test_range_read_amplification(benchmark):
                 payload = broker.get("bench", "big.bin", byte_range=(start, end))
                 elapsed = time.perf_counter() - t0
                 fetched = _bytes_out(broker) - before
-                rows.append((label, end - start + 1, fetched, elapsed))
+                rows.append(
+                    (label, end - start + 1, fetched, elapsed,
+                     _covering_bound(meta, start, end))
+                )
                 assert len(payload) == end - start + 1
             return meta, rows
 
@@ -74,15 +97,15 @@ def test_range_read_amplification(benchmark):
           f"{meta.stripe_count} stripes of {STRIPE // MiB} MiB, "
           f"m={meta.m}, n={meta.n})")
     print(f"{'range':>20} {'asked B':>10} {'fetched B':>11} {'amp':>7} {'ms':>8}")
-    for label, asked, fetched, elapsed in rows:
+    for label, asked, fetched, elapsed, bound in rows:
         print(f"{label:>20} {asked:>10} {fetched:>11} "
               f"{fetched / asked:>7.1f} {elapsed * 1e3:>8.1f}")
-        # Billing is bounded by the covering stripes (+1 for straddles),
-        # never the object: a stripe read moves m chunks = stripe bytes.
-        covering = (asked + 2 * (STRIPE - 1)) // STRIPE + 1
-        assert fetched <= covering * (STRIPE + meta.m), (
+        # Billing is bounded by the covering leaves and their proofs
+        # ("64 B mid-stripe": one leaf + 32 B per tree level, where it
+        # was one stripe), never the covering stripes, let alone the object.
+        assert fetched <= bound, (
             f"{label}: fetched {fetched} B for {asked} B "
-            f"({covering} covering stripes)"
+            f"(covering leaves plus proofs: {bound} B)"
         )
         assert fetched < OBJECT / 4, f"{label}: range read billed like a full GET"
 

@@ -29,6 +29,7 @@ MiB = 1024 * 1024
 OBJECT = 64 * MiB
 PART = 8 * MiB
 STRIPE = 4 * MiB
+LEAF = 64 * 1024  # repro.storage.merkle.LEAF_SIZE
 
 
 def spawn(data_dir, port):
@@ -52,6 +53,25 @@ def spawn(data_dir, port):
             time.sleep(0.2)
     proc.kill()
     raise RuntimeError("gateway never became healthy")
+
+
+def provider_bytes_out(client):
+    """``scalia_provider_bytes_total{direction="out"}`` summed over providers."""
+    family = client.metrics()["metrics"]["scalia_provider_bytes_total"]
+    return sum(
+        sample["value"] for sample in family["samples"]
+        if sample["labels"].get("direction") == "out"
+    )
+
+
+def get_range_metered(client, key, lo, hi):
+    """A ranged GET, the provider bytes it moved, and the 64 KiB Merkle
+    leaves that cover it (docs/API.md, "Ranged reads")."""
+    before = provider_bytes_out(client)
+    body = client.get_range("smoke", key, lo, hi)
+    moved = provider_bytes_out(client) - before
+    covering = (hi // LEAF - lo // LEAF + 1) * LEAF
+    return body, moved, covering
 
 
 def check(name, ok, detail=""):
@@ -81,9 +101,18 @@ def main():
         check("multipart etag is md5-of-md5s-N", info["etag"].endswith(f"-{OBJECT // PART}"))
 
         lo, hi = 30 * MiB + 11, 34 * MiB + 10  # a middle slice crossing stripes
-        middle = client.get_range("smoke", "big.bin", lo, hi)
+        middle, moved, covering = get_range_metered(client, "big.bin", lo, hi)
         check("middle range slice matches", middle == payload[lo : hi + 1],
               f"bytes {lo}-{hi}")
+        check("middle slice moved at most twice its covering leaves",
+              moved <= 2 * covering, f"{moved:.0f} B from providers, {covering} B of leaves")
+        # The slice above is half of each of two stripes, which whole-stripe
+        # reads also fetch within 2x; 64 KiB inside one stripe tells them apart.
+        small, moved, covering = get_range_metered(
+            client, "big.bin", 41 * MiB + 7, 41 * MiB + 7 + LEAF - 1)
+        check("64 KiB slice matches and moved at most twice its covering leaves",
+              small == payload[41 * MiB + 7 : 41 * MiB + 7 + LEAF] and moved <= 2 * covering,
+              f"{moved:.0f} B from providers, {covering} B of leaves")
         whole_md5 = hashlib.md5(client.get("smoke", "big.bin")).hexdigest()
         check("full download matches", whole_md5 == hashlib.md5(payload).hexdigest())
 

@@ -13,7 +13,8 @@ The data plane is *stripe oriented*: an object larger than the configured
 stripe size is stored as an ordered sequence of independently
 erasure-coded stripes sharing one placement, written as they stream in
 (peak memory O(stripe), never O(object)) and read back stripe by stripe —
-a ranged read fetches and bills only the stripes covering the range.
+a ranged read fetches and bills only the stripes covering the range, and
+of those only the Merkle leaves that cover it (:mod:`repro.cluster.readpath`).
 Multipart uploads stage per-part stripes under a journaled metadata row
 and complete by pure metadata assembly (no chunk is copied).
 
@@ -56,7 +57,7 @@ from repro.cluster.errors import (  # noqa: F401  (re-exported: the tree imports
     ReadFailedError,
     WriteFailedError,
 )
-from repro.cluster.hedging import HedgeStats, hedged_fetch
+from repro.cluster.hedging import FETCH_ERRORS, HedgeStats, hedged_fetch
 from repro.cluster.locks import LockManager, StripedMutexes
 from repro.cluster.metadata import MetadataCluster
 from repro.cluster.multipart import (
@@ -66,6 +67,14 @@ from repro.cluster.multipart import (
     MultipartState,
     PartState,
     multipart_row_key,
+)
+from repro.cluster.readpath import (
+    ProvenRun,
+    RowWindow,
+    covers_every_leaf,
+    cut_windows,
+    open_run,
+    rows_for_window,
 )
 from repro.cluster.statistics import LogAgent, LogRecord
 from repro.cluster.writepath import StagedWrite, Stager, put_object, put_part
@@ -82,7 +91,7 @@ from repro.erasure.striping import (
 )
 from repro.obs.events import resolve_journal
 from repro.obs.trace import current_trace, record_span
-from repro.storage.merkle import chunk_root
+from repro.storage.merkle import LEAF_SIZE, chunk_root
 from repro.providers.health import HedgePolicy
 from repro.providers.provider import (
     ChunkCorruptionError,
@@ -267,10 +276,11 @@ class MigrationReceipt:
 class ReadPlan:
     """A resolved read: which stripe slices cover the requested bytes.
 
-    ``segments`` holds ``(stripe, lo, hi)`` triples — decode stripe
-    ``stripe`` and take its plaintext slice ``[lo:hi]``.  A full read
-    covers every stripe; a ranged read only the covering ones, which is
-    exactly what bounds the provider traffic a range GET bills.
+    ``segments`` holds ``(stripe, lo, hi)`` triples — plaintext
+    ``[lo, hi)`` of stripe ``stripe``, which is what ``read_stripe`` is
+    asked for.  A full read covers every stripe; a ranged read only the
+    covering ones, and of those only the Merkle leaves that cover the
+    slice, which is what bounds the provider traffic a range GET bills.
     """
 
     meta: ObjectMeta
@@ -299,32 +309,29 @@ class ReadPlan:
             length=int(data["length"]),
         )
 
-    def materialize(self, read_stripe: Callable[[ObjectMeta, int], Payload]) -> Payload:
+    def materialize(
+        self, read_stripe: Callable[[ObjectMeta, int, int, int], Payload]
+    ) -> Payload:
         """The planned bytes (or synthetic byte count), one stripe at a time.
 
-        ``read_stripe(meta, stripe)`` returns a stripe's plaintext or its
-        synthetic length: the engine decodes in process, a gateway worker
-        fetches the chunks over the ops RPC and decodes there.
+        ``read_stripe(meta, stripe, lo, hi)`` returns plaintext
+        ``[lo, hi)`` of a stripe, or that span for a synthetic object:
+        the engine fetches and decodes in process, a gateway worker has
+        the broker fetch over the ops RPC and decodes there.  The window
+        is cut below that call, never here.
         """
         if not self.segments:
             # Zero-length read: an empty object (full GET) — synthetic
             # objects report their (zero) size, real ones empty bytes.
             return b"" if self.meta.checksum else 0
-        pieces: List[bytes] = []
-        synthetic_total = 0
-        synthetic = False
-        for stripe, lo, hi in self.segments:
-            payload = read_stripe(self.meta, stripe)
-            if isinstance(payload, int):
-                synthetic = True
-                synthetic_total += hi - lo
-            else:
-                pieces.append(payload[lo:hi])
-        if synthetic:
-            return synthetic_total
+        payloads = [
+            read_stripe(self.meta, stripe, lo, hi) for stripe, lo, hi in self.segments
+        ]
+        if isinstance(payloads[0], int):
+            return sum(payloads)
         # bytes() of bytes is the same object; a worker's single piece is a
         # slice of its receive buffer and is copied out here.
-        return bytes(pieces[0]) if len(pieces) == 1 else b"".join(pieces)
+        return bytes(payloads[0]) if len(payloads) == 1 else b"".join(payloads)
 
 
 class _EngineTimers:
@@ -547,9 +554,9 @@ class Engine:
         With a cache, the first read misses and the rest hit; without one,
         every read fetches (and bills) the chunks.  Collapsing a burst into
         one call keeps scenario simulations fast without changing a cent of
-        the metered cost.  Ranged reads bypass the cache and decode only
-        the stripes covering ``byte_range`` (inclusive, end ``None`` =
-        through the last byte).
+        the metered cost.  Ranged reads bypass the cache and fetch only
+        the leaves covering ``byte_range`` (inclusive, end ``None`` =
+        through the last byte), billed ``count`` times over.
         """
         return self._get_many_locked(
             container, key, count, byte_range=byte_range, now=now, period=period
@@ -690,16 +697,26 @@ class Engine:
         )
 
     @_timed_op("read_stripe")
-    def read_stripe(self, meta: ObjectMeta, stripe: int, *, times: int = 1) -> Payload:
-        """Decode one stripe's plaintext (or its synthetic byte count).
+    def read_stripe(
+        self,
+        meta: ObjectMeta,
+        stripe: int,
+        lo: int = 0,
+        hi: Optional[int] = None,
+        *,
+        times: int = 1,
+    ) -> Payload:
+        """Plaintext ``[lo, hi)`` of one stripe (default: all of it), or
+        that span for a synthetic object.
 
-        Holds the object's stripe lock shared only for this one decode,
-        so a slow streaming consumer never blocks writers between
-        stripes (the price: a concurrent re-put can fail the stream
-        mid-download, which aborts the connection honestly).
+        Fetches only what covers the window (docs/API.md, "Ranged
+        reads").  Holds the object's stripe lock shared only for this
+        one read, so a slow streaming consumer never blocks writers
+        between stripes (the price: a concurrent re-put can fail the
+        stream mid-download, which aborts the connection honestly).
         """
         with self._locks.read_object(object_row_key(meta.container, meta.key)):
-            return self._read_stripe_payload(meta, stripe, times=times)
+            return self._read_stripe_payload(meta, stripe, lo, hi, times=times)
 
     @_timed_op("delete")
     def delete(
@@ -1425,19 +1442,31 @@ class Engine:
             self._delete_refs(list(state.part_chunk_keys(replaced)))
         return part
 
-    def fetch_stripe_chunks(
-        self, meta: ObjectMeta, stripe: int, *, times: int = 1
-    ) -> Tuple[int, Sequence]:
-        """Fetch (without decoding) one stripe's ``m`` best chunks.
+    def fetch_stripe_chunks(self, meta: ObjectMeta, stripe: int) -> Tuple[int, Sequence]:
+        """Fetch (without decoding) one stripe's ``m`` best chunks, as
+        ``(plaintext_length, chunks)``; chunks may be synthetic.  It is
+        :meth:`fetch_stripe_window` of the whole stripe."""
+        length = meta.stripe_lengths[stripe]
+        return length, self.fetch_stripe_window(meta, stripe, 0, length)[1]
 
-        The worker-mode read path: the broker fetches and bills chunks
-        under the object's shared stripe lock, the worker decodes.
-        Returns ``(plaintext_length, chunks)``; chunks may be synthetic.
+    def fetch_stripe_window(
+        self, meta: ObjectMeta, stripe: int, lo: int, hi: int
+    ) -> Tuple[Optional[List[Tuple[RowWindow, List[ProvenRun]]]], Sequence]:
+        """Fetch (without cutting or decoding) what serves plaintext
+        ``[lo, hi)`` of one stripe, as ``(windows, chunks)``: the proven
+        leaves that cover it per touched row and no chunks, or ``None``
+        and the ``m`` best whole chunks (:meth:`_fetch_windows` says when).
+
+        The worker-mode read: the broker fetches, verifies and bills
+        under one shared hold of the object's stripe lock; the worker
+        checks the proofs again against its own copy of ``meta``, or the
+        chunks' SHA-1, and cuts.
         """
         with self._locks.read_object(object_row_key(meta.container, meta.key)):
-            length = meta.stripe_lengths[stripe]
-            chunks = self._fetch_chunks(meta, meta.m, stripe=stripe, times=times)
-        return length, chunks
+            windows = self._fetch_windows(meta, stripe, lo, hi)
+            if windows is not None:
+                return windows, ()
+            return None, self._fetch_chunks(meta, meta.m, stripe=stripe)
 
     # ------------------------------------------------------------------
     # migration / repair (driven by the periodic optimizer)
@@ -1668,6 +1697,30 @@ class Engine:
         Corrupt chunks (durable backends detect them by checksum) are
         skipped like missing ones: any ``m`` intact chunks serve the read,
         and the scrubber repairs the damage out of band.
+        """
+
+        def get_chunk(index: int, name: str):
+            return self._registry.get(name).get_chunk(
+                meta.chunk_key(index, stripe), times=times
+            )
+
+        causes: Dict[str, BaseException] = {}
+        fetched = self._walk(meta, self._serving_order(meta), count, get_chunk, causes)
+        if len(fetched) < count:
+            raise self._read_failed(meta, stripe, len(fetched), count, causes)
+        return fetched
+
+    def _walk(
+        self,
+        meta: ObjectMeta,
+        order: Sequence[Tuple[int, str]],
+        count: int,
+        fetch: Callable[[int, str], object],
+        causes: Dict[str, BaseException],
+    ) -> list:
+        """The one fetch walk: up to ``count`` results of ``fetch(index,
+        provider)`` over the ranked candidates ``order``; failures that
+        another provider can make up for land in ``causes``.
 
         Two regimes (docs/FAULTS.md): with every candidate healthy the
         serial walk below runs — zero extra overhead, billing identical
@@ -1675,20 +1728,12 @@ class Engine:
         candidate *suspect* (slow EWMA, flaky, breaker not closed) the
         fetch goes through :func:`hedged_fetch`: the ``count``
         best-ranked providers in parallel, hedging stragglers past an
-        adaptive deadline to the parity providers.  Either way a failed
-        read carries per-provider causes.
+        adaptive deadline to the rest.  Whole chunks and leaf windows
+        differ only in ``fetch``.
         """
-        order = self._serving_order(meta)
         health = self._registry.health
-        causes: Dict[str, BaseException] = {}
         if self._hedge.should_hedge(health, [name for _, name in order], count):
             self.hedge_stats.record_read()
-
-            def fetch(index: int, name: str):
-                return self._registry.get(name).get_chunk(
-                    meta.chunk_key(index, stripe), times=times
-                )
-
             fetched, hedge_causes = hedged_fetch(
                 candidates=order,
                 fetch=fetch,
@@ -1701,52 +1746,147 @@ class Engine:
                 subject=f"{meta.container}/{meta.key}",
             )
             causes.update(hedge_causes)
-        else:
-            fetched = []
-            for index, provider_name in order:
-                if len(fetched) == count:
-                    break
-                try:
-                    fetched.append(
-                        self._registry.get(provider_name).get_chunk(
-                            meta.chunk_key(index, stripe), times=times
-                        )
-                    )
-                except (
-                    ProviderUnavailableError,
-                    ChunkNotFoundError,
-                    ChunkCorruptionError,
-                ) as exc:
-                    causes[provider_name] = exc
-                    continue
-        if len(fetched) < count:
-            # Providers filtered out before any fetch still explain the
-            # failure: name them in the causes map too.
-            for _index, provider_name in meta.chunk_map:
-                if provider_name in causes:
-                    continue
-                if provider_name not in self._registry:
-                    causes[provider_name] = ProviderUnavailableError(
-                        f"provider {provider_name} is not registered", provider_name
-                    )
-                elif not self._registry.is_available(provider_name):
-                    causes[provider_name] = ProviderUnavailableError(
-                        f"provider {provider_name} is unavailable", provider_name
-                    )
-            raise ReadFailedError(
-                f"only {len(fetched)} of the required {count} chunks reachable "
-                f"for {meta.container}/{meta.key} (stripe {stripe})",
-                causes=causes,
-            )
+            return fetched
+        fetched = []
+        for index, provider_name in order:
+            if len(fetched) == count:
+                break
+            try:
+                fetched.append(fetch(index, provider_name))
+            except FETCH_ERRORS as exc:
+                causes[provider_name] = exc
         return fetched
 
-    def _read_stripe_payload(self, meta: ObjectMeta, stripe: int, *, times: int = 1) -> Payload:
-        """Decode one stripe: its plaintext bytes, or the synthetic length."""
+    def _read_failed(
+        self,
+        meta: ObjectMeta,
+        stripe: int,
+        reached: int,
+        count: int,
+        causes: Dict[str, BaseException],
+    ) -> ReadFailedError:
+        # Providers filtered out before any fetch still explain the
+        # failure: name them in the causes map too.
+        for _index, provider_name in meta.chunk_map:
+            if provider_name in causes:
+                continue
+            if provider_name not in self._registry:
+                causes[provider_name] = ProviderUnavailableError(
+                    f"provider {provider_name} is not registered", provider_name
+                )
+            elif not self._registry.is_available(provider_name):
+                causes[provider_name] = ProviderUnavailableError(
+                    f"provider {provider_name} is unavailable", provider_name
+                )
+        return ReadFailedError(
+            f"only {reached} of the required {count} chunks reachable "
+            f"for {meta.container}/{meta.key} (stripe {stripe})",
+            causes=causes,
+        )
+
+    def _fetch_windows(
+        self, meta: ObjectMeta, stripe: int, lo: int, hi: int, *, times: int = 1
+    ) -> Optional[List[Tuple[RowWindow, List[ProvenRun]]]]:
+        """The proven leaves that cover plaintext ``[lo, hi)`` of one
+        stripe, per touched row, or ``None`` when the read is a plain
+        chunk fetch.
+
+        Which path runs is a property of the request and the object: a
+        window whose covering leaves are less than the stripe's ``m``
+        data chunks, on an object whose chunks all carry a root, fetches
+        leaves.  Everything else fetches ``m`` whole chunks, as it
+        always did: a whole stripe, chunks of one leaf (a leaf is the
+        narrowest fetch there is), rows that predate auditing.
+        """
         length = meta.stripe_lengths[stripe]
-        chunks = self._fetch_chunks(meta, meta.m, stripe=stripe, times=times)
-        if isinstance(chunks[0], SyntheticChunk):
-            return length
-        return self._decode_stripe(chunks, meta.m, meta.n, length)
+        size = chunk_length(length, meta.m)
+        if size <= LEAF_SIZE or hi - lo == length or not meta.merkle:
+            return None
+        windows = rows_for_window(length, meta.m, lo, hi)
+        if covers_every_leaf(windows, meta.m, size):
+            return None
+        roots = {index: meta.merkle_root(index, stripe) for index, _ in meta.chunk_map}
+        if None in roots.values():
+            return None
+        return [
+            (window, self._fetch_window(meta, stripe, window, roots, times))
+            for window in windows
+        ]
+
+    def _fetch_window(
+        self,
+        meta: ObjectMeta,
+        stripe: int,
+        window: RowWindow,
+        roots: Mapping[int, str],
+        times: int,
+    ) -> List[ProvenRun]:
+        """The proven leaves covering one row's window: one run from the
+        best-ranked chunk that holds the row verbatim, or else the same
+        leaves of the ``m`` best-ranked other chunks.
+
+        One window always bills less than ``m`` (egress prices in the
+        catalogue span 0.15 to 0.18 $/GB), so the holder goes first with
+        no cost comparison; ``_serving_order`` still ranks replicas.  The
+        challenge op is the fetch: a proof that fails is journaled and
+        skipped like a chunk that fails its checksum, and repaired by the
+        next audit or scrub pass, not here.
+        """
+        code = self._codes.get(meta.m, meta.n)
+        size = chunk_length(meta.stripe_lengths[stripe], meta.m)
+
+        def challenge(index: int, name: str) -> ProvenRun:
+            chunk_key = meta.chunk_key(index, stripe)
+            proof = self._registry.get(name).audit_chunk(
+                chunk_key, window.leaves, times=times
+            )
+            try:
+                return ProvenRun(index, proof, open_run(proof, roots[index], size, window))
+            except ChunkCorruptionError as exc:
+                self._journal.emit(
+                    "read.proof_failed",
+                    key=f"{meta.container}/{meta.key}",
+                    stripe=stripe, chunk=index, provider=name,
+                    leaves=[window.first_leaf, window.last_leaf],
+                )
+                raise ChunkCorruptionError(
+                    f"chunk {index} of stripe {stripe} at {name}: {exc}", chunk_key
+                ) from None
+
+        order = self._serving_order(meta)
+        holders = [pair for pair in order if code.holds_row(pair[0], window.row)]
+        causes: Dict[str, BaseException] = {}
+        proven = self._walk(meta, holders, 1, challenge, causes)
+        if not proven:
+            others = [pair for pair in order if pair not in holders]
+            proven = self._walk(meta, others, meta.m, challenge, causes)
+            if len(proven) < meta.m:
+                raise self._read_failed(meta, stripe, len(proven), meta.m, causes)
+        return proven
+
+    def _read_stripe_payload(
+        self,
+        meta: ObjectMeta,
+        stripe: int,
+        lo: int = 0,
+        hi: Optional[int] = None,
+        *,
+        times: int = 1,
+    ) -> Payload:
+        """Plaintext ``[lo, hi)`` of one stripe, or the synthetic span.
+        The one place a read is cut down to its window."""
+        length = meta.stripe_lengths[stripe]
+        if hi is None:
+            hi = length
+        if not 0 <= lo <= hi <= length:
+            raise ValueError(f"window [{lo}, {hi}) outside a stripe of {length} bytes")
+        fetched = self._fetch_windows(meta, stripe, lo, hi, times=times)
+        if fetched is None:
+            chunks = self._fetch_chunks(meta, meta.m, stripe=stripe, times=times)
+            if isinstance(chunks[0], SyntheticChunk):
+                return hi - lo
+            return self._decode_stripe(chunks, meta.m, meta.n, length)[lo:hi]
+        return cut_windows(self._codes.get(meta.m, meta.n), fetched)
 
     def _fetch_and_reassemble(self, meta: ObjectMeta, *, times: int = 1) -> Payload:
         """The whole object, every stripe fetched (an empty one included)."""

@@ -800,8 +800,8 @@ class Scalia:
         """Read an object back (bytes, or the synthetic byte count).
 
         ``byte_range=(start, end)`` (inclusive; ``end=None`` = through the
-        last byte) decodes — and bills — only the stripes covering the
-        range.
+        last byte) fetches — and bills — only the Merkle leaves covering
+        the range (whole chunks where a chunk is one leaf).
         """
         return self.cluster.route(dc).get(
             container, key, byte_range=byte_range, now=self._now, period=self._period
@@ -847,9 +847,18 @@ class Scalia:
             container, key, byte_range=byte_range, now=self._now, period=self._period
         )
 
-    def read_stripe(self, meta: ObjectMeta, stripe: int, *, dc: Optional[str] = None):
-        """Decode one stripe of a planned read (see :meth:`open_read`)."""
-        return self.cluster.route(dc).read_stripe(meta, stripe)
+    def read_stripe(
+        self,
+        meta: ObjectMeta,
+        stripe: int,
+        lo: int = 0,
+        hi: Optional[int] = None,
+        *,
+        dc: Optional[str] = None,
+    ):
+        """Plaintext ``[lo, hi)`` of one stripe of a planned read (see
+        :meth:`open_read`), fetching only the leaves that cover it."""
+        return self.cluster.route(dc).read_stripe(meta, stripe, lo, hi)
 
     def commit_read(
         self, plan: ReadPlan, *, count: int = 1, dc: Optional[str] = None
@@ -960,6 +969,13 @@ class Scalia:
     ):
         """Fetch (without decoding) one stripe's chunks for worker decode."""
         return self.cluster.route(dc).fetch_stripe_chunks(meta, stripe)
+
+    def fetch_stripe_window(
+        self, meta: ObjectMeta, stripe: int, lo: int, hi: int, *, dc: Optional[str] = None
+    ):
+        """Fetch (without cutting or decoding) what serves ``[lo, hi)`` of
+        one stripe for a worker: proven leaves, or ``m`` whole chunks."""
+        return self.cluster.route(dc).fetch_stripe_window(meta, stripe, lo, hi)
 
     def placement_of(self, container: str, key: str) -> Optional[Placement]:
         """Current placement of an object, or ``None`` when absent."""

@@ -157,6 +157,38 @@ class ReedSolomon:
             remaining -= take
         return blocks
 
+    def holds_row(self, index: int, row: int) -> bool:
+        """Whether shard ``index`` is data row ``row`` verbatim: its
+        generator row is that row's unit vector.  True of shard ``row``
+        of any systematic code, and of every shard of a Vandermonde
+        ``m = 1`` code (plain replication)."""
+        generator_row = self._generator[index]
+        return generator_row[row] == 1 and np.count_nonzero(generator_row) == 1
+
+    def decode_row(self, shards: Mapping[int, "bytes | memoryview"], row: int) -> bytes:
+        """Data row ``row`` alone, from any ``m`` equal-width shards.
+
+        The code is column-wise, so the shards may be the same byte
+        window cut out of each full shard: a ranged read recovers just
+        the columns it fetched, and just the row it wants, where
+        :meth:`decode_blocks` recovers every missing row of whole shards.
+        """
+        if not 0 <= row < self.m:
+            raise ValueError(f"row {row} out of range for m={self.m}")
+        for index, shard in shards.items():
+            if self.holds_row(index, row):
+                return bytes(shard)
+        if len(shards) < self.m:
+            raise ValueError(
+                f"need at least m={self.m} shards to decode, got {len(shards)}"
+            )
+        indices = sorted(shards)[: self.m]
+        if len({len(shards[i]) for i in indices}) != 1:
+            raise ValueError("shards of one window must be equally wide")
+        inverse = gf_inverse(self._generator[indices])
+        stacked = np.vstack([np.frombuffer(shards[i], dtype=np.uint8) for i in indices])
+        return gf_matmul(inverse[[row]], stacked)[0].tobytes()
+
     def decode(self, shards: Mapping[int, "bytes | memoryview"], data_len: int) -> bytes:
         """Rebuild the original ``data_len`` bytes from any ``m`` shards.
 

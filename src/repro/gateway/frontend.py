@@ -156,12 +156,12 @@ class BrokerFrontend:
         One frontend operation resolves metadata, applies the
         ``If-Match`` / ``If-None-Match`` preconditions (so a 304 bills no
         read) and plans the covering stripes; the block iterator then
-        decodes one stripe per broker call, so a slow client never holds
-        any broker lock across its whole download and the gateway never
-        buffers more than one stripe.  ``range_spec`` is
-        the parsed ``Range`` header (suffix ranges resolve against the
-        live size in here); unsatisfiable ranges raise
-        :class:`InvalidRangeError` carrying ``object_size``.
+        reads one stripe's slice per broker call, so a slow client never
+        holds any broker lock across its whole download and the gateway
+        never buffers more than one stripe.  ``range_spec`` is the parsed
+        ``Range`` header (suffix ranges resolve against the live size in
+        here); unsatisfiable ranges raise :class:`InvalidRangeError`
+        carrying ``object_size``.
         """
         container = self.mapper.internal_container(tenant, bucket)
 
@@ -231,7 +231,7 @@ class BrokerFrontend:
             for stripe, lo, hi in plan.segments:
                 payload = self._run(
                     "get_stripe",
-                    lambda s=stripe: self.broker.read_stripe(plan.meta, s),
+                    lambda: self.broker.read_stripe(plan.meta, stripe, lo, hi),
                 )
                 if not served:
                     # First stripe decoded: the read is being served —
@@ -241,7 +241,7 @@ class BrokerFrontend:
                     )
                     served = True
                 if isinstance(payload, (bytes, bytearray, memoryview)):
-                    yield payload[lo:hi]
+                    yield payload
             if not served:
                 # Zero-length reads (empty objects) serve trivially.
                 self._run("commit_read", lambda: self.broker.commit_read(plan))

@@ -16,7 +16,9 @@ with the md5 it computed while streaming.  Reads are the mirror image:
 ``read_stripe`` returns one stripe's fetched chunks — sorted by shard
 index, shipped back-to-back — and the worker decodes; when the ``m``
 cheapest chunks happen to be the data shards the worker serves a single
-zero-copy slice of the receive buffer.
+zero-copy slice of the receive buffer.  A window narrower than the chunks
+it touches returns the proven Merkle leaves that cover it, never a stripe
+(:mod:`repro.cluster.readpath`); the worker verifies them again and cuts.
 
 Typed broker errors cross the RPC as structured ``err`` documents
 (``kind`` + message + optional fields) so the worker re-raises the exact
@@ -53,6 +55,7 @@ from repro.cluster.engine import (
     WriteFailedError,
 )
 from repro.cluster.multipart import MultipartState, PartState
+from repro.cluster.readpath import detach_leaves
 from repro.cluster.writepath import StagedWrite
 from repro.erasure.striping import Chunk, SyntheticChunk
 from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
@@ -293,7 +296,7 @@ class OpsService:
     ``staged_abort`` (sessions kept here by ``sid``, so stripes and
     commits use the placement planned at begin and an abort cleans up
     without trusting the worker to remember what it shipped) and
-    ``read_stripe`` (raw chunks).  Chunk payloads ride the transport's
+    ``read_stripe`` (raw chunks or leaves).  Chunk payloads ride the transport's
     binary frames (``request["_payload"]`` inbound, ``(body, buffers)``
     outbound).
     """
@@ -484,12 +487,33 @@ class OpsService:
     @_guarded
     def _op_read_stripe(self, request: dict):
         meta = ObjectMeta.from_dict(request["meta"])
-        length, chunks = self.frontend.run_op(
-            "get_stripe",
-            lambda: self.broker.fetch_stripe_chunks(meta, int(request["stripe"])),
+        stripe = int(request["stripe"])
+        length = meta.stripe_lengths[stripe]
+        lo, hi = int(request.get("lo", 0)), int(request.get("hi", length))
+        windows, chunks = self.frontend.run_op(
+            "get_stripe", lambda: self.broker.fetch_stripe_window(meta, stripe, lo, hi)
         )
+        if windows is not None:
+            runs = [p.run for _window, proven in windows for p in proven]
+            if None in runs:  # shape-only proofs: nothing to ship but the span
+                return {"length": hi - lo, "synthetic": True}
+            # A sub-chunk window ships the proven leaves, never a stripe:
+            # per planned row, each answering chunk's proof with its leaf
+            # bytes riding beside it as raw payload.  The worker plans the
+            # same rows from the same ``meta`` and checks every proof again.
+            body = {
+                "synthetic": False,
+                "windows": [
+                    [
+                        {"index": p.index, "length": len(p.run), "proof": detach_leaves(p.proof)}
+                        for p in proven
+                    ]
+                    for _window, proven in windows
+                ],
+            }
+            return body, runs
         if chunks and isinstance(chunks[0], SyntheticChunk):
-            return {"length": length, "synthetic": True}
+            return {"length": hi - lo, "synthetic": True}
         # Ship shards sorted by index: when the m fetched chunks are the
         # data shards (the common all-healthy case for systematic codes),
         # their concatenation *is* the padded stripe — the worker serves

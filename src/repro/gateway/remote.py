@@ -18,7 +18,9 @@ commit with the streamed MD5); reads fetch one stripe's chunks per RPC and
 decode locally.  When the ``m`` fetched chunks are exactly the data
 shards (the all-healthy common case of a systematic code), their
 back-to-back arrival order means the plaintext is a *single slice of the
-receive buffer* — served zero-copy, no decode, no join.
+receive buffer* — served zero-copy, no decode, no join.  A ranged read
+narrower than its chunks gets the covering Merkle leaves with their
+proofs, never a stripe, and re-verifies them here.
 
 Tenant/bucket -> container mapping stays worker-side (it is pure
 hashing); the ops RPC carries internal container names only.
@@ -33,9 +35,16 @@ from typing import Dict, Optional, Sequence
 
 from repro.cluster.engine import ReadFailedError
 from repro.cluster.multipart import PartState
+from repro.cluster.readpath import (
+    ProvenRun,
+    attach_leaves,
+    cut_windows,
+    open_run,
+    rows_for_window,
+)
 from repro.cluster.writepath import StagedWrite, put_object, put_part
 from repro.erasure.rs import CodeCache
-from repro.erasure.striping import split_object
+from repro.erasure.striping import chunk_length, split_object
 from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
 from repro.gateway.ops import OPERATIONS, error_from_doc, from_wire, to_wire
 from repro.obs.metrics import MetricsRegistry
@@ -253,22 +262,32 @@ class _RemoteBroker(_stubs("broker")):
 
     # -- read path ------------------------------------------------------
 
-    def read_stripe(self, meta: ObjectMeta, stripe: int):
-        """Fetch one stripe's chunks from the broker and decode locally.
+    def read_stripe(
+        self, meta: ObjectMeta, stripe: int, lo: int = 0, hi: Optional[int] = None
+    ):
+        """Plaintext ``[lo, hi)`` of one stripe: the broker fetches, the
+        decode and the cut happen here.
 
-        Every shard is verified against its shipped SHA-1 (parity with
-        ``reassemble_object``'s ``verify=True`` on the direct path).
-        When the shards are exactly the data shards in index order, the
-        plaintext is the first ``length`` bytes of the receive buffer —
-        returned as one zero-copy memoryview.
+        A whole-chunk read verifies every shard against its shipped
+        SHA-1 (parity with ``reassemble_object``'s ``verify=True`` on
+        the direct path).  When the shards are exactly the data shards
+        in index order, the plaintext is a slice of the receive buffer —
+        returned as one zero-copy memoryview.  A sub-chunk window
+        arrives as proven leaves (:meth:`_cut_leaves`).
         """
-        response = self._call("read_stripe", meta=meta.to_dict(), stripe=int(stripe))
-        length = int(response["length"])
+        length = meta.stripe_lengths[stripe]
+        if hi is None:
+            hi = length
+        response = self._call(
+            "read_stripe", meta=meta.to_dict(), stripe=int(stripe), lo=int(lo), hi=int(hi)
+        )
         if response.get("synthetic"):
-            return length
+            return int(response["length"])
         payload = response.get("_payload")
         if payload is None:
             raise ReadFailedError("read_stripe reply carried no chunk payload")
+        if "windows" in response:
+            return self._cut_leaves(meta, stripe, lo, hi, response["windows"], payload)
         indices = [int(i) for i in response["indices"]]
         lengths = [int(n) for n in response["lengths"]]
         checksums = response["checksums"]
@@ -283,9 +302,36 @@ class _RemoteBroker(_stubs("broker")):
         if indices == list(range(meta.m)):
             # Systematic code + contiguous data shards: the concatenated
             # shards are the padded stripe, plaintext is its prefix.
-            return payload[:length]
+            return payload[lo:hi]
         code = self._codes.get(meta.m, meta.n)
-        return code.decode(shards, length)
+        return code.decode(shards, length)[lo:hi]
+
+    def _cut_leaves(self, meta: ObjectMeta, stripe: int, lo: int, hi: int, answers, payload):
+        """A sub-chunk window from the proven leaves the broker shipped.
+
+        The rows are planned here, from the ``meta`` this worker already
+        holds, and every proof is checked against that ``meta``'s roots
+        before :func:`~repro.cluster.readpath.cut_windows` (the function
+        the engine runs in process) slices or decodes: no byte the
+        broker-held root does not vouch for reaches a client.
+        """
+        length = meta.stripe_lengths[stripe]
+        size = chunk_length(length, meta.m)
+        windows = rows_for_window(length, meta.m, lo, hi)
+        if len(answers) != len(windows):
+            raise ReadFailedError("read_stripe reply does not match the planned rows")
+        fetched = []
+        offset = 0
+        for window, chunks in zip(windows, answers):
+            proven = []
+            for chunk in chunks:
+                index, width = int(chunk["index"]), int(chunk["length"])
+                proof = attach_leaves(chunk["proof"], payload[offset : offset + width])
+                offset += width
+                run = open_run(proof, meta.merkle_root(index, stripe), size, window)
+                proven.append(ProvenRun(index, proof, run))
+            fetched.append((window, proven))
+        return cut_windows(self._codes.get(meta.m, meta.n), fetched)
 
     def get_with_meta(self, container: str, key: str):
         plan = self.open_read(container, key)

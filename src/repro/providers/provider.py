@@ -602,16 +602,22 @@ class SimulatedProvider:
             with self._op_lock:
                 return self.backend.verify(key)
 
-    def audit_chunk(self, key: str, leaf_indices: Sequence[int]) -> Dict:
-        """Merkle possession proof for sampled leaves of one chunk.
+    def audit_chunk(
+        self, key: str, leaf_indices: Sequence[int], *, times: int = 1
+    ) -> Dict:
+        """Merkle possession proof for chosen leaves of one chunk.
 
-        The challenge-response audit op: billed as one get plus *ranged*
-        egress — the proof's leaf bytes and sibling hashes, O(log) of
-        the chunk size — through the same meter every client read uses,
-        so audit economics show up in the existing cost model untouched.
+        The challenge-response op, which is also how a ranged read
+        fetches a window of a chunk: billed as ``times`` x (one get plus
+        *ranged* egress — the proof's leaf bytes and sibling hashes,
+        O(log) of the chunk size) through the same meter every client
+        read uses, so audit economics show up in the existing cost model
+        untouched.  ``times > 1`` is :meth:`get_chunk`'s burst batching.
         Subject to fault injection and health observation like any other
         backend call.
         """
+        if times < 1:
+            raise ValueError("times must be >= 1")
         with self._observed("get"):
             self._check_up()
             with self._op_lock:
@@ -619,8 +625,8 @@ class SimulatedProvider:
                     proof = self.backend.audit(key, leaf_indices)
                 except KeyError:
                     raise ChunkNotFoundError(key) from None
-            self.meter.record_op("get")
-            self.meter.record_out(proof_billed_bytes(proof))
+            self.meter.record_op("get", times)
+            self.meter.record_out(proof_billed_bytes(proof) * times)
             return proof
 
     # -- simulation hooks --------------------------------------------------

@@ -185,93 +185,114 @@ def synthetic_proof(size: int, leaf_indices: Sequence[int]) -> Dict:
     }
 
 
-def verify_proof(proof: Dict, root_hex: str, expected_size: Optional[int] = None) -> bool:
-    """Check a proof against the broker-held root.
+def open_proof(
+    proof: Dict, root_hex: str, expected_size: Optional[int] = None
+) -> Optional[List[bytes]]:
+    """Check a proof against the broker-held root; its leaf bytes, or ``None``.
 
     Structural checks come first — claimed size vs the broker's expected
     size, leaf lengths, and *exact* path consumption per the recomputed
     tree shape — then every leaf's hash chain must land on ``root_hex``.
-    Any failure returns False; proofs are adversarial input and never
-    raise on malformed documents.
+    A proof that passes returns the verified leaves in the order the
+    proof lists them, each base64-decoded exactly once (a valid
+    synthetic proof carries no bytes and returns ``[]``); any failure
+    returns ``None``.  Proofs are adversarial input and never raise on
+    malformed documents.
+
+    A leaf's ``"d"`` is base64 text in every proof a provider answers
+    with; raw bytes are accepted too, which no JSON document can carry —
+    only a proof this process re-assembled around leaves that travelled
+    beside it (the ops RPC's binary payload).
     """
     try:
         if proof.get("v") != 1 or proof.get("leaf_size") != LEAF_SIZE:
-            return False
+            return None
         size = int(proof["size"])
         if size < 0:
-            return False
+            return None
         if expected_size is not None and size != int(expected_size):
-            return False
+            return None
         n = leaf_count(size)
         entries = proof["leaves"]
         if not entries:
-            return False
+            return None
         if proof.get("synthetic"):
             if root_hex != SYNTHETIC_ROOT:
-                return False
+                return None
             seen = set()
             for entry in entries:
                 index = int(entry["i"])
                 if index < 0 or index >= n or index in seen:
-                    return False
+                    return None
                 seen.add(index)
                 if int(entry["n"]) != leaf_length(size, index):
-                    return False
+                    return None
                 if int(entry["p"]) != path_length(size, index):
-                    return False
-            return True
+                    return None
+            return []
         if root_hex == SYNTHETIC_ROOT:
-            return False
+            return None
         root = bytes.fromhex(root_hex)
         if len(root) != _HASH_LEN:
-            return False
+            return None
         seen = set()
+        leaves: List[bytes] = []
         for entry in entries:
             index = int(entry["i"])
             if index < 0 or index >= n or index in seen:
-                return False
+                return None
             seen.add(index)
-            leaf = base64.b64decode(entry["d"], validate=True)
+            leaf = entry["d"]
+            if isinstance(leaf, str):
+                leaf = base64.b64decode(leaf, validate=True)
             if len(leaf) != leaf_length(size, index):
-                return False
+                return None
             sides = _path_sides(size, index)
             path = entry["path"]
             if len(path) != len(sides):
-                return False
+                return None
             node = _leaf_hash(leaf)
             for (side, sibling_hex), node_is_left in zip(path, sides):
                 expected_side = "R" if node_is_left else "L"
                 if side != expected_side:
-                    return False
+                    return None
                 sibling = bytes.fromhex(sibling_hex)
                 if len(sibling) != _HASH_LEN:
-                    return False
+                    return None
                 node = (
                     _node_hash(node, sibling)
                     if node_is_left
                     else _node_hash(sibling, node)
                 )
             if node != root:
-                return False
-        return True
+                return None
+            leaves.append(leaf)
+        return leaves
     except (KeyError, TypeError, ValueError):
-        return False
+        return None
+
+
+def verify_proof(proof: Dict, root_hex: str, expected_size: Optional[int] = None) -> bool:
+    """Whether :func:`open_proof` accepts the proof (the auditor's question)."""
+    return open_proof(proof, root_hex, expected_size) is not None
 
 
 def proof_billed_bytes(proof: Dict) -> int:
     """Provider egress a proof represents: leaf bytes + 32 B per sibling.
 
-    Synthetic proofs bill from their recorded shape, so a synthetic
-    audit sweep meters exactly what the real one would.
+    Read off the proof's shape — each leaf's nominal length at the
+    claimed chunk size plus its path entries — so no leaf is decoded to
+    be counted, and a synthetic proof (which records the same shape)
+    meters exactly what the real one would.
     """
+    size = int(proof.get("size", 0))
     total = 0
     for entry in proof.get("leaves", ()):
         if proof.get("synthetic"):
             total += int(entry.get("n", 0)) + _HASH_LEN * int(entry.get("p", 0))
         else:
-            total += len(base64.b64decode(entry["d"])) + _HASH_LEN * len(
-                entry["path"]
-            )
+            nominal = min(LEAF_SIZE, size - int(entry["i"]) * LEAF_SIZE)
+            total += max(0, nominal) + _HASH_LEN * len(entry["path"])
     return total
 
 

@@ -59,3 +59,47 @@ class TestGetManyParity:
         data = b"single" * 10
         h.engine.put("c", "obj", data)
         assert h.engine.get_many("c", "obj", 1) == data
+
+
+class TestWindowBurstParity:
+    """A burst of ranged reads on a multi-leaf chunk bills ``k`` x (one
+    get + the window's leaves and paths): not one window, not ``k`` whole
+    chunks.  m:2, 1 MiB object: chunks of 512 KiB = 8 leaves, paths of 3."""
+
+    LEAF = 64 * 1024
+    SIZE = 1024 * 1024
+    WINDOW = (3 * 64 * 1024 + 5, 3 * 64 * 1024 + 104)  # inside leaf 3 of row 0
+
+    @pytest.mark.parametrize("payload", [b"\x5a" * SIZE, SIZE], ids=["real", "synthetic"])
+    def test_get_many_with_a_range_equals_looped_gets(self, payload):
+        looped, batched = Harness(), Harness()
+        for harness in (looped, batched):
+            harness.engine.put("c", "obj", payload)
+        before = provider_totals(batched)
+        for _ in range(7):
+            one = looped.engine.get("c", "obj", byte_range=self.WINDOW)
+        many = batched.engine.get_many("c", "obj", 7, byte_range=self.WINDOW)
+        assert many == one == (payload[5:105] if isinstance(payload, bytes) else 100)
+        assert provider_totals(looped) == provider_totals(batched)
+        moved = {
+            name: (gets - before[name][0], out - before[name][1])
+            for name, (gets, out) in provider_totals(batched).items()
+            if (gets, out) != before[name]
+        }
+        assert list(moved.values()) == [(7, 7 * (self.LEAF + 3 * 32))]
+
+    @pytest.mark.parametrize("payload", [b"\xa5" * SIZE, SIZE], ids=["real", "synthetic"])
+    def test_read_stripe_times_k(self, payload):
+        h = Harness()
+        meta = h.engine.put("c", "obj", payload)
+        before = provider_totals(h)
+        lo, hi = self.WINDOW[0], self.WINDOW[1] + 1
+        got = h.engine.read_stripe(meta, 0, lo, hi, times=5)
+        assert got == (payload[lo:hi] if isinstance(payload, bytes) else hi - lo)
+        after = provider_totals(h)
+        moved = [
+            (after[name][0] - before[name][0], after[name][1] - before[name][1])
+            for name in after
+            if after[name] != before[name]
+        ]
+        assert moved == [(5, 5 * (self.LEAF + 3 * 32))]

@@ -154,6 +154,56 @@ class TestReconstructShard:
             code.reconstruct_shard(dict(enumerate(shards)), 5, 4)
 
 
+class TestDecodeRow:
+    """One data row from equal-width windows of any m shards."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        code=st.sampled_from([(1, 1), (1, 3), (2, 3), (3, 5), (4, 5), (4, 6)]),
+        construction=st.sampled_from(["vandermonde", "cauchy"]),
+        data=st.binary(min_size=1, max_size=400),
+        picks=st.data(),
+    )
+    def test_any_m_windows_recover_any_row(self, code, construction, data, picks):
+        m, n = code
+        rs = ReedSolomon(m, n, construction)
+        shards = [bytes(s) for s in rs.encode(data)]
+        slen = len(shards[0])
+        lo = picks.draw(st.integers(0, slen - 1), label="lo")
+        hi = picks.draw(st.integers(lo + 1, slen), label="hi")
+        chosen = picks.draw(
+            st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True),
+            label="shards",
+        )
+        row = picks.draw(st.integers(0, m - 1), label="row")
+        windows = {i: memoryview(shards[i])[lo:hi] for i in chosen}
+        assert rs.decode_row(windows, row) == shards[row][lo:hi]
+
+    def test_a_holder_is_sliced_not_decoded(self):
+        rs = ReedSolomon(4, 5)
+        shards = [bytes(s) for s in rs.encode(bytes(range(200)))]
+        # One shard is enough when it is the row itself.
+        assert rs.decode_row({2: shards[2][10:20]}, 2) == shards[2][10:20]
+        with pytest.raises(ValueError, match="at least m=4"):
+            rs.decode_row({1: shards[1][10:20]}, 2)
+
+    def test_holds_row(self):
+        rs = ReedSolomon(4, 5)
+        assert [i for i in range(5) if rs.holds_row(i, 2)] == [2]
+        # Vandermonde m:1 is replication: every shard is the one row.
+        assert all(ReedSolomon(1, 3).holds_row(i, 0) for i in range(3))
+        assert [ReedSolomon(1, 3, "cauchy").holds_row(i, 0) for i in range(3)] == [
+            True, True, False,
+        ]
+
+    def test_rejects_bad_input(self):
+        rs = ReedSolomon(2, 3)
+        with pytest.raises(ValueError, match="row"):
+            rs.decode_row({0: b"ab", 2: b"cd"}, 2)
+        with pytest.raises(ValueError, match="equally wide"):
+            rs.decode_row({0: b"ab", 2: b"cde"}, 1)
+
+
 class TestCodeCache:
     def test_reuses_instances(self):
         cache = CodeCache()

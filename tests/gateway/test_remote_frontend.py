@@ -42,6 +42,8 @@ from repro.gateway.routes import NotModifiedError
 from repro.gateway.server import ScaliaGateway
 from repro.obs.workers import WorkerMetricsAggregator
 from repro.providers.faults import FaultProfile
+from repro.providers.provider import _tampered
+from repro.replication import rpc
 from repro.replication.frontend import WRITE_OPS
 from repro.replication.rpc import RpcError
 from repro.storage.merkle import chunk_root
@@ -711,3 +713,160 @@ class TestClusterSurface:
             orphan.close()
             follower.close()
             leader.close()
+
+
+MiB = 1024 * 1024
+
+
+@pytest.fixture()
+def leafy():
+    """A rig whose chunks span several Merkle leaves (1 MiB stripes), one
+    3 MiB object in it, and a gateway per frontend over the one broker."""
+    broker = Scalia(stripe_size_bytes=MiB)
+    local = BrokerFrontend(broker)
+    server = OpsService(local).serve("127.0.0.1", 0)
+    remote = RemoteBrokerFrontend(*server.address)
+    payload = random.Random(5).randbytes(3 * MiB + 4321)
+    meta = remote.put("shared", "bkt", "leafy", payload)
+    sides = {
+        "local": ScaliaGateway(local, port=0).start(),
+        "remote": ScaliaGateway(remote, port=0).start(),
+    }
+    yield {"broker": broker, "meta": meta, "payload": payload, "sides": sides}
+    for gateway in sides.values():
+        gateway.close()
+    remote.close()
+    server.close()
+    local.close()
+    broker.close()
+
+
+def _billed(broker):
+    totals = [p.meter.total() for p in broker.registry.providers()]
+    return sum(t.ops_get for t in totals), sum(t.bytes_out for t in totals)
+
+
+class TestRangedReadDifferential:
+    """Ranged rows of the worker-vs-in-process differential, on an object
+    whose ranges are narrower than its chunks: same status, headers and
+    body, and the same provider traffic, whichever process cut the window."""
+
+    STABLE = ("Content-Range", "Content-Length", "Content-Type", "ETag", "Accept-Ranges")
+
+    def ask(self, leafy, side, range_header):
+        before = _billed(leafy["broker"])
+        status, headers, body = _raw(
+            leafy["sides"][side], "GET", "/bkt/leafy",
+            headers={"x-scalia-tenant": "shared", "Range": range_header},
+        )
+        after = _billed(leafy["broker"])
+        stable = {name: headers.get(name) for name in self.STABLE}
+        return status, stable, body, (after[0] - before[0], after[1] - before[1])
+
+    def ranges(self, meta):
+        row = -(-MiB // meta.m)  # chunk size of a full stripe
+        return [
+            (1000, 1000 + 65535),  # inside row 0
+            (row - 10, row + 10) if meta.m > 1 else (MiB // 2, MiB // 2 + 20),  # a row edge
+            (MiB - 100, MiB + 100),  # a stripe edge
+            (2 * MiB + 65536, 2 * MiB + 2 * 65536 - 1),  # exactly one leaf
+            (3 * MiB, 3 * MiB + 4320),  # the short tail stripe, whole
+        ]
+
+    def test_same_answer_same_provider_bytes(self, leafy):
+        meta, payload = leafy["meta"], leafy["payload"]
+        assert -(-MiB // meta.m) > 65536  # several leaves per chunk
+        for lo, hi in self.ranges(meta):
+            answers = [
+                self.ask(leafy, side, f"bytes={lo}-{hi}") for side in ("local", "remote")
+            ]
+            assert answers[0] == answers[1], (lo, hi)
+            status, headers, body, (gets, moved) = answers[0]
+            assert status == 206 and body == payload[lo : hi + 1]
+            assert headers["Content-Range"] == f"bytes {lo}-{hi}/{len(payload)}"
+            if hi < 3 * MiB:
+                # Covering leaves and their paths: a sliver of the m
+                # whole chunks (one stripe) the parent fetched.
+                assert gets <= 2 and moved < 2 * (2 * 65536 + 10 * 32) < MiB / 2
+        suffix = [self.ask(leafy, side, "bytes=-70000") for side in ("local", "remote")]
+        assert suffix[0] == suffix[1] and suffix[0][2] == payload[-70000:]
+
+    def test_same_answer_with_the_holder_down_or_lying(self, leafy):
+        meta, payload = leafy["meta"], leafy["payload"]
+        if meta.n == meta.m:
+            pytest.skip("no redundancy to fall back on")
+        holder = leafy["broker"].registry.get(dict(meta.chunk_map)[0])
+        lo, hi = 1000, 1000 + 65535
+        holder.fail()
+        down = [self.ask(leafy, side, f"bytes={lo}-{hi}") for side in ("local", "remote")]
+        holder.recover()
+        assert down[0] == down[1]
+        assert down[0][0] == 206 and down[0][2] == payload[lo : hi + 1]
+        assert down[0][3][0] == meta.m  # m windows of the same leaves
+        # A tampered holder: both sides serve the right bytes from the others.
+        key = meta.chunk_key(0, 0)
+        holder.backend.put(key, _tampered(holder.backend.get(key), 3))
+        lying = [self.ask(leafy, side, f"bytes={lo}-{hi}") for side in ("local", "remote")]
+        assert lying[0] == lying[1] and lying[0][2] == payload[lo : hi + 1]
+        events = leafy["broker"].events.query(type="read.proof_failed")
+        assert len(events) == 2 and {e["provider"] for e in events} == {holder.name}
+
+
+class TestRangedReadPayload:
+    def test_a_64k_range_of_an_8mib_stripe_ships_under_1mib(self, monkeypatch):
+        """What the ``RpcServer`` answers ``read_stripe`` with: the
+        covering leaves and their proofs, never the stripe (8 MiB, as the
+        m fetched chunks, at the parent)."""
+        broker = Scalia()  # 8 MiB stripes
+        local = BrokerFrontend(broker)
+        server = OpsService(local).serve("127.0.0.1", 0)
+        remote = RemoteBrokerFrontend(*server.address)
+        sent = []
+        real = rpc.send_message
+
+        def counting(sock, message, buffers=()):
+            if "ok" in message:  # a server's answer
+                body = len(json.dumps(message, separators=(",", ":")))
+                sent.append(body + sum(len(b) for b in buffers))
+            return real(sock, message, buffers)
+
+        try:
+            payload = random.Random(6).randbytes(8 * MiB)
+            remote.put(TENANT, "bkt", "stripe", io.BytesIO(payload), size_hint=len(payload))
+            monkeypatch.setattr(rpc, "send_message", counting)
+            lo = 5 * MiB + 12345
+            _plan, blocks = remote.stream_get(
+                TENANT, "bkt", "stripe", range_spec=(lo, lo + 65535)
+            )
+            assert _drain(blocks) == payload[lo : lo + 65536]
+            assert 65536 < sum(sent) < MiB
+            # With the row's holder down it is m windows: still no stripe.
+            meta = remote.head(TENANT, "bkt", "stripe")
+            row = lo // -(-len(payload) // meta.m)
+            del sent[:]
+            broker.registry.get(dict(meta.chunk_map)[row]).fail()
+            _plan, blocks = remote.stream_get(
+                TENANT, "bkt", "stripe", range_spec=(lo, lo + 65535)
+            )
+            assert _drain(blocks) == payload[lo : lo + 65536]
+            assert sum(sent) < MiB
+            # A whole-object read still ships the stripe.
+            del sent[:]
+            assert remote.get(TENANT, "bkt", "stripe") == payload
+            assert sum(sent) > 7 * MiB
+        finally:
+            remote.close()
+            server.close()
+            local.close()
+            broker.close()
+
+    def test_a_synthetic_window_ships_its_span_and_bills_its_shape(self, rig):
+        remote, broker = rig["remote"], rig["broker"]
+        container = remote.mapper.internal_container(TENANT, "bkt")
+        meta = remote.broker.put(container, "synth", 4 * MiB)
+        assert meta.m > 1 and -(-4 * MiB // meta.m) > 65536
+        before = _billed(broker)
+        assert remote.broker.read_stripe(meta, 0, 100, 100 + 65536) == 65536
+        gets, moved = (after - b for after, b in zip(_billed(broker), before))
+        assert gets == 1 and 2 * 65536 < moved < 2 * 65536 + 20 * 32
+        assert remote.broker.read_stripe(meta, 0) == 4 * MiB

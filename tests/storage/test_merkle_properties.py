@@ -20,6 +20,7 @@ from repro.storage.merkle import (
     leaf_count,
     leaf_length,
     merkle_root,
+    open_proof,
     path_length,
     proof_billed_bytes,
     synthetic_proof,
@@ -63,6 +64,43 @@ def test_honest_proofs_verify(case):
     assert verify_proof(proof, root, expected_size=len(data))
     # The wrong expected size is rejected before any hashing happens.
     assert not verify_proof(proof, root, expected_size=len(data) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunk_and_indices())
+def test_opened_proofs_return_the_leaves_they_verified(case):
+    """``open_proof`` is ``verify_proof`` that hands back what it hashed:
+    the asked leaves, in the asked order, decoded once."""
+    data, indices = case
+    root = merkle_root(data)
+    proof = build_proof(data, indices)
+    leaves = open_proof(proof, root, expected_size=len(data))
+    assert leaves == [data[i * LEAF_SIZE : (i + 1) * LEAF_SIZE] for i in indices]
+    assert open_proof(proof, root, expected_size=len(data) + 1) is None
+    # Leaves that travelled beside the document (raw bytes, as the ops
+    # RPC re-attaches them) open the same; anything else in "d" does not.
+    for entry, leaf in zip(proof["leaves"], leaves):
+        entry["d"] = memoryview(leaf)
+    assert open_proof(proof, root) == leaves
+    proof["leaves"][0]["d"] = 7
+    assert open_proof(proof, root) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunk_and_indices())
+def test_billed_bytes_by_shape_equal_billed_bytes_by_decoding(case):
+    """The bill is read off the proof's shape; on every honest proof
+    that equals counting the bytes the proof actually carries."""
+    data, indices = case
+    proof = build_proof(data, indices)
+    by_decoding = sum(
+        len(base64.b64decode(entry["d"])) + 32 * len(entry["path"])
+        for entry in proof["leaves"]
+    )
+    assert proof_billed_bytes(proof) == by_decoding
+    assert proof_billed_bytes(proof) == sum(
+        leaf_length(len(data), i) + 32 * path_length(len(data), i) for i in indices
+    )
 
 
 @settings(max_examples=60, deadline=None)
