@@ -8,8 +8,11 @@ it also runs locally from a checkout:
 
 The scenario is the docs/AUDITING.md incident, end to end over HTTP:
 
-1. boot a durable gateway, write a probe object and learn one of its
-   holding providers from ``POST /explain``;
+1. boot a durable gateway, write a probe object and take from
+   ``POST /explain`` the provider its GETs are served from: the
+   cheapest to read of its placement, which holds data chunk 0
+   (docs/STORAGE.md), so a repair that read back what it rebuilds, or
+   trusted a source for its checksum, would hand clients the tamper;
 2. install a ``corrupt`` fault on that provider (silent put-tamper:
    bytes flip, provider-side checksums recomputed, so a scrub-style
    verify would say everything is fine) and write a batch of objects
@@ -35,6 +38,8 @@ import urllib.request
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from repro.providers.pricing import paper_catalog  # noqa: E402
 
 PORT = 8094
 BASE = f"http://127.0.0.1:{PORT}"
@@ -94,8 +99,10 @@ def main() -> int:
                 json.dumps({"bucket": "audit-bucket",
                             "key": "probe.bin"}).encode("utf-8"),
             ))
-            victim = explain["placement"]["providers"][0]
-            check(victim, f"probe placement names a victim ({victim})")
+            egress = {spec.name: spec.pricing.bw_out_gb for spec in paper_catalog()}
+            victim = min(explain["placement"]["providers"],
+                         key=lambda name: (egress[name], name))
+            check(victim, f"probe placement names the provider reads go to ({victim})")
 
             # Tamper window: the victim silently corrupts every PUT.
             http("POST", "/faults", json.dumps({

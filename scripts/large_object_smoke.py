@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Large-object smoke: multipart a ~64 MiB object against a live gateway,
-range-read a middle slice, SIGKILL mid-upload, verify clean recovery.
+range-read a middle slice, read it whole with and without the provider of
+chunk 0 (no field arithmetic, then one recovered row per stripe), SIGKILL
+mid-upload, verify clean recovery.
 
 CI runs this (the ``large-object-smoke`` job) against an installed
 ``repro``; it also runs locally from a checkout:
@@ -11,6 +13,7 @@ Exit code 0 means every acceptance check held.
 """
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -24,6 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.gateway.client import GatewayClient  # noqa: E402
+from repro.providers.pricing import paper_catalog  # noqa: E402
 
 MiB = 1024 * 1024
 OBJECT = 64 * MiB
@@ -62,6 +66,30 @@ def provider_bytes_out(client):
         sample["value"] for sample in family["samples"]
         if sample["labels"].get("direction") == "out"
     )
+
+
+def recovered_rows(client):
+    """``scalia_erasure_recovered_rows_total``: data rows whole-stripe
+    decodes have rebuilt by field arithmetic (docs/OBSERVABILITY.md)."""
+    family = client.metrics()["metrics"]["scalia_erasure_recovered_rows_total"]
+    return sum(sample["value"] for sample in family["samples"])
+
+
+def holder_of_chunk_0(client, key):
+    """A write numbers its chunks by read price (docs/STORAGE.md), so chunk
+    0 is on the cheapest-to-read provider of the placement, by name on a tie."""
+    providers = client.explain("smoke", key)["placement"]["providers"]
+    egress = {spec.name: spec.pricing.bw_out_gb for spec in paper_catalog()}
+    return min(providers, key=lambda name: (egress[name], name))
+
+
+def set_fault(port, provider, profile):
+    """``POST /faults``: install a fault profile on a provider, or clear it."""
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/faults", method="POST",
+        data=json.dumps({"provider": provider, "profile": profile}).encode("utf-8"),
+    )
+    urllib.request.urlopen(request, timeout=10).read()
 
 
 def get_range_metered(client, key, lo, hi):
@@ -113,8 +141,21 @@ def main():
         check("64 KiB slice matches and moved at most twice its covering leaves",
               small == payload[41 * MiB + 7 : 41 * MiB + 7 + LEAF] and moved <= 2 * covering,
               f"{moved:.0f} B from providers, {covering} B of leaves")
+        rows = recovered_rows(client)
         whole_md5 = hashlib.md5(client.get("smoke", "big.bin")).hexdigest()
         check("full download matches", whole_md5 == hashlib.md5(payload).hexdigest())
+        check("a healthy whole GET does no field arithmetic",
+              recovered_rows(client) == rows, "0 data rows recovered")
+        victim = holder_of_chunk_0(client, "big.bin")
+        set_fault(port, victim, {"error_rate": 1.0})  # an outage: every op fails
+        rows = recovered_rows(client)
+        whole_md5 = hashlib.md5(client.get("smoke", "big.bin")).hexdigest()
+        recovered = recovered_rows(client) - rows
+        set_fault(port, victim, None)
+        check(f"full download matches with {victim} (chunk 0) out",
+              whole_md5 == hashlib.md5(payload).hexdigest())
+        check("that read recovered one data row per stripe",
+              recovered == OBJECT // STRIPE, f"{recovered:.0f} rows, {OBJECT // STRIPE} stripes")
 
         # leave an upload in flight, then die without warning
         inflight_id = client.create_multipart("smoke", "wip.bin")

@@ -337,7 +337,9 @@ class ReadPlan:
 class _EngineTimers:
     """Pre-resolved metric children for one engine's hot paths."""
 
-    __slots__ = ("ops", "encode", "decode", "encode_bytes", "decode_bytes")
+    __slots__ = (
+        "ops", "encode", "decode", "encode_bytes", "decode_bytes", "recovered_rows",
+    )
 
     _OPS = (
         "put", "get", "get_many", "get_with_meta", "open_read",
@@ -366,6 +368,11 @@ class _EngineTimers:
         )
         self.encode_bytes = erasure_bytes.labels("encode")
         self.decode_bytes = erasure_bytes.labels("decode")
+        self.recovered_rows = metrics.counter(
+            "scalia_erasure_recovered_rows_total",
+            "Data rows a whole-stripe decode rebuilt by field arithmetic "
+            "(0 while reads are served by the data chunks).",
+        )
 
 
 def _timed_op(op: str):
@@ -479,6 +486,9 @@ class Engine:
         if timers is not None:
             timers.decode.observe(elapsed)
             timers.decode_bytes.inc(length)
+            timers.recovered_rows.inc(
+                len(self._codes.get(m, n).recovered_rows([c.index for c in chunks], length))
+            )
         if traced:
             record_span("decode", start, elapsed)
         return data
@@ -954,7 +964,7 @@ class Engine:
             rule_name=self._planner.rule_for(rule, class_key),
             class_key=class_key,
             m=placement.m,
-            providers=placement.providers,
+            providers=self._layout(placement, guess),
             stripe_size=stripe_size,
             created_at=now,
         )
@@ -1208,6 +1218,24 @@ class Engine:
             period=period, exclude=unavailable | frozenset(exclude),
         )
 
+    def _layout(self, placement: Placement, size: int) -> Tuple[str, ...]:
+        """A placement's providers in the order a write numbers its chunks
+        by: cheapest to read first, the order :meth:`_serving_order` ranks
+        healthy providers in.
+
+        Chunk ``i`` lands on the ``i``-th cheapest-to-read provider, so
+        the ``m`` data chunks sit exactly where a healthy read goes and a
+        whole GET concatenates them with no field arithmetic.  The
+        provider set, the chunk sizes and every meter are the same as
+        under any other order.  A row records its order in ``chunk_map``,
+        so rows written under another one (alphabetical, before this rule;
+        or stale, after a price change) read as they are.
+        """
+        clen = chunk_length(size, placement.m)
+        return tuple(
+            sorted(placement.providers, key=lambda name: self._read_price(name, clen))
+        )
+
     def staged_begin(
         self,
         container: str,
@@ -1230,7 +1258,9 @@ class Engine:
         )
         skey = storage_key(container, key, self._ids.uuid())
         self._locks.in_flight.begin(skey)
-        return StagedWrite(container, key, skey, placement.m, placement.providers)
+        return StagedWrite(
+            container, key, skey, placement.m, self._layout(placement, int(size_guess))
+        )
 
     def staged_write_stripe(
         self,
@@ -1519,7 +1549,7 @@ class Engine:
                 meta.key,
                 meta.skey if same_code else storage_key(container, key, self._ids.uuid()),
                 new_placement.m,
-                new_placement.providers,
+                self._layout(new_placement, meta.size),
             )
             self._locks.in_flight.begin(session.skey)
             try:
@@ -1556,27 +1586,33 @@ class Engine:
         index: int,
         provider_name: str,
         *,
+        damaged: Sequence[int] = (),
         sources: Optional[Dict[int, Sequence[AnyChunk]]] = None,
     ) -> Tuple[str, str]:
         """Re-encode chunk ``index`` of ``stripe`` from ``m`` intact ones
         and land it at ``provider_name`` (Section IV-E, active repair).
 
         Stripes are independent codes, so the sources come from the
-        chunk's own stripe; the fetch path already skips missing,
-        corrupt and unreachable chunks, so whatever it returns is safe
-        source material.  This is the one rebuild: scrub repair, audit
-        repair (the only time the audit path reads whole chunks) and a
-        migration off a failed provider all end here.  ``sources`` lets
-        a caller rebuilding several chunks of one stripe fetch (and pay
-        for) the ``m`` sources once.  Storage failures propagate; the
-        caller holds the object's stripe exclusively.  Returns the
-        ``(provider, chunk_key)`` written.
+        chunk's own stripe.  A rebuilt chunk is re-anchored (fresh
+        checksum; on a row without roots the next scrub mints them from
+        it), so a repair never reads what it rebuilds: the sources are
+        other chunks than ``index`` and than any of ``damaged`` (the
+        stripe's indices the caller confirmed bad), each verified before
+        use (:meth:`_fetch_chunks`), and fewer than ``m`` good ones is a
+        :class:`ReadFailedError`, never a wrong chunk.  This is the one
+        rebuild: scrub repair, audit repair (the only time the audit
+        path reads whole chunks) and a migration off a failed provider
+        all end here.  ``sources`` lets a caller rebuilding several
+        chunks of one stripe fetch (and pay for) the ``m`` sources once.
+        Storage failures propagate; the caller holds the object's stripe
+        exclusively.  Returns the ``(provider, chunk_key)`` written.
         """
-        if sources is None:
-            sources = {}
-        if stripe not in sources:
-            sources[stripe] = self._fetch_chunks(meta, meta.m, stripe=stripe)
-        fetched = sources[stripe]
+        excluded = frozenset((index, *damaged))
+        fetched = None if sources is None else sources.get(stripe)
+        if fetched is None or any(chunk.index in excluded for chunk in fetched):
+            fetched = self._fetch_chunks(meta, meta.m, stripe=stripe, rebuilding=excluded)
+            if sources is not None:
+                sources[stripe] = fetched
         stripe_len = meta.stripe_lengths[stripe]
         if isinstance(fetched[0], SyntheticChunk):
             chunk: AnyChunk = SyntheticChunk(
@@ -1637,6 +1673,14 @@ class Engine:
             )
         return start, min(end, meta.size - 1)
 
+    def _read_price(self, provider_name: str, clen: int) -> Tuple[float, str]:
+        """What reading one ``clen``-byte chunk from a provider costs, the
+        name breaking ties: the static part of the serving order, which
+        is also the order a write lays its chunks out in
+        (:meth:`_layout`)."""
+        pricing = self._registry.get(provider_name).spec.pricing
+        return pricing.egress_cost(clen), provider_name
+
     def _serving_order(self, meta: ObjectMeta) -> List[Tuple[int, str]]:
         """Available chunks sorted by health, then by the cost of reading.
 
@@ -1659,13 +1703,11 @@ class Engine:
                 continue
             if not self._registry.is_available(provider_name):
                 continue
-            pricing = self._registry.get(provider_name).spec.pricing
             scored.append(
                 (
                     breaker_rank.get(health.breaker_state(provider_name), 0),
                     int(health.latency_of(provider_name) / 0.010),
-                    pricing.egress_cost(clen),
-                    provider_name,
+                    *self._read_price(provider_name, clen),
                     index,
                 )
             )
@@ -1691,21 +1733,45 @@ class Engine:
         for thread in threads:
             thread.join(max(0.0, stop_at - time.monotonic()))
 
-    def _fetch_chunks(self, meta: ObjectMeta, count: int, *, stripe: int = 0, times: int = 1):
+    def _fetch_chunks(
+        self,
+        meta: ObjectMeta,
+        count: int,
+        *,
+        stripe: int = 0,
+        times: int = 1,
+        rebuilding: frozenset = frozenset(),
+    ):
         """Fetch ``count`` chunks of one stripe from the best providers.
 
         Corrupt chunks (durable backends detect them by checksum) are
         skipped like missing ones: any ``m`` intact chunks serve the read,
         and the scrubber repairs the damage out of band.
+
+        ``rebuilding`` makes the fetch one of repair sources: those chunk
+        indices are about to be replaced and are not fetched, and every
+        chunk that is gets checked here, against the row's anchored
+        Merkle root or, where the row has none, its own SHA-1.  A read
+        leaves the check to its decode; a repair has no later gate, and
+        the memory backend hands a chunk over as it is.
         """
 
         def get_chunk(index: int, name: str):
-            return self._registry.get(name).get_chunk(
-                meta.chunk_key(index, stripe), times=times
-            )
+            chunk_key = meta.chunk_key(index, stripe)
+            chunk = self._registry.get(name).get_chunk(chunk_key, times=times)
+            if rebuilding:
+                root = meta.merkle_root(index, stripe)
+                if not (chunk.verify() if root is None else chunk_root(chunk) == root):
+                    raise ChunkCorruptionError(
+                        f"chunk {index} of stripe {stripe} at {name} is no repair source: "
+                        f"it fails its {'checksum' if root is None else 'Merkle root'}",
+                        chunk_key,
+                    )
+            return chunk
 
+        order = [pair for pair in self._serving_order(meta) if pair[0] not in rebuilding]
         causes: Dict[str, BaseException] = {}
-        fetched = self._walk(meta, self._serving_order(meta), count, get_chunk, causes)
+        fetched = self._walk(meta, order, count, get_chunk, causes)
         if len(fetched) < count:
             raise self._read_failed(meta, stripe, len(fetched), count, causes)
         return fetched

@@ -132,7 +132,9 @@ def inspect(
     written: a rewrite or delete that won the gap between the two holds
     is fully respected, and a repair can never resurrect chunks of a
     superseded version.  ``on_confirmed(provider)`` runs before each
-    repair, on damage the second check confirmed.  The report takes the
+    repair, on damage the second check confirmed; the rebuild is told
+    every index of the stripe that check found bad, so no damaged chunk
+    is a source for another.  The report takes the
     last check's counters only; ``counted_as`` names its object counter
     and ``emit(meta, damaged, repaired)`` journals a damaged object.
 
@@ -156,7 +158,10 @@ def inspect(
                 if on_confirmed is not None:
                     on_confirmed(provider_name)
                 try:
-                    engine.rebuild_chunk(meta, stripe, index, provider_name)
+                    engine.rebuild_chunk(
+                        meta, stripe, index, provider_name,
+                        damaged=[i for s, i, _p, _st in damaged if s == stripe],
+                    )
                     fixed = True
                 except UNREPAIRABLE:
                     fixed = False

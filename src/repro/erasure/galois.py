@@ -122,6 +122,55 @@ def gf_matmul(a, b) -> np.ndarray:
     return out
 
 
+#: ``_SCALE[c]`` is the 256-byte table ``x -> c * x`` in the form
+#: ``translate`` takes, so one C pass scales a whole run of bytes.
+_SCALE = tuple(MUL_TABLE[c].tobytes() for c in range(256))
+
+#: Bytes of a row scaled and folded at a time: small enough that the
+#: piece, its scaled copy and the output stay in cache between passes
+#: and come from the allocator's free lists, not from fresh pages.
+_PIECE = 64 * 1024
+
+
+def gf_mul_rows(coefficients, sources) -> list[np.ndarray]:
+    """Coefficient rows times byte rows, the multiply shard bytes go through.
+
+    ``out[i] = XOR_k coefficients[i, k] * sources[k]``, which is
+    :func:`gf_matmul` with the right-hand matrix given as ``k`` separate,
+    equally long byte rows (``bytes``, ``bytearray``, ``memoryview`` or
+    contiguous ``uint8`` arrays) that are never stacked.  The coefficients
+    decide the arithmetic: a 0 contributes nothing and its source is not
+    read, a 1 is the bytes themselves, anything else is one ``translate``
+    pass through that coefficient's table; every term folds into its
+    output row with an in-place XOR.  Each source is walked once, a piece
+    at a time, and each piece copied once: ``bytearray.translate`` is the
+    pass because it runs at twice the speed of ``bytes.translate``, which
+    also checks whether anything changed.  The outputs are writable 1-D
+    ``uint8`` arrays that alias no source.
+    """
+    rows = _as_field(coefficients)
+    if rows.ndim != 2 or rows.shape[1] != len(sources):
+        raise ValueError(
+            f"need one byte row per coefficient column, got {rows.shape} x {len(sources)}"
+        )
+    if len({len(source) for source in sources}) > 1:
+        raise ValueError("byte rows must be equally long")
+    width = len(sources[0]) if len(sources) else 0
+    out = [np.zeros(width, dtype=np.uint8) for _ in range(rows.shape[0])]
+    for k, source in enumerate(sources):
+        column = [(i, c) for i, c in enumerate(rows[:, k].tolist()) if c]
+        if not column:
+            continue
+        view = memoryview(source)
+        for start in range(0, width, _PIECE):
+            piece = bytearray(view[start : start + _PIECE])
+            for i, c in column:
+                scaled = piece if c == 1 else piece.translate(_SCALE[c])
+                target = out[i][start : start + _PIECE]
+                np.bitwise_xor(target, np.frombuffer(scaled, dtype=np.uint8), out=target)
+    return out
+
+
 def gf_matvec(a, v) -> np.ndarray:
     """Matrix-vector product over GF(2^8)."""
     vm = _as_field(v)

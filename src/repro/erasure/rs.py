@@ -9,14 +9,21 @@ the field arithmetic.  The rate is ``r = m / n`` and the storage blow-up is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.erasure.galois import gf_matmul
+from repro.erasure.galois import gf_matmul, gf_mul_rows
 from repro.erasure.matrix import gf_inverse, systematic_generator
+
+#: Entries the decode-matrix memo keeps, process-wide (least recently
+#: used goes first).  An entry is one ``m x m`` byte matrix: 16 bytes at
+#: the catalogue's ``m = 4``, 16 MiB for the whole memo if every entry
+#: were an ``m = 255`` code.
+INVERSE_MEMO_ENTRIES = 256
 
 
 def shard_length(data_len: int, m: int) -> int:
@@ -26,6 +33,24 @@ def shard_length(data_len: int, m: int) -> int:
     physical representation at the providers.
     """
     return max(1, math.ceil(data_len / m))
+
+
+@functools.lru_cache(maxsize=INVERSE_MEMO_ENTRIES)
+def _decode_matrix(code: "ReedSolomon", indices: tuple[int, ...]) -> np.ndarray:
+    """Inverse of the generator rows ``indices``: shards to data rows.
+
+    Memoised per code and index tuple.  An object's provider set is
+    stable between migrations, so reads of it decode from the same few
+    subsets and a degraded read stops paying a Gauss-Jordan elimination
+    per stripe.  The memo is bounded by :data:`INVERSE_MEMO_ENTRIES`
+    (``lru_cache`` locks around its own bookkeeping, so concurrent
+    decodes of different subsets are safe; two threads missing on the
+    same key both invert and one result is kept).  The matrix is shared
+    by every caller and therefore read-only.
+    """
+    inverse = gf_inverse(code.generator[list(indices)])
+    inverse.setflags(write=False)
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -47,6 +72,9 @@ class ReedSolomon:
     n: int
     construction: str = "vandermonde"
     _generator: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Per shard index, the data row that shard is verbatim (its generator
+    #: row is that row's unit vector), or ``None`` for a true parity shard.
+    _verbatim: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.m <= self.n:
@@ -54,6 +82,11 @@ class ReedSolomon:
         gen = systematic_generator(self.m, self.n, self.construction)
         gen.setflags(write=False)
         object.__setattr__(self, "_generator", gen)
+        verbatim = tuple(
+            int(np.flatnonzero(row)[0]) if np.count_nonzero(row) == 1 and row.max() == 1 else None
+            for row in gen
+        )
+        object.__setattr__(self, "_verbatim", verbatim)
 
     @property
     def rate(self) -> float:
@@ -83,26 +116,64 @@ class ReedSolomon:
         """
         view = data if isinstance(data, memoryview) else memoryview(data)
         slen = shard_length(len(view), self.m)
-        if len(view) == self.m * slen:
-            # Aligned fast path: slice, never copy.
-            shards: list[memoryview] = [
-                view[i * slen : (i + 1) * slen] for i in range(self.m)
-            ]
-            if self.n > self.m:
-                matrix = np.frombuffer(view, dtype=np.uint8).reshape(self.m, slen)
-                parity = gf_matmul(self._generator[self.m :], matrix)
-                shards.extend(memoryview(parity[i]) for i in range(self.n - self.m))
-            return shards
-        padded = np.zeros(self.m * slen, dtype=np.uint8)
-        if len(view):
-            padded[: len(view)] = np.frombuffer(view, dtype=np.uint8)
-        matrix = padded.reshape(self.m, slen)
-        # Systematic fast path: only the parity rows need field arithmetic.
-        shards = [memoryview(matrix[i]) for i in range(self.m)]
+        if len(view) != self.m * slen:
+            padded = np.zeros(self.m * slen, dtype=np.uint8)
+            if len(view):
+                padded[: len(view)] = np.frombuffer(view, dtype=np.uint8)
+            view = memoryview(padded)
+        # Systematic: the data shards are slices, never copies; only the
+        # parity rows need field arithmetic.
+        shards = [view[i * slen : (i + 1) * slen] for i in range(self.m)]
         if self.n > self.m:
-            parity = gf_matmul(self._generator[self.m :], matrix)
-            shards.extend(memoryview(parity[i]) for i in range(self.n - self.m))
+            parity = gf_mul_rows(self._generator[self.m :], shards)
+            shards.extend(memoryview(row) for row in parity)
         return shards
+
+    def _chosen(
+        self, shards: Mapping[int, "bytes | memoryview"], width: Optional[int] = None
+    ) -> tuple[int, ...]:
+        """The ``m`` shards a decode uses: extra ones are ignored
+        deterministically (lowest indices win).  They must be in range
+        and ``width`` bytes each (as wide as the first, when not given)."""
+        if len(shards) < self.m:
+            raise ValueError(
+                f"need at least m={self.m} shards to decode, got {len(shards)}"
+            )
+        indices = tuple(sorted(shards)[: self.m])
+        if width is None:
+            width = len(shards[indices[0]])
+        for idx in indices:
+            if not 0 <= idx < self.n:
+                raise ValueError(f"shard index {idx} out of range for n={self.n}")
+            if len(shards[idx]) != width:
+                raise ValueError(
+                    f"shards must be equally wide: shard {idx} has length "
+                    f"{len(shards[idx])}, expected {width}"
+                )
+        return indices
+
+    def _holders(self, indices: Sequence[int]) -> dict[int, int]:
+        """Data row -> the lowest of ``indices`` whose shard is it verbatim."""
+        holders: dict[int, int] = {}
+        for index in sorted(indices, reverse=True):
+            row = self._verbatim[index]
+            if row is not None:
+                holders[row] = index
+        return holders
+
+    def _live_rows(self, data_len: int) -> range:
+        """The data rows that carry bytes of a ``data_len``-byte object;
+        only they are worth recovering."""
+        slen = shard_length(data_len, self.m)
+        return range(min(self.m, math.ceil(data_len / slen)) if data_len else 0)
+
+    def recovered_rows(self, indices: Sequence[int], data_len: int) -> list[int]:
+        """The data rows a decode of ``data_len`` bytes from the shards
+        ``indices`` rebuilds by field arithmetic: those with live bytes
+        that none of the ``m`` shards it uses holds verbatim.  Empty for
+        an all-data read, which only concatenates."""
+        held = self._holders(sorted(indices)[: self.m])
+        return [row for row in self._live_rows(data_len) if row not in held]
 
     def decode_blocks(
         self, shards: Mapping[int, "bytes | memoryview"], data_len: int
@@ -110,51 +181,31 @@ class ReedSolomon:
         """Rebuild the original bytes as a list of buffer views.
 
         The concatenation of the returned views is the ``data_len``-byte
-        object.  Data shards that are present are returned as views of the
-        caller's buffers — no copy; only genuinely missing data rows are
-        recovered through field arithmetic.  Extra shards beyond ``m`` are
-        ignored deterministically (lowest indices win).
+        object.  A data row that one of the shards holds verbatim (shard
+        ``row`` of any code, every shard of a Vandermonde ``m = 1`` one)
+        is returned as a view of the caller's buffer — no copy; only
+        genuinely missing data rows are recovered through field
+        arithmetic.  Extra shards beyond ``m`` are ignored
+        deterministically (lowest indices win).
         """
         if data_len < 0:
             raise ValueError("data_len must be >= 0")
-        if len(shards) < self.m:
-            raise ValueError(
-                f"need at least m={self.m} shards to decode, got {len(shards)}"
-            )
         slen = shard_length(data_len, self.m)
-        indices = sorted(shards)[: self.m]
-        for idx in indices:
-            if not 0 <= idx < self.n:
-                raise ValueError(f"shard index {idx} out of range for n={self.n}")
-            if len(shards[idx]) != slen:
-                raise ValueError(
-                    f"shard {idx} has length {len(shards[idx])}, expected {slen}"
-                )
-        chosen = set(indices)
-        # Only rows that contribute live bytes are worth recovering.
-        needed_rows = min(self.m, math.ceil(data_len / slen)) if data_len else 0
-        missing = [row for row in range(needed_rows) if row not in chosen]
-        recovered: dict[int, memoryview] = {}
+        indices = self._chosen(shards, slen)
+        live = self._live_rows(data_len)
+        rows = {row: shards[index] for row, index in self._holders(indices).items()}
+        missing = [row for row in live if row not in rows]
         if missing:
-            sub = self._generator[indices]
-            inv = gf_inverse(sub)
-            stacked = np.vstack(
-                [np.frombuffer(shards[i], dtype=np.uint8) for i in indices]
+            recovered = gf_mul_rows(
+                _decode_matrix(self, indices)[missing], [shards[i] for i in indices]
             )
-            rows = gf_matmul(inv[missing], stacked)
-            recovered = {row: memoryview(rows[j]) for j, row in enumerate(missing)}
+            rows.update(zip(missing, recovered))
         blocks: list[memoryview] = []
-        remaining = data_len
-        for row in range(self.m):
-            take = min(slen, remaining)
-            if take <= 0:
-                break
-            source = recovered.get(row)
-            if source is None:
-                raw = shards[row]
-                source = raw if isinstance(raw, memoryview) else memoryview(raw)
-            blocks.append(source[:take])
-            remaining -= take
+        for row in live:
+            source = rows[row]
+            if not isinstance(source, memoryview):
+                source = memoryview(source)
+            blocks.append(source[: min(slen, data_len - row * slen)])
         return blocks
 
     def holds_row(self, index: int, row: int) -> bool:
@@ -162,8 +213,7 @@ class ReedSolomon:
         generator row is that row's unit vector.  True of shard ``row``
         of any systematic code, and of every shard of a Vandermonde
         ``m = 1`` code (plain replication)."""
-        generator_row = self._generator[index]
-        return generator_row[row] == 1 and np.count_nonzero(generator_row) == 1
+        return self._verbatim[index] == row
 
     def decode_row(self, shards: Mapping[int, "bytes | memoryview"], row: int) -> bytes:
         """Data row ``row`` alone, from any ``m`` equal-width shards.
@@ -178,16 +228,9 @@ class ReedSolomon:
         for index, shard in shards.items():
             if self.holds_row(index, row):
                 return bytes(shard)
-        if len(shards) < self.m:
-            raise ValueError(
-                f"need at least m={self.m} shards to decode, got {len(shards)}"
-            )
-        indices = sorted(shards)[: self.m]
-        if len({len(shards[i]) for i in indices}) != 1:
-            raise ValueError("shards of one window must be equally wide")
-        inverse = gf_inverse(self._generator[indices])
-        stacked = np.vstack([np.frombuffer(shards[i], dtype=np.uint8) for i in indices])
-        return gf_matmul(inverse[[row]], stacked)[0].tobytes()
+        indices = self._chosen(shards)
+        coefficients = _decode_matrix(self, indices)[[row]]
+        return gf_mul_rows(coefficients, [shards[i] for i in indices])[0].tobytes()
 
     def decode(self, shards: Mapping[int, "bytes | memoryview"], data_len: int) -> bytes:
         """Rebuild the original ``data_len`` bytes from any ``m`` shards.
@@ -203,14 +246,18 @@ class ReedSolomon:
         """Recompute a single missing shard from any ``m`` available ones.
 
         This is the *active repair* primitive (Section IV-E): when a provider
-        fails, only its shard is regenerated and re-hosted elsewhere.
+        fails, only its shard is regenerated and re-hosted elsewhere.  The
+        shard is one linear combination of the ``m`` sources, its
+        generator row times their decode matrix, so it costs ``m`` passes
+        and no other row is decoded or re-encoded on the way.
         """
         if not 0 <= target_index < self.n:
             raise ValueError(f"shard index {target_index} out of range")
-        data = self.decode(shards, shard_length(data_len, self.m) * self.m)
-        # bytes() detaches the repaired shard from the full decoded buffer so
-        # the store doesn't pin m shards' worth of memory for one chunk.
-        return bytes(self.encode(data)[target_index])
+        indices = self._chosen(shards, shard_length(data_len, self.m))
+        coefficients = gf_matmul(
+            self._generator[[target_index]], _decode_matrix(self, indices)
+        )
+        return gf_mul_rows(coefficients, [shards[i] for i in indices])[0].tobytes()
 
 
 class CodeCache:

@@ -96,8 +96,12 @@ class ObjectMeta:
 
     @property
     def placement(self) -> Placement:
-        """The placement this metadata encodes."""
-        return Placement(providers=tuple(p for _, p in self.chunk_map), m=self.m)
+        """The placement this metadata encodes: the provider *set* and
+        ``m``, names sorted as the planner sorts them.  Which provider
+        holds which chunk index is ``chunk_map``'s business (the engine
+        numbers chunks by read price) and is no part of the identity the
+        optimizer compares placements by."""
+        return Placement(providers=tuple(sorted(p for _, p in self.chunk_map)), m=self.m)
 
     @property
     def stripe_count(self) -> int:

@@ -341,13 +341,13 @@ class TestHolderDown:
         holder = h.provider_of(meta, 1)
         h.registry.get(holder).fail()
         multiplies = []
-        real = rs_module.gf_matmul
+        real = rs_module.gf_mul_rows
 
         def recording(a, b):
-            multiplies.append((a.shape, b.shape))
+            multiplies.append((a.shape, (len(b), len(b[0]))))
             return real(a, b)
 
-        monkeypatch.setattr(rs_module, "gf_matmul", recording)
+        monkeypatch.setattr(rs_module, "gf_mul_rows", recording)
         lo = self.ROW + 3 * LEAF + 11
         got, moved = h.read("k", lo, lo + LEAF - 1)
         assert got == data[lo : lo + LEAF]

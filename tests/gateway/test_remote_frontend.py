@@ -128,6 +128,22 @@ class TestObjectRoundTrip:
         # frontend (single broker owns it) and bytes agree.
         assert rig["local"].get(TENANT, "bkt", "both") == payload
 
+    def test_a_put_through_the_stub_takes_the_brokers_layout(self, rig):
+        """Chunk order is decided where the placement is, in the broker's
+        ``write_begin``; the worker only echoes the session.  So a PUT
+        through the stub lands as the in-process one does: same chunk
+        map, and with every provider healthy the first ``m`` chunks the
+        serving order names are the data chunks ``0..m-1``."""
+        engine = rig["broker"].cluster.all_engines()[0]
+        for key, payload in (("one", b"x" * 900), ("many", bytes(range(256)) * 50)):
+            via_stub = rig["remote"].put(TENANT, "bkt", f"stub-{key}", payload)
+            in_process = rig["local"].put(TENANT, "bkt", f"local-{key}", payload)
+            assert via_stub.chunk_map == in_process.chunk_map
+            assert (via_stub.m, via_stub.stripe_count) == (in_process.m, in_process.stripe_count)
+            served = engine._serving_order(via_stub)[: via_stub.m]  # noqa: SLF001
+            assert [index for index, _ in served] == list(range(via_stub.m))
+            assert rig["remote"].get(TENANT, "bkt", f"stub-{key}") == payload
+
     #: Every admin and namespace route, and the errors a worker used to
     #: answer differently.  ``{upload}`` is the side's last created upload.
     _PROVIDER = "S3(h)"

@@ -72,7 +72,7 @@ class TestObjectMeta:
     def test_figure11_fields(self):
         meta = sample_meta()
         assert meta.n == 4
-        assert meta.placement == Placement(("S3(h)", "S3(l)", "Azu", "RS"), 3)
+        assert meta.placement == Placement(("Azu", "RS", "S3(h)", "S3(l)"), 3)
         assert meta.chunk_key(2) == "a3e229084:2"
 
     def test_dict_roundtrip(self):
