@@ -16,11 +16,16 @@ Checks, in order:
    ``scalia_gateway_requests_total`` matches the number of requests the
    clients actually made, and ``scalia_gateway_workers_live`` is 2;
 4. broker-side ``/stats`` op counters account for the workload;
-5. admin calls answer from a worker as they do in process: a typed broker
+5. a GET is one ops-RPC frame plus one per further stripe: over ``K`` GETs
+   of a one-stripe object and ``K`` of a two-stripe one,
+   ``scalia_ops_rpc_frames_total`` rises by ``2K`` for ``open_get``, by
+   ``K`` for ``read_stripe`` and not at all for ``broker.head``, and
+   ``ops.get`` in ``/stats`` rises by ``2K``;
+6. admin calls answer from a worker as they do in process: a typed broker
    error keeps its status and message across the ops RPC (``POST /faults``
    for an unknown provider is 404, a bad profile is a 400 naming the field)
    and ``POST /audit`` returns its report;
-6. SIGTERM tears the whole tree down cleanly (exit 0, no leftovers).
+7. SIGTERM tears the whole tree down cleanly (exit 0, no leftovers).
 
 Exit code 0 means every check held.
 """
@@ -42,6 +47,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 WORKERS = 2
 CLIENT_THREADS = 8
 ROUNDS_PER_THREAD = 5
+STRIPE_BYTES = 65536
+FRAME_CHECK_GETS = 5
 
 
 def fail(msg):
@@ -62,7 +69,7 @@ def request(port, method, path, body=None, headers=None, timeout=30):
 def boot():
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--workers", str(WORKERS),
-         "--port", "0"],
+         "--port", "0", "--stripe-bytes", str(STRIPE_BYTES)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     port = None
@@ -228,9 +235,53 @@ def check_accounting(port, counters, healthz_requests):
     ops = json.loads(body)["ops"]
     if ops.get("put", 0) < counters["put"]:
         fail(f"broker put count {ops.get('put')} < {counters['put']}")
-    if ops.get("open_read", 0) < counters["get"]:
-        fail(f"broker open_read count {ops.get('open_read')} < {counters['get']}")
-    print(f"ok: broker op accounting ({ {k: ops[k] for k in ('put', 'open_read', 'head', 'delete') if k in ops} })")
+    if ops.get("get", 0) < counters["get"]:
+        fail(f"broker get count {ops.get('get')} < {counters['get']}")
+    print(f"ok: broker op accounting ({ {k: ops[k] for k in ('put', 'get', 'head', 'delete') if k in ops} })")
+
+
+def frames_served(port):
+    """``scalia_ops_rpc_frames_total`` by op, plus ``ops.get`` of ``/stats``."""
+    status, _, body = request(port, "GET", "/metrics")
+    if status != 200:
+        fail(f"/metrics -> {status}")
+    frames = {
+        match.group(1): float(match.group(2))
+        for match in re.finditer(
+            r'^scalia_ops_rpc_frames_total\{op="([^"]+)"\} ([0-9.e+-]+)$',
+            body.decode(), re.M,
+        )
+    }
+    status, _, body = request(port, "GET", "/stats")
+    return frames, json.loads(body)["ops"].get("get", 0)
+
+
+def check_frames_per_get(port):
+    """Per-op deltas: the workers' one-per-second ``aggregator.push``
+    frames are in any total."""
+    tenant = {"x-scalia-tenant": "smoke"}
+    objects = {"one-stripe": b"1" * 1000, "two-stripe": b"2" * (STRIPE_BYTES + 1000)}
+    for name, payload in objects.items():
+        status, _, _ = request(port, "PUT", f"/smoke-bkt/{name}", body=payload, headers=tenant)
+        if status != 200:
+            fail(f"PUT {name} -> {status}")
+    frames_before, gets_before = frames_served(port)
+    for name, payload in objects.items():
+        for _ in range(FRAME_CHECK_GETS):
+            status, _, body = request(port, "GET", f"/smoke-bkt/{name}", headers=tenant)
+            if status != 200 or body != payload:
+                fail(f"GET {name} -> {status}, {len(body)} B")
+    frames_after, gets_after = frames_served(port)
+    k = FRAME_CHECK_GETS
+    moved = {
+        op: frames_after.get(op, 0) - frames_before.get(op, 0)
+        for op in ("open_get", "read_stripe", "broker.head")
+    }
+    if moved != {"open_get": 2 * k, "read_stripe": k, "broker.head": 0}:
+        fail(f"frames for {k} one-stripe + {k} two-stripe GETs: {moved}")
+    if gets_after - gets_before != 2 * k:
+        fail(f"/stats ops.get rose by {gets_after - gets_before}, not {2 * k}")
+    print(f"ok: a GET is one frame plus one per further stripe ({moved})")
 
 
 def check_admin(port):
@@ -262,6 +313,7 @@ def main():
         counters = run_workload(port)
         run_multipart(port)
         check_accounting(port, counters, healthz)
+        check_frames_per_get(port)
         check_admin(port)
     finally:
         proc.send_signal(signal.SIGTERM)

@@ -153,17 +153,61 @@ class BrokerFrontend:
     ):
         """A (possibly ranged, conditional) read as ``(plan, blocks)``.
 
-        One frontend operation resolves metadata, applies the
-        ``If-Match`` / ``If-None-Match`` preconditions (so a 304 bills no
-        read) and plans the covering stripes; the block iterator then
-        reads one stripe's slice per broker call, so a slow client never
-        holds any broker lock across its whole download and the gateway
-        never buffers more than one stripe.  ``range_spec`` is the parsed
-        ``Range`` header (suffix ranges resolve against the live size in
-        here); unsatisfiable ranges raise :class:`InvalidRangeError`
-        carrying ``object_size``.
+        :meth:`open_get` resolves, validates, plans and fetches the first
+        block, so every failure that has a status of its own (404, 304,
+        412, 416, a first stripe nobody can serve) is raised from here,
+        before any header; the block iterator then reads one further
+        stripe's slice per broker call, so a slow client never holds any
+        broker lock across its whole download and the gateway never
+        buffers more than one stripe.  ``range_spec`` is the parsed
+        ``Range`` header (suffix ranges resolve against the live size);
+        unsatisfiable ranges raise :class:`InvalidRangeError` carrying
+        ``object_size``.
         """
         container = self.mapper.internal_container(tenant, bucket)
+        plan, first = self.open_get(
+            container, bucket, key,
+            range_spec=range_spec, if_match=if_match, if_none_match=if_none_match,
+        )
+
+        def blocks():
+            if isinstance(first, (bytes, bytearray, memoryview)):
+                yield first
+            for stripe, lo, hi in plan.segments[1:]:
+                payload = self._run(
+                    "get_stripe",
+                    lambda: self.broker.read_stripe(plan.meta, stripe, lo, hi),
+                )
+                if isinstance(payload, (bytes, bytearray, memoryview)):
+                    yield payload
+
+        return plan, blocks()
+
+    def open_get(
+        self,
+        container: str,
+        bucket: str,
+        key: str,
+        *,
+        range_spec: Optional[tuple] = None,
+        if_match: Optional[str] = None,
+        if_none_match: Optional[str] = None,
+        raw: bool = False,
+    ):
+        """A GET up to and including its first block, as ``(plan, first)``.
+
+        Written once and run where the broker is, in this order: resolve
+        the row, apply ``If-Match`` / ``If-None-Match`` (a 304 or 412
+        bills no read), resolve the range, plan the covering stripes,
+        fetch the first planned segment, log the read.  ``first`` is that
+        segment's plaintext (a byte count for a synthetic object, ``None``
+        for a zero-length read).  With ``raw`` it is what
+        :meth:`Scalia.fetch_stripe_window` returns, for a caller that cuts
+        and decodes elsewhere: the ops service, on behalf of a worker
+        (one frame, docs/API.md), which is also never served from the
+        whole-object cache.  ``bucket`` is only the name a missing object
+        is reported by.
+        """
 
         def check_preconditions(meta: ObjectMeta) -> None:
             etag = meta.checksum or meta.skey
@@ -188,7 +232,11 @@ class BrokerFrontend:
                 check_preconditions(meta)
                 try:
                     byte_range = resolve_byte_range(range_spec, meta.size)
-                    if byte_range is None and self.broker.cluster.cache is not None:
+                    if (
+                        byte_range is None
+                        and not raw
+                        and self.broker.cluster.cache is not None
+                    ):
                         # A configured cache trades memory for provider
                         # traffic by design: serve (and bill) whole-object
                         # reads through it rather than re-fetching stripes.
@@ -220,33 +268,19 @@ class BrokerFrontend:
 
         # Not found also covers "deleted since the head".
         plan, cached = self._run("get", _tenant_facing(open_fn, bucket, key))
-
-        def blocks():
-            if cached is not None:
-                # the cache path went through broker.get, which logged
-                if isinstance(cached, (bytes, bytearray, memoryview)):
-                    yield cached
-                return
-            served = False
-            for stripe, lo, hi in plan.segments:
-                payload = self._run(
-                    "get_stripe",
-                    lambda: self.broker.read_stripe(plan.meta, stripe, lo, hi),
-                )
-                if not served:
-                    # First stripe decoded: the read is being served —
-                    # log it now, never for reads that failed outright.
-                    self._run(
-                        "commit_read", lambda: self.broker.commit_read(plan)
-                    )
-                    served = True
-                if isinstance(payload, (bytes, bytearray, memoryview)):
-                    yield payload
-            if not served:
-                # Zero-length reads (empty objects) serve trivially.
-                self._run("commit_read", lambda: self.broker.commit_read(plan))
-
-        return plan, blocks()
+        if cached is not None:
+            # the cache path went through broker.get, which logged
+            return plan, cached
+        first = None
+        if plan.segments:
+            fetch = self.broker.fetch_stripe_window if raw else self.broker.read_stripe
+            stripe, lo, hi = plan.segments[0]
+            first = self._run("get_stripe", lambda: fetch(plan.meta, stripe, lo, hi))
+        # The first segment is in hand (a zero-length read serves
+        # trivially): the read is being served — log it now, never for
+        # reads that failed outright.
+        self._run("commit_read", lambda: self.broker.commit_read(plan))
+        return plan, first
 
     def head(self, tenant: str, bucket: str, key: str) -> Optional[ObjectMeta]:
         container = self.mapper.internal_container(tenant, bucket)

@@ -13,12 +13,15 @@ Writes serve the engine's staged protocol (:meth:`Scalia.stager`) to the
 write driver running in the worker (:mod:`repro.cluster.writepath`): it
 encodes each stripe, ships the shards in one binary frame, and commits
 with the md5 it computed while streaming.  Reads are the mirror image:
-``read_stripe`` returns one stripe's fetched chunks — sorted by shard
-index, shipped back-to-back — and the worker decodes; when the ``m``
-cheapest chunks happen to be the data shards the worker serves a single
-zero-copy slice of the receive buffer.  A window narrower than the chunks
-it touches returns the proven Merkle leaves that cover it, never a stripe
-(:mod:`repro.cluster.readpath`); the worker verifies them again and cuts.
+``open_get`` runs a GET up to its first stripe here
+(:meth:`BrokerFrontend.open_get`) and answers with the plan and that
+stripe, ``read_stripe`` with each further one, as the fetched chunks —
+sorted by shard index, shipped back-to-back — which the worker decodes;
+when the ``m`` cheapest chunks happen to be the data shards the worker
+serves a single zero-copy slice of the receive buffer.  A window narrower
+than the chunks it touches returns the proven Merkle leaves that cover
+it, never a stripe (:mod:`repro.cluster.readpath`); the worker verifies
+them again and cuts.
 
 Typed broker errors cross the RPC as structured ``err`` documents
 (``kind`` + message + optional fields) so the worker re-raises the exact
@@ -33,7 +36,7 @@ did the encoding.
 Everything else a worker asks of the broker is plain call forwarding,
 declared once in :data:`OPERATIONS`: the handler here, the worker's stub
 (:mod:`repro.gateway.remote`) and the cluster's write gate
-(:data:`WRITE_OPS`) all derive from a row.  Only the eight ops that carry
+(:data:`WRITE_OPS`) all derive from a row.  Only the nine ops that carry
 a session or a binary payload are framed by hand.
 """
 
@@ -51,7 +54,6 @@ from repro.cluster.engine import (
     ObjectNotFoundError,
     PlacementError,
     ReadFailedError,
-    ReadPlan,
     WriteFailedError,
 )
 from repro.cluster.multipart import MultipartState, PartState
@@ -59,6 +61,7 @@ from repro.cluster.readpath import detach_leaves
 from repro.cluster.writepath import StagedWrite
 from repro.erasure.striping import Chunk, SyntheticChunk
 from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
+from repro.gateway.routes import NotModifiedError, PreconditionFailedError
 from repro.obs.workers import WorkerMetricsAggregator
 from repro.providers.provider import (
     CapacityExceededError,
@@ -97,6 +100,7 @@ class _WireError(NamedTuple):
 
 
 _PROVIDER = {"provider_name": (_same, _same)}
+_ETAG = {"etag": (_same, _same)}
 
 #: The error vocabulary of the ops RPC, declared once: encode
 #: (:func:`error_doc`, broker side) and decode (:func:`error_from_doc`,
@@ -107,6 +111,10 @@ _PROVIDER = {"provider_name": (_same, _same)}
 WIRE_ERRORS: Tuple[_WireError, ...] = (
     _WireError("object_not_found", ObjectNotFoundError),
     _WireError("invalid_range", InvalidRangeError, {"object_size": (_size, _size)}),
+    # The two answers ``open_get`` gives before it reads: each fixes its
+    # own message and is rebuilt around the ``etag`` it carries.
+    _WireError("precondition_failed", PreconditionFailedError, _ETAG),
+    _WireError("not_modified", NotModifiedError, _ETAG),
     _WireError("write_failed", WriteFailedError,
                {"causes": (_cause_messages, _cause_errors)}),
     _WireError("read_failed", ReadFailedError),
@@ -174,8 +182,6 @@ class Op(NamedTuple):
 #: hand in :class:`OpsService` because it carries a session or raw chunks.
 OPERATIONS: Tuple[Op, ...] = (
     Op("broker.head", "head"),
-    Op("broker.open_read", "open_read"),
-    Op("broker.commit_read", "commit_read"),
     # Synthetic byte counts only: real bytes take the staged protocol.
     Op("broker.put", "put", write=True),
     Op("broker.delete", "delete", write=True),
@@ -226,7 +232,7 @@ WRITE_OPS = frozenset(
 _TAG = "__wire__"
 _WIRE_TYPES = {
     cls.__name__: cls
-    for cls in (ObjectMeta, MultipartState, PartState, ListPage, ReadPlan)
+    for cls in (ObjectMeta, MultipartState, PartState, ListPage)
 }
 _WIRE_NAMES = {cls: name for name, cls in _WIRE_TYPES.items()}
 
@@ -286,19 +292,35 @@ def _guarded(fn: Callable) -> Callable:
     return wrapper
 
 
+def _counted(child, handler: Callable) -> Callable:
+    """``handler``, counting every frame it serves."""
+
+    def wrapper(request: dict):
+        child.inc()
+        return handler(request)
+
+    return wrapper
+
+
 class OpsService:
     """Handler table for one broker's worker-facing ops RPC.
 
     Forwarded operations (:data:`OPERATIONS`) share one derived handler.
-    Eight ops are framed by hand, because they are not call forwarding:
+    Nine ops are framed by hand, because they are not call forwarding:
     ``hello`` (the handshake), the staged write protocol ``write_begin``,
     ``write_stripe``, ``write_commit``, ``part_begin``, ``part_commit``,
     ``staged_abort`` (sessions kept here by ``sid``, so stripes and
     commits use the placement planned at begin and an abort cleans up
-    without trusting the worker to remember what it shipped) and
-    ``read_stripe`` (raw chunks or leaves).  Chunk payloads ride the transport's
-    binary frames (``request["_payload"]`` inbound, ``(body, buffers)``
-    outbound).
+    without trusting the worker to remember what it shipped), and the
+    reads ``open_get`` and ``read_stripe`` (raw chunks or leaves).  Chunk
+    payloads ride the transport's binary frames (``request["_payload"]``
+    inbound, ``(body, buffers)`` outbound).
+
+    A session belongs to the worker ``(slot, incarnation)`` its begin
+    named, if it named one; :meth:`abort_sessions_of` is what the
+    supervisor calls when that worker dies, so a SIGKILL mid-PUT leaves
+    neither a session nor an in-flight skey behind.  Whoever takes a
+    session out of the table is the only one who may commit or abort it.
     """
 
     def __init__(
@@ -310,7 +332,10 @@ class OpsService:
         self.frontend = frontend
         self.broker = frontend.broker
         self.aggregator = aggregator
-        self._sessions: Dict[str, StagedWrite] = {}
+        #: sid -> (session, the ``(slot, incarnation)`` that began it or None)
+        self._sessions: Dict[str, Tuple[StagedWrite, Optional[Tuple[int, int]]]] = {}
+        #: slot -> newest incarnation the supervisor reported dead
+        self._buried: Dict[int, int] = {}
         self._sessions_lock = threading.Lock()
 
     # -- wiring ---------------------------------------------------------
@@ -324,12 +349,24 @@ class OpsService:
             "part_begin": self._op_part_begin,
             "part_commit": self._op_part_commit,
             "staged_abort": self._op_staged_abort,
+            "open_get": self._op_open_get,
             "read_stripe": self._op_read_stripe,
         }
         forwarded = {
             op.target: functools.partial(self._forward, op) for op in OPERATIONS
         }
-        return {**framed, **forwarded}
+        table = {**framed, **forwarded}
+        # The broker's registry; a stand-in frontend without one (the
+        # engine tests serve a bare stager) is served uncounted.
+        metrics = getattr(self.frontend, "metrics", None)
+        if metrics is None or not metrics.enabled:
+            return table
+        frames = metrics.counter(
+            "scalia_ops_rpc_frames_total",
+            "Ops-RPC frames served to gateway workers, by op.",
+            ("op",),
+        )
+        return {op: _counted(frames.labels(op), fn) for op, fn in table.items()}
 
     def serve(self, host: str = "127.0.0.1", port: int = 0) -> RpcServer:
         """Start the ops RPC server; read the port off ``.address``."""
@@ -357,19 +394,61 @@ class OpsService:
 
     def _session(self, sid: str) -> StagedWrite:
         with self._sessions_lock:
-            session = self._sessions.get(sid)
-        if session is None:
+            entry = self._sessions.get(sid)
+        if entry is None:
             raise ValueError(f"unknown staged session {sid!r}")
-        return session
+        return entry[0]
 
-    def _open_session(self, session: StagedWrite) -> dict:
+    def _gone(self, owner) -> bool:
+        """Whether ``owner`` was reported dead (call with the lock held)."""
+        return owner is not None and owner[1] <= self._buried.get(owner[0], 0)
+
+    def _open_session(self, session: StagedWrite, owner) -> dict:
+        """Keep ``session`` for its worker.  A begin (or a failed commit)
+        still in service when the supervisor reported that worker dead
+        comes here after the abort: its session is aborted on the spot."""
+        if owner is not None:
+            owner = (int(owner[0]), int(owner[1]))
         with self._sessions_lock:
-            self._sessions[session.sid] = session
+            gone = self._gone(owner)
+            if not gone:
+                self._sessions[session.sid] = (session, owner)
+        if gone:
+            self.broker.stager().abort(session)
+            raise ValueError(f"worker {owner} is gone; its staged session is aborted")
         return session.to_dict()
 
-    def _close_session(self, sid: str) -> Optional[StagedWrite]:
+    def _take_session(self, sid: str):
+        """Remove and return ``(session, owner)``, or ``None``."""
         with self._sessions_lock:
             return self._sessions.pop(sid, None)
+
+    def _commit(self, sid: str, op: str, commit: Callable[[StagedWrite], Any]):
+        """Run a staged commit under its counter, on a session taken out of
+        the table: aborting a dead worker's sessions cannot race the
+        journaling.  A failed commit puts it back for the driver's abort."""
+        entry = self._take_session(sid)
+        if entry is None:
+            raise ValueError(f"unknown staged session {sid!r}")
+        try:
+            return self.frontend.run_op(_COMMIT_COUNTERS[op], lambda: commit(entry[0]))
+        except BaseException:
+            self._open_session(*entry)
+            raise
+
+    def abort_sessions_of(self, slot: int, incarnation: int) -> int:
+        """Abort every session a dead worker left open; returns deletions.
+
+        A stripe of such a session may still be landing on a connection
+        thread here: what it lands after this abort deleted the refs is
+        unreferenced and no longer in flight, an ordinary orphan of the
+        next scrub.
+        """
+        with self._sessions_lock:
+            self._buried[slot] = max(incarnation, self._buried.get(slot, 0))
+            dead = [sid for sid, (_, owner) in self._sessions.items() if self._gone(owner)]
+            sessions = [self._sessions.pop(sid)[0] for sid in dead]
+        return sum(self.broker.stager().abort(session) for session in sessions)
 
     # -- handshake ------------------------------------------------------
 
@@ -394,7 +473,8 @@ class OpsService:
                 mime=request.get("mime", "application/octet-stream"),
                 rule=request.get("rule"),
                 exclude=tuple(request.get("exclude", ())),
-            )
+            ),
+            request.get("owner"),
         )
 
     @_guarded
@@ -428,11 +508,10 @@ class OpsService:
 
     @_guarded
     def _op_write_commit(self, request: dict) -> dict:
-        sid = request["sid"]
-        session = self._session(sid)
-        meta = self.frontend.run_op(
-            _COMMIT_COUNTERS["write_commit"],
-            lambda: self.broker.stager().commit(
+        meta = self._commit(
+            request["sid"],
+            "write_commit",
+            lambda session: self.broker.stager().commit(
                 session,
                 size=int(request["size"]),
                 checksum=request["checksum"],
@@ -442,15 +521,14 @@ class OpsService:
                 ttl_hint=request.get("ttl_hint"),
             ),
         )
-        self._close_session(sid)
         return {"meta": meta.to_dict()}
 
     @_guarded
     def _op_staged_abort(self, request: dict) -> dict:
-        session = self._close_session(request["sid"])
-        if session is None:
+        entry = self._take_session(request["sid"])
+        if entry is None:
             return {"deleted": 0}
-        return {"deleted": self.broker.stager().abort(session)}
+        return {"deleted": self.broker.stager().abort(entry[0])}
 
     # -- staged multipart -----------------------------------------------
 
@@ -463,26 +541,45 @@ class OpsService:
                 request["key"],
                 request["upload_id"],
                 int(request["part_number"]),
-            )
+            ),
+            request.get("owner"),
         )
 
     @_guarded
     def _op_part_commit(self, request: dict) -> dict:
-        sid = request["sid"]
-        session = self._session(sid)
-        part = self.frontend.run_op(
-            _COMMIT_COUNTERS["part_commit"],
-            lambda: self.broker.stager().part_commit(
+        part = self._commit(
+            request["sid"],
+            "part_commit",
+            lambda session: self.broker.stager().part_commit(
                 session,
                 etag=request["etag"],
                 size=int(request["size"]),
                 stripes=[(str(t), int(n)) for t, n in request.get("stripes", [])],
             ),
         )
-        self._close_session(sid)
         return {"part": part.to_dict()}
 
     # -- reads ----------------------------------------------------------
+
+    @_guarded
+    def _op_open_get(self, request: dict):
+        """A GET up to and including its first segment, in one frame: the
+        plan, and the first segment as ``read_stripe`` would answer it."""
+        range_spec = request.get("range")
+        plan, first = self.frontend.open_get(
+            request["container"],
+            request["bucket"],
+            request["key"],
+            range_spec=tuple(range_spec) if range_spec is not None else None,
+            if_match=request.get("if_match"),
+            if_none_match=request.get("if_none_match"),
+            raw=True,
+        )
+        if first is None:  # a zero-length read plans no segment
+            return {"plan": plan.to_dict()}
+        stripe, lo, hi = plan.segments[0]
+        body, buffers = self._stripe_reply(plan.meta.stripe_lengths[stripe], lo, hi, *first)
+        return {"plan": plan.to_dict(), **body}, buffers
 
     @_guarded
     def _op_read_stripe(self, request: dict):
@@ -490,13 +587,20 @@ class OpsService:
         stripe = int(request["stripe"])
         length = meta.stripe_lengths[stripe]
         lo, hi = int(request.get("lo", 0)), int(request.get("hi", length))
-        windows, chunks = self.frontend.run_op(
+        fetched = self.frontend.run_op(
             "get_stripe", lambda: self.broker.fetch_stripe_window(meta, stripe, lo, hi)
         )
+        return self._stripe_reply(length, lo, hi, *fetched)
+
+    @staticmethod
+    def _stripe_reply(length: int, lo: int, hi: int, windows, chunks):
+        """What :meth:`Scalia.fetch_stripe_window` fetched for ``[lo, hi)`` of a
+        stripe of ``length`` plaintext bytes, as the ``(body, buffers)`` a
+        worker opens with ``_RemoteBroker._open_stripe``."""
         if windows is not None:
             runs = [p.run for _window, proven in windows for p in proven]
             if None in runs:  # shape-only proofs: nothing to ship but the span
-                return {"length": hi - lo, "synthetic": True}
+                return {"length": hi - lo, "synthetic": True}, ()
             # A sub-chunk window ships the proven leaves, never a stripe:
             # per planned row, each answering chunk's proof with its leaf
             # bytes riding beside it as raw payload.  The worker plans the
@@ -513,7 +617,7 @@ class OpsService:
             }
             return body, runs
         if chunks and isinstance(chunks[0], SyntheticChunk):
-            return {"length": hi - lo, "synthetic": True}
+            return {"length": hi - lo, "synthetic": True}, ()
         # Ship shards sorted by index: when the m fetched chunks are the
         # data shards (the common all-healthy case for systematic codes),
         # their concatenation *is* the padded stripe — the worker serves

@@ -14,13 +14,15 @@ Reed-Solomon encode/decode, MD5/SHA1 checksumming — while the broker
 process only moves chunks and mutates metadata.  Writes run the engine's
 own write driver (:mod:`repro.cluster.writepath`) against the broker's
 staged protocol (begin / ship encoded stripes as raw binary payloads /
-commit with the streamed MD5); reads fetch one stripe's chunks per RPC and
-decode locally.  When the ``m`` fetched chunks are exactly the data
-shards (the all-healthy common case of a systematic code), their
-back-to-back arrival order means the plaintext is a *single slice of the
-receive buffer* — served zero-copy, no decode, no join.  A ranged read
-narrower than its chunks gets the covering Merkle leaves with their
-proofs, never a stripe, and re-verifies them here.
+commit with the streamed MD5); a read is one ``open_get`` frame that
+answers with the plan and the first stripe's chunks, then one
+``read_stripe`` per further stripe, each decoded locally.  When the ``m``
+fetched chunks are exactly the data shards (the all-healthy common case
+of a systematic code), their back-to-back arrival order means the
+plaintext is a *single slice of the receive buffer* — served zero-copy,
+no decode, no join.  A ranged read narrower than its chunks gets the
+covering Merkle leaves with their proofs, never a stripe, and re-verifies
+them here.
 
 Tenant/bucket -> container mapping stays worker-side (it is pure
 hashing); the ops RPC carries internal container names only.
@@ -31,9 +33,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import queue
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster.engine import ReadFailedError
+from repro.cluster.engine import ReadFailedError, ReadPlan
 from repro.cluster.multipart import PartState
 from repro.cluster.readpath import (
     ProvenRun,
@@ -152,25 +154,27 @@ class RpcStager:
     Each call is one frame to the broker, which keeps the session by
     ``sid``.  ``call`` raises typed broker errors, so a provider failing
     broker-side reaches the re-plan loop as the exception it would be in
-    process.
+    process.  ``owner`` is the worker's ``(slot, incarnation)``: the two
+    begins carry it, so the supervisor can abort what a dead worker left.
     """
 
-    def __init__(self, call, codes: CodeCache) -> None:
+    def __init__(self, call, codes: CodeCache, owner: Optional[Tuple[int, int]] = None) -> None:
         self._call = call
+        self._owner = owner
         self.encode = functools.partial(split_object, code_cache=codes)
 
     def begin(self, container, key, *, size_guess, mime, rule, exclude) -> StagedWrite:
         return StagedWrite.from_dict(self._call(
             "write_begin",
             container=container, key=key, size_guess=size_guess,
-            mime=mime, rule=rule, exclude=list(exclude),
+            mime=mime, rule=rule, exclude=list(exclude), owner=self._owner,
         ))
 
     def part_begin(self, container, key, upload_id, part_number) -> StagedWrite:
         return StagedWrite.from_dict(self._call(
             "part_begin",
             container=container, key=key,
-            upload_id=upload_id, part_number=part_number,
+            upload_id=upload_id, part_number=part_number, owner=self._owner,
         ))
 
     def write_stripe(self, session, tag, chunks, roots) -> None:
@@ -220,11 +224,11 @@ class _RemoteBroker(_stubs("broker")):
     worker process (all erasure coding and checksumming).
     """
 
-    def __init__(self, pool: _RpcPool) -> None:
+    def __init__(self, pool: _RpcPool, owner: Optional[Tuple[int, int]] = None) -> None:
         super().__init__(pool)
         self._call = pool.call
         self._codes = CodeCache()
-        self._stager = RpcStager(self._call, self._codes)
+        self._stager = RpcStager(self._call, self._codes, owner)
         self.cluster = _ClusterStub()
         hello = self._call("hello")
         self.stripe_size_bytes = int(hello["stripe_size"])
@@ -262,11 +266,45 @@ class _RemoteBroker(_stubs("broker")):
 
     # -- read path ------------------------------------------------------
 
+    def open_get(
+        self,
+        container: str,
+        bucket: str,
+        key: str,
+        *,
+        range_spec: Optional[tuple] = None,
+        if_match: Optional[str] = None,
+        if_none_match: Optional[str] = None,
+    ):
+        """:meth:`BrokerFrontend.open_get`, run in the broker process, as
+        one frame: the plan and the first segment, opened here exactly as
+        a :meth:`read_stripe` reply is."""
+        response = self._call(
+            "open_get",
+            container=container, bucket=bucket, key=key,
+            range=list(range_spec) if range_spec is not None else None,
+            if_match=if_match, if_none_match=if_none_match,
+        )
+        plan = ReadPlan.from_dict(response["plan"])
+        if not plan.segments:
+            return plan, None
+        return plan, self._open_stripe(plan.meta, *plan.segments[0], response)
+
     def read_stripe(
         self, meta: ObjectMeta, stripe: int, lo: int = 0, hi: Optional[int] = None
     ):
         """Plaintext ``[lo, hi)`` of one stripe: the broker fetches, the
-        decode and the cut happen here.
+        decode and the cut happen here (:meth:`_open_stripe`)."""
+        if hi is None:
+            hi = meta.stripe_lengths[stripe]
+        response = self._call(
+            "read_stripe", meta=meta.to_dict(), stripe=int(stripe), lo=int(lo), hi=int(hi)
+        )
+        return self._open_stripe(meta, stripe, lo, hi, response)
+
+    def _open_stripe(self, meta: ObjectMeta, stripe: int, lo: int, hi: int, response: dict):
+        """Plaintext ``[lo, hi)`` of a stripe from the broker's reply to
+        ``read_stripe`` (or the stripe half of its reply to ``open_get``).
 
         A whole-chunk read verifies every shard against its shipped
         SHA-1 (parity with ``reassemble_object``'s ``verify=True`` on
@@ -275,12 +313,6 @@ class _RemoteBroker(_stubs("broker")):
         returned as one zero-copy memoryview.  A sub-chunk window
         arrives as proven leaves (:meth:`_cut_leaves`).
         """
-        length = meta.stripe_lengths[stripe]
-        if hi is None:
-            hi = length
-        response = self._call(
-            "read_stripe", meta=meta.to_dict(), stripe=int(stripe), lo=int(lo), hi=int(hi)
-        )
         if response.get("synthetic"):
             return int(response["length"])
         payload = response.get("_payload")
@@ -304,7 +336,7 @@ class _RemoteBroker(_stubs("broker")):
             # shards are the padded stripe, plaintext is its prefix.
             return payload[lo:hi]
         code = self._codes.get(meta.m, meta.n)
-        return code.decode(shards, length)[lo:hi]
+        return code.decode(shards, meta.stripe_lengths[stripe])[lo:hi]
 
     def _cut_leaves(self, meta: ObjectMeta, stripe: int, lo: int, hi: int, answers, payload):
         """A sub-chunk window from the proven leaves the broker shipped.
@@ -334,10 +366,16 @@ class _RemoteBroker(_stubs("broker")):
         return cut_windows(self._codes.get(meta.m, meta.n), fetched)
 
     def get_with_meta(self, container: str, key: str):
-        plan = self.open_read(container, key)
-        payload = plan.materialize(self.read_stripe)
-        self.commit_read(plan)
-        return payload, plan.meta
+        # No tenant's bucket at this level: a missing key is reported by
+        # the container, and the frontend above renames it.
+        plan, first = self.open_get(container, container, key)
+
+        def read(meta, stripe, lo, hi):  # the first segment is in hand
+            if stripe == plan.segments[0][0]:
+                return first
+            return self.read_stripe(meta, stripe, lo, hi)
+
+        return plan.materialize(read), plan.meta
 
     def get(self, container: str, key: str):
         return self.get_with_meta(container, key)[0]
@@ -418,7 +456,8 @@ class RemoteBrokerFrontend(_stubs("frontend"), BrokerFrontend):
     """A ``BrokerFrontend`` whose broker lives in another process.
 
     Data-plane operations inherit ``BrokerFrontend`` verbatim (they only
-    touch the duck-typed ``self.broker``); the admin and observability
+    touch the duck-typed ``self.broker``), except that :meth:`open_get`
+    runs in the broker process, as one frame; the admin and observability
     surfaces are the stubs, which ask the broker process, so ``/stats``,
     ``/history``, ``/alerts`` et al. report whole-system truth no matter
     which worker answers.  So does the cluster surface (``is_leader``,
@@ -435,10 +474,11 @@ class RemoteBrokerFrontend(_stubs("frontend"), BrokerFrontend):
         mapper=None,
         metrics: Optional[MetricsRegistry] = None,
         rpc_timeout: float = 60.0,
+        owner: Optional[Tuple[int, int]] = None,
     ) -> None:
         pool = _RpcPool(host, port, timeout=rpc_timeout)
         self._pool = pool  # what the inherited stubs call through
-        BrokerFrontend.__init__(self, _RemoteBroker(pool), mapper=mapper)
+        BrokerFrontend.__init__(self, _RemoteBroker(pool, owner), mapper=mapper)
         self.clustered = self.broker.clustered  # said once, by ``hello``
         self.local_metrics = (
             metrics if metrics is not None else MetricsRegistry(enabled=True)
@@ -459,6 +499,12 @@ class RemoteBrokerFrontend(_stubs("frontend"), BrokerFrontend):
 
     def tick(self, periods: int = 1):
         raise NotImplementedError("worker frontends tick via tick_report()")
+
+    def open_get(self, container: str, bucket: str, key: str, **conditions):
+        """The whole sequence as one frame: it runs where the broker is."""
+        return self._run(
+            "get", lambda: self.broker.open_get(container, bucket, key, **conditions)
+        )
 
     # -- worker metric shipping ------------------------------------------
 

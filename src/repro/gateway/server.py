@@ -872,10 +872,10 @@ class GatewayHandler(BaseHTTPRequestHandler):
         # Synthetic objects (cost simulations) carry sizes, not payloads:
         # the response advertises a zero-length body, as it always has.
         body_length = plan.length if meta.checksum else 0
-        # Fetch the first stripe *before* committing the status line, so
-        # the dominant failure modes (provider outage, missing chunks)
-        # still surface as clean 503s; a failure deeper into the stream
-        # can only abort the connection.
+        # ``stream_get`` fetched the first stripe *before* the status line
+        # is committed, so the dominant failure modes (provider outage,
+        # missing chunks) surfaced as clean 503s above; a failure deeper
+        # into the stream can only abort the connection.
         block_iter = iter(blocks)
         first_block = next(block_iter, None)
         self._settle_unread_body()

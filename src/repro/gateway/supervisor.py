@@ -15,11 +15,12 @@ listening socket bound here and inherited through ``fork``/``exec``.
 
 Supervision: a worker that exits is respawned in the same slot with a
 fresh incarnation number — the metrics aggregator uses the incarnation to
-fold the dead worker's counters in exactly once — after a back-off that
-grows with consecutive crashes.  :meth:`WorkerPool.close` forwards TERM to
-every worker, waits out their graceful drains, then escalates to SIGKILL.
-A worker that outlives this process notices within a second and exits on
-its own (see the worker's lifecycle notes).
+fold the dead worker's counters in exactly once, and the ops service to
+abort the staged write sessions the dead worker left open — after a
+back-off that grows with consecutive crashes.  :meth:`WorkerPool.close`
+forwards TERM to every worker, waits out their graceful drains, then
+escalates to SIGKILL.  A worker that outlives this process notices within
+a second and exits on its own (see the worker's lifecycle notes).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import socket
 import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -71,7 +73,8 @@ class WorkerPool:
             self._reservation.set_inheritable(True)
         self.address: Tuple[str, int] = self._reservation.getsockname()[:2]
         aggregator = WorkerMetricsAggregator(frontend.broker.metrics)
-        self._rpc = OpsService(frontend, aggregator=aggregator).serve("127.0.0.1", 0)
+        self._ops = OpsService(frontend, aggregator=aggregator)
+        self._rpc = self._ops.serve("127.0.0.1", 0)
 
         ops_host, ops_port = self._rpc.address
         self._argv = [
@@ -146,6 +149,12 @@ class WorkerPool:
                         f"with code {code}; respawning"
                         + (f" in {delay:.1f}s" if delay else "")
                     )
+                    # Whatever it was writing is nobody's now: drop the
+                    # staged chunks and end their in-flight registration.
+                    try:
+                        self._ops.abort_sessions_of(slot, incarnation)
+                    except Exception:  # noqa: BLE001 — supervision goes on
+                        traceback.print_exc()
                     state[0] = None
                     state[2] = failures
                     state[3] = now + delay

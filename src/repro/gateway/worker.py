@@ -13,7 +13,9 @@ Lifecycle:
 
 * A pusher thread ships the local metrics registry to the broker's
   aggregator about once a second, tagged ``(slot, incarnation)`` so a
-  restarted worker never double-counts.
+  restarted worker never double-counts.  The staged write sessions this
+  worker begins carry the same tag: the supervisor aborts them when it
+  sees this process exit, so a SIGKILL mid-PUT strands no chunk.
 * SIGTERM (and SIGINT) trigger a graceful drain: stop accepting, finish
   requests already in flight (bounded by ``--drain-timeout``), push the
   final metrics snapshot, retire the slot, exit 0.  The supervisor
@@ -72,7 +74,9 @@ def _connect_frontend(args) -> RemoteBrokerFrontend:
     deadline = time.monotonic() + CONNECT_DEADLINE_S
     while True:
         try:
-            return RemoteBrokerFrontend(args.ops_host, args.ops_port)
+            return RemoteBrokerFrontend(
+                args.ops_host, args.ops_port, owner=(args.slot, args.incarnation)
+            )
         except (RpcError, OSError):
             if time.monotonic() >= deadline:
                 raise

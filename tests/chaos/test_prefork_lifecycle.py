@@ -9,6 +9,9 @@ Real ``repro serve --workers N`` process trees over loopback:
 * ``/metrics`` totals must survive the restart without double-counting:
   counters folded from the dead incarnation plus the replacement's own
   add up to exactly the requests served.
+* SIGKILL to a worker inside a multi-stripe PUT must strand nothing: the
+  supervisor aborts the dead incarnation's staged session, so its chunks
+  are deleted or left as ordinary orphans, never fenced until a restart.
 * SIGKILL to the *supervisor* must not leave a zombie worker holding the
   port: the orphan drains, exits non-zero and the port refuses, so a
   restarted supervisor on the same ``--port`` serves alone.
@@ -22,6 +25,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -36,13 +40,14 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 PUSH_SETTLE_S = 2.5
 
 
-def _boot(port=0):
+def _boot(port=0, *serve_args):
     """``repro serve --workers 1`` on ``port``; returns (process, port)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--workers", "1", "--port", str(port)],
+        [sys.executable, "-m", "repro", "serve", "--workers", "1", "--port", str(port),
+         *serve_args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True,
     )
     port = None
@@ -100,6 +105,21 @@ def _put(port, bucket, key, data):
     )
     with urllib.request.urlopen(request, timeout=30) as response:
         assert response.status == 200
+
+
+def _post(port, path, doc=None):
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}", method="POST",
+        data=json.dumps(doc).encode() if doc is not None else None,
+    )
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return json.loads(response.read())
+
+
+def _stored_bytes(port):
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}/stats", timeout=10) as response:
+        backends = json.loads(response.read())["storage"]["backends"]
+    return sum(backend["stored_bytes"] for backend in backends.values())
 
 
 def _wait_for_new_pid(port, old_pid, timeout=30):
@@ -187,6 +207,55 @@ class TestWorkerLifecycle:
         # Folded dead-incarnation total (5) + live replacement (3): the
         # counter is monotone and exact — no reset, no double fold.
         assert after == 8.0
+
+
+def test_worker_sigkilled_inside_a_put_strands_no_chunk():
+    latency_s = 1.5
+    proc, port = _boot(0, "--stripe-bytes", "65536")
+    try:
+        payload = bytes(range(256)) * 768  # three stripes of 64 KiB
+        _put(port, "kill", "probe.bin", payload)
+        with urllib.request.urlopen(
+            urllib.request.Request(f"http://127.0.0.1:{port}/kill/probe.bin", method="HEAD"),
+            timeout=10,
+        ) as response:
+            placement = response.headers["x-scalia-placement"]  # "[A, B; m:1]"
+        slow = placement.strip("[]").split(";")[0].split(",")[0].strip()
+        baseline = _stored_bytes(port)
+        # One slow provider holds every write_stripe of the next PUT open.
+        _post(port, "/faults", {"provider": slow, "profile": {"latency_ms": latency_s * 1e3}})
+        worker_pid = _healthz_pid(port)
+
+        def torn_put():
+            try:
+                _put(port, "kill", "torn.bin", payload)
+            except (OSError, http.client.HTTPException):
+                pass  # the worker serving it is about to die
+
+        client = threading.Thread(target=torn_put, daemon=True)
+        client.start()
+        deadline = time.monotonic() + 30
+        while _stored_bytes(port) == baseline:  # until a chunk of it landed
+            assert time.monotonic() < deadline, "the PUT never staged a chunk"
+            time.sleep(0.05)
+        os.kill(worker_pid, signal.SIGKILL)
+        killed = time.monotonic()
+        _wait_for_new_pid(port, worker_pid)
+        _post(port, "/faults", {"provider": slow, "profile": None})
+        # The stripe that was landing when the worker died lands in full.
+        time.sleep(max(0.0, killed + latency_s + 1.0 - time.monotonic()))
+        client.join(timeout=10)
+        assert not client.is_alive()
+
+        # The supervisor aborted the dead incarnation's session: what it
+        # had landed is deleted, what landed after is an ordinary orphan
+        # of the first scrub (a leaked session would fence it: 0 found,
+        # the bytes stored until the broker restarts).
+        _post(port, "/scrub")
+        assert _post(port, "/scrub")["orphans_found"] == 0
+        assert _stored_bytes(port) == baseline
+    finally:
+        _shut_down(proc)
 
 
 PR_SET_CHILD_SUBREAPER = 36

@@ -38,14 +38,15 @@ from repro.gateway.ops import (
     to_wire,
 )
 from repro.gateway.remote import RemoteBrokerFrontend
-from repro.gateway.routes import NotModifiedError
+from repro.gateway.routes import NotModifiedError, PreconditionFailedError
 from repro.gateway.server import ScaliaGateway
 from repro.obs.workers import WorkerMetricsAggregator
 from repro.providers.faults import FaultProfile
-from repro.providers.provider import _tampered
+from repro.providers.provider import ProviderUnavailableError, _tampered
 from repro.replication import rpc
 from repro.replication.frontend import WRITE_OPS
 from repro.replication.rpc import RpcError
+from repro.storage.backend import ChunkCorruptionError
 from repro.storage.merkle import chunk_root
 from repro.types import ListPage, ObjectMeta
 
@@ -144,14 +145,29 @@ class TestObjectRoundTrip:
             assert [index for index, _ in served] == list(range(via_stub.m))
             assert rig["remote"].get(TENANT, "bkt", f"stub-{key}") == payload
 
-    #: Every admin and namespace route, and the errors a worker used to
-    #: answer differently.  ``{upload}`` is the side's last created upload.
+    #: Every admin and namespace route, the errors a worker used to
+    #: answer differently, and every answer a GET has (what the one
+    #: ``open_get`` frame must carry).  ``{upload}`` is the side's last
+    #: created upload; a fourth element is the request's headers.
     _PROVIDER = "S3(h)"
+    _A = b"alpha" * 2000  # three stripes of 4 KiB
+    _A_ETAG = f'"{hashlib.md5(_A).hexdigest()}"'
     REQUESTS = [
         ("GET", "/healthz", None),
-        ("PUT", "/bkt/a", b"alpha" * 2000),
+        ("PUT", "/bkt/a", _A),
         ("GET", "/bkt/a", None),
         ("HEAD", "/bkt/a", None),
+        ("GET", "/bkt/a", None, {"If-None-Match": _A_ETAG}),
+        ("GET", "/bkt/a", None, {"If-Match": '"somebody-else"'}),
+        ("GET", "/bkt/a", None, {"If-Match": _A_ETAG, "If-None-Match": '"stale"'}),
+        ("GET", "/bkt/a", None, {"Range": "bytes=10-20", "If-None-Match": _A_ETAG}),
+        ("GET", "/bkt/a", None, {"Range": "bytes=10-20", "If-Match": '"somebody-else"'}),
+        ("GET", "/bkt/a", None, {"Range": "bytes=4000-5000"}),  # spans two stripes
+        ("GET", "/bkt/a", None, {"Range": "bytes=-300"}),
+        ("GET", "/bkt/a", None, {"Range": "bytes=20000-"}),
+        ("PUT", "/bkt/empty", b""),
+        ("GET", "/bkt/empty", None),
+        ("GET", "/bkt/empty", None, {"Range": "bytes=-5"}),
         ("GET", "/bkt/ghost", None),
         ("HEAD", "/bkt/ghost", None),
         ("DELETE", "/bkt/ghost", None),
@@ -194,26 +210,39 @@ class TestObjectRoundTrip:
 
     def test_http_answers_match_local_frontend(self, rig):
         """Two gateways over one broker, one per frontend: every route
-        answers with the same status and the same error message.  Each
-        side writes as its own tenant, so neither sees the other's keys."""
+        answers with the same status and the same error message, and the
+        broker counts the same operations and errors for it (``ops`` and
+        ``errors`` of ``/stats``).  An object GET also answers with the
+        same headers and body for the same provider traffic.  Each side
+        writes as its own tenant, so neither sees the other's keys."""
         sides = {
             name: ScaliaGateway(rig[name], port=0).start() for name in ("local", "remote")
         }
         uploads = {}
+        counters = rig["local"]  # the broker's: the ops service counts here too
 
-        def send(name, method, path, body):
+        def counted():
+            with counters._counter_lock:
+                return dict(counters.op_counts), dict(counters.error_counts)
+
+        def send(name, method, path, body, headers=None):
             if isinstance(body, dict):
                 body = json.dumps(body).encode()
+            before, billed = counted(), _billed(rig["broker"])
             conn = http.client.HTTPConnection(*sides[name].address, timeout=30)
             try:
                 conn.request(
                     method, path.format(upload=uploads.get(name)), body=body,
-                    headers={"x-scalia-tenant": name},
+                    headers={"x-scalia-tenant": name, **(headers or {})},
                 )
                 response = conn.getresponse()
                 raw = response.read()
             finally:
                 conn.close()
+            moved = [
+                {op: n - was.get(op, 0) for op, n in now.items() if n != was.get(op, 0)}
+                for was, now in zip(before, counted())
+            ]
             try:
                 doc = json.loads(raw)
             except ValueError:
@@ -221,22 +250,53 @@ class TestObjectRoundTrip:
             if isinstance(doc, dict) and "uploadId" in doc:
                 uploads[name] = doc["uploadId"]
             error = doc.get("error") if isinstance(doc, dict) else None
-            return response.status, error
+            answer = [response.status, error, moved]
+            if method == "GET" and path.startswith("/bkt/") and "?" not in path:
+                stable = TestRangedReadDifferential.STABLE
+                traffic = tuple(b - a for a, b in zip(billed, _billed(rig["broker"])))
+                answer += [{h: response.headers.get(h) for h in stable}, raw, traffic]
+            return answer
 
         try:
             answers = {
-                (method, path, str(body)[:40]): [
-                    send(name, method, path, body) for name in ("local", "remote")
+                (method, path, str(body)[:40], str(headers)): [
+                    send(name, method, path, body, *headers) for name in ("local", "remote")
                 ]
-                for method, path, body in self.REQUESTS
+                for method, path, body, *headers in self.REQUESTS
             }
         finally:
             for gateway in sides.values():
                 gateway.close()
         diverged = {k: v for k, v in answers.items() if v[0] != v[1]}
         assert not diverged
-        statuses = {status for (status, _error), _ in answers.values()}
-        assert {200, 400, 404} <= statuses  # the errors are in the list
+        statuses = {local[0] for local, _ in answers.values()}
+        assert {200, 206, 304, 400, 404, 412, 416} <= statuses  # all in the list
+
+        reads = [local for local, _ in answers.values() if len(local) > 3]
+        for status, error, _moved, headers, body, traffic in reads:
+            if status in (304, 404, 412, 416):
+                assert traffic == (0, 0), (status, traffic)  # refused before any read
+            if status == 404:
+                assert error == "bkt/ghost not found"  # the tenant's name for it
+            if status == 416:
+                assert headers["Content-Range"] in ("bytes */10000", "bytes */0")
+
+        def worker_read(path, **headers):
+            return answers["GET", path, "None", str([headers] if headers else [])][1]
+
+        a = self._A
+        assert worker_read("/bkt/a")[4] == a
+        empty = worker_read("/bkt/empty")
+        assert (empty[0], empty[3]["Content-Length"], empty[4]) == (200, "0", b"")
+        spanning = worker_read("/bkt/a", Range="bytes=4000-5000")
+        assert spanning[3]["Content-Range"] == "bytes 4000-5000/10000"
+        assert spanning[4] == a[4000:5001]
+        assert worker_read("/bkt/a", Range="bytes=-300")[4] == a[-300:]
+        # A GET is a ``get`` whichever process served it, a missing key an
+        # ``errors.get``, and neither is a ``head``.
+        assert worker_read("/bkt/a")[2] == [{"get": 1, "get_stripe": 3, "commit_read": 1}, {}]
+        assert spanning[2] == [{"get": 1, "get_stripe": 2, "commit_read": 1}, {}]
+        assert worker_read("/bkt/ghost")[2] == [{}, {"get": 1}]
 
 
 class TestStreamGet:
@@ -355,7 +415,7 @@ class TestAccounting:
         remote.delete(TENANT, "bkt", "c2")
         counts = rig["local"].stats()["ops"]
         assert counts["put"] >= 2
-        assert counts["open_read"] >= 1
+        assert counts["get"] >= 1
         assert counts["get_stripe"] >= 1
         assert counts["commit_read"] >= 1
         assert counts["head"] >= 1
@@ -447,7 +507,8 @@ class TestErrorCodec:
         original = row.cls("what went wrong")
         samples = {"object_size": 7, "provider_name": "S3(h)",
                    "causes": {"S3(h)": RuntimeError("down")},
-                   "leader_url": "http://127.0.0.1:8090", "retry_after": 0.4}
+                   "leader_url": "http://127.0.0.1:8090", "retry_after": 0.4,
+                   "etag": "9e107d9d372bb6826bd81d3542a419d6"}
         for attr in row.fields:
             setattr(original, attr, samples[attr])
         doc = error_doc(original)
@@ -456,7 +517,12 @@ class TestErrorCodec:
         # TypeError deliberately arrives as ValueError (both are a 400).
         expected = ValueError if row.cls is TypeError else row.cls
         assert type(decoded) is expected
-        assert decoded.args[0] == "what went wrong"
+        if "etag" in row.fields:
+            # The 304 and the 412 fix their own message; what they carry
+            # is the ETag the response needs.
+            assert decoded.etag == samples["etag"]
+        else:
+            assert decoded.args[0] == "what went wrong"
         assert error_doc(decoded) == doc
 
     def test_subclasses_encode_as_their_own_kind(self):
@@ -474,7 +540,7 @@ class TestErrorCodec:
 
 FRAMED = {
     "hello", "write_begin", "write_stripe", "write_commit",
-    "part_begin", "part_commit", "staged_abort", "read_stripe",
+    "part_begin", "part_commit", "staged_abort", "open_get", "read_stripe",
 }
 
 
@@ -487,15 +553,11 @@ def _drives(rig):
     c = remote.mapper.internal_container(TENANT, "bkt")
     remote.put(TENANT, "bkt", "seed", b"seed" * 3000)
     remote.put(TENANT, "bkt", "doomed", b"x")
-    plan = broker.open_read(c, "seed")
     uploads = [broker.create_multipart_upload(c, k) for k in ("done", "dropped")]
     remote.upload_part(TENANT, "bkt", "done", uploads[0].upload_id, 1, b"part")
     provider = rig["broker"].registry.names()[0]
     return {
         "broker.head": (lambda: broker.head(c, "seed"), ObjectMeta),
-        "broker.open_read": (
-            lambda: broker.open_read(c, "seed", byte_range=(10, None)), ReadPlan),
-        "broker.commit_read": (lambda: broker.commit_read(plan), type(None)),
         "broker.put": (
             lambda: broker.put(c, "syn", 4096, mime="a/b", rule=None, size_hint=None),
             ObjectMeta),
@@ -590,7 +652,7 @@ class TestOperationTable:
         with pytest.raises(ValueError, match="no_such_option"):
             call("broker.head", args=["c", "k"], kwargs={"no_such_option": 1})
         with pytest.raises(ValueError, match="wire type"):
-            call("broker.commit_read", args=[{"__wire__": "Placement", "value": {}}])
+            call("broker.explain", args=[{"__wire__": "Placement", "value": {}}, "k"])
 
     def test_typed_values_round_trip(self, rig):
         remote = rig["remote"]
@@ -600,16 +662,19 @@ class TestOperationTable:
         upload = remote.list_uploads(TENANT, "bkt")[0]
         plan, _blocks = remote.stream_get(TENANT, "bkt", "typed", range_spec=(5, STRIPE + 5))
         page = ListPage(keys=["a"], common_prefixes=["b/"], next_token="t", is_truncated=True)
-        values = [meta, upload, part, plan, page]
+        values = [meta, upload, part, page]
         assert [type(v) for v in values] == [
-            ObjectMeta, MultipartState, PartState, ReadPlan, ListPage]
+            ObjectMeta, MultipartState, PartState, ListPage]
         assert upload.parts and len(plan.segments) == 2
         for value in values:
             wire = json.loads(json.dumps(to_wire(value)))
             assert from_wire(wire) == value
-        nested = {"plans": [plan, None], "n": (1, 2.5, "x")}
+        # A plan crosses inside the ``open_get`` reply, as its own document.
+        assert type(plan) is ReadPlan
+        assert ReadPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
+        nested = {"metas": [meta, None], "n": (1, 2.5, "x")}
         assert from_wire(json.loads(json.dumps(to_wire(nested)))) == {
-            "plans": [plan, None], "n": [1, 2.5, "x"]}
+            "metas": [meta, None], "n": [1, 2.5, "x"]}
 
     def test_a_plain_dict_cannot_pose_as_a_typed_value(self):
         doc = {"__wire__": "ObjectMeta", "value": {"nested": {"__wire__": 1}}}
@@ -657,6 +722,9 @@ class TestClusterSurface:
         try:
             assert _send(gateway, "PUT", "/bkt/k", body=b"v" * 100)[0] == 200
             assert frames == ["write_begin", "write_stripe", "write_commit"]
+            del frames[:]
+            assert _send(gateway, "GET", "/bkt/k")[0] == 200
+            assert frames == ["open_get"]
             assert _send(gateway, "DELETE", "/bkt/k")[0] == 204
             assert _send(gateway, "POST", "/tick")[0] == 200
         finally:
@@ -748,7 +816,10 @@ def leafy():
         "local": ScaliaGateway(local, port=0).start(),
         "remote": ScaliaGateway(remote, port=0).start(),
     }
-    yield {"broker": broker, "meta": meta, "payload": payload, "sides": sides}
+    yield {
+        "broker": broker, "meta": meta, "payload": payload, "sides": sides,
+        "local": local, "remote": remote, "server": server,
+    }
     for gateway in sides.values():
         gateway.close()
     remote.close()
@@ -886,3 +957,265 @@ class TestRangedReadPayload:
         gets, moved = (after - b for after, b in zip(_billed(broker), before))
         assert gets == 1 and 2 * 65536 < moved < 2 * 65536 + 20 * 32
         assert remote.broker.read_stripe(meta, 0) == 4 * MiB
+
+
+class TestGetFrames:
+    """What a GET costs a worker in ops-RPC frames: one, plus one per
+    stripe after the first; an answer that reads nothing costs one."""
+
+    def test_one_frame_plus_one_per_further_stripe(self, rig):
+        remote = rig["remote"]
+        small, big = b"s" * 100, bytes(range(256)) * 40  # 10240 B: 3 stripes
+        etag = remote.put(TENANT, "bkt", "small", small).checksum
+        remote.put(TENANT, "bkt", "big", big)
+        frames = _count_frames(rig["server"])
+        gateway = ScaliaGateway(remote, port=0).start()
+
+        def get(path, **headers):
+            del frames[:]
+            status, _headers, body = _raw(
+                gateway, "GET", path, headers={"x-scalia-tenant": TENANT, **headers}
+            )
+            return status, body, list(frames)
+
+        try:
+            assert get("/bkt/small") == (200, small, ["open_get"])
+            assert get("/bkt/big") == (200, big, ["open_get", "read_stripe", "read_stripe"])
+            assert get("/bkt/big", Range="bytes=5000-6000") == (
+                206, big[5000:6001], ["open_get"])
+            for status, path, headers in (
+                (304, "/bkt/small", {"If-None-Match": f'"{etag}"'}),
+                (412, "/bkt/small", {"If-Match": '"somebody-else"'}),
+                (404, "/bkt/ghost", {}),
+                (416, "/bkt/small", {"Range": "bytes=500-"}),
+            ):
+                answered, _body, served = get(path, **headers)
+                assert (answered, served) == (status, ["open_get"])
+        finally:
+            gateway.close()
+        # The same frame serves the buffered read of the frontend API.
+        del frames[:]
+        assert remote.get(TENANT, "bkt", "big") == big
+        assert frames == ["open_get", "read_stripe", "read_stripe"]
+
+    def test_a_64k_range_inside_a_stripe_is_one_frame_of_covering_leaves(
+        self, leafy, monkeypatch
+    ):
+        frames = _count_frames(leafy["server"])
+        sent = []
+        real = rpc.send_message
+
+        def counting(sock, message, buffers=()):
+            if "ok" in message:  # a server's answer
+                sent.append(sum(len(b) for b in buffers))
+            return real(sock, message, buffers)
+
+        monkeypatch.setattr(rpc, "send_message", counting)
+        lo = MiB + 200_000
+        _plan, blocks = leafy["remote"].stream_get(
+            "shared", "bkt", "leafy", range_spec=(lo, lo + 65535)
+        )
+        assert _drain(blocks) == leafy["payload"][lo : lo + 65536]
+        assert frames == ["open_get"]
+        # The covering leaves (two of 64 KiB), never the 1 MiB stripe.
+        assert sent == [2 * 65536]
+
+
+@pytest.fixture(params=["local", "remote"])
+def topology(request, rig):
+    """The in-process frontend, then a worker's, over the same broker."""
+    return rig[request.param]
+
+
+class TestGetInBothTopologies:
+    def test_a_put_between_head_and_open_read_is_revalidated(self, rig, topology, monkeypatch):
+        broker = rig["broker"]
+        old = topology.put(TENANT, "bkt", "churn", b"old" * 1000)
+        real = broker.open_read
+        reput = []
+
+        def open_read(container, key, **kwargs):
+            if not reput:  # lands after the head validated the old version
+                reput.append(rig["local"].put(TENANT, "bkt", "churn", b"new!"))
+            return real(container, key, **kwargs)
+
+        monkeypatch.setattr(broker, "open_read", open_read)
+        # The old version passed If-Match; the version served does not.
+        with pytest.raises(PreconditionFailedError) as refused:
+            topology.stream_get(TENANT, "bkt", "churn", if_match=f'"{old.checksum}"')
+        assert refused.value.etag == reput[0].checksum
+        # Unconditional: planned, served and described by the new version.
+        del reput[:]
+        topology.put(TENANT, "bkt", "churn", b"old" * 1000)
+        plan, blocks = topology.stream_get(TENANT, "bkt", "churn", range_spec=(1, None))
+        assert plan.meta.checksum == reput[0].checksum
+        assert (plan.start, plan.end, _drain(blocks)) == (1, 3, b"ew!")
+
+    def test_a_first_segment_nobody_can_serve_is_a_503_and_not_a_read(self, rig, topology):
+        broker, counters = rig["broker"], rig["local"]
+        topology.put(TENANT, "bkt", "dark", bytes(range(256)) * 40)
+        broker.cluster.flush_logs()
+        records = broker.cluster.stats.record_count()
+        committed = counters.op_counts.get("commit_read", 0)
+        for provider in broker.registry.providers():
+            provider.fail()
+        gateway = ScaliaGateway(topology, port=0).start()
+        try:
+            status, headers, body = _raw(
+                gateway, "GET", "/bkt/dark", headers={"x-scalia-tenant": TENANT}
+            )
+        finally:
+            gateway.close()
+        # A status line of its own: nothing of a 200 went out first.
+        assert status == 503 and "error" in json.loads(body)
+        assert headers.get("ETag") is None
+        assert counters.op_counts.get("commit_read", 0) == committed
+        assert counters.error_counts["get_stripe"] == 1
+        broker.cluster.flush_logs()
+        assert broker.cluster.stats.record_count() == records
+
+
+def _tamper(server, op, forge):
+    """Serve ``op`` through ``forge(handler, request) -> reply``: what a
+    worker would see were the frame altered between broker and worker."""
+    handler = server.handlers[op]
+    server.handlers = {**server.handlers, op: lambda request: forge(handler, request)}
+
+
+def _flip_a_payload_byte(handler, request):
+    body, buffers = handler(request)
+    forged = bytearray(b"".join(bytes(b) for b in buffers))
+    forged[len(forged) // 2] ^= 1
+    return body, [forged]
+
+
+class TestTamperedReplies:
+    """A worker serves no byte it has not checked against the metadata it
+    holds, and the first stripe riding ``open_get`` is checked by the
+    statements that check a ``read_stripe`` reply."""
+
+    #: op -> how the worker asks for plaintext ``[lo, hi]`` of stripe 0
+    ASK = {
+        "open_get": lambda remote, tenant, key, meta, lo, hi: _drain(
+            remote.stream_get(tenant, "bkt", key, range_spec=(lo, hi))[1]),
+        "read_stripe": lambda remote, tenant, key, meta, lo, hi: bytes(
+            remote.broker.read_stripe(meta, 0, lo, hi + 1)),
+    }
+
+    @pytest.mark.parametrize("op", ["open_get", "read_stripe"])
+    def test_a_flipped_byte_in_whole_chunks_fails_its_sha1(self, rig, op):
+        remote = rig["remote"]
+        payload = bytes(range(256)) * 10
+        meta = remote.put(TENANT, "bkt", "whole", payload)
+        assert self.ASK[op](remote, TENANT, "whole", meta, 0, 99) == payload[:100]
+        _tamper(rig["server"], op, _flip_a_payload_byte)
+        with pytest.raises(ValueError, match=r"chunk \d+ failed checksum verification"):
+            self.ASK[op](remote, TENANT, "whole", meta, 0, 99)
+
+    @pytest.mark.parametrize("op", ["open_get", "read_stripe"])
+    def test_forged_leaves_fail_their_proof(self, leafy, op):
+        remote, meta, payload = leafy["remote"], leafy["meta"], leafy["payload"]
+        ask = lambda: self.ASK[op](remote, "shared", "leafy", meta, 1000, 1000 + 65535)  # noqa: E731
+        assert ask() == payload[1000 : 1000 + 65536]
+        _tamper(leafy["server"], op, _flip_a_payload_byte)
+        with pytest.raises(ChunkCorruptionError, match="failed their Merkle proof"):
+            ask()
+
+    @pytest.mark.parametrize("op", ["open_get", "read_stripe"])
+    def test_a_valid_proof_of_other_leaves_is_refused(self, leafy, op):
+        remote, meta = leafy["remote"], leafy["meta"]
+        elsewhere = {  # the same request, one leaf further into the row
+            "open_get": {"range": [1000 + 65536, 1000 + 2 * 65536 - 1]},
+            "read_stripe": {"lo": 1000 + 65536, "hi": 1000 + 2 * 65536},
+        }[op]
+
+        def swap(handler, request):
+            body, _buffers = handler(request)
+            other, buffers = handler({**request, **elsewhere})
+            return {**body, "windows": other["windows"]}, buffers
+
+        _tamper(leafy["server"], op, swap)
+        with pytest.raises(ChunkCorruptionError, match="failed their Merkle proof"):
+            self.ASK[op](remote, "shared", "leafy", meta, 1000, 1000 + 65535)
+
+
+class TestDeadWorkerSessions:
+    """Staged sessions belong to the worker that began them, and the
+    supervisor aborts them when it sees that worker exit."""
+
+    def stage(self, rig, owner):
+        """``write_begin`` + ``write_stripe`` as worker ``owner``, which then
+        drops every connection, as on SIGKILL."""
+        worker = RemoteBrokerFrontend(*rig["server"].address, owner=owner)
+        stager = worker.broker._stager
+        session = stager.begin(
+            "c", f"k{owner}", size_guess=64, mime="a/b", rule=None, exclude=()
+        )
+        chunks = split_object(b"stranded" * 8, session.m, session.n)
+        stager.write_stripe(session, None, chunks, [chunk_root(c) for c in chunks])
+        worker.close()
+        return session
+
+    def stored(self, rig, session):
+        return {ref for ref in _stored_keys(rig["broker"]) if session.skey in ref[1]}
+
+    def test_the_supervisor_aborts_what_a_dead_worker_left_staged(self, rig):
+        broker, ops = rig["broker"], rig["ops"]
+        in_flight = broker.cluster.locks.in_flight
+        session = self.stage(rig, (0, 1))
+        # Where the parent stayed until the broker restarted: the session
+        # kept, its skey fenced from the orphan sweep, its chunks billed.
+        assert len(ops._sessions) == 1
+        assert in_flight.snapshot() == {session.skey}
+        assert broker.scrub(repair=True).orphans_found == 0
+        assert len(self.stored(rig, session)) == session.n == 2
+        # The replacement's sessions, and those of no named worker, are
+        # not the dead incarnation's.
+        kept = [self.stage(rig, owner) for owner in ((0, 2), (1, 1), None)]
+        assert ops.abort_sessions_of(0, 1) == session.n
+        assert set(ops._sessions) == {other.sid for other in kept}
+        assert in_flight.snapshot() == {other.skey for other in kept}
+        assert self.stored(rig, session) == set()
+        assert all(len(self.stored(rig, other)) == other.n for other in kept)
+
+    def test_a_begin_still_in_service_when_its_worker_was_buried_is_aborted(self, rig):
+        broker, ops = rig["broker"], rig["ops"]
+        ops.abort_sessions_of(0, 1)
+        with pytest.raises(ValueError, match="is gone"):
+            self.stage(rig, (0, 1))
+        assert ops._sessions == {} and len(broker.cluster.locks.in_flight) == 0
+        self.stage(rig, (0, 2))  # the replacement begins as ever
+        assert len(ops._sessions) == 1
+
+    @pytest.mark.parametrize("commit_fails", [False, True])
+    def test_an_abort_cannot_race_a_commit_in_service(self, rig, monkeypatch, commit_fails):
+        broker, ops = rig["broker"], rig["ops"]
+        real = broker.stager
+
+        def stager():
+            staged = real()
+
+            def commit(session, **kwargs):
+                # The supervisor notices the exit while the commit runs.
+                assert ops.abort_sessions_of(0, 1) == 0
+                if commit_fails:
+                    raise ProviderUnavailableError("journal refused")
+                return staged.commit(session, **kwargs)
+
+            return staged._replace(commit=commit)
+
+        monkeypatch.setattr(broker, "stager", stager)
+        worker = RemoteBrokerFrontend(*rig["server"].address, owner=(0, 1))
+        try:
+            if commit_fails:
+                # Put back for the driver's abort, the session finds its
+                # worker buried: aborted there and then.
+                with pytest.raises(ValueError, match="is gone"):
+                    worker.put(TENANT, "bkt", "raced", b"r" * 300)
+                assert _stored_keys(broker) == set()
+            else:
+                worker.put(TENANT, "bkt", "raced", b"r" * 300)
+                assert rig["local"].get(TENANT, "bkt", "raced") == b"r" * 300
+        finally:
+            worker.close()
+        assert ops._sessions == {} and len(broker.cluster.locks.in_flight) == 0
