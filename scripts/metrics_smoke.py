@@ -18,7 +18,11 @@ Checks, in order:
    on every provider open the circuit breakers (``breaker.open`` in
    ``/events``) and burn the availability SLO until an alert fires in
    ``/alerts``; clearing the faults closes the breakers
-   (``breaker.half_open`` → ``breaker.closed``) and resolves the alert.
+   (``breaker.half_open`` → ``breaker.closed``) and resolves the alert;
+6. on that healed gateway the placement table answers for itself
+   (``scalia_placement_searches_total``: same-size PUTs are hits,
+   distinct sizes are builds), and 2 000 further PUTs do not push the
+   breaker and alert cycle out of ``/events``.
 
 Exit code 0 means every check held.
 """
@@ -54,6 +58,8 @@ REQUIRED_FAMILIES = (
     "scalia_wal_fsync_seconds",
     "scalia_scrub_objects_total",
     "scalia_optimizer_batch_seconds",
+    "scalia_placement_searches_total",
+    "scalia_placement_table_rows",
 )
 
 _SAMPLE = re.compile(
@@ -174,6 +180,55 @@ def active_alerts():
     return json.loads(http("GET", "/alerts"))["active"]
 
 
+def metric_samples(family):
+    doc = json.loads(http("GET", "/metrics?format=json"))
+    return doc["metrics"][family]["samples"]
+
+
+def placement_searches():
+    return {
+        s["labels"]["table"]: s["value"]
+        for s in metric_samples("scalia_placement_searches_total")
+    }
+
+
+def placement_table_and_journal(k=200) -> None:
+    """Check 6, on the gateway check 5 has just healed."""
+    # PUTs of new keys avoid a provider whose breaker is not closed and so
+    # never probe it: the pool placements see, hence the table key, holds
+    # still from here on (the slack of 2 is for a transition in flight).
+    before = placement_searches()
+    for i in range(k):
+        http("PUT", f"/smoke/same{i}.bin", b"x" * 1000)
+    same = placement_searches()
+    hit, built = same["hit"] - before["hit"], same["built"] - before["built"]
+    check(
+        hit >= k - 2 and built <= 2,
+        f"{k} PUTs of one size: {hit:.0f} table hits, {built:.0f} builds",
+    )
+    for i in range(k):
+        http("PUT", f"/smoke/distinct{i}.bin", b"x" * (2000 + i))
+    built = placement_searches()["built"] - same["built"]
+    check(built >= k, f"{k} PUTs of {k} sizes: {built:.0f} builds")
+    rows = metric_samples("scalia_placement_table_rows")[0]["value"]
+    check(rows > 0, f"placement table holds {rows:.0f} rows")
+
+    # One placement.chosen per PUT used to share the ring with everything
+    # else: 1 469 PUTs were enough to lose the cycle driven above.
+    for i in range(2000):
+        http("PUT", f"/smoke/flood{i % 50}.bin", b"x" * 1000)
+    breaker = {e["type"] for e in events_of("breaker.")}
+    check(
+        {"breaker.open", "breaker.half_open", "breaker.closed"} <= breaker,
+        "breaker cycle still in /events after 2000 more PUTs",
+    )
+    alert = {e["type"] for e in events_of("alert.")}
+    check(
+        {"alert.fired", "alert.resolved"} <= alert,
+        "alert cycle still in /events after 2000 more PUTs",
+    )
+
+
 def breaker_and_alert_cycle(tmp) -> None:
     """Check 5: breaker open/close + SLO alert fire/clear, end to end.
 
@@ -241,6 +296,7 @@ def breaker_and_alert_cycle(tmp) -> None:
         check(closed, "breaker.closed journaled")
         check(cleared, "availability alert cleared in /alerts")
         check(events_of("alert.resolved"), "alert.resolved journaled in /events")
+        placement_table_and_journal()
     finally:
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=30)

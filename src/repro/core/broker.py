@@ -132,9 +132,9 @@ class CorePlanner:
     def _decide(self, specs, rule, projection, horizon, exclude):
         """Best placement plus, when the journal is live, the runners-up.
 
-        With events off this is exactly the old single-pass Algorithm-1
-        search; the full ranked enumeration runs only when somebody will
-        actually read the rationale.
+        Either way it is one pricing pass over the engine's table; the
+        runners-up are sorted out of it only when somebody will actually
+        read the rationale.
         """
         if not self.journal.enabled:
             best = self.placement_engine.best_placement(
@@ -507,6 +507,16 @@ class Scalia:
             "Journal events evicted by the ring budgets or dropped oversize.",
             ("reason",),
         )
+        placement_searches = m.counter(
+            "scalia_placement_searches_total",
+            "Algorithm-1 pricing passes: served from the placement table "
+            "(hit) or after building its entry (built).",
+            ("table",),
+        )
+        placement_rows = m.gauge(
+            "scalia_placement_table_rows",
+            "Feasible-subset rows the placement table holds.",
+        )
         breaker_code = {"closed": 0.0, "open": 1.0, "half_open": 2.0}
 
         def collect() -> None:
@@ -540,6 +550,10 @@ class Scalia:
             events_dropped.labels("oversize").set_total(
                 journal_stats["dropped_oversize"]
             )
+            table = self.placement_engine.table_stats()
+            placement_searches.labels("hit").set_total(table["hit"])
+            placement_searches.labels("built").set_total(table["built"])
+            placement_rows.set(table["rows"])
             # Burn rates need a fresh history point when the interval has
             # elapsed; evaluate() also steps the alert state machine so
             # alerts fire even when nobody polls /alerts.

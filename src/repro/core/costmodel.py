@@ -99,10 +99,6 @@ class CostModel:
             raise ValueError("serving_rank must be 'egress' or 'total'")
         self.period_hours = period_hours
         self.serving_rank = serving_rank
-        # (specs tuple, m, size) -> (storage/period, read, write, delete).
-        # Specs are immutable (pricing changes create new spec objects), so
-        # keying on them is safe; the cache is bounded defensively.
-        self._coeff_cache: dict = {}
 
     # -- building blocks -------------------------------------------------
 
@@ -157,41 +153,33 @@ class CostModel:
     ) -> tuple[float, float, float, float]:
         """(storage/period, per-read, per-write, per-delete) dollar rates.
 
-        Memoized: the placement search prices the same (set, m, size)
-        combination across thousands of objects and periods.
+        Everything about a (set, m, size) choice that the access pattern
+        does not change; the placement engine keeps them per feasible
+        subset so a search is one :meth:`price` per row.
         """
-        key = (tuple(specs), m, size_bytes)
-        cached = self._coeff_cache.get(key)
-        if cached is None:
-            if len(self._coeff_cache) > 500_000:
-                self._coeff_cache.clear()
-            cached = (
-                self.storage_cost_per_period(specs, m, size_bytes),
-                self.read_cost(specs, m, size_bytes),
-                self.write_cost(specs, m, size_bytes),
-                self.delete_cost(specs),
-            )
-            self._coeff_cache[key] = cached
-        return cached
+        return (
+            self.storage_cost_per_period(specs, m, size_bytes),
+            self.read_cost(specs, m, size_bytes),
+            self.write_cost(specs, m, size_bytes),
+            self.delete_cost(specs),
+        )
 
-    def expected_cost(
-        self,
-        specs: Sequence[ProviderSpec],
-        m: int,
+    @staticmethod
+    def price(
+        coefficients: tuple[float, float, float, float],
         projection: AccessProjection,
         horizon_periods: float,
     ) -> float:
-        """``computePrice``: expected cost over the next decision period.
+        """Dollars of :meth:`coefficients` under an access projection.
 
         ``horizon_periods`` is the decision period length |D| in sampling
         periods; one-time writes/deletes are charged once, everything else
-        scales with the horizon.
+        scales with the horizon.  The one place the expression is written:
+        every cost in the system associates its terms this way.
         """
         if horizon_periods < 0:
             raise ValueError("horizon_periods must be >= 0")
-        storage, read, write, delete = self.coefficients(
-            specs, m, projection.size_bytes
-        )
+        storage, read, write, delete = coefficients
         per_period = (
             storage
             + projection.reads_per_period * read
@@ -201,6 +189,20 @@ class CostModel:
             projection.one_time_writes * write + projection.one_time_deletes * delete
         )
         return per_period * horizon_periods + one_time
+
+    def expected_cost(
+        self,
+        specs: Sequence[ProviderSpec],
+        m: int,
+        projection: AccessProjection,
+        horizon_periods: float,
+    ) -> float:
+        """``computePrice``: expected cost over the next decision period."""
+        return self.price(
+            self.coefficients(specs, m, projection.size_bytes),
+            projection,
+            horizon_periods,
+        )
 
     def full_replication_cost(
         self,

@@ -7,6 +7,13 @@ cheapest, with deterministic tie-breaks (fewer providers, then
 lexicographic names).  Complexity is O(2^|P|) — fine for the paper's
 "less than 15 providers on the market".
 
+Only the last step depends on the object's access pattern.  Which
+subsets are eligible, their threshold m, whether the chunk fits and the
+four cost coefficients are a function of (pool, rule, size, excluded
+names), so the engine works them out once per such key into a table of
+rows (:meth:`PlacementEngine._rows`) and a search is one pass of
+multiply-adds over it.
+
 For larger pools the paper points at knapsack-style approximations; we
 provide a greedy + local-search heuristic (:meth:`PlacementEngine.
 best_placement_heuristic`) whose optimality gap is measured by the
@@ -17,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from repro.cluster.cache import LRUCache
 from repro.cluster.engine import PlacementError
 from repro.core.costmodel import AccessProjection, CostModel
 from repro.core.durability import literal_threshold, max_feasible_threshold
@@ -26,6 +34,20 @@ from repro.core.rules import StorageRule
 from repro.erasure.striping import chunk_length
 from repro.providers.pricing import ProviderSpec
 from repro.types import Placement
+
+
+#: Rows the placement table keeps per engine; the least recently used
+#: entry goes first.  An entry is every feasible subset of one (pool,
+#: rule, size, exclude) key: 26 rows on the paper's catalogue, up to
+#: 2^|P| - 1 = 32 767 on a 15-provider pool, so the bound is on rows and
+#: leaves room for two such entries (one heavier than the whole budget is
+#: simply not kept).  A row is about 410 bytes (a ``Placement``, its name
+#: tuple and four floats): 27 MB when full.
+TABLE_ROWS = 65_536
+
+#: Entries of the per-(set, SLA) threshold memo: every subset of a
+#: 15-provider pool under two SLAs.
+THRESHOLD_MEMO_ENTRIES = 65_536
 
 
 @dataclass(frozen=True)
@@ -52,10 +74,34 @@ class PlacementEngine:
     def __init__(self, cost_model: CostModel, *, literal_algorithm1: bool = False) -> None:
         self.cost_model = cost_model
         self.literal_algorithm1 = literal_algorithm1
-        # (specs tuple, durability, availability) -> threshold m.  Specs
-        # are immutable, so SLA-only results can be memoized across the
-        # many placement searches that reuse the same subsets.
-        self._threshold_cache: dict = {}
+        # Both memos are keyed by the inputs of a pure function, so an
+        # entry is never stale, only aged out (least recently used first,
+        # under the cache's own mutex), and two threads that miss on one
+        # key compute the same value and one is kept.
+        # (specs tuple, durability, availability) -> threshold m.
+        self._thresholds: LRUCache = LRUCache(THRESHOLD_MEMO_ENTRIES)
+        # (specs tuple, rule, size, exclude) -> rows of every feasible
+        # subset, weighed in rows (the cache's "bytes").  A
+        # ``ProviderSpec`` is immutable (``update_pricing`` makes a new
+        # one), an outage or an open breaker changes which specs the
+        # registry hands over and ``StorageRule`` is frozen, so nothing
+        # needs invalidating.
+        self._table: LRUCache = LRUCache(TABLE_ROWS)
+
+    def forget(self) -> None:
+        """Drop every memo the engine holds (to time or test a cold search)."""
+        self._thresholds.clear()
+        self._table.clear()
+
+    def table_stats(self) -> dict:
+        """Pricing passes served from the table / that built an entry, and
+        the rows it holds now."""
+        stats = self._table.stats_snapshot()
+        return {
+            "hit": stats.hits,
+            "built": stats.misses,  # every miss builds its entry
+            "rows": self._table.used_bytes,
+        }
 
     # -- feasibility ----------------------------------------------------
 
@@ -79,13 +125,13 @@ class PlacementEngine:
         """Largest erasure threshold m this set supports under the rule.
 
         Returns 0 when the set cannot satisfy durability (and, in refined
-        mode, availability) even at m = 1.  Memoized per (set, SLA) pair;
-        safe under concurrent planners — a cache race at worst recomputes
-        the same pure function, and the guarded clear cannot race an
-        in-progress lookup into a KeyError because lookups use ``get``.
+        mode, availability) even at m = 1.  Memoized per (set, SLA) pair,
+        not per size, so a table entry for a new size recomputes no
+        threshold; safe under concurrent planners (two that miss compute the
+        same pure value).
         """
         key = (tuple(specs), rule.durability, rule.availability)
-        cached = self._threshold_cache.get(key)
+        cached = self._thresholds.get(key)
         if cached is not None:
             return cached
         durabilities = [s.durability for s in specs]
@@ -98,10 +144,28 @@ class PlacementEngine:
             result = max_feasible_threshold(
                 durabilities, availabilities, rule.durability, rule.availability
             )
-        if len(self._threshold_cache) > 500_000:
-            self._threshold_cache.clear()
-        self._threshold_cache[key] = result
+        self._thresholds.put(key, result, 1)
         return result
+
+    def _row(
+        self, pset: Sequence[ProviderSpec], rule: StorageRule, size_bytes: int
+    ) -> Optional[tuple]:
+        """Everything about one candidate set that no projection changes:
+        ``(placement, n, providers, coefficients)``, or ``None`` when the
+        set is infeasible for an object of ``size_bytes``."""
+        if len(pset) < rule.min_providers:  # lock-in (Algorithm 1, line 6)
+            return None
+        m = self.threshold_for(pset, rule)
+        if m <= 0:
+            return None
+        chunk = chunk_length(size_bytes, m)
+        if any(
+            s.max_chunk_bytes is not None and chunk > s.max_chunk_bytes for s in pset
+        ):
+            return None
+        names = tuple(sorted(s.name for s in pset))
+        coefficients = self.cost_model.coefficients(pset, m, size_bytes)
+        return Placement(names, m), len(names), names, coefficients
 
     def decide(
         self,
@@ -110,22 +174,66 @@ class PlacementEngine:
         projection: AccessProjection,
         horizon_periods: float,
     ) -> Optional[PlacementDecision]:
-        """Price one candidate set; ``None`` when the set is infeasible."""
-        if len(pset) < rule.min_providers:  # lock-in (Algorithm 1, line 6)
+        """Price one candidate set; ``None`` when the set is infeasible.
+
+        The single-set probe: what the heuristic walks its neighbourhood
+        with, and the definition the exact search's table is tested
+        against.  It consults no table.
+        """
+        row = self._row(pset, rule, projection.size_bytes)
+        if row is None:
             return None
-        m = self.threshold_for(pset, rule)
-        if m <= 0:
-            return None
-        chunk = chunk_length(projection.size_bytes, m)
-        if any(
-            s.max_chunk_bytes is not None and chunk > s.max_chunk_bytes for s in pset
-        ):
-            return None
-        cost = self.cost_model.expected_cost(pset, m, projection, horizon_periods)
-        names = tuple(sorted(s.name for s in pset))
-        return PlacementDecision(Placement(names, m), cost)
+        placement, _, _, coefficients = row
+        cost = self.cost_model.price(coefficients, projection, horizon_periods)
+        return PlacementDecision(placement, cost)
 
     # -- exact search (Algorithm 1) ------------------------------------------
+
+    def _rows(
+        self,
+        specs: Sequence[ProviderSpec],
+        rule: StorageRule,
+        size_bytes: int,
+        exclude: frozenset[str],
+    ) -> tuple:
+        """The projection-independent half of Algorithm 1, memoised: one
+        :meth:`_row` per feasible subset, in enumeration order."""
+        key = (tuple(specs), rule, size_bytes, frozenset(exclude))
+        rows = self._table.get(key)
+        if rows is None:
+            eligible = self.eligible_specs(specs, rule, exclude)
+            rows = tuple(
+                row
+                for size in range(max(1, rule.min_providers), len(eligible) + 1)
+                for pset in combinations(eligible, size)
+                if (row := self._row(pset, rule, size_bytes)) is not None
+            )
+            # An infeasible key still weighs one row, or such entries
+            # would never be evicted.
+            self._table.put(key, rows, max(1, len(rows)))
+        return rows
+
+    def _priced(
+        self,
+        specs: Sequence[ProviderSpec],
+        rule: StorageRule,
+        projection: AccessProjection,
+        horizon_periods: float,
+        exclude: frozenset[str],
+    ) -> List[tuple]:
+        """The one pricing pass every search is a driver over: ``(cost, n,
+        providers, placement)`` per feasible subset, in enumeration order.
+
+        The first three fields are :meth:`better`'s key, and no two rows
+        share ``providers``, so comparing these tuples is that order.
+        """
+        price = self.cost_model.price
+        return [
+            (price(coefficients, projection, horizon_periods), n, providers, placement)
+            for placement, n, providers, coefficients in self._rows(
+                specs, rule, projection.size_bytes, exclude
+            )
+        ]
 
     def enumerate_feasible(
         self,
@@ -137,14 +245,12 @@ class PlacementEngine:
         exclude: frozenset[str] = frozenset(),
     ) -> List[PlacementDecision]:
         """Every feasible (set, m) candidate, priced (the Figure-13 sweep)."""
-        eligible = self.eligible_specs(specs, rule, exclude)
-        decisions: List[PlacementDecision] = []
-        for size in range(max(1, rule.min_providers), len(eligible) + 1):
-            for pset in combinations(eligible, size):
-                decision = self.decide(pset, rule, projection, horizon_periods)
-                if decision is not None:
-                    decisions.append(decision)
-        return decisions
+        return [
+            PlacementDecision(placement, cost)
+            for cost, _, _, placement in self._priced(
+                specs, rule, projection, horizon_periods, exclude
+            )
+        ]
 
     def ranked(
         self,
@@ -163,15 +269,13 @@ class PlacementEngine:
         so ``GET /events`` can say *why the losers lost*.  Element 0,
         when present, is exactly what :meth:`best_placement` returns.
         """
-        decisions = self.enumerate_feasible(
-            specs, rule, projection, horizon_periods, exclude=exclude
+        priced = sorted(
+            self._priced(specs, rule, projection, horizon_periods, exclude)
         )
-        decisions.sort(
-            key=lambda d: (d.expected_cost, d.placement.n, d.placement.providers)
-        )
-        if limit is not None:
-            decisions = decisions[:limit]
-        return decisions
+        return [
+            PlacementDecision(placement, cost)
+            for cost, _, _, placement in priced[:limit]
+        ]
 
     def best_placement(
         self,
@@ -187,18 +291,14 @@ class PlacementEngine:
         Raises :class:`PlacementError` when no provider combination can
         satisfy the rule.
         """
-        best: Optional[PlacementDecision] = None
-        for decision in self.enumerate_feasible(
-            specs, rule, projection, horizon_periods, exclude=exclude
-        ):
-            if best is None or self.better(decision, best):
-                best = decision
-        if best is None:
+        priced = self._priced(specs, rule, projection, horizon_periods, exclude)
+        if not priced:
             raise PlacementError(
                 f"no feasible placement for rule {rule.name!r} "
                 f"over {len(specs)} providers (excluded: {sorted(exclude)})"
             )
-        return best
+        cost, _, _, placement = min(priced)
+        return PlacementDecision(placement, cost)
 
     @staticmethod
     def better(a: PlacementDecision, b: PlacementDecision) -> bool:
@@ -212,9 +312,6 @@ class PlacementEngine:
         ka = (a.expected_cost, a.placement.n, a.placement.providers)
         kb = (b.expected_cost, b.placement.n, b.placement.providers)
         return ka < kb
-
-    # Backwards-compatible alias (pre-dates the public promotion).
-    _better = better
 
     # -- heuristic search (knapsack-style scalability note) --------------------
 

@@ -21,10 +21,17 @@ Design rules, mirroring :mod:`repro.obs.metrics`:
   the record is serialized *before* the lock is taken, eviction work is
   bounded by the budgets, and the optional JSONL sink is written outside
   the ring lock.  Any sink failure is swallowed (and counted).
-- **Bounded two ways.**  The ring holds at most ``capacity`` events and
-  at most ``max_bytes`` of serialized payload, evicting oldest-first.
-  A single event larger than ``max_bytes`` is dropped (counted in
-  ``dropped_oversize``), never stored.
+- **Bounded two ways.**  The journal holds at most ``capacity`` events
+  and at most ``max_bytes`` of serialized payload.  A single event larger
+  than ``max_bytes`` is dropped (counted in ``dropped_oversize``), never
+  stored.
+- **One ring per event family** (the type up to its first dot), under
+  the one total budget.  Over budget, the oldest event of the family
+  holding the most bytes goes, so a chatty family (``placement.chosen``,
+  one per PUT) can only push out itself once it is the largest, and the
+  rare decisions the journal exists to keep (breaker transitions,
+  alerts, migrations) outlive it.  A stream of one family is a plain
+  oldest-first ring.
 - **Totally ordered.**  Every stored event gets a monotonically
   increasing ``seq`` assigned under the ring lock, which makes
   ``query(since=seq)`` an exact resume cursor and preserves each
@@ -74,7 +81,11 @@ class EventJournal:
         self.max_bytes = max_bytes
         self._clock = clock
         self._lock = threading.Lock()
-        self._ring: Deque[tuple] = deque()  # (seq, size, event-dict)
+        # family -> its ring of (seq, size, event-dict), oldest first, and
+        # the bytes it holds; a family that empties is dropped from both.
+        self._rings: Dict[str, Deque[tuple]] = {}
+        self._family_bytes: Dict[str, int] = {}
+        self._entries = 0
         self._bytes = 0
         self._seq = 0
         self._emitted = 0
@@ -113,20 +124,46 @@ class EventJournal:
             with self._lock:
                 self._dropped_oversize += 1
             return None
+        family = type.partition(".")[0]
         with self._lock:
             self._seq += 1
             seq = self._seq
             event["seq"] = seq
-            self._ring.append((seq, size, event))
+            ring = self._rings.get(family)
+            if ring is None:
+                ring = self._rings[family] = deque()
+                self._family_bytes[family] = 0
+            ring.append((seq, size, event))
+            self._family_bytes[family] += size
+            self._entries += 1
             self._bytes += size
             self._emitted += 1
-            while len(self._ring) > self.capacity or self._bytes > self.max_bytes:
-                _, old_size, _ = self._ring.popleft()
-                self._bytes -= old_size
-                self._evicted += 1
+            while self._entries > self.capacity or self._bytes > self.max_bytes:
+                self._evict_one(family)
         if self._sink is not None:
             self._write_sink(event)
         return seq
+
+    def _evict_one(self, emitting: str) -> None:
+        """Drop the oldest event of the family holding the most bytes.
+
+        Never the event being emitted: a family whose only event is that
+        one is passed over, so an emit that returns a seq has landed.
+        """
+        held = self._family_bytes
+        victim = max(
+            (f for f in held if f != emitting or len(self._rings[f]) > 1),
+            key=held.__getitem__,
+        )
+        ring = self._rings[victim]
+        _, size, _ = ring.popleft()
+        if ring:
+            held[victim] -= size
+        else:
+            del self._rings[victim], held[victim]
+        self._entries -= 1
+        self._bytes -= size
+        self._evicted += 1
 
     def _write_sink(self, event: Dict[str, object]) -> None:
         with self._sink_lock:
@@ -153,7 +190,14 @@ class EventJournal:
         ``limit`` keeps the *newest* matches.
         """
         with self._lock:
-            events = [event for _, _, event in self._ring]
+            if type is not None:
+                # Every type a filter can match shares the filter's family.
+                rings = [self._rings.get(type.partition(".")[0], ())]
+            else:
+                rings = list(self._rings.values())
+            events = [event for ring in rings for _, _, event in ring]
+        if len(rings) > 1:
+            events.sort(key=lambda event: event["seq"])
         out = []
         for event in events:
             if since is not None and event["seq"] <= since:
@@ -179,12 +223,12 @@ class EventJournal:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._ring)
+            return self._entries
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {
-                "entries": len(self._ring),
+                "entries": self._entries,
                 "bytes": self._bytes,
                 "capacity": self.capacity,
                 "max_bytes": self.max_bytes,

@@ -115,3 +115,15 @@ class TestExplainAgreesWithJournal:
         assert doc["found"] is True
         assert doc["events"] == []
         assert doc["last_migration"] is None
+
+    def test_last_migration_survives_3000_puts_of_other_keys(self):
+        # One ``placement.chosen`` per PUT used to share a single ring with
+        # everything else: 1 469 PUTs evicted the migration on record.
+        broker = migrated_broker()
+        seq = broker.events.query(type="migration.committed")[-1]["seq"]
+        for i in range(3000):
+            broker.put("c", f"other{i}", 1024)
+        doc = broker.explain("c", "obj")
+        assert doc["last_migration"] is not None
+        assert doc["last_migration"]["seq"] == seq
+        assert doc["last_migration"]["agrees"] is True

@@ -185,3 +185,37 @@ class TestCacheIntegration:
                 broker.get("c", "obj")
             broker.tick()
         assert cached.costs().total < uncached.costs().total
+
+
+class TestRewritePlacementWithinAPeriod:
+    """Why the spine caps ``Mix.c1_max_blocks``: which placement a rewrite
+    gets depends on whether the engines' log buffers have shipped.
+
+    ``_projection_for`` prices a key with no history as a new object.
+    Once the open period's history shows reads but no *update* (the first
+    PUT was an insertion; ``ops_write`` counts updates only and
+    ``from_history`` carries no one-time write) the rewrite prices as
+    read-only; one update later it prices as written again.  Pinned, not
+    fixed: any fix moves what is stored and billed on every workload.
+    """
+
+    SIZE = 16 * (1 << 20)
+    REPLICAS = Placement(("S3(h)", "S3(l)"), 1)
+
+    def rewrites(self, *, shipped: bool):
+        broker = Scalia()  # the spine's broker: default rule, 2 engines
+        placements = [broker.put("c", "big", self.SIZE).placement]
+        for _ in range(3):
+            broker.get("c", "big")
+        for _ in range(2):
+            if shipped:
+                broker.cluster.flush_logs()
+            placements.append(broker.put("c", "big", self.SIZE).placement)
+        broker.close()
+        return placements
+
+    def test_unshipped_logs_price_every_rewrite_as_a_new_object(self):
+        assert self.rewrites(shipped=False) == [COLD, COLD, COLD]
+
+    def test_shipped_reads_without_an_update_price_as_read_only(self):
+        assert self.rewrites(shipped=True) == [COLD, self.REPLICAS, COLD]

@@ -108,6 +108,128 @@ class TestBudgets:
             EventJournal(max_bytes=0)
 
 
+# What one ``placement.chosen`` weighs in a live broker: 687 bytes, one
+# per PUT.
+_CHOSEN_PAD = "x" * 600
+
+
+def _stored_size(event) -> int:
+    """Bytes the journal charged for ``event`` (sized before its ``seq``
+    replaced the one-character placeholder)."""
+    return len(json.dumps(event, default=str)) - len(str(event["seq"])) + 1
+
+
+class TestFamilies:
+    """The ring is kept per event family (the type up to its first dot):
+    a chatty family can only push out itself once it is the largest."""
+
+    def test_chatty_family_does_not_evict_the_rare_ones(self):
+        # At the parent: after 1 469 PUTs both decisions were gone.
+        journal = EventJournal()
+        journal.emit("breaker.open", key="S3(l)", previous="closed")
+        journal.emit("migration.committed", key="c/obj", saving=0.01)
+        for i in range(5000):
+            journal.emit("placement.chosen", key=f"c/k{i}", pad=_CHOSEN_PAD)
+        assert [e["key"] for e in journal.query(type="breaker.")] == ["S3(l)"]
+        assert [e["key"] for e in journal.query(type="migration.committed")] == [
+            "c/obj"
+        ]
+        assert journal.query(key="c/obj")[0]["saving"] == 0.01
+        stats = journal.stats()
+        assert stats["entries"] <= stats["capacity"]
+        assert stats["bytes"] <= stats["max_bytes"]
+        assert stats["emitted"] == stats["entries"] + stats["evicted"] == 5002
+
+    def test_largest_family_pays_for_a_small_familys_event(self):
+        journal = EventJournal(capacity=4)
+        for i in range(4):
+            journal.emit("placement.chosen", n=i, pad="x" * 50)
+        journal.emit("breaker.open")
+        assert [e.get("n") for e in journal.query()] == [1, 2, 3, None]
+        assert journal.stats()["evicted"] == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        emits=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["placement.chosen", "breaker.open", "breaker.closed",
+                     "alert.fired", "migration.committed", "tick"]
+                ),
+                st.integers(min_value=0, max_value=120),
+            ),
+            max_size=120,
+        ),
+        capacity=st.integers(min_value=1, max_value=32),
+        max_bytes=st.integers(min_value=200, max_value=2048),
+    )
+    def test_budgets_hold_and_order_is_seq_with_families_interleaved(
+        self, emits, capacity, max_bytes
+    ):
+        journal = EventJournal(capacity=capacity, max_bytes=max_bytes)
+        held = []  # what the journal should hold: (seq, family, size)
+        for type_, pad in emits:
+            seq = journal.emit(type_, pad="x" * pad)
+            stats = journal.stats()
+            assert stats["entries"] <= capacity
+            assert stats["bytes"] <= max_bytes
+            merged = journal.query()
+            assert stats["entries"] == len(journal) == len(merged)
+            assert merged[-1]["seq"] == seq, "an emit that returned a seq landed"
+            # Replay the evictions: each one took the oldest event of a
+            # family holding the most bytes (ties may break either way).
+            held.append((seq, type_.partition(".")[0], _stored_size(merged[-1])))
+            alive = {e["seq"] for e in merged}
+            while len(held) > len(merged):
+                by_family = {}
+                for _, family, size in held[:-1]:  # never the newcomer
+                    by_family[family] = by_family.get(family, 0) + size
+                if held[-1][1] in by_family:
+                    by_family[held[-1][1]] += held[-1][2]
+                most = max(by_family.values())
+                victims = [
+                    next(h for h in held if h[1] == family)
+                    for family, total in by_family.items()
+                    if total == most
+                ]
+                gone = [v for v in victims if v[0] not in alive]
+                assert gone, "evicted from a family that was not the largest"
+                held.remove(gone[0])
+            assert [h[0] for h in held] == [e["seq"] for e in merged]
+            assert stats["bytes"] == sum(h[2] for h in held)
+        merged = journal.query()
+        # The filters answer from the same merged order.
+        assert journal.query(type="breaker.") == [
+            e for e in merged if e["type"].startswith("breaker.")
+        ]
+        if merged:
+            cursor = merged[len(merged) // 2]["seq"]
+            assert journal.query(since=cursor) == [
+                e for e in merged if e["seq"] > cursor
+            ]
+            assert journal.query(limit=3) == merged[-3:]
+
+    def test_merged_order_is_seq_order(self):
+        journal = EventJournal()
+        types = ["placement.chosen", "breaker.open", "alert.fired", "tick"]
+        for i in range(40):
+            journal.emit(types[i % 4], n=i)
+        assert [e["n"] for e in journal.query()] == list(range(40))
+        assert [e["n"] for e in journal.query(since=30, limit=4)] == [36, 37, 38, 39]
+        assert [e["n"] for e in journal.query(type="tick")] == list(range(3, 40, 4))
+
+    def test_sink_sees_every_event_whatever_the_rings_evict(self):
+        sink = io.StringIO()
+        journal = EventJournal(capacity=8, sink=sink)
+        journal.emit("breaker.open", key="RS")
+        for i in range(50):
+            journal.emit("placement.chosen", n=i)
+        lines = [json.loads(l) for l in sink.getvalue().splitlines()]
+        assert [l["seq"] for l in lines] == list(range(1, 52))
+        assert lines[0]["type"] == "breaker.open"
+        assert len(journal) == 8
+
+
 class TestDisabledAndSink:
     def test_disabled_journal_is_a_cheap_noop(self):
         journal = EventJournal(enabled=False)
