@@ -15,14 +15,20 @@ The scenario is the docs/AUDITING.md incident, end to end over HTTP:
    trusted a source for its checksum, would hand clients the tamper;
 2. install a ``corrupt`` fault on that provider (silent put-tamper:
    bytes flip, provider-side checksums recomputed, so a scrub-style
-   verify would say everything is fine) and write a batch of objects
-   through it, then clear the fault;
+   verify would say everything is fine) and write a batch of small
+   objects and one of 4 MiB (chunks of 16 leaves, whose segment store
+   answers from a kept tree and ranged reads) through it, then clear
+   the fault;
 3. ``POST /audit`` — every tampered chunk must fail its possession
-   proof in this one sweep, be repaired from its erasure peers, and
-   force the victim's breaker open (``audit_failures`` in ``/stats``,
-   ``audit.fail``/``audit.repair`` in ``/events``);
-4. a second sweep (and ``repro audit`` itself) comes back clean, and
-   every object reads back byte-identical.
+   proof in this one sweep (the tree of a chunk stored forged is the
+   forged bytes' tree, so whichever leaf is sampled), be repaired from
+   its erasure peers, and force the victim's breaker open
+   (``audit_failures`` in ``/stats``, ``audit.fail``/``audit.repair``
+   in ``/events``);
+4. the gateway is restarted (no tree survives: each is rebuilt by one
+   payload read at its chunk's first challenge); a second sweep (and
+   ``repro audit`` itself) comes back clean, every object reads back
+   byte-identical, and so does a range of the large one.
 
 Exit code 0 means every check held.
 """
@@ -45,6 +51,8 @@ PORT = 8094
 BASE = f"http://127.0.0.1:{PORT}"
 OBJECT_COUNT = 6
 OBJECT_BYTES = 96 * 1024  # single-leaf chunks: one-leaf sampling is exhaustive
+LARGE_BYTES = 4 * 1024 * 1024  # multi-leaf chunks
+TAMPERED = OBJECT_COUNT + 1
 
 
 def http(method, path, body=None):
@@ -75,23 +83,41 @@ def payload(i: int) -> bytes:
     return bytes((i * 7 + j) % 251 for j in range(OBJECT_BYTES))
 
 
+def large_payload() -> bytes:
+    return (payload(3) * (LARGE_BYTES // OBJECT_BYTES + 1))[:LARGE_BYTES]
+
+
+def serve(data_dir):
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--port", str(PORT), "--data-dir", data_dir,
+            "--log-format", "json",
+        ],
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        wait_healthy(proc)
+    except BaseException:
+        stop(proc)
+        raise
+    return proc
+
+
+def stop(proc):
+    proc.send_signal(signal.SIGTERM)
+    proc.wait(timeout=30)
+
+
 def audit(query=""):
     return json.loads(http("POST", f"/audit{query}", b""))
 
 
 def main() -> int:
+    large = large_payload()
     with tempfile.TemporaryDirectory() as tmp:
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--port", str(PORT), "--data-dir", f"{tmp}/data",
-                "--log-format", "json",
-            ],
-            stderr=subprocess.DEVNULL,
-        )
+        proc = serve(f"{tmp}/data")
         try:
-            wait_healthy(proc)
-
             # A clean probe tells us which providers hold this workload.
             http("PUT", "/audit-bucket/probe.bin", payload(99))
             explain = json.loads(http(
@@ -111,15 +137,16 @@ def main() -> int:
             }).encode("utf-8"))
             for i in range(OBJECT_COUNT):
                 http("PUT", f"/audit-bucket/obj{i}.bin", payload(i))
+            http("PUT", "/audit-bucket/large.bin", large)
             http("POST", "/faults", json.dumps(
                 {"provider": victim, "profile": None}).encode("utf-8"))
 
             # Sweep 1: challenge-response catches every tampered chunk.
             report = audit("?seed=0")
-            check(report["proofs_failed"] == OBJECT_COUNT,
+            check(report["proofs_failed"] == TAMPERED,
                   f"{report['proofs_failed']} proofs failed "
-                  f"(= {OBJECT_COUNT} tampered chunks)")
-            check(report["repaired"] == OBJECT_COUNT
+                  f"(= {TAMPERED} tampered chunks, one of them of 16 leaves)")
+            check(report["repaired"] == TAMPERED
                   and report["unrepairable"] == 0,
                   "every failed proof repaired from erasure peers")
             check(all(p["provider"] == victim and p["status"] == "proof-failed"
@@ -128,7 +155,7 @@ def main() -> int:
 
             health = json.loads(http("GET", "/stats"))["health"][victim]
             check(health["breaker"] == "open", "victim breaker force-opened")
-            check(health["audit_failures"] == OBJECT_COUNT,
+            check(health["audit_failures"] == TAMPERED,
                   f"{health['audit_failures']} audit failures on record")
 
             events = json.loads(http("GET", "/events?type=audit.&limit=100"))
@@ -136,8 +163,10 @@ def main() -> int:
             check({"audit.pass", "audit.fail", "audit.repair"} <= types,
                   "audit.pass/fail/repair journaled in /events")
 
-            # Sweep 2: the store is healthy again, and stays that way
-            # through the CLI's own client path.
+            # Sweep 2, after a restart: the store is healthy again, and
+            # stays that way through the CLI's own client path.
+            stop(proc)
+            proc = serve(f"{tmp}/data")
             again = audit("?seed=1")
             check(again["proofs_failed"] == 0 and again["chunks_missing"] == 0,
                   "replayed sweep is clean")
@@ -153,13 +182,27 @@ def main() -> int:
             for i in range(OBJECT_COUNT):
                 body = http("GET", f"/audit-bucket/obj{i}.bin")
                 check(body == payload(i), f"obj{i}.bin reads back intact")
+            check(http("GET", "/audit-bucket/large.bin") == large,
+                  "large.bin reads back intact")
+            lo = LARGE_BYTES // 2 + 12345
+            req = urllib.request.Request(
+                BASE + "/audit-bucket/large.bin",
+                headers={"Range": f"bytes={lo}-{lo + 65535}"},
+            )
+            with urllib.request.urlopen(req, timeout=30) as resp:
+                check(resp.status == 206
+                      and resp.read() == large[lo:lo + 65536],
+                      "a 64 KiB range of large.bin, served from proven leaves, is exact")
 
             stats = json.loads(http("GET", "/stats"))
             check(stats["storage"]["last_audit"]["proofs_failed"] == 0,
                   "last_audit visible under /stats")
+            backends = stats["storage"]["backends"].values()
+            kept = sum(b["merkle_bytes"] for b in backends)
+            check(0 < kept <= 0.002 * sum(b["stored_bytes"] for b in backends),
+                  f"the segment stores keep {kept} B of Merkle levels, rebuilt since the restart")
         finally:
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=30)
+            stop(proc)
     print("audit smoke: all checks passed")
     return 0
 

@@ -103,8 +103,8 @@ def open_run(proof: Dict, root: str, chunk_size: int, window: RowWindow) -> Opti
 
 
 def detach_leaves(proof: Dict) -> Dict:
-    """The proof without its leaf bytes, which the ops RPC ships beside it
-    as raw payload (no base64, no JSON escaping)."""
+    """The proof without its leaf bytes (a JSON header cannot carry
+    them), which the ops RPC ships beside it as raw payload."""
     stripped = [{k: v for k, v in entry.items() if k != "d"} for entry in proof["leaves"]]
     return {**proof, "leaves": stripped}
 

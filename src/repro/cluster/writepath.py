@@ -29,7 +29,7 @@ from repro.providers.provider import (
     ChunkTooLargeError,
     ProviderUnavailableError,
 )
-from repro.storage.merkle import chunk_root
+from repro.storage.merkle import kept_root
 from repro.types import ObjectMeta
 from repro.util.streams import ByteSource
 
@@ -115,7 +115,9 @@ class Stager(NamedTuple):
 def _ship(stager: Stager, session: StagedWrite, tag: Optional[str], chunks) -> None:
     # Roots are hashed here, while the encoded bytes are hot, on whichever
     # CPU encoded them; the metadata owner only anchors what it is told.
-    stager.write_stripe(session, tag, chunks, [chunk_root(c) for c in chunks])
+    # The levels of that one pass stay on each chunk, and a store in this
+    # process answers challenges from them.
+    stager.write_stripe(session, tag, chunks, [kept_root(c) for c in chunks])
 
 
 def _write_stripes(

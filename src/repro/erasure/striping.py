@@ -12,8 +12,8 @@ from __future__ import annotations
 import base64
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.erasure.rs import CodeCache, ReedSolomon, shard_length
 
@@ -29,6 +29,12 @@ class Chunk:
     index: int
     data: bytes
     checksum: str
+    #: The Merkle tree of ``data``, filled lazily and only through
+    #: :func:`repro.storage.merkle.chunk_tree` (this package sits below
+    #: the storage one).  A pure function of immutable bytes, so it can
+    #: be absent but never stale; not part of the chunk's value, not
+    #: copied by ``replace`` and not shipped by :func:`chunk_to_doc`.
+    tree: Optional[Any] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, index: int, data: bytes) -> "Chunk":

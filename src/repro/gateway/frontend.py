@@ -257,6 +257,18 @@ class BrokerFrontend:
                 except (InvalidRangeError, RouteError) as exc:
                     if isinstance(exc, RouteError) and exc.status != 416:
                         raise
+                    # Refused by which version?  ``open_read`` resolves
+                    # the row again, so a re-put since the head may have
+                    # refused a range the validated version satisfies (or
+                    # the reverse): go round with the version that is
+                    # live.  Only a refusal by the version validated is
+                    # a 416, and ``bytes */N`` carries that version's N.
+                    current = self.broker.head(container, key)
+                    if current is None:
+                        raise ObjectNotFoundError(f"{bucket}/{key} not found") from exc
+                    if current.skey != meta.skey and _attempt < 3:
+                        meta = current
+                        continue
                     wrapped = InvalidRangeError(str(exc))
                     wrapped.object_size = meta.size
                     raise wrapped from exc

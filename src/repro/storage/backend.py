@@ -67,9 +67,10 @@ class ChunkStore(Protocol):
     def audit(self, key: str, leaf_indices: Sequence[int]) -> Dict:
         """Merkle possession proof for ``leaf_indices`` of one chunk.
 
-        Built from the bytes *as stored* — a tampered store produces a
-        proof that fails broker-side verification, which is the audit
-        signal.  Raises :class:`KeyError` for absent keys.
+        The asked leaves *as stored*, each beside its sibling path out
+        of the tree the store keeps for the chunk — a tampered store
+        produces a proof that fails broker-side verification, which is
+        the audit signal.  Raises :class:`KeyError` for absent keys.
         """
         ...
 
@@ -78,7 +79,8 @@ class ChunkStore(Protocol):
     def close(self) -> None: ...
 
     def stats(self) -> Dict[str, object]:
-        """JSON-ready backend description (``type`` plus counters)."""
+        """JSON-ready backend description: ``type`` plus counters, among
+        them ``merkle_bytes``, what the kept trees weigh."""
         ...
 
 
@@ -133,7 +135,9 @@ class MemoryChunkStore:
         data = getattr(chunk, "data", None)
         if data is None:
             return merkle.synthetic_proof(chunk.size, leaf_indices)
-        return merkle.build_proof(data, leaf_indices)
+        return merkle.assemble_proof(
+            len(data), merkle.chunk_tree(chunk), leaf_indices, merkle.leaf_slicer(data)
+        )
 
     def flush(self) -> None:
         pass
@@ -146,4 +150,7 @@ class MemoryChunkStore:
             "type": "memory",
             "chunks": len(self._chunks),
             "stored_bytes": self._stored_bytes,
+            "merkle_bytes": merkle.kept_bytes(
+                getattr(chunk, "tree", None) for chunk in self._chunks.values()
+            ),
         }

@@ -5,11 +5,12 @@ leaves (SHA-256, domain-separated: ``0x00 || leaf`` for leaves, ``0x01 ||
 left || right`` for interior nodes).  The broker keeps the root in object
 metadata — it rides the existing ``md`` WAL records, so it survives
 restart and replicates to followers for free — while providers serve
-``audit(key, leaf_indices)`` proofs assembled from *ranged* reads of the
-stored bytes.  Verifying a proof against the broker-held root costs
-O(log leaves) hashes and one leaf of egress per sampled index, which is
-the whole point: possession can be checked continuously without the
-full-read egress bill the scrubber pays.
+``audit(key, leaf_indices)`` proofs: the asked leaves, read by range, and
+their sibling paths, looked up in the :class:`MerkleTree` the store keeps
+from the hashing the write already did.  Verifying a proof against the
+broker-held root costs O(log leaves) hashes and one leaf of egress per
+sampled index, which is the whole point: possession can be checked
+continuously without the full-read egress bill the scrubber pays.
 
 Tree shape is the Certificate-Transparency convention: an odd trailing
 node is *promoted* to the next level unhashed (no duplicate-last-leaf).
@@ -25,9 +26,8 @@ answer audits with shape-only proofs that bill exactly like real ones.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Fixed leaf width.  64 KiB keeps the tree shallow (an 8 MiB stripe's
 #: chunk has at most a few hundred leaves) while one sampled leaf stays
@@ -64,28 +64,71 @@ def leaf_length(size: int, index: int) -> int:
     return min(LEAF_SIZE, size - index * LEAF_SIZE)
 
 
-def _levels(leaves: List[bytes]) -> List[List[bytes]]:
-    """All tree levels bottom-up; ``levels[-1]`` is ``[root]``."""
-    levels = [leaves]
-    while len(levels[-1]) > 1:
-        prev = levels[-1]
-        nxt: List[bytes] = []
-        for i in range(0, len(prev) - 1, 2):
-            nxt.append(_node_hash(prev[i], prev[i + 1]))
-        if len(prev) % 2:
-            nxt.append(prev[-1])  # promoted, not re-hashed
-        levels.append(nxt)
-    return levels
+class MerkleTree:
+    """A chunk's Merkle tree as a value: one flat ``bytes`` of 32-byte
+    hashes per level, bottom-up; ``levels[-1]`` is the root alone.
+
+    Kept by whoever holds the chunk's bytes (on the frozen
+    :class:`~repro.erasure.striping.Chunk`, on a segment store's index
+    entry) so that a challenge is answered by lookup.  About 64 B per
+    64 KiB leaf: 0.1% of the chunk.
+    """
+
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: Tuple[bytes, ...]) -> None:
+        self.levels = levels
+
+    @property
+    def root(self) -> str:
+        return self.levels[-1].hex()
+
+    @property
+    def nbytes(self) -> int:
+        return sum(len(level) for level in self.levels)
+
+    def path(self, index: int) -> List[List[str]]:
+        """Sibling hashes from leaf ``index`` up to the root, as the
+        proof document carries them: ``[side of the sibling, hex]``."""
+        path: List[List[str]] = []
+        pos = index
+        for level in self.levels[:-1]:
+            count = len(level) // _HASH_LEN
+            if pos == count - 1 and count % 2:
+                pass  # promoted: no sibling at this level
+            else:
+                at = (pos ^ 1) * _HASH_LEN
+                path.append(
+                    ["R" if pos % 2 == 0 else "L", level[at : at + _HASH_LEN].hex()]
+                )
+            pos //= 2
+        return path
+
+
+def build_tree(data) -> MerkleTree:
+    """Hash ``data`` once, as fixed-size leaves, into its tree."""
+    view = memoryview(data)
+    level = b"".join(
+        _leaf_hash(view[i * LEAF_SIZE : (i + 1) * LEAF_SIZE])
+        for i in range(leaf_count(len(view)))
+    )
+    levels = [level]
+    while len(level) > _HASH_LEN:
+        paired = len(level) // (2 * _HASH_LEN) * (2 * _HASH_LEN)
+        level = b"".join(
+            [
+                _node_hash(level[at : at + _HASH_LEN], level[at + _HASH_LEN : at + 2 * _HASH_LEN])
+                for at in range(0, paired, 2 * _HASH_LEN)
+            ]
+            + [level[paired:]]  # an odd trailing node is promoted, not re-hashed
+        )
+        levels.append(level)
+    return MerkleTree(tuple(levels))
 
 
 def merkle_root(data: bytes) -> str:
     """Hex Merkle root of ``data`` split into fixed-size leaves."""
-    n = leaf_count(len(data))
-    leaves = [
-        _leaf_hash(bytes(data[i * LEAF_SIZE : (i + 1) * LEAF_SIZE]))
-        for i in range(n)
-    ]
-    return _levels(leaves)[-1][0].hex()
+    return build_tree(data).root
 
 
 def chunk_root(chunk) -> str:
@@ -94,6 +137,39 @@ def chunk_root(chunk) -> str:
     if data is None:
         return SYNTHETIC_ROOT
     return merkle_root(data)
+
+
+def chunk_tree(chunk) -> Optional[MerkleTree]:
+    """The tree a real chunk of more than one leaf carries, hashed at the
+    first ask and kept on the chunk; ``None`` for any other chunk.
+
+    The chunk is frozen and its ``data`` immutable, so the tree cannot go
+    stale: other bytes are another ``Chunk``.  Racing first asks compute
+    the same pure value and one of them stays.  A chunk of one leaf keeps
+    nothing, because its proof has no path to look up.
+    """
+    data = getattr(chunk, "data", None)
+    if data is None or len(data) <= LEAF_SIZE:
+        return None
+    tree = chunk.tree
+    if tree is None:
+        tree = build_tree(data)
+        object.__setattr__(chunk, "tree", tree)
+    return tree
+
+
+def kept_root(chunk) -> str:
+    """:func:`chunk_root` for a chunk about to be stored: the same one
+    hashing pass, whose levels stay on the chunk (:func:`chunk_tree`)
+    for the store to answer challenges from."""
+    tree = chunk_tree(chunk)
+    return chunk_root(chunk) if tree is None else tree.root
+
+
+def kept_bytes(trees) -> int:
+    """What a store's kept trees weigh (its ``merkle_bytes`` gauge);
+    ``None`` entries are chunks that keep none."""
+    return sum(tree.nbytes for tree in trees if tree is not None)
 
 
 def _path_sides(size: int, index: int) -> List[bool]:
@@ -123,40 +199,41 @@ def path_length(size: int, index: int) -> int:
 def build_proof(data: bytes, leaf_indices: Sequence[int]) -> Dict:
     """Assemble a possession proof for ``leaf_indices`` of ``data``.
 
-    The proof is a JSON-safe document: each requested leaf carries its
-    raw bytes (base64) plus the sibling path up to the root.  The
-    builder is honest by construction; a *provider* running this over
-    tampered stored bytes produces a proof that fails verification
-    against the broker's root — which is exactly the detection signal.
+    The definition over raw bytes: hash the tree, then
+    :func:`assemble_proof` from it.  The builder is honest by
+    construction; run over tampered bytes it produces a proof that fails
+    verification against the broker's root — which is exactly the
+    detection signal.
     """
-    size = len(data)
+    tree = build_tree(data) if len(data) > LEAF_SIZE else None
+    return assemble_proof(len(data), tree, leaf_indices, leaf_slicer(data))
+
+
+def leaf_slicer(data: bytes) -> Callable[[int], bytes]:
+    """A leaf reader over bytes held in memory."""
+    return lambda index: data[index * LEAF_SIZE : (index + 1) * LEAF_SIZE]
+
+
+def assemble_proof(
+    size: int,
+    tree: Optional[MerkleTree],
+    leaf_indices: Sequence[int],
+    read_leaf: Callable[[int], bytes],
+) -> Dict:
+    """The proof for ``leaf_indices`` of a ``size``-byte chunk whose
+    ``tree`` is known: each asked leaf's bytes, from ``read_leaf(index)``,
+    beside its sibling path, looked up.  Nothing is hashed here.
+
+    ``tree`` may be ``None`` for a chunk of one leaf (no path).  A store
+    whose bytes changed under a kept tree answers with a leaf that no
+    longer chains to the root: the same detection signal.
+    """
     n = leaf_count(size)
     indices = _checked_indices(leaf_indices, n)
-    leaves = [
-        _leaf_hash(bytes(data[i * LEAF_SIZE : (i + 1) * LEAF_SIZE]))
-        for i in range(n)
+    out_leaves = [
+        {"i": index, "d": read_leaf(index), "path": tree.path(index) if n > 1 else []}
+        for index in indices
     ]
-    levels = _levels(leaves)
-    out_leaves = []
-    for index in indices:
-        path: List[List[str]] = []
-        pos = index
-        for level in levels[:-1]:
-            count = len(level)
-            if pos == count - 1 and count % 2:
-                pass  # promoted
-            else:
-                sibling = level[pos ^ 1]
-                path.append(["R" if pos % 2 == 0 else "L", sibling.hex()])
-            pos //= 2
-        leaf_bytes = bytes(data[index * LEAF_SIZE : (index + 1) * LEAF_SIZE])
-        out_leaves.append(
-            {
-                "i": index,
-                "d": base64.b64encode(leaf_bytes).decode("ascii"),
-                "path": path,
-            }
-        )
     return {"v": 1, "leaf_size": LEAF_SIZE, "size": size, "leaves": out_leaves}
 
 
@@ -194,15 +271,14 @@ def open_proof(
     size, leaf lengths, and *exact* path consumption per the recomputed
     tree shape — then every leaf's hash chain must land on ``root_hex``.
     A proof that passes returns the verified leaves in the order the
-    proof lists them, each base64-decoded exactly once (a valid
-    synthetic proof carries no bytes and returns ``[]``); any failure
-    returns ``None``.  Proofs are adversarial input and never raise on
-    malformed documents.
+    proof lists them, the very objects it hashed (a valid synthetic
+    proof carries no bytes and returns ``[]``); any failure returns
+    ``None``.  Proofs are adversarial input and never raise on malformed
+    documents.
 
-    A leaf's ``"d"`` is base64 text in every proof a provider answers
-    with; raw bytes are accepted too, which no JSON document can carry —
-    only a proof this process re-assembled around leaves that travelled
-    beside it (the ops RPC's binary payload).
+    A leaf's ``"d"`` is bytes, from the store to here (across the ops
+    RPC it rides the frame's binary payload and is re-attached); text is
+    refused, not decoded.
     """
     try:
         if proof.get("v") != 1 or proof.get("leaf_size") != LEAF_SIZE:
@@ -243,8 +319,8 @@ def open_proof(
                 return None
             seen.add(index)
             leaf = entry["d"]
-            if isinstance(leaf, str):
-                leaf = base64.b64decode(leaf, validate=True)
+            if not isinstance(leaf, (bytes, bytearray, memoryview)):
+                return None
             if len(leaf) != leaf_length(size, index):
                 return None
             sides = _path_sides(size, index)
@@ -281,8 +357,7 @@ def proof_billed_bytes(proof: Dict) -> int:
     """Provider egress a proof represents: leaf bytes + 32 B per sibling.
 
     Read off the proof's shape — each leaf's nominal length at the
-    claimed chunk size plus its path entries — so no leaf is decoded to
-    be counted, and a synthetic proof (which records the same shape)
+    claimed chunk size plus its path entries — so a synthetic proof (which records the same shape)
     meters exactly what the real one would.
     """
     size = int(proof.get("size", 0))

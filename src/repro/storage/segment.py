@@ -5,7 +5,10 @@ numbered segment files (``seg-00000001.log``, rolled at a size limit) as
 self-describing records; an in-memory index maps chunk key to the record's
 location and is rebuilt by scanning the segments on open — there is no
 separate index file to keep consistent, so a SIGKILL can never leave index
-and data disagreeing.
+and data disagreeing.  An entry also holds the Merkle tree of a chunk of
+more than one leaf (memory only, nothing new on disk): handed over with
+the chunk at ``put``, carried through compaction, rebuilt by one payload
+read at the first challenge after a restart.
 
 Record layout (big-endian)::
 
@@ -83,6 +86,9 @@ class _Ref:
     index: int
     size: int
     corrupt: bool = False
+    #: Kept Merkle tree of a real chunk of more than one leaf; ``None``
+    #: until known (see :meth:`FileChunkStore.audit`).
+    tree: Optional[merkle.MerkleTree] = None
 
 
 def _encode_record(op: int, key: str, chunk: Optional[AnyChunk]) -> bytes:
@@ -320,7 +326,8 @@ class FileChunkStore:
             self._drop_live(old)
         kind = _KIND_SYNTHETIC if isinstance(chunk, SyntheticChunk) else _KIND_REAL
         self._index[key] = _Ref(
-            self._writer_segment, offset, len(record), kind, chunk.index, chunk.size
+            self._writer_segment, offset, len(record), kind, chunk.index, chunk.size,
+            tree=getattr(chunk, "tree", None),
         )
         self._live_bytes += len(record)
         self._stored_bytes += chunk.size
@@ -388,28 +395,44 @@ class FileChunkStore:
         return VERIFY_OK
 
     def audit(self, key: str, leaf_indices: Sequence[int]) -> Dict:
-        """Possession proof from a *ranged* read of the stored payload.
+        """Possession proof from *ranged* reads of the stored payload.
 
-        Deliberately skips the record's SHA-1/CRC gate: the proof is
-        built over the payload bytes exactly as they sit on disk, so
-        silent rot or adversarial tampering surfaces as a root mismatch
-        at the broker instead of a trusted local self-check — the
-        provider cannot grade its own homework.  Synthetic records
+        Seeks to the asked leaves and reads only them; their sibling
+        paths come out of the tree kept on the index entry.  An entry
+        without one (a chunk that arrived without its tree, or any chunk
+        after a restart) reads its payload once, here, and keeps the
+        tree from then on.  A chunk of one leaf has no path and hashes
+        nothing.
+
+        Deliberately skips the record's SHA-1/CRC gate: the leaves are
+        the payload bytes exactly as they sit on disk, so silent rot or
+        adversarial tampering surfaces as a root mismatch at the broker
+        instead of a trusted local self-check — the provider cannot
+        grade its own homework.  Rot in a leaf that was not asked for is
+        not this op's to notice (it never read it): the auditor's
+        sampling and the scrubber's full read are.  Synthetic records
         answer with a shape-only proof of the recorded size.
         """
         self._check_open()
         ref = self._index[key]  # KeyError propagates for absent keys
         if ref.kind == _KIND_SYNTHETIC:
             return merkle.synthetic_proof(ref.size, leaf_indices)
-        key_len = len(key.encode("utf-8"))
-        payload_offset = ref.offset + _HEADER_LEN + key_len
-        payload_len = ref.length - _HEADER_LEN - key_len - _SHA_LEN - _CRC.size
+        payload_offset, payload_len = self._payload_span(key, ref)
         if ref.segment == self._writer_segment:
             self._writer.flush()
         reader = self._reader(ref.segment)
-        reader.seek(payload_offset)
-        payload = reader.read(payload_len)
-        return merkle.build_proof(payload, leaf_indices)
+        if ref.tree is None and payload_len > merkle.LEAF_SIZE:
+            reader.seek(payload_offset)
+            payload = reader.read(payload_len)
+            ref.tree = merkle.build_tree(payload)
+            read_leaf = merkle.leaf_slicer(payload)
+        else:
+
+            def read_leaf(index: int) -> bytes:
+                reader.seek(payload_offset + index * merkle.LEAF_SIZE)
+                return reader.read(merkle.leaf_length(payload_len, index))
+
+        return merkle.assemble_proof(payload_len, ref.tree, leaf_indices, read_leaf)
 
     def flush(self) -> None:
         if self._writer is not None and not self._closed:
@@ -431,6 +454,7 @@ class FileChunkStore:
             "type": "segment",
             "chunks": len(self._index),
             "stored_bytes": self._stored_bytes,
+            "merkle_bytes": merkle.kept_bytes(ref.tree for ref in self._index.values()),
             "segments": len(self._segment_ids()),
             "total_bytes": self._total_bytes,
             "live_bytes": self._live_bytes,
@@ -465,7 +489,8 @@ class FileChunkStore:
             offset = self._writer.tell()
             self._writer.write(record)
             new_index[key] = _Ref(
-                self._writer_segment, offset, len(record), ref.kind, ref.index, ref.size
+                self._writer_segment, offset, len(record), ref.kind, ref.index, ref.size,
+                tree=ref.tree,
             )
             live += len(record)
         self._writer.flush()
@@ -502,6 +527,15 @@ class FileChunkStore:
         reader.seek(ref.offset)
         return reader.read(ref.length)
 
+    @staticmethod
+    def _payload_span(key: str, ref: _Ref) -> Tuple[int, int]:
+        """(offset in its segment, length) of a record's payload."""
+        key_len = len(key.encode("utf-8"))
+        return (
+            ref.offset + _HEADER_LEN + key_len,
+            ref.length - _HEADER_LEN - key_len - _SHA_LEN - _CRC.size,
+        )
+
     def _flush_policy(self) -> None:
         if self.sync == "never":
             return
@@ -521,6 +555,4 @@ class FileChunkStore:
         Exposed for corruption-injection tests and forensic tooling.
         """
         ref = self._index[key]
-        payload_offset = ref.offset + _HEADER_LEN + len(key.encode("utf-8"))
-        payload_len = ref.length - _HEADER_LEN - len(key.encode("utf-8")) - _SHA_LEN - _CRC.size
-        return self._segment_path(ref.segment), payload_offset, payload_len
+        return (self._segment_path(ref.segment), *self._payload_span(key, ref))

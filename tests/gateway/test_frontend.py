@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.engine import ObjectNotFoundError
+from repro.cluster.engine import InvalidRangeError, ObjectNotFoundError
 from repro.core.broker import Scalia
 from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
 from repro.gateway.namespace import NamespaceError
@@ -55,6 +55,56 @@ class TestObjectAPI:
         with pytest.raises(NamespaceError):
             frontend.put("alice", "Bad_Bucket", "k", b"v")
         assert frontend.op_counts.get("put", 0) == 0
+
+
+class TestRangeAcrossAReput:
+    """``head`` and ``open_read`` are separate lock holds; a range is
+    resolved, refused and described against the version that is served."""
+
+    @staticmethod
+    def _reput_after_head(frontend, monkeypatch, payload):
+        real = frontend.broker.head
+        pending = [payload]
+
+        def head(container, key):
+            meta = real(container, key)
+            if pending:  # lands once the old version has been validated
+                frontend.put("alice", "photos", "k", pending.pop())
+            return meta
+
+        monkeypatch.setattr(frontend.broker, "head", head)
+
+    def test_a_range_the_smaller_new_version_refuses_is_a_416_of_its_size(
+        self, frontend, monkeypatch
+    ):
+        frontend.put("alice", "photos", "k", bytes(100))
+        self._reput_after_head(frontend, monkeypatch, bytes(40))
+        with pytest.raises(InvalidRangeError) as refused:
+            frontend.stream_get("alice", "photos", "k", range_spec=(50, 60))
+        # Content-Range: bytes */40, not the 100 the head saw.
+        assert refused.value.object_size == 40
+        # In range of both versions: served from, and described by, the new one.
+        frontend.put("alice", "photos", "k", bytes(100))
+        self._reput_after_head(frontend, monkeypatch, b"n" * 40)
+        plan, blocks = frontend.stream_get("alice", "photos", "k", range_spec=(30, 60))
+        assert (plan.meta.size, plan.start, plan.end) == (40, 30, 39)
+        assert b"".join(bytes(b) for b in blocks) == b"n" * 10
+
+    def test_a_suffix_range_is_the_larger_new_versions_last_bytes(
+        self, frontend, monkeypatch
+    ):
+        frontend.put("alice", "photos", "k", bytes(100))
+        new = bytes(range(140))
+        self._reput_after_head(frontend, monkeypatch, new)
+        plan, blocks = frontend.stream_get("alice", "photos", "k", range_spec=(None, 10))
+        assert (plan.meta.size, plan.start, plan.end) == (140, 130, 139)
+        assert b"".join(bytes(b) for b in blocks) == new[-10:]
+
+    def test_a_range_the_validated_version_refuses_is_a_416_of_its_size(self, frontend):
+        frontend.put("alice", "photos", "k", bytes(100))
+        with pytest.raises(InvalidRangeError) as refused:
+            frontend.stream_get("alice", "photos", "k", range_spec=(100, None))
+        assert refused.value.object_size == 100
 
 
 class TestAdminAPI:

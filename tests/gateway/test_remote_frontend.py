@@ -1051,6 +1051,38 @@ class TestGetInBothTopologies:
         assert plan.meta.checksum == reput[0].checksum
         assert (plan.start, plan.end, _drain(blocks)) == (1, 3, b"ew!")
 
+    def test_a_smaller_put_between_head_and_open_read_is_a_416_of_the_new_size(
+        self, rig, topology, monkeypatch
+    ):
+        broker = rig["broker"]
+        topology.put(TENANT, "bkt", "shrunk", bytes(100))
+        real = broker.open_read
+        reput = []
+
+        def open_read(container, key, **kwargs):
+            if not reput:  # lands after the head validated the 100-byte version
+                reput.append(rig["local"].put(TENANT, "bkt", "shrunk", bytes(40)))
+            return real(container, key, **kwargs)
+
+        monkeypatch.setattr(broker, "open_read", open_read)
+        with pytest.raises(InvalidRangeError) as refused:
+            topology.stream_get(TENANT, "bkt", "shrunk", range_spec=(50, 60))
+        assert refused.value.object_size == 40
+        # The other way round, with a suffix range: the new version's tail.
+        new = bytes(range(140))
+        topology.put(TENANT, "bkt", "grown", bytes(100))
+        del reput[:]
+
+        def open_read_grown(container, key, **kwargs):
+            if not reput:
+                reput.append(rig["local"].put(TENANT, "bkt", "grown", new))
+            return real(container, key, **kwargs)
+
+        monkeypatch.setattr(broker, "open_read", open_read_grown)
+        plan, blocks = topology.stream_get(TENANT, "bkt", "grown", range_spec=(None, 10))
+        assert (plan.meta.size, plan.start, plan.end) == (140, 130, 139)
+        assert _drain(blocks) == new[-10:]
+
     def test_a_first_segment_nobody_can_serve_is_a_503_and_not_a_read(self, rig, topology):
         broker, counters = rig["broker"], rig["local"]
         topology.put(TENANT, "bkt", "dark", bytes(range(256)) * 40)

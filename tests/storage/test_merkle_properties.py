@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from repro.storage.merkle import (
     LEAF_SIZE,
     SYNTHETIC_ROOT,
+    assemble_proof,
     build_proof,
+    build_tree,
     leaf_count,
     leaf_length,
     merkle_root,
@@ -88,13 +90,40 @@ def test_opened_proofs_return_the_leaves_they_verified(case):
 
 @settings(max_examples=60, deadline=None)
 @given(chunk_and_indices())
+def test_a_kept_tree_and_a_leaf_reader_assemble_the_proof_of_the_bytes(case):
+    """What a store does (look the paths up in a tree it kept, read only
+    the asked leaves) is ``build_proof`` over the bytes, to the last
+    field; the verifier hands back the very leaves it was given, and a
+    leaf that arrives as text is refused, not decoded."""
+    data, indices = case
+    tree = build_tree(data)
+    assert tree.root == merkle_root(data)
+    read = []
+
+    def read_leaf(index):
+        read.append(index)
+        return data[index * LEAF_SIZE : (index + 1) * LEAF_SIZE]
+
+    proof = assemble_proof(len(data), tree, indices, read_leaf)
+    assert proof == build_proof(data, indices)
+    assert read == indices
+    if leaf_count(len(data)) == 1:  # no path to look up: no tree to keep
+        assert assemble_proof(len(data), None, indices, read_leaf) == proof
+    leaves = open_proof(proof, tree.root, expected_size=len(data))
+    assert all(a is b["d"] for a, b in zip(leaves, proof["leaves"]))
+    proof["leaves"][0]["d"] = base64.b64encode(leaves[0]).decode("ascii")
+    assert open_proof(proof, tree.root, expected_size=len(data)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunk_and_indices())
 def test_billed_bytes_by_shape_equal_billed_bytes_by_decoding(case):
     """The bill is read off the proof's shape; on every honest proof
     that equals counting the bytes the proof actually carries."""
     data, indices = case
     proof = build_proof(data, indices)
     by_decoding = sum(
-        len(base64.b64decode(entry["d"])) + 32 * len(entry["path"])
+        len(entry["d"]) + 32 * len(entry["path"])
         for entry in proof["leaves"]
     )
     assert proof_billed_bytes(proof) == by_decoding
