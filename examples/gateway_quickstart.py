@@ -3,7 +3,7 @@
 
 Boots the S3-style gateway in-process on an ephemeral port, then drives it
 exactly like a remote client would: keep-alive HTTP, tenant header,
-PUT/GET/HEAD/list, an admin tick, and a short 16-client load burst.
+PUT/GET/HEAD/list and an admin tick.
 
 The same server is available standalone via ``repro serve``:
 
@@ -13,7 +13,7 @@ The same server is available standalone via ``repro serve``:
     $ curl -H 'x-scalia-tenant: alice' http://127.0.0.1:8090/photos?list
 """
 
-from repro.gateway import GatewayClient, LoadGenerator, ScaliaGateway
+from repro.gateway import GatewayClient, ScaliaGateway
 
 
 def main() -> None:
@@ -41,10 +41,6 @@ def main() -> None:
         tick = alice.tick(24)
         print(f"tick 24h  : period={tick['period']} "
               f"migrations={tick['migrations']}")
-
-        # A short mixed PUT/GET burst from 16 concurrent keep-alive clients.
-        report = LoadGenerator(host, port, clients=16).run(requests_per_client=50)
-        print(f"load burst: {report.summary()}")
 
         stats = alice.stats()
         print(f"stats     : ops={stats['ops']} cost=${stats['cost_total']:.6f}")

@@ -9,18 +9,18 @@ simple key/value access interface offered by most cloud storage providers"
 * :mod:`repro.gateway.namespace` — deterministic multi-tenant
   ``tenant:bucket -> internal container`` mapping, so tenants reuse friendly
   bucket names without colliding in the broker's flat container namespace.
-* :mod:`repro.gateway.frontend` — :class:`BrokerFrontend`, the concurrency
-  layer that makes the single-threaded broker safe under parallel requests
-  (coarse exclusive locking, or a single-writer dispatch queue).
+* :mod:`repro.gateway.frontend` — :class:`BrokerFrontend`, the thin
+  dispatch layer between request threads and the broker: it maps tenant
+  namespaces, translates errors and counts operations, and serializes
+  nothing (the broker's own striped locks keep parallel requests safe).
 * :mod:`repro.gateway.routes` — the S3-flavored route table and the
   exception -> HTTP status mapping.
 * :mod:`repro.gateway.server` — a stdlib ``ThreadingHTTPServer`` gateway
   (``repro serve`` boots one).
-* :mod:`repro.gateway.client` — a keep-alive HTTP client plus the load
-  generator used by ``benchmarks/bench_gateway_throughput.py``.
+* :mod:`repro.gateway.client` — a keep-alive HTTP client.
 """
 
-from repro.gateway.client import GatewayClient, GatewayError, LoadGenerator, LoadReport
+from repro.gateway.client import GatewayClient, GatewayError
 from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.namespace import NamespaceError, NamespaceMapper
 from repro.gateway.routes import Route, status_for_exception
@@ -30,8 +30,6 @@ __all__ = [
     "BrokerFrontend",
     "GatewayClient",
     "GatewayError",
-    "LoadGenerator",
-    "LoadReport",
     "NamespaceError",
     "NamespaceMapper",
     "Route",

@@ -1,4 +1,4 @@
-"""HTTP client and load generator for the gateway.
+"""HTTP client for the gateway.
 
 :class:`GatewayClient` is a thin keep-alive wrapper over stdlib
 ``http.client`` — one TCP connection reused across requests, transparent
@@ -7,23 +7,13 @@ surface mirrors the gateway's: file-like uploads go out without ever
 materializing the payload, downloads arrive block-by-block
 (:meth:`get_to_file`), ranged reads use ``Range`` headers, and the S3
 multipart protocol is wrapped by :meth:`put_multipart` and friends.
-
-:class:`LoadGenerator` drives a mixed PUT/GET workload from N concurrent
-clients (one connection per worker, S3-benchmark style) and reports
-requests/sec plus tail latency; ``benchmarks/bench_gateway_throughput.py``
-is its main consumer.  ``large_objects=True`` turns it into the
-multipart/range hammer for the streaming data plane.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import random
 import socket
-import threading
-import time
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import quote
 
@@ -606,188 +596,3 @@ def _iter_parts(source, part_size: int) -> Iterator[bytes]:
         yield part
         if len(part) < part_size:
             return
-
-
-# ---------------------------------------------------------------------------
-# load generation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LoadReport:
-    """Aggregate result of one load-generator run."""
-
-    clients: int
-    total_requests: int
-    errors: int
-    duration_s: float
-    ops: Dict[str, int] = field(default_factory=dict)
-    latencies_ms: List[float] = field(default_factory=list)
-
-    @property
-    def rps(self) -> float:
-        """Sustained requests per second across the whole run."""
-        return self.total_requests / self.duration_s if self.duration_s > 0 else 0.0
-
-    def percentile_ms(self, q: float) -> float:
-        """Latency percentile ``q`` in [0, 100], in milliseconds."""
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        idx = min(len(ordered) - 1, max(0, round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[idx]
-
-    def summary(self) -> str:
-        return (
-            f"{self.total_requests} reqs / {self.duration_s:.2f}s = "
-            f"{self.rps:.0f} req/s | p50 {self.percentile_ms(50):.2f}ms "
-            f"p95 {self.percentile_ms(95):.2f}ms p99 {self.percentile_ms(99):.2f}ms "
-            f"| {self.errors} errors | {self.clients} clients"
-        )
-
-
-class LoadGenerator:
-    """Mixed PUT/GET hammer: N workers, one keep-alive connection each.
-
-    Each worker owns a disjoint key range (``w{i}-k{j}``) so GETs always
-    target keys that worker already wrote — no cross-worker coordination,
-    and every request is expected to succeed (errors are a red flag, not
-    noise).
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        clients: int = 16,
-        put_ratio: float = 0.5,
-        payload_bytes: int = 256,
-        keyspace_per_client: int = 32,
-        tenant: str = "bench",
-        bucket: str = "bench",
-        large_object_every: int = 0,
-        large_payload_bytes: int = 4 * 1024 * 1024,
-        part_bytes: int = 1024 * 1024,
-    ) -> None:
-        if not 0.0 < put_ratio <= 1.0:
-            raise ValueError("put_ratio must be in (0, 1]")
-        self.host = host
-        self.port = port
-        self.clients = clients
-        self.put_ratio = put_ratio
-        self.payload_bytes = payload_bytes
-        self.keyspace_per_client = keyspace_per_client
-        self.tenant = tenant
-        self.bucket = bucket
-        # Large-object scenario: every Nth request multipart-uploads a
-        # large_payload_bytes object in part_bytes parts; once present,
-        # half the worker's reads become random ranged GETs against it.
-        self.large_object_every = large_object_every
-        self.large_payload_bytes = large_payload_bytes
-        self.part_bytes = part_bytes
-
-    def run(self, *, requests_per_client: int = 100, seed: int = 0) -> LoadReport:
-        """Fire the workload; returns the aggregate report."""
-        barrier = threading.Barrier(self.clients + 1)
-        results: List[Tuple[List[float], Dict[str, int], int]] = [
-            ([], {}, 0) for _ in range(self.clients)
-        ]
-
-        def worker(wid: int) -> None:
-            rng = random.Random(seed * 7919 + wid)
-            payload = bytes(
-                rng.getrandbits(8) for _ in range(self.payload_bytes)
-            )
-            client = GatewayClient(self.host, self.port, tenant=self.tenant)
-            latencies: List[float] = []
-            ops: Dict[str, int] = {"put": 0, "get": 0, "mpu": 0, "range": 0}
-            errors = 0
-            written: List[str] = []
-            big_key: Optional[str] = None
-            barrier.wait()
-            try:
-                for i in range(requests_per_client):
-                    if self.large_object_every > 0 and i % self.large_object_every == 0:
-                        key = f"w{wid}-big"
-                        payload = rng.randbytes(self.large_payload_bytes)
-                        start = time.perf_counter()
-                        try:
-                            client.put_multipart(
-                                self.bucket, key, iter([payload]),
-                                part_size=self.part_bytes,
-                            )
-                            big_key = key
-                            ops["mpu"] += 1
-                        except Exception:  # noqa: BLE001 — counted, not raised
-                            errors += 1
-                        latencies.append((time.perf_counter() - start) * 1000.0)
-                        continue
-                    if big_key is not None and rng.random() < 0.5:
-                        lo = rng.randrange(self.large_payload_bytes - 1)
-                        hi = min(
-                            self.large_payload_bytes - 1,
-                            lo + rng.randrange(1, self.part_bytes),
-                        )
-                        start = time.perf_counter()
-                        try:
-                            client.get_range(self.bucket, big_key, lo, hi)
-                            ops["range"] += 1
-                        except Exception:  # noqa: BLE001
-                            errors += 1
-                        latencies.append((time.perf_counter() - start) * 1000.0)
-                        continue
-                    do_put = not written or rng.random() < self.put_ratio
-                    if do_put:
-                        j = rng.randrange(self.keyspace_per_client)
-                        key = f"w{wid}-k{j}"
-                        start = time.perf_counter()
-                        try:
-                            client.put(self.bucket, key, payload)
-                            if key not in written:
-                                written.append(key)
-                            ops["put"] += 1
-                        except Exception:  # noqa: BLE001 — counted, not raised
-                            errors += 1
-                        latencies.append((time.perf_counter() - start) * 1000.0)
-                    else:
-                        key = rng.choice(written)
-                        start = time.perf_counter()
-                        try:
-                            client.get(self.bucket, key)
-                            ops["get"] += 1
-                        except Exception:  # noqa: BLE001
-                            errors += 1
-                        latencies.append((time.perf_counter() - start) * 1000.0)
-            finally:
-                client.close()
-            results[wid] = (latencies, ops, errors)
-
-        threads = [
-            threading.Thread(target=worker, args=(wid,), daemon=True)
-            for wid in range(self.clients)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        start = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        duration = time.perf_counter() - start
-
-        all_latencies: List[float] = []
-        ops_total: Dict[str, int] = {}
-        errors_total = 0
-        for latencies, ops, errors in results:
-            all_latencies.extend(latencies)
-            errors_total += errors
-            for op, count in ops.items():
-                ops_total[op] = ops_total.get(op, 0) + count
-        return LoadReport(
-            clients=self.clients,
-            total_requests=len(all_latencies),
-            errors=errors_total,
-            duration_s=duration,
-            ops=ops_total,
-            latencies_ms=all_latencies,
-        )

@@ -64,6 +64,15 @@ class WorkerPool:
         # concrete port every worker binds.
         self.reuse_port = hasattr(socket, "SO_REUSEPORT")
         if self.reuse_port:
+            if port != 0:
+                # SO_REUSEPORT would also let the reservation bind beside a
+                # live supervisor's workers, and the kernel would split
+                # connections between two brokers.  A probe without it is
+                # refused (EADDRINUSE) while anything listens on the port,
+                # and not by a bare reservation or TIME_WAIT leftovers.
+                with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+                    probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                    probe.bind((host, port))
             self._reservation = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             self._reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)

@@ -8,8 +8,8 @@ the provider answers with the leaf bytes plus a Merkle sibling path
 holds in object metadata, and only a *failed* proof escalates to the
 full-read Reed-Solomon repair the scrubber uses.  Per chunk, a passing
 audit moves one leaf and a handful of 32-byte hashes instead of the
-whole chunk — the ≥50× egress saving ``benchmarks/bench_audit.py``
-records.
+whole chunk — the ≥50× egress saving at 4 MiB chunks that
+``tests/storage/test_audit_vs_scrub.py::TestConvergence`` checks.
 
 A failed proof is treated as evidence, not weather: the provider
 answered with bytes that contradict the broker's root, so its breaker

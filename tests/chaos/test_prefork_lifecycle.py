@@ -15,6 +15,8 @@ Real ``repro serve --workers N`` process trees over loopback:
 * SIGKILL to the *supervisor* must not leave a zombie worker holding the
   port: the orphan drains, exits non-zero and the port refuses, so a
   restarted supervisor on the same ``--port`` serves alone.
+* A second supervisor started on a live supervisor's port must not bind
+  beside it: it exits 2 and the first one keeps every connection.
 """
 
 import ctypes
@@ -40,16 +42,21 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 PUSH_SETTLE_S = 2.5
 
 
-def _boot(port=0, *serve_args):
-    """``repro serve --workers 1`` on ``port``; returns (process, port)."""
+def _serve(port, *serve_args):
+    """Start ``repro serve --workers 1`` on ``port``; output on one pipe."""
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--workers", "1", "--port", str(port),
          *serve_args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True,
     )
+
+
+def _boot(port=0, *serve_args):
+    """``repro serve --workers 1`` on ``port``; returns (process, port)."""
+    proc = _serve(port, *serve_args)
     port = None
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
@@ -301,5 +308,22 @@ def test_worker_of_a_sigkilled_supervisor_exits_and_frees_the_port():
     finally:
         prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0)
         for process in (proc, restarted):
+            if process is not None and process.poll() is None:
+                _shut_down(process)
+
+
+def test_second_supervisor_on_a_live_port_exits_2_and_leaves_it_alone():
+    proc, port = _boot()
+    second = None
+    try:
+        pids = {_healthz_pid(port) for _ in range(5)}
+        second = _serve(port)
+        output, _ = second.communicate(timeout=30)
+        assert second.returncode == 2, output
+        assert f"cannot bind 127.0.0.1:{port}" in output
+        # Every connection still lands on the first supervisor's worker.
+        assert {_healthz_pid(port) for _ in range(20)} == pids
+    finally:
+        for process in (second, proc):
             if process is not None and process.poll() is None:
                 _shut_down(process)

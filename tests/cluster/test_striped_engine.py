@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -229,6 +230,57 @@ class TestStreamedPutOverRpc(TestStreamedPut):
     (subclassed, not parametrised, so the in-process ids stay as they are)."""
 
     STAGER = "rpc"
+
+
+MiB = 1024 * 1024
+
+
+def _blocks(total, block=256 * 1024):
+    """``total`` bytes in blocks: a source never whole in memory."""
+    pattern = bytes(range(256)) * (block // 256)
+    for sent in range(0, total, block):
+        yield pattern[: min(block, total - sent)]
+
+
+class TestWriteMemory:
+    """A streamed PUT and a multipart upload buffer O(stripe), not O(object).
+
+    A 16 MiB object in 1 MiB stripes goes into on-disk segment stores, so
+    the traced peak is the write path's buffers and not the stored bytes.
+    A driver that held the whole object would peak at 16 stripes or more.
+    """
+
+    OBJECT = 16 * MiB
+    STRIPE = 1 * MiB
+    BUDGET_STRIPES = 10
+
+    def _peak_stripes(self, tmp_path, upload):
+        with Scalia(data_dir=str(tmp_path), storage_sync="never",
+                    stripe_size_bytes=self.STRIPE) as broker:
+            tracemalloc.start()
+            try:
+                upload(broker)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert broker.head("mem", "big.bin").size == self.OBJECT
+        return peak / self.STRIPE
+
+    def test_streamed_put_peaks_under_ten_stripes(self, tmp_path):
+        def streamed(broker):
+            broker.put("mem", "big.bin", _blocks(self.OBJECT), size_hint=self.OBJECT)
+
+        assert self._peak_stripes(tmp_path, streamed) < self.BUDGET_STRIPES
+
+    def test_multipart_upload_peaks_under_ten_stripes(self, tmp_path):
+        def multipart(broker):
+            part = 2 * MiB
+            upload = broker.create_multipart_upload("mem", "big.bin", size_hint=self.OBJECT)
+            for number in range(1, self.OBJECT // part + 1):
+                broker.upload_part("mem", "big.bin", upload.upload_id, number, _blocks(part))
+            broker.complete_multipart_upload("mem", "big.bin", upload.upload_id)
+
+        assert self._peak_stripes(tmp_path, multipart) < self.BUDGET_STRIPES
 
 
 class TestStagersAgree:

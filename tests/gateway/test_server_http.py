@@ -2,11 +2,13 @@
 
 import http.client
 import json
+import random
+import threading
 
 import pytest
 
 from repro.core.broker import Scalia
-from repro.gateway.client import GatewayClient, GatewayError, LoadGenerator
+from repro.gateway.client import GatewayClient, GatewayError
 from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.server import ScaliaGateway
 
@@ -243,14 +245,44 @@ class TestKeepAliveIntegrity:
 
 class TestConcurrentClients:
     def test_parallel_mixed_load_has_zero_errors(self, gateway):
+        """8 keep-alive clients, 25 requests each, half of them PUTs: every
+        request succeeds and ``/stats`` counts exactly what was sent."""
         host, port = gateway.address
-        generator = LoadGenerator(
-            host, port, clients=8, put_ratio=0.5, payload_bytes=128
-        )
-        report = generator.run(requests_per_client=25, seed=7)
-        assert report.total_requests == 200
-        assert report.errors == 0
-        assert report.ops["put"] + report.ops["get"] == 200
+        clients, per_client = 8, 25
+        tallies = [{"put": 0, "get": 0, "errors": 0} for _ in range(clients)]
+
+        def worker(wid: int) -> None:
+            # Each client owns its keys, so every GET targets a key it wrote.
+            rng = random.Random(wid)
+            payload = rng.randbytes(128)
+            written = []
+            tally = tallies[wid]
+            with GatewayClient(host, port, tenant="bench") as client:
+                for _ in range(per_client):
+                    try:
+                        if not written or rng.random() < 0.5:
+                            key = f"w{wid}-k{rng.randrange(32)}"
+                            client.put("bench", key, payload)
+                            written.append(key)
+                            tally["put"] += 1
+                        else:
+                            client.get("bench", rng.choice(written))
+                            tally["get"] += 1
+                    except Exception:  # noqa: BLE001 — counted, asserted below
+                        tally["errors"] += 1
+
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        puts = sum(t["put"] for t in tallies)
+        gets = sum(t["get"] for t in tallies)
+        errors = sum(t["errors"] for t in tallies)
+        assert puts + gets + errors == 200
+        assert errors == 0
+        assert puts + gets == 200
         stats = gateway.frontend.stats()
-        assert stats["ops"]["put"] == report.ops["put"]
-        assert stats["ops"]["get"] == report.ops["get"]
+        assert stats["ops"]["put"] == puts
+        assert stats["ops"]["get"] == gets

@@ -122,12 +122,43 @@ class TestConvergence:
         # where a proof carries the whole leaf, plus full-read repairs
         # for every damaged chunk — possession proofs undercut full
         # reads, because healthy chunks (the vast majority) cost a leaf
-        # instead of a chunk.  At real chunk sizes the gap is the
-        # benchmark's ~64x; here it just has to be strict.
+        # instead of a chunk.  At real chunk sizes the gap is ~64x
+        # (test_audit_bills_50x_fewer_provider_bytes_at_4_mib_chunks);
+        # here it just has to be strict.
         assert 0 < audit_bytes < scrub_bytes
 
         audit_broker.close()
         scrub_broker.close()
+
+    def test_audit_bills_50x_fewer_provider_bytes_at_4_mib_chunks(self):
+        """The economics of challenge-response auditing (Dynamic
+        Accountable Storage): a passing proof moves one 64 KiB leaf and
+        its sibling path where a scrub reads the whole chunk.  16 MiB
+        objects in one stripe are placed m=4, so a chunk is 4 MiB = 64
+        leaves and the ratio is about 64.  It is set per chunk, so 8
+        synthetic objects read the same as 100 000; both sweeps bill
+        synthetic chunks as they would real bytes."""
+        object_bytes = 16 * 1024 * 1024
+        broker = Scalia(
+            enable_metrics=False, enable_events=False,
+            stripe_size_bytes=object_bytes,
+        )
+        for i in range(8):
+            broker.put("econ", f"obj-{i}", object_bytes)
+
+        base = _bytes_out(broker)
+        audit = broker.audit(repair=False)
+        audit_bytes = _bytes_out(broker) - base
+        base = _bytes_out(broker)
+        scrub = broker.scrub(repair=False)
+        scrub_bytes = _bytes_out(broker) - base
+
+        # Every chunk was challenged: the saving is not skipped work.
+        assert audit.chunks_audited == scrub.chunks_scanned > 0
+        assert audit.proofs_failed == 0 and audit.chunks_unrooted == 0
+        assert scrub.chunks_missing + scrub.chunks_corrupt == 0
+        assert 0 < 50 * audit_bytes <= scrub_bytes
+        broker.close()
 
 
 class TestExactBilling:
