@@ -164,7 +164,9 @@ class PendingDeleteQueue:
     Safe for concurrent mutators: every entry mutation (and its journal
     hook — so the WAL's delta order matches the queue's actual history)
     runs under an internal mutex.  The mutex nests only into the journal
-    lock; :meth:`flush` performs its provider deletes *outside* it.
+    lock; :meth:`flush` performs its provider deletes *outside* it, and
+    ``on_settle`` (the WAL's sync barrier) runs after a mutation
+    releases it.
 
     A second, striped set of *rewrite guards* coordinates the flush with
     same-chunk-key rewrites.  A queued delete for ``(provider, ck)`` and
@@ -179,6 +181,7 @@ class PendingDeleteQueue:
     entries: List[Tuple[str, str]] = field(default_factory=list)
     on_add: Optional[Callable[[str, str], None]] = None
     on_remove: Optional[Callable[[str, str], None]] = None
+    on_settle: Optional[Callable[[], None]] = None
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
@@ -200,6 +203,7 @@ class PendingDeleteQueue:
             self.entries.append((provider_name, chunk_key))
             if self.on_add is not None:
                 self.on_add(provider_name, chunk_key)
+        self._settle()
 
     def _remove_if_present(self, entry: Tuple[str, str]) -> bool:
         """Drop one occurrence of ``entry`` (tolerates a racing removal)."""
@@ -209,7 +213,12 @@ class PendingDeleteQueue:
             self.entries.remove(entry)
             if self.on_remove is not None:
                 self.on_remove(*entry)
-            return True
+        self._settle()
+        return True
+
+    def _settle(self) -> None:
+        if self.on_settle is not None:
+            self.on_settle()
 
     def discard(self, provider_name: str, chunk_key: str) -> None:
         """Cancel any pending delete for ``(provider, chunk_key)``.
@@ -743,10 +752,11 @@ class Engine:
             meta = self._winning_meta(row_key)
             if meta is None:
                 raise ObjectNotFoundError(f"{container}/{key}")
-            self._metadata.write(
-                self.dc, row_key, None, uuid=self._ids.uuid(), timestamp=now
-            )
-            self._write_index(container, key, row_key, now, present=False)
+            with self._metadata.batch():
+                self._metadata.write(
+                    self.dc, row_key, None, uuid=self._ids.uuid(), timestamp=now
+                )
+                self._write_index(container, key, row_key, now, present=False)
             self._gc_chunks(meta, keep=frozenset())
             self._log.log(
                 LogRecord(
@@ -1100,16 +1110,9 @@ class Engine:
             modified_at=now,
             merkle=merkle,
         )
-        self._metadata.write(
-            self.dc, row_key, meta.to_dict(), uuid=meta.skey, timestamp=now
-        )
-        keep = self._publish(row_key, meta, old_meta, now, period)
-        # Retire the staging row only after the object row is journaled:
-        # a crash in between leaves both referencing the same chunks,
-        # which abort/scrub resolve without data loss.
-        self._metadata.write(
-            self.dc, multipart_row_key(container, upload_id), None,
-            uuid=self._ids.uuid(), timestamp=now,
+        keep = self._publish(
+            row_key, meta, old_meta, now, period,
+            retire=multipart_row_key(container, upload_id),
         )
         # Both rows are committed: the object row now carries the chunks'
         # reference, so the upload-lifetime in-flight hold can end (its
@@ -1344,12 +1347,7 @@ class Engine:
                 modified_at=now,
                 merkle=tuple(sorted(session.merkle)),
             )
-            self._metadata.write(
-                self.dc, row_key, meta.to_dict(), uuid=meta.skey, timestamp=now
-            )
-            # The row owns the chunks from here on.
-            self._close_staged(session)
-            self._publish(row_key, meta, old_meta, now, period)
+            self._publish(row_key, meta, old_meta, now, period, session=session)
         return meta
 
     def _publish(
@@ -1359,11 +1357,31 @@ class Engine:
         old_meta: Optional[ObjectMeta],
         now: float,
         period: int,
+        *,
+        session: Optional[StagedWrite] = None,
+        retire: Optional[str] = None,
     ) -> frozenset:
-        """What every committed write does once its row is journaled:
-        index entry, GC of the replaced version, the ``put`` statistic,
-        cache invalidation.  Returns the new version's chunk refs."""
-        self._write_index(meta.container, meta.key, row_key, now, present=True)
+        """What every committed write does: journal the object row, its
+        index entry and, for a multipart completion, the staging row it
+        retires as one batch with one sync; then collect the replaced
+        version, log the ``put`` statistic and invalidate the cache.
+        Returns the new version's chunk refs."""
+        with self._metadata.batch():
+            self._metadata.write(
+                self.dc, row_key, meta.to_dict(), uuid=meta.skey, timestamp=now
+            )
+            if session is not None:
+                # The row owns the chunks from here on.
+                self._close_staged(session)
+            self._write_index(meta.container, meta.key, row_key, now, present=True)
+            if retire is not None:
+                # After the object row: a crash in between leaves both
+                # referencing the same chunks, which abort/scrub resolve
+                # without data loss.
+                self._metadata.write(
+                    self.dc, retire, None, uuid=self._ids.uuid(), timestamp=now
+                )
+        # Every row is durable: only now may the old version's chunks go.
         keep = frozenset((p, ck) for _s, _i, p, ck in meta.iter_chunks())
         if old_meta is not None:
             self._gc_chunks(old_meta, keep=keep)

@@ -13,6 +13,7 @@ replication; healing runs anti-entropy and converges every replica
 from __future__ import annotations
 
 import bisect
+import contextlib
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Literal, Mapping, Optional, Tuple
@@ -168,10 +169,13 @@ class MetadataCluster:
     Every public operation runs under one internal reentrant mutex, so a
     row mutation (and its replication fan-out) is atomic with respect to
     every concurrent reader or scanner.  The durability hooks fire while
-    the mutex is held — they append to the WAL and may trigger a snapshot
+    the mutex is held — they write to the WAL and may trigger a snapshot
     (which re-enters :meth:`export_state`, hence the reentrancy).  The
     mutex is a leaf-plus-journal lock in the broker's hierarchy: nothing
     called under it ever takes an object, container or statistics lock.
+    A public call that journaled something runs ``on_settle`` (the WAL's
+    sync barrier) after releasing the mutex, or, inside :meth:`batch`,
+    once when the outermost batch ends.
     """
 
     def __init__(self, datacenters: Iterable[str]) -> None:
@@ -191,6 +195,10 @@ class MetadataCluster:
         # drops the losers of a conflict.  ``None`` means no journaling.
         self.on_apply: Optional[Callable[[str, str, VersionedValue], None]] = None
         self.on_prune: Optional[Callable[[str, str, str], None]] = None
+        # ``on_settle()`` makes what this thread journaled durable; never
+        # called under the mutex.  ``_batches.depth`` defers it per thread.
+        self.on_settle: Optional[Callable[[], None]] = None
+        self._batches = threading.local()
 
     # -- locking ----------------------------------------------------------
 
@@ -204,6 +212,28 @@ class MetadataCluster:
         write on the next recovery.
         """
         return self._mutex
+
+    @contextlib.contextmanager
+    def batch(self):
+        """Journal every write inside as one batch with one sync.
+
+        A commit's rows (object row, index row, a retired staging row)
+        are durable together when the outermost batch ends, and the
+        caller deletes the replaced version's chunks only after that.
+        WAL replay is prefix-ordered, so a power loss keeps a prefix of
+        the batch, never a later row without an earlier one.
+        """
+        local = self._batches
+        local.depth = getattr(local, "depth", 0) + 1
+        try:
+            yield
+        finally:
+            local.depth -= 1
+        self._settle()
+
+    def _settle(self) -> None:
+        if self.on_settle is not None and not getattr(self._batches, "depth", 0):
+            self.on_settle()
 
     # -- topology ---------------------------------------------------------
 
@@ -226,6 +256,7 @@ class MetadataCluster:
                 # The queue holds (row, version) in both directions.
                 for dc in (dc_a, dc_b):
                     self._apply(dc, row_key, version)
+        self._settle()
 
     def _apply(self, dc: str, row_key: str, version: VersionedValue) -> None:
         """Apply a version to one replica, journaling when hooked."""
@@ -290,7 +321,8 @@ class MetadataCluster:
             )
             self._apply(dc, row_key, version)
             self._replicate(dc, row_key, version)
-            return version
+        self._settle()
+        return version
 
     def _replicate(self, origin: str, row_key: str, version: VersionedValue) -> None:
         for dc in self._replicas:
@@ -318,7 +350,8 @@ class MetadataCluster:
                 return ConflictResolution(winner=None)
             winner = _freshest(versions)
             stale = [v for v in versions if v.uuid != winner.uuid]
-            if repair and stale:
+            pruned = repair and bool(stale)
+            if pruned:
                 self._replicas[dc].prune(row_key, winner.uuid)
                 if self.on_prune is not None:
                     self.on_prune(dc, row_key, winner.uuid)
@@ -331,7 +364,10 @@ class MetadataCluster:
                     # A tombstone that wins still implies the older versions'
                     # chunks must be GC'd; the tombstone itself carries none.
                     pass
-            return resolution
+        if pruned:
+            # Before the caller collects the losers' chunks.
+            self._settle()
+        return resolution
 
     def scan_keys(
         self,

@@ -40,8 +40,13 @@ class ClusterFrontend(BrokerFrontend):
         # Barrier: everything this operation journaled has a sequence at
         # or below the WAL's current head; waiting for the head is at
         # worst waiting for a few unrelated-but-concurrent records that
-        # would commit in the same quorum round anyway.
-        self.node.wait_committed(self.node.dm.last_seq)
+        # would commit in the same quorum round anyway.  The head is
+        # synced first: the leader counts only its durable log toward the
+        # quorum, and an operation's last records (its chunk deletes) are
+        # owed to no other barrier.
+        head = self.node.dm.last_seq
+        self.node.dm.journal.sync_through(head)
+        self.node.wait_committed(head)
         return result
 
     # -- the gate's answers (overrides of the standalone defaults) ---------

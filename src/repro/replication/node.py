@@ -160,6 +160,7 @@ class ClusterNode:
             self.members[self.node_id]["port"] = self._server.address[1]
             self.members[self.node_id]["gateway"] = self.gateway_url
         self.dm.on_append = self._on_local_append
+        self.dm.journal.on_synced = self._on_local_synced
         for provider in self.broker.registry.providers():
             provider.on_chunk_put = self._on_chunk_put
             provider.on_chunk_delete = self._on_chunk_delete
@@ -173,6 +174,7 @@ class ClusterNode:
         with self._cond:
             self._cond.notify_all()
         self.dm.on_append = None
+        self.dm.journal.on_synced = None
         for provider in self.broker.registry.providers():
             provider.on_chunk_put = None
             provider.on_chunk_delete = None
@@ -278,6 +280,12 @@ class ClusterNode:
             self._advance_commit_locked()
             self._cond.notify_all()
 
+    def _on_local_synced(self) -> None:
+        # A WAL barrier returned (sync="always"): the leader's own log
+        # may now count further toward the commit quorum.
+        with self._cond:
+            self._advance_commit_locked()
+
     def _on_chunk_put(self, provider_name: str, key: str, chunk) -> None:
         if self.is_leader():
             self.dm.journal_chunk_put(provider_name, key, chunk)
@@ -294,7 +302,8 @@ class ClusterNode:
     def _advance_commit_locked(self) -> None:
         if self.election.role != LEADER:
             return
-        acked = [self.dm.last_seq] + [
+        # The leader's own log counts only as far as it is durable.
+        acked = [self.dm.synced_seq] + [
             self._match.get(peer, 0) for peer in self.members if peer != self.node_id
         ]
         acked.sort(reverse=True)
@@ -375,6 +384,8 @@ class ClusterNode:
                             }
                         continue  # at-least-once duplicate
                     self.dm.apply_replicated(self.broker, record)
+                # One sync for the whole batch, before it is acknowledged.
+                self.dm.settle()
             with self._lock:
                 self.commit_seq = max(
                     self.commit_seq,

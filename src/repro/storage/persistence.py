@@ -38,6 +38,16 @@ were never acknowledged.  Usage meters are journaled at period
 granularity — increments inside the currently open period are the one
 piece of state a crash forfeits, which affects billing introspection,
 never object data.
+
+Power-loss model (``sync="always"``): the hooks only *write* their
+records; a thread's written records become durable at its next
+:meth:`DurabilityManager.settle`, the journal's group-commit barrier.
+The metadata store and the pending-delete queue settle at the end of
+each public call, after releasing their mutex, and a commit's rows
+(``MetadataCluster.batch``) share one settle that runs before any chunk
+of the replaced version is deleted.  So the contract is unchanged —
+durable when the call returns — while concurrent commits share fsyncs
+and no fsync runs under either mutex.
 """
 
 from __future__ import annotations
@@ -109,6 +119,8 @@ class DurabilityManager:
         # on_append callback must not re-enter the durability manager.
         self._append_lock = threading.RLock()
         self._records_since_snapshot = 0
+        # Per thread: the highest seq it wrote that no barrier covers yet.
+        self._owed = threading.local()
         self._broker: Optional["Scalia"] = None
         self._replaying = False
         #: Observer for freshly appended records (the cluster node's
@@ -200,6 +212,8 @@ class DurabilityManager:
                 wal_records += 1
         finally:
             self._replaying = False
+        # Whatever replay found in the file is the durable prefix now.
+        self.journal.sync_through(self.journal.last_seq)
         self.recovery_report = {
             "boot_epoch": self.boot_epoch,
             "snapshot_loaded": snapshot is not None,
@@ -276,26 +290,45 @@ class DurabilityManager:
         broker.cluster.metadata.on_prune = self._on_prune
         broker.cluster.pending_deletes.on_add = self._on_pending_add
         broker.cluster.pending_deletes.on_remove = self._on_pending_remove
+        broker.cluster.metadata.on_settle = self.settle
+        broker.cluster.pending_deletes.on_settle = self.settle
 
     def _append(self, record: dict, *, allow_snapshot: bool = True) -> None:
-        """Stamp, journal and publish one record (every local append path).
+        """Stamp, write and publish one record (every local append path).
 
         Under ``_append_lock`` so the ``on_append`` observer sees records
         in exactly their WAL (sequence) order even when appenders race.
-        The snapshot-cadence check runs after the lock is released — a
-        snapshot acquires the metadata mutex, which on_append observers
-        and the replication apply path must never wait behind.
+        The record is owed by the calling thread until its next
+        :meth:`settle`.  The snapshot-cadence check runs after the lock
+        is released — a snapshot acquires the metadata mutex, which
+        on_append observers and the replication apply path must never
+        wait behind.
         """
         with self._append_lock:
             if self.record_term is not None and "rt" not in record:
                 record["rt"] = self.record_term
-            self.journal.append(record)
+            seq = self.journal.write(record)
             if "rt" in record:
                 self.last_record_term = int(record["rt"])
             observer = self.on_append
             if observer is not None:
                 observer(record)
+        self._owed.seq = seq
         self._bump_and_maybe_snapshot(allow_snapshot=allow_snapshot)
+
+    def settle(self) -> None:
+        """Make every record this thread has written durable.
+
+        The barrier of the power-loss model (a no-op unless
+        ``sync="always"``, and for a thread that owes nothing).  Records
+        are a prefix on replay, so covering this thread's newest record
+        covers its older ones and any other thread's before it.  Never
+        call it holding the metadata or pending-queue mutex.
+        """
+        seq = getattr(self._owed, "seq", 0)
+        if seq:
+            self._owed.seq = 0
+            self.journal.sync_through(seq)
 
     def _on_apply(self, dc: str, row_key: str, version: VersionedValue) -> None:
         if self._replaying:
@@ -336,6 +369,7 @@ class DurabilityManager:
         self._append(
             {"t": "period", "period": closed_period, "now": broker.now, "meters": meters}
         )
+        self.settle()
 
     # -- replication stream ------------------------------------------------
 
@@ -344,6 +378,11 @@ class DurabilityManager:
         """Sequence number of the newest journaled record."""
         return self.journal.last_seq
 
+    @property
+    def synced_seq(self) -> int:
+        """Sequence number through which the journal is durable."""
+        return self.journal.synced_seq
+
     def append_marker(self, record: dict) -> int:
         """Journal a broker-state-free record (a new leader's ``noop``).
 
@@ -351,15 +390,17 @@ class DurabilityManager:
         so markers are safe to ship to any follower.
         """
         self._append(record)
+        self.settle()
         return int(record["seq"])
 
     def journal_chunk_put(self, provider_name: str, chunk_key: str, chunk) -> None:
         """Journal one chunk payload (cluster mode's replication stream).
 
-        Called from the provider's chunk hook while its op lock is held,
-        so the snapshot (which takes the metadata mutex) must not trigger
-        from here — the counter advances and the next metadata-path
-        append takes it.
+        Called from the provider's chunk hook, so the snapshot (which
+        takes the metadata mutex) must not trigger from here — the
+        counter advances and the next metadata-path append takes it.
+        Nor does it settle: a chunk record matters once a row names the
+        chunk, and that row's barrier covers every record before it.
         """
         self._append(
             {"t": "chunk", "p": provider_name, "k": chunk_key, "c": chunk_to_doc(chunk)},
@@ -393,19 +434,20 @@ class DurabilityManager:
                 yield record
 
     def apply_replicated(self, broker: "Scalia", record: dict) -> bool:
-        """Follower-side apply: journal + apply one leader record.
+        """Follower-side apply: write + apply one leader record.
 
         Deduplicates by sequence (at-least-once transports resend
         suffixes), preserving the leader's stamped seq/term.  Returns
         False when the record was already applied.  The caller (the
         cluster node's single RPC apply thread) delivers records in
-        order; this method does not reorder on its behalf.
+        order; this method does not reorder on its behalf, and it calls
+        :meth:`settle` once per batch before acknowledging it.
         """
         with self._append_lock:
             seq = record.get("seq")
             if isinstance(seq, int) and seq <= self.journal.last_seq:
                 return False
-            self.journal.append(record)
+            self._owed.seq = self.journal.write(record)
             if "rt" in record:
                 self.last_record_term = int(record["rt"])
         was_replaying = self._replaying

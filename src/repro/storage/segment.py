@@ -36,6 +36,13 @@ erasure repair.
 Deletes are records too (the store is append-only); space comes back via
 compaction, triggered when dead bytes pass a ratio of the store's size:
 live records are rewritten into fresh segments and the old files removed.
+
+Under ``sync="always"`` a put is fsynced before it returns, but a delete's
+tombstone is only flushed: it becomes durable with the store's next fsync
+(the next put, a segment roll, compaction, :meth:`FileChunkStore.flush` or
+``close``).  A tombstone lost to power loss brings back a chunk no row
+references any more — the state a crash between a journaled row and its
+chunk deletes already leaves, and the scrubber's orphan sweep reclaims.
 """
 
 from __future__ import annotations
@@ -176,7 +183,8 @@ class FileChunkStore:
 
     def _roll_if_needed(self, incoming: int) -> None:
         if self._writer.tell() + incoming > self.segment_max_bytes and self._writer.tell() > 0:
-            self._writer.flush()
+            # The outgoing segment may end in tombstones no fsync covered.
+            self._flush_policy()
             self._open_writer(self._writer_segment + 1)
 
     # -- recovery ----------------------------------------------------------
@@ -356,7 +364,8 @@ class FileChunkStore:
         record = _encode_record(_OP_DELETE, key, None)
         self._roll_if_needed(len(record))
         self._writer.write(record)
-        self._flush_policy()
+        if self.sync != "never":
+            self._writer.flush()  # fsynced by the next put, roll or flush
         self._drop_live(ref)
         self._total_bytes += len(record)
         self._maybe_compact()

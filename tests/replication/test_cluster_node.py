@@ -6,7 +6,9 @@ every wait is condition-polled with a generous ceiling, never a bare
 sleep.
 """
 
+import os
 import random
+import threading
 import time
 
 import pytest
@@ -36,8 +38,8 @@ class Harness:
         self.nodes = {}
         self.brokers = {}
 
-    def spawn(self, tag, join=None, seed=None):
-        broker = Scalia(data_dir=str(self.root / tag))
+    def spawn(self, tag, join=None, seed=None, sync="os"):
+        broker = Scalia(data_dir=str(self.root / tag), storage_sync=sync)
         node = ClusterNode(
             broker,
             node_id=tag,
@@ -182,6 +184,77 @@ class TestReplication:
             what="post-snapshot streaming",
         )
         assert b2.get("bkt", "new") == b"post-snapshot" * 8
+
+
+class WalFsyncs:
+    """``os.fsync`` stand-in counting one journal's fsyncs; ``hold`` makes
+    them wait until released."""
+
+    def __init__(self, journal, real):
+        self.journal, self.real = journal, real
+        self.count = 0
+        self.release = threading.Event()
+        self.release.set()
+        self.entered = threading.Event()
+
+    def __call__(self, fd):
+        if os.path.samestat(os.fstat(fd), os.stat(self.journal.path)):
+            self.count += 1
+            self.entered.set()
+            self.release.wait(10.0)
+        return self.real(fd)
+
+
+class TestGroupCommit:
+    def test_a_replicated_batch_costs_the_follower_one_wal_fsync(self, tmp_path, monkeypatch):
+        broker = Scalia(data_dir=str(tmp_path), storage_sync="always")
+        node = ClusterNode(broker, node_id="f", listen=("127.0.0.1", 0))
+        try:
+            fsyncs = WalFsyncs(broker.durability.journal, os.fsync)
+            monkeypatch.setattr(os, "fsync", fsyncs)
+            records = [{"t": "noop", "seq": seq, "rt": 1} for seq in range(1, 9)]
+            reply = node._h_append(
+                {"term": 1, "leader": "L", "records": records, "commit": 0}
+            )
+            assert reply == {"status": "ok", "term": 1, "last_seq": 8}
+            assert fsyncs.count == 1
+            assert broker.durability.synced_seq == 8
+        finally:
+            node.close()
+            broker.close()
+
+    def test_commit_never_passes_the_leaders_synced_seq(self, harness, monkeypatch):
+        b1, n1 = harness.spawn("n1", sync="always")
+        wait_for(n1.is_leader, what="self-election")
+        _, n2 = harness.spawn("n2", join=n1.rpc_address)
+        wait_for(
+            lambda: all(len(n.members) == 2 for n in harness.nodes.values()),
+            what="membership convergence",
+        )
+        b1.put("bkt", "warm", b"w" * 64)
+        n1.wait_committed(n1.dm.last_seq, timeout=10.0)
+
+        fsyncs = WalFsyncs(n1.dm.journal, os.fsync)
+        fsyncs.release.clear()
+        monkeypatch.setattr(os, "fsync", fsyncs)
+        writer = threading.Thread(target=b1.put, args=("bkt", "held", b"h" * 64))
+        writer.start()
+        try:
+            assert fsyncs.entered.wait(10.0)
+            synced = n1.dm.synced_seq
+            # The follower receives and acks the unsynced rows ...
+            wait_for(
+                lambda: n1.status()["members"]["n2"].get("match_seq") == n1.dm.last_seq,
+                what="follower ack of the unsynced rows",
+            )
+            assert n1.dm.last_seq > synced
+            # ... but the leader's own log is not durable past ``synced``.
+            assert n1.commit_seq <= synced
+        finally:
+            fsyncs.release.set()
+            writer.join(10.0)
+        n1.wait_committed(n1.dm.last_seq, timeout=10.0)
+        assert n1.dm.synced_seq == n1.commit_seq == n1.dm.last_seq
 
 
 class TestFailover:

@@ -1,5 +1,7 @@
 """The append-only segment store: round-trips, recovery, damage, compaction."""
 
+import os
+
 import pytest
 
 from repro.erasure.striping import Chunk, SyntheticChunk
@@ -209,6 +211,45 @@ class TestCorruption:
         store.put("k", real_chunk(0, b"original"))
         assert store.verify("k") == VERIFY_OK
         assert store.get("k").data == b"original"
+
+
+class TestTombstoneSync:
+    """Under ``sync="always"`` a delete is flushed, not fsynced; the
+    store's next fsync (put, roll, flush) covers it."""
+
+    @pytest.fixture()
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(os.fstat(fd).st_size)
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return calls
+
+    def test_delete_does_not_fsync_and_the_next_put_does(self, tmp_path, fsyncs):
+        store = FileChunkStore(tmp_path / "chunks", sync="always")
+        store.put("a", real_chunk(0, b"a" * 100))
+        fsyncs.clear()
+        store.delete("a")
+        assert fsyncs == []
+        store.put("b", real_chunk(0, b"b" * 100))
+        (synced,) = fsyncs
+        assert synced == store.stats()["total_bytes"]  # the tombstone too
+        store.close()
+
+    def test_a_roll_fsyncs_the_outgoing_segment(self, tmp_path, fsyncs):
+        store = FileChunkStore(tmp_path / "chunks", sync="always", segment_max_bytes=1024)
+        store.put("a", real_chunk(0, b"a" * 400))
+        store.delete("a")
+        outgoing = store.stats()["total_bytes"]
+        fsyncs.clear()
+        store.put("b", real_chunk(0, b"b" * 900))  # does not fit: rolls
+        assert store.stats()["segments"] == 2
+        assert fsyncs[0] == outgoing  # before the new segment is opened
+        store.close()
 
 
 class TestCompaction:

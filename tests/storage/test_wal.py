@@ -1,8 +1,42 @@
 """The journal + snapshot primitives: append/replay, torn tails, atomicity."""
 
 import json
+import os
 
-from repro.storage.wal import Journal, load_snapshot, write_snapshot
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs.metrics import MetricsRegistry
+from repro.storage.wal import Journal, _canonical, _checksum, load_snapshot, write_snapshot
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+records = st.dictionaries(st.text(), json_values, max_size=6)
+
+
+def wrapper_line(record):
+    """The reference framing of a WAL line: json.dumps of the whole
+    ``{"c": checksum, "r": record}`` wrapper."""
+    body = _canonical(record)
+    return json.dumps(
+        {"c": _checksum(body), "r": record}, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8") + b"\n"
+
+
+class CountingFsync:
+    def __init__(self, real):
+        self.real, self.calls = real, 0
+
+    def __call__(self, fd):
+        self.calls += 1
+        return self.real(fd)
 
 
 class TestJournal:
@@ -80,6 +114,85 @@ class TestJournal:
         j.append({"n": 2})
         assert list(j.replay()) == [{"n": 2, "seq": 2}]
         j.close()
+
+
+class TestLineFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(record=records)
+    def test_line_is_the_wrapper_serialized(self, tmp_path_factory, record):
+        path = tmp_path_factory.mktemp("wal") / "wal.log"
+        journal = Journal(path)
+        journal.write(record)  # stamps record["seq"] in place
+        journal.close()
+        assert path.read_bytes() == wrapper_line(record)
+
+    def test_a_log_in_the_wrapper_form_replays_and_extends(self, tmp_path):
+        path = tmp_path / "wal.log"
+        old = [
+            {"t": "md", "dc": "dc1", "row": "r", "v": {"uuid": "u", "value": None}, "seq": 1},
+            {"t": "pend+", "p": "S3(l)", "k": "sk:0", "seq": 2, "rt": 3},
+        ]
+        path.write_bytes(b"".join(wrapper_line(record) for record in old))
+        journal = Journal(path)
+        assert list(journal.replay()) == old
+        journal.append({"t": "noop"})
+        journal.close()
+        assert path.read_bytes() == b"".join(
+            wrapper_line(record) for record in [*old, {"t": "noop", "seq": 3}]
+        )
+
+
+class TestSyncBarrier:
+    def test_writes_share_one_fsync(self, tmp_path, monkeypatch):
+        fsync = CountingFsync(os.fsync)
+        journal = Journal(tmp_path / "wal.log", sync="always")
+        monkeypatch.setattr(os, "fsync", fsync)
+        seqs = [journal.write({"n": i}) for i in range(5)]
+        assert seqs == [1, 2, 3, 4, 5] and fsync.calls == 0
+        assert journal.synced_seq == 0
+        journal.sync_through(3)
+        assert fsync.calls == 1 and journal.synced_seq == 5
+        journal.sync_through(5)  # already covered
+        assert fsync.calls == 1
+        journal.close()
+
+    def test_append_is_write_plus_sync(self, tmp_path, monkeypatch):
+        fsync = CountingFsync(os.fsync)
+        journal = Journal(tmp_path / "wal.log", sync="always")
+        monkeypatch.setattr(os, "fsync", fsync)
+        assert journal.append({"n": 1}) == 1
+        assert fsync.calls == 1 and journal.synced_seq == 1
+        journal.close()
+
+    def test_truncate_counts_as_a_sync(self, tmp_path, monkeypatch):
+        journal = Journal(tmp_path / "wal.log", sync="always")
+        journal.write({"n": 1})
+        journal.write({"n": 2})
+        journal.truncate()
+        fsync = CountingFsync(os.fsync)
+        monkeypatch.setattr(os, "fsync", fsync)
+        journal.sync_through(2)
+        assert fsync.calls == 0 and journal.synced_seq == 2
+        journal.close()
+
+    def test_without_always_a_flush_is_the_barrier(self, tmp_path, monkeypatch):
+        fsync = CountingFsync(os.fsync)
+        journal = Journal(tmp_path / "wal.log", sync="os")
+        monkeypatch.setattr(os, "fsync", fsync)
+        journal.append({"n": 1})
+        assert fsync.calls == 0 and journal.synced_seq == 1
+        journal.close()
+
+    def test_fsync_histogram_counts_barriers_or_flushes(self, tmp_path):
+        for sync, expected in (("always", 1), ("os", 3)):
+            metrics = MetricsRegistry()
+            journal = Journal(tmp_path / f"{sync}.log", sync=sync, metrics=metrics)
+            for i in range(3):
+                journal.write({"n": i})
+            journal.sync_through(3)
+            (sample,) = metrics.render_json()["metrics"]["scalia_wal_fsync_seconds"]["samples"]
+            assert sample["count"] == expected, sync
+            journal.close()
 
 
 class TestSnapshot:
