@@ -15,8 +15,9 @@ simple key/value access interface offered by most cloud storage providers"
   nothing (the broker's own striped locks keep parallel requests safe).
 * :mod:`repro.gateway.routes` — the S3-flavored route table and the
   exception -> HTTP status mapping.
-* :mod:`repro.gateway.server` — a stdlib ``ThreadingHTTPServer`` gateway
-  (``repro serve`` boots one).
+* :mod:`repro.gateway.server` — the gateway's own HTTP/1.1 server: one
+  accept loop, a thread per connection, a one-pass request-head parser
+  and one write per small response (``repro serve`` boots one).
 * :mod:`repro.gateway.client` — a keep-alive HTTP client.
 """
 

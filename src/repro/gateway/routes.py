@@ -1,8 +1,8 @@
 """The gateway's route table and error-to-status mapping.
 
-Kept free of any ``http.server`` machinery so the parsing and the status
-mapping are unit-testable without sockets, and so an asyncio front end
-could reuse them unchanged.
+Kept free of any socket or connection machinery so the parsing and the
+status mapping are unit-testable without sockets, and so another front
+end could reuse them unchanged.
 
 Route table (see ``docs/GATEWAY.md``):
 

@@ -1,9 +1,21 @@
-"""The HTTP gateway server: a threaded stdlib front end for the broker.
+"""The HTTP gateway server: the broker's own HTTP/1.1 front end.
 
-``ScaliaGateway`` wraps a ``ThreadingHTTPServer`` whose handler translates
-the S3-flavored route table (:mod:`repro.gateway.routes`) into
-:class:`~repro.gateway.frontend.BrokerFrontend` calls.  One OS thread per
-connection, HTTP/1.1 keep-alive, no dependencies outside the stdlib.
+``ScaliaGateway`` owns a listening socket and one accept loop; each
+accepted connection gets a thread running :class:`GatewayHandler`, which
+reads request heads, translates the S3-flavored route table
+(:mod:`repro.gateway.routes`) into
+:class:`~repro.gateway.frontend.BrokerFrontend` calls and writes the
+responses.  HTTP/1.1 keep-alive and pipelining, no dependencies outside
+the stdlib.
+
+The connection layer is written for the small request, where it is most
+of the cost: a request head is parsed in one pass over the buffered
+socket into a plain dict of lower-cased names, and a response head is
+built once as ``bytes`` and leaves in the same ``sendmsg`` as any body
+the handler already holds (a JSON reply, an error, a GET's first block),
+so a small response is one write.  A connection that sends no request
+head within :data:`HEAD_TIMEOUT_S` is closed, so silent sockets cannot
+hold ``max_connections`` slots.  Limits and semantics: docs/GATEWAY.md.
 
 The data plane is streamed end to end: request bodies (sized *or*
 ``Transfer-Encoding: chunked``) are pulled block-by-block into the
@@ -25,21 +37,24 @@ import base64
 import binascii
 import email.utils
 import hashlib
+import http
 import http.client
 import json
 import os
+import re
+import select
 import socket
+import sys
 import tempfile
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterator, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro import __version__
 from repro.cluster.engine import InvalidRangeError
 from repro.obs.logging import StructuredLogger, get_logger
-from repro.obs.trace import current_trace, end_trace, span, start_trace
+from repro.obs.trace import end_trace, span, start_trace
 from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.routes import (
     NotModifiedError,
@@ -69,6 +84,11 @@ IO_BLOCK_BYTES = 256 * 1024
 #: loop while holding the broker serialization, so an unbounded N would let
 #: one request wedge the gateway for everyone.
 MAX_TICK_PERIODS = 10_000
+
+#: How long a connection may take to send a request head, counted from
+#: accept or from the end of its previous response; a silent client is
+#: then closed and its ``max_connections`` slot freed.
+HEAD_TIMEOUT_S = 60.0
 
 #: Unix epoch of the simulation clock's hour zero, used to render the
 #: deterministic ``Last-Modified`` header (2012-01-01, the paper's year).
@@ -116,10 +136,48 @@ _OVERLOAD_RESPONSE = (
 )
 
 
-class _GatewayHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the frontend for its handlers.
+#: Request-line and header-line limit, and the header count limit (the
+#: values ``http.client`` enforces).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
-    Three pre-fork extensions over the stock server:
+#: Methods with a route-table meaning; anything else is a 501.  PATCH and
+#: OPTIONS still reach ``parse_route`` so the client gets the route
+#: table's 405 + ``Allow`` instead of a bare 501.
+_METHODS = frozenset(("GET", "PUT", "HEAD", "DELETE", "POST", "PATCH", "OPTIONS"))
+
+#: An inbound ``X-Request-Id`` is adopted only in this shape: it is
+#: echoed in a header and written unquoted into text log lines.
+_TRACE_ID_OK = re.compile(r"[A-Za-z0-9._:-]{1,64}").fullmatch
+
+_SERVER_VERSION = f"ScaliaGateway/2.0 Python/{sys.version.split()[0]}"
+
+_STATUS_LINES = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n".encode("ascii")
+    for status in http.HTTPStatus
+}
+
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+#: Bound on the memoised ``Last-Modified`` renderings (one per distinct
+#: simulation-clock timestamp; objects written in one period share one).
+_LAST_MODIFIED_CACHE_MAX = 4096
+
+
+def _send_with_head(sock: socket.socket, head: bytes, body) -> None:
+    """``head`` and ``body`` in one ``sendmsg``; a partial send finishes
+    with ``sendall`` from where it stopped, copying nothing."""
+    sent = sock.sendmsg((head, body))
+    if sent < len(head):
+        sock.sendall(memoryview(head)[sent:])
+        sent = len(head)
+    rest = memoryview(body)[sent - len(head):]
+    if rest:
+        sock.sendall(rest)
+
+
+class _GatewayServer:
+    """The listening socket, its accept loop, and state shared by handlers.
 
     * ``max_connections`` caps concurrent connections; excess accepts are
       answered with a raw 503 + ``Retry-After`` instead of queueing a
@@ -130,18 +188,19 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
     * ``inherited_socket`` adopts an already-bound listening socket from
       a supervisor (the fallback for platforms without ``SO_REUSEPORT``).
 
+    The accept loop polls the listener and a wake-up socket, so
+    :meth:`shutdown` stops it at once without a poll interval, and never
+    has to shut down the listener itself (an inherited one is shared with
+    the other workers).
+
     ``begin_drain()`` + ``active_requests`` implement graceful SIGTERM
     shutdown: stop accepting, finish requests already being handled,
     close keep-alive connections as their current request completes.
     """
 
-    daemon_threads = True
-    allow_reuse_address = True
-
     def __init__(
         self,
         address,
-        handler,
         frontend: BrokerFrontend,
         verbose: bool,
         *,
@@ -151,21 +210,30 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
         reuse_port: bool = False,
         inherited_socket: Optional[socket.socket] = None,
     ):
-        super().__init__(address, handler, bind_and_activate=False)
         if inherited_socket is not None:
-            self.socket.close()
-            self.socket = inherited_socket
-            # Mirror server_bind's bookkeeping for the adopted socket.
-            self.server_address = inherited_socket.getsockname()
-            host, port = self.server_address[:2]
-            self.server_name = socket.getfqdn(host)
-            self.server_port = port
-            self.server_activate()
+            sock = inherited_socket
         else:
-            if reuse_port:
-                self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            self.server_bind()
-            self.server_activate()
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            try:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                if reuse_port:
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+                sock.bind(address)
+            except BaseException:
+                sock.close()
+                raise
+        sock.listen(128)
+        # Non-blocking: with a shared listener another process may take
+        # the connection between poll and accept.
+        sock.setblocking(False)
+        self.socket = sock
+        self.server_address = sock.getsockname()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._stopped = threading.Event()
+        # Response-head renderings, memoised; a race only renders the
+        # same text twice.
+        self._server_and_date: Tuple[int, bytes] = (-1, b"")
+        self._last_modified: dict = {}
         self.max_connections = max_connections
         self._conn_slots = (
             threading.BoundedSemaphore(max_connections)
@@ -177,8 +245,10 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
         self._activity_lock = threading.Lock()
         self.draining = False
         self.frontend = frontend
-        self.verbose = verbose
         self.logger = logger if logger is not None else get_logger("gateway")
+        # ``http.access`` lines: silent at the default level, visible at
+        # debug (or info when the gateway was asked to be verbose).
+        self.access_level = "info" if verbose else "debug"
         self.trace_slow_ms = trace_slow_ms
         self.started_at = time.time()
         # Request metric families, resolved once per server; None when
@@ -214,33 +284,99 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
             self.m_inflight = None
             self.m_overload = None
 
-    # -- connection capping -------------------------------------------------
+    def server_and_date(self) -> bytes:
+        """The ``Server`` and ``Date`` header lines, rebuilt once a second."""
+        now = int(time.time())
+        second, lines = self._server_and_date
+        if second != now:
+            lines = (
+                f"Server: {_SERVER_VERSION}\r\n"
+                f"Date: {email.utils.formatdate(now, usegmt=True)}\r\n"
+            ).encode("ascii")
+            self._server_and_date = (now, lines)
+        return lines
 
-    def process_request(self, request, client_address):
+    def last_modified(self, hours: float) -> str:
+        """``Last-Modified`` of an object written at simulation hour ``hours``."""
+        text = self._last_modified.get(hours)
+        if text is None:
+            if len(self._last_modified) >= _LAST_MODIFIED_CACHE_MAX:
+                self._last_modified.clear()
+            text = email.utils.formatdate(SIM_EPOCH + hours * 3600.0, usegmt=True)
+            self._last_modified[hours] = text
+        return text
+
+    # -- accept loop and connection capping ----------------------------------
+
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`shutdown`."""
+        try:
+            poller = select.poll()
+            poller.register(self.socket, select.POLLIN)
+            poller.register(self._wake_r, select.POLLIN)
+            wake = self._wake_r.fileno()
+            while True:
+                for fd, _events in poller.poll():
+                    if fd == wake:
+                        return
+                    self._accept()
+        finally:
+            self._stopped.set()
+
+    def _accept(self) -> None:
         """Admission control before a handler thread is spawned."""
+        try:
+            conn, client_address = self.socket.accept()
+        except OSError:  # taken by another process, or aborted by the peer
+            return
         if self._conn_slots is not None and not self._conn_slots.acquire(
             blocking=False
         ):
             if self.m_overload is not None:
                 self.m_overload.inc()
             try:
-                request.sendall(_OVERLOAD_RESPONSE)
+                conn.sendall(_OVERLOAD_RESPONSE)
             except OSError:
                 pass
-            self.shutdown_request(request)
+            _close_connection(conn)
             return
         with self._activity_lock:
             self._active_connections += 1
-        super().process_request(request, client_address)
-
-    def process_request_thread(self, request, client_address):
         try:
-            super().process_request_thread(request, client_address)
+            threading.Thread(
+                target=self._serve_connection,
+                args=(conn, client_address),
+                daemon=True,
+            ).start()
+        except RuntimeError:  # no thread to spare: shed this one connection
+            self._release_connection()
+            _close_connection(conn)
+
+    def _serve_connection(self, conn: socket.socket, client_address) -> None:
+        try:
+            GatewayHandler(conn, client_address, self).handle()
         finally:
-            with self._activity_lock:
-                self._active_connections -= 1
-            if self._conn_slots is not None:
-                self._conn_slots.release()
+            self._release_connection()
+
+    def _release_connection(self) -> None:
+        with self._activity_lock:
+            self._active_connections -= 1
+        if self._conn_slots is not None:
+            self._conn_slots.release()
+
+    def shutdown(self) -> None:
+        """Stop the accept loop and wait for it to return; only call once
+        :meth:`serve_forever` has been (or is about to be) entered."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        self.socket.close()
+        self._wake_r.close()
+        self._wake_w.close()
 
     # -- graceful drain -----------------------------------------------------
 
@@ -270,27 +406,153 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
             self._active_requests -= 1
 
 
-class GatewayHandler(BaseHTTPRequestHandler):
-    """Translates HTTP requests into frontend calls."""
+def _close_connection(conn: socket.socket) -> None:
+    try:
+        conn.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass  # the peer may already be gone
+    conn.close()
 
-    protocol_version = "HTTP/1.1"
-    server_version = "ScaliaGateway/2.0"
-    # Responses go out as two writes (header block, then body); without
-    # TCP_NODELAY, Nagle + delayed ACK turns every response into a ~40 ms
-    # stall on loopback, capping throughput near 25 req/s per connection.
-    disable_nagle_algorithm = True
-    server: _GatewayHTTPServer  # narrowed for type checkers
+
+class _BadRequest(Exception):
+    """A request head the connection layer answers itself, then closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class GatewayHandler:
+    """One connection: reads request heads, dispatches, writes responses."""
+
+    def __init__(
+        self, conn: socket.socket, client_address, server: _GatewayServer
+    ) -> None:
+        self.connection = conn
+        self.client_address = client_address
+        self.server = server
+        # A GET's later blocks leave in writes of their own; without
+        # TCP_NODELAY, Nagle + delayed ACK stalls each ~40 ms on loopback.
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = conn.makefile("rb")
+        self.close_connection = False
+        # The request's own state is (re)set by _read_head.
+        self.path = ""
+        self.headers: dict = {}
+
+    def handle(self) -> None:
+        """Serve requests until the client, an error or a drain ends it."""
+        try:
+            while not self.close_connection:
+                try:
+                    if not self._read_head():
+                        break
+                except _BadRequest as exc:
+                    self.close_connection = True
+                    self._send_error(exc.status, str(exc))
+                    break
+                self._dispatch()
+        except OSError:
+            pass  # reset, broken pipe, or a head that never came
+        finally:
+            self.rfile.close()
+            _close_connection(self.connection)
+
+    # -- request head --------------------------------------------------------
+
+    def _read_head(self) -> bool:
+        """Parse one request head into ``command``, ``path`` and ``headers``.
+
+        False when the connection ended cleanly between requests; raises
+        :class:`_BadRequest` for a head to refuse, ``socket.timeout``
+        when none arrived within :data:`HEAD_TIMEOUT_S`.
+        """
+        self.command: Optional[str] = None
+        self.requestline = ""
+        self._trace_id: Optional[str] = None
+        self._status: Optional[int] = None
+        self._headers_sent = False
+        self._body_read = True
+        self._body_streaming = False
+        conn = self.connection
+        rfile = self.rfile
+        deadline = time.monotonic() + HEAD_TIMEOUT_S
+        conn.settimeout(HEAD_TIMEOUT_S)
+        line = rfile.readline(_MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):  # a stray CRLF after a previous body
+            line = rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return False
+        if len(line) > _MAX_LINE:
+            raise _BadRequest(414, "request line too long")
+        self.requestline = requestline = line.decode("latin-1").rstrip("\r\n")
+        words = requestline.split()
+        if len(words) != 3:
+            raise _BadRequest(400, f"malformed request line {requestline!r}")
+        command, path, version = words
+        if version == "HTTP/1.1":
+            http11 = True
+        elif version == "HTTP/1.0":
+            http11 = False
+        else:
+            number = version[5:].split(".") if version.startswith("HTTP/") else ()
+            if len(number) != 2 or not all(
+                part.isdigit() and len(part) <= 10 for part in number
+            ):
+                raise _BadRequest(400, f"malformed HTTP version {version!r}")
+            major, minor = int(number[0]), int(number[1])
+            if major >= 2:
+                raise _BadRequest(505, f"HTTP version {version[5:]} not supported")
+            http11 = (major, minor) >= (1, 1)
+        headers: dict = {}
+        count = 0
+        while True:
+            line = rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise _BadRequest(431, "header line too long")
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                return False  # the client left mid-head
+            count += 1
+            if count > _MAX_HEADERS:
+                raise _BadRequest(431, f"more than {_MAX_HEADERS} headers")
+            name, sep, value = line.decode("latin-1").partition(":")
+            if not sep or not name or name[0] in " \t" or name[-1] in " \t":
+                raise _BadRequest(400, "malformed header line")
+            name = name.lower()
+            if name not in headers:
+                headers[name] = value.strip(" \t\r\n")
+            if time.monotonic() > deadline:
+                raise socket.timeout("request head too slow")
+        conn.settimeout(None)
+        self.command = command
+        self.headers = headers
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        else:
+            self.close_connection = not http11
+        if command not in _METHODS:
+            raise _BadRequest(501, f"unsupported method {command!r}")
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        self.path = path
+        if http11 and headers.get("expect", "").lower() == "100-continue":
+            conn.sendall(_CONTINUE)
+        self._body_read = False
+        return True
 
     # -- dispatch ----------------------------------------------------------
 
     def _dispatch(self) -> None:
-        self._body_read = False
-        self._body_streaming = False
-        self._headers_sent = False
-        self._status: Optional[int] = None
         server = self.server
-        # One trace per request, honouring an inbound correlation id.
-        trace = start_trace(self.headers.get("x-request-id") or None)
+        # One trace per request, honouring a well-formed inbound id.
+        inbound = self.headers.get("x-request-id")
+        trace = start_trace(inbound if inbound and _TRACE_ID_OK(inbound) else None)
+        self._trace_id = trace.trace_id
         if server.m_inflight is not None:
             server.m_inflight.inc()
         server._begin_request()
@@ -387,11 +649,6 @@ class GatewayHandler(BaseHTTPRequestHandler):
                 spans=trace.spans(),
                 dropped_spans=trace.dropped_spans,
             )
-
-    do_GET = do_PUT = do_HEAD = do_DELETE = do_POST = _dispatch
-    # Unsupported-but-known methods still flow through parse_route so the
-    # client gets the route table's 405 + Allow instead of a bare 501.
-    do_PATCH = do_OPTIONS = _dispatch
 
     def _handle(self, route: Route) -> None:
         frontend = self.server.frontend
@@ -703,7 +960,6 @@ class GatewayHandler(BaseHTTPRequestHandler):
                     rule=self.headers.get(RULE_HEADER),
                     size_hint=int_param(params, "size-hint"),
                 )
-                self._settle_unread_body()
                 self._send_json(
                     200,
                     {"bucket": bucket, "key": key, "uploadId": upload.upload_id},
@@ -719,22 +975,15 @@ class GatewayHandler(BaseHTTPRequestHandler):
                 return
             if self._handle_conditionals(meta):
                 return
-            self._settle_unread_body()
-            self.send_response(200)
-            self.send_header("Content-Type", meta.mime)
-            self.send_header("Content-Length", str(meta.size))
-            for name, value in self._meta_headers(meta).items():
-                self.send_header(name, value)
-            self.end_headers()
+            headers = {"Content-Type": meta.mime, "Content-Length": str(meta.size)}
+            headers.update(self._meta_headers(meta))
+            self._respond(200, headers)
         else:  # DELETE
             if "uploadId" in params:
                 frontend.abort_upload(tenant, bucket, key, params["uploadId"])
             else:
                 frontend.delete(tenant, bucket, key)
-            self._settle_unread_body()
-            self.send_response(204)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
+            self._respond(204, {"Content-Length": "0"})
 
     def _handle_put(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
         bucket, key = route.bucket, route.key
@@ -862,36 +1111,27 @@ class GatewayHandler(BaseHTTPRequestHandler):
             self._send_range_unsatisfiable(getattr(exc, "object_size", 0))
             return
         meta = plan.meta  # resolved under the read lock
-        headers = self._meta_headers(meta)
-        headers["Content-Type"] = meta.mime
+        # Synthetic objects (cost simulations) carry sizes, not payloads:
+        # the response advertises a zero-length body, as it always has.
+        body_length = plan.length if meta.checksum else 0
+        headers = {"Content-Type": meta.mime, "Content-Length": str(body_length)}
+        headers.update(self._meta_headers(meta))
         if range_spec is not None:
             status = 206
             headers["Content-Range"] = f"bytes {plan.start}-{plan.end}/{meta.size}"
         else:
             status = 200
-        # Synthetic objects (cost simulations) carry sizes, not payloads:
-        # the response advertises a zero-length body, as it always has.
-        body_length = plan.length if meta.checksum else 0
         # ``stream_get`` fetched the first stripe *before* the status line
         # is committed, so the dominant failure modes (provider outage,
         # missing chunks) surfaced as clean 503s above; a failure deeper
-        # into the stream can only abort the connection.
+        # into the stream can only abort the connection.  The first block
+        # leaves with the head.
         block_iter = iter(blocks)
-        first_block = next(block_iter, None)
-        self._settle_unread_body()
-        self.send_response(status)
-        self.send_header("Content-Length", str(body_length))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self._headers_sent = True
-        if first_block:
-            self.wfile.write(first_block)
+        self._respond(status, headers, next(block_iter, None))
+        conn = self.connection
         for block in block_iter:
             if block:
-                self.wfile.write(block)
+                conn.sendall(block)
 
     def _send_range_unsatisfiable(self, size: int) -> None:
         self._send_error(
@@ -914,11 +1154,7 @@ class GatewayHandler(BaseHTTPRequestHandler):
         return False
 
     def _send_not_modified(self, etag: str) -> None:
-        self._settle_unread_body()
-        self.send_response(304)
-        self.send_header("ETag", f'"{etag}"')
-        self.send_header("Content-Length", "0")
-        self.end_headers()
+        self._respond(304, {"ETag": f'"{etag}"', "Content-Length": "0"})
 
     # -- plumbing ----------------------------------------------------------
 
@@ -930,9 +1166,7 @@ class GatewayHandler(BaseHTTPRequestHandler):
         return {
             "ETag": f'"{meta.checksum or meta.skey}"',
             "Accept-Ranges": "bytes",
-            "Last-Modified": email.utils.formatdate(
-                SIM_EPOCH + meta.last_modified * 3600.0, usegmt=True
-            ),
+            "Last-Modified": self.server.last_modified(meta.last_modified),
             "x-scalia-class": meta.class_key,
             "x-scalia-placement": meta.placement.label(),
             "x-scalia-rule": meta.rule_name,
@@ -1098,10 +1332,10 @@ class GatewayHandler(BaseHTTPRequestHandler):
         the connection would then be parsed out of payload garbage.  Small
         leftovers are drained; large or chunked ones close the connection.
         """
-        if getattr(self, "_body_read", True):
+        if self._body_read:
             return
         self._body_read = True
-        if getattr(self, "_body_streaming", False):
+        if self._body_streaming:
             # A block iterator was handed out but never ran dry: we no
             # longer know the stream position, so the connection dies.
             self.close_connection = True
@@ -1138,17 +1372,10 @@ class GatewayHandler(BaseHTTPRequestHandler):
         content_type: str,
         extra_headers: Optional[dict] = None,
     ) -> None:
-        self._settle_unread_body()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
+        headers = {"Content-Type": content_type, "Content-Length": str(len(body))}
+        if extra_headers:
+            headers.update(extra_headers)
+        self._respond(status, headers, body)
 
     def _send_error(
         self, status: int, message: str, *, extra_headers: Optional[dict] = None
@@ -1158,25 +1385,41 @@ class GatewayHandler(BaseHTTPRequestHandler):
             status, payload, content_type="application/json", extra_headers=extra_headers
         )
 
-    def send_response(self, code: int, message: Optional[str] = None) -> None:
-        """Capture the status for accounting; echo the request's trace id."""
-        self._status = code
-        super().send_response(code, message)
-        trace = current_trace()
-        if trace is not None:
-            self.send_header("X-Request-Id", trace.trace_id)
+    def _respond(self, status: int, headers: dict, body=None) -> None:
+        """Send a response head and any body already in hand in one write.
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        # http.server's per-request/errors stderr noise, routed through
-        # the structured logger: silent at the default level, visible at
-        # debug (or info when the gateway was asked to be verbose).
-        level = "info" if self.server.verbose else "debug"
-        self.server.logger.log(
-            level,
-            "http.access",
-            client=self.client_address[0],
-            message=format % args,
+        The head is the status line, ``Server``, ``Date``, the request's
+        trace id, ``headers`` and ``Connection: close`` when this response
+        ends the connection.  A HEAD request gets the head alone.
+        """
+        self._settle_unread_body()
+        self._status = status
+        self._headers_sent = True
+        server = self.server
+        fields = "".join([f"{name}: {value}\r\n" for name, value in headers.items()])
+        if self._trace_id is not None:
+            fields = f"X-Request-Id: {self._trace_id}\r\n{fields}"
+        if self.close_connection:
+            fields += "Connection: close\r\n"
+        head = b"".join(
+            (
+                _STATUS_LINES.get(status) or f"HTTP/1.1 {status} \r\n".encode("ascii"),
+                server.server_and_date(),
+                fields.encode("latin-1"),
+                b"\r\n",
+            )
         )
+        if server.logger.enabled_for(server.access_level):
+            server.logger.log(
+                server.access_level,
+                "http.access",
+                client=self.client_address[0],
+                message=f'"{self.requestline}" {status}',
+            )
+        if body and self.command != "HEAD":
+            _send_with_head(self.connection, head, body)
+        else:
+            self.connection.sendall(head)
 
 
 class ScaliaGateway:
@@ -1197,9 +1440,8 @@ class ScaliaGateway:
     ) -> None:
         self._owns_frontend = frontend is None
         self.frontend = frontend if frontend is not None else BrokerFrontend()
-        self._httpd = _GatewayHTTPServer(
+        self._server = _GatewayServer(
             (host, port),
-            GatewayHandler,
             self.frontend,
             verbose,
             logger=logger,
@@ -1214,7 +1456,7 @@ class ScaliaGateway:
     @property
     def address(self) -> Tuple[str, int]:
         """The bound (host, port) — port is resolved even when 0 was asked."""
-        return self._httpd.server_address[:2]
+        return self._server.server_address[:2]
 
     @property
     def url(self) -> str:
@@ -1227,10 +1469,7 @@ class ScaliaGateway:
             raise RuntimeError("gateway already started")
         self._started = True
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="scalia-gateway",
-            daemon=True,
-            kwargs={"poll_interval": 0.05},
+            target=self._server.serve_forever, name="scalia-gateway", daemon=True
         )
         self._thread.start()
         return self
@@ -1238,31 +1477,31 @@ class ScaliaGateway:
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted."""
         self._started = True
-        self._httpd.serve_forever(poll_interval=0.2)
+        self._server.serve_forever()
 
     # -- graceful drain (the pre-forked worker's SIGTERM path) ------------
 
     @property
     def active_requests(self) -> int:
         """Requests currently being handled (not idle connections)."""
-        return self._httpd.active_requests
+        return self._server.active_requests
 
     def begin_drain(self) -> None:
         """Stop accepting and mark in-flight handlers to close after
         their current request; callers then poll :attr:`active_requests`
         down to zero before :meth:`close`."""
-        self._httpd.begin_drain()
+        self._server.begin_drain()
         if self._started:
-            self._httpd.shutdown()
+            self._server.shutdown()
 
     def close(self) -> None:
         """Stop serving and release the socket (and an owned frontend)."""
         if self._started:
-            # shutdown() waits on serve_forever's is-shut-down event, which
-            # only ever gets set once serving has begun — guard to avoid a
-            # deadlock when closing a never-started gateway.
-            self._httpd.shutdown()
-        self._httpd.server_close()
+            # shutdown() waits for the accept loop to return, which only
+            # happens once serving has begun — guard to avoid a deadlock
+            # when closing a never-started gateway.
+            self._server.shutdown()
+        self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

@@ -36,6 +36,23 @@ from repro.obs.trace import current_trace_id
 
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
+#: The padded level column of a text line.
+_LEVEL_LABELS = {level: f"{level.upper():<7}" for level in LEVELS}
+
+#: ``json.dumps(value, default=str)`` without building an encoder per call.
+_encode = json.JSONEncoder(default=str).encode
+
+_INF = float("inf")
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, default=str)``, as ``repr`` for a plain int or
+    finite float (which is what JSON writes for them)."""
+    kind = type(value)
+    if kind is int or (kind is float and -_INF < value < _INF):
+        return repr(value)
+    return _encode(value)
+
 
 class LogConfig:
     """Shared sink + format + threshold for a set of loggers."""
@@ -54,10 +71,22 @@ class LogConfig:
         self.level = level
         self.stream = stream
         self._lock = threading.Lock()
+        # ``(second, "HH:MM:SS")`` of the last text line; a race only
+        # renders the same stamp twice.
+        self._stamp = (-1, "")
 
     @property
     def threshold(self) -> int:
         return LEVELS[self.level]
+
+    def clock_stamp(self, ts: float) -> str:
+        """``HH:MM:SS`` local time of ``ts``, rendered once a second."""
+        second = int(ts)
+        cached, stamp = self._stamp
+        if cached != second:
+            stamp = time.strftime("%H:%M:%S", time.localtime(ts))
+            self._stamp = (second, stamp)
+        return stamp
 
     def _sink(self) -> TextIO:
         return self.stream if self.stream is not None else sys.stderr
@@ -121,17 +150,17 @@ class StructuredLogger:
             if trace_id:
                 record["trace_id"] = trace_id
             record.update(fields)
-            line = json.dumps(record, sort_keys=False, default=str)
+            line = _encode(record)
         else:
-            stamp = time.strftime("%H:%M:%S", time.localtime(ts))
-            parts = [f"{stamp} {level.upper():<7} {self.component} {event}"]
+            label = _LEVEL_LABELS[level]  # enabled_for passed: a known level
+            parts = [f"{self.config.clock_stamp(ts)} {label} {self.component} {event}"]
             if trace_id:
                 parts.append(f"trace_id={trace_id}")
             for key, value in fields.items():
                 if isinstance(value, str) and value and " " not in value:
                     parts.append(f"{key}={value}")
                 else:
-                    parts.append(f"{key}={json.dumps(value, default=str)}")
+                    parts.append(f"{key}={_json_text(value)}")
             line = " ".join(parts)
         self.config.emit(line)
 

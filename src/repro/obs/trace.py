@@ -26,9 +26,9 @@ trace per run, so its log lines never masquerade as request work.
 from __future__ import annotations
 
 import contextvars
+import os
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional
 
@@ -41,7 +41,8 @@ _MAX_SPANS = 512
 
 
 def new_trace_id() -> str:
-    return uuid.uuid4().hex[:16]
+    """16 random hex characters."""
+    return os.urandom(8).hex()
 
 
 class Trace:

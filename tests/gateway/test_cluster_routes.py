@@ -172,6 +172,21 @@ class TestWriteForwarding:
         with follower.client() as client:
             assert client.get("photos", "fwd.bin") == payload
 
+    def test_forwarded_reply_relays_status_body_and_scalia_headers(self, pair):
+        leader, follower = pair
+        status, headers, body = _raw(
+            follower.gateway, "PUT", "/photos/relayed.bin", body=b"r" * 100
+        )
+        assert status == 200
+        doc = json.loads(body)
+        assert doc["size"] == 100
+        assert headers["ETag"] == f'"{doc["etag"]}"'
+        assert headers["x-scalia-placement"] == doc["placement"]
+        assert headers["x-scalia-stripes"] == str(doc["stripes"])
+        assert "x-scalia-forwarded" not in {name.lower() for name in headers}
+        status, _, stored = _raw(leader.gateway, "GET", "/photos/relayed.bin")
+        assert (status, stored) == (200, b"r" * 100)
+
     def test_delete_on_follower_forwards(self, pair):
         leader, follower = pair
         with leader.client() as client:

@@ -4,7 +4,9 @@ With ``max_connections=N`` the gateway holds a bounded semaphore over
 live connections; connection N+1 is refused with a pre-rendered
 ``503 + Retry-After`` before any request parsing happens, so an
 overloaded worker sheds load in O(1) instead of queueing unbounded
-handler threads.  Releasing a slot readmits new connections.
+handler threads.  Releasing a slot readmits new connections, and a
+connection that never sends a request head gives its slot back after
+``HEAD_TIMEOUT_S``.
 """
 
 import http.client
@@ -14,6 +16,7 @@ import time
 import pytest
 
 from repro.core.broker import Scalia
+from repro.gateway import server as server_module
 from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.server import ScaliaGateway
 
@@ -30,12 +33,12 @@ def capped_gateway():
 def _wait_for_connections(gw, count, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if gw._httpd.active_connections >= count:
+        if gw._server.active_connections >= count:
             return
         time.sleep(0.01)
     raise AssertionError(
         f"gateway never reached {count} connections "
-        f"(at {gw._httpd.active_connections})"
+        f"(at {gw._server.active_connections})"
     )
 
 
@@ -84,7 +87,7 @@ class TestConnectionCap:
         finally:
             for sock in holders:
                 sock.close()
-        text = capped_gateway._httpd.frontend.metrics.render_text()
+        text = capped_gateway._server.frontend.metrics.render_text()
         assert "scalia_gateway_overload_rejections_total 1" in text
 
     def test_slot_release_readmits(self, capped_gateway):
@@ -107,6 +110,37 @@ class TestConnectionCap:
                 conn.close()
             assert time.monotonic() < deadline, "capacity never recovered"
             time.sleep(0.05)
+
+    def test_silent_connections_time_out_and_free_their_slots(self, monkeypatch):
+        monkeypatch.setattr(server_module, "HEAD_TIMEOUT_S", 0.2)
+        frontend = BrokerFrontend(Scalia(), mode="direct")
+        gw = ScaliaGateway(frontend, port=0, max_connections=2).start()
+        try:
+            host, port = gw.address
+            silent = [socket.create_connection((host, port)) for _ in range(2)]
+            try:
+                for sock in silent:
+                    sock.settimeout(5.0)
+                    assert sock.recv(1) == b"", "the server should close it"
+            finally:
+                for sock in silent:
+                    sock.close()
+            # The slot is released just after the socket closes.
+            deadline = time.monotonic() + 2.0
+            while True:
+                conn = http.client.HTTPConnection(host, port, timeout=5)
+                try:
+                    conn.request("GET", "/healthz")
+                    status = conn.getresponse().status
+                finally:
+                    conn.close()
+                if status == 200 or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            assert status == 200
+        finally:
+            gw.close()
+            frontend.close()
 
     def test_uncapped_by_default(self):
         frontend = BrokerFrontend(Scalia(), mode="direct")

@@ -203,6 +203,40 @@ class TestRequestTracing:
         events = _wait_events(log, "request.complete")
         assert events[-1]["trace_id"] == "trace-me-7"
 
+    @pytest.mark.parametrize("inbound", ["x status=500 route=admin", "a" * 65])
+    def test_malformed_inbound_request_id_is_replaced(self, inbound):
+        """An id that could forge text-log fields, or is over 64
+        characters, is neither echoed nor logged: a fresh one is minted."""
+        log = io.StringIO()
+        frontend = BrokerFrontend(Scalia())
+        gw = ScaliaGateway(
+            frontend,
+            port=0,
+            logger=StructuredLogger("gateway", LogConfig(fmt="text", stream=log)),
+        ).start()
+        try:
+            with GatewayClient(*gw.address) as client:
+                status, headers, _ = client._request(
+                    "GET", "/healthz", headers={"X-Request-Id": inbound}
+                )
+            assert status == 200
+            minted = headers.get("x-request-id")
+            assert re.fullmatch(r"[0-9a-f]{16}", minted)
+            deadline = time.monotonic() + 2.0
+            while "request.complete" not in log.getvalue():
+                assert time.monotonic() < deadline, log.getvalue()
+                time.sleep(0.005)
+            [line] = [
+                line for line in log.getvalue().splitlines()
+                if " request.complete " in line
+            ]
+            assert f" trace_id={minted} " in line
+            assert inbound not in line
+            assert " status=200 " in line and "status=500" not in line
+        finally:
+            gw.close()
+            frontend.close()
+
     def test_injected_provider_latency_attributes_to_provider_fetch(self, stack):
         """The acceptance scenario: a slow provider shows up, attributed,
         in the request.slow span dump — not as anonymous wall time."""
