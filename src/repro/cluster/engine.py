@@ -103,6 +103,10 @@ from repro.types import ListPage, ObjectMeta, Placement
 from repro.util.ids import IdGenerator, object_row_key, storage_key
 
 Payload = Union[bytes, int]  # real bytes, or a synthetic byte count
+#: What a read's validation turns an object's metadata into: the
+#: inclusive ``(start, end)`` to read (end ``None`` = through the last
+#: byte), or ``None`` for the whole object (``Engine.open_get``).
+Validator = Callable[[ObjectMeta], Optional[Tuple[int, Optional[int]]]]
 
 #: Default stripe size of the streaming data plane (8 MiB, S3-part-like).
 DEFAULT_STRIPE_SIZE = 8 * 1024 * 1024
@@ -286,10 +290,11 @@ class ReadPlan:
     """A resolved read: which stripe slices cover the requested bytes.
 
     ``segments`` holds ``(stripe, lo, hi)`` triples — plaintext
-    ``[lo, hi)`` of stripe ``stripe``, which is what ``read_stripe`` is
-    asked for.  A full read covers every stripe; a ranged read only the
-    covering ones, and of those only the Merkle leaves that cover the
-    slice, which is what bounds the provider traffic a range GET bills.
+    ``[lo, hi)`` of stripe ``stripe``, which is what one segment fetch
+    (:meth:`Engine.read_stripe`) is asked for.  A full read covers every
+    stripe; a ranged read only the covering ones, and of those only the
+    Merkle leaves that cover the slice, which is what bounds the
+    provider traffic a range GET bills.
     """
 
     meta: ObjectMeta
@@ -318,29 +323,15 @@ class ReadPlan:
             length=int(data["length"]),
         )
 
-    def materialize(
-        self, read_stripe: Callable[[ObjectMeta, int, int, int], Payload]
-    ) -> Payload:
-        """The planned bytes (or synthetic byte count), one stripe at a time.
 
-        ``read_stripe(meta, stripe, lo, hi)`` returns plaintext
-        ``[lo, hi)`` of a stripe, or that span for a synthetic object:
-        the engine fetches and decodes in process, a gateway worker has
-        the broker fetch over the ops RPC and decodes there.  The window
-        is cut below that call, never here.
-        """
-        if not self.segments:
-            # Zero-length read: an empty object (full GET) — synthetic
-            # objects report their (zero) size, real ones empty bytes.
-            return b"" if self.meta.checksum else 0
-        payloads = [
-            read_stripe(self.meta, stripe, lo, hi) for stripe, lo, hi in self.segments
-        ]
-        if isinstance(payloads[0], int):
-            return sum(payloads)
-        # bytes() of bytes is the same object; a worker's single piece is a
-        # slice of its receive buffer and is copied out here.
-        return bytes(payloads[0]) if len(payloads) == 1 else b"".join(payloads)
+def _assemble(meta: ObjectMeta, pieces: Sequence[Payload]) -> Payload:
+    """One read's segments as one payload: their bytes joined, or the sum
+    of their spans for a synthetic object (no segment: an empty read)."""
+    if not pieces:
+        return b"" if meta.checksum else 0
+    if isinstance(pieces[0], int):
+        return sum(pieces)
+    return bytes(pieces[0]) if len(pieces) == 1 else b"".join(pieces)
 
 
 class _EngineTimers:
@@ -351,7 +342,7 @@ class _EngineTimers:
     )
 
     _OPS = (
-        "put", "get", "get_many", "get_with_meta", "open_read",
+        "put", "get", "get_many", "open_read",
         "read_stripe", "delete", "list", "migrate",
     )
 
@@ -551,11 +542,7 @@ class Engine:
         period: int = 0,
     ) -> Payload:
         """Read an object (or an inclusive byte range of it)."""
-        # Calls the shared body, not get(); a single read records one
-        # ``op="get"`` sample instead of nesting a get_many bracket too.
-        return self._get_many_locked(
-            container, key, 1, byte_range=byte_range, now=now, period=period
-        )
+        return self._read(container, key, 1, byte_range, period)
 
     @_timed_op("get_many")
     def get_many(
@@ -577,88 +564,44 @@ class Engine:
         the leaves covering ``byte_range`` (inclusive, end ``None`` =
         through the last byte), billed ``count`` times over.
         """
-        return self._get_many_locked(
-            container, key, count, byte_range=byte_range, now=now, period=period
-        )
-
-    def _get_many_locked(
-        self,
-        container: str,
-        key: str,
-        count: int,
-        *,
-        byte_range: Optional[Tuple[int, Optional[int]]] = None,
-        now: float = 0.0,
-        period: int = 0,
-    ) -> Payload:
         if count < 1:
             raise ValueError("count must be >= 1")
-        row_key = object_row_key(container, key)
-        with self._locks.read_object(row_key):
-            payload, _meta = self._get_many_impl(
-                container, key, row_key, count,
-                byte_range=byte_range, now=now, period=period,
-            )
-            return payload
+        return self._read(container, key, count, byte_range, period)
 
-    @_timed_op("get_with_meta")
-    def get_with_meta(
+    @_timed_op("open_read")
+    def open_get(
         self,
         container: str,
         key: str,
         *,
+        validate: Optional[Validator] = None,
+        raw: bool = False,
         now: float = 0.0,
         period: int = 0,
-    ) -> Tuple[Payload, ObjectMeta]:
-        """Payload and its metadata from one committed version.
+    ) -> Tuple[ReadPlan, object]:
+        """A read up to and including its first segment, as ``(plan,
+        first)``: open, the first segment and commit under one shared
+        hold, so what is validated, planned, served and logged is one
+        version.  Each further stripe is one :meth:`read_stripe`.
 
-        Both come out of a single shared hold of the object's stripe, so
-        a concurrent re-put can never pair one version's bytes with
-        another version's size/checksum — the atomicity HTTP handlers
-        need to emit ``Content-Length``/``ETag`` headers for the body
-        they actually send.
+        ``validate(meta)`` returns the byte range to read or raises (and
+        bills nothing); it runs under the hold and must not call back
+        into the broker.  ``first`` is the first segment's plaintext (a
+        byte count if synthetic, ``None`` for a zero-length read), with
+        ``raw`` what :meth:`fetch_stripe_window` returns, or the whole
+        object when a cache served a whole read (no segment is left).
         """
         row_key = object_row_key(container, key)
         with self._locks.read_object(row_key):
-            return self._get_many_impl(
-                container, key, row_key, 1,
-                byte_range=None, now=now, period=period,
-            )
-
-    def _get_many_impl(
-        self,
-        container: str,
-        key: str,
-        row_key: str,
-        count: int,
-        *,
-        byte_range: Optional[Tuple[int, Optional[int]]],
-        now: float,
-        period: int,
-    ) -> Tuple[Payload, ObjectMeta]:
-        if byte_range is None and self._cache is not None:
-            cached = self._cache.get(self.dc, row_key)
-            if cached is not None:
-                meta = self._winning_meta(row_key)
-                if meta is not None:
-                    self._log_read(row_key, meta, period, count=count, cache_hit=True)
-                    return cached, meta
-                self._cache.invalidate_everywhere(row_key)
-
-            meta = self._winning_meta(row_key)
-            if meta is None:
-                raise ObjectNotFoundError(f"{container}/{key}")
-            payload = self._fetch_and_reassemble(meta, times=1)
-            self._cache.put(self.dc, row_key, payload, meta.size)
-            self._log_read(row_key, meta, period, count=1, cache_hit=False)
-            if count > 1:
-                self._log_read(row_key, meta, period, count=count - 1, cache_hit=True)
-            return payload, meta
-
-        plan = self._open_read_impl(container, key, byte_range=byte_range)
-        payload = self._materialize(plan, times=count)
-        self._commit_read_impl(plan, count=count, period=period)
-        return payload, plan.meta
+            plan, whole = self._open(container, key, row_key, validate=validate)
+            if whole and not raw and self._cache is not None:
+                payload = self._through_cache(row_key, plan, 1, period)
+                return replace(plan, segments=[]), payload
+            first = None
+            if plan.segments:
+                first = self._segment(plan.meta, *plan.segments[0], raw=raw)
+            self._commit(plan, 1, period)
+            return plan, first
 
     @_timed_op("open_read")
     def open_read(
@@ -670,50 +613,18 @@ class Engine:
         now: float = 0.0,
         period: int = 0,
     ) -> ReadPlan:
-        """Resolve a read into its covering stripe slices.
-
-        The streaming consumers (the gateway's chunked responses) pull
-        the plan's stripes one at a time through :meth:`read_stripe`,
-        so no layer ever holds more than one decoded stripe.  Planning
-        logs nothing — call :meth:`commit_read` once bytes actually flow,
-        so a read that fails outright (outage, missing chunks) never
-        pollutes the access statistics the placement logic learns from.
-        """
-        with self._locks.read_object(object_row_key(container, key)):
-            return self._open_read_impl(container, key, byte_range=byte_range)
-
-    def _open_read_impl(
-        self,
-        container: str,
-        key: str,
-        *,
-        byte_range: Optional[Tuple[int, Optional[int]]] = None,
-    ) -> ReadPlan:
-        meta = self._winning_meta(object_row_key(container, key))
-        if meta is None:
-            raise ObjectNotFoundError(f"{container}/{key}")
-        if byte_range is None:
-            start, end = 0, meta.size - 1
-        else:
-            start, end = self._resolve_range(meta, byte_range)
-        if meta.size > 0:
-            segments = meta.stripes_for_range(start, end)
-        else:
-            segments = []
-        length = max(0, end - start + 1)
-        return ReadPlan(meta=meta, segments=segments, start=start, end=end, length=length)
+        """A read's plan alone, under a hold of its own: the caller pulls
+        the segments through :meth:`read_stripe` and logs the read with
+        :meth:`commit_read`.  Three holds where :meth:`open_get` takes
+        one, so a re-put in between can fail the read; kept as the
+        layer-by-layer replay the measurement spine drives."""
+        row_key = object_row_key(container, key)
+        with self._locks.read_object(row_key):
+            return self._open(container, key, row_key, byte_range=byte_range)[0]
 
     def commit_read(self, plan: ReadPlan, *, count: int = 1, period: int = 0) -> None:
-        """Record a served read from a plan (statistics, not metering —
-        the provider meters billed each chunk as it was fetched)."""
-        self._commit_read_impl(plan, count=count, period=period)
-
-    def _commit_read_impl(self, plan: ReadPlan, *, count: int, period: int) -> None:
-        meta = plan.meta
-        self._log_read(
-            object_row_key(meta.container, meta.key), meta, period,
-            count=count, cache_hit=False, bytes_out=plan.length * count,
-        )
+        """Log a read served from an :meth:`open_read` plan."""
+        self._commit(plan, count, period)
 
     @_timed_op("read_stripe")
     def read_stripe(
@@ -735,7 +646,29 @@ class Engine:
         stream mid-download, which aborts the connection honestly).
         """
         with self._locks.read_object(object_row_key(meta.container, meta.key)):
-            return self._read_stripe_payload(meta, stripe, lo, hi, times=times)
+            return self._segment(meta, stripe, lo, hi, times=times)
+
+    def _read(
+        self,
+        container: str,
+        key: str,
+        count: int,
+        byte_range: Optional[Tuple[int, Optional[int]]],
+        period: int,
+    ) -> Payload:
+        """``get`` / ``get_many``: open, every segment and commit under
+        one shared hold."""
+        row_key = object_row_key(container, key)
+        with self._locks.read_object(row_key):
+            plan, whole = self._open(container, key, row_key, byte_range=byte_range)
+            if whole and self._cache is not None:
+                return self._through_cache(row_key, plan, count, period)
+            meta = plan.meta
+            payload = _assemble(
+                meta, [self._segment(meta, *segment, times=count) for segment in plan.segments]
+            )
+            self._commit(plan, count, period)
+            return payload
 
     @_timed_op("delete")
     def delete(
@@ -1490,13 +1423,6 @@ class Engine:
             self._delete_refs(list(state.part_chunk_keys(replaced)))
         return part
 
-    def fetch_stripe_chunks(self, meta: ObjectMeta, stripe: int) -> Tuple[int, Sequence]:
-        """Fetch (without decoding) one stripe's ``m`` best chunks, as
-        ``(plaintext_length, chunks)``; chunks may be synthetic.  It is
-        :meth:`fetch_stripe_window` of the whole stripe."""
-        length = meta.stripe_lengths[stripe]
-        return length, self.fetch_stripe_window(meta, stripe, 0, length)[1]
-
     def fetch_stripe_window(
         self, meta: ObjectMeta, stripe: int, lo: int, hi: int
     ) -> Tuple[Optional[List[Tuple[RowWindow, List[ProvenRun]]]], Sequence]:
@@ -1511,10 +1437,7 @@ class Engine:
         chunks' SHA-1, and cuts.
         """
         with self._locks.read_object(object_row_key(meta.container, meta.key)):
-            windows = self._fetch_windows(meta, stripe, lo, hi)
-            if windows is not None:
-                return windows, ()
-            return None, self._fetch_chunks(meta, meta.m, stripe=stripe)
+            return self._segment(meta, stripe, lo, hi, raw=True)
 
     # ------------------------------------------------------------------
     # migration / repair (driven by the periodic optimizer)
@@ -1683,11 +1606,12 @@ class Engine:
         end = int(end)
         if start < 0 or end < start:
             raise InvalidRangeError(
-                f"invalid byte range [{start}, {end}] for {meta.container}/{meta.key}"
+                f"invalid byte range [{start}, {end}] for {meta.container}/{meta.key}",
+                meta.size,
             )
         if start >= meta.size:
             raise InvalidRangeError(
-                f"range start {start} beyond object size {meta.size}"
+                f"range start {start} beyond object size {meta.size}", meta.size
             )
         return start, min(end, meta.size - 1)
 
@@ -1948,7 +1872,36 @@ class Engine:
                 raise self._read_failed(meta, stripe, len(proven), meta.m, causes)
         return proven
 
-    def _read_stripe_payload(
+    # -- the three steps of a read: open, segment, commit --------------------
+
+    def _open(
+        self,
+        container: str,
+        key: str,
+        row_key: str,
+        *,
+        byte_range: Optional[Tuple[int, Optional[int]]] = None,
+        validate: Optional[Validator] = None,
+    ) -> Tuple[ReadPlan, bool]:
+        """Open: resolve the row once, turn it into the byte range to read
+        (``validate(meta)`` when given, else ``byte_range``) and plan the
+        covering segments; and whether the read is whole (no range was
+        asked).  A range no byte of the object satisfies raises
+        :class:`InvalidRangeError` carrying the object's size."""
+        meta = self._winning_meta(row_key)
+        if meta is None:
+            raise ObjectNotFoundError(f"{container}/{key}")
+        if validate is not None:
+            byte_range = validate(meta)
+        if byte_range is None:
+            start, end = 0, meta.size - 1
+        else:
+            start, end = self._resolve_range(meta, byte_range)
+        segments = meta.stripes_for_range(start, end) if meta.size > 0 else []
+        plan = ReadPlan(meta, segments, start, end, max(0, end - start + 1))
+        return plan, byte_range is None
+
+    def _segment(
         self,
         meta: ObjectMeta,
         stripe: int,
@@ -1956,32 +1909,68 @@ class Engine:
         hi: Optional[int] = None,
         *,
         times: int = 1,
-    ) -> Payload:
-        """Plaintext ``[lo, hi)`` of one stripe, or the synthetic span.
-        The one place a read is cut down to its window."""
+        raw: bool = False,
+    ):
+        """Segment: plaintext ``[lo, hi)`` of one stripe (default: all of
+        it), or that span for a synthetic object.  The one place a stripe
+        window is fetched, and cut down to or decoded.
+
+        The fetch is the proven leaves that cover the window, or the
+        ``m`` best whole chunks (:meth:`_fetch_windows` says which).
+        With ``raw`` it is returned as it came, for a worker that checks
+        and cuts it itself: ``(windows, ())`` or ``(None, chunks)``.
+        """
         length = meta.stripe_lengths[stripe]
         if hi is None:
             hi = length
         if not 0 <= lo <= hi <= length:
             raise ValueError(f"window [{lo}, {hi}) outside a stripe of {length} bytes")
-        fetched = self._fetch_windows(meta, stripe, lo, hi, times=times)
-        if fetched is None:
-            chunks = self._fetch_chunks(meta, meta.m, stripe=stripe, times=times)
-            if isinstance(chunks[0], SyntheticChunk):
-                return hi - lo
-            return self._decode_stripe(chunks, meta.m, meta.n, length)[lo:hi]
-        return cut_windows(self._codes.get(meta.m, meta.n), fetched)
+        windows = self._fetch_windows(meta, stripe, lo, hi, times=times)
+        if windows is not None:
+            return (windows, ()) if raw else cut_windows(self._codes.get(meta.m, meta.n), windows)
+        chunks = self._fetch_chunks(meta, meta.m, stripe=stripe, times=times)
+        if raw:
+            return None, chunks
+        if isinstance(chunks[0], SyntheticChunk):
+            return hi - lo
+        return self._decode_stripe(chunks, meta.m, meta.n, length)[lo:hi]
 
-    def _fetch_and_reassemble(self, meta: ObjectMeta, *, times: int = 1) -> Payload:
-        """The whole object, every stripe fetched (an empty one included)."""
-        segments = [(s, 0, length) for s, length in enumerate(meta.stripe_lengths)]
-        return self._materialize(
-            ReadPlan(meta=meta, segments=segments, start=0, end=meta.size - 1, length=meta.size),
-            times=times,
+    def _through_cache(self, row_key: str, plan: ReadPlan, count: int, period: int) -> Payload:
+        """``count`` whole reads served through the cache: a miss fetches
+        every stripe (an empty one included) and fills it, and the rest
+        of ``count`` are hits."""
+        payload = self._cache.get(self.dc, row_key)
+        if payload is None:
+            meta = plan.meta
+            payload = _assemble(
+                meta, [self._segment(meta, stripe) for stripe in range(len(meta.stripe_lengths))]
+            )
+            self._cache.put(self.dc, row_key, payload, meta.size)
+            self._commit(plan, 1, period)
+            count -= 1
+        if count:
+            self._commit(plan, count, period, cache_hit=True)
+        return payload
+
+    def _commit(self, plan: ReadPlan, count: int, period: int, *, cache_hit: bool = False) -> None:
+        """Commit: log ``count`` served reads of a plan.  Statistics, not
+        metering: the provider meters billed each chunk as it was
+        fetched.  Only a read whose bytes are in hand is logged, so one
+        that fails outright never pollutes what placement learns from."""
+        meta = plan.meta
+        self._log.log(
+            LogRecord(
+                period=period,
+                object_key=object_row_key(meta.container, meta.key),
+                class_key=meta.class_key,
+                op="get",
+                size=meta.size,
+                mime=meta.mime,
+                bytes_out=plan.length * count,
+                count=count,
+                cache_hit=cache_hit,
+            )
         )
-
-    def _materialize(self, plan: ReadPlan, *, times: int = 1) -> Payload:
-        return plan.materialize(functools.partial(self._read_stripe_payload, times=times))
 
     # -- migration ---------------------------------------------------------
 
@@ -2028,11 +2017,10 @@ class Engine:
         under the session's fresh storage key."""
         striped = bool(meta.stripes)
         for stripe, stripe_len in enumerate(meta.stripe_lengths):
-            source = self._fetch_chunks(meta, meta.m, stripe=stripe)
-            if isinstance(source[0], SyntheticChunk):
+            data = self._segment(meta, stripe)
+            if isinstance(data, int):
                 chunks: Sequence = split_synthetic(stripe_len, session.m, session.n)
             else:
-                data = self._decode_stripe(source, meta.m, meta.n, stripe_len)
                 chunks = self._encode_stripe(data, session.m, session.n)
             self.staged_write_stripe(
                 session,
@@ -2094,28 +2082,4 @@ class Engine:
         value = {"key": key, "row_key": row_key} if present else None
         self._metadata.write(
             self.dc, index_key, value, uuid=self._ids.uuid(), timestamp=now
-        )
-
-    def _log_read(
-        self,
-        row_key: str,
-        meta: ObjectMeta,
-        period: int,
-        *,
-        count: int = 1,
-        cache_hit: bool,
-        bytes_out: Optional[int] = None,
-    ) -> None:
-        self._log.log(
-            LogRecord(
-                period=period,
-                object_key=row_key,
-                class_key=meta.class_key,
-                op="get",
-                size=meta.size,
-                mime=meta.mime,
-                bytes_out=meta.size * count if bytes_out is None else bytes_out,
-                count=count,
-                cache_hit=cache_hit,
-            )
         )

@@ -59,7 +59,15 @@ class ReadFailedError(RuntimeError):
 
 
 class InvalidRangeError(ValueError):
-    """Raised for a byte range that no part of the object satisfies (416)."""
+    """Raised for a byte range that no part of the object satisfies (416).
+
+    ``object_size`` is the size of the version that refused it, what a
+    ``Content-Range: bytes */N`` answer carries.
+    """
+
+    def __init__(self, message: str = "", object_size: int = 0) -> None:
+        super().__init__(message)
+        self.object_size = object_size
 
 
 class NoSuchUploadError(KeyError):

@@ -341,7 +341,7 @@ class LockManager:
 
     @contextmanager
     def read_object(self, row_key: str) -> Iterator[None]:
-        """Shared hold for reading one object (get/head/open_read)."""
+        """Shared hold for reading one object (get/open_get/read_stripe/head)."""
         with self.objects.shared(row_key):
             yield
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.datacenter import ScaliaCluster
-from repro.cluster.engine import DEFAULT_STRIPE_SIZE, PlacementError, ReadPlan
+from repro.cluster.engine import DEFAULT_STRIPE_SIZE, PlacementError, ReadPlan, Validator
 from repro.cluster.errors import ObjectNotFoundError
 from repro.cluster.hedging import HedgeStats
 from repro.providers.health import HedgePolicy
@@ -829,17 +829,24 @@ class Scalia:
             container, key, count, now=self._now, period=self._period
         )
 
-    def get_with_meta(
-        self, container: str, key: str, *, dc: Optional[str] = None
-    ) -> Tuple[object, ObjectMeta]:
-        """Payload plus metadata, atomically from one committed version.
-
-        Unlike a separate ``get`` + ``head`` pair, a concurrent re-put
-        cannot slip between the two — the gateway uses this so response
-        headers always describe the body actually sent.
+    def open_get(
+        self,
+        container: str,
+        key: str,
+        *,
+        validate: Optional[Validator] = None,
+        raw: bool = False,
+        dc: Optional[str] = None,
+    ) -> Tuple[ReadPlan, object]:
+        """A read up to and including its first segment, as ``(plan,
+        first)``, on one routed engine under one shared hold of the
+        object (:meth:`Engine.open_get`): the row is resolved once,
+        ``validate(meta)`` turns it into the byte range to read, and
+        what is planned, served and logged is that one version.  The
+        gateway's GET; stripes after the first are :meth:`read_stripe`.
         """
-        return self.cluster.route(dc).get_with_meta(
-            container, key, now=self._now, period=self._period
+        return self.cluster.route(dc).open_get(
+            container, key, validate=validate, raw=raw, now=self._now, period=self._period
         )
 
     def open_read(
@@ -850,13 +857,10 @@ class Scalia:
         byte_range: Optional[Tuple[int, Optional[int]]] = None,
         dc: Optional[str] = None,
     ) -> ReadPlan:
-        """Resolve a (possibly ranged) read into per-stripe segments.
-
-        Streaming consumers pull each planned stripe through
-        :meth:`read_stripe` so only one decoded stripe is in memory at a
-        time; the read is logged and billed here, the chunk traffic as
-        each stripe is fetched.
-        """
+        """Resolve a (possibly ranged) read into per-stripe segments, to
+        pull through :meth:`read_stripe` (which bills the chunk traffic)
+        and log with :meth:`commit_read`: three holds where
+        :meth:`open_get` takes one."""
         return self.cluster.route(dc).open_read(
             container, key, byte_range=byte_range, now=self._now, period=self._period
         )
@@ -981,8 +985,9 @@ class Scalia:
     def fetch_stripe_chunks(
         self, meta: ObjectMeta, stripe: int, *, dc: Optional[str] = None
     ):
-        """Fetch (without decoding) one stripe's chunks for worker decode."""
-        return self.cluster.route(dc).fetch_stripe_chunks(meta, stripe)
+        """One stripe's ``m`` best chunks, undecoded, as ``(length, chunks)``."""
+        length = meta.stripe_lengths[stripe]
+        return length, self.fetch_stripe_window(meta, stripe, 0, length, dc=dc)[1]
 
     def fetch_stripe_window(
         self, meta: ObjectMeta, stripe: int, lo: int, hi: int, *, dc: Optional[str] = None

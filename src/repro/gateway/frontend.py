@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.cluster.engine import InvalidRangeError, ObjectNotFoundError, ReadPlan
+from repro.cluster.engine import InvalidRangeError, ObjectNotFoundError
 from repro.cluster.multipart import MultipartState, PartState
 from repro.core.broker import Scalia
 from repro.core.optimizer import OptimizationReport
@@ -120,26 +120,13 @@ class BrokerFrontend:
             ),
         )
 
-    def get(self, tenant: str, bucket: str, key: str) -> bytes:
-        container = self.mapper.internal_container(tenant, bucket)
-
-        fn = _tenant_facing(lambda: self.broker.get(container, key), bucket, key)
-        return self._run("get", fn)
-
-    def get_with_meta(
-        self, tenant: str, bucket: str, key: str
-    ) -> tuple[bytes, ObjectMeta]:
-        """Payload and metadata in one frontend operation.
-
-        Counts as one ``get`` rather than a ``get`` plus a ``head``.
-        The pair comes from the broker's atomic :meth:`Scalia.get_with_meta`
-        (one lock hold), so the metadata always describes the returned
-        bytes even under concurrent re-puts or deletes.
-        """
-        container = self.mapper.internal_container(tenant, bucket)
-
-        fn = _tenant_facing(lambda: self.broker.get_with_meta(container, key), bucket, key)
-        return self._run("get", fn)
+    def get(self, tenant: str, bucket: str, key: str):
+        """The whole object (bytes, or a synthetic object's byte count):
+        :meth:`stream_get`'s blocks joined, so one ``get`` plus one
+        ``get_stripe`` per further stripe, in either topology."""
+        plan, blocks = self.stream_get(tenant, bucket, key)
+        body = b"".join(blocks)
+        return body if plan.meta.checksum else plan.length
 
     def stream_get(
         self,
@@ -196,12 +183,14 @@ class BrokerFrontend:
     ):
         """A GET up to and including its first block, as ``(plan, first)``.
 
-        Written once and run where the broker is, in this order: resolve
-        the row, apply ``If-Match`` / ``If-None-Match`` (a 304 or 412
-        bills no read), resolve the range, plan the covering stripes,
-        fetch the first planned segment, log the read.  ``first`` is that
-        segment's plaintext (a byte count for a synthetic object, ``None``
-        for a zero-length read).  With ``raw`` it is what
+        One ``get``: :meth:`Scalia.open_get` resolves the row once and,
+        under one shared hold of the object, applies ``If-Match`` /
+        ``If-None-Match`` (a 304 or 412 bills no read) and the range to
+        that version, plans the covering stripes, fetches the first
+        planned segment and logs the read.  ``first`` is that segment's
+        plaintext (a byte count for a synthetic object, ``None`` for a
+        zero-length read), or the whole object when the engine's cache
+        served it.  With ``raw`` it is what
         :meth:`Scalia.fetch_stripe_window` returns, for a caller that cuts
         and decodes elsewhere: the ops service, on behalf of a worker
         (one frame, docs/API.md), which is also never served from the
@@ -209,90 +198,21 @@ class BrokerFrontend:
         is reported by.
         """
 
-        def check_preconditions(meta: ObjectMeta) -> None:
+        def validate(meta: ObjectMeta):
             etag = meta.checksum or meta.skey
             if if_match is not None and not etag_matches(if_match, etag):
                 raise PreconditionFailedError(etag)
             if if_none_match is not None and etag_matches(if_none_match, etag):
                 raise NotModifiedError(etag)
+            try:
+                return resolve_byte_range(range_spec, meta.size)
+            except RouteError as exc:  # a 416: an empty object satisfies no range
+                raise InvalidRangeError(str(exc), meta.size) from exc
 
-        def open_fn():
-            meta = self.broker.head(container, key)
-            if meta is None:
-                raise ObjectNotFoundError(f"{bucket}/{key} not found")
-            # head/open_read are separate lock holds, so a
-            # re-put can win the gap between them.  Preconditions and the
-            # range must describe the version actually served: when the
-            # planned version differs from the one validated, re-validate
-            # against it and re-plan (bounded retries; version churn on
-            # one key during one request is vanishingly rare).
-            for _attempt in range(4):
-                # Cheap reject first: a 304/412 against the current
-                # version bills no read.
-                check_preconditions(meta)
-                try:
-                    byte_range = resolve_byte_range(range_spec, meta.size)
-                    if (
-                        byte_range is None
-                        and not raw
-                        and self.broker.cluster.cache is not None
-                    ):
-                        # A configured cache trades memory for provider
-                        # traffic by design: serve (and bill) whole-object
-                        # reads through it rather than re-fetching stripes.
-                        # Synthetic payloads (ints) cache too — their HTTP
-                        # body is empty either way.  The payload/metadata
-                        # pair is atomic (one broker lock hold), so the
-                        # response headers always describe the body sent;
-                        # a re-put since the head re-checks below.
-                        payload, served = self.broker.get_with_meta(container, key)
-                        if served.skey != meta.skey:
-                            check_preconditions(served)
-                        plan = ReadPlan(
-                            meta=served, segments=[], start=0,
-                            end=served.size - 1, length=served.size,
-                        )
-                        return plan, payload
-                    plan = self.broker.open_read(container, key, byte_range=byte_range)
-                except (InvalidRangeError, RouteError) as exc:
-                    if isinstance(exc, RouteError) and exc.status != 416:
-                        raise
-                    # Refused by which version?  ``open_read`` resolves
-                    # the row again, so a re-put since the head may have
-                    # refused a range the validated version satisfies (or
-                    # the reverse): go round with the version that is
-                    # live.  Only a refusal by the version validated is
-                    # a 416, and ``bytes */N`` carries that version's N.
-                    current = self.broker.head(container, key)
-                    if current is None:
-                        raise ObjectNotFoundError(f"{bucket}/{key} not found") from exc
-                    if current.skey != meta.skey and _attempt < 3:
-                        meta = current
-                        continue
-                    wrapped = InvalidRangeError(str(exc))
-                    wrapped.object_size = meta.size
-                    raise wrapped from exc
-                if plan.meta.skey == meta.skey:
-                    return plan, None
-                meta = plan.meta  # replaced mid-request: validate that version
-            check_preconditions(plan.meta)
-            return plan, None
-
-        # Not found also covers "deleted since the head".
-        plan, cached = self._run("get", _tenant_facing(open_fn, bucket, key))
-        if cached is not None:
-            # the cache path went through broker.get, which logged
-            return plan, cached
-        first = None
-        if plan.segments:
-            fetch = self.broker.fetch_stripe_window if raw else self.broker.read_stripe
-            stripe, lo, hi = plan.segments[0]
-            first = self._run("get_stripe", lambda: fetch(plan.meta, stripe, lo, hi))
-        # The first segment is in hand (a zero-length read serves
-        # trivially): the read is being served — log it now, never for
-        # reads that failed outright.
-        self._run("commit_read", lambda: self.broker.commit_read(plan))
-        return plan, first
+        return self._run("get", _tenant_facing(
+            lambda: self.broker.open_get(container, key, validate=validate, raw=raw),
+            bucket, key,
+        ))
 
     def head(self, tenant: str, bucket: str, key: str) -> Optional[ObjectMeta]:
         container = self.mapper.internal_container(tenant, bucket)

@@ -136,17 +136,6 @@ def _stubs(owner: str) -> type:
     return type(f"_Stubs:{owner}", (), methods)
 
 
-class _ClusterStub:
-    """The slice of ``broker.cluster`` the frontend touches worker-side.
-
-    ``cache=None`` deliberately disables the frontend's whole-object
-    cache path: the cache lives in the broker process (one cache, one
-    truth) and worker reads go through the stripe RPC.
-    """
-
-    cache = None
-
-
 class RpcStager:
     """The staged write protocol over the ops RPC: what the drivers of
     :mod:`repro.cluster.writepath` talk to in a worker.
@@ -229,7 +218,6 @@ class _RemoteBroker(_stubs("broker")):
         self._call = pool.call
         self._codes = CodeCache()
         self._stager = RpcStager(self._call, self._codes, owner)
-        self.cluster = _ClusterStub()
         hello = self._call("hello")
         self.stripe_size_bytes = int(hello["stripe_size"])
         self.clustered = bool(hello["clustered"])
@@ -278,7 +266,9 @@ class _RemoteBroker(_stubs("broker")):
     ):
         """:meth:`BrokerFrontend.open_get`, run in the broker process, as
         one frame: the plan and the first segment, opened here exactly as
-        a :meth:`read_stripe` reply is."""
+        a :meth:`read_stripe` reply is.  :class:`RemoteBrokerFrontend`
+        calls it in place of the ``Scalia.open_get`` a local frontend
+        makes, so the validation runs where the row is resolved."""
         response = self._call(
             "open_get",
             container=container, bucket=bucket, key=key,
@@ -364,21 +354,6 @@ class _RemoteBroker(_stubs("broker")):
                 proven.append(ProvenRun(index, proof, run))
             fetched.append((window, proven))
         return cut_windows(self._codes.get(meta.m, meta.n), fetched)
-
-    def get_with_meta(self, container: str, key: str):
-        # No tenant's bucket at this level: a missing key is reported by
-        # the container, and the frontend above renames it.
-        plan, first = self.open_get(container, container, key)
-
-        def read(meta, stripe, lo, hi):  # the first segment is in hand
-            if stripe == plan.segments[0][0]:
-                return first
-            return self.read_stripe(meta, stripe, lo, hi)
-
-        return plan.materialize(read), plan.meta
-
-    def get(self, container: str, key: str):
-        return self.get_with_meta(container, key)[0]
 
 
 class _WorkerMetrics(_stubs("broker.metrics")):

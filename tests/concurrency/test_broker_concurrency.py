@@ -149,9 +149,9 @@ class TestHammer:
 class TestAtomicGetWithMeta:
     @pytest.mark.parametrize("cache_bytes", [0, 1 << 20])
     def test_payload_and_meta_always_match_under_replacement(self, cache_bytes):
-        """get_with_meta pairs bytes with the metadata of the same
+        """The one-hold open pairs bytes with the metadata of the same
         version, even while writers replace the object with payloads of
-        different sizes."""
+        different sizes (single-stripe, so the first block is it all)."""
         broker = Scalia(cache_capacity_bytes=cache_bytes)
         broker.put("pair", "obj", b"a" * 100)
         stop = threading.Event()
@@ -166,7 +166,8 @@ class TestAtomicGetWithMeta:
         def reader():
             try:
                 while not stop.is_set():
-                    payload, meta = broker.get_with_meta("pair", "obj")
+                    plan, payload = broker.open_get("pair", "obj")
+                    meta = plan.meta
                     assert len(payload) == meta.size, (
                         f"payload {len(payload)}B paired with meta of {meta.size}B"
                     )

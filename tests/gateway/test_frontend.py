@@ -58,34 +58,34 @@ class TestObjectAPI:
 
 
 class TestRangeAcrossAReput:
-    """``head`` and ``open_read`` are separate lock holds; a range is
-    resolved, refused and described against the version that is served."""
+    """A re-put that lands just before the read resolves the row: the
+    range is resolved, refused and described against the version that is
+    served, the one the read resolved."""
 
     @staticmethod
-    def _reput_after_head(frontend, monkeypatch, payload):
-        real = frontend.broker.head
+    def _reput_before_open(frontend, monkeypatch, payload):
+        real = frontend.broker.open_get
         pending = [payload]
 
-        def head(container, key):
-            meta = real(container, key)
-            if pending:  # lands once the old version has been validated
+        def open_get(container, key, **kwargs):
+            if pending:  # lands before the one resolution of the row
                 frontend.put("alice", "photos", "k", pending.pop())
-            return meta
+            return real(container, key, **kwargs)
 
-        monkeypatch.setattr(frontend.broker, "head", head)
+        monkeypatch.setattr(frontend.broker, "open_get", open_get)
 
     def test_a_range_the_smaller_new_version_refuses_is_a_416_of_its_size(
         self, frontend, monkeypatch
     ):
         frontend.put("alice", "photos", "k", bytes(100))
-        self._reput_after_head(frontend, monkeypatch, bytes(40))
+        self._reput_before_open(frontend, monkeypatch, bytes(40))
         with pytest.raises(InvalidRangeError) as refused:
             frontend.stream_get("alice", "photos", "k", range_spec=(50, 60))
-        # Content-Range: bytes */40, not the 100 the head saw.
+        # Content-Range: bytes */40, not the 100 of the version it replaced.
         assert refused.value.object_size == 40
         # In range of both versions: served from, and described by, the new one.
         frontend.put("alice", "photos", "k", bytes(100))
-        self._reput_after_head(frontend, monkeypatch, b"n" * 40)
+        self._reput_before_open(frontend, monkeypatch, b"n" * 40)
         plan, blocks = frontend.stream_get("alice", "photos", "k", range_spec=(30, 60))
         assert (plan.meta.size, plan.start, plan.end) == (40, 30, 39)
         assert b"".join(bytes(b) for b in blocks) == b"n" * 10
@@ -95,7 +95,7 @@ class TestRangeAcrossAReput:
     ):
         frontend.put("alice", "photos", "k", bytes(100))
         new = bytes(range(140))
-        self._reput_after_head(frontend, monkeypatch, new)
+        self._reput_before_open(frontend, monkeypatch, new)
         plan, blocks = frontend.stream_get("alice", "photos", "k", range_spec=(None, 10))
         assert (plan.meta.size, plan.start, plan.end) == (140, 130, 139)
         assert b"".join(bytes(b) for b in blocks) == new[-10:]
