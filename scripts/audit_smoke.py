@@ -19,13 +19,17 @@ The scenario is the docs/AUDITING.md incident, end to end over HTTP:
    objects and one of 4 MiB (chunks of 16 leaves, whose segment store
    answers from a kept tree and ranged reads) through it, then clear
    the fault;
-3. ``POST /audit`` — every tampered chunk must fail its possession
+3. GET every tampered object whole before any sweep: every read checks
+   each chunk against the root its row anchors, so each must come back
+   byte-identical, served around the tampered chunk, with one
+   ``read.proof_failed`` per tampered chunk in ``/events``;
+4. ``POST /audit`` — every tampered chunk must fail its possession
    proof in this one sweep (the tree of a chunk stored forged is the
    forged bytes' tree, so whichever leaf is sampled), be repaired from
    its erasure peers, and force the victim's breaker open
    (``audit_failures`` in ``/stats``, ``audit.fail``/``audit.repair``
    in ``/events``);
-4. the gateway is restarted (no tree survives: each is rebuilt by one
+5. the gateway is restarted (no tree survives: each is rebuilt by one
    payload read at its chunk's first challenge); a second sweep (and
    ``repro audit`` itself) comes back clean, every object reads back
    byte-identical, and so does a range of the large one.
@@ -140,6 +144,18 @@ def main() -> int:
             http("PUT", "/audit-bucket/large.bin", large)
             http("POST", "/faults", json.dumps(
                 {"provider": victim, "profile": None}).encode("utf-8"))
+
+            # Reads before any sweep: the anchored root refuses the
+            # tampered chunk and parity serves the exact bytes.
+            for i in range(OBJECT_COUNT):
+                check(http("GET", f"/audit-bucket/obj{i}.bin") == payload(i),
+                      f"obj{i}.bin reads back exact before any sweep")
+            check(http("GET", "/audit-bucket/large.bin") == large,
+                  "large.bin reads back exact before any sweep")
+            failed = json.loads(http(
+                "GET", "/events?type=read.proof_failed&limit=100"))["events"]
+            check(len(failed) == TAMPERED and all(e["provider"] == victim for e in failed),
+                  f"{len(failed)} read.proof_failed events, each naming the tampering provider")
 
             # Sweep 1: challenge-response catches every tampered chunk.
             report = audit("?seed=0")

@@ -91,7 +91,7 @@ from repro.erasure.striping import (
 )
 from repro.obs.events import resolve_journal
 from repro.obs.trace import current_trace, record_span
-from repro.storage.merkle import LEAF_SIZE, chunk_root
+from repro.storage.merkle import LEAF_SIZE, kept_root
 from repro.providers.health import HedgePolicy
 from repro.providers.provider import (
     ChunkCorruptionError,
@@ -1433,8 +1433,8 @@ class Engine:
 
         The worker-mode read: the broker fetches, verifies and bills
         under one shared hold of the object's stripe lock; the worker
-        checks the proofs again against its own copy of ``meta``, or the
-        chunks' SHA-1, and cuts.
+        checks the proofs or the chunks again against the roots of its
+        own copy of ``meta``, and cuts.
         """
         with self._locks.read_object(object_row_key(meta.container, meta.key)):
             return self._segment(meta, stripe, lo, hi, raw=True)
@@ -1534,19 +1534,20 @@ class Engine:
         and land it at ``provider_name`` (Section IV-E, active repair).
 
         Stripes are independent codes, so the sources come from the
-        chunk's own stripe.  A rebuilt chunk is re-anchored (fresh
-        checksum; on a row without roots the next scrub mints them from
-        it), so a repair never reads what it rebuilds: the sources are
-        other chunks than ``index`` and than any of ``damaged`` (the
-        stripe's indices the caller confirmed bad), each verified before
-        use (:meth:`_fetch_chunks`), and fewer than ``m`` good ones is a
-        :class:`ReadFailedError`, never a wrong chunk.  This is the one
-        rebuild: scrub repair, audit repair (the only time the audit
-        path reads whole chunks) and a migration off a failed provider
-        all end here.  ``sources`` lets a caller rebuilding several
-        chunks of one stripe fetch (and pay for) the ``m`` sources once.
-        Storage failures propagate; the caller holds the object's stripe
-        exclusively.  Returns the ``(provider, chunk_key)`` written.
+        chunk's own stripe.  A rebuilt chunk is what the store vouches
+        for afterwards (on a row without roots the next scrub mints them
+        from it), so a repair never reads what it rebuilds: the sources
+        are other chunks than ``index`` and than any of ``damaged`` (the
+        stripe's indices the caller confirmed bad), each checked against
+        its root as every fetch is (:meth:`_checked_chunk`), and fewer
+        than ``m`` good ones is a :class:`ReadFailedError`, never a wrong
+        chunk.  This is the one rebuild: scrub repair, audit repair (the
+        only time the audit path reads whole chunks) and a migration off
+        a failed provider all end here.  ``sources`` lets a caller
+        rebuilding several chunks of one stripe fetch (and pay for) the
+        ``m`` sources once.  Storage failures propagate; the caller holds
+        the object's stripe exclusively.  Returns the ``(provider,
+        chunk_key)`` written.
         """
         excluded = frozenset((index, *damaged))
         fetched = None if sources is None else sources.get(stripe)
@@ -1684,32 +1685,19 @@ class Engine:
         times: int = 1,
         rebuilding: frozenset = frozenset(),
     ):
-        """Fetch ``count`` chunks of one stripe from the best providers.
+        """Fetch ``count`` chunks of one stripe from the best providers,
+        each checked as it arrives (:meth:`_checked_chunk`).
 
-        Corrupt chunks (durable backends detect them by checksum) are
-        skipped like missing ones: any ``m`` intact chunks serve the read,
-        and the scrubber repairs the damage out of band.
-
-        ``rebuilding`` makes the fetch one of repair sources: those chunk
-        indices are about to be replaced and are not fetched, and every
-        chunk that is gets checked here, against the row's anchored
-        Merkle root or, where the row has none, its own SHA-1.  A read
-        leaves the check to its decode; a repair has no later gate, and
-        the memory backend hands a chunk over as it is.
+        A chunk that is missing, fails a durable backend's record check
+        or fails its anchored root is skipped like an unreachable one:
+        any ``m`` intact chunks serve the read, and the scrubber or the
+        auditor repairs the damage out of band.  ``rebuilding`` makes the
+        fetch one of repair sources: those chunk indices are about to be
+        replaced and are not fetched.
         """
 
         def get_chunk(index: int, name: str):
-            chunk_key = meta.chunk_key(index, stripe)
-            chunk = self._registry.get(name).get_chunk(chunk_key, times=times)
-            if rebuilding:
-                root = meta.merkle_root(index, stripe)
-                if not (chunk.verify() if root is None else chunk_root(chunk) == root):
-                    raise ChunkCorruptionError(
-                        f"chunk {index} of stripe {stripe} at {name} is no repair source: "
-                        f"it fails its {'checksum' if root is None else 'Merkle root'}",
-                        chunk_key,
-                    )
-            return chunk
+            return self._checked_chunk(meta, stripe, index, name, times=times)
 
         order = [pair for pair in self._serving_order(meta) if pair[0] not in rebuilding]
         causes: Dict[str, BaseException] = {}
@@ -1717,6 +1705,33 @@ class Engine:
         if len(fetched) < count:
             raise self._read_failed(meta, stripe, len(fetched), count, causes)
         return fetched
+
+    def _checked_chunk(
+        self, meta: ObjectMeta, stripe: int, index: int, name: str, *, times: int = 1
+    ) -> AnyChunk:
+        """Chunk ``index`` of ``stripe`` from provider ``name``, once it
+        matches the Merkle root its row anchors: the one check a whole
+        chunk gets before a read, a repair or a relocation uses it.
+
+        The root comes from the chunk's kept tree when it has one, so a
+        chunk this process wrote is not hashed again.  A row without
+        roots passes unchecked (the next clean scrub mints them).  A
+        mismatch is journaled as ``read.proof_failed`` and raised as
+        :class:`ChunkCorruptionError`, which every fetch walk skips.
+        """
+        chunk_key = meta.chunk_key(index, stripe)
+        chunk = self._registry.get(name).get_chunk(chunk_key, times=times)
+        root = meta.merkle_root(index, stripe)
+        if root is None or kept_root(chunk) == root:
+            return chunk
+        self._journal.emit(
+            "read.proof_failed",
+            key=f"{meta.container}/{meta.key}",
+            stripe=stripe, chunk=index, provider=name,
+        )
+        raise ChunkCorruptionError(
+            f"chunk {index} of stripe {stripe} at {name} fails its Merkle root", chunk_key
+        )
 
     def _walk(
         self,
@@ -1837,8 +1852,8 @@ class Engine:
         catalogue span 0.15 to 0.18 $/GB), so the holder goes first with
         no cost comparison; ``_serving_order`` still ranks replicas.  The
         challenge op is the fetch: a proof that fails is journaled and
-        skipped like a chunk that fails its checksum, and repaired by the
-        next audit or scrub pass, not here.
+        skipped like a whole chunk that fails its root, and repaired by
+        the next audit or scrub pass, not here.
         """
         code = self._codes.get(meta.m, meta.n)
         size = chunk_length(meta.stripe_lengths[stripe], meta.m)
@@ -1977,11 +1992,13 @@ class Engine:
     def _migrate_same_code(self, meta: ObjectMeta, session: StagedWrite) -> ObjectMeta:
         """Cheap path: m and n unchanged, rewrite only relocated chunks.
 
-        A relocated chunk whose current provider is reachable is copied
-        *directly* (one read, one write); only chunks stranded on a failed
-        provider require reconstruction from m other chunks (the paper's
-        active-repair case).  Striped objects relocate every stripe's
-        chunk at the moved index, one stripe at a time.
+        A relocated chunk whose current provider is reachable and serves
+        it intact (its anchored root checks, :meth:`_checked_chunk`) is
+        copied *directly* (one read, one write); only chunks stranded on a
+        failed provider, or damaged there, are rebuilt from m other
+        chunks (the paper's active-repair case).  Striped objects
+        relocate every stripe's chunk at the moved index, one stripe at
+        a time.
         """
         old_index_of = {p: i for i, p in meta.chunk_map}
         old_provider_of = dict(meta.chunk_map)
@@ -1996,8 +2013,8 @@ class Engine:
                 chunk = None
                 if self._registry.is_available(source):
                     try:
-                        chunk = self._registry.get(source).get_chunk(chunk_key)
-                    except (ProviderUnavailableError, ChunkNotFoundError):
+                        chunk = self._checked_chunk(meta, stripe, index, source)
+                    except FETCH_ERRORS:
                         chunk = None
                 if chunk is not None:
                     ref = self._land(provider_name, chunk_key, chunk)
@@ -2026,7 +2043,7 @@ class Engine:
                 session,
                 str(stripe) if striped else None,
                 chunks,
-                [chunk_root(chunk) for chunk in chunks],
+                [kept_root(chunk) for chunk in chunks],
             )
         return replace(
             meta,

@@ -50,6 +50,10 @@ from repro.storage.scrubber import ScrubReport, Scrubber
 from repro.types import ListPage, ObjectMeta, Placement
 from repro.util.ids import object_row_key
 
+#: Periods a new object's placement is priced over when its class has no
+#: lifetime estimate yet.
+DEFAULT_HORIZON_PERIODS = 24
+
 
 class CorePlanner:
     """Implements the engine's Planner protocol with the core logic.
@@ -71,7 +75,6 @@ class CorePlanner:
         placement_engine: PlacementEngine,
         cost_model: CostModel,
         decision: DecisionPeriodController,
-        default_horizon_periods: int = 24,
         journal: Optional[EventJournal] = None,
     ) -> None:
         self.registry = registry
@@ -81,7 +84,6 @@ class CorePlanner:
         self.placement_engine = placement_engine
         self.cost_model = cost_model
         self.decision = decision
-        self.default_horizon_periods = default_horizon_periods
         self.journal = resolve_journal(journal)
 
     # -- Planner protocol -------------------------------------------------
@@ -211,10 +213,10 @@ class CorePlanner:
                     1.0, math.ceil(lifetime / self.cost_model.period_hours)
                 )
             else:
-                horizon = float(self.default_horizon_periods)
+                horizon = float(DEFAULT_HORIZON_PERIODS)
             return projection, horizon
         projection = AccessProjection(size_bytes=size, one_time_writes=1.0)
-        return projection, float(self.default_horizon_periods)
+        return projection, float(DEFAULT_HORIZON_PERIODS)
 
 
 @dataclass
@@ -242,13 +244,10 @@ class Scalia:
         sampling_period_hours: float = 1.0,
         initial_decision_period: int = 24,
         decision_adaptive: bool = True,
-        trend_window: int = 3,
         trend_limit: float = 0.1,
         dynamic_trend_limit: bool = False,
         repair_strategy: str = "repair",
-        benefit_horizon_periods: int = 8760,
         class_refresh_every: int = 24,
-        default_horizon_periods: int = 24,
         literal_algorithm1: bool = False,
         seed: int = 0,
         planner=None,
@@ -260,7 +259,6 @@ class Scalia:
         optimizer_batch_size: int = 64,
         scrub_batch_size: int = 64,
         audit_batch_size: int = 64,
-        audit_leaves_per_chunk: int = 1,
         hedge: Optional[HedgePolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
         enable_metrics: bool = True,
@@ -338,7 +336,6 @@ class Scalia:
                 placement_engine=self.placement_engine,
                 cost_model=self.cost_model,
                 decision=self.decision,
-                default_horizon_periods=default_horizon_periods,
                 journal=self.events,
             )
         self.cluster = ScaliaCluster(
@@ -363,11 +360,9 @@ class Scalia:
             placement_engine=self.placement_engine,
             cost_model=self.cost_model,
             decision=self.decision,
-            trend_window=trend_window,
             trend_limit=trend_limit,
             dynamic_limit=dynamic_trend_limit,
             repair_strategy=repair_strategy,
-            benefit_horizon_periods=benefit_horizon_periods,
             batch_size=optimizer_batch_size,
             metrics=self.metrics,
             journal=self.events,
@@ -380,8 +375,7 @@ class Scalia:
             metrics=self.metrics, journal=self.events,
         )
         self.auditor = Auditor(
-            self.cluster, self.registry, batch_size=audit_batch_size,
-            leaves_per_chunk=audit_leaves_per_chunk, seed=seed,
+            self.cluster, self.registry, batch_size=audit_batch_size, seed=seed,
             metrics=self.metrics, journal=self.events,
         )
         self.recovery: Optional[dict] = None

@@ -52,6 +52,13 @@ from repro.providers.provider import (
 from repro.providers.registry import ProviderRegistry
 from repro.types import ObjectMeta, Placement
 
+#: Sampling periods a momentum detector's moving average spans.
+TREND_WINDOW = 3
+#: Periods a migration's saving is projected over when neither a TTL hint
+#: nor the class statistics give the object's remaining lifetime (a year
+#: of hourly periods).
+BENEFIT_HORIZON_PERIODS = 8760
+
 
 @dataclass(frozen=True)
 class MigrationAppraisal:
@@ -136,20 +143,15 @@ class PeriodicOptimizer:
         placement_engine: PlacementEngine,
         cost_model: CostModel,
         decision: DecisionPeriodController,
-        trend_window: int = 3,
         trend_limit: float = 0.1,
         dynamic_limit: bool = False,
         repair_strategy: str = "repair",
-        benefit_horizon_periods: int = 8760,
         batch_size: int = 64,
-        yield_fn: Optional[Callable[[], None]] = None,
         metrics=None,
         journal=None,
     ) -> None:
         if repair_strategy not in ("repair", "wait"):
             raise ValueError("repair_strategy must be 'repair' or 'wait'")
-        if benefit_horizon_periods < 1:
-            raise ValueError("benefit_horizon_periods must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.cluster = cluster
@@ -160,14 +162,11 @@ class PeriodicOptimizer:
         self.placement_engine = placement_engine
         self.cost_model = cost_model
         self.decision = decision
-        self.trend_window = trend_window
         self.trend_limit = trend_limit
         self.dynamic_limit = dynamic_limit
         self.repair_strategy = repair_strategy
         self._class_limits: Dict[str, float] = {}
-        self.benefit_horizon_periods = benefit_horizon_periods
         self.batch_size = batch_size
-        self.yield_fn = yield_fn
         self._run_lock = threading.Lock()
         self._detectors: Dict[str, MomentumDetector] = {}
         self._fed_upto: Dict[str, int] = {}
@@ -211,7 +210,7 @@ class PeriodicOptimizer:
                 now,
                 period,
                 batch_size if batch_size is not None else self.batch_size,
-                yield_fn if yield_fn is not None else self.yield_fn,
+                yield_fn,
             )
 
     def _run_round(
@@ -271,7 +270,7 @@ class PeriodicOptimizer:
             limit = self.trend_limit
             if self.dynamic_limit and class_key is not None:
                 limit = self._calibrated_limit(class_key)
-            detector = MomentumDetector(self.trend_window, limit)
+            detector = MomentumDetector(TREND_WINDOW, limit)
             self._detectors[row_key] = detector
         return detector
 
@@ -501,7 +500,7 @@ class PeriodicOptimizer:
         """Price the move; worth it when the saving covers the migration.
 
         The saving is projected over the object's *expected remaining
-        lifetime* (TTL hint or class statistics; ``benefit_horizon_periods``
+        lifetime* (TTL hint or class statistics; :data:`BENEFIT_HORIZON_PERIODS`
         when unknown) — a migration that only pays off long after the
         object is deleted must not happen, while slow storage-price savings
         on long-lived objects must (Section IV-B's post-crowd move back to
@@ -528,7 +527,7 @@ class PeriodicOptimizer:
         if ttl is not None:
             horizon = max(1.0, ttl / self.cost_model.period_hours)
         else:
-            horizon = float(self.benefit_horizon_periods)
+            horizon = float(BENEFIT_HORIZON_PERIODS)
         horizon = max(horizon, float(window_d))
 
         history = self.stats.history(_row_key_of(meta), period, window_d)

@@ -8,9 +8,9 @@ it.  This package provides a real, self-contained implementation:
 * :mod:`repro.erasure.matrix` — Vandermonde/Cauchy generator matrices and
   Gauss-Jordan inversion over the field,
 * :mod:`repro.erasure.rs` — the systematic Reed-Solomon encoder/decoder,
-* :mod:`repro.erasure.striping` — object <-> chunk conversion with
-  checksums, plus the synthetic (metadata-only) chunk type used by the
-  large-scale cost simulations.
+* :mod:`repro.erasure.striping` — object <-> chunk conversion, plus the
+  synthetic (metadata-only) chunk type used by the large-scale cost
+  simulations.
 """
 
 from repro.erasure.galois import gf_add, gf_div, gf_inv, gf_mul, gf_matmul, gf_pow

@@ -1,8 +1,9 @@
-"""Object <-> chunk conversion with integrity checksums.
+"""Object <-> chunk conversion.
 
 The engine stores one chunk per selected provider (Figure 1).  Each chunk
-carries its shard index and a checksum so that corrupted provider responses
-are detected before reassembly.  For the large cost simulations a
+carries its shard index and payload; its one integrity value is the Merkle
+root the object's row anchors (:mod:`repro.storage.merkle`), which every
+read checks before a chunk is decoded.  For the large cost simulations a
 :class:`SyntheticChunk` carries only sizes — same control flow, no payload —
 which is what keeps the month-long figure scenarios fast.
 """
@@ -10,7 +11,6 @@ which is what keeps the month-long figure scenarios fast.
 from __future__ import annotations
 
 import base64
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -18,17 +18,12 @@ from typing import Any, Iterable, Optional, Sequence, Union
 from repro.erasure.rs import CodeCache, ReedSolomon, shard_length
 
 
-def _checksum(data: bytes) -> str:
-    return hashlib.sha1(data).hexdigest()
-
-
 @dataclass(frozen=True)
 class Chunk:
-    """A real erasure-coded chunk: shard index, payload and checksum."""
+    """A real erasure-coded chunk: shard index and payload."""
 
     index: int
     data: bytes
-    checksum: str
     #: The Merkle tree of ``data``, filled lazily and only through
     #: :func:`repro.storage.merkle.chunk_tree` (this package sits below
     #: the storage one).  A pure function of immutable bytes, so it can
@@ -38,17 +33,13 @@ class Chunk:
 
     @classmethod
     def build(cls, index: int, data: bytes) -> "Chunk":
-        """Create a chunk, computing its checksum."""
-        return cls(index=index, data=data, checksum=_checksum(data))
+        """Create a chunk (the plain constructor, kept by name)."""
+        return cls(index=index, data=data)
 
     @property
     def size(self) -> int:
         """Payload size in bytes."""
         return len(self.data)
-
-    def verify(self) -> bool:
-        """Return ``True`` when the payload matches the stored checksum."""
-        return _checksum(self.data) == self.checksum
 
 
 @dataclass(frozen=True)
@@ -63,10 +54,6 @@ class SyntheticChunk:
     index: int
     size: int
 
-    def verify(self) -> bool:
-        """Synthetic chunks carry no payload; always valid."""
-        return True
-
 
 AnyChunk = Union[Chunk, SyntheticChunk]
 
@@ -74,27 +61,22 @@ AnyChunk = Union[Chunk, SyntheticChunk]
 def chunk_to_doc(chunk: AnyChunk) -> dict:
     """JSON-safe document for one chunk (the WAL replication stream).
 
-    Real chunks carry their payload base64-encoded plus the checksum;
-    synthetic chunks carry only the byte size, mirroring their in-memory
-    shape.
+    Real chunks carry their payload base64-encoded; synthetic chunks
+    carry only the byte size, mirroring their in-memory shape.
     """
     if isinstance(chunk, SyntheticChunk):
         return {"i": chunk.index, "s": chunk.size}
     return {
         "i": chunk.index,
         "d": base64.b64encode(chunk.data).decode("ascii"),
-        "h": chunk.checksum,
     }
 
 
 def chunk_from_doc(doc: dict) -> AnyChunk:
-    """Inverse of :func:`chunk_to_doc`."""
+    """Inverse of :func:`chunk_to_doc`; the ``"h"`` (SHA-1) that older
+    journals carry beside the payload is ignored."""
     if "d" in doc:
-        return Chunk(
-            index=int(doc["i"]),
-            data=base64.b64decode(doc["d"]),
-            checksum=str(doc["h"]),
-        )
+        return Chunk(index=int(doc["i"]), data=base64.b64decode(doc["d"]))
     return SyntheticChunk(index=int(doc["i"]), size=int(doc["s"]))
 
 
@@ -113,10 +95,10 @@ def split_object(
     *,
     code_cache: Optional[CodeCache] = None,
 ) -> list[Chunk]:
-    """Erasure-code ``data`` into ``n`` checksummed chunks (any m rebuild)."""
+    """Erasure-code ``data`` into ``n`` chunks (any m rebuild)."""
     cache = code_cache if code_cache is not None else _DEFAULT_CACHE
     code = cache.get(m, n)
-    return [Chunk.build(i, shard) for i, shard in enumerate(code.encode(data))]
+    return [Chunk(i, shard) for i, shard in enumerate(code.encode(data))]
 
 
 def split_synthetic(data_len: int, m: int, n: int) -> list[SyntheticChunk]:
@@ -132,21 +114,16 @@ def reassemble_object(
     data_len: int,
     *,
     code_cache: Optional[CodeCache] = None,
-    verify: bool = True,
 ) -> bytes:
     """Rebuild the original object from any ``m`` chunks.
 
-    Raises :class:`ValueError` if fewer than ``m`` valid chunks are supplied
-    or a checksum mismatch is found (with ``verify=True``).
+    Raises :class:`ValueError` if fewer than ``m`` chunks are supplied.
+    The chunks are trusted: a read checks each against its anchored root
+    when it fetches it.
     """
     cache = code_cache if code_cache is not None else _DEFAULT_CACHE
     code = cache.get(m, n)
-    shard_map: dict[int, bytes] = {}
-    for chunk in chunks:
-        if verify and not chunk.verify():
-            raise ValueError(f"chunk {chunk.index} failed checksum verification")
-        shard_map[chunk.index] = chunk.data
-    return code.decode(shard_map, data_len)
+    return code.decode({chunk.index: chunk.data for chunk in chunks}, data_len)
 
 
 def repair_chunk(
@@ -162,8 +139,7 @@ def repair_chunk(
     cache = code_cache if code_cache is not None else _DEFAULT_CACHE
     code = cache.get(m, n)
     shard_map = {c.index: c.data for c in chunks}
-    shard = code.reconstruct_shard(shard_map, target_index, data_len)
-    return Chunk.build(target_index, shard)
+    return Chunk(target_index, code.reconstruct_shard(shard_map, target_index, data_len))
 
 
 def total_stored_bytes(data_len: int, m: int, n: int) -> int:

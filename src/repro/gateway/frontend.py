@@ -199,7 +199,7 @@ class BrokerFrontend:
         """
 
         def validate(meta: ObjectMeta):
-            etag = meta.checksum or meta.skey
+            etag = meta.etag
             if if_match is not None and not etag_matches(if_match, etag):
                 raise PreconditionFailedError(etag)
             if if_none_match is not None and etag_matches(if_none_match, etag):

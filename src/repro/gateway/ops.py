@@ -486,23 +486,21 @@ class OpsService:
         # Worker and broker are one build spawned by one supervisor, so a
         # frame without a root per shard is malformed, not an older
         # layout: a chunk must never commit without its audit anchor.
-        lists = [
-            request.get(name) for name in ("indices", "lengths", "checksums", "roots")
-        ]
+        lists = [request.get(name) for name in ("indices", "lengths", "roots")]
         if any(not isinstance(v, list) or len(v) != session.n for v in lists):
             raise ValueError(
-                "write_stripe needs indices, lengths, checksums and roots, "
+                "write_stripe needs indices, lengths and roots, "
                 "one of each per provider of the session"
             )
-        indices, lengths, checksums, roots = lists
+        indices, lengths, roots = lists
         chunks: List[Chunk] = []
         offset = 0
-        for index, length, checksum in zip(indices, lengths, checksums):
+        for index, length in zip(indices, lengths):
             shard = payload[offset : offset + int(length)]
             offset += int(length)
             if len(shard) != int(length):
                 raise ValueError("write_stripe payload shorter than its shard list")
-            chunks.append(Chunk(index=int(index), data=shard, checksum=checksum))
+            chunks.append(Chunk(index=int(index), data=shard))
         self.broker.stager().write_stripe(session, request.get("tag"), chunks, roots)
         return {"written": len(chunks)}
 
@@ -628,6 +626,5 @@ class OpsService:
             "synthetic": False,
             "indices": [c.index for c in ordered],
             "lengths": [len(c.data) for c in ordered],
-            "checksums": [c.checksum for c in ordered],
         }
         return body, [c.data for c in ordered]

@@ -10,7 +10,7 @@ holding engine state.
 
 The split follows the issue's CPU budget: everything per-request and
 compute-bound happens here in the worker — HTTP parsing, body streaming,
-Reed-Solomon encode/decode, MD5/SHA1 checksumming — while the broker
+Reed-Solomon encode/decode, MD5 and Merkle hashing — while the broker
 process only moves chunks and mutates metadata.  Writes run the engine's
 own write driver (:mod:`repro.cluster.writepath`) against the broker's
 staged protocol (begin / ship encoded stripes as raw binary payloads /
@@ -31,7 +31,6 @@ hashing); the ops RPC carries internal container names only.
 from __future__ import annotations
 
 import functools
-import hashlib
 import queue
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -51,6 +50,8 @@ from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
 from repro.gateway.ops import OPERATIONS, error_from_doc, from_wire, to_wire
 from repro.obs.metrics import MetricsRegistry
 from repro.replication.rpc import Buffer, RpcClient, RpcError
+from repro.storage.backend import ChunkCorruptionError
+from repro.storage.merkle import merkle_root
 from repro.types import ObjectMeta
 
 
@@ -174,7 +175,6 @@ class RpcStager:
             tag=tag,
             indices=[c.index for c in chunks],
             lengths=[len(c.data) for c in chunks],
-            checksums=[c.checksum for c in chunks],
             roots=list(roots),
         )
 
@@ -296,9 +296,9 @@ class _RemoteBroker(_stubs("broker")):
         """Plaintext ``[lo, hi)`` of a stripe from the broker's reply to
         ``read_stripe`` (or the stripe half of its reply to ``open_get``).
 
-        A whole-chunk read verifies every shard against its shipped
-        SHA-1 (parity with ``reassemble_object``'s ``verify=True`` on
-        the direct path).  When the shards are exactly the data shards
+        Every whole shard is checked against the root this worker's
+        ``meta`` anchors for it, as the engine checks every chunk it
+        fetches in process.  When the shards are exactly the data shards
         in index order, the plaintext is a slice of the receive buffer —
         returned as one zero-copy memoryview.  A sub-chunk window
         arrives as proven leaves (:meth:`_cut_leaves`).
@@ -312,14 +312,16 @@ class _RemoteBroker(_stubs("broker")):
             return self._cut_leaves(meta, stripe, lo, hi, response["windows"], payload)
         indices = [int(i) for i in response["indices"]]
         lengths = [int(n) for n in response["lengths"]]
-        checksums = response["checksums"]
         shards: Dict[int, memoryview] = {}
         offset = 0
-        for index, shard_len, checksum in zip(indices, lengths, checksums):
+        for index, shard_len in zip(indices, lengths):
             shard = payload[offset : offset + shard_len]
             offset += shard_len
-            if hashlib.sha1(shard).hexdigest() != checksum:
-                raise ValueError(f"chunk {index} failed checksum verification")
+            root = meta.merkle_root(index, stripe)
+            if root is not None and merkle_root(shard) != root:
+                raise ChunkCorruptionError(
+                    f"chunk {index} of stripe {stripe} fails its Merkle root"
+                )
             shards[index] = shard
         if indices == list(range(meta.m)):
             # Systematic code + contiguous data shards: the concatenated

@@ -1006,7 +1006,7 @@ class GatewayHandler:
                 "class": meta.class_key,
                 "rule": meta.rule_name,
                 "placement": meta.placement.label(),
-                "etag": meta.checksum or meta.skey,
+                "etag": meta.etag,
                 "stripes": meta.stripe_count,
             },
             extra_headers=self._meta_headers(meta),
@@ -1074,7 +1074,7 @@ class GatewayHandler:
                 "bucket": route.bucket,
                 "key": route.key,
                 "size": meta.size,
-                "etag": meta.checksum,
+                "etag": meta.etag,
                 "stripes": meta.stripe_count,
                 "placement": meta.placement.label(),
             },
@@ -1142,7 +1142,7 @@ class GatewayHandler:
 
     def _handle_conditionals(self, meta) -> bool:
         """Apply If-Match / If-None-Match; True when a response went out."""
-        etag = meta.checksum or meta.skey
+        etag = meta.etag
         if_match = self.headers.get("if-match")
         if if_match is not None and not etag_matches(if_match, etag):
             self._send_error(412, "If-Match precondition failed")
@@ -1159,12 +1159,8 @@ class GatewayHandler:
     # -- plumbing ----------------------------------------------------------
 
     def _meta_headers(self, meta) -> dict:
-        # The ETag is the content MD5, S3-style (multipart objects carry
-        # the S3 multipart convention md5(part-digests)-N).  Objects
-        # stored in synthetic mode have no payload digest; only those
-        # fall back to the version key.
         return {
-            "ETag": f'"{meta.checksum or meta.skey}"',
+            "ETag": f'"{meta.etag}"',
             "Accept-Ranges": "bytes",
             "Last-Modified": self.server.last_modified(meta.last_modified),
             "x-scalia-class": meta.class_key,

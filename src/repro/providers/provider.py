@@ -249,10 +249,12 @@ _PHASE_BY_KIND = {"put": "provider_put", "get": "provider_fetch"}
 def _tampered(chunk: AnyChunk, seed: int) -> AnyChunk:
     """One deterministic bit-flip in a real chunk's payload.
 
-    The returned chunk is rebuilt with :meth:`Chunk.build`, i.e. its
-    checksum matches the *tampered* bytes — modelling an adversarial or
-    silently bit-rotting store, not a torn write.  Synthetic and empty
-    chunks pass through untouched (there are no bytes to flip).
+    The returned chunk is a new one over the *tampered* bytes (no kept
+    tree comes with it), and a durable backend writes its record's
+    checksum over them, so the store itself sees nothing wrong —
+    modelling an adversarial or silently bit-rotting store, not a torn
+    write.  Synthetic and empty chunks pass through untouched (there are
+    no bytes to flip).
     """
     data = getattr(chunk, "data", None)
     if not data:
@@ -260,7 +262,7 @@ def _tampered(chunk: AnyChunk, seed: int) -> AnyChunk:
     position = random.Random(seed).randrange(len(data) * 8)
     tampered = bytearray(data)
     tampered[position // 8] ^= 1 << (position % 8)
-    return Chunk.build(chunk.index, bytes(tampered))
+    return Chunk(chunk.index, bytes(tampered))
 
 
 class _ProviderTimers:
@@ -474,10 +476,11 @@ class SimulatedProvider:
         """Store ``chunk`` under ``key`` (billed: 1 op + ingress + storage).
 
         A ``corrupt`` fault draw silently stores tampered bytes: one
-        seeded bit-flip with the chunk's checksum *recomputed over the
-        tampered data*, so provider-local integrity checks still pass —
-        only a broker-side Merkle audit (or a scrub against the stored
-        root) can tell.  The write reports success either way.
+        seeded bit-flip, with any provider-local record checksum written
+        *over the tampered data*, so provider-local integrity checks
+        still pass — only the broker-held Merkle root (checked by every
+        read, audit and scrub) can tell.  The write reports success
+        either way.
         """
         with self._observed("put") as decision:
             self._check_up()

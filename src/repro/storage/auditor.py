@@ -54,6 +54,9 @@ from repro.types import ObjectMeta
 AUDIT_PROOF_FAILED = "proof-failed"
 AUDIT_MISSING = "missing"
 
+#: Leaves sampled per chunk per sweep.
+LEAVES_PER_CHUNK = 1
+
 
 #: One chunk that failed its possession proof (or was gone): the same
 #: record a scrub files, with ``status`` "proof-failed" | "missing".
@@ -97,8 +100,8 @@ class Auditor:
     object lock (shared to challenge, exclusive once a repair must
     write), with ``yield_fn`` run between batches holding no locks.
 
-    ``leaves_per_chunk`` controls challenge strength; the default of 1
-    keeps per-chunk cost at one leaf + O(log) hashes, which is where the
+    :data:`LEAVES_PER_CHUNK` sets challenge strength; one leaf keeps
+    per-chunk cost at one leaf + O(log) hashes, which is where the
     audit-vs-scrub byte ratio comes from.  A single tampered *bit*
     still cannot hide — any leaf's proof fails against the stored root
     only if that leaf is sampled, but tampering that survives one sweep
@@ -111,21 +114,15 @@ class Auditor:
         registry: ProviderRegistry,
         *,
         batch_size: int = 64,
-        leaves_per_chunk: int = 1,
         seed: Optional[int] = None,
-        yield_fn: Optional[Callable[[], None]] = None,
         metrics=None,
         journal=None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if leaves_per_chunk < 1:
-            raise ValueError("leaves_per_chunk must be >= 1")
         self.cluster = cluster
         self.registry = registry
         self.batch_size = batch_size
-        self.leaves_per_chunk = leaves_per_chunk
-        self.yield_fn = yield_fn
         self.journal = resolve_journal(journal)
         self.last_report: Optional[AuditReport] = None
         self._base_seed = seed
@@ -191,7 +188,7 @@ class Auditor:
             engine.live_row_keys(),
             visit,
             batch_size if batch_size is not None else self.batch_size,
-            yield_fn if yield_fn is not None else self.yield_fn,
+            yield_fn,
             getattr(self._m_batches, "observe", None),
         )
         if self._m_batches is not None:
@@ -247,7 +244,7 @@ class Auditor:
             expected_size = chunk_length(meta.stripe_lengths[stripe], meta.m)
             leaves = leaf_count(expected_size)
             rng = random.Random(f"{seed}:{chunk_key}")
-            indices = rng.sample(range(leaves), min(self.leaves_per_chunk, leaves))
+            indices = rng.sample(range(leaves), min(LEAVES_PER_CHUNK, leaves))
             try:
                 proof = self.registry.get(provider_name).audit_chunk(
                     chunk_key, indices

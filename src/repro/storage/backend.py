@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
 
-from repro.erasure.striping import AnyChunk, Chunk
+from repro.erasure.striping import AnyChunk
 from repro.storage import merkle
 
 
@@ -123,12 +123,9 @@ class MemoryChunkStore:
         return self._stored_bytes
 
     def verify(self, key: str) -> str:
-        chunk = self._chunks.get(key)
-        if chunk is None:
-            return VERIFY_MISSING
-        if isinstance(chunk, Chunk) and not chunk.verify():
-            return VERIFY_CORRUPT
-        return VERIFY_OK
+        """A dict keeps no record checksum: a present chunk is ``ok``; only
+        the broker-held root can tell its bytes are wrong."""
+        return VERIFY_OK if key in self._chunks else VERIFY_MISSING
 
     def audit(self, key: str, leaf_indices: Sequence[int]) -> Dict:
         chunk = self._chunks[key]

@@ -128,6 +128,8 @@ def build_tree(data) -> MerkleTree:
 
 def merkle_root(data: bytes) -> str:
     """Hex Merkle root of ``data`` split into fixed-size leaves."""
+    if len(data) <= LEAF_SIZE:  # one leaf: its hash is the root
+        return _leaf_hash(data).hex()
     return build_tree(data).root
 
 

@@ -3,13 +3,14 @@
 The scrubber walks every live object's chunk map, *reads each chunk
 back in full* (billed like any client read — full-store scrubbing has a
 real egress cost, which is what the Merkle auditor undercuts) and
-classifies it ``ok`` / ``missing`` / ``corrupt``.  A fetched chunk is
-checked against its own stored checksum **and** against the broker-held
-Merkle root from object metadata, so adversarial tampering that
-recomputed the provider-local checksum is still caught.  Objects whose
-metadata predates per-chunk roots (pre-audit WALs) are verified by the
-same full read and their Merkle trees are *backfilled* into a fresh
-metadata version, which is how an old store becomes auditable.
+classifies it ``ok`` / ``missing`` / ``corrupt``.  A durable backend
+refuses a chunk whose record fails its own checksum (rot at rest); a
+fetched chunk is then checked against the broker-held Merkle root from
+object metadata, so adversarial tampering that the provider's records
+do not show is still caught.  Objects whose metadata predates per-chunk
+roots (pre-audit WALs) are verified by the same full read and their
+Merkle trees are *backfilled* into a fresh metadata version, which is
+how an old store becomes auditable.
 
 Damaged chunks are re-encoded from any ``m`` intact chunks through the
 same Reed-Solomon reconstruction the optimizer's active repair uses
@@ -87,7 +88,6 @@ class Scrubber:
         registry: ProviderRegistry,
         *,
         batch_size: int = 64,
-        yield_fn: Optional[Callable[[], None]] = None,
         metrics=None,
         journal=None,
     ) -> None:
@@ -96,7 +96,6 @@ class Scrubber:
         self.cluster = cluster
         self.registry = registry
         self.batch_size = batch_size
-        self.yield_fn = yield_fn
         self.journal = resolve_journal(journal)
         self.last_report: Optional[ScrubReport] = None
         self._m_batches = None
@@ -139,7 +138,7 @@ class Scrubber:
             engine.live_row_keys(),
             visit,
             batch_size if batch_size is not None else self.batch_size,
-            yield_fn if yield_fn is not None else self.yield_fn,
+            yield_fn,
             getattr(self._m_batches, "observe", None),
         )
         if repair:
@@ -308,12 +307,13 @@ class Scrubber:
         tracker, so scrubbing doubles as the half-open breaker's
         recovery traffic.
 
-        The fetched bytes are checked two ways: the chunk's own stored
-        checksum (catches rot and torn records), then the Merkle root
-        from object metadata when one exists (catches *adversarial*
-        tampering where the provider-local checksum was recomputed over
-        the tampered bytes).  ``root`` is the Merkle root computed from
-        the bytes just read — backfill material for rootless metadata.
+        A durable backend's record check (rot and torn records) answers
+        the fetch itself, as :class:`ChunkCorruptionError`; the bytes it
+        hands over are then checked against the Merkle root from object
+        metadata when one exists (catches *adversarial* tampering the
+        provider's own records do not show).  ``root`` is the Merkle root
+        computed from the bytes just read — backfill material for
+        rootless metadata.
         """
         if provider_name not in self.registry:
             return None, None
@@ -330,8 +330,6 @@ class Scrubber:
         data = getattr(chunk, "data", None)
         if data is None:  # synthetic: size-only, nothing to hash
             return VERIFY_OK, SYNTHETIC_ROOT
-        if not chunk.verify():
-            return VERIFY_CORRUPT, None
         computed = merkle_root(data)
         if (
             expected_root is not None

@@ -356,7 +356,7 @@ class FileChunkStore:
         if ref.kind == _KIND_SYNTHETIC:
             return SyntheticChunk(index=ref.index, size=ref.size)
         payload = data[_HEADER_LEN + len(key.encode("utf-8")) : -(_SHA_LEN + _CRC.size)]
-        return Chunk.build(ref.index, payload)
+        return Chunk(ref.index, payload)
 
     def delete(self, key: str) -> None:
         self._check_open()

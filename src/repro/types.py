@@ -95,6 +95,14 @@ class ObjectMeta:
         return len(self.chunk_map)
 
     @property
+    def etag(self) -> str:
+        """The object's ETag: its content MD5, S3-style (a multipart
+        object's is ``md5(part-digests)-N``).  An object stored in
+        synthetic mode has no payload digest and falls back to its
+        version key."""
+        return self.checksum or self.skey
+
+    @property
     def placement(self) -> Placement:
         """The placement this metadata encodes: the provider *set* and
         ``m``, names sorted as the planner sorts them.  Which provider

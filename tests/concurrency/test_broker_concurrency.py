@@ -422,10 +422,10 @@ class TestBoundedForegroundStall:
             mid_round.set()
             gate.wait(30.0)  # suspend the round between two batches
 
-        broker.optimizer.yield_fn = yield_fn
         reports = []
         ticker = threading.Thread(
-            target=lambda: reports.extend(broker.tick()), daemon=True
+            target=lambda: reports.extend(broker.tick(optimizer_yield_fn=yield_fn)),
+            daemon=True,
         )
         ticker.start()
         assert mid_round.wait(30.0), "round never reached a batch boundary"

@@ -459,7 +459,6 @@ class TestWriteStripeFrame:
             sid=begin["skey"], tag=None,  # an object session's sid is its skey
             indices=[c.index for c in chunks],
             lengths=[len(c.data) for c in chunks],
-            checksums=[c.checksum for c in chunks],
         )
         if roots == "short":
             args["roots"] = [chunk_root(c) for c in chunks][:-1]
@@ -1148,7 +1147,7 @@ class TestTamperedReplies:
         meta = remote.put(TENANT, "bkt", "whole", payload)
         assert self.ASK[op](remote, TENANT, "whole", meta, 0, 99) == payload[:100]
         _tamper(rig["server"], op, _flip_a_payload_byte)
-        with pytest.raises(ValueError, match=r"chunk \d+ failed checksum verification"):
+        with pytest.raises(ChunkCorruptionError, match=r"chunk \d+ of stripe 0 fails its Merkle root"):
             self.ASK[op](remote, TENANT, "whole", meta, 0, 99)
 
     @pytest.mark.parametrize("op", ["open_get", "read_stripe"])

@@ -60,12 +60,12 @@ def _bytes_out(broker) -> float:
 
 
 def _store_state(broker) -> dict:
-    """Every provider's full chunk store: name -> key -> (data, checksum)."""
+    """Every provider's full chunk store: name -> key -> data."""
     state = {}
     for provider in broker.registry.providers():
         chunks = provider.backend._chunks  # noqa: SLF001 — test introspection
         state[provider.name] = {
-            key: (bytes(chunk.data), chunk.checksum)
+            key: bytes(chunk.data)
             for key, chunk in chunks.items()
         }
     return state
@@ -257,7 +257,7 @@ def _fingerprint(chunk):
     data = getattr(chunk, "data", None)
     if data is None:
         return chunk  # synthetic: the (index, size) record is all there is
-    return bytes(data), chunk.checksum
+    return chunk.index, bytes(data)
 
 
 class TestRebuildDifferential:

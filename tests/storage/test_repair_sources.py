@@ -1,15 +1,15 @@
 """A repair never launders the damage it repairs.
 
 ``Engine.rebuild_chunk`` re-anchors whatever bytes it is given: the
-rebuilt chunk gets a fresh checksum, and on a row without roots the next
-clean scrub mints the roots from it.  So its sources must be other
-chunks than the one it rebuilds (and than any other the same inspection
-confirmed damaged), and each must be checked before use: against the
-row's anchored Merkle root, or the chunk's own SHA-1 where the row has
-none.  Fewer than ``m`` good sources is ``unrepairable``, never a wrong
-chunk.  This is the premise of Dynamic Accountable Storage (PAPERS.md)
-applied to repair: what the store vouches for after a repair must not
-be the tampered bytes.
+rebuilt chunk is what the store vouches for afterwards, and on a row
+without roots the next clean scrub mints the roots from it.  So its
+sources must be other chunks than the one it rebuilds (and than any
+other the same inspection confirmed damaged), and each must be checked
+before use: against the row's anchored Merkle root, as every fetch is.
+Fewer than ``m`` good sources is ``unrepairable``, never a wrong chunk.
+This is the premise of Dynamic Accountable Storage (PAPERS.md) applied
+to repair: what the store vouches for after a repair must not be the
+tampered bytes.
 """
 
 from dataclasses import replace
@@ -41,26 +41,34 @@ def _put(broker, data: bytes, m: int):
     return meta
 
 
-def _flip(broker, meta, index, *, keep_checksum: bool, stripe: int = 0):
-    """Flip byte 0 of one stored chunk.  With the old checksum kept, a
-    full read flags it (rot); with the checksum recomputed only the
-    anchored Merkle root can tell (adversarial tamper)."""
+def _site(broker, meta, index, stripe):
     provider_name = dict(meta.chunk_map)[index]
     store = broker.registry.get(provider_name).backend
     chunk_key = meta.chunk_key(index, stripe)
-    good = store._chunks[chunk_key]  # noqa: SLF001 - test introspection
-    rotten = bytearray(good.data)
-    rotten[0] ^= 0x01
-    store._chunks[chunk_key] = (  # noqa: SLF001
-        Chunk(index=good.index, data=bytes(rotten), checksum=good.checksum)
-        if keep_checksum
-        else Chunk.build(good.index, bytes(rotten))
-    )
-    return provider_name, chunk_key, bytes(good.data)
+    return provider_name, store, chunk_key, bytes(store.get(chunk_key).data)
+
+
+def _flip(broker, meta, index, *, stripe: int = 0):
+    """Flip byte 0 of one chunk a memory store holds: the store sees
+    nothing wrong, only the anchored Merkle root can tell (tamper)."""
+    provider_name, store, chunk_key, good = _site(broker, meta, index, stripe)
+    store._chunks[chunk_key] = Chunk(index, bytes([good[0] ^ 0x01]) + good[1:])  # noqa: SLF001
+    return provider_name, chunk_key, good
+
+
+def _rot_on_disk(broker, meta, index, *, stripe: int = 0):
+    """Flip byte 0 of one chunk's record in its segment file: the store's
+    own record check refuses it (rot at rest), root or no root."""
+    provider_name, store, chunk_key, good = _site(broker, meta, index, stripe)
+    path, offset, _length = store.locate(chunk_key)
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        fh.write(bytes([good[0] ^ 0x01]))
+    return provider_name, chunk_key, good
 
 
 def _stored(broker, provider_name, chunk_key) -> bytes:
-    return bytes(broker.registry.get(provider_name).backend._chunks[chunk_key].data)  # noqa: SLF001
+    return bytes(broker.registry.get(provider_name).backend.get(chunk_key).data)
 
 
 def _strip_roots(broker, container, key):
@@ -74,18 +82,23 @@ def _strip_roots(broker, container, key):
 
 
 @pytest.mark.parametrize("rooted", [True, False], ids=["rooted", "unrooted"])
-def test_a_repair_of_the_best_ranked_chunk_does_not_read_it_back(rooted):
+def test_a_repair_of_the_best_ranked_chunk_does_not_read_it_back(rooted, tmp_path):
     """The parent's failure: the damaged chunk sits on the provider reads
     are served from first, the rebuild fetches its sources in serving
-    order with nothing excluded, the memory backend hands the chunk over
-    unchecked, and the tampered bytes come back with a fresh checksum."""
-    broker = Scalia(enable_metrics=False, enable_events=False)
+    order with nothing excluded, and the damaged bytes come back
+    re-anchored.  A rooted row's damage is a tamper only its root shows;
+    a rootless row's is rot its segment store's record check shows."""
+    broker = Scalia(
+        enable_metrics=False, enable_events=False,
+        data_dir=None if rooted else str(tmp_path / "store"),
+    )
     data = _payload()
     meta = _put(broker, data, 4)
     if not rooted:
         meta = _strip_roots(broker, "c", "k")
     first_served = _engine(broker)._serving_order(meta)[0][0]  # noqa: SLF001
-    provider_name, chunk_key, good = _flip(broker, meta, first_served, keep_checksum=True)
+    damage = _flip if rooted else _rot_on_disk
+    provider_name, chunk_key, good = damage(broker, meta, first_served)
 
     first = broker.scrub()
     assert (first.chunks_corrupt, first.repaired, first.unrepairable) == (1, 1, 0)
@@ -97,25 +110,25 @@ def test_a_repair_of_the_best_ranked_chunk_does_not_read_it_back(rooted):
 
 
 def test_a_tampered_source_behind_a_valid_checksum_is_not_used():
-    """Two chunks of an ``n - m = 1`` stripe are bad: one flagged by its
-    checksum, one tampered with the checksum recomputed.  Only the root
-    exposes the second, so a rebuild of the first that trusted SHA-1
-    would fold the tamper into a chunk it then vouches for."""
+    """Two chunks of an ``n - m = 1`` stripe are tampered behind the
+    store's back.  Only their roots expose them, so a rebuild of one
+    that trusted its sources would fold the other's tamper into a chunk
+    it then vouches for."""
     broker = Scalia(enable_metrics=False, enable_events=False)
     data = _payload()
     meta = _put(broker, data, 4)
     order = [index for index, _ in _engine(broker)._serving_order(meta)]  # noqa: SLF001
     # The rebuilt chunk is the last-ranked one, the tampered source the
     # first-ranked: the alphabetical layout does not hide this one.
-    rot_provider, rot_key, rot_good = _flip(broker, meta, order[-1], keep_checksum=True)
-    bad_provider, bad_key, _ = _flip(broker, meta, order[0], keep_checksum=False)
+    rot_provider, rot_key, rot_good = _flip(broker, meta, order[-1])
+    bad_provider, bad_key, _ = _flip(broker, meta, order[0])
     tampered = _stored(broker, bad_provider, bad_key)
 
     with pytest.raises(ReadFailedError):
         _engine(broker).rebuild_chunk(meta, 0, order[-1], rot_provider)
     report = broker.scrub()
-    # Both are found (the root catches the second); neither can be
-    # rebuilt from m - 1 good chunks, and neither is overwritten.
+    # Both are found; neither can be rebuilt from m - 1 good chunks, and
+    # neither is overwritten.
     assert (report.chunks_corrupt, report.repaired, report.unrepairable) == (2, 0, 2)
     assert _stored(broker, bad_provider, bad_key) == tampered
     assert _stored(broker, rot_provider, rot_key) != rot_good
@@ -131,7 +144,7 @@ def test_confirmed_damaged_chunks_are_not_sources_for_each_other():
     meta = _put(broker, data, 3)
     engine = _engine(broker)
     order = [index for index, _ in engine._serving_order(meta)]  # noqa: SLF001
-    sites = [_flip(broker, meta, index, keep_checksum=False) for index in order[:2]]
+    sites = [_flip(broker, meta, index) for index in order[:2]]
 
     report = broker.scrub()
     assert (report.chunks_corrupt, report.repaired, report.unrepairable) == (2, 2, 0)

@@ -12,7 +12,6 @@ from dataclasses import replace
 
 from repro.cluster.engine import object_row_key
 from repro.core.broker import Scalia
-from repro.erasure.striping import Chunk
 from repro.obs.events import EventJournal
 from repro.storage.merkle import merkle_root
 
@@ -77,25 +76,27 @@ class TestUnrootedObjects:
         assert broker.scrub().roots_backfilled == 0
         broker.close()
 
-    def test_damaged_unrooted_object_repairs_first_backfills_later(self):
+    def test_damaged_unrooted_object_repairs_first_backfills_later(self, tmp_path):
         """Backfill only happens over a fully clean pass: a damaged
         object is repaired now and earns its roots on the next sweep,
         so a tampered chunk can never be laundered into the anchor."""
-        broker = Scalia(enable_metrics=False, enable_events=False)
+        broker = Scalia(
+            enable_metrics=False, enable_events=False, data_dir=str(tmp_path / "store")
+        )
         data = _payload()
         broker.put("old", "obj", data)
         _strip_roots(broker, "old", "obj")
 
         meta = broker.head("old", "obj")
         _stripe, index, provider_name, chunk_key = next(meta.iter_chunks())
-        store = broker.registry.get(provider_name).backend
-        good = store._chunks[chunk_key]  # noqa: SLF001
-        rotten = bytearray(good.data)
-        rotten[0] ^= 0x01
-        # Keep the OLD checksum: a full read flags this chunk corrupt.
-        store._chunks[chunk_key] = Chunk(  # noqa: SLF001
-            index=good.index, data=bytes(rotten), checksum=good.checksum
-        )
+        # Rot at rest: the segment store's record check flags the chunk
+        # corrupt on the full read (a rootless row has nothing else).
+        path, offset, _length = broker.registry.get(provider_name).backend.locate(chunk_key)
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            byte = fh.read(1)
+            fh.seek(offset)
+            fh.write(bytes([byte[0] ^ 0x01]))
 
         first = broker.scrub()
         assert first.chunks_corrupt == 1 and first.repaired == 1

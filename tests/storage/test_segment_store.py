@@ -33,7 +33,7 @@ class TestRoundTrip:
         got = store.get("k1")
         assert got.index == 3
         assert got.data == b"hello segment store"
-        assert got.verify()
+        assert got == chunk
 
     def test_put_get_synthetic_chunk(self, store):
         store.put("s1", SyntheticChunk(index=2, size=12345))
