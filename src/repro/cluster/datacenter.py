@@ -13,6 +13,7 @@ import itertools
 from typing import Dict, List, Optional
 
 from repro.cluster.cache import CacheLayer
+from repro.cluster.clock import Clock
 from repro.cluster.engine import Engine, PendingDeleteQueue, Planner
 from repro.cluster.leader import HeartbeatElection
 from repro.cluster.locks import LockManager
@@ -84,6 +85,9 @@ class ScaliaCluster:
         # object/container locks (and the in-flight write registry the
         # scrubber's orphan sweep consults) too.
         self.locks = LockManager(metrics=metrics)
+        # One simulated clock, for the same reason: the broker's tick
+        # advances it and every engine reads it.
+        self.clock = Clock()
         # One hedge policy cluster-wide: every engine reads with the same
         # degraded-mode behaviour (and the gateway reports one config).
         self.hedge = hedge if hedge is not None else HedgePolicy()
@@ -106,6 +110,7 @@ class ScaliaCluster:
                     pending_deletes=self.pending_deletes,
                     code_cache=code_cache,
                     locks=self.locks,
+                    clock=self.clock,
                     hedge=self.hedge,
                     metrics=metrics,
                     journal=journal,

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.cluster.cache import CacheLayer
+from repro.cluster.clock import Clock
 from repro.cluster.errors import (  # noqa: F401  (re-exported: the tree imports them from here)
     InvalidContinuationTokenError,
     InvalidRangeError,
@@ -399,6 +400,30 @@ def _timed_op(op: str):
     return decorate
 
 
+def _spine_clock(fn):
+    """Accept ``now=`` / ``period=`` only when they equal the clock's reading.
+
+    The one shim left for ``benchmarks/spine/layers.py``, which still
+    hands these keywords to nine engine methods; ROADMAP item 1(d)
+    deletes it with those calls.  Every other caller lets the engine
+    read its clock.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(self, *args, **kwargs):
+        if "now" in kwargs or "period" in kwargs:
+            reading = self._clock.read()
+            given = (kwargs.pop("now", reading[0]), kwargs.pop("period", reading[1]))
+            if given != reading:
+                raise ValueError(
+                    f"now={given[0]!r}, period={given[1]!r} disagree with the "
+                    f"clock's reading {reading!r}"
+                )
+        return fn(self, *args, **kwargs)
+
+    return wrapper
+
+
 class Engine:
     """One stateless Scalia engine bound to a datacenter."""
 
@@ -416,6 +441,7 @@ class Engine:
         pending_deletes: Optional[PendingDeleteQueue] = None,
         code_cache: Optional[CodeCache] = None,
         locks: Optional[LockManager] = None,
+        clock: Optional[Clock] = None,
         hedge: Optional[HedgePolicy] = None,
         metrics=None,
         journal=None,
@@ -434,6 +460,18 @@ class Engine:
         # cluster passes one in); a private fallback keeps standalone
         # single-engine construction (tests, tools) working.
         self._locks = locks if locks is not None else LockManager()
+        # Likewise one simulated clock per cluster, which the broker's
+        # tick advances; every operation reads it when it runs.
+        self._clock = clock if clock is not None else Clock()
+        self._stager = Stager(
+            begin=self.staged_begin,
+            part_begin=self.staged_part_begin,
+            write_stripe=self.staged_write_stripe,
+            commit=self.staged_commit,
+            part_commit=self.staged_part_commit,
+            abort=self.staged_abort,
+            encode=self._encode_stripe,
+        )
         # Degraded-mode read policy: when some chunk provider looks
         # suspect, stripe fetches go parallel and hedge stragglers
         # (docs/FAULTS.md).  The all-healthy hot path never sees it.
@@ -498,6 +536,7 @@ class Engine:
     # ------------------------------------------------------------------
 
     @_timed_op("put")
+    @_spine_clock
     def put(
         self,
         container: str,
@@ -507,8 +546,6 @@ class Engine:
         mime: str = "application/octet-stream",
         rule: Optional[str] = None,
         ttl_hint: Optional[float] = None,
-        now: float = 0.0,
-        period: int = 0,
         stripe_size: int = DEFAULT_STRIPE_SIZE,
         size_hint: Optional[int] = None,
     ) -> ObjectMeta:
@@ -526,23 +563,22 @@ class Engine:
         slow source stalls nobody.
         """
         return put_object(
-            self.stager(now=now, period=period), container, key, data,
+            self._stager, container, key, data,
             stripe_size=stripe_size, size_hint=size_hint,
             mime=mime, rule=rule, ttl_hint=ttl_hint,
         )
 
     @_timed_op("get")
+    @_spine_clock
     def get(
         self,
         container: str,
         key: str,
         *,
         byte_range: Optional[Tuple[int, Optional[int]]] = None,
-        now: float = 0.0,
-        period: int = 0,
     ) -> Payload:
         """Read an object (or an inclusive byte range of it)."""
-        return self._read(container, key, 1, byte_range, period)
+        return self._read(container, key, 1, byte_range)
 
     @_timed_op("get_many")
     def get_many(
@@ -552,8 +588,6 @@ class Engine:
         count: int,
         *,
         byte_range: Optional[Tuple[int, Optional[int]]] = None,
-        now: float = 0.0,
-        period: int = 0,
     ) -> Payload:
         """Serve ``count`` identical reads, billed exactly as ``count`` gets.
 
@@ -566,7 +600,7 @@ class Engine:
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        return self._read(container, key, count, byte_range, period)
+        return self._read(container, key, count, byte_range)
 
     @_timed_op("open_read")
     def open_get(
@@ -576,8 +610,6 @@ class Engine:
         *,
         validate: Optional[Validator] = None,
         raw: bool = False,
-        now: float = 0.0,
-        period: int = 0,
     ) -> Tuple[ReadPlan, object]:
         """A read up to and including its first segment, as ``(plan,
         first)``: open, the first segment and commit under one shared
@@ -595,23 +627,22 @@ class Engine:
         with self._locks.read_object(row_key):
             plan, whole = self._open(container, key, row_key, validate=validate)
             if whole and not raw and self._cache is not None:
-                payload = self._through_cache(row_key, plan, 1, period)
+                payload = self._through_cache(row_key, plan, 1)
                 return replace(plan, segments=[]), payload
             first = None
             if plan.segments:
                 first = self._segment(plan.meta, *plan.segments[0], raw=raw)
-            self._commit(plan, 1, period)
+            self._commit(plan, 1)
             return plan, first
 
     @_timed_op("open_read")
+    @_spine_clock
     def open_read(
         self,
         container: str,
         key: str,
         *,
         byte_range: Optional[Tuple[int, Optional[int]]] = None,
-        now: float = 0.0,
-        period: int = 0,
     ) -> ReadPlan:
         """A read's plan alone, under a hold of its own: the caller pulls
         the segments through :meth:`read_stripe` and logs the read with
@@ -622,9 +653,10 @@ class Engine:
         with self._locks.read_object(row_key):
             return self._open(container, key, row_key, byte_range=byte_range)[0]
 
-    def commit_read(self, plan: ReadPlan, *, count: int = 1, period: int = 0) -> None:
+    @_spine_clock
+    def commit_read(self, plan: ReadPlan, *, count: int = 1) -> None:
         """Log a read served from an :meth:`open_read` plan."""
-        self._commit(plan, count, period)
+        self._commit(plan, count)
 
     @_timed_op("read_stripe")
     def read_stripe(
@@ -654,7 +686,6 @@ class Engine:
         key: str,
         count: int,
         byte_range: Optional[Tuple[int, Optional[int]]],
-        period: int,
     ) -> Payload:
         """``get`` / ``get_many``: open, every segment and commit under
         one shared hold."""
@@ -662,34 +693,29 @@ class Engine:
         with self._locks.read_object(row_key):
             plan, whole = self._open(container, key, row_key, byte_range=byte_range)
             if whole and self._cache is not None:
-                return self._through_cache(row_key, plan, count, period)
+                return self._through_cache(row_key, plan, count)
             meta = plan.meta
             payload = _assemble(
                 meta, [self._segment(meta, *segment, times=count) for segment in plan.segments]
             )
-            self._commit(plan, count, period)
+            self._commit(plan, count)
             return payload
 
     @_timed_op("delete")
-    def delete(
-        self,
-        container: str,
-        key: str,
-        *,
-        now: float = 0.0,
-        period: int = 0,
-    ) -> None:
+    @_spine_clock
+    def delete(self, container: str, key: str) -> None:
         """Delete an object: tombstone metadata, drop chunks (or postpone)."""
         row_key = object_row_key(container, key)
         with self._locks.mutate_object(container, row_key):
             meta = self._winning_meta(row_key)
             if meta is None:
                 raise ObjectNotFoundError(f"{container}/{key}")
+            now, period = self._clock.read()
             with self._metadata.batch():
                 self._metadata.write(
                     self.dc, row_key, None, uuid=self._ids.uuid(), timestamp=now
                 )
-                self._write_index(container, key, row_key, now, present=False)
+                self._write_index(container, key, row_key, present=False)
             self._gc_chunks(meta, keep=frozenset())
             self._log.log(
                 LogRecord(
@@ -848,6 +874,7 @@ class Engine:
     # multipart upload (S3-shaped, journaled through the metadata WAL)
     # ------------------------------------------------------------------
 
+    @_spine_clock
     def create_multipart_upload(
         self,
         container: str,
@@ -857,8 +884,6 @@ class Engine:
         rule: Optional[str] = None,
         stripe_size: int = DEFAULT_STRIPE_SIZE,
         size_hint: Optional[int] = None,
-        now: float = 0.0,
-        period: int = 0,
     ) -> MultipartState:
         """Open a multipart upload; returns its journaled staging state.
 
@@ -870,72 +895,50 @@ class Engine:
         """
         if stripe_size < 1:
             raise ValueError("stripe_size must be >= 1")
-        with self._locks.containers.shared(container):
-            # The staging row is keyed by a fresh uuid nobody else can
-            # name yet, so no object stripe lock is needed here — only
-            # the container hold that orders us against listings.
-            return self._create_multipart_impl(
-                container, key, mime=mime, rule=rule, stripe_size=stripe_size,
-                size_hint=size_hint, now=now, period=period,
-            )
-
-    def _create_multipart_impl(
-        self,
-        container: str,
-        key: str,
-        *,
-        mime: str,
-        rule: Optional[str],
-        stripe_size: int,
-        size_hint: Optional[int],
-        now: float,
-        period: int,
-    ) -> MultipartState:
         guess = size_hint if size_hint and size_hint > 0 else stripe_size
         class_key = self._planner.classify(guess, mime)
-        try:
-            placement = self._plan(container, key, guess, mime, rule, period)
-        except PlacementError as exc:
-            raise WriteFailedError(str(exc)) from exc
-        upload_id = self._ids.uuid()
-        state = MultipartState(
-            container=container,
-            key=key,
-            upload_id=upload_id,
-            skey=storage_key(container, key, upload_id),
-            mime=mime,
-            rule_name=self._planner.rule_for(rule, class_key),
-            class_key=class_key,
-            m=placement.m,
-            providers=self._layout(placement, guess),
-            stripe_size=stripe_size,
-            created_at=now,
-        )
-        self._metadata.write(
-            self.dc, multipart_row_key(container, upload_id), state.to_dict(),
-            uuid=self._ids.uuid(), timestamp=now,
-        )
-        # The upload's skey stays registered in-flight for the upload's
-        # whole lifetime (completion/abort ends it).  Completion hands
-        # the chunks' only metadata reference from the staging row to the
-        # object row across two row writes; an orphan sweep whose batched
-        # census straddles that handoff could otherwise see neither row
-        # reference the chunks and reap an acknowledged object.  After a
-        # crash the registration is gone but the journaled staging row
-        # itself protects the chunks, so recovery needs no replay of it.
-        self._locks.in_flight.begin(state.skey)
-        return state
+        # The staging row is keyed by a fresh uuid nobody else can name
+        # yet, so no object stripe lock is needed here — only the
+        # container hold that orders us against listings.
+        with self._locks.containers.shared(container):
+            now = self._clock.now
+            try:
+                placement = self._plan(container, key, guess, mime, rule)
+            except PlacementError as exc:
+                raise WriteFailedError(str(exc)) from exc
+            upload_id = self._ids.uuid()
+            state = MultipartState(
+                container=container,
+                key=key,
+                upload_id=upload_id,
+                skey=storage_key(container, key, upload_id),
+                mime=mime,
+                rule_name=self._planner.rule_for(rule, class_key),
+                class_key=class_key,
+                m=placement.m,
+                providers=self._layout(placement, guess),
+                stripe_size=stripe_size,
+                created_at=now,
+            )
+            self._metadata.write(
+                self.dc, multipart_row_key(container, upload_id), state.to_dict(),
+                uuid=self._ids.uuid(), timestamp=now,
+            )
+            # The upload's skey stays registered in-flight for the
+            # upload's whole lifetime (completion/abort ends it).
+            # Completion hands the chunks' only metadata reference from
+            # the staging row to the object row across two row writes; an
+            # orphan sweep whose batched census straddles that handoff
+            # could otherwise see neither row reference the chunks and
+            # reap an acknowledged object.  After a crash the
+            # registration is gone but the journaled staging row itself
+            # protects the chunks, so recovery needs no replay of it.
+            self._locks.in_flight.begin(state.skey)
+            return state
 
+    @_spine_clock
     def upload_part(
-        self,
-        container: str,
-        key: str,
-        upload_id: str,
-        part_number: int,
-        data,
-        *,
-        now: float = 0.0,
-        period: int = 0,
+        self, container: str, key: str, upload_id: str, part_number: int, data
     ) -> PartState:
         """Store one part (bytes / file-like / iterator), streamed by stripe.
 
@@ -947,20 +950,15 @@ class Engine:
         to reserve the generation and to commit, not while the part
         streams (:func:`~repro.cluster.writepath.put_part`).
         """
-        return put_part(
-            self.stager(now=now, period=period),
-            container, key, upload_id, part_number, data,
-        )
+        return put_part(self._stager, container, key, upload_id, part_number, data)
 
+    @_spine_clock
     def complete_multipart_upload(
         self,
         container: str,
         key: str,
         upload_id: str,
         parts: Optional[Sequence[Tuple[int, Optional[str]]]] = None,
-        *,
-        now: float = 0.0,
-        period: int = 0,
     ) -> ObjectMeta:
         """Assemble the uploaded parts into the live object (metadata only).
 
@@ -976,97 +974,71 @@ class Engine:
             multipart_row_key(container, upload_id),
             object_row_key(container, key),
         ):
-            return self._complete_multipart_impl(
-                container, key, upload_id, parts, now=now, period=period
+            state = self._load_upload(container, upload_id)
+            if state.key != key:
+                raise MultipartError(
+                    f"upload {upload_id} is for key {state.key!r}, not {key!r}"
+                )
+            if parts is not None:
+                numbers: List[int] = []
+                for number, etag in parts:
+                    number = int(number)
+                    if number not in state.parts:
+                        raise MultipartError(f"part {number} was never uploaded")
+                    if etag and state.parts[number].etag != etag.strip('"'):
+                        raise MultipartError(f"part {number} etag mismatch")
+                    numbers.append(number)
+                if not numbers:
+                    raise MultipartError("completion needs at least one part")
+                if numbers != sorted(set(numbers)):
+                    raise MultipartError("parts must be listed once each, ascending")
+            else:
+                numbers = sorted(state.parts)
+                if not numbers:
+                    raise MultipartError("cannot complete an upload with no parts")
+            chosen = [state.parts[n] for n in numbers]
+            # Roots assemble like stripes do — but only when every chosen
+            # part carries them; a single pre-audit part leaves the object
+            # rootless (the scrubber backfills) rather than partially
+            # audited.
+            if all(part.merkle for part in chosen):
+                merkle = tuple(sorted(pair for part in chosen for pair in part.merkle))
+            else:
+                merkle = ()
+            size = sum(part.size for part in chosen)
+            etag_digest = hashlib.md5(
+                b"".join(bytes.fromhex(part.etag) for part in chosen)
+            ).hexdigest()
+            meta, keep = self._publish(
+                object_row_key(container, key),
+                retire=multipart_row_key(container, upload_id),
+                container=container,
+                key=key,
+                size=size,
+                mime=state.mime,
+                rule_name=state.rule_name,
+                class_key=self._planner.classify(size, state.mime),
+                skey=state.skey,
+                m=state.m,
+                chunk_map=state.chunk_map,
+                checksum=f"{etag_digest}-{len(chosen)}",
+                stripes=tuple(pair for part in chosen for pair in part.stripes),
+                merkle=merkle,
             )
+            # Both rows are committed: the object row now carries the
+            # chunks' reference, so the upload-lifetime in-flight hold can
+            # end (its begin() is in create_multipart_upload; a post-crash
+            # completion ends a registration that no longer exists, which
+            # is tolerated).
+            self._locks.in_flight.end(state.skey)
+            included = set(numbers)
+            for number, part in state.parts.items():
+                if number not in included:
+                    self._delete_refs(list(state.part_chunk_keys(part)), keep=keep)
+            return meta
 
-    def _complete_multipart_impl(
-        self,
-        container: str,
-        key: str,
-        upload_id: str,
-        parts: Optional[Sequence[Tuple[int, Optional[str]]]],
-        *,
-        now: float,
-        period: int,
-    ) -> ObjectMeta:
-        state = self._load_upload(container, upload_id)
-        if state.key != key:
-            raise MultipartError(
-                f"upload {upload_id} is for key {state.key!r}, not {key!r}"
-            )
-        if parts is not None:
-            numbers: List[int] = []
-            for number, etag in parts:
-                number = int(number)
-                if number not in state.parts:
-                    raise MultipartError(f"part {number} was never uploaded")
-                if etag and state.parts[number].etag != etag.strip('"'):
-                    raise MultipartError(f"part {number} etag mismatch")
-                numbers.append(number)
-            if not numbers:
-                raise MultipartError("completion needs at least one part")
-            if numbers != sorted(set(numbers)):
-                raise MultipartError("parts must be listed once each, ascending")
-        else:
-            numbers = sorted(state.parts)
-            if not numbers:
-                raise MultipartError("cannot complete an upload with no parts")
-        chosen = [state.parts[n] for n in numbers]
-        stripes = tuple(pair for part in chosen for pair in part.stripes)
-        # Roots assemble like stripes do — but only when every chosen part
-        # carries them; a single pre-audit part leaves the object rootless
-        # (the scrubber backfills) rather than partially audited.
-        if all(part.merkle for part in chosen):
-            merkle = tuple(sorted(pair for part in chosen for pair in part.merkle))
-        else:
-            merkle = ()
-        size = sum(part.size for part in chosen)
-        etag_digest = hashlib.md5(
-            b"".join(bytes.fromhex(part.etag) for part in chosen)
-        ).hexdigest()
-        row_key = object_row_key(container, key)
-        old_meta = self._winning_meta(row_key)
-        meta = ObjectMeta(
-            container=container,
-            key=key,
-            size=size,
-            mime=state.mime,
-            rule_name=state.rule_name,
-            class_key=self._planner.classify(size, state.mime),
-            skey=state.skey,
-            m=state.m,
-            chunk_map=state.chunk_map,
-            created_at=old_meta.created_at if old_meta else now,
-            checksum=f"{etag_digest}-{len(chosen)}",
-            stripes=stripes,
-            modified_at=now,
-            merkle=merkle,
-        )
-        keep = self._publish(
-            row_key, meta, old_meta, now, period,
-            retire=multipart_row_key(container, upload_id),
-        )
-        # Both rows are committed: the object row now carries the chunks'
-        # reference, so the upload-lifetime in-flight hold can end (its
-        # begin() is in create_multipart_upload; a post-crash completion
-        # ends a registration that no longer exists, which is tolerated).
-        self._locks.in_flight.end(state.skey)
-        included = set(numbers)
-        for number, part in state.parts.items():
-            if number not in included:
-                self._delete_refs(list(state.part_chunk_keys(part)), keep=keep)
-        return meta
-
-    def abort_multipart_upload(
-        self,
-        container: str,
-        key: str,
-        upload_id: str,
-        *,
-        now: float = 0.0,
-        period: int = 0,
-    ) -> int:
+    @_spine_clock
+    def abort_multipart_upload(self, container: str, key: str, upload_id: str) -> int:
         """Drop an in-flight upload and its staged chunks; returns deletions.
 
         Chunks adopted by a completed object (the crash window between
@@ -1077,30 +1049,25 @@ class Engine:
             multipart_row_key(container, upload_id),
             object_row_key(container, key),
         ):
-            return self._abort_multipart_impl(container, key, upload_id, now=now)
-
-    def _abort_multipart_impl(
-        self, container: str, key: str, upload_id: str, *, now: float
-    ) -> int:
-        state = self._load_upload(container, upload_id)
-        if state.key != key:
-            raise MultipartError(
-                f"upload {upload_id} is for key {state.key!r}, not {key!r}"
+            state = self._load_upload(container, upload_id)
+            if state.key != key:
+                raise MultipartError(
+                    f"upload {upload_id} is for key {state.key!r}, not {key!r}"
+                )
+            self._metadata.write(
+                self.dc, multipart_row_key(container, upload_id), None,
+                uuid=self._ids.uuid(), timestamp=self._clock.now,
             )
-        self._metadata.write(
-            self.dc, multipart_row_key(container, upload_id), None,
-            uuid=self._ids.uuid(), timestamp=now,
-        )
-        # End the upload-lifetime in-flight hold (see create/complete).
-        self._locks.in_flight.end(state.skey)
-        keep: frozenset = frozenset()
-        live = self._winning_meta(object_row_key(container, key))
-        if live is not None and live.skey == state.skey:
-            keep = frozenset((p, ck) for _s, _i, p, ck in live.iter_chunks())
-        deleted = 0
-        for part in state.parts.values():
-            deleted += self._delete_refs(list(state.part_chunk_keys(part)), keep=keep)
-        return deleted
+            # End the upload-lifetime in-flight hold (see create/complete).
+            self._locks.in_flight.end(state.skey)
+            keep: frozenset = frozenset()
+            live = self._winning_meta(object_row_key(container, key))
+            if live is not None and live.skey == state.skey:
+                keep = frozenset((p, ck) for _s, _i, p, ck in live.iter_chunks())
+            deleted = 0
+            for part in state.parts.values():
+                deleted += self._delete_refs(list(state.part_chunk_keys(part)), keep=keep)
+            return deleted
 
     def list_multipart_uploads(self, container: str) -> List[MultipartState]:
         """Every in-flight multipart upload of ``container``, oldest first."""
@@ -1130,28 +1097,19 @@ class Engine:
     # reaps staged chunks; nothing is visible until commit journals the
     # metadata row.
 
-    def stager(self, *, now: float = 0.0, period: int = 0) -> Stager:
-        """The staged primitives with the clock bound, for the drivers."""
-        return Stager(
-            begin=functools.partial(self.staged_begin, period=period),
-            part_begin=functools.partial(self.staged_part_begin, now=now),
-            write_stripe=self.staged_write_stripe,
-            commit=functools.partial(self.staged_commit, now=now, period=period),
-            part_commit=functools.partial(self.staged_part_commit, now=now),
-            abort=self.staged_abort,
-            encode=self._encode_stripe,
-        )
+    def stager(self) -> Stager:
+        """The staged primitives, for the drivers; each reads the clock
+        when it runs."""
+        return self._stager
 
-    def _plan(
-        self, container, key, size, mime, rule, period, exclude=()
-    ) -> Placement:
+    def _plan(self, container, key, size, mime, rule, exclude=()) -> Placement:
         """Best placement now, on no provider that is down or in ``exclude``."""
         unavailable = frozenset(
             name for name in self._registry.names() if not self._registry.is_available(name)
         )
         return self._planner.place(
             container=container, key=key, size=size, mime=mime, rule_name=rule,
-            period=period, exclude=unavailable | frozenset(exclude),
+            period=self._clock.period, exclude=unavailable | frozenset(exclude),
         )
 
     def _layout(self, placement: Placement, size: int) -> Tuple[str, ...]:
@@ -1181,7 +1139,6 @@ class Engine:
         mime: str = "application/octet-stream",
         rule: Optional[str] = None,
         exclude: Sequence[str] = (),
-        period: int = 0,
     ) -> StagedWrite:
         """Plan a write: a placement plus a fresh in-flight skey.
 
@@ -1189,9 +1146,7 @@ class Engine:
         :class:`PlacementError` when no feasible placement is left.  A
         session must end in :meth:`staged_commit` or :meth:`staged_abort`.
         """
-        placement = self._plan(
-            container, key, int(size_guess), mime, rule, period, exclude
-        )
+        placement = self._plan(container, key, int(size_guess), mime, rule, exclude)
         skey = storage_key(container, key, self._ids.uuid())
         self._locks.in_flight.begin(skey)
         return StagedWrite(
@@ -1248,8 +1203,6 @@ class Engine:
         mime: str = "application/octet-stream",
         rule: Optional[str] = None,
         ttl_hint: Optional[float] = None,
-        now: float = 0.0,
-        period: int = 0,
     ) -> ObjectMeta:
         """Journal a staged write's metadata; the object becomes visible.
 
@@ -1261,9 +1214,10 @@ class Engine:
         container, key = session.container, session.key
         row_key = object_row_key(container, key)
         with self._locks.mutate_object(container, row_key):
-            old_meta = self._winning_meta(row_key)
             class_key = self._planner.classify(size, mime)
-            meta = ObjectMeta(
+            return self._publish(
+                row_key,
+                session=session,
                 container=container,
                 key=key,
                 size=size,
@@ -1273,32 +1227,32 @@ class Engine:
                 skey=session.skey,
                 m=session.m,
                 chunk_map=tuple(enumerate(session.providers)),
-                created_at=old_meta.created_at if old_meta else now,
                 checksum=checksum,
                 ttl_hint=ttl_hint,
                 stripes=tuple((str(t), int(length)) for t, length in stripes),
-                modified_at=now,
                 merkle=tuple(sorted(session.merkle)),
-            )
-            self._publish(row_key, meta, old_meta, now, period, session=session)
-        return meta
+            )[0]
 
     def _publish(
         self,
         row_key: str,
-        meta: ObjectMeta,
-        old_meta: Optional[ObjectMeta],
-        now: float,
-        period: int,
         *,
         session: Optional[StagedWrite] = None,
         retire: Optional[str] = None,
-    ) -> frozenset:
-        """What every committed write does: journal the object row, its
-        index entry and, for a multipart completion, the staging row it
-        retires as one batch with one sync; then collect the replaced
-        version, log the ``put`` statistic and invalidate the cache.
-        Returns the new version's chunk refs."""
+        **fields,
+    ) -> Tuple[ObjectMeta, frozenset]:
+        """What every committed write does, at one clock reading: the new
+        version's metadata from ``fields`` (created when the object was
+        first, modified now); its row, index entry and, for a multipart
+        completion, the staging row it retires journaled as one batch
+        with one sync; then the replaced version collected, the ``put``
+        statistic logged and the cache invalidated.  Returns the new
+        version and its chunk refs."""
+        now, period = self._clock.read()
+        old_meta = self._winning_meta(row_key)
+        meta = ObjectMeta(
+            created_at=old_meta.created_at if old_meta else now, modified_at=now, **fields
+        )
         with self._metadata.batch():
             self._metadata.write(
                 self.dc, row_key, meta.to_dict(), uuid=meta.skey, timestamp=now
@@ -1306,7 +1260,7 @@ class Engine:
             if session is not None:
                 # The row owns the chunks from here on.
                 self._close_staged(session)
-            self._write_index(meta.container, meta.key, row_key, now, present=True)
+            self._write_index(meta.container, meta.key, row_key, present=True)
             if retire is not None:
                 # After the object row: a crash in between leaves both
                 # referencing the same chunks, which abort/scrub resolve
@@ -1332,7 +1286,7 @@ class Engine:
         )
         if self._cache is not None:
             self._cache.invalidate_everywhere(row_key)
-        return keep
+        return meta, keep
 
     def staged_abort(self, session: StagedWrite) -> int:
         """Drop a session's shipped chunks (a no-op once committed or
@@ -1349,8 +1303,6 @@ class Engine:
         key: str,
         upload_id: str,
         part_number: int,
-        *,
-        now: float = 0.0,
     ) -> StagedWrite:
         """Reserve a generation for one part upload.
 
@@ -1376,7 +1328,7 @@ class Engine:
             state.next_gen = gen + 1
             self._metadata.write(
                 self.dc, multipart_row_key(container, upload_id), state.to_dict(),
-                uuid=self._ids.uuid(), timestamp=now,
+                uuid=self._ids.uuid(), timestamp=self._clock.now,
             )
         self._locks.in_flight.begin(state.skey)
         return StagedWrite(
@@ -1392,7 +1344,6 @@ class Engine:
         etag: str,
         size: int,
         stripes: Sequence[Tuple[str, int]],
-        now: float = 0.0,
     ) -> PartState:
         """Flip the staging row to reference a staged part's chunks.
 
@@ -1416,7 +1367,7 @@ class Engine:
                 state.next_gen = session.gen + 1
             self._metadata.write(
                 self.dc, multipart_row_key(container, upload_id), state.to_dict(),
-                uuid=self._ids.uuid(), timestamp=now,
+                uuid=self._ids.uuid(), timestamp=self._clock.now,
             )
             self._close_staged(session)
         if replaced is not None:
@@ -1449,9 +1400,6 @@ class Engine:
         container: str,
         key: str,
         new_placement: Placement,
-        *,
-        now: float = 0.0,
-        period: int = 0,
     ) -> MigrationReceipt:
         """Move an object's chunks to ``new_placement``.
 
@@ -1496,7 +1444,7 @@ class Engine:
             try:
                 relocate = self._migrate_same_code if same_code else self._migrate_restripe
                 new_meta = relocate(meta, session)
-                self.rewrite_row(row_key, new_meta, timestamp=now)
+                self.rewrite_row(row_key, new_meta, timestamp=self._clock.now)
             except BaseException:
                 self.staged_abort(session)
                 raise
@@ -1950,7 +1898,7 @@ class Engine:
             return hi - lo
         return self._decode_stripe(chunks, meta.m, meta.n, length)[lo:hi]
 
-    def _through_cache(self, row_key: str, plan: ReadPlan, count: int, period: int) -> Payload:
+    def _through_cache(self, row_key: str, plan: ReadPlan, count: int) -> Payload:
         """``count`` whole reads served through the cache: a miss fetches
         every stripe (an empty one included) and fills it, and the rest
         of ``count`` are hits."""
@@ -1961,13 +1909,13 @@ class Engine:
                 meta, [self._segment(meta, stripe) for stripe in range(len(meta.stripe_lengths))]
             )
             self._cache.put(self.dc, row_key, payload, meta.size)
-            self._commit(plan, 1, period)
+            self._commit(plan, 1)
             count -= 1
         if count:
-            self._commit(plan, count, period, cache_hit=True)
+            self._commit(plan, count, cache_hit=True)
         return payload
 
-    def _commit(self, plan: ReadPlan, count: int, period: int, *, cache_hit: bool = False) -> None:
+    def _commit(self, plan: ReadPlan, count: int, *, cache_hit: bool = False) -> None:
         """Commit: log ``count`` served reads of a plan.  Statistics, not
         metering: the provider meters billed each chunk as it was
         fetched.  Only a read whose bytes are in hand is logged, so one
@@ -1975,7 +1923,7 @@ class Engine:
         meta = plan.meta
         self._log.log(
             LogRecord(
-                period=period,
+                period=self._clock.period,
                 object_key=object_row_key(meta.container, meta.key),
                 class_key=meta.class_key,
                 op="get",
@@ -2092,11 +2040,9 @@ class Engine:
             keep=keep,
         )
 
-    def _write_index(
-        self, container: str, key: str, row_key: str, now: float, *, present: bool
-    ) -> None:
+    def _write_index(self, container: str, key: str, row_key: str, *, present: bool) -> None:
         index_key = f"idx|{container}|{key}"
         value = {"key": key, "row_key": row_key} if present else None
         self._metadata.write(
-            self.dc, index_key, value, uuid=self._ids.uuid(), timestamp=now
+            self.dc, index_key, value, uuid=self._ids.uuid(), timestamp=self._clock.now
         )

@@ -446,23 +446,6 @@ class MetadataCluster:
                     for version in versions:
                         self._replicas[dc].apply(row_key, VersionedValue.from_dict(version))
 
-    def iter_versions(self):
-        """Every stored ``(dc, row_key, version)`` across replicas.
-
-        A read-only walk for bulk consumers (the scrubber's reference
-        census) that avoids serializing the whole store the way
-        :meth:`export_state` does.  Materialized under the mutex so the
-        caller iterates a stable copy, not live dicts a concurrent write
-        could resize mid-walk.
-        """
-        with self._mutex:
-            return [
-                (dc, row_key, version)
-                for dc, replica in self._replicas.items()
-                for row_key, row in replica.rows.items()
-                for version in row.values()
-            ]
-
     # -- introspection -------------------------------------------------------
 
     def raw_versions(self, dc: str, row_key: str) -> List[VersionedValue]:

@@ -7,11 +7,11 @@ steps as ``begin → write_stripe* → commit | abort`` (``part_begin`` /
 ``part_commit`` for multipart parts); the two loops above them live here,
 once each: :func:`_write_stripes` and the re-plan loop in
 :func:`put_object`.  They talk to a :class:`Stager` — in the broker
-process the engine's own primitives with the clock bound
-(:meth:`~repro.cluster.engine.Engine.stager`), in a gateway worker an RPC
-stub (:class:`~repro.gateway.remote.RpcStager`) — so encoding and hashing
-run wherever the driver runs and write semantics cannot differ between
-the two.  The object's lock is held at commit only: racing puts of one
+process the engine's own primitives, each reading the broker's clock
+when it runs (:meth:`~repro.cluster.engine.Engine.stager`), in a gateway
+worker an RPC stub (:class:`~repro.gateway.remote.RpcStager`) — so
+encoding and hashing run wherever the driver runs and write semantics
+cannot differ between the two.  The object's lock is held at commit only: racing puts of one
 key both stream, the last commit wins, the loser's chunks are collected.
 """
 

@@ -367,8 +367,6 @@ class Scalia:
             metrics=self.metrics,
             journal=self.events,
         )
-        self._period = 0
-        self._now = 0.0
         self.reports: List[OptimizationReport] = []
         self.scrubber = Scrubber(
             self.cluster, self.registry, batch_size=scrub_batch_size,
@@ -529,7 +527,7 @@ class Scalia:
                 provider_bytes.labels(name, "out").set_total(usage.bytes_out)
             pending.set(len(self.cluster.pending_deletes))
             inflight_writes.set(len(self.cluster.locks.in_flight))
-            period.set(self._period)
+            period.set(self.period)
             if self.durability is not None:
                 wal_bytes.set(self.durability.journal.size_bytes())
             totals = HedgeStats()
@@ -634,7 +632,7 @@ class Scalia:
         row_key = object_row_key(container, key)
         if isinstance(self.planner, CorePlanner):
             projection, horizon = self.planner._projection_for(  # noqa: SLF001
-                row_key, meta.class_key, meta.size, self._period
+                row_key, meta.class_key, meta.size, self.period
             )
         else:
             projection = AccessProjection(size_bytes=meta.size)
@@ -757,12 +755,12 @@ class Scalia:
     @property
     def period(self) -> int:
         """Index of the current (open) sampling period."""
-        return self._period
+        return self.cluster.clock.period
 
     @property
     def now(self) -> float:
         """Simulated wall time in hours."""
-        return self._now
+        return self.cluster.clock.now
 
     # -- client API ----------------------------------------------------------
 
@@ -791,8 +789,6 @@ class Scalia:
             mime=mime,
             rule=rule,
             ttl_hint=ttl_hint,
-            now=self._now,
-            period=self._period,
             stripe_size=self.stripe_size_bytes,
             size_hint=size_hint,
         )
@@ -811,17 +807,13 @@ class Scalia:
         last byte) fetches — and bills — only the Merkle leaves covering
         the range (whole chunks where a chunk is one leaf).
         """
-        return self.cluster.route(dc).get(
-            container, key, byte_range=byte_range, now=self._now, period=self._period
-        )
+        return self.cluster.route(dc).get(container, key, byte_range=byte_range)
 
     def get_many(
         self, container: str, key: str, count: int, *, dc: Optional[str] = None
     ):
         """Serve ``count`` identical reads, billed exactly (burst batching)."""
-        return self.cluster.route(dc).get_many(
-            container, key, count, now=self._now, period=self._period
-        )
+        return self.cluster.route(dc).get_many(container, key, count)
 
     def open_get(
         self,
@@ -839,9 +831,7 @@ class Scalia:
         what is planned, served and logged is that one version.  The
         gateway's GET; stripes after the first are :meth:`read_stripe`.
         """
-        return self.cluster.route(dc).open_get(
-            container, key, validate=validate, raw=raw, now=self._now, period=self._period
-        )
+        return self.cluster.route(dc).open_get(container, key, validate=validate, raw=raw)
 
     def open_read(
         self,
@@ -855,9 +845,7 @@ class Scalia:
         pull through :meth:`read_stripe` (which bills the chunk traffic)
         and log with :meth:`commit_read`: three holds where
         :meth:`open_get` takes one."""
-        return self.cluster.route(dc).open_read(
-            container, key, byte_range=byte_range, now=self._now, period=self._period
-        )
+        return self.cluster.route(dc).open_read(container, key, byte_range=byte_range)
 
     def read_stripe(
         self,
@@ -876,13 +864,11 @@ class Scalia:
         self, plan: ReadPlan, *, count: int = 1, dc: Optional[str] = None
     ) -> None:
         """Log a planned read once its bytes were actually served."""
-        self.cluster.route(dc).commit_read(plan, count=count, period=self._period)
+        self.cluster.route(dc).commit_read(plan, count=count)
 
     def delete(self, container: str, key: str, *, dc: Optional[str] = None) -> None:
         """Delete an object everywhere."""
-        self.cluster.route(dc).delete(
-            container, key, now=self._now, period=self._period
-        )
+        self.cluster.route(dc).delete(container, key)
 
     def list(
         self,
@@ -918,8 +904,7 @@ class Scalia:
         """Open a multipart upload; state is journaled for crash recovery."""
         return self.cluster.route(dc).create_multipart_upload(
             container, key,
-            mime=mime, rule=rule, stripe_size=self.stripe_size_bytes,
-            size_hint=size_hint, now=self._now, period=self._period,
+            mime=mime, rule=rule, stripe_size=self.stripe_size_bytes, size_hint=size_hint,
         )
 
     def upload_part(
@@ -933,10 +918,7 @@ class Scalia:
         dc: Optional[str] = None,
     ) -> PartState:
         """Store one part of an open upload (streamed stripe by stripe)."""
-        return self.cluster.route(dc).upload_part(
-            container, key, upload_id, part_number, data,
-            now=self._now, period=self._period,
-        )
+        return self.cluster.route(dc).upload_part(container, key, upload_id, part_number, data)
 
     def complete_multipart_upload(
         self,
@@ -948,18 +930,13 @@ class Scalia:
         dc: Optional[str] = None,
     ) -> ObjectMeta:
         """Make the uploaded parts the live object (pure metadata)."""
-        return self.cluster.route(dc).complete_multipart_upload(
-            container, key, upload_id, parts,
-            now=self._now, period=self._period,
-        )
+        return self.cluster.route(dc).complete_multipart_upload(container, key, upload_id, parts)
 
     def abort_multipart_upload(
         self, container: str, key: str, upload_id: str, *, dc: Optional[str] = None
     ) -> int:
         """Drop an in-flight upload and its staged chunks."""
-        return self.cluster.route(dc).abort_multipart_upload(
-            container, key, upload_id, now=self._now, period=self._period
-        )
+        return self.cluster.route(dc).abort_multipart_upload(container, key, upload_id)
 
     def list_multipart_uploads(
         self, container: str, *, dc: Optional[str] = None
@@ -972,9 +949,9 @@ class Scalia:
         return self.cluster.route(dc).head(container, key)
 
     def stager(self, *, dc: Optional[str] = None) -> Stager:
-        """The engine's staged write protocol bound to the current clock
-        (what the ops RPC serves to gateway workers)."""
-        return self.cluster.route(dc).stager(now=self._now, period=self._period)
+        """The engine's staged write protocol (what the ops RPC serves to
+        gateway workers); each primitive reads the clock when it runs."""
+        return self.cluster.route(dc).stager()
 
     def fetch_stripe_chunks(
         self, meta: ObjectMeta, stripe: int, *, dc: Optional[str] = None
@@ -1016,32 +993,36 @@ class Scalia:
         ``optimizer_yield_fn`` is this call's between-batches hook (the
         background control plane passes its stop probe here — a per-call
         argument, so a concurrent manual tick never inherits it).  An
-        abort raised from the hook leaves the clock, period counter and
-        report list consistent: fully-closed periods keep their reports,
-        and the aborted period's clock advance is rolled back.
+        abort raised from the hook leaves the clock and report list
+        consistent: fully-closed periods keep their reports, and the
+        clock, which moves only once a period is closed, stays in the
+        aborted one.  The optimizer is handed the period's end; its
+        migrations, like any operation, read the clock when they run.
         """
+        clock = self.cluster.clock
         new_reports: List[OptimizationReport] = []
         with self._tick_lock:
             for _ in range(periods):
-                now = self._now + self.sampling_period_hours
+                start, period = clock.read()
+                end = start + self.sampling_period_hours
                 self.cluster.flush_logs()
-                if self._period % max(1, self.class_refresh_every) == 0:
-                    self.class_stats.refresh(self.cluster.stats, self._period)
+                if period % max(1, self.class_refresh_every) == 0:
+                    self.class_stats.refresh(self.cluster.stats, period)
                     self.cluster.stats.prune_consumed()
                 if self.enable_optimizer:
-                    report = self.optimizer.run(
-                        now, self._period, yield_fn=optimizer_yield_fn
-                    )
+                    report = self.optimizer.run(end, period, yield_fn=optimizer_yield_fn)
                 else:
-                    report = OptimizationReport(period=self._period)
-                self._now = now
+                    report = OptimizationReport(period=period)
                 # The pending-delete queue is shared cluster-wide: flush it
                 # once, explicitly, rather than through any one engine.
                 self.cluster.pending_deletes.flush(self.registry)
-                self.registry.on_period(self._period, self.sampling_period_hours)
+                self.registry.on_period(period, self.sampling_period_hours)
+                # The clock moves once per period, whole, and before the
+                # close is journaled: a snapshot taken by that append (or
+                # during the round) records a reading a restart resumes.
+                clock.set(end, period + 1)
                 if self.durability is not None:
-                    self.durability.on_period_closed(self, self._period)
-                self._period += 1
+                    self.durability.on_period_closed(self, period)
                 # Commit per period: an abort mid multi-period call must
                 # not drop the reports of periods already closed.
                 new_reports.append(report)

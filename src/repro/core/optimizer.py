@@ -429,7 +429,7 @@ class PeriodicOptimizer:
             **appraisal.event_fields(),
         )
         try:
-            engine.migrate(meta.container, meta.key, new_placement, now=now, period=period)
+            engine.migrate(meta.container, meta.key, new_placement)
         except (ReadFailedError, PlacementError, ProviderUnavailableError,
                 CapacityExceededError, ChunkTooLargeError) as exc:
             # Too many chunks unreachable, or a (possibly injected)

@@ -111,23 +111,6 @@ def recv_message(sock: socket.socket) -> Tuple[dict, Optional[memoryview]]:
     return message, payload
 
 
-def send_frame(sock: socket.socket, message: dict) -> None:
-    """Compat wrapper: send a plain JSON frame (no binary payload)."""
-    send_message(sock, message)
-
-
-def recv_frame(sock: socket.socket) -> dict:
-    """Compat wrapper: receive a frame, consuming any payload into it.
-
-    A payload, if present, is attached under ``"_payload"`` so callers
-    using the frame API against a payload-bearing peer lose nothing.
-    """
-    message, payload = recv_message(sock)
-    if payload is not None:
-        message["_payload"] = payload
-    return message
-
-
 class RpcClient:
     """One persistent connection to a peer, with per-call locking.
 
@@ -207,7 +190,6 @@ class RpcServer:
     def __init__(self, host: str, port: int, handlers: Dict[str, Handler]) -> None:
         self.handlers = handlers
         self._listener = socket.create_server((host, port), reuse_port=False)
-        self._listener.settimeout(0.5)  # accept-loop poll, for clean close
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._closed = threading.Event()
         self._conns_lock = threading.Lock()
@@ -218,15 +200,16 @@ class RpcServer:
         self._accept_thread.start()
 
     def _accept_loop(self) -> None:
-        while not self._closed.is_set():
+        while True:
             try:
                 conn, _peer = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                return
+                return  # close() shut the listener down
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._conns_lock:
+                if self._closed.is_set():  # accepted as close() ran
+                    conn.close()
+                    return
                 self._conns.add(conn)
             threading.Thread(
                 target=self._serve_conn, args=(conn,), daemon=True
@@ -271,6 +254,11 @@ class RpcServer:
 
     def close(self) -> None:
         self._closed.set()
+        try:
+            # Wakes the accept blocked in the loop, which then returns.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

@@ -219,7 +219,7 @@ class DurabilityManager:
             "snapshot_loaded": snapshot is not None,
             "wal_records_replayed": wal_records,
             "wal_records_damaged": self.journal.last_replay_damaged,
-            "period": broker._period,
+            "period": broker.period,
             "duration_seconds": round(time.perf_counter() - started, 6),
         }
         return self.recovery_report
@@ -233,8 +233,7 @@ class DurabilityManager:
         broker.cluster.pending_deletes.entries = [
             (provider, key) for provider, key in snapshot["pending_deletes"]
         ]
-        broker._period = int(snapshot["period"])
-        broker._now = float(snapshot["now"])
+        broker.cluster.clock.set(snapshot["now"], snapshot["period"])
         wal_seq = int(snapshot.get("wal_seq", 0))
         if wal_seq:
             self.journal.advance_seq(wal_seq)
@@ -257,8 +256,7 @@ class DurabilityManager:
             for name, usage in record["meters"].items():
                 if name in broker.registry:
                     broker.registry.get(name).meter.restore_period(period, usage)
-            broker._period = period + 1
-            broker._now = float(record["now"])
+            broker.cluster.clock.set(record["now"], period + 1)
         elif kind == "pend+":
             broker.cluster.pending_deletes.entries.append((record["p"], record["k"]))
         elif kind == "pend-":
@@ -524,11 +522,12 @@ class DurabilityManager:
             with self._snap_lock:
                 with broker.cluster.pending_deletes.locked():
                     with self._append_lock:
+                        now, period = broker.cluster.clock.read()
                         state = {
                             "version": 1,
                             "boot": self.boot_epoch,
-                            "period": broker.period,
-                            "now": broker.now,
+                            "period": period,
+                            "now": now,
                             "metadata": broker.cluster.metadata.export_state(),
                             "meters": {
                                 p.name: p.meter.export_state()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.cache import CacheLayer
+from repro.cluster.clock import Clock
 from repro.cluster.engine import (
     Engine,
     ObjectNotFoundError,
@@ -54,6 +55,8 @@ class Harness:
         self.cache = CacheLayer(dcs, cache_bytes) if cache_bytes else None
         self.planner = StubPlanner(self.registry, m=m, n=n)
         self.pending = PendingDeleteQueue()
+        # One clock for both engines, as a cluster shares one.
+        self.clock = Clock()
         self.engines = {
             dc: Engine(
                 f"{dc}-e1",
@@ -65,6 +68,7 @@ class Harness:
                 planner=self.planner,
                 ids=IdGenerator(seed=7),
                 pending_deletes=self.pending,
+                clock=self.clock,
             )
             for dc in dcs
         }
@@ -110,15 +114,19 @@ class TestPutGet:
         h = Harness()
         h.engine.put("c", "obj", b"version-1" * 100)
         chunks_before = h.total_chunks()
-        h.engine.put("c", "obj", b"version-2" * 100, now=1.0)
+        h.clock.set(1.0, 0)
+        h.engine.put("c", "obj", b"version-2" * 100)
         assert h.total_chunks() == chunks_before  # old GC'd, new written
         assert h.engine.get("c", "obj") == b"version-2" * 100
 
     def test_update_keeps_created_at(self):
         h = Harness()
-        h.engine.put("c", "obj", b"v1", now=1.0)
-        meta = h.engine.put("c", "obj", b"v2", now=5.0)
+        h.clock.set(1.0, 0)
+        h.engine.put("c", "obj", b"v1")
+        h.clock.set(5.0, 0)
+        meta = h.engine.put("c", "obj", b"v2")
         assert meta.created_at == 1.0
+        assert meta.modified_at == 5.0
 
     def test_chunk_placement_matches_meta(self):
         h = Harness()
@@ -161,7 +169,8 @@ class TestDelete:
     def test_delete_removes_everything(self):
         h = Harness()
         h.engine.put("c", "obj", b"short-lived")
-        h.engine.delete("c", "obj", now=2.0)
+        h.clock.set(2.0, 0)
+        h.engine.delete("c", "obj")
         assert h.total_chunks() == 0
         with pytest.raises(ObjectNotFoundError):
             h.engine.get("c", "obj")
@@ -170,8 +179,10 @@ class TestDelete:
 
     def test_delete_logs_lifetime(self):
         h = Harness()
-        h.engine.put("c", "obj", b"x", now=1.0)
-        h.engine.delete("c", "obj", now=4.5)
+        h.clock.set(1.0, 0)
+        h.engine.put("c", "obj", b"x")
+        h.clock.set(4.5, 0)
+        h.engine.delete("c", "obj")
         deletes = [r for r in h.stats.iter_records() if r.op == "delete"]
         assert len(deletes) == 1
         assert deletes[0].lifetime_hours == pytest.approx(3.5)
@@ -312,8 +323,10 @@ class TestMigration:
 class TestStatsLogging:
     def test_put_get_records(self):
         h = Harness()
-        h.engine.put("c", "obj", b"y" * 50, period=3)
-        h.engine.get("c", "obj", period=4)
+        h.clock.set(0.0, 3)
+        h.engine.put("c", "obj", b"y" * 50)
+        h.clock.set(0.0, 4)
+        h.engine.get("c", "obj")
         stats = h.stats
         assert stats.accessed_between(3, 3) != set()
         put_stats = stats.history(next(iter(stats.accessed_between(3, 3))), 3, 1)[0]
@@ -324,8 +337,9 @@ class TestStatsLogging:
 
     def test_update_counts_as_write(self):
         h = Harness()
-        h.engine.put("c", "obj", b"v1" * 25, period=0)
-        h.engine.put("c", "obj", b"v2" * 25, period=1)
+        h.engine.put("c", "obj", b"v1" * 25)
+        h.clock.set(0.0, 1)
+        h.engine.put("c", "obj", b"v2" * 25)
         row_key = next(iter(h.stats.accessed_between(1, 1)))
         stats = h.stats.history(row_key, 1, 1)[0]
         assert stats.ops_write == 1

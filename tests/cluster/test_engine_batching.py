@@ -40,9 +40,11 @@ class TestGetManyParity:
         looped, batched = Harness(), Harness()
         looped.engine.put("c", "obj", b"stat parity" * 30)
         batched.engine.put("c", "obj", b"stat parity" * 30)
+        looped.clock.set(0.0, 2)
+        batched.clock.set(0.0, 2)
         for _ in range(7):
-            looped.engine.get("c", "obj", period=2)
-        batched.engine.get_many("c", "obj", 7, period=2)
+            looped.engine.get("c", "obj")
+        batched.engine.get_many("c", "obj", 7)
         key = next(iter(looped.stats.accessed_between(2, 2)))
         a = looped.stats.history(key, 2, 1)[0]
         b = batched.stats.history(key, 2, 1)[0]

@@ -2,16 +2,20 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
+from repro.core.broker import Scalia
+from repro.gateway.frontend import BrokerFrontend
+from repro.gateway.ops import OpsService
 from repro.replication.rpc import (
     MAX_FRAME_BYTES,
     RpcClient,
     RpcError,
     RpcServer,
-    recv_frame,
-    send_frame,
+    recv_message,
+    send_message,
 )
 
 
@@ -36,8 +40,8 @@ class TestFrames:
     def test_round_trip_over_socketpair(self):
         a, b = socket.socketpair()
         try:
-            send_frame(a, {"op": "x", "n": 7, "s": "héllo"})
-            assert recv_frame(b) == {"op": "x", "n": 7, "s": "héllo"}
+            send_message(a, {"op": "x", "n": 7, "s": "héllo"})
+            assert recv_message(b) == ({"op": "x", "n": 7, "s": "héllo"}, None)
         finally:
             a.close()
             b.close()
@@ -47,7 +51,7 @@ class TestFrames:
         try:
             a.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
             with pytest.raises(RpcError, match="refusing"):
-                recv_frame(b)
+                recv_message(b)
         finally:
             a.close()
             b.close()
@@ -58,7 +62,7 @@ class TestFrames:
         a.close()
         try:
             with pytest.raises(RpcError, match="mid-frame"):
-                recv_frame(b)
+                recv_message(b)
         finally:
             b.close()
 
@@ -138,3 +142,29 @@ class TestClientServer:
         client = RpcClient("127.0.0.1", port, connect_timeout=0.5)
         with pytest.raises(RpcError):
             client.call("echo")
+
+
+class TestClose:
+    """``close()`` wakes the accept loop instead of waiting for a poll."""
+
+    def test_an_idle_server_closes_at_once(self):
+        srv = RpcServer("127.0.0.1", 0, {})
+        time.sleep(0.05)  # the loop is blocked in accept
+        started = time.perf_counter()
+        srv.close()
+        assert time.perf_counter() - started < 0.05
+        assert not srv._accept_thread.is_alive()  # noqa: SLF001
+
+    def test_the_ops_server_closes_at_once(self):
+        broker = Scalia(enable_metrics=False)
+        frontend = BrokerFrontend(broker)
+        srv = OpsService(frontend).serve("127.0.0.1", 0)
+        try:
+            time.sleep(0.05)  # the loop is blocked in accept
+            started = time.perf_counter()
+            srv.close()
+            assert time.perf_counter() - started < 0.05
+            assert not srv._accept_thread.is_alive()  # noqa: SLF001
+        finally:
+            frontend.close()
+            broker.close()
