@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, 
 from repro.cluster.cache import CacheLayer
 from repro.cluster.clock import Clock
 from repro.cluster.errors import (  # noqa: F401  (re-exported: the tree imports them from here)
+    BadDigestError,
     InvalidContinuationTokenError,
     InvalidRangeError,
     MultipartError,
@@ -548,6 +549,7 @@ class Engine:
         ttl_hint: Optional[float] = None,
         stripe_size: int = DEFAULT_STRIPE_SIZE,
         size_hint: Optional[int] = None,
+        content_md5: Optional[bytes] = None,
     ) -> ObjectMeta:
         """Store (or update) an object; returns the persisted metadata.
 
@@ -560,12 +562,13 @@ class Engine:
         stream's length is not discoverable; the persisted metadata
         always carries the exact size.  The object's lock is taken at
         commit only (:func:`~repro.cluster.writepath.put_object`), so a
-        slow source stalls nobody.
+        slow source stalls nobody.  A ``content_md5`` that is not the
+        body's MD5 raises :class:`BadDigestError` and stores nothing.
         """
         return put_object(
             self._stager, container, key, data,
             stripe_size=stripe_size, size_hint=size_hint,
-            mime=mime, rule=rule, ttl_hint=ttl_hint,
+            mime=mime, rule=rule, ttl_hint=ttl_hint, content_md5=content_md5,
         )
 
     @_timed_op("get")
@@ -938,7 +941,8 @@ class Engine:
 
     @_spine_clock
     def upload_part(
-        self, container: str, key: str, upload_id: str, part_number: int, data
+        self, container: str, key: str, upload_id: str, part_number: int, data,
+        *, content_md5: Optional[bytes] = None,
     ) -> PartState:
         """Store one part (bytes / file-like / iterator), streamed by stripe.
 
@@ -950,7 +954,10 @@ class Engine:
         to reserve the generation and to commit, not while the part
         streams (:func:`~repro.cluster.writepath.put_part`).
         """
-        return put_part(self._stager, container, key, upload_id, part_number, data)
+        return put_part(
+            self._stager, container, key, upload_id, part_number, data,
+            content_md5=content_md5,
+        )
 
     @_spine_clock
     def complete_multipart_upload(

@@ -78,5 +78,10 @@ class MultipartError(ValueError):
     """Raised for an invalid multipart request (bad part number/etag, 400)."""
 
 
+class BadDigestError(ValueError):
+    """Raised when a body's MD5 is not the ``Content-MD5`` its client
+    sent (400); the write's staged stripes are aborted."""
+
+
 class InvalidContinuationTokenError(ValueError):
     """Raised when a list continuation token cannot be decoded (400)."""

@@ -18,10 +18,16 @@ key both stream, the last commit wins, the loser's chunks are collected.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.cluster.errors import MultipartError, PlacementError, WriteFailedError
+from repro.cluster.errors import (
+    BadDigestError,
+    MultipartError,
+    PlacementError,
+    WriteFailedError,
+)
 from repro.cluster.multipart import PartState
 from repro.erasure.striping import Chunk, split_synthetic
 from repro.providers.provider import (
@@ -112,6 +118,12 @@ class Stager(NamedTuple):
     encode: Callable[[bytes, int, int], Sequence[Chunk]]
 
 
+#: Smallest block MD5'd on its own thread: a thread start and join (about
+#: 65 us on 2 vCPU) pays against 2 ms of MD5 per MiB, not against the few
+#: us a small write's MD5 costs.
+OVERLAP_MIN_BYTES = 1024 * 1024
+
+
 def _ship(stager: Stager, session: StagedWrite, tag: Optional[str], chunks) -> None:
     # Roots are hashed here, while the encoded bytes are hot, on whichever
     # CPU encoded them; the metadata owner only anchors what it is told.
@@ -136,6 +148,13 @@ def _write_stripes(
     (``source is None``) is always single and has no checksum.  The first
     block ships even when empty (a 0-byte object still owns chunks); a
     stripe-aligned source gets no phantom trailing stripe.
+
+    The MD5 is the body's one digest: the ETag, and what a client's
+    ``Content-MD5`` is checked against.  A block of
+    :data:`OVERLAP_MIN_BYTES` or more is hashed on its own thread while
+    it is encoded and shipped (``hashlib`` releases the GIL while it
+    hashes a large buffer); that thread is joined before the next block,
+    so the digest stays in stripe order, and before any error propagates.
     """
     if source is None:
         _ship(stager, session, None, split_synthetic(first, session.m, session.n))
@@ -145,9 +164,18 @@ def _write_stripes(
     size = 0
     block = first
     while True:
-        digest.update(block)
         tag = None if single else f"{session.tag_prefix}{len(stripes)}"
-        _ship(stager, session, tag, stager.encode(block, session.m, session.n))
+        hasher = None
+        if len(block) >= OVERLAP_MIN_BYTES:
+            hasher = threading.Thread(target=digest.update, args=(block,), name="etag-md5")
+            hasher.start()
+        else:
+            digest.update(block)
+        try:
+            _ship(stager, session, tag, stager.encode(block, session.m, session.n))
+        finally:
+            if hasher is not None:
+                hasher.join()
         size += len(block)
         if single:
             break
@@ -158,6 +186,12 @@ def _write_stripes(
         if not block:
             break
     return digest.hexdigest(), size, stripes
+
+
+def _check_digest(checksum: str, content_md5: Optional[bytes]) -> None:
+    """Refuse a body whose MD5 is not the client's ``Content-MD5``."""
+    if content_md5 is not None and checksum != content_md5.hex():
+        raise BadDigestError("Content-MD5 mismatch: payload corrupted in transit")
 
 
 def put_object(
@@ -171,6 +205,7 @@ def put_object(
     mime: str = "application/octet-stream",
     rule: Optional[str] = None,
     ttl_hint: Optional[float] = None,
+    content_md5: Optional[bytes] = None,
 ) -> ObjectMeta:
     """Store an object through ``stager``, re-planning around failures.
 
@@ -180,6 +215,8 @@ def put_object(
     re-planned from a restarted source; a one-shot source fails clean.
     The aborted attempt's chunks are deleted, and a failure names each
     disqualified provider in :attr:`WriteFailedError.causes`.
+    ``content_md5`` (16 bytes) is checked against the body's digest
+    before commit; a mismatch aborts with :class:`BadDigestError`.
     """
     if isinstance(data, int) and not isinstance(data, bool):
         if data < 0:
@@ -211,6 +248,7 @@ def put_object(
             checksum, size, stripes = _write_stripes(
                 stager, session, source, first, stripe_size, single=single
             )
+            _check_digest(checksum, content_md5)
             return stager.commit(
                 session,
                 size=size, checksum=checksum, stripes=stripes,
@@ -236,8 +274,8 @@ def put_object(
                     ) from exc
                 first = source.read(stripe_size)
         except BaseException:
-            # A corrupt frame, a failed Content-MD5 precondition raised by
-            # the source, a lost commit: shipped stripes must not leak.
+            # A corrupt frame, a Content-MD5 mismatch, a lost commit:
+            # shipped stripes must not leak.
             stager.abort(session)
             raise
 
@@ -249,13 +287,16 @@ def put_part(
     upload_id: str,
     part_number: int,
     data,
+    *,
+    content_md5: Optional[bytes] = None,
 ) -> PartState:
     """Store one multipart part through ``stager``.
 
     Placement and stripe size were fixed when the upload was created, so
     there is no re-plan loop: a failure deletes the staged chunks and is
     reported.  Every attempt stages under a fresh journaled generation,
-    so no retry or race reuses a chunk key.
+    so no retry or race reuses a chunk key.  ``content_md5`` is checked
+    as :func:`put_object` checks it.
     """
     if isinstance(data, int) and not isinstance(data, bool):
         raise MultipartError("multipart parts must carry real bytes")
@@ -266,6 +307,7 @@ def put_part(
             stager, session, source, source.read(session.stripe_size),
             session.stripe_size, single=False,
         )
+        _check_digest(etag, content_md5)
         return stager.part_commit(session, etag=etag, size=size, stripes=stripes)
     except BaseException:
         stager.abort(session)

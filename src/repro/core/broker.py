@@ -775,6 +775,7 @@ class Scalia:
         ttl_hint: Optional[float] = None,
         dc: Optional[str] = None,
         size_hint: Optional[int] = None,
+        content_md5: Optional[bytes] = None,
     ) -> ObjectMeta:
         """Store an object: ``bytes``, a binary file-like, any iterable of
         byte blocks, or an int byte-count in synthetic mode.
@@ -791,6 +792,7 @@ class Scalia:
             ttl_hint=ttl_hint,
             stripe_size=self.stripe_size_bytes,
             size_hint=size_hint,
+            content_md5=content_md5,
         )
 
     def get(
@@ -916,9 +918,12 @@ class Scalia:
         data,
         *,
         dc: Optional[str] = None,
+        content_md5: Optional[bytes] = None,
     ) -> PartState:
         """Store one part of an open upload (streamed stripe by stripe)."""
-        return self.cluster.route(dc).upload_part(container, key, upload_id, part_number, data)
+        return self.cluster.route(dc).upload_part(
+            container, key, upload_id, part_number, data, content_md5=content_md5
+        )
 
     def complete_multipart_upload(
         self,

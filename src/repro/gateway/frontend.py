@@ -109,14 +109,17 @@ class BrokerFrontend:
         mime: str = "application/octet-stream",
         rule: Optional[str] = None,
         size_hint: Optional[int] = None,
+        content_md5: Optional[bytes] = None,
     ) -> ObjectMeta:
         """Store an object; ``data`` may be bytes, a file-like or a block
-        iterator (streamed into stripes with O(stripe) gateway memory)."""
+        iterator (streamed into stripes with O(stripe) gateway memory).
+        ``content_md5`` is the client's digest, checked before commit."""
         container = self.mapper.internal_container(tenant, bucket)
         return self._run(
             "put",
             lambda: self.broker.put(
-                container, key, data, mime=mime, rule=rule, size_hint=size_hint
+                container, key, data, mime=mime, rule=rule, size_hint=size_hint,
+                content_md5=content_md5,
             ),
         )
 
@@ -274,12 +277,14 @@ class BrokerFrontend:
         upload_id: str,
         part_number: int,
         data,
+        *,
+        content_md5: Optional[bytes] = None,
     ) -> PartState:
         container = self.mapper.internal_container(tenant, bucket)
         return self._run(
             "upload_part",
             lambda: self.broker.upload_part(
-                container, key, upload_id, part_number, data
+                container, key, upload_id, part_number, data, content_md5=content_md5
             ),
         )
 

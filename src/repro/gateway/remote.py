@@ -234,9 +234,11 @@ class _RemoteBroker(_stubs("broker")):
         rule: Optional[str] = None,
         ttl_hint: Optional[float] = None,
         size_hint: Optional[int] = None,
+        content_md5: Optional[bytes] = None,
     ) -> ObjectMeta:
-        """The write driver, run here; a synthetic byte count has nothing
-        to encode, so the broker stores it in one call."""
+        """The write driver, run here, so ``content_md5`` is checked
+        here too; a synthetic byte count has nothing to encode, so the
+        broker stores it in one call."""
         if isinstance(data, int) and not isinstance(data, bool):
             return super().put(
                 container, key, data, mime=mime, rule=rule, ttl_hint=ttl_hint
@@ -244,13 +246,17 @@ class _RemoteBroker(_stubs("broker")):
         return put_object(
             self._stager, container, key, data,
             stripe_size=self.stripe_size_bytes, size_hint=size_hint,
-            mime=mime, rule=rule, ttl_hint=ttl_hint,
+            mime=mime, rule=rule, ttl_hint=ttl_hint, content_md5=content_md5,
         )
 
     def upload_part(
-        self, container: str, key: str, upload_id: str, part_number: int, data
+        self, container: str, key: str, upload_id: str, part_number: int, data,
+        *, content_md5: Optional[bytes] = None,
     ) -> PartState:
-        return put_part(self._stager, container, key, upload_id, part_number, data)
+        return put_part(
+            self._stager, container, key, upload_id, part_number, data,
+            content_md5=content_md5,
+        )
 
     # -- read path ------------------------------------------------------
 

@@ -46,6 +46,7 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.cluster.engine import (
+    BadDigestError,
     InvalidContinuationTokenError,
     InvalidRangeError,
     MultipartError,
@@ -324,7 +325,7 @@ def status_for_exception(exc: BaseException) -> int:
         return 412
     if isinstance(exc, NotModifiedError):
         return 304
-    if isinstance(exc, (MultipartError, InvalidContinuationTokenError)):
+    if isinstance(exc, (MultipartError, InvalidContinuationTokenError, BadDigestError)):
         return 400
     if isinstance(exc, (PlacementError, WriteFailedError, CapacityExceededError)):
         return 507

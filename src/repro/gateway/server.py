@@ -36,7 +36,6 @@ from __future__ import annotations
 import base64
 import binascii
 import email.utils
-import hashlib
 import http
 import http.client
 import json
@@ -989,10 +988,12 @@ class GatewayHandler:
         bucket, key = route.bucket, route.key
         mime = self.headers.get("content-type") or "application/octet-stream"
         rule = self.headers.get(RULE_HEADER)
+        content_md5 = self._parse_content_md5()
         payload, length = self._body_payload()
         try:
             meta = frontend.put(
-                tenant, bucket, key, payload, mime=mime, rule=rule, size_hint=length
+                tenant, bucket, key, payload, mime=mime, rule=rule, size_hint=length,
+                content_md5=content_md5,
             )
         finally:
             if hasattr(payload, "close"):
@@ -1020,10 +1021,12 @@ class GatewayHandler:
         part_number = int_param(params, "partNumber")
         if not upload_id or part_number is None:
             raise RouteError("part upload needs both partNumber and uploadId")
+        content_md5 = self._parse_content_md5()
         payload, _length = self._body_payload()
         try:
             part = frontend.upload_part(
-                tenant, route.bucket, route.key, upload_id, part_number, payload
+                tenant, route.bucket, route.key, upload_id, part_number, payload,
+                content_md5=content_md5,
             )
         finally:
             if hasattr(payload, "close"):
@@ -1173,7 +1176,9 @@ class GatewayHandler:
         """Decode a ``Content-MD5`` header into the expected 16-byte digest.
 
         Accepts the RFC 1864 base64 form (what S3 uses) and, leniently, a
-        32-char hex digest; a malformed header is a 400.
+        32-char hex digest; a malformed header is a 400.  The body is not
+        hashed here: the write path checks the digest against its own
+        ETag MD5 before commit.
         """
         header = self.headers.get("content-md5")
         if header is None:
@@ -1199,32 +1204,23 @@ class GatewayHandler:
 
         Returns ``(payload, known_length)``.  Large bodies are drained
         from the socket into a :class:`tempfile.SpooledTemporaryFile`
-        *before* any broker call: the broker serialization must never be
-        held at client-socket pace (one slow uploader would wedge every
-        other request), so the lock only covers local-disk-paced stripe
-        encoding.  Gateway RAM stays bounded (the spool overflows to
-        disk past 1 MiB) and the seekable spool makes the source
-        restartable for the engine's mid-stream re-plan path.  A client
-        ``Content-MD5`` is verified here, before a single stripe ships.
-        Callers must ``close()`` a file payload when done.
+        before any broker call.  The spool stays only so the source can
+        restart for the engine's mid-stream re-plan (ROADMAP item 4
+        deletes it); a write locks its object at commit only, so a slow
+        client stalls nobody either way.  Gateway RAM stays bounded (the
+        spool overflows to disk past 1 MiB).  Callers must ``close()`` a
+        file payload when done.
         """
-        expected_md5 = self._parse_content_md5()
         blocks, length = self._body_blocks()
         if length is not None and length <= SMALL_BODY_BYTES:
             body = b"".join(blocks)
-            if expected_md5 is not None and hashlib.md5(body).digest() != expected_md5:
-                raise RouteError("Content-MD5 mismatch: payload corrupted in transit")
             return body, len(body)
         spool = tempfile.SpooledTemporaryFile(max_size=SMALL_BODY_BYTES)
-        digest = hashlib.md5()
         total = 0
         try:
             for block in blocks:
-                digest.update(block)
                 spool.write(block)
                 total += len(block)
-            if expected_md5 is not None and digest.digest() != expected_md5:
-                raise RouteError("Content-MD5 mismatch: payload corrupted in transit")
         except BaseException:
             spool.close()
             raise

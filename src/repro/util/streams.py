@@ -74,7 +74,10 @@ class ByteSource:
                 self._exhausted = True
                 break
             self._buffer.extend(block)
-        out = bytes(self._buffer[:n])
+        # One copy out of the buffer; the view is released before the
+        # buffer is resized.
+        with memoryview(self._buffer) as view:
+            out = bytes(view[:n])
         del self._buffer[:n]
         self.bytes_read += len(out)
         return out

@@ -9,6 +9,8 @@ the node's ``ClusterFrontend`` behind ``OpsService``, a
 in-process gateway does.
 """
 
+import base64
+import hashlib
 import http.client
 import json
 import random
@@ -186,6 +188,29 @@ class TestWriteForwarding:
         assert "x-scalia-forwarded" not in {name.lower() for name in headers}
         status, _, stored = _raw(leader.gateway, "GET", "/photos/relayed.bin")
         assert (status, stored) == (200, b"r" * 100)
+
+    def test_content_md5_rides_the_forward_and_the_leader_checks_it(self, pair):
+        # The follower hashes nothing: the header is relayed verbatim and
+        # the leader's write path compares it with the body's MD5.
+        leader, follower = pair
+        body = b"m" * 3000
+        wrong = base64.b64encode(hashlib.md5(b"not it").digest()).decode()
+        status, _, reply = _raw(
+            follower.gateway, "PUT", "/photos/md5.bin", body=body,
+            headers={"Content-MD5": wrong},
+        )
+        assert status == 400
+        assert b"Content-MD5 mismatch" in reply
+        with leader.client() as client:
+            assert client.head("photos", "md5.bin") is None
+        assert leader.stored_keys() == set()
+        right = base64.b64encode(hashlib.md5(body).digest()).decode()
+        status, _, reply = _raw(
+            follower.gateway, "PUT", "/photos/md5.bin", body=body,
+            headers={"Content-MD5": right},
+        )
+        assert status == 200
+        assert json.loads(reply)["etag"] == hashlib.md5(body).hexdigest()
 
     def test_delete_on_follower_forwards(self, pair):
         leader, follower = pair
