@@ -1181,7 +1181,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="SPEC",
         help="replace the default SLO rules, e.g. 'availability:target=0.999' "
-        "or 'p99:target=0.25,fast=60,slow=300' or 'cost_gb:target=0.05' "
+        "or 'p99:target=250ms,fast=60,slow=300' or 'cost_gb:target=0.05' "
         "(repeatable; see docs/OBSERVABILITY.md)",
     )
     serve.add_argument("--verbose", action="store_true", help="log every request")

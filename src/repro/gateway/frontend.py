@@ -22,18 +22,13 @@ from repro.core.broker import Scalia
 from repro.core.optimizer import OptimizationReport
 from repro.gateway.namespace import NamespaceError, NamespaceMapper
 from repro.gateway.routes import (
-    NotModifiedError,
-    PreconditionFailedError,
+    FrontendClosedError,
     RouteError,
-    etag_matches,
+    check_preconditions,
     requires_leader,
     resolve_byte_range,
 )
 from repro.types import ListPage, ObjectMeta
-
-
-class FrontendClosedError(RuntimeError):
-    """Raised when an operation is submitted after :meth:`BrokerFrontend.close`."""
 
 
 def _tenant_facing(fn: Callable[[], Any], bucket: str, key: str) -> Callable[[], Any]:
@@ -202,11 +197,7 @@ class BrokerFrontend:
         """
 
         def validate(meta: ObjectMeta):
-            etag = meta.etag
-            if if_match is not None and not etag_matches(if_match, etag):
-                raise PreconditionFailedError(etag)
-            if if_none_match is not None and etag_matches(if_none_match, etag):
-                raise NotModifiedError(etag)
+            check_preconditions(meta.etag, if_match, if_none_match)
             try:
                 return resolve_byte_range(range_spec, meta.size)
             except RouteError as exc:  # a 416: an empty object satisfies no range

@@ -46,95 +46,22 @@ import functools
 import threading
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.cluster.engine import (
-    InvalidRangeError,
-    InvalidContinuationTokenError,
-    MultipartError,
-    NoSuchUploadError,
-    ObjectNotFoundError,
-    PlacementError,
-    ReadFailedError,
-    WriteFailedError,
-)
 from repro.cluster.multipart import MultipartState, PartState
 from repro.cluster.readpath import detach_leaves
 from repro.cluster.writepath import StagedWrite
 from repro.erasure.striping import Chunk, SyntheticChunk
-from repro.gateway.frontend import BrokerFrontend, FrontendClosedError
-from repro.gateway.routes import NotModifiedError, PreconditionFailedError
+from repro.gateway.frontend import BrokerFrontend
+from repro.gateway.routes import ERRORS
 from repro.obs.workers import WorkerMetricsAggregator
-from repro.providers.provider import (
-    CapacityExceededError,
-    ChunkTooLargeError,
-    ProviderUnavailableError,
-)
-from repro.providers.registry import UnknownProviderError
-from repro.replication.errors import ClusterUnavailableError, NotLeaderError
 from repro.replication.rpc import RpcError, RpcServer
 from repro.types import ListPage, ObjectMeta
 
 
-def _size(value) -> int:
-    return int(value or 0)
-
-
-def _same(value):
-    return value
-
-
-def _cause_messages(causes) -> Dict[str, str]:
-    return {name: str(exc) for name, exc in (causes or {}).items()}
-
-
-def _cause_errors(messages) -> Dict[str, BaseException]:
-    return {name: RuntimeError(msg) for name, msg in (messages or {}).items()}
-
-
-class _WireError(NamedTuple):
-    """One typed broker exception as it crosses the ops RPC."""
-
-    kind: str
-    cls: type
-    #: Exception attributes that travel too: name -> (to wire, from wire).
-    fields: Dict[str, Tuple[Callable, Callable]] = {}
-
-
-_PROVIDER = {"provider_name": (_same, _same)}
-_ETAG = {"etag": (_same, _same)}
-
-#: The error vocabulary of the ops RPC, declared once: encode
-#: (:func:`error_doc`, broker side) and decode (:func:`error_from_doc`,
-#: worker side) both derive from it.  Encode takes the first row whose
-#: class matches, so a subclass goes before its base; decode takes the
-#: first row of a kind, so ``TypeError`` arrives as ``ValueError`` (the
-#: HTTP layer answers both with 400).
-WIRE_ERRORS: Tuple[_WireError, ...] = (
-    _WireError("object_not_found", ObjectNotFoundError),
-    _WireError("invalid_range", InvalidRangeError, {"object_size": (_size, _size)}),
-    # The two answers ``open_get`` gives before it reads: each fixes its
-    # own message and is rebuilt around the ``etag`` it carries.
-    _WireError("precondition_failed", PreconditionFailedError, _ETAG),
-    _WireError("not_modified", NotModifiedError, _ETAG),
-    _WireError("write_failed", WriteFailedError,
-               {"causes": (_cause_messages, _cause_errors)}),
-    _WireError("read_failed", ReadFailedError),
-    _WireError("no_placement", PlacementError),
-    _WireError("no_such_upload", NoSuchUploadError),
-    _WireError("multipart", MultipartError),
-    _WireError("bad_token", InvalidContinuationTokenError),
-    _WireError("provider_unavailable", ProviderUnavailableError, _PROVIDER),
-    _WireError("capacity_exceeded", CapacityExceededError, _PROVIDER),
-    _WireError("chunk_too_large", ChunkTooLargeError, _PROVIDER),
-    _WireError("unknown_provider", UnknownProviderError),
-    _WireError("closed", FrontendClosedError),
-    # A follower's (or a deposed leader's) broker refusing a write: the
-    # worker answers the 503 the single-process node would.
-    _WireError("not_leader", NotLeaderError, {"leader_url": (_same, _same)}),
-    _WireError("cluster_unavailable", ClusterUnavailableError,
-               {"retry_after": (_same, _same)}),
-    _WireError("value_error", ValueError),
-    _WireError("value_error", TypeError),
-)
+#: The error vocabulary of the ops RPC: the rows of :data:`ERRORS` that
+#: have a wire kind.  Encode (:func:`error_doc`, broker side) takes the
+#: first row whose class matches, decode (:func:`error_from_doc`, worker
+#: side) the first row of a kind.
+WIRE_ERRORS = tuple(row for row in ERRORS if row.kind is not None)
 _BY_KIND = {row.kind: row for row in reversed(WIRE_ERRORS)}
 
 
@@ -377,7 +304,7 @@ class OpsService:
         """The handler of every :data:`OPERATIONS` row.
 
         Arguments bind to the target's own signature at the call, so a
-        frame that does not fit it is a ``TypeError`` (a 400 at the
+        frame that does not fit it is a ``TypeError`` (a 500 at the
         worker) before any of the target runs.
         """
         target = functools.reduce(getattr, op.target.split("."), self)

@@ -1,38 +1,15 @@
-"""The gateway's route table and error-to-status mapping.
+"""The gateway's route table and error table.
 
 Kept free of any socket or connection machinery so the parsing and the
 status mapping are unit-testable without sockets, and so another front
 end could reuse them unchanged.
 
-Route table (see ``docs/GATEWAY.md``):
-
-====== ================================== ==============================
-Method Path                               Meaning
-====== ================================== ==============================
-GET    ``/healthz``                       liveness probe (JSON body)
-GET    ``/metrics``                       Prometheus exposition (``?format=json``,
-                                          OpenMetrics via ``Accept``)
-GET    ``/stats``                         gateway + broker counters
-GET    ``/events``                        decision-event journal (``?type=&since=&key=``)
-GET    ``/history``                       metric time series (``?series=&window=``)
-GET    ``/alerts``                        SLO burn-rate alert states
-POST   ``/explain``                       placement rationale for ``{"bucket","key"}``
-POST   ``/tick``                          close ``?periods=N`` periods
-POST   ``/scrub``                         integrity pass + repair
-POST   ``/audit``                         Merkle possession sweep + repair
-GET    ``/faults``                        installed fault profiles
-POST   ``/faults``                        install/clear a fault profile
-PUT    ``/{bucket}/{key}``                store object (streamed body)
-PUT    ``...?partNumber=N&uploadId=U``    upload one multipart part
-GET    ``/{bucket}/{key}``                read object (``Range`` aware)
-HEAD   ``/{bucket}/{key}``                metadata only
-DELETE ``/{bucket}/{key}``                delete everywhere
-DELETE ``...?uploadId=U``                 abort a multipart upload
-POST   ``...?uploads``                    create a multipart upload
-POST   ``...?uploadId=U``                 complete a multipart upload
-GET    ``/{bucket}``                      paginated list (V2 params)
-GET    ``/{bucket}?uploads``              list in-flight uploads
-====== ================================== ==============================
+Each route is one row of :data:`ROUTES` and each typed error one row of
+:data:`ERRORS`.  Parsing, the ``405`` and its ``Allow``, a cluster
+follower's forwarding and the handler a request runs all read the first;
+the HTTP status and the error's kind on the ops RPC
+(:mod:`repro.gateway.ops`) read the second.  docs/GATEWAY.md documents
+both tables.
 
 Object keys may contain ``/`` (S3 style): everything after the first path
 segment is the key.  Keys are percent-decoded after the query split, so
@@ -42,7 +19,7 @@ segment is the key.  Keys are percent-decoded after the query split, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.cluster.engine import (
@@ -66,25 +43,6 @@ from repro.providers.provider import (
 from repro.providers.registry import UnknownProviderError
 from repro.replication.errors import ClusterUnavailableError, NotLeaderError
 from repro.replication.rpc import RpcUnreachableError
-
-#: Methods object routes accept (POST only with multipart query params).
-OBJECT_ALLOW = "DELETE, GET, HEAD, POST, PUT"
-
-#: Route kinds whose mutating methods a cluster follower's HTTP server
-#: forwards to the leader before its frontend ever sees them.  Bucket-level
-#: POSTs (multipart create) are kind=object; ``/faults`` is not here: fault
-#: injection is a per-node chaos knob.
-_LEADER_ROUTES = {
-    "object": {"PUT", "POST", "DELETE"},
-    "tick": {"POST"},
-    "scrub": {"POST"},
-    "audit": {"POST"},
-}
-
-
-def requires_leader(kind: str, method: str) -> bool:
-    """Whether a clustered gateway runs this route on the leader only."""
-    return method in _LEADER_ROUTES.get(kind, ())
 
 
 class PreconditionFailedError(Exception):
@@ -116,18 +74,113 @@ class RouteError(ValueError):
         self.allow = allow
 
 
+class FrontendClosedError(RuntimeError):
+    """Raised when an operation is submitted after :meth:`BrokerFrontend.close`."""
+
+
 @dataclass(frozen=True)
 class Route:
     """A parsed gateway request."""
 
     kind: str  # health | metrics | stats | events | history | alerts | explain
-    #          # | tick | scrub | audit | faults | object | list
+    #          # | tick | scrub | audit | faults | cluster | object | list
     bucket: Optional[str] = None
     key: Optional[str] = None
     params: Dict[str, str] = field(default_factory=dict)
+    #: The :class:`~repro.gateway.server.GatewayHandler` method that serves it.
+    handler: str = ""
 
 
-_OBJECT_METHODS = frozenset({"PUT", "GET", "HEAD", "DELETE", "POST"})
+#: The paths of the bucket and object routes: the first path segment
+#: names the bucket, and everything after it is the key.
+BUCKET = "/{bucket}"
+OBJECT = "/{bucket}/{key}"
+
+
+class RouteRow(NamedTuple):
+    """One route, as it is declared."""
+
+    #: ``Route.kind``, also the ``route`` label of the request metrics.
+    kind: str
+    #: A fixed path (a trailing ``/`` matches too), :data:`BUCKET` or
+    #: :data:`OBJECT`.
+    path: str
+    #: Method -> the ``GatewayHandler`` method that serves it.
+    methods: Dict[str, str]
+    #: Query parameters that select this row when any one is present;
+    #: empty selects it always.  A path's rows are tried in order.
+    query: Tuple[str, ...] = ()
+    #: A cluster follower forwards this row's methods to the leader.
+    leader: bool = False
+
+
+#: Every route, declared once (docs/GATEWAY.md, "Route table").
+ROUTES: Tuple[RouteRow, ...] = (
+    RouteRow("health", "/healthz", {"GET": "_handle_health"}),
+    RouteRow("metrics", "/metrics", {"GET": "_handle_metrics"}),
+    RouteRow("stats", "/stats", {"GET": "_handle_stats"}),
+    RouteRow("events", "/events", {"GET": "_handle_events"}),
+    RouteRow("history", "/history", {"GET": "_handle_history"}),
+    RouteRow("alerts", "/alerts", {"GET": "_handle_alerts"}),
+    RouteRow("explain", "/explain", {"POST": "_handle_explain"}),
+    RouteRow("tick", "/tick", {"POST": "_handle_tick"}, leader=True),
+    RouteRow("scrub", "/scrub", {"POST": "_handle_scrub"}, leader=True),
+    RouteRow("audit", "/audit", {"POST": "_handle_audit"}, leader=True),
+    # Not forwarded: fault injection is a per-node chaos knob.
+    RouteRow("faults", "/faults", {"GET": "_handle_faults", "POST": "_handle_set_fault"}),
+    RouteRow("cluster", "/cluster", {"GET": "_handle_cluster"}),
+    RouteRow("list", BUCKET, {"GET": "_handle_list_uploads"}, ("uploads",)),
+    RouteRow("list", BUCKET, {"GET": "_handle_list"}),
+    RouteRow("object", OBJECT, {"POST": "_handle_create_upload"}, ("uploads",), leader=True),
+    RouteRow(
+        "object", OBJECT, {"POST": "_handle_complete", "DELETE": "_handle_abort"}, ("uploadId",),
+        leader=True,
+    ),
+    RouteRow(
+        "object", OBJECT, {"PUT": "_handle_upload_part"}, ("partNumber", "uploadId"),
+        leader=True,
+    ),
+    RouteRow("object", OBJECT, {"GET": "_handle_get", "HEAD": "_handle_head"}),
+    RouteRow("object", OBJECT, {"PUT": "_handle_put", "DELETE": "_handle_delete"}, leader=True),
+)
+
+#: A request path -> the row path it matches, for the fixed paths.
+_FIXED = {
+    path: row.path
+    for row in ROUTES
+    if row.path not in (BUCKET, OBJECT)
+    for path in (row.path, row.path + "/")
+}
+#: (row path, method) -> the rows that may serve it, in order.
+_CHOICES = {
+    (row.path, method): tuple(r for r in ROUTES if r.path == row.path and method in r.methods)
+    for row in ROUTES
+    for method in row.methods
+}
+#: Row path -> its methods, sorted: the ``Allow`` of a 405.
+_ALLOWED = {
+    row.path: tuple(sorted({m for r in ROUTES if r.path == row.path for m in r.methods}))
+    for row in ROUTES
+}
+_LEADER = frozenset((row.kind, method) for row in ROUTES if row.leader for method in row.methods)
+
+
+def requires_leader(kind: str, method: str) -> bool:
+    """Whether a clustered gateway runs this route on the leader only."""
+    return (kind, method) in _LEADER
+
+
+def _not_allowed(path: str, method: str, allowed: Tuple[str, ...]) -> RouteError:
+    """The 405 for ``method`` on the row path ``path``."""
+    if path == OBJECT:
+        message = f"method {method} not supported on objects"
+    elif path == BUCKET:
+        message = f"{method} on a bare bucket is not supported"
+    elif len(allowed) == 1:
+        message = f"{path[1:]} only supports {allowed[0]}"
+    else:
+        message = f"{path[1:]} supports {' and '.join(allowed)}"
+    return RouteError(message, status=405, allow=", ".join(allowed))
 
 
 def parse_route(method: str, target: str) -> Route:
@@ -138,78 +191,22 @@ def parse_route(method: str, target: str) -> Route:
     parts = urlsplit(target)
     path = unquote(parts.path)
     params = {k: v[-1] for k, v in parse_qs(parts.query, keep_blank_values=True).items()}
-    if path in ("/healthz", "/healthz/"):
-        if method != "GET":
-            raise RouteError("healthz only supports GET", status=405, allow="GET")
-        return Route("health")
-    if path in ("/metrics", "/metrics/"):
-        if method != "GET":
-            raise RouteError("metrics only supports GET", status=405, allow="GET")
-        return Route("metrics", params=params)
-    if path in ("/stats", "/stats/"):
-        if method != "GET":
-            raise RouteError("stats only supports GET", status=405, allow="GET")
-        return Route("stats", params=params)
-    if path in ("/events", "/events/"):
-        if method != "GET":
-            raise RouteError("events only supports GET", status=405, allow="GET")
-        return Route("events", params=params)
-    if path in ("/history", "/history/"):
-        if method != "GET":
-            raise RouteError("history only supports GET", status=405, allow="GET")
-        return Route("history", params=params)
-    if path in ("/alerts", "/alerts/"):
-        if method != "GET":
-            raise RouteError("alerts only supports GET", status=405, allow="GET")
-        return Route("alerts", params=params)
-    if path in ("/explain", "/explain/"):
-        if method != "POST":
-            raise RouteError("explain only supports POST", status=405, allow="POST")
-        return Route("explain", params=params)
-    if path in ("/tick", "/tick/"):
-        if method != "POST":
-            raise RouteError("tick only supports POST", status=405, allow="POST")
-        return Route("tick", params=params)
-    if path in ("/scrub", "/scrub/"):
-        if method != "POST":
-            raise RouteError("scrub only supports POST", status=405, allow="POST")
-        return Route("scrub", params=params)
-    if path in ("/audit", "/audit/"):
-        if method != "POST":
-            raise RouteError("audit only supports POST", status=405, allow="POST")
-        return Route("audit", params=params)
-    if path in ("/faults", "/faults/"):
-        if method not in ("GET", "POST"):
-            raise RouteError(
-                "faults supports GET and POST", status=405, allow="GET, POST"
-            )
-        return Route("faults", params=params)
-    if path in ("/cluster", "/cluster/"):
-        if method != "GET":
-            raise RouteError("cluster only supports GET", status=405, allow="GET")
-        return Route("cluster", params=params)
-
-    stripped = path.lstrip("/")
-    if not stripped:
-        raise RouteError("no route for /")
-    bucket, _, key = stripped.partition("/")
-    if not key:
-        if method != "GET":
-            raise RouteError(
-                f"{method} on a bare bucket is not supported", status=405, allow="GET"
-            )
-        return Route("list", bucket=bucket, params=params)
-    if method not in _OBJECT_METHODS:
-        raise RouteError(
-            f"method {method} not supported on objects",
-            status=405,
-            allow=OBJECT_ALLOW,
-        )
-    if method == "POST" and "uploads" not in params and "uploadId" not in params:
-        raise RouteError(
-            "POST on an object requires ?uploads (create) or ?uploadId= (complete)"
-        )
-    return Route("object", bucket=bucket, key=key, params=params)
+    bucket = key = None
+    row_path = _FIXED.get(path)
+    if row_path is None:
+        bucket, _, key = path.lstrip("/").partition("/")
+        if not bucket:
+            raise RouteError("no route for /")
+        row_path = OBJECT if key else BUCKET
+        key = key or None
+    for row in _CHOICES.get((row_path, method), ()):
+        if not row.query or not params.keys().isdisjoint(row.query):
+            return Route(row.kind, bucket, key, params, row.methods[method])
+    allowed = _ALLOWED[row_path]
+    if method not in allowed:
+        raise _not_allowed(row_path, method, allowed)
+    # Only an object's POST has no row that takes it without a query.
+    raise RouteError("POST on an object requires ?uploads (create) or ?uploadId= (complete)")
 
 
 def int_param(params: Dict[str, str], name: str, default: Optional[int] = None) -> Optional[int]:
@@ -303,6 +300,88 @@ def etag_matches(header: str, etag: str) -> bool:
     return False
 
 
+def check_preconditions(
+    etag: str, if_match: Optional[str], if_none_match: Optional[str]
+) -> None:
+    """Raise the 412 or the 304 that ``If-Match`` / ``If-None-Match``
+    call for against ``etag``, or nothing."""
+    if if_match is not None and not etag_matches(if_match, etag):
+        raise PreconditionFailedError(etag)
+    if if_none_match is not None and etag_matches(if_none_match, etag):
+        raise NotModifiedError(etag)
+
+
+def _size(value) -> int:
+    return int(value or 0)
+
+
+def _same(value):
+    return value
+
+
+def _cause_messages(causes) -> Dict[str, str]:
+    return {name: str(exc) for name, exc in (causes or {}).items()}
+
+
+def _cause_errors(messages) -> Dict[str, BaseException]:
+    return {name: RuntimeError(msg) for name, msg in (messages or {}).items()}
+
+
+class ErrorRow(NamedTuple):
+    """One typed error, as it is declared."""
+
+    cls: type
+    #: The HTTP status it answers (a :class:`RouteError` carries its own).
+    status: int
+    #: Its kind on the ops RPC, or ``None``: it is raised only on the
+    #: gateway's side of the RPC.
+    kind: Optional[str] = None
+    #: Exception attributes that cross the RPC too: name -> (to wire, from wire).
+    fields: Dict[str, Tuple[Callable, Callable]] = {}
+
+
+_PROVIDER = {"provider_name": (_same, _same)}
+_ETAG = {"etag": (_same, _same)}
+
+#: Every typed error, declared once: :func:`status_for_exception` and the
+#: ops RPC's :func:`~repro.gateway.ops.error_doc` and
+#: :func:`~repro.gateway.ops.error_from_doc` all read it.  The first row
+#: whose class matches wins, so a subclass goes before its base; decode
+#: takes the first row of a kind.
+ERRORS: Tuple[ErrorRow, ...] = (
+    ErrorRow(ObjectNotFoundError, 404, "object_not_found"),
+    ErrorRow(NoSuchUploadError, 404, "no_such_upload"),
+    ErrorRow(UnknownProviderError, 404, "unknown_provider"),
+    ErrorRow(RouteError, 400),
+    ErrorRow(NamespaceError, 400),
+    ErrorRow(InvalidRangeError, 416, "invalid_range", {"object_size": (_size, _size)}),
+    # The two answers ``open_get`` gives before it reads: each fixes its
+    # own message and is rebuilt around the ``etag`` it carries.
+    ErrorRow(PreconditionFailedError, 412, "precondition_failed", _ETAG),
+    ErrorRow(NotModifiedError, 304, "not_modified", _ETAG),
+    ErrorRow(MultipartError, 400, "multipart"),
+    ErrorRow(InvalidContinuationTokenError, 400, "bad_token"),
+    ErrorRow(BadDigestError, 400, "bad_digest"),
+    ErrorRow(ChunkTooLargeError, 400, "chunk_too_large", _PROVIDER),
+    ErrorRow(PlacementError, 507, "no_placement"),
+    ErrorRow(WriteFailedError, 507, "write_failed", {"causes": (_cause_messages, _cause_errors)}),
+    ErrorRow(CapacityExceededError, 507, "capacity_exceeded", _PROVIDER),
+    ErrorRow(ReadFailedError, 503, "read_failed"),
+    ErrorRow(ProviderUnavailableError, 503, "provider_unavailable", _PROVIDER),
+    ErrorRow(ChunkCorruptionError, 503),
+    # A follower's (or a deposed leader's) broker refusing a write: the
+    # worker answers the 503 the single-process node would.
+    ErrorRow(NotLeaderError, 503, "not_leader", {"leader_url": (_same, _same)}),
+    ErrorRow(ClusterUnavailableError, 503, "cluster_unavailable", {"retry_after": (_same, _same)}),
+    ErrorRow(RpcUnreachableError, 503),
+    # Server bugs, on either side of the RPC: an unexpected ValueError or
+    # TypeError deep in the broker is not the client's mistake.
+    ErrorRow(FrontendClosedError, 500, "closed"),
+    ErrorRow(ValueError, 500, "value_error"),
+    ErrorRow(TypeError, 500, "value_error"),
+)
+
+
 def status_for_exception(exc: BaseException) -> int:
     """Map a broker/gateway exception to its HTTP status code.
 
@@ -315,24 +394,7 @@ def status_for_exception(exc: BaseException) -> int:
     ``KeyError`` deep in the broker is a server bug and must surface as a
     500, not masquerade as client error.
     """
-    if isinstance(exc, (ObjectNotFoundError, NoSuchUploadError, UnknownProviderError)):
-        return 404
-    if isinstance(exc, (NamespaceError, RouteError)):
-        return getattr(exc, "status", 400)
-    if isinstance(exc, InvalidRangeError):
-        return 416
-    if isinstance(exc, PreconditionFailedError):
-        return 412
-    if isinstance(exc, NotModifiedError):
-        return 304
-    if isinstance(exc, (MultipartError, InvalidContinuationTokenError, BadDigestError)):
-        return 400
-    if isinstance(exc, (PlacementError, WriteFailedError, CapacityExceededError)):
-        return 507
-    if isinstance(exc, ChunkTooLargeError):
-        return 400
-    if isinstance(exc, (ReadFailedError, ProviderUnavailableError, ChunkCorruptionError)):
-        return 503
-    if isinstance(exc, (ClusterUnavailableError, NotLeaderError, RpcUnreachableError)):
-        return 503
+    for row in ERRORS:
+        if isinstance(exc, row.cls):
+            return getattr(exc, "status", row.status)
     return 500

@@ -59,7 +59,7 @@ from repro.gateway.routes import (
     NotModifiedError,
     Route,
     RouteError,
-    etag_matches,
+    check_preconditions,
     int_param,
     parse_range_header,
     parse_route,
@@ -67,6 +67,7 @@ from repro.gateway.routes import (
 )
 from repro.providers.registry import UnknownProviderError
 from repro.replication.errors import ClusterUnavailableError, NotLeaderError
+from repro.util.units import parse_duration
 
 #: Largest accepted object payload (keeps a stray client from filling the
 #: providers by accident; real S3 caps single PUTs at 5 GiB).
@@ -101,25 +102,9 @@ RULE_HEADER = "x-scalia-rule"
 FORWARDED_HEADER = "x-scalia-forwarded"
 
 
-def _parse_window(raw: Optional[str]) -> Optional[float]:
-    """A ``?window=`` lookback in seconds: ``300``, ``90s``, ``5m``, ``2h``."""
-    if raw is None or raw == "":
-        return None
-    text = raw.strip().lower()
-    scale = 1.0
-    if text.endswith("h"):
-        scale, text = 3600.0, text[:-1]
-    elif text.endswith("m"):
-        scale, text = 60.0, text[:-1]
-    elif text.endswith("s"):
-        text = text[:-1]
-    try:
-        value = float(text) * scale
-    except ValueError:
-        raise RouteError(f"malformed window {raw!r}") from None
-    if value <= 0:
-        raise RouteError("window must be > 0")
-    return value
+def _repair(route: Route) -> bool:
+    """``?repair=`` of a scrub or an audit: on unless 0, false or no."""
+    return route.params.get("repair", "1") not in ("0", "false", "no")
 
 
 #: Raw rejection response for connections over the per-worker cap, sent
@@ -574,6 +559,9 @@ class GatewayHandler:
                     # only honest signal left is an aborted connection.
                     self.close_connection = True
                     return
+                if isinstance(exc, NotModifiedError):  # a 304 has no body
+                    self._respond(304, {"ETag": f'"{exc.etag}"', "Content-Length": "0"})
+                    return
                 # KeyError subclasses repr() their message in __str__; use the
                 # raw argument so clients see "photos/cat.gif not found" unquoted.
                 message = str(exc.args[0]) if exc.args else str(exc)
@@ -650,68 +638,14 @@ class GatewayHandler:
             )
 
     def _handle(self, route: Route) -> None:
+        """Run the handler the route's row names, unless this node is a
+        cluster follower and the row sends the method to the leader."""
         frontend = self.server.frontend
-        tenant = self.headers.get(TENANT_HEADER, DEFAULT_TENANT)
         if frontend.requires_leader(route.kind, self.command) and not frontend.is_leader():
             self._forward_to_leader(route)
             return
-        if route.kind == "health":
-            status = frontend.recovery_status()
-            self._send_json(
-                200,
-                {
-                    "status": "ok",
-                    "version": __version__,
-                    "uptime_s": round(time.time() - self.server.started_at, 3),
-                    "pid": os.getpid(),
-                    "durable": status["durable"],
-                    "recovery": status["recovery"],
-                },
-            )
-        elif route.kind == "metrics":
-            self._handle_metrics(route, frontend)
-        elif route.kind == "stats":
-            self._send_json(200, frontend.stats())
-        elif route.kind == "events":
-            self._handle_events(route, frontend, tenant)
-        elif route.kind == "history":
-            self._handle_history(route, frontend)
-        elif route.kind == "alerts":
-            self._send_json(200, frontend.alerts())
-        elif route.kind == "explain":
-            self._handle_explain(route, frontend, tenant)
-        elif route.kind == "tick":
-            periods = int_param(route.params, "periods", 1)
-            if periods < 1:
-                raise RouteError("periods must be >= 1")
-            if periods > MAX_TICK_PERIODS:
-                raise RouteError(f"periods must be <= {MAX_TICK_PERIODS}")
-            self._send_json(200, frontend.tick_report(periods))
-        elif route.kind == "scrub":
-            repair = route.params.get("repair", "1") not in ("0", "false", "no")
-            self._send_json(200, frontend.scrub(repair=repair))
-        elif route.kind == "audit":
-            repair = route.params.get("repair", "1") not in ("0", "false", "no")
-            seed = route.params.get("seed")
-            self._send_json(
-                200,
-                frontend.audit(
-                    repair=repair, seed=int(seed) if seed is not None else None
-                ),
-            )
-        elif route.kind == "faults":
-            self._handle_faults(route, frontend)
-        elif route.kind == "cluster":
-            doc = frontend.cluster_status()
-            if doc is None:
-                raise RouteError("this gateway is not part of a cluster", status=404)
-            self._send_json(200, doc)
-        elif route.kind == "list":
-            self._handle_list(route, frontend, tenant)
-        elif route.kind == "object":
-            self._handle_object(route, frontend, tenant)
-        else:  # pragma: no cover — parse_route only emits the kinds above
-            raise RouteError(f"unroutable kind {route.kind!r}")
+        tenant = self.headers.get(TENANT_HEADER, DEFAULT_TENANT)
+        getattr(self, route.handler)(route, frontend, tenant)
 
     def _forward_to_leader(self, route: Route) -> None:
         """Relay a write from a follower to the leader's gateway, verbatim.
@@ -772,7 +706,50 @@ class GatewayHandler:
             response.status, body, content_type=content_type, extra_headers=relay
         )
 
-    def _handle_metrics(self, route: Route, frontend: BrokerFrontend) -> None:
+    # -- admin and observability routes -----------------------------------
+
+    def _handle_health(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
+        status = frontend.recovery_status()
+        self._send_json(
+            200,
+            {
+                "status": "ok",
+                "version": __version__,
+                "uptime_s": round(time.time() - self.server.started_at, 3),
+                "pid": os.getpid(),
+                "durable": status["durable"],
+                "recovery": status["recovery"],
+            },
+        )
+
+    def _handle_stats(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
+        self._send_json(200, frontend.stats())
+
+    def _handle_alerts(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
+        self._send_json(200, frontend.alerts())
+
+    def _handle_tick(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
+        periods = int_param(route.params, "periods", 1)
+        if periods < 1:
+            raise RouteError("periods must be >= 1")
+        if periods > MAX_TICK_PERIODS:
+            raise RouteError(f"periods must be <= {MAX_TICK_PERIODS}")
+        self._send_json(200, frontend.tick_report(periods))
+
+    def _handle_scrub(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
+        self._send_json(200, frontend.scrub(repair=_repair(route)))
+
+    def _handle_audit(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
+        seed = int_param(route.params, "seed")
+        self._send_json(200, frontend.audit(repair=_repair(route), seed=seed))
+
+    def _handle_cluster(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
+        doc = frontend.cluster_status()
+        if doc is None:
+            raise RouteError("this gateway is not part of a cluster", status=404)
+        self._send_json(200, doc)
+
+    def _handle_metrics(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
         """``GET /metrics``: Prometheus text exposition (or JSON).
 
         Content negotiation: with no explicit ``?format=``, an ``Accept``
@@ -831,18 +808,21 @@ class GatewayHandler:
             },
         )
 
-    def _handle_history(self, route: Route, frontend: BrokerFrontend) -> None:
+    def _handle_history(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
         """``GET /history``: downsampled metric time series.
 
         ``?series=`` filters by exact name or dot-prefix; ``?window=``
         bounds the lookback in seconds (``300``, ``90s``, ``5m``, ``2h``).
         """
+        window = route.params.get("window")
+        try:
+            window_s = parse_duration(window) if window else None
+        except ValueError:
+            raise RouteError(f"malformed window {window!r}") from None
+        if window_s is not None and window_s <= 0:
+            raise RouteError("window must be > 0")
         self._send_json(
-            200,
-            frontend.history(
-                series=route.params.get("series") or None,
-                window_s=_parse_window(route.params.get("window")),
-            ),
+            200, frontend.history(series=route.params.get("series") or None, window_s=window_s)
         )
 
     def _handle_explain(
@@ -866,18 +846,18 @@ class GatewayHandler:
             raise RouteError('explain needs {"bucket": ..., "key": ...}')
         self._send_json(200, frontend.explain(tenant, str(bucket), str(key)))
 
-    def _handle_faults(self, route: Route, frontend: BrokerFrontend) -> None:
+    def _handle_faults(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
+        """``GET /faults``: the per-provider fault profiles."""
+        self._send_json(200, frontend.fault_profiles())
+
+    def _handle_set_fault(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
         """Runtime fault injection: the chaos-tooling admin surface.
 
-        ``GET /faults`` lists per-provider profiles; ``POST /faults``
-        takes ``{"provider": name, "profile": {...}|null}`` — the profile
-        uses the JSON form of ``FaultProfile.describe`` (``latency_ms``,
-        ``jitter_ms``, ``error_rate``, ``slow_multiplier``, ``flap``,
-        ``seed``); ``null`` clears.
+        ``POST /faults`` takes ``{"provider": name, "profile": {...}|null}``
+        — the profile uses the JSON form of ``FaultProfile.describe``
+        (``latency_ms``, ``jitter_ms``, ``error_rate``,
+        ``slow_multiplier``, ``flap``, ``seed``); ``null`` clears.
         """
-        if self.command == "GET":
-            self._send_json(200, frontend.fault_profiles())
-            return
         body = self._read_small_body()
         try:
             doc = json.loads(body) if body else {}
@@ -901,19 +881,21 @@ class GatewayHandler:
 
     # -- listing -----------------------------------------------------------
 
+    def _handle_list_uploads(
+        self, route: Route, frontend: BrokerFrontend, tenant: str
+    ) -> None:
+        uploads = frontend.list_uploads(tenant, route.bucket)
+        self._send_json(
+            200,
+            {
+                "bucket": route.bucket,
+                "uploads": [u.describe() for u in uploads],
+                "count": len(uploads),
+            },
+        )
+
     def _handle_list(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
         params = route.params
-        if "uploads" in params:
-            uploads = frontend.list_uploads(tenant, route.bucket)
-            self._send_json(
-                200,
-                {
-                    "bucket": route.bucket,
-                    "uploads": [u.describe() for u in uploads],
-                    "count": len(uploads),
-                },
-            )
-            return
         max_keys = int_param(params, "max-keys")
         if max_keys is not None and max_keys < 1:
             raise RouteError("max-keys must be >= 1")
@@ -941,48 +923,38 @@ class GatewayHandler:
 
     # -- objects -----------------------------------------------------------
 
-    def _handle_object(
+    def _handle_head(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
+        meta = frontend.head(tenant, route.bucket, route.key)
+        if meta is None:
+            self._send_error(404, f"{route.bucket}/{route.key} not found")
+            return
+        check_preconditions(
+            meta.etag, self.headers.get("if-match"), self.headers.get("if-none-match")
+        )
+        headers = {"Content-Type": meta.mime, "Content-Length": str(meta.size)}
+        headers.update(self._meta_headers(meta))
+        self._respond(200, headers)
+
+    def _handle_delete(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
+        frontend.delete(tenant, route.bucket, route.key)
+        self._respond(204, {"Content-Length": "0"})
+
+    def _handle_abort(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
+        frontend.abort_upload(tenant, route.bucket, route.key, route.params["uploadId"])
+        self._respond(204, {"Content-Length": "0"})
+
+    def _handle_create_upload(
         self, route: Route, frontend: BrokerFrontend, tenant: str
     ) -> None:
-        bucket, key = route.bucket, route.key
-        params = route.params
-        if self.command == "PUT":
-            if "uploadId" in params or "partNumber" in params:
-                self._handle_upload_part(route, frontend, tenant)
-            else:
-                self._handle_put(route, frontend, tenant)
-        elif self.command == "POST":
-            if "uploads" in params:
-                upload = frontend.create_upload(
-                    tenant, bucket, key,
-                    mime=self.headers.get("content-type") or "application/octet-stream",
-                    rule=self.headers.get(RULE_HEADER),
-                    size_hint=int_param(params, "size-hint"),
-                )
-                self._send_json(
-                    200,
-                    {"bucket": bucket, "key": key, "uploadId": upload.upload_id},
-                )
-            else:  # ?uploadId= — complete
-                self._handle_complete(route, frontend, tenant)
-        elif self.command == "GET":
-            self._handle_get(route, frontend, tenant)
-        elif self.command == "HEAD":
-            meta = frontend.head(tenant, bucket, key)
-            if meta is None:
-                self._send_error(404, f"{bucket}/{key} not found")
-                return
-            if self._handle_conditionals(meta):
-                return
-            headers = {"Content-Type": meta.mime, "Content-Length": str(meta.size)}
-            headers.update(self._meta_headers(meta))
-            self._respond(200, headers)
-        else:  # DELETE
-            if "uploadId" in params:
-                frontend.abort_upload(tenant, bucket, key, params["uploadId"])
-            else:
-                frontend.delete(tenant, bucket, key)
-            self._respond(204, {"Content-Length": "0"})
+        upload = frontend.create_upload(
+            tenant, route.bucket, route.key,
+            mime=self.headers.get("content-type") or "application/octet-stream",
+            rule=self.headers.get(RULE_HEADER),
+            size_hint=int_param(route.params, "size-hint"),
+        )
+        self._send_json(
+            200, {"bucket": route.bucket, "key": route.key, "uploadId": upload.upload_id}
+        )
 
     def _handle_put(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
         bucket, key = route.bucket, route.key
@@ -1107,9 +1079,6 @@ class GatewayHandler:
                 if_match=self.headers.get("if-match"),
                 if_none_match=self.headers.get("if-none-match"),
             )
-        except NotModifiedError as exc:
-            self._send_not_modified(exc.etag)
-            return
         except InvalidRangeError as exc:
             self._send_range_unsatisfiable(getattr(exc, "object_size", 0))
             return
@@ -1142,22 +1111,6 @@ class GatewayHandler:
             "requested range not satisfiable",
             extra_headers={"Content-Range": f"bytes */{size}"},
         )
-
-    def _handle_conditionals(self, meta) -> bool:
-        """Apply If-Match / If-None-Match; True when a response went out."""
-        etag = meta.etag
-        if_match = self.headers.get("if-match")
-        if if_match is not None and not etag_matches(if_match, etag):
-            self._send_error(412, "If-Match precondition failed")
-            return True
-        if_none = self.headers.get("if-none-match")
-        if if_none is not None and etag_matches(if_none, etag):
-            self._send_not_modified(etag)
-            return True
-        return False
-
-    def _send_not_modified(self, etag: str) -> None:
-        self._respond(304, {"ETag": f'"{etag}"', "Content-Length": "0"})
 
     # -- plumbing ----------------------------------------------------------
 

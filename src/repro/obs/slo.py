@@ -40,6 +40,7 @@ from typing import Dict, List, Optional
 
 from repro.obs.events import EventJournal, resolve_journal
 from repro.obs.history import MetricsHistory
+from repro.util.units import parse_duration
 
 __all__ = ["SloRule", "SloMonitor", "parse_slo_rule", "DEFAULT_SLO_RULES"]
 
@@ -86,15 +87,10 @@ class SloRule:
         }
 
 
-def _parse_scalar(text: str) -> float:
+def _fraction(text: str) -> float:
+    """A plain number, or a percentage: ``99.5%`` is 0.995."""
     text = text.strip()
-    if text.endswith("ms"):
-        return float(text[:-2])
-    if text.endswith("s"):
-        return float(text[:-1])
-    if text.endswith("%"):
-        return float(text[:-1]) / 100.0
-    return float(text)
+    return float(text[:-1]) / 100.0 if text.endswith("%") else float(text)
 
 
 def parse_slo_rule(spec: str) -> SloRule:
@@ -107,8 +103,10 @@ def parse_slo_rule(spec: str) -> SloRule:
         cost_gb:target=0.05,name=storage-budget
 
     ``target`` for availability accepts a percentage (``99.5`` or
-    ``99.5%`` both mean 0.995); for p99 it is milliseconds; for cost_gb
-    it is $/GB/period.
+    ``99.5%`` both mean 0.995); for p99 it is a duration, milliseconds
+    when bare (``250``, ``250ms``, ``0.25s``); for cost_gb it is
+    $/GB/period.  ``fast`` and ``slow`` are durations, seconds when bare
+    (``60``, ``500ms``, ``5m``); see :func:`~repro.util.units.parse_duration`.
     """
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
@@ -126,11 +124,15 @@ def parse_slo_rule(spec: str) -> SloRule:
             key = key.strip()
             if key == "name":
                 kwargs["name"] = value.strip()
-            elif key in ("target", "fast", "slow", "threshold"):
-                parsed = _parse_scalar(value)
+            elif key in ("fast", "slow"):
+                kwargs[f"{key}_s"] = parse_duration(value)
+            elif key == "target" and kind == "p99":
+                kwargs["target"] = parse_duration(value, unit="ms")
+            elif key in ("target", "threshold"):
+                parsed = _fraction(value)
                 if key == "target" and kind == "availability" and parsed >= 1.0:
                     parsed /= 100.0  # bare "99.5" means a percentage
-                kwargs[{"fast": "fast_s", "slow": "slow_s"}.get(key, key)] = parsed
+                kwargs[key] = parsed
             else:
                 raise ValueError(f"unknown SLO option {key!r}")
     if "target" not in kwargs:

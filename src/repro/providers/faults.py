@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.providers.provider import ProviderFaultError
+from repro.util.units import parse_duration
 
 __all__ = [
     "FaultDecision",
@@ -211,19 +212,6 @@ class FaultProfile:
         return f"FaultProfile({self.describe()})"
 
 
-def _duration_s(raw: str, key: str) -> float:
-    """Parse ``0.5`` (seconds) or ``500ms`` into seconds."""
-    raw = raw.strip().lower()
-    try:
-        if raw.endswith("ms"):
-            return float(raw[:-2]) / 1000.0
-        if raw.endswith("s"):
-            return float(raw[:-1])
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"malformed duration for {key}: {raw!r}") from None
-
-
 def parse_fault_spec(spec: str) -> FaultProfile:
     """Build a profile from a compact CLI/HTTP spec string.
 
@@ -231,7 +219,8 @@ def parse_fault_spec(spec: str) -> FaultProfile:
 
         latency=500ms,jitter=50ms,error=0.05,corrupt=0.01,slow=4,seed=7,flap=20/5
 
-    Keys: ``latency``/``jitter`` (seconds, or with an ``ms`` suffix),
+    Keys: ``latency``/``jitter`` (seconds, or with a unit:
+    :func:`~repro.util.units.parse_duration`),
     ``error`` (rate in [0,1]), ``corrupt`` (silent put-tamper rate in
     [0,1]), ``slow`` (multiplier; implies slow mode on), ``flap``
     (``UP/DOWN`` operation counts), ``seed``.
@@ -246,9 +235,9 @@ def parse_fault_spec(spec: str) -> FaultProfile:
         if not eq or not value:
             raise ValueError(f"malformed fault spec element {pair!r}")
         if key == "latency":
-            kwargs["latency_s"] = _duration_s(value, key)
+            kwargs["latency_s"] = parse_duration(value)
         elif key == "jitter":
-            kwargs["jitter_s"] = _duration_s(value, key)
+            kwargs["jitter_s"] = parse_duration(value)
         elif key == "error":
             kwargs["error_rate"] = float(value)
         elif key == "corrupt":

@@ -593,18 +593,6 @@ class SimulatedProvider:
         with self._op_lock:
             return self.backend.stats()
 
-    def verify_chunk(self, key: str) -> str:
-        """Integrity state of one stored chunk (unmetered scrub probe).
-
-        Subject to fault injection and health observation like any other
-        backend call — a scrub against a flaky provider doubles as a
-        health probe.
-        """
-        with self._observed("get"):
-            self._check_up()
-            with self._op_lock:
-                return self.backend.verify(key)
-
     def audit_chunk(
         self, key: str, leaf_indices: Sequence[int], *, times: int = 1
     ) -> Dict:

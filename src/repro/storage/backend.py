@@ -26,7 +26,7 @@ class ChunkCorruptionError(RuntimeError):
         self.key = key
 
 
-#: Chunk health states reported by :meth:`ChunkStore.verify`.
+#: Chunk health states of a scrub (:mod:`repro.storage.scrubber`).
 VERIFY_OK = "ok"
 VERIFY_MISSING = "missing"
 VERIFY_CORRUPT = "corrupt"
@@ -59,10 +59,6 @@ class ChunkStore(Protocol):
 
     @property
     def stored_bytes(self) -> int: ...
-
-    def verify(self, key: str) -> str:
-        """Integrity state of one chunk: ``ok`` / ``missing`` / ``corrupt``."""
-        ...
 
     def audit(self, key: str, leaf_indices: Sequence[int]) -> Dict:
         """Merkle possession proof for ``leaf_indices`` of one chunk.
@@ -121,11 +117,6 @@ class MemoryChunkStore:
     @property
     def stored_bytes(self) -> int:
         return self._stored_bytes
-
-    def verify(self, key: str) -> str:
-        """A dict keeps no record checksum: a present chunk is ``ok``; only
-        the broker-held root can tell its bytes are wrong."""
-        return VERIFY_OK if key in self._chunks else VERIFY_MISSING
 
     def audit(self, key: str, leaf_indices: Sequence[int]) -> Dict:
         chunk = self._chunks[key]

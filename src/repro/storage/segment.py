@@ -56,12 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.erasure.striping import AnyChunk, Chunk, SyntheticChunk
 from repro.storage import merkle
-from repro.storage.backend import (
-    VERIFY_CORRUPT,
-    VERIFY_MISSING,
-    VERIFY_OK,
-    ChunkCorruptionError,
-)
+from repro.storage.backend import ChunkCorruptionError
 from repro.storage.checksum import crc32c
 from repro.storage.wal import fsync_directory
 
@@ -386,22 +381,6 @@ class FileChunkStore:
     @property
     def stored_bytes(self) -> int:
         return self._stored_bytes
-
-    def verify(self, key: str) -> str:
-        """Re-read one record from disk and report its integrity state."""
-        self._check_open()
-        ref = self._index.get(key)
-        if ref is None:
-            return VERIFY_MISSING
-        data = self._read_record(ref)
-        parsed = self._parse_record(data, 0)
-        if parsed is None or not parsed[6]:
-            if not ref.corrupt:
-                ref.corrupt = True
-                self.corrupt_records += 1
-            return VERIFY_CORRUPT
-        ref.corrupt = False
-        return VERIFY_OK
 
     def audit(self, key: str, leaf_indices: Sequence[int]) -> Dict:
         """Possession proof from *ranged* reads of the stored payload.

@@ -23,7 +23,6 @@ from repro.providers.faults import FaultProfile
 from repro.providers.health import HealthTracker
 from repro.providers.pricing import paper_catalog
 from repro.providers.registry import ProviderRegistry
-from repro.storage.backend import VERIFY_OK
 
 OBJECT_BYTES = 96 * 1024  # m=2 -> 48 KiB chunks: exactly one leaf each
 OBJECT_COUNT = 4
@@ -175,7 +174,7 @@ class TestTamperLifecycle:
             rotten = bytearray(old.data)
             rotten[-1] ^= 0x08
             store._chunks[chunk_key] = Chunk.build(old.index, bytes(rotten))
-            assert store.verify(chunk_key) == VERIFY_OK  # the store sees nothing
+            assert store.get(chunk_key).data == bytes(rotten)  # the store sees nothing
             flipped += 1
         assert flipped > 0
 

@@ -19,6 +19,7 @@ import pytest
 from test_cluster_routes import Stack, _raw, wait_for  # same directory, rootless tests
 
 from repro.cluster.engine import (
+    BadDigestError,
     InvalidRangeError,
     ObjectNotFoundError,
     ReadPlan,
@@ -38,7 +39,11 @@ from repro.gateway.ops import (
     to_wire,
 )
 from repro.gateway.remote import RemoteBrokerFrontend
-from repro.gateway.routes import NotModifiedError, PreconditionFailedError
+from repro.gateway.routes import (
+    NotModifiedError,
+    PreconditionFailedError,
+    status_for_exception,
+)
 from repro.gateway.server import ScaliaGateway
 from repro.obs.workers import WorkerMetricsAggregator
 from repro.providers.faults import FaultProfile
@@ -500,6 +505,15 @@ class TestWriteFailureCauses:
         assert all(str(exc) for exc in causes.values())
 
 
+#: A value for every field an error row carries across the wire.
+_FIELD_SAMPLES = {
+    "object_size": 7, "provider_name": "S3(h)",
+    "causes": {"S3(h)": RuntimeError("down")},
+    "leader_url": "http://127.0.0.1:8090", "retry_after": 0.4,
+    "etag": "9e107d9d372bb6826bd81d3542a419d6",
+}
+
+
 class TestErrorCodec:
     """Encode and decode come from one table, so no kind exists on one
     side only."""
@@ -507,25 +521,40 @@ class TestErrorCodec:
     @pytest.mark.parametrize("row", WIRE_ERRORS, ids=lambda row: row.cls.__name__)
     def test_every_kind_round_trips(self, row):
         original = row.cls("what went wrong")
-        samples = {"object_size": 7, "provider_name": "S3(h)",
-                   "causes": {"S3(h)": RuntimeError("down")},
-                   "leader_url": "http://127.0.0.1:8090", "retry_after": 0.4,
-                   "etag": "9e107d9d372bb6826bd81d3542a419d6"}
         for attr in row.fields:
-            setattr(original, attr, samples[attr])
+            setattr(original, attr, _FIELD_SAMPLES[attr])
         doc = error_doc(original)
         assert doc["kind"] == row.kind
         decoded = error_from_doc(doc)
-        # TypeError deliberately arrives as ValueError (both are a 400).
+        # TypeError deliberately arrives as ValueError (both are a 500).
         expected = ValueError if row.cls is TypeError else row.cls
         assert type(decoded) is expected
         if "etag" in row.fields:
             # The 304 and the 412 fix their own message; what they carry
             # is the ETag the response needs.
-            assert decoded.etag == samples["etag"]
+            assert decoded.etag == _FIELD_SAMPLES["etag"]
         else:
             assert decoded.args[0] == "what went wrong"
         assert error_doc(decoded) == doc
+
+    @pytest.mark.parametrize(
+        "cls",
+        sorted({row.cls for row in WIRE_ERRORS} | {BadDigestError}, key=lambda c: c.__name__),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_status_and_carried_fields_survive_the_wire(self, cls):
+        # A worker answers what the broker's own gateway would have.
+        original = cls("what went wrong")
+        fields = next(row.fields for row in WIRE_ERRORS if isinstance(original, row.cls))
+        for attr in fields:
+            setattr(original, attr, _FIELD_SAMPLES[attr])
+        decoded = error_from_doc(error_doc(original))
+        assert status_for_exception(decoded) == status_for_exception(original)
+        for attr in fields:
+            sent, arrived = getattr(original, attr), getattr(decoded, attr)
+            if attr == "causes":
+                sent, arrived = ({k: str(v) for k, v in d.items()} for d in (sent, arrived))
+            assert arrived == sent, attr
 
     def test_subclasses_encode_as_their_own_kind(self):
         kinds = [row.kind for row in WIRE_ERRORS]

@@ -14,6 +14,7 @@ from repro.cluster.engine import (
 )
 from repro.gateway.namespace import NamespaceError
 from repro.gateway.routes import (
+    ROUTES,
     RouteError,
     etag_matches,
     parse_range_header,
@@ -21,6 +22,7 @@ from repro.gateway.routes import (
     resolve_byte_range,
     status_for_exception,
 )
+from repro.gateway.server import GatewayHandler
 from repro.providers.provider import (
     CapacityExceededError,
     ChunkCorruptionError,
@@ -136,6 +138,11 @@ class TestParseRoute:
         with pytest.raises(RouteError) as err:
             parse_route("GET", "/scrub")
         assert err.value.status == 405
+
+    def test_every_row_names_a_handler(self):
+        for row in ROUTES:
+            for handler in row.methods.values():
+                assert callable(getattr(GatewayHandler, handler, None)), handler
 
 
 class TestStatusMapping:

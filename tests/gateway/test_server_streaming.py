@@ -194,11 +194,18 @@ class TestConditionals:
         assert headers["accept-ranges"] == "bytes"
         assert "last-modified" in headers
         assert headers["x-scalia-stripes"] == "1"
-        status, _, _ = raw_request(
-            gateway, "HEAD", "/photos/h.bin",
-            headers={"If-None-Match": headers["etag"]},
-        )
-        assert status == 304
+        etag = headers["etag"]
+        for conditions, expected in (
+            ({"If-None-Match": etag}, 304),
+            ({"If-Match": '"not-the-etag"'}, 412),
+            ({"If-Match": "*"}, 200),
+        ):
+            status, answered, _ = raw_request(
+                gateway, "HEAD", "/photos/h.bin", headers=conditions
+            )
+            assert status == expected, conditions
+            if status != 412:
+                assert answered["etag"] == etag
 
 
 class TestMultipartOverHTTP:

@@ -37,6 +37,18 @@ class TestRuleParsing:
         assert rule.name == "api"
 
     @pytest.mark.parametrize(
+        "spec,field,value",
+        [
+            ("availability:target=99.5,fast=500ms", "fast_s", 0.5),
+            ("p99:target=0.25s", "target", 250.0),
+            ("availability:target=99.5,fast=5m", "fast_s", 300.0),
+            ("p99:target=250ms,fast=60,slow=300", "target", 250.0),
+        ],
+    )
+    def test_durations_convert_to_the_field_unit(self, spec, field, value):
+        assert getattr(parse_slo_rule(spec), field) == pytest.approx(value)
+
+    @pytest.mark.parametrize(
         "spec",
         [
             "bogus:target=1",

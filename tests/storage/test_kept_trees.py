@@ -19,7 +19,7 @@ import repro.storage.merkle as merkle
 from repro.cluster.readpath import rows_for_window
 from repro.core.broker import Scalia
 from repro.erasure.striping import Chunk
-from repro.storage.backend import VERIFY_CORRUPT, MemoryChunkStore
+from repro.storage.backend import ChunkCorruptionError, MemoryChunkStore
 from repro.storage.merkle import LEAF_SIZE, leaf_count, open_proof, verify_proof
 from repro.storage.segment import FileChunkStore
 
@@ -281,7 +281,8 @@ def test_a_challenge_reads_the_asked_leaf_and_sees_rot_only_there(tmp_path, hash
     # It verifies, and what it serves are the written bytes.
     assert open_proof(sound, root, 2 * MiB) == [leaf(chunk.data, 3)]
     # The full read is the scrubber's, and it sees the rot at once.
-    assert store.verify("k") == VERIFY_CORRUPT
+    with pytest.raises(ChunkCorruptionError):
+        store.get("k")
     store.close()
 
 

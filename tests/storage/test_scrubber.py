@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.broker import Scalia
-from repro.storage.backend import VERIFY_OK
 
 
 @pytest.fixture()
@@ -64,6 +63,7 @@ class TestScrubRepair:
         payload = bytes(range(256)) * 16
         broker.put("photos", "repairme.bin", payload)
         provider, chunk_key, backend = damaged_chunk_site(broker, "photos", "repairme.bin")
+        original = backend.get(chunk_key).data
         corrupt_in_place(backend, chunk_key)
 
         report = broker.scrub()
@@ -72,7 +72,7 @@ class TestScrubRepair:
         assert report.unrepairable == 0
 
         # the damaged replica is whole again, on the same provider
-        assert provider.verify_chunk(chunk_key) == VERIFY_OK
+        assert backend.get(chunk_key).data == original
         assert broker.get("photos", "repairme.bin") == payload
         # and a second pass finds nothing left to fix
         assert broker.scrub().chunks_corrupt == 0
@@ -81,12 +81,13 @@ class TestScrubRepair:
         payload = b"restore-me" * 100
         broker.put("photos", "missing.bin", payload)
         provider, chunk_key, backend = damaged_chunk_site(broker, "photos", "missing.bin")
+        original = backend.get(chunk_key).data
         backend.delete(chunk_key)
 
         report = broker.scrub()
         assert report.chunks_missing == 1
         assert report.repaired == 1
-        assert provider.verify_chunk(chunk_key) == VERIFY_OK
+        assert backend.get(chunk_key).data == original
         assert broker.get("photos", "missing.bin") == payload
 
     def test_read_path_survives_corruption_before_scrub(self, broker):

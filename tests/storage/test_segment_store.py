@@ -5,13 +5,7 @@ import os
 import pytest
 
 from repro.erasure.striping import Chunk, SyntheticChunk
-from repro.storage.backend import (
-    VERIFY_CORRUPT,
-    VERIFY_MISSING,
-    VERIFY_OK,
-    ChunkCorruptionError,
-    MemoryChunkStore,
-)
+from repro.storage.backend import ChunkCorruptionError, MemoryChunkStore
 from repro.storage.segment import FileChunkStore
 
 
@@ -180,7 +174,8 @@ class TestCorruption:
         self._corrupt_payload(store, "k")
         with pytest.raises(ChunkCorruptionError):
             store.get("k")
-        assert store.verify("k") == VERIFY_CORRUPT
+        with pytest.raises(ChunkCorruptionError):  # and stays refused
+            store.get("k")
 
     def test_corruption_detected_across_reopen(self, tmp_path):
         s1 = FileChunkStore(tmp_path / "c")
@@ -191,8 +186,7 @@ class TestCorruption:
         s2 = FileChunkStore(tmp_path / "c")
         # the record still frames (lengths intact) so the key is indexed,
         # marked corrupt, and the neighbour is unaffected
-        assert s2.verify("k") == VERIFY_CORRUPT
-        assert s2.verify("ok") == VERIFY_OK
+        assert "k" in s2 and "ok" in s2
         assert s2.corrupt_records >= 1
         with pytest.raises(ChunkCorruptionError):
             s2.get("k")
@@ -201,15 +195,15 @@ class TestCorruption:
 
     def test_verify_states(self, store):
         store.put("k", real_chunk(0, b"fine"))
-        assert store.verify("k") == VERIFY_OK
-        assert store.verify("ghost") == VERIFY_MISSING
+        assert store.get("k").data == b"fine"
+        assert "ghost" not in store
 
     def test_repair_by_overwrite_clears_corruption(self, store):
         store.put("k", real_chunk(0, b"original"))
         self._corrupt_payload(store, "k")
-        assert store.verify("k") == VERIFY_CORRUPT
+        with pytest.raises(ChunkCorruptionError):
+            store.get("k")
         store.put("k", real_chunk(0, b"original"))
-        assert store.verify("k") == VERIFY_OK
         assert store.get("k").data == b"original"
 
 
@@ -294,11 +288,12 @@ class TestCompaction:
         with open(path, "r+b") as fh:
             fh.seek(offset)
             fh.write(b"X")
-        assert s.verify("bad") == VERIFY_CORRUPT
+        with pytest.raises(ChunkCorruptionError):
+            s.get("bad")
         s.compact()
         # the untrustworthy record is gone — reads as missing, which is
         # the state the scrubber repairs from the other erasure chunks
-        assert s.verify("bad") == VERIFY_MISSING
+        assert "bad" not in s
         assert s.get("good").data == b"kept"
         s.close()
 
@@ -312,8 +307,7 @@ class TestMemoryStoreParity:
         assert s.get("a").data == b"xyz"
         assert s.size_of("a") == 3
         assert s.stored_bytes == 3
-        assert s.verify("a") == VERIFY_OK
-        assert s.verify("b") == VERIFY_MISSING
+        assert "b" not in s
         assert s.stats()["type"] == "memory"
         s.delete("a")
         assert len(s) == 0
