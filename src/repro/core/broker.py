@@ -573,32 +573,29 @@ class Scalia:
         the cost model's projected storage $/period (total and blended
         per-GB — the series the ``cost_gb`` SLO watches).
         """
-        doc = self.metrics.render_json()["metrics"]
+        snapshot = self.metrics.collect()
         values: Dict[str, float] = {}
         requests = 0.0
         errors = 0.0
-        family = doc.get("scalia_gateway_requests_total")
+        family = snapshot.get("scalia_gateway_requests_total")
         if family is not None:
-            for sample in family["samples"]:
-                count = float(sample["value"])
+            status_at = family["labels"].index("status")
+            for labelvalues, count in family["children"]:
                 requests += count
-                status = str(sample["labels"].get("status", ""))
+                status = labelvalues[status_at]
                 # "0" is a request that died before a status was sent.
                 if status == "0" or status.startswith("5"):
                     errors += count
         values["requests.total"] = requests
         values["errors.total"] = errors
-        family = doc.get("scalia_gateway_request_seconds")
+        family = snapshot.get("scalia_gateway_request_seconds")
         if family is not None:
-            folded: Dict[float, float] = {}
-            total = 0.0
-            for sample in family["samples"]:
-                for bound, count in sample["buckets"]:
-                    folded[float(bound)] = folded.get(float(bound), 0.0) + count
-                total += sample["count"]
-            for bound, count in folded.items():
-                values[f"request.bucket.{bound}"] = count
-            values["request.bucket.inf"] = total
+            # Every child's buckets, folded; the last is the +Inf bucket.
+            les = [str(float(bound)) for bound in family["bounds"]] + ["inf"]
+            for index, le in enumerate(les):
+                values[f"request.bucket.{le}"] = float(
+                    sum(cumulative[index] for _, (cumulative, _) in family["children"])
+                )
         total_bytes = 0.0
         cost_per_period = 0.0
         for provider in self.registry.providers():

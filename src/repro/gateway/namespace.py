@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import re
 
+from repro.gateway.routes import BUCKET, OBJECT, ROUTES, NamespaceError
+
 _BUCKET_RE = re.compile(r"^[a-z0-9][a-z0-9.\-]{1,61}[a-z0-9]$")
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.\-]{0,63}$")
 _TAIL_SANITIZE = re.compile(r"[^a-z0-9\-]")
@@ -24,13 +26,12 @@ _TAIL_SANITIZE = re.compile(r"[^a-z0-9\-]")
 #: Length of the hex digest prefix embedded in internal container names.
 HASH_LEN = 16
 
-#: Bucket names shadowed by the gateway's literal routes (``/stats`` would
-#: be unlistable: ``GET /stats`` returns counters, never the bucket).
-RESERVED_BUCKETS = frozenset({"healthz", "stats", "tick"})
-
-
-class NamespaceError(ValueError):
-    """Invalid tenant or bucket name (mapped to HTTP 400 by the gateway)."""
+#: Bucket names shadowed by the gateway's fixed routes (``/metrics``
+#: would be unlistable: ``GET /metrics`` returns counters, never the
+#: bucket): the first segment of every fixed path in the route table.
+RESERVED_BUCKETS = frozenset(
+    row.path.strip("/").split("/")[0] for row in ROUTES if row.path not in (BUCKET, OBJECT)
+)
 
 
 def validate_bucket(bucket: str) -> str:

@@ -493,7 +493,7 @@ class RemoteBrokerFrontend(_stubs("frontend"), BrokerFrontend):
 
     def push_metrics(self, slot: int, incarnation: int) -> None:
         """Ship the local registry snapshot to the broker aggregator."""
-        self._aggregator.push(slot, incarnation, self.local_metrics.render_json())
+        self._aggregator.push(slot, incarnation, self.local_metrics.collect())
 
     def retire_metrics(self, slot: int) -> None:
         """Fold this worker's last snapshot into the broker's retired

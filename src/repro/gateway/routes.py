@@ -33,7 +33,6 @@ from repro.cluster.engine import (
     ReadFailedError,
     WriteFailedError,
 )
-from repro.gateway.namespace import NamespaceError
 from repro.providers.provider import (
     CapacityExceededError,
     ChunkCorruptionError,
@@ -43,6 +42,10 @@ from repro.providers.provider import (
 from repro.providers.registry import UnknownProviderError
 from repro.replication.errors import ClusterUnavailableError, NotLeaderError
 from repro.replication.rpc import RpcUnreachableError
+
+
+class NamespaceError(ValueError):
+    """Invalid tenant or bucket name (HTTP 400)."""
 
 
 class PreconditionFailedError(Exception):

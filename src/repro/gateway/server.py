@@ -177,7 +177,7 @@ class _GatewayServer:
     has to shut down the listener itself (an inherited one is shared with
     the other workers).
 
-    ``begin_drain()`` + ``active_requests`` implement graceful SIGTERM
+    ``begin_drain()`` + ``wait_idle()`` implement graceful SIGTERM
     shutdown: stop accepting, finish requests already being handled,
     close keep-alive connections as their current request completes.
     """
@@ -227,6 +227,8 @@ class _GatewayServer:
         self._active_connections = 0
         self._active_requests = 0
         self._activity_lock = threading.Lock()
+        # Notified when the last request ends during a drain.
+        self._idle = threading.Condition(self._activity_lock)
         self.draining = False
         self.frontend = frontend
         self.logger = logger if logger is not None else get_logger("gateway")
@@ -377,9 +379,14 @@ class _GatewayServer:
     def begin_drain(self) -> None:
         """Flip to draining: handlers close their connection after the
         in-progress request; idle keep-alive connections are not waited
-        on (the drain deadline polls ``active_requests``, not
+        on (:meth:`wait_idle` waits on ``active_requests``, not
         connections)."""
         self.draining = True
+
+    def wait_idle(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` s for no request to be in progress."""
+        with self._idle:
+            return self._idle.wait_for(lambda: self._active_requests == 0, timeout)
 
     def _begin_request(self) -> None:
         with self._activity_lock:
@@ -388,6 +395,8 @@ class _GatewayServer:
     def _end_request(self) -> None:
         with self._activity_lock:
             self._active_requests -= 1
+            if self._active_requests == 0 and self.draining:
+                self._idle.notify_all()
 
 
 def _close_connection(conn: socket.socket) -> None:
@@ -542,8 +551,8 @@ class GatewayHandler:
         server._begin_request()
         if server.draining:
             # SIGTERM drain: finish this request, then drop the
-            # connection so the poll on active_requests can reach zero
-            # without waiting out idle keep-alives.
+            # connection so active_requests can reach zero without
+            # waiting out idle keep-alives.
             self.close_connection = True
         route_kind = "unroutable"
         started = time.perf_counter()
@@ -1433,11 +1442,16 @@ class ScaliaGateway:
 
     def begin_drain(self) -> None:
         """Stop accepting and mark in-flight handlers to close after
-        their current request; callers then poll :attr:`active_requests`
-        down to zero before :meth:`close`."""
+        their current request; callers then :meth:`wait_idle` before
+        :meth:`close`."""
         self._server.begin_drain()
         if self._started:
             self._server.shutdown()
+
+    def wait_idle(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` s for the in-flight requests to finish;
+        False if some were still running."""
+        return self._server.wait_idle(timeout)
 
     def close(self) -> None:
         """Stop serving and release the socket (and an owned frontend)."""

@@ -36,16 +36,10 @@ import signal
 import socket
 import sys
 import threading
-import time
 
 from repro.gateway.remote import RemoteBrokerFrontend
 from repro.gateway.server import ScaliaGateway
 from repro.replication.rpc import RpcError
-
-#: How long a worker keeps retrying its first broker connection; the
-#: supervisor starts workers and broker concurrently, so a short race is
-#: normal and a dead broker is not.
-CONNECT_DEADLINE_S = 15.0
 
 METRICS_PUSH_INTERVAL_S = 1.0
 
@@ -70,25 +64,20 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _connect_frontend(args) -> RemoteBrokerFrontend:
-    deadline = time.monotonic() + CONNECT_DEADLINE_S
-    while True:
-        try:
-            return RemoteBrokerFrontend(
-                args.ops_host, args.ops_port, owner=(args.slot, args.incarnation)
-            )
-        except (RpcError, OSError):
-            if time.monotonic() >= deadline:
-                raise
-            time.sleep(0.1)
-
-
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     # Read before connecting: had the supervisor died earlier still, the
     # connect below fails and the worker never starts.
     supervisor = os.getppid()
-    frontend = _connect_frontend(args)
+    try:
+        # The supervisor's ops RPC listens before it spawns any worker, so
+        # one attempt is enough; a failure exits into its respawn back-off.
+        frontend = RemoteBrokerFrontend(
+            args.ops_host, args.ops_port, owner=(args.slot, args.incarnation)
+        )
+    except (RpcError, OSError) as exc:
+        print(f"worker {args.slot}: cannot reach the broker: {exc}", file=sys.stderr)
+        return 1
 
     inherited = None
     if args.inherit_fd is not None:
@@ -132,9 +121,7 @@ def main(argv=None) -> int:
 
     # Graceful drain: no new connections, finish what is in flight.
     gateway.begin_drain()
-    deadline = time.monotonic() + max(0.0, args.drain_timeout)
-    while gateway.active_requests > 0 and time.monotonic() < deadline:
-        time.sleep(0.05)
+    gateway.wait_idle(max(0.0, args.drain_timeout))
     try:
         frontend.push_metrics(args.slot, args.incarnation)
         frontend.retire_metrics(args.slot)

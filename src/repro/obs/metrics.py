@@ -19,7 +19,10 @@ Design constraints, in order:
    ``# HELP``/``# TYPE`` comments, ``_bucket{le=...}``/``_sum``/
    ``_count`` histogram series) is rendered by hand; the JSON variant
    additionally carries interpolated p50/p95/p99 so ``repro top`` never
-   has to re-derive quantiles client-side.
+   has to re-derive quantiles client-side.  Every rendering, the worker
+   push and the history sampler read one plain snapshot,
+   :meth:`MetricsRegistry.collect`; only the JSON rendering computes
+   quantiles.
 
 3. **Exact-ish quantiles.**  Percentiles come from linear interpolation
    inside the bucket where the target rank falls, so the estimate is
@@ -37,7 +40,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from threading import get_ident
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Default latency buckets in seconds: 0.5 ms up to 10 s, roughly
 #: logarithmic.  Wide enough for WAL fsyncs and injected 500 ms faults,
@@ -184,57 +187,16 @@ class Counter:
             )
 
 
-class Gauge:
-    """Point-in-time sample that can go up and down.
+class Gauge(Counter):
+    """Point-in-time sample that can go up and down: a :class:`Counter`
+    cell that also decrements, and whose ``set`` rebases the total."""
 
-    Same lock-free ident-keyed cells as :class:`Counter`: ``inc``/``dec``
-    touch only the calling thread's cell, ``set`` rebases so the folded
-    value equals the assignment.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_lock", "_cells", "_base", "_external")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cells: Dict[int, List[float]] = {}
-        self._base = 0.0
-        self._external: Dict[str, float] = {}
-
-    def _cell(self, ident: int) -> List[float]:
-        with self._lock:
-            return self._cells.setdefault(ident, [0.0])
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._base = float(value) - sum(c[0] for c in self._cells.values())
-
-    def set_external(self, source: str, value: float) -> None:
-        """Set ``source``'s additive contribution (see :class:`Counter`)."""
-        with self._lock:
-            self._external[source] = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        ident = get_ident()
-        cell = self._cells.get(ident)
-        if cell is None:
-            cell = self._cell(ident)
-        cell[0] += amount
+    set = Counter.set_total
 
     def dec(self, amount: float = 1.0) -> None:
-        ident = get_ident()
-        cell = self._cells.get(ident)
-        if cell is None:
-            cell = self._cell(ident)
-        cell[0] -= amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return (
-                self._base
-                + sum(c[0] for c in self._cells.values())
-                + sum(self._external.values())
-            )
+        self.inc(-amount)
 
 
 class Histogram:
@@ -390,11 +352,14 @@ class MetricFamily:
         labelnames: Sequence[str],
         factory: Callable[[], object],
         enabled: bool,
+        bounds: Tuple[float, ...] = (),
     ) -> None:
         self.name = name
         self.help = help_text
         self.kind = kind
         self.labelnames = tuple(labelnames)
+        #: A histogram's finite bucket bounds, sorted; empty otherwise.
+        self.bounds = bounds
         self._factory = factory
         self._enabled = enabled
         self._lock = threading.Lock()
@@ -482,15 +447,18 @@ class MetricsRegistry:
         kind: str,
         labelnames: Sequence[str],
         factory: Callable[[], object],
+        bounds: Tuple[float, ...] = (),
     ) -> MetricFamily:
         with self._lock:
             family = self._families.get(name)
             if family is None:
                 family = MetricFamily(
-                    name, help_text, kind, labelnames, factory, self.enabled
+                    name, help_text, kind, labelnames, factory, self.enabled, bounds
                 )
                 self._families[name] = family
-            elif family.kind != kind or family.labelnames != tuple(labelnames):
+            elif (family.kind, family.labelnames, family.bounds) != (
+                kind, tuple(labelnames), bounds
+            ):
                 raise ValueError(
                     f"metric {name!r} re-registered with a different schema"
                 )
@@ -515,7 +483,7 @@ class MetricsRegistry:
     ) -> MetricFamily:
         bounds = tuple(sorted(buckets))
         return self._family(
-            name, help_text, "histogram", labelnames, lambda: Histogram(bounds)
+            name, help_text, "histogram", labelnames, lambda: Histogram(bounds), bounds
         )
 
     def add_collector(self, fn: Callable[[], None]) -> None:
@@ -538,120 +506,123 @@ class MetricsRegistry:
         with self._lock:
             return [self._families[name] for name in sorted(self._families)]
 
-    def render_text(self) -> str:
-        """Prometheus text exposition format 0.0.4."""
-        self._run_collectors()
-        lines: List[str] = []
-        for family in self._sorted_families():
-            children = family.children()
-            if not children:
-                continue
-            lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for labelvalues, child in children:
-                if family.kind == "histogram":
-                    cumulative, total, acc = child.snapshot()
-                    names = family.labelnames + ("le",)
-                    for bound, count in zip(child.bounds, cumulative):
-                        rendered = _render_labels(
-                            names, labelvalues + (_format_value(bound),)
-                        )
-                        lines.append(f"{family.name}_bucket{rendered} {count}")
-                    rendered = _render_labels(names, labelvalues + ("+Inf",))
-                    lines.append(f"{family.name}_bucket{rendered} {total}")
-                    plain = _render_labels(family.labelnames, labelvalues)
-                    lines.append(f"{family.name}_sum{plain} {_format_value(acc)}")
-                    lines.append(f"{family.name}_count{plain} {total}")
-                else:
-                    rendered = _render_labels(family.labelnames, labelvalues)
-                    lines.append(
-                        f"{family.name}{rendered} {_format_value(child.value)}"
-                    )
-        return "\n".join(lines) + "\n" if lines else ""
+    def collect(self) -> Dict[str, dict]:
+        """Run the collectors once and read every family that has a child.
 
-    def render_openmetrics(self) -> str:
-        """OpenMetrics 1.0 text exposition.
-
-        Differences from the 0.0.4 format that matter here: counter
-        *metadata* drops the ``_total`` suffix (the sample keeps it),
-        and the exposition must end with a ``# EOF`` terminator.
+        Returns ``{name: family}`` in name order, each family a plain dict
+        of ``kind``, ``help``, ``labels`` (the label names), ``bounds``
+        (a histogram's finite bucket bounds; histograms only) and
+        ``children``: ``[label values, state]`` pairs in label order.  A
+        counter's or gauge's state is its value; a histogram's is
+        ``[cumulative bucket counts, +Inf included, sum]``.  Plain lists
+        and dicts throughout, so a snapshot crosses the ops RPC as it is:
+        every rendering and every other reader of the registry walks one.
         """
         self._run_collectors()
-        lines: List[str] = []
+        snapshot: Dict[str, dict] = {}
         for family in self._sorted_families():
             children = family.children()
             if not children:
                 continue
-            meta_name = family.name
-            sample_name = family.name
-            if family.kind == "counter":
-                if meta_name.endswith("_total"):
-                    meta_name = meta_name[: -len("_total")]
-                sample_name = meta_name + "_total"
-            lines.append(f"# HELP {meta_name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {meta_name} {family.kind}")
-            for labelvalues, child in children:
+            entry = {
+                "kind": family.kind,
+                "help": family.help,
+                "labels": list(family.labelnames),
+            }
+            if family.kind == "histogram":
+                entry["bounds"] = list(family.bounds)
+            states = []
+            for values, child in children:
                 if family.kind == "histogram":
-                    cumulative, total, acc = child.snapshot()
-                    names = family.labelnames + ("le",)
-                    for bound, count in zip(child.bounds, cumulative):
-                        rendered = _render_labels(
-                            names, labelvalues + (_format_value(bound),)
-                        )
-                        lines.append(f"{meta_name}_bucket{rendered} {count}")
-                    rendered = _render_labels(names, labelvalues + ("+Inf",))
-                    lines.append(f"{meta_name}_bucket{rendered} {total}")
-                    plain = _render_labels(family.labelnames, labelvalues)
-                    lines.append(f"{meta_name}_count{plain} {total}")
-                    lines.append(f"{meta_name}_sum{plain} {_format_value(acc)}")
+                    cumulative, _, acc = child.snapshot()
+                    state = [cumulative, acc]
                 else:
-                    rendered = _render_labels(family.labelnames, labelvalues)
-                    lines.append(
-                        f"{sample_name}{rendered} {_format_value(child.value)}"
-                    )
-        lines.append("# EOF")
-        return "\n".join(lines) + "\n"
+                    state = child.value
+                states.append([list(values), state])
+            entry["children"] = states
+            snapshot[family.name] = entry
+        return snapshot
+
+    def render_text(self) -> str:
+        """Prometheus text exposition format 0.0.4."""
+        return _expose(self.collect(), _TEXT)
+
+    def render_openmetrics(self) -> str:
+        """OpenMetrics 1.0 text exposition."""
+        return _expose(self.collect(), _OPENMETRICS)
 
     def render_json(self) -> dict:
         """JSON scrape with interpolated quantiles for each histogram."""
-        self._run_collectors()
         families: Dict[str, dict] = {}
-        for family in self._sorted_families():
+        for name, family in self.collect().items():
+            names = family["labels"]
             samples = []
-            for labelvalues, child in family.children():
-                labels = dict(zip(family.labelnames, labelvalues))
-                if family.kind == "histogram":
-                    cumulative, total, acc = child.snapshot()
-                    samples.append(
-                        {
-                            "labels": labels,
-                            "count": total,
-                            "sum": acc,
-                            "p50": quantile_from_buckets(
-                                child.bounds, cumulative, total, 0.50
-                            ),
-                            "p95": quantile_from_buckets(
-                                child.bounds, cumulative, total, 0.95
-                            ),
-                            "p99": quantile_from_buckets(
-                                child.bounds, cumulative, total, 0.99
-                            ),
-                            "buckets": [
-                                [bound, count]
-                                for bound, count in zip(child.bounds, cumulative)
-                            ],
-                        }
-                    )
+            for values, state in family["children"]:
+                sample = {"labels": dict(zip(names, values))}
+                if family["kind"] == "histogram":
+                    bounds = family["bounds"]
+                    cumulative, acc = state
+                    total = cumulative[-1]
+                    sample.update(count=total, sum=acc)
+                    for key, q in _QUANTILES:
+                        sample[key] = quantile_from_buckets(bounds, cumulative, total, q)
+                    sample["buckets"] = [list(pair) for pair in zip(bounds, cumulative)]
                 else:
-                    samples.append({"labels": labels, "value": child.value})
-            if not samples:
-                continue
-            families[family.name] = {
-                "type": family.kind,
-                "help": family.help,
+                    sample["value"] = state
+                samples.append(sample)
+            families[name] = {
+                "type": family["kind"],
+                "help": family["help"],
                 "samples": samples,
             }
         return {"metrics": families}
+
+
+class _Format(NamedTuple):
+    """What sets one text exposition format apart from the other."""
+
+    #: Counter metadata drops a ``_total`` suffix and counter samples
+    #: always carry one (OpenMetrics); otherwise both use the family name.
+    counter_total_suffix: bool
+    #: The series a histogram child ends with, after its buckets.
+    tail: Tuple[str, str]
+    #: The lines after the last family.
+    end: Tuple[str, ...]
+
+
+#: Prometheus text format 0.0.4.
+_TEXT = _Format(False, ("sum", "count"), ())
+#: OpenMetrics 1.0.
+_OPENMETRICS = _Format(True, ("count", "sum"), ("# EOF",))
+
+_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
+
+
+def _expose(snapshot: Dict[str, dict], fmt: _Format) -> str:
+    """Write a :meth:`MetricsRegistry.collect` snapshot in ``fmt``."""
+    lines: List[str] = []
+    for name, family in snapshot.items():
+        kind, names = family["kind"], family["labels"]
+        meta = sample = name
+        if kind == "counter" and fmt.counter_total_suffix:
+            meta = name[: -len("_total")] if name.endswith("_total") else name
+            sample = meta + "_total"
+        lines.append(f"# HELP {meta} {_escape_help(family['help'])}")
+        lines.append(f"# TYPE {meta} {kind}")
+        if kind != "histogram":
+            for values, value in family["children"]:
+                lines.append(f"{sample}{_render_labels(names, values)} {_format_value(value)}")
+            continue
+        les = [_format_value(bound) for bound in family["bounds"]] + ["+Inf"]
+        for values, (cumulative, acc) in family["children"]:
+            for le, count in zip(les, cumulative):
+                rendered = _render_labels(names + ["le"], values + [le])
+                lines.append(f"{sample}_bucket{rendered} {count}")
+            plain = _render_labels(names, values)
+            tail = {"sum": _format_value(acc), "count": cumulative[-1]}
+            lines.extend(f"{sample}_{series}{plain} {tail[series]}" for series in fmt.tail)
+    lines.extend(fmt.end)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 #: Shared disabled registry: the default for components constructed

@@ -1,20 +1,20 @@
 """Broker-side aggregation of gateway-worker metric snapshots.
 
 Pre-forked gateway workers each own a private :class:`MetricsRegistry`
-and push its ``render_json()`` document to the broker about once a
-second over the ops RPC.  The broker cannot simply *store* the latest
-documents: a worker that crashes and restarts would reset its counters
-to zero, and naively summing latest-docs would make ``/metrics`` go
-backwards (double-counting in reverse).  The
+and push its :meth:`~MetricsRegistry.collect` snapshot to the broker
+about once a second over the ops RPC.  The broker cannot simply *store*
+the latest snapshots: a worker that crashes and restarts would reset its
+counters to zero, and naively summing latest snapshots would make
+``/metrics`` go backwards (double-counting in reverse).  The
 :class:`WorkerMetricsAggregator` therefore keeps, per worker *slot*:
 
-* the latest document of the **live incarnation**, and
-* a **retired** accumulator folding the final document of every dead
+* the latest snapshot of the **live incarnation**, and
+* a **retired** accumulator folding the final snapshot of every dead
   incarnation (counters and histograms only — gauges describe current
   state and die with their process).
 
 At scrape time a registry collector materialises the combined
-contribution (retired + all live documents) into the broker's own
+contribution (retired + all live snapshots) into the broker's own
 registry via ``set_external``: additive, keyed contributions that never
 clobber broker-local increments.  Counter totals are thus monotone
 across worker restarts, and a scrape between a worker's death and its
@@ -26,9 +26,9 @@ loss, the same window any pull-based scraper accepts).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 #: The ``set_external`` source key for all aggregated worker data.  A
 #: single key suffices because the aggregator always applies the *total*
@@ -38,70 +38,55 @@ _SOURCE = "workers"
 _KINDS = ("counter", "gauge", "histogram")
 
 
-def _fold_doc(target: dict, doc: dict, *, include_gauges: bool) -> None:
-    """Fold one worker ``render_json()`` document into an accumulator.
+def _fold(target: dict, snapshot: dict, *, include_gauges: bool) -> None:
+    """Add one worker's ``collect()`` snapshot into an accumulator.
 
-    The accumulator maps family name to ``{"type", "help", "samples"}``
-    where samples are keyed by the label-items tuple.  Counter/gauge
-    samples accumulate ``value``; histogram samples accumulate the
-    cumulative-with-+Inf bucket list and the sum.  Samples whose bucket
-    schema disagrees with what the accumulator already holds are
-    dropped — a half-upgraded fleet must not corrupt the totals.
+    The accumulator maps family name to the family's declaration (as the
+    snapshot gives it) with ``children`` keyed by the label-value tuple:
+    a value, or ``(cumulative buckets, sum)``.  A family whose kind,
+    label names or bounds disagree with what the accumulator holds, and a
+    child of the wrong shape, are dropped: a malformed push must not
+    corrupt the totals.
     """
-    metrics = doc.get("metrics", doc) if isinstance(doc, dict) else {}
-    if not isinstance(metrics, dict):
+    if not isinstance(snapshot, dict):
         return
-    for name, family in metrics.items():
-        if not isinstance(family, dict):
+    for name, family in snapshot.items():
+        try:
+            kind, names = family["kind"], list(family["labels"])
+            bounds = [float(b) for b in family.get("bounds", ())]
+            children = list(family["children"])
+        except (KeyError, TypeError, ValueError):
             continue
-        kind = family.get("type")
         if kind not in _KINDS or (kind == "gauge" and not include_gauges):
             continue
-        slot = target.setdefault(
-            name, {"type": kind, "help": family.get("help", ""), "samples": {}}
-        )
-        if slot["type"] != kind:
+        if kind == "histogram" and not bounds:
+            continue  # no registry declares a histogram without buckets
+        slot = target.setdefault(name, {
+            "kind": kind, "help": str(family.get("help", "")), "labels": names,
+            "bounds": bounds, "children": {},
+        })
+        if (slot["kind"], slot["labels"], slot["bounds"]) != (kind, names, bounds):
             continue
-        for sample in family.get("samples", ()):
-            labels = sample.get("labels") or {}
-            key = tuple(labels.items())
-            acc = slot["samples"].get(key)
-            if kind == "histogram":
-                buckets = sample.get("buckets") or []
-                bounds = tuple(float(b) for b, _ in buckets)
-                # render_json's bucket list covers finite bounds only;
-                # the +Inf cell is recovered from the total count.
-                cum = [int(c) for _, c in buckets] + [int(sample.get("count", 0))]
-                total_sum = float(sample.get("sum", 0.0))
-                if acc is None:
-                    slot["samples"][key] = {
-                        "labels": dict(labels),
-                        "bounds": bounds,
-                        "cum": cum,
-                        "sum": total_sum,
-                    }
-                elif acc["bounds"] == bounds and len(acc["cum"]) == len(cum):
-                    acc["cum"] = [a + b for a, b in zip(acc["cum"], cum)]
-                    acc["sum"] += total_sum
-            else:
-                value = float(sample.get("value", 0.0))
-                if acc is None:
-                    slot["samples"][key] = {"labels": dict(labels), "value": value}
+        acc = slot["children"]
+        for child in children:
+            try:
+                values, state = child
+                key = tuple(str(v) for v in values)
+                if len(key) != len(names):
+                    continue
+                if kind == "histogram":
+                    cumulative, total_sum = [int(c) for c in state[0]], float(state[1])
+                    if len(cumulative) != len(bounds) + 1:
+                        continue
+                    if key in acc:
+                        held, held_sum = acc[key]
+                        cumulative = [a + b for a, b in zip(held, cumulative)]
+                        total_sum += held_sum
+                    acc[key] = (cumulative, total_sum)
                 else:
-                    acc["value"] += value
-
-
-def _clone_acc(acc: dict) -> dict:
-    out: dict = {}
-    for name, family in acc.items():
-        samples = {}
-        for key, sample in family["samples"].items():
-            copied = dict(sample)
-            if "cum" in copied:
-                copied["cum"] = list(copied["cum"])
-            samples[key] = copied
-        out[name] = {"type": family["type"], "help": family["help"], "samples": samples}
-    return out
+                    acc[key] = acc.get(key, 0.0) + float(state)
+            except (TypeError, ValueError, IndexError):
+                continue
 
 
 class WorkerMetricsAggregator:
@@ -114,38 +99,38 @@ class WorkerMetricsAggregator:
     def __init__(self, registry: MetricsRegistry) -> None:
         self._registry = registry
         self._lock = threading.Lock()
-        # slot -> (incarnation, latest doc)
+        # slot -> (incarnation, latest snapshot)
         self._live: Dict[int, Tuple[int, dict]] = {}
-        # folded final docs of dead incarnations (counters + histograms)
+        # folded final snapshots of dead incarnations (counters + histograms)
         self._retired: dict = {}
         # gauge children given an external value last scrape, so a
         # vanished worker's gauges fall back to zero instead of lying.
-        self._touched_gauges: set = set()
+        self._gauges: set = set()
         self._workers_gauge = registry.gauge(
             "scalia_gateway_workers_live",
             "Gateway worker processes currently reporting metrics",
         )
         registry.add_collector(self.collect)
 
-    def push(self, slot: int, incarnation: int, doc: dict) -> None:
+    def push(self, slot: int, incarnation: int, snapshot: dict) -> None:
         """Record a worker's latest snapshot.
 
         A new ``incarnation`` for a known slot retires the previous
-        incarnation's final document first, so restarts never reset or
+        incarnation's final snapshot first, so restarts never reset or
         double-count the aggregate.
         """
         with self._lock:
             previous = self._live.get(slot)
             if previous is not None and previous[0] != incarnation:
-                _fold_doc(self._retired, previous[1], include_gauges=False)
-            self._live[slot] = (incarnation, doc)
+                _fold(self._retired, previous[1], include_gauges=False)
+            self._live[slot] = (incarnation, snapshot)
 
     def retire(self, slot: int) -> None:
-        """Permanently fold a slot's live document (worker shut down)."""
+        """Permanently fold a slot's live snapshot (worker shut down)."""
         with self._lock:
             previous = self._live.pop(slot, None)
             if previous is not None:
-                _fold_doc(self._retired, previous[1], include_gauges=False)
+                _fold(self._retired, previous[1], include_gauges=False)
 
     def live_workers(self) -> int:
         with self._lock:
@@ -154,69 +139,45 @@ class WorkerMetricsAggregator:
     def collect(self) -> None:
         """Scrape-time collector: apply the combined worker contribution.
 
-        Families unknown to the broker registry are created from the
-        worker documents (label names recovered from sample label-dict
-        key order, histogram bounds from the bucket list).  Each family
-        and each sample is guarded independently: one malformed snapshot
-        must never take down ``/metrics``.
+        Families unknown to the broker registry are declared from the
+        snapshots' own declarations; one whose declaration conflicts with
+        the broker's is skipped, so a malformed snapshot never takes down
+        ``/metrics``.
         """
         with self._lock:
-            combined = _clone_acc(self._retired)
-            docs = [doc for _, doc in self._live.values()]
-            live_count = len(docs)
-        for doc in docs:
-            _fold_doc(combined, doc, include_gauges=True)
-        self._workers_gauge.set(live_count)
-        touched: set = set()
-        for name, family in combined.items():
-            try:
-                kind = family["type"]
-                samples = family["samples"]
-                if not samples:
-                    continue
-                first = next(iter(samples.values()))
-                labelnames = tuple(first["labels"].keys())
-                if kind == "counter":
-                    fam = self._registry.counter(name, family["help"], labelnames)
-                elif kind == "gauge":
-                    fam = self._registry.gauge(name, family["help"], labelnames)
-                else:
-                    bounds = first["bounds"] or DEFAULT_LATENCY_BUCKETS
-                    fam = self._registry.histogram(
-                        name, family["help"], labelnames, buckets=bounds
-                    )
-                for acc in samples.values():
-                    try:
-                        child = fam.labels(
-                            *[acc["labels"].get(ln, "") for ln in labelnames]
-                        )
-                        if kind == "histogram":
-                            child.set_external(_SOURCE, acc["cum"], acc["sum"])
-                        else:
-                            child.set_external(_SOURCE, acc["value"])
-                            if kind == "gauge":
-                                touched.add(id(child))
-                                self._remember_gauge(child)
-                    except Exception:  # noqa: BLE001 — schema drift
-                        continue
-            except Exception:  # noqa: BLE001 — schema conflict
-                continue
-        self._zero_stale_gauges(touched)
-
-    # -- stale-gauge bookkeeping ---------------------------------------
-
-    def _remember_gauge(self, child: object) -> None:
-        with self._lock:
-            self._touched_gauges.add(child)
-
-    def _zero_stale_gauges(self, touched_ids: set) -> None:
-        with self._lock:
-            stale = [c for c in self._touched_gauges if id(c) not in touched_ids]
-            self._touched_gauges = {
-                c for c in self._touched_gauges if id(c) in touched_ids
+            # Folding replaces a child's state, never mutates it, so a
+            # copy of each family's child map keeps the retired totals.
+            combined = {
+                name: dict(family, children=dict(family["children"]))
+                for name, family in self._retired.items()
             }
-        for child in stale:
+            snapshots = [snapshot for _, snapshot in self._live.values()]
+        for snapshot in snapshots:
+            _fold(combined, snapshot, include_gauges=True)
+        self._workers_gauge.set(len(snapshots))
+        gauges: set = set()
+        for name, family in combined.items():
+            kind, names = family["kind"], family["labels"]
+            if not family["children"]:
+                continue
             try:
-                child.set_external(_SOURCE, 0.0)
-            except Exception:  # noqa: BLE001
-                pass
+                if kind == "histogram":
+                    declared = self._registry.histogram(
+                        name, family["help"], names, buckets=family["bounds"]
+                    )
+                else:
+                    declared = getattr(self._registry, kind)(name, family["help"], names)
+            except ValueError:  # the broker declares it another way
+                continue
+            for key, state in family["children"].items():
+                child = declared.labels(*key)
+                if kind == "histogram":
+                    child.set_external(_SOURCE, *state)
+                else:
+                    child.set_external(_SOURCE, state)
+                    if kind == "gauge":
+                        gauges.add(child)
+        with self._lock:
+            stale, self._gauges = self._gauges - gauges, gauges
+        for child in stale:
+            child.set_external(_SOURCE, 0.0)

@@ -246,10 +246,14 @@ class TestHasherLifetime:
         try:
             monkeypatch.setattr(writepath, "hashlib", SimpleNamespace(md5=SlowMd5))
             monkeypatch.setattr(writepath, "_ship", failing_ship)
-            before = threading.active_count()
+            # Only the hashers: another test's thread may exit meanwhile.
+            def hashers():
+                return sum(t.name == "etag-md5" for t in threading.enumerate())
+
+            before = hashers()
             with pytest.raises(RuntimeError, match="ship failed"):
                 broker.put("c", "k", bytes(2 * writepath.OVERLAP_MIN_BYTES))
-            assert threading.active_count() == before
+            assert hashers() == before
             assert not any(t.name == "etag-md5" for t in threading.enumerate())
         finally:
             broker.close()

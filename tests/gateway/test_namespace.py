@@ -8,6 +8,10 @@ from repro.gateway.namespace import (
     validate_bucket,
     validate_tenant,
 )
+from repro.gateway.routes import BUCKET, OBJECT, ROUTES
+
+#: The bucket name each fixed route's path would shadow.
+_ROUTE_NAMES = [row.path[1:] for row in ROUTES if row.path not in (BUCKET, OBJECT)]
 
 
 class TestMapping:
@@ -62,7 +66,7 @@ class TestValidation:
         with pytest.raises(NamespaceError):
             validate_bucket(bucket)
 
-    @pytest.mark.parametrize("bucket", ["healthz", "stats", "tick"])
+    @pytest.mark.parametrize("bucket", _ROUTE_NAMES)
     def test_route_names_are_reserved(self, bucket):
         with pytest.raises(NamespaceError, match="reserved"):
             validate_bucket(bucket)

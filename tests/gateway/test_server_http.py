@@ -190,6 +190,13 @@ class TestErrorMapping:
         assert err.value.status == 400
         assert "reserved" in str(err.value)
 
+    def test_route_named_bucket_is_400(self, client):
+        """``GET /metrics`` could never list a bucket named ``metrics``."""
+        with pytest.raises(GatewayError) as err:
+            client.put("metrics", "k", b"x")
+        assert err.value.status == 400
+        assert "reserved" in str(err.value)
+
     def test_root_is_400(self, gateway):
         host, port = gateway.address
         conn = http.client.HTTPConnection(host, port, timeout=10)

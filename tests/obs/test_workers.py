@@ -18,7 +18,7 @@ def _worker_doc(requests=0, inflight=None, latency_obs=()):
         hist = reg.histogram("w_seconds", "latency").labels()
         for value in latency_obs:
             hist.observe(value)
-    return reg.render_json()
+    return reg.collect()
 
 
 def _sample(registry, name, labels=""):
@@ -100,6 +100,15 @@ class TestAggregation:
         # Scrape still works and the good worker's data is present.
         assert _sample(broker, "w_requests_total", '{route="object"}') == 2
 
+    def test_mismatched_bucket_schema_is_dropped(self):
+        broker = MetricsRegistry(enabled=True)
+        agg = WorkerMetricsAggregator(broker)
+        agg.push(0, 1, _worker_doc(latency_obs=(0.01, 0.02)))
+        other = MetricsRegistry(enabled=True)
+        other.histogram("w_seconds", "latency", buckets=(0.1, 1.0)).observe(0.5)
+        agg.push(1, 1, other.collect())
+        assert "w_seconds_count 2\n" in broker.render_text()
+
     def test_worker_contribution_adds_to_broker_local(self):
         broker = MetricsRegistry(enabled=True)
         own = broker.counter("w_requests_total", "requests", ("route",))
@@ -109,3 +118,32 @@ class TestAggregation:
         # set_external contributions are additive with broker-local
         # increments, not clobbering.
         assert _sample(broker, "w_requests_total", '{route="object"}') == 13
+
+    def test_three_workers_one_restarted_render_as_one_registry(self):
+        """Worker 0 is restarted once: its first incarnation's counts stay
+        in the totals and its gauge dies with it.  The broker then
+        renders what one registry that saw every observation renders."""
+        pushes = [  # slot, incarnation, requests, latencies, in flight
+            (0, 1, 5, (0.25, 2.0), 7),
+            (0, 2, 2, (0.5,), 1),
+            (1, 1, 3, (0.125, 0.125, 4.0), 2),
+            (2, 1, 1, (0.0625,), 3),
+        ]
+        broker = MetricsRegistry(enabled=True)
+        agg = WorkerMetricsAggregator(broker)
+        reference = MetricsRegistry(enabled=True)
+        for slot, incarnation, requests, latencies, inflight in pushes:
+            worker = MetricsRegistry(enabled=True)
+            for registry in (worker, reference):
+                registry.counter(
+                    "w_requests_total", "requests", ("route",)
+                ).labels("object").inc(requests)
+                hist = registry.histogram("w_seconds", "latency", ("route",))
+                for value in latencies:
+                    hist.labels("object").observe(value)
+            worker.gauge("w_inflight", "inflight").set(inflight)
+            agg.push(slot, incarnation, worker.collect())
+        reference.gauge("w_inflight", "inflight").set(1 + 2 + 3)
+        want = reference.render_json()["metrics"]
+        got = broker.render_json()["metrics"]
+        assert {name: got.get(name) for name in want} == want
