@@ -34,6 +34,7 @@ import concurrent.futures
 import hashlib
 import http.client
 import json
+import os
 import re
 import signal
 import subprocess
@@ -42,7 +43,8 @@ import threading
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, _SRC)
 
 WORKERS = 2
 CLIENT_THREADS = 8
@@ -71,6 +73,7 @@ def boot():
         [sys.executable, "-m", "repro", "serve", "--workers", str(WORKERS),
          "--port", "0", "--stripe-bytes", str(STRIPE_BYTES)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env={**os.environ, "PYTHONPATH": _SRC + os.pathsep + os.environ.get("PYTHONPATH", "")},
     )
     port = None
     deadline = time.monotonic() + 60

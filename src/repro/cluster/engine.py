@@ -468,6 +468,7 @@ class Engine:
             begin=self.staged_begin,
             part_begin=self.staged_part_begin,
             write_stripe=self.staged_write_stripe,
+            replan=self.staged_replan,
             commit=self.staged_commit,
             part_commit=self.staged_part_commit,
             abort=self.staged_abort,
@@ -981,11 +982,7 @@ class Engine:
             multipart_row_key(container, upload_id),
             object_row_key(container, key),
         ):
-            state = self._load_upload(container, upload_id)
-            if state.key != key:
-                raise MultipartError(
-                    f"upload {upload_id} is for key {state.key!r}, not {key!r}"
-                )
+            state = self._load_upload(container, upload_id, key)
             if parts is not None:
                 numbers: List[int] = []
                 for number, etag in parts:
@@ -1056,11 +1053,7 @@ class Engine:
             multipart_row_key(container, upload_id),
             object_row_key(container, key),
         ):
-            state = self._load_upload(container, upload_id)
-            if state.key != key:
-                raise MultipartError(
-                    f"upload {upload_id} is for key {state.key!r}, not {key!r}"
-                )
+            state = self._load_upload(container, upload_id, key)
             self._metadata.write(
                 self.dc, multipart_row_key(container, upload_id), None,
                 uuid=self._ids.uuid(), timestamp=self._clock.now,
@@ -1084,25 +1077,33 @@ class Engine:
             states.sort(key=lambda s: (s.created_at, s.upload_id))
             return states
 
-    def _load_upload(self, container: str, upload_id: str) -> MultipartState:
+    def _load_upload(
+        self, container: str, upload_id: str, key: Optional[str] = None
+    ) -> MultipartState:
+        """The upload's staging state; with ``key``, refused unless it is
+        that key's upload."""
         resolution = self._metadata.read(
             self.dc, multipart_row_key(container, upload_id)
         )
         if resolution.winner is None or resolution.winner.value is None:
             raise NoSuchUploadError(f"no such upload: {upload_id}")
-        return MultipartState.from_dict(resolution.winner.value)
+        state = MultipartState.from_dict(resolution.winner.value)
+        if key is not None and state.key != key:
+            raise MultipartError(f"upload {upload_id} is for key {state.key!r}, not {key!r}")
+        return state
 
     # ------------------------------------------------------------------
     # staged write protocol (the only way an object or part is written)
     # ------------------------------------------------------------------
     #
-    # ``begin → write_stripe* → commit | abort`` (``part_begin`` and
-    # ``part_commit`` for parts).  The loops above these primitives live
-    # in repro.cluster.writepath and run in this process or, through the
-    # ops RPC, in a gateway worker.  A session's skey is registered in
-    # flight from begin until commit or abort, so the orphan sweep never
-    # reaps staged chunks; nothing is visible until commit journals the
-    # metadata row.
+    # ``begin → (write_stripe | replan)* → commit | abort`` (``part_begin``
+    # and ``part_commit`` for parts, which never re-plan).  The loops above
+    # these primitives live in repro.cluster.writepath and run in this
+    # process or, through the ops RPC, in a gateway worker.  A session's
+    # skey is registered in flight from begin until commit or abort (a
+    # replan registers its successor's before it ends its own), so the
+    # orphan sweep never reaps staged chunks; nothing is visible until
+    # commit journals the metadata row.
 
     def stager(self) -> Stager:
         """The staged primitives, for the drivers; each reads the clock
@@ -1181,6 +1182,53 @@ class Engine:
                 self._land(provider_name, f"{session.skey}:{suffix}", chunk)
             )
             session.merkle.append((suffix, str(root)))
+
+    def staged_replan(
+        self, session: StagedWrite, stripes: Sequence[Tuple[str, int]], *,
+        exclude: Sequence[str], size_guess: int,
+        mime: str = "application/octet-stream", rule: Optional[str] = None,
+    ) -> StagedWrite:
+        """Re-plan a write that lost a provider, forward: a placement on
+        none of ``exclude``, with the session's complete ``stripes`` moved
+        onto it, so the driver ships the rest of its stream (the stripe
+        that failed included) on the session returned.
+
+        The landed stripes move through the loop a migration uses
+        (:meth:`_relocate`): with ``m`` and ``n`` unchanged, each one's
+        chunk at a moved index is copied from its provider if that still
+        serves it and is rebuilt from ``m`` others if not; otherwise every
+        landed stripe is restriped under a fresh skey.  Then what the new
+        session does not keep (the stripe that failed part-way, the moved
+        chunks' old copies) is deleted, postponed while its provider is
+        down, and ``session`` ends.  With no complete stripe (a failure in
+        the first) nothing moves and the new session is a fresh begin.
+        Raises :class:`PlacementError` when nothing feasible is left; a
+        failure leaves ``session`` as it was, for the driver's abort.
+        """
+        container, key = session.container, session.key
+        if not stripes:
+            new = self.staged_begin(
+                container, key, size_guess=size_guess, mime=mime, rule=rule, exclude=exclude
+            )
+        else:
+            # What landed, as the row that would commit it (never
+            # journaled): the first ``n`` chunks and roots per stripe.
+            stripes = tuple((str(tag), int(length)) for tag, length in stripes)
+            landed = ObjectMeta(
+                container, key, sum(length for _tag, length in stripes), mime, "", "",
+                session.skey, session.m, tuple(enumerate(session.providers)),
+                self._clock.now, stripes=stripes,
+                merkle=tuple(sorted(session.merkle[: len(stripes) * session.n])),
+            )
+            placement = self._plan(container, key, int(size_guess), mime, rule, exclude)
+            moved, new = self._relocate(landed, placement)
+            # The rest of the stream ships by the moved row's chunk map,
+            # and the session owns every chunk that row references.
+            new.providers = tuple(p for _i, p in moved.chunk_map)
+            new.written = [(p, ck) for _s, _i, p, ck in moved.iter_chunks()]
+            new.merkle = list(moved.merkle)
+        self.staged_abort(session, keep=frozenset(new.written))
+        return new
 
     def _land(self, provider_name: str, chunk_key: str, chunk: AnyChunk) -> Tuple[str, str]:
         """Put one chunk at a provider; returns the ``(provider, key)`` ref.
@@ -1295,12 +1343,12 @@ class Engine:
             self._cache.invalidate_everywhere(row_key)
         return meta, keep
 
-    def staged_abort(self, session: StagedWrite) -> int:
-        """Drop a session's shipped chunks (a no-op once committed or
-        aborted); returns deletions."""
+    def staged_abort(self, session: StagedWrite, keep: frozenset = frozenset()) -> int:
+        """Drop a session's shipped chunks but ``keep`` (a no-op once
+        committed or aborted); returns deletions."""
         if session.closed:
             return 0
-        deleted = self._delete_refs(session.written)
+        deleted = self._delete_refs(session.written, keep)
         self._close_staged(session)
         return deleted
 
@@ -1322,11 +1370,7 @@ class Engine:
         staged after recovery has no row referencing it until commit.
         """
         with self._locks.mutate_object(container, multipart_row_key(container, upload_id)):
-            state = self._load_upload(container, upload_id)
-            if state.key != key:
-                raise MultipartError(
-                    f"upload {upload_id} is for key {state.key!r}, not {key!r}"
-                )
+            state = self._load_upload(container, upload_id, key)
             if not MIN_PART_NUMBER <= part_number <= MAX_PART_NUMBER:
                 raise MultipartError(
                     f"part number must be in [{MIN_PART_NUMBER}, {MAX_PART_NUMBER}]"
@@ -1429,38 +1473,50 @@ class Engine:
             old_placement = meta.placement
             if new_placement == old_placement:
                 return MigrationReceipt(old_placement, new_placement, 0, False)
-
-            same_code = (
-                new_placement.m == old_placement.m and new_placement.n == old_placement.n
+            new_meta, session = self._relocate(
+                meta, new_placement,
+                publish=lambda moved: self.rewrite_row(row_key, moved, timestamp=self._clock.now),
             )
-            # Same-code moves write fresh chunks under the *existing*
-            # skey; a restripe writes under a brand-new one.  Either way
-            # the move is a staged write: the skey is registered in
-            # flight from before the first chunk lands until the row
-            # referencing it is journaled, so the orphan sweep can never
-            # reap a mid-migration chunk, and a failure part-way deletes
-            # exactly the chunks this attempt landed.
-            session = StagedWrite(
-                meta.container,
-                meta.key,
-                meta.skey if same_code else storage_key(container, key, self._ids.uuid()),
-                new_placement.m,
-                self._layout(new_placement, meta.size),
-            )
-            self._locks.in_flight.begin(session.skey)
-            try:
-                relocate = self._migrate_same_code if same_code else self._migrate_restripe
-                new_meta = relocate(meta, session)
-                self.rewrite_row(row_key, new_meta, timestamp=self._clock.now)
-            except BaseException:
-                self.staged_abort(session)
-                raise
             self._close_staged(session)
             keep = frozenset((p, ck) for _s, _i, p, ck in new_meta.iter_chunks())
             self._gc_chunks(meta, keep=keep)
             return MigrationReceipt(
-                old_placement, new_placement, len(session.written), not same_code
+                old_placement, new_placement, len(session.written), session.skey != meta.skey
             )
+
+    def _relocate(
+        self, meta: ObjectMeta, placement: Placement, publish=None
+    ) -> Tuple[ObjectMeta, StagedWrite]:
+        """Land ``meta``'s chunks on ``placement``: the one relocation
+        loop, of a migration and of a write's re-plan
+        (:meth:`staged_replan`).  Returns the metadata that describes the
+        moved object and the session holding what the move landed.
+
+        Same-code moves write fresh chunks under the *existing* skey
+        (:meth:`_migrate_same_code`); a restripe writes under a brand-new
+        one (:meth:`_migrate_restripe`).  Either way the move is a staged
+        write: the skey is registered in flight before the first chunk
+        lands, and the caller ends that registration once what references
+        the chunks is journaled, so the orphan sweep can never reap a
+        mid-move chunk.  ``publish(moved)`` journals the moved row, when
+        the caller has one.  A failure part-way, publishing included,
+        deletes exactly the chunks this move landed, ends the registration
+        and propagates.
+        """
+        container, key = meta.container, meta.key
+        same_code = placement.m == meta.m and placement.n == meta.n
+        skey = meta.skey if same_code else storage_key(container, key, self._ids.uuid())
+        session = StagedWrite(container, key, skey, placement.m, self._layout(placement, meta.size))
+        self._locks.in_flight.begin(skey)
+        relocate = self._migrate_same_code if same_code else self._migrate_restripe
+        try:
+            moved = relocate(meta, session)
+            if publish is not None:
+                publish(moved)
+        except BaseException:
+            self.staged_abort(session)
+            raise
+        return moved, session
 
     def rewrite_row(self, row_key: str, meta: ObjectMeta, *, timestamp: float) -> None:
         """Journal ``meta`` as a new version of an existing object's row.
@@ -1988,17 +2044,12 @@ class Engine:
         """Full path: decode and re-encode under the new code, per stripe,
         under the session's fresh storage key."""
         striped = bool(meta.stripes)
-        for stripe, stripe_len in enumerate(meta.stripe_lengths):
-            data = self._segment(meta, stripe)
-            if isinstance(data, int):
-                chunks: Sequence = split_synthetic(stripe_len, session.m, session.n)
-            else:
-                chunks = self._encode_stripe(data, session.m, session.n)
+        for stripe in range(meta.stripe_count):
+            data = self._segment(meta, stripe)  # a synthetic stripe's length
+            encode = split_synthetic if isinstance(data, int) else self._encode_stripe
+            chunks = encode(data, session.m, session.n)
             self.staged_write_stripe(
-                session,
-                str(stripe) if striped else None,
-                chunks,
-                [kept_root(chunk) for chunk in chunks],
+                session, str(stripe) if striped else None, chunks, [kept_root(c) for c in chunks]
             )
         return replace(
             meta,

@@ -383,7 +383,7 @@ class Scalia:
         self.registry.health.on_transition = self._on_breaker_transition
         # Downsampled registry snapshots for trends + SLO burn rates.
         self.history = MetricsHistory(
-            sampler=self._history_sample,
+            sampler=lambda: self._history_sample(self.metrics.collect()),
             interval_s=history_interval_s,
             enabled=self.metrics.enabled,
         )
@@ -546,10 +546,10 @@ class Scalia:
             placement_searches.labels("hit").set_total(table["hit"])
             placement_searches.labels("built").set_total(table["built"])
             placement_rows.set(table["rows"])
-            # Burn rates need a fresh history point when the interval has
-            # elapsed; evaluate() also steps the alert state machine so
-            # alerts fire even when nobody polls /alerts.
-            self.history.maybe_sample()
+            # evaluate() also steps the alert state machine, so alerts
+            # fire even when nobody polls /alerts.  It reads the ring as
+            # it stands: this scrape's own sample is taken from its
+            # snapshot once the collectors ran (the reader below).
             for state in self.slo.evaluate():
                 name = str(state["name"])
                 burn = state["burn"]
@@ -558,6 +558,11 @@ class Scalia:
                 alert_active.labels(name).set(1.0 if state["active"] else 0.0)
 
         m.add_collector(collect)
+        # A scrape with a history sample due samples what it collected,
+        # so each collector runs once per scrape.
+        m.add_reader(lambda snapshot: self.history.maybe_sample(
+            sampler=lambda: self._history_sample(snapshot)
+        ))
 
     def _on_breaker_transition(
         self, name: str, old: str, new: str, info: dict
@@ -565,15 +570,15 @@ class Scalia:
         """Health-tracker callback: journal every breaker state change."""
         self.events.emit(f"breaker.{new}", key=name, previous=old, **info)
 
-    def _history_sample(self) -> Dict[str, float]:
-        """One downsampled snapshot of the registry for the history ring.
+    def _history_sample(self, snapshot: Dict[str, dict]) -> Dict[str, float]:
+        """One downsampled reading of a registry ``snapshot`` (and of the
+        providers) for the history ring.
 
         Flat series: request/error totals and folded latency buckets from
         the gateway families, per-provider health and stored bytes, and
         the cost model's projected storage $/period (total and blended
         per-GB — the series the ``cost_gb`` SLO watches).
         """
-        snapshot = self.metrics.collect()
         values: Dict[str, float] = {}
         requests = 0.0
         errors = 0.0

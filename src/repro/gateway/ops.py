@@ -36,7 +36,7 @@ did the encoding.
 Everything else a worker asks of the broker is plain call forwarding,
 declared once in :data:`OPERATIONS`: the handler here, the worker's stub
 (:mod:`repro.gateway.remote`) and the cluster's write gate
-(:data:`WRITE_OPS`) all derive from a row.  Only the nine ops that carry
+(:data:`WRITE_OPS`) all derive from a row.  Only the ten ops that carry
 a session or a binary payload are framed by hand.
 """
 
@@ -233,9 +233,9 @@ class OpsService:
     """Handler table for one broker's worker-facing ops RPC.
 
     Forwarded operations (:data:`OPERATIONS`) share one derived handler.
-    Nine ops are framed by hand, because they are not call forwarding:
+    Ten ops are framed by hand, because they are not call forwarding:
     ``hello`` (the handshake), the staged write protocol ``write_begin``,
-    ``write_stripe``, ``write_commit``, ``part_begin``, ``part_commit``,
+    ``write_stripe``, ``write_replan``, ``write_commit``, ``part_begin``, ``part_commit``,
     ``staged_abort`` (sessions kept here by ``sid``, so stripes and
     commits use the placement planned at begin and an abort cleans up
     without trusting the worker to remember what it shipped), and the
@@ -272,6 +272,7 @@ class OpsService:
             "hello": self._op_hello,
             "write_begin": self._op_write_begin,
             "write_stripe": self._op_write_stripe,
+            "write_replan": self._op_write_replan,
             "write_commit": self._op_write_commit,
             "part_begin": self._op_part_begin,
             "part_commit": self._op_part_commit,
@@ -430,6 +431,25 @@ class OpsService:
             chunks.append(Chunk(index=int(index), data=shard))
         self.broker.stager().write_stripe(session, request.get("tag"), chunks, roots)
         return {"written": len(chunks)}
+
+    @_guarded
+    def _op_write_replan(self, request: dict) -> dict:
+        """Re-plan a session forward; its successor takes its table entry
+        and its owner.  The session is out of the table while it moves,
+        as at commit, so a dead worker's abort cannot race the move; a
+        failed re-plan puts it back for the driver's abort."""
+        entry = self._take_session(request["sid"])
+        if entry is None:
+            raise ValueError(f"unknown staged session {request['sid']!r}")
+        try:
+            successor = self.broker.stager().replan(
+                entry[0], request["stripes"], exclude=request["exclude"],
+                size_guess=int(request["size_guess"]), mime=request["mime"], rule=request["rule"],
+            )
+        except BaseException:
+            self._open_session(*entry)
+            raise
+        return self._open_session(successor, entry[1])
 
     @_guarded
     def _op_write_commit(self, request: dict) -> dict:

@@ -178,22 +178,24 @@ class RpcStager:
             roots=list(roots),
         )
 
+    def replan(self, session, stripes, *, exclude, size_guess, mime, rule) -> StagedWrite:
+        return StagedWrite.from_dict(self._call(
+            "write_replan", sid=session.sid, stripes=stripes, exclude=list(exclude),
+            size_guess=size_guess, mime=mime, rule=rule,
+        ))
+
+    # Stripe tables cross as JSON lists; the broker takes them as they come.
+
     def commit(self, session, *, size, checksum, stripes, mime, rule, ttl_hint) -> ObjectMeta:
-        response = self._call(
-            "write_commit",
-            sid=session.sid, size=size, checksum=checksum,
-            stripes=[[t, length] for t, length in stripes],
+        return ObjectMeta.from_dict(self._call(
+            "write_commit", sid=session.sid, size=size, checksum=checksum, stripes=stripes,
             mime=mime, rule=rule, ttl_hint=ttl_hint,
-        )
-        return ObjectMeta.from_dict(response["meta"])
+        )["meta"])
 
     def part_commit(self, session, *, etag, size, stripes) -> PartState:
-        response = self._call(
-            "part_commit",
-            sid=session.sid, etag=etag, size=size,
-            stripes=[[t, length] for t, length in stripes],
-        )
-        return PartState.from_dict(response["part"])
+        return PartState.from_dict(self._call(
+            "part_commit", sid=session.sid, etag=etag, size=size, stripes=stripes
+        )["part"])
 
     def abort(self, session) -> int:
         """Best-effort: the error being reported stays primary, and an

@@ -44,7 +44,6 @@ import re
 import select
 import socket
 import sys
-import tempfile
 import threading
 import time
 from typing import Any, Iterator, Optional, Tuple
@@ -73,8 +72,8 @@ from repro.util.units import parse_duration
 #: providers by accident; real S3 caps single PUTs at 5 GiB).
 MAX_BODY_BYTES = 256 * 1024 * 1024
 
-#: Bodies up to this size are buffered whole (one small read beats stripe
-#: machinery); larger ones stream through the broker's stripe writer.
+#: Largest body read whole (a multipart completion manifest); object and
+#: part bodies stream from the socket into the stripe writer instead.
 SMALL_BODY_BYTES = 1024 * 1024
 
 #: Block size for streaming request bodies and responses.
@@ -675,9 +674,13 @@ class GatewayHandler:
         if not leader_url:
             raise ClusterUnavailableError("no cluster leader elected")
         parsed = urlsplit(leader_url)
-        payload, length = self._body_payload()
+        # The body streams through: sized as the client sized it, chunked
+        # (http.client's default for an iterator) when it was chunked.
+        blocks, length = self._body_blocks()
+        headers = {FORWARDED_HEADER: "1"}
+        if length is not None:
+            headers["Content-Length"] = str(length)
         try:
-            headers = {FORWARDED_HEADER: "1", "Content-Length": str(length)}
             for name in ("content-type", "content-md5", TENANT_HEADER, RULE_HEADER):
                 value = self.headers.get(name)
                 if value:
@@ -689,7 +692,7 @@ class GatewayHandler:
                 conn.request(
                     self.command,
                     self.path,
-                    body=payload if length else None,
+                    body=blocks if length != 0 else None,
                     headers=headers,
                 )
                 response = conn.getresponse()
@@ -708,9 +711,6 @@ class GatewayHandler:
             raise ClusterUnavailableError(
                 f"cluster leader unreachable: {exc}"
             ) from None
-        finally:
-            if hasattr(payload, "close"):
-                payload.close()
         self._send_bytes(
             response.status, body, content_type=content_type, extra_headers=relay
         )
@@ -842,11 +842,7 @@ class GatewayHandler:
         Body ``{"bucket": ..., "key": ...}`` (query parameters of the
         same names work too).
         """
-        body = self._read_small_body()
-        try:
-            doc = json.loads(body) if body else {}
-        except json.JSONDecodeError:
-            raise RouteError("explain body must be JSON") from None
+        doc = self._json_body("explain")
         if not isinstance(doc, dict):
             raise RouteError("explain body must be a JSON object")
         bucket = doc.get("bucket") or route.params.get("bucket")
@@ -867,11 +863,7 @@ class GatewayHandler:
         (``latency_ms``, ``jitter_ms``, ``error_rate``,
         ``slow_multiplier``, ``flap``, ``seed``); ``null`` clears.
         """
-        body = self._read_small_body()
-        try:
-            doc = json.loads(body) if body else {}
-        except json.JSONDecodeError:
-            raise RouteError("fault injection body must be JSON") from None
+        doc = self._json_body("fault injection")
         provider = doc.get("provider") or route.params.get("provider")
         if not provider:
             raise RouteError('fault injection needs {"provider": ...}')
@@ -970,15 +962,11 @@ class GatewayHandler:
         mime = self.headers.get("content-type") or "application/octet-stream"
         rule = self.headers.get(RULE_HEADER)
         content_md5 = self._parse_content_md5()
-        payload, length = self._body_payload()
-        try:
-            meta = frontend.put(
-                tenant, bucket, key, payload, mime=mime, rule=rule, size_hint=length,
-                content_md5=content_md5,
-            )
-        finally:
-            if hasattr(payload, "close"):
-                payload.close()
+        blocks, length = self._body_blocks()
+        meta = frontend.put(
+            tenant, bucket, key, blocks, mime=mime, rule=rule, size_hint=length,
+            content_md5=content_md5,
+        )
         self._send_json(
             200,
             {
@@ -1003,15 +991,11 @@ class GatewayHandler:
         if not upload_id or part_number is None:
             raise RouteError("part upload needs both partNumber and uploadId")
         content_md5 = self._parse_content_md5()
-        payload, _length = self._body_payload()
-        try:
-            part = frontend.upload_part(
-                tenant, route.bucket, route.key, upload_id, part_number, payload,
-                content_md5=content_md5,
-            )
-        finally:
-            if hasattr(payload, "close"):
-                payload.close()
+        blocks, _length = self._body_blocks()
+        part = frontend.upload_part(
+            tenant, route.bucket, route.key, upload_id, part_number, blocks,
+            content_md5=content_md5,
+        )
         self._send_json(
             200,
             {
@@ -1031,24 +1015,15 @@ class GatewayHandler:
         upload_id = route.params.get("uploadId", "")
         if not upload_id:
             raise RouteError("complete needs uploadId")
-        body = self._read_small_body()
-        parts = None
-        if body:
+        doc = self._json_body("completion")
+        parts = doc.get("parts") if isinstance(doc, dict) else None
+        if parts is not None:
             try:
-                doc = json.loads(body)
-            except json.JSONDecodeError:
-                raise RouteError("completion body must be JSON") from None
-            raw_parts = doc.get("parts") if isinstance(doc, dict) else None
-            if raw_parts is not None:
-                try:
-                    parts = [
-                        (int(p["partNumber"]), p.get("etag"))
-                        for p in raw_parts
-                    ]
-                except (TypeError, KeyError, ValueError):
-                    raise RouteError(
-                        'completion parts must be [{"partNumber": N, "etag": ...}, ...]'
-                    ) from None
+                parts = [(int(p["partNumber"]), p.get("etag")) for p in parts]
+            except (TypeError, KeyError, ValueError):
+                raise RouteError(
+                    'completion parts must be [{"partNumber": N, "etag": ...}, ...]'
+                ) from None
         meta = frontend.complete_upload(
             tenant, route.bucket, route.key, upload_id, parts
         )
@@ -1161,36 +1136,15 @@ class GatewayHandler:
             raise RouteError("Content-MD5 must be a 128-bit MD5 digest")
         return digest
 
-    def _body_payload(self):
-        """The request body as ``bytes`` (small) or a spooled temp file.
-
-        Returns ``(payload, known_length)``.  Large bodies are drained
-        from the socket into a :class:`tempfile.SpooledTemporaryFile`
-        before any broker call.  The spool stays only so the source can
-        restart for the engine's mid-stream re-plan (ROADMAP item 4
-        deletes it); a write locks its object at commit only, so a slow
-        client stalls nobody either way.  Gateway RAM stays bounded (the
-        spool overflows to disk past 1 MiB).  Callers must ``close()`` a
-        file payload when done.
-        """
-        blocks, length = self._body_blocks()
-        if length is not None and length <= SMALL_BODY_BYTES:
-            body = b"".join(blocks)
-            return body, len(body)
-        spool = tempfile.SpooledTemporaryFile(max_size=SMALL_BODY_BYTES)
-        total = 0
-        try:
-            for block in blocks:
-                spool.write(block)
-                total += len(block)
-        except BaseException:
-            spool.close()
-            raise
-        spool.seek(0)
-        return spool, total
-
     def _body_blocks(self) -> Tuple[Iterator[bytes], Optional[int]]:
-        """Request body as a block iterator plus its length when known."""
+        """Request body as a block iterator plus its length when known.
+
+        An object or part body goes down as it is: the write path reads
+        it once, a stripe at a time, as it arrives (it re-plans forward,
+        never rewinding), so gateway memory is O(stripe) and receiving
+        overlaps encoding and shipping.  A write locks its object at
+        commit only, so a slow client stalls nobody.
+        """
         te = self.headers.get("transfer-encoding", "").lower()
         if "chunked" in te:
             self._body_read = False
@@ -1265,18 +1219,22 @@ class GatewayHandler:
                 break
         self._body_read = True
 
-    def _read_small_body(self, limit: int = SMALL_BODY_BYTES) -> bytes:
-        """Fully read a body expected to be small (completion manifests)."""
+    def _json_body(self, what: str) -> Any:
+        """A small request body (a completion manifest, an admin command),
+        read whole and parsed as JSON; ``{}`` when empty."""
         blocks, length = self._body_blocks()
-        if length is not None and length > limit:
-            raise RouteError(f"body exceeds {limit} bytes", status=413)
-        out = bytearray()
+        if length is not None and length > SMALL_BODY_BYTES:
+            raise RouteError(f"body exceeds {SMALL_BODY_BYTES} bytes", status=413)
+        body = bytearray()
         for block in blocks:
-            out.extend(block)
-            if len(out) > limit:
+            body.extend(block)
+            if len(body) > SMALL_BODY_BYTES:
                 self.close_connection = True
-                raise RouteError(f"body exceeds {limit} bytes", status=413)
-        return bytes(out)
+                raise RouteError(f"body exceeds {SMALL_BODY_BYTES} bytes", status=413)
+        try:
+            return json.loads(body) if body else {}
+        except json.JSONDecodeError:
+            raise RouteError(f"{what} body must be JSON") from None
 
     def _settle_unread_body(self) -> None:
         """Keep the keep-alive stream in sync before any response goes out.

@@ -72,13 +72,16 @@ class MetricsHistory:
 
     # -- sampling ----------------------------------------------------------
 
-    def maybe_sample(self, now: Optional[float] = None, force: bool = False) -> bool:
+    def maybe_sample(self, now: Optional[float] = None, force: bool = False, sampler=None) -> bool:
         """Take a snapshot if the interval elapsed; returns True if taken.
 
-        Sampler exceptions are counted and swallowed — a broken collector
-        must never take the serving path down with it.
+        ``sampler`` reads it in place of the ring's own (a scrape hands
+        in one over what it already collected).  Sampler exceptions are
+        counted and swallowed — a broken collector must never take the
+        serving path down with it.
         """
-        if not self.enabled or self._sampler is None:
+        sampler = sampler or self._sampler
+        if not self.enabled or sampler is None:
             return False
         if now is None:
             now = self._clock()
@@ -89,7 +92,7 @@ class MetricsHistory:
             # double-sample; an error still consumes the interval.
             self._last_sample = now
         try:
-            values = dict(self._sampler())
+            values = dict(sampler())
         except Exception:
             with self._lock:
                 self._sampler_errors += 1

@@ -437,6 +437,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: Dict[str, MetricFamily] = {}
         self._collectors: List[Callable[[], None]] = []
+        self._readers: List[Callable[[Dict[str, dict]], None]] = []
 
     # -- declaration ----------------------------------------------------
 
@@ -491,14 +492,21 @@ class MetricsRegistry:
         with self._lock:
             self._collectors.append(fn)
 
+    def add_reader(self, fn: Callable[[Dict[str, dict]], None]) -> None:
+        """Register a callback handed every :meth:`collect` snapshot once
+        the collectors ran: what reads the registry on each scrape reads
+        the scrape's own snapshot instead of collecting again."""
+        with self._lock:
+            self._readers.append(fn)
+
     # -- scraping -------------------------------------------------------
 
-    def _run_collectors(self) -> None:
+    def _run(self, callbacks: List[Callable], *args) -> None:
         with self._lock:
-            collectors = list(self._collectors)
-        for fn in collectors:
+            callbacks = list(callbacks)
+        for fn in callbacks:
             try:
-                fn()
+                fn(*args)
             except Exception:  # noqa: BLE001 — a broken collector must
                 pass  # never take down /metrics.
 
@@ -518,7 +526,7 @@ class MetricsRegistry:
         and dicts throughout, so a snapshot crosses the ops RPC as it is:
         every rendering and every other reader of the registry walks one.
         """
-        self._run_collectors()
+        self._run(self._collectors)
         snapshot: Dict[str, dict] = {}
         for family in self._sorted_families():
             children = family.children()
@@ -541,6 +549,7 @@ class MetricsRegistry:
                 states.append([list(values), state])
             entry["children"] = states
             snapshot[family.name] = entry
+        self._run(self._readers, snapshot)
         return snapshot
 
     def render_text(self) -> str:

@@ -6,11 +6,10 @@ folds all three into one pull interface the engine consumes stripe by
 stripe, so the write path's peak memory stays O(stripe) regardless of how
 the caller delivers the payload.
 
-Restartability matters for the engine's re-plan loop (a provider failing
-mid-write excludes it and retries the whole object): ``bytes`` and
-seekable file objects can rewind, a one-shot iterator cannot — the engine
-asks :meth:`ByteSource.restart` and degrades to a hard failure when the
-answer is no.
+The write path reads a source once and never rewinds it (a provider
+failing mid-write is re-planned forward).  :meth:`ByteSource.restart` is
+for the HTTP client's retry of a whole request: ``bytes`` and seekable
+file objects can rewind, a one-shot iterator cannot.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ class ByteSource:
         self._file = None
         self._file_start: Optional[int] = None
         self._iter: Optional[Iterator[bytes]] = None
-        self.bytes_read = 0
         if isinstance(data, (bytes, bytearray, memoryview)):
             self._bytes = bytes(data)
             self.size_hint: Optional[int] = len(self._bytes)
@@ -79,7 +77,6 @@ class ByteSource:
         with memoryview(self._buffer) as view:
             out = bytes(view[:n])
         del self._buffer[:n]
-        self.bytes_read += len(out)
         return out
 
     def _pull(self) -> bytes:
@@ -99,7 +96,7 @@ class ByteSource:
             if block:  # iterators may legitimately yield empty keep-alives
                 return bytes(block)
 
-    # -- restart (the engine's re-plan loop) -------------------------------
+    # -- restart (a client's retry) --------------------------------------
 
     def restart(self) -> bool:
         """Rewind to the first byte; ``False`` when the source is one-shot."""
@@ -121,5 +118,4 @@ class ByteSource:
             return False
         self._buffer.clear()
         self._exhausted = False
-        self.bytes_read = 0
         return True

@@ -203,8 +203,9 @@ class TestStreamedPut:
         # the aborted attempt's chunks were cleaned up
         assert h.stored_keys() == h.referenced_keys(meta)
 
-    def test_mid_stream_failure_with_one_shot_iterator_fails_clean(self, h):
-        data = payload_of(STRIPE * 3, seed=7)
+    def _lose_on_second_put(self, h):
+        """The first provider by name fails its second chunk put, which
+        is its chunk of the second stripe."""
         victim = sorted(h.registry.names())[0]
         provider = h.registry.get(victim)
         original = provider.put_chunk
@@ -217,10 +218,29 @@ class TestStreamedPut:
             return original(key, chunk)
 
         provider.put_chunk = flaky
+        return victim
+
+    def test_mid_stream_failure_with_one_shot_iterator_replans_forward(self, h):
+        data = payload_of(STRIPE * 3, seed=7)
+        victim = self._lose_on_second_put(h)
+        meta = h.put("once.bin", iter([data]))
+        assert victim not in [p for _, p in meta.chunk_map]
+        assert h.engine.get("c", "once.bin") == data
+        assert meta.checksum == hashlib.md5(data).hexdigest()
+        # the landed stripe's old chunk and the partial stripe are gone
+        assert h.stored_keys() == h.referenced_keys(meta)
+        assert len(h.engine.locks.in_flight) == 0
+
+    def test_mid_stream_failure_with_one_shot_iterator_fails_clean(self, h):
+        # Every provider is in the placement: losing one leaves nothing
+        # feasible to re-plan on.
+        h.planner.n = len(h.registry.names())
+        data = payload_of(STRIPE * 3, seed=7)
+        self._lose_on_second_put(h)
         with pytest.raises(WriteFailedError):
             h.put("gone.bin", iter([data]))
-        provider.put_chunk = original
         assert h.stored_keys() == set()  # nothing leaked
+        assert len(h.engine.locks.in_flight) == 0
         with pytest.raises(ObjectNotFoundError):
             h.engine.get("c", "gone.bin")
 

@@ -174,6 +174,18 @@ class TestWriteForwarding:
         with follower.client() as client:
             assert client.get("photos", "fwd.bin") == payload
 
+    def test_a_chunked_put_on_follower_streams_through_to_the_leader(self, pair):
+        # No length to relay: the follower forwards the body chunked as it
+        # reads it from the client.
+        leader, follower = pair
+        payload = bytes(range(256)) * 1200
+        blocks = [payload[i : i + 65536] for i in range(0, len(payload), 65536)]
+        with follower.client() as client:
+            info = client.put_stream("photos", "chunked.bin", iter(blocks))
+        assert info["size"] == len(payload)
+        with leader.client() as client:
+            assert client.get("photos", "chunked.bin") == payload
+
     def test_forwarded_reply_relays_status_body_and_scalia_headers(self, pair):
         leader, follower = pair
         status, headers, body = _raw(

@@ -41,8 +41,8 @@ class Stack:
     """A gateway over ``topology``: ``direct`` (the broker's own
     frontend) or ``workers`` (a worker's frontend over the ops RPC)."""
 
-    def __init__(self, topology, stripe_size):
-        self.broker = Scalia(stripe_size_bytes=stripe_size)
+    def __init__(self, topology, stripe_size, **broker_options):
+        self.broker = Scalia(stripe_size_bytes=stripe_size, **broker_options)
         self.local = BrokerFrontend(self.broker)
         self.server = None
         frontend = self.local

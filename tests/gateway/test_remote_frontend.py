@@ -570,7 +570,7 @@ class TestErrorCodec:
 
 
 FRAMED = {
-    "hello", "write_begin", "write_stripe", "write_commit",
+    "hello", "write_begin", "write_stripe", "write_replan", "write_commit",
     "part_begin", "part_commit", "staged_abort", "open_get", "read_stripe",
 }
 

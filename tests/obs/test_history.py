@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.core.broker import Scalia
 from repro.obs.history import MetricsHistory
 
 
@@ -74,6 +75,35 @@ class TestSampling:
         history._sampler = sampler
         assert history.maybe_sample() is True
         assert inner == [False]
+
+
+class TestScrapeSamples:
+    """A scrape with a history sample due samples what it collected."""
+
+    def test_one_scrape_runs_each_collector_once(self):
+        broker = Scalia()
+        try:
+            runs = []
+            broker.metrics.add_collector(lambda: runs.append(1))
+            assert broker.history.snapshots() == []  # a sample is due
+            broker.metrics.render_text()
+            assert len(runs) == 1
+            # and the scrape took the sample, from its own snapshot
+            assert len(broker.history.snapshots()) == 1
+            assert "requests.total" in broker.history.snapshots()[0][1]
+        finally:
+            broker.close()
+
+    def test_a_sample_outside_a_scrape_runs_each_collector_once(self):
+        broker = Scalia()
+        try:
+            runs = []
+            broker.metrics.add_collector(lambda: runs.append(1))
+            assert broker.history.maybe_sample() is True
+            assert len(runs) == 1
+            assert len(broker.history.snapshots()) == 1
+        finally:
+            broker.close()
 
 
 class TestQueries:
