@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import http.client
 import signal
+import socket
 import sys
 from typing import Optional, Sequence
 from urllib.parse import urlsplit
@@ -179,9 +180,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.providers.faults import parse_fault_spec
     from repro.providers.health import HedgePolicy
 
-    configure_logging(fmt=args.log_format, level=args.log_level)
+    # One configuration for the one listener: the in-process gateway, or
+    # a pool of pre-forked workers that each build that gateway and their
+    # logging from it.
+    config = {
+        "gateway": dict(
+            host=args.host,
+            port=args.port,
+            verbose=args.verbose,
+            trace_slow_ms=args.trace_slow_ms,
+            max_connections=args.max_connections,
+        ),
+        "logging": dict(fmt=args.log_format, level=args.log_level),
+    }
+    configure_logging(**config["logging"])
     if args.workers and args.workers < 0:
         print("--workers must be >= 0", file=sys.stderr)
+        return 2
+    if args.workers and not hasattr(socket, "SO_REUSEPORT"):
+        print(
+            "--workers needs SO_REUSEPORT, which this platform lacks",
+            file=sys.stderr,
+        )
         return 2
     cluster_listen = cluster_join = None
     if args.cluster_listen or args.join or args.node_id:
@@ -264,23 +284,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         frontend = ClusterFrontend(broker, node)
     else:
         frontend = BrokerFrontend(broker)
-    # Exactly one listener: the in-process gateway, or a pool of pre-forked
-    # workers serving this frontend over the ops RPC.  Both offer address,
-    # url, serve_forever() and close(), so one lifecycle follows.
-    listener_options = dict(
-        host=args.host,
-        port=args.port,
-        verbose=args.verbose,
-        trace_slow_ms=args.trace_slow_ms,
-        max_connections=args.max_connections,
-    )
+    # Workers serve this frontend over the ops RPC.  Both listeners offer
+    # address, url, serve_forever() and close(), so one lifecycle follows.
     try:
         if args.workers:
             from repro.gateway.supervisor import WorkerPool
 
-            listener = WorkerPool(frontend, workers=args.workers, **listener_options)
+            listener = WorkerPool(frontend, config, workers=args.workers)
         else:
-            listener = ScaliaGateway(frontend, **listener_options)
+            listener = ScaliaGateway(frontend, **config["gateway"])
     except OSError as exc:
         print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         frontend.close()
@@ -307,14 +319,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"scalia gateway listening on http://{host}:{port} (providers={len(registry)})")
     if args.workers:
         print(listener.describe())
-    print(
-        "routes: PUT/GET/HEAD/DELETE /<bucket>/<key> (Range + conditionals) | "
-        "multipart: POST ?uploads, PUT ?partNumber=&uploadId=, POST/DELETE ?uploadId= | "
-        "GET /<bucket>?list-type=2&prefix=&delimiter=&max-keys=&continuation-token= | "
-        "GET /healthz | GET /metrics | GET /stats | GET /events | GET /history | "
-        "GET /alerts | POST /explain | POST /tick | POST /scrub | POST /audit | "
-        "GET/POST /faults"
-    )
     # Shut down cleanly on SIGTERM too: orchestrators (and CI) send TERM,
     # and background shells may spawn children with SIGINT ignored.
     def _terminate(signum, frame):
@@ -1000,10 +1004,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="pre-fork N gateway worker processes sharing the listen port "
-        "(SO_REUSEPORT, or an inherited socket where unavailable); each "
-        "worker does its own HTTP + erasure coding while this process "
-        "keeps sole ownership of metadata and, with --cluster-listen, of "
-        "the replication node (0 = in-process gateway)",
+        "(SO_REUSEPORT); each worker does its own HTTP + erasure coding "
+        "while this process keeps sole ownership of metadata and, with "
+        "--cluster-listen, of the replication node (0 = in-process gateway)",
     )
     serve.add_argument(
         "--max-connections",

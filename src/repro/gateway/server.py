@@ -86,7 +86,10 @@ MAX_TICK_PERIODS = 10_000
 
 #: How long a connection may take to send a request head, counted from
 #: accept or from the end of its previous response; a silent client is
-#: then closed and its ``max_connections`` slot freed.
+#: then closed and its ``max_connections`` slot freed.  The same bound
+#: holds for each read of the body, so a client that stalls mid-body
+#: fails its request (and a write it began is aborted); it is cleared
+#: before the response is written, so slow readers are not cut off.
 HEAD_TIMEOUT_S = 60.0
 
 #: Unix epoch of the simulation clock's hour zero, used to render the
@@ -159,60 +162,63 @@ def _send_with_head(sock: socket.socket, head: bytes, body) -> None:
         sock.sendall(rest)
 
 
-class _GatewayServer:
-    """The listening socket, its accept loop, and state shared by handlers.
+class ScaliaGateway:
+    """The gateway: its listening socket, the accept loop, the state the
+    handlers share, and the start / serve / drain / close lifecycle.
 
+    * ``frontend`` defaults to a fresh in-process broker, which
+      :meth:`close` then closes too.
     * ``max_connections`` caps concurrent connections; excess accepts are
       answered with a raw 503 + ``Retry-After`` instead of queueing a
       thread per connection without bound.
     * ``reuse_port`` binds with ``SO_REUSEPORT`` so N worker processes
       can share one listening address and let the kernel load-balance
       accepts.
-    * ``inherited_socket`` adopts an already-bound listening socket from
-      a supervisor (the fallback for platforms without ``SO_REUSEPORT``).
 
     The accept loop polls the listener and a wake-up socket, so
-    :meth:`shutdown` stops it at once without a poll interval, and never
-    has to shut down the listener itself (an inherited one is shared with
-    the other workers).
-
-    ``begin_drain()`` + ``wait_idle()`` implement graceful SIGTERM
-    shutdown: stop accepting, finish requests already being handled,
-    close keep-alive connections as their current request completes.
+    :meth:`begin_drain` and :meth:`close` stop it at once without a poll
+    interval.  ``begin_drain()`` + ``wait_idle()`` implement graceful
+    SIGTERM shutdown: stop accepting, finish requests already being
+    handled, close keep-alive connections as their current request
+    completes.
     """
 
     def __init__(
         self,
-        address,
-        frontend: BrokerFrontend,
-        verbose: bool,
+        frontend: Optional[BrokerFrontend] = None,
         *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        verbose: bool = False,
         logger: Optional[StructuredLogger] = None,
         trace_slow_ms: Optional[float] = None,
         max_connections: Optional[int] = None,
         reuse_port: bool = False,
-        inherited_socket: Optional[socket.socket] = None,
-    ):
-        if inherited_socket is not None:
-            sock = inherited_socket
-        else:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            try:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                if reuse_port:
-                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-                sock.bind(address)
-            except BaseException:
-                sock.close()
-                raise
-        sock.listen(128)
+    ) -> None:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            if reuse_port:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            sock.bind((host, port))
+            sock.listen(128)
+        except BaseException:
+            sock.close()
+            raise
         # Non-blocking: with a shared listener another process may take
         # the connection between poll and accept.
         sock.setblocking(False)
         self.socket = sock
-        self.server_address = sock.getsockname()
+        #: The bound (host, port): the port is resolved even when 0 was asked.
+        self.address: Tuple[str, int] = sock.getsockname()[:2]
         self._wake_r, self._wake_w = socket.socketpair()
         self._stopped = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+        self._started = False
+        self._owns_frontend = frontend is None
+        if frontend is None:
+            frontend = BrokerFrontend()
+        self.frontend = frontend
         # Response-head renderings, memoised; a race only renders the
         # same text twice.
         self._server_and_date: Tuple[int, bytes] = (-1, b"")
@@ -229,14 +235,13 @@ class _GatewayServer:
         # Notified when the last request ends during a drain.
         self._idle = threading.Condition(self._activity_lock)
         self.draining = False
-        self.frontend = frontend
         self.logger = logger if logger is not None else get_logger("gateway")
         # ``http.access`` lines: silent at the default level, visible at
         # debug (or info when the gateway was asked to be verbose).
         self.access_level = "info" if verbose else "debug"
         self.trace_slow_ms = trace_slow_ms
         self.started_at = time.time()
-        # Request metric families, resolved once per server; None when
+        # Request metric families, resolved once per gateway; None when
         # the broker runs with metrics disabled (--no-metrics).  The
         # inflight gauge is unlabelled, so its one child is resolved here
         # and label children for (route, method, status) combinations are
@@ -269,6 +274,11 @@ class _GatewayServer:
             self.m_inflight = None
             self.m_overload = None
 
+    @property
+    def url(self) -> str:
+        host, port = self.address
+        return f"http://{host}:{port}"
+
     def server_and_date(self) -> bytes:
         """The ``Server`` and ``Date`` header lines, rebuilt once a second."""
         now = int(time.time())
@@ -291,10 +301,23 @@ class _GatewayServer:
             self._last_modified[hours] = text
         return text
 
-    # -- accept loop and connection capping ----------------------------------
+    # -- lifecycle, accept loop and connection capping -----------------------
+
+    def start(self) -> "ScaliaGateway":
+        """Serve in a daemon thread; returns self for chaining."""
+        if self._thread is not None:
+            raise RuntimeError("gateway already started")
+        self._started = True
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="scalia-gateway", daemon=True
+        )
+        self._thread.start()
+        return self
 
     def serve_forever(self) -> None:
-        """Accept connections until :meth:`shutdown`."""
+        """Accept connections on the calling thread until :meth:`begin_drain`
+        or :meth:`close`."""
+        self._started = True
         try:
             poller = select.poll()
             poller.register(self.socket, select.POLLIN)
@@ -349,24 +372,40 @@ class _GatewayServer:
         if self._conn_slots is not None:
             self._conn_slots.release()
 
-    def shutdown(self) -> None:
-        """Stop the accept loop and wait for it to return; only call once
-        :meth:`serve_forever` has been (or is about to be) entered."""
+    def _stop_accepting(self) -> None:
+        """Wake the accept loop and wait for it to return.  Only once
+        serving has begun: before that nothing would ever return."""
+        if not self._started:
+            return
         try:
             self._wake_w.send(b"\0")
         except OSError:
             pass
         self._stopped.wait()
 
-    def server_close(self) -> None:
+    def close(self) -> None:
+        """Stop serving and release the socket (and an owned frontend)."""
+        self._stop_accepting()
         self.socket.close()
         self._wake_r.close()
         self._wake_w.close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
+        if self._owns_frontend:
+            self.frontend.close()
 
-    # -- graceful drain -----------------------------------------------------
+    def __enter__(self) -> "ScaliaGateway":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- graceful drain (the pre-forked worker's SIGTERM path) --------------
 
     @property
     def active_requests(self) -> int:
+        """Requests currently being handled (not idle connections)."""
         with self._activity_lock:
             return self._active_requests
 
@@ -376,14 +415,16 @@ class _GatewayServer:
             return self._active_connections
 
     def begin_drain(self) -> None:
-        """Flip to draining: handlers close their connection after the
-        in-progress request; idle keep-alive connections are not waited
+        """Stop accepting; handlers close their connection after the
+        in-progress request.  Idle keep-alive connections are not waited
         on (:meth:`wait_idle` waits on ``active_requests``, not
-        connections)."""
+        connections); callers then :meth:`wait_idle` before :meth:`close`."""
         self.draining = True
+        self._stop_accepting()
 
     def wait_idle(self, timeout: float) -> bool:
-        """Wait up to ``timeout`` s for no request to be in progress."""
+        """Wait up to ``timeout`` s for no request to be in progress;
+        False if some were still running."""
         with self._idle:
             return self._idle.wait_for(lambda: self._active_requests == 0, timeout)
 
@@ -418,7 +459,7 @@ class GatewayHandler:
     """One connection: reads request heads, dispatches, writes responses."""
 
     def __init__(
-        self, conn: socket.socket, client_address, server: _GatewayServer
+        self, conn: socket.socket, client_address, server: ScaliaGateway
     ) -> None:
         self.connection = conn
         self.client_address = client_address
@@ -517,7 +558,6 @@ class GatewayHandler:
                 headers[name] = value.strip(" \t\r\n")
             if time.monotonic() > deadline:
                 raise socket.timeout("request head too slow")
-        conn.settimeout(None)
         self.command = command
         self.headers = headers
         connection = headers.get("connection", "").lower()
@@ -1305,6 +1345,7 @@ class GatewayHandler:
         ends the connection.  A HEAD request gets the head alone.
         """
         self._settle_unread_body()
+        self.connection.settimeout(None)
         self._status = status
         self._headers_sent = True
         server = self.server
@@ -1332,101 +1373,3 @@ class GatewayHandler:
             _send_with_head(self.connection, head, body)
         else:
             self.connection.sendall(head)
-
-
-class ScaliaGateway:
-    """Lifecycle wrapper: build, start (foreground or background), close."""
-
-    def __init__(
-        self,
-        frontend: Optional[BrokerFrontend] = None,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        verbose: bool = False,
-        logger: Optional[StructuredLogger] = None,
-        trace_slow_ms: Optional[float] = None,
-        max_connections: Optional[int] = None,
-        reuse_port: bool = False,
-        inherited_socket: Optional[socket.socket] = None,
-    ) -> None:
-        self._owns_frontend = frontend is None
-        self.frontend = frontend if frontend is not None else BrokerFrontend()
-        self._server = _GatewayServer(
-            (host, port),
-            self.frontend,
-            verbose,
-            logger=logger,
-            trace_slow_ms=trace_slow_ms,
-            max_connections=max_connections,
-            reuse_port=reuse_port,
-            inherited_socket=inherited_socket,
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._started = False
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — port is resolved even when 0 was asked."""
-        return self._server.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ScaliaGateway":
-        """Serve in a daemon thread; returns self for chaining."""
-        if self._thread is not None:
-            raise RuntimeError("gateway already started")
-        self._started = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="scalia-gateway", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        self._started = True
-        self._server.serve_forever()
-
-    # -- graceful drain (the pre-forked worker's SIGTERM path) ------------
-
-    @property
-    def active_requests(self) -> int:
-        """Requests currently being handled (not idle connections)."""
-        return self._server.active_requests
-
-    def begin_drain(self) -> None:
-        """Stop accepting and mark in-flight handlers to close after
-        their current request; callers then :meth:`wait_idle` before
-        :meth:`close`."""
-        self._server.begin_drain()
-        if self._started:
-            self._server.shutdown()
-
-    def wait_idle(self, timeout: float) -> bool:
-        """Wait up to ``timeout`` s for the in-flight requests to finish;
-        False if some were still running."""
-        return self._server.wait_idle(timeout)
-
-    def close(self) -> None:
-        """Stop serving and release the socket (and an owned frontend)."""
-        if self._started:
-            # shutdown() waits for the accept loop to return, which only
-            # happens once serving has begun — guard to avoid a deadlock
-            # when closing a never-started gateway.
-            self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        if self._owns_frontend:
-            self.frontend.close()
-
-    def __enter__(self) -> "ScaliaGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

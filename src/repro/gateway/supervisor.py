@@ -10,8 +10,9 @@ to the workers over a loopback ops RPC (:mod:`repro.gateway.ops`); each
 worker (:mod:`repro.gateway.worker`) runs a full HTTP gateway — parsing,
 body streaming, erasure coding, checksumming — so request CPU scales past
 one GIL.  Workers share the listen address via ``SO_REUSEPORT`` (kernel
-load balancing, no accept lock) or, where the platform lacks it, via a
-listening socket bound here and inherited through ``fork``/``exec``.
+load balancing, no accept lock), and each builds its gateway and its
+logging from the one configuration document ``repro serve`` hands this
+pool, read from its stdin.
 
 Supervision: a worker that exits is respawned in the same slot with a
 fresh incarnation number — the metrics aggregator uses the incarnation to
@@ -25,6 +26,7 @@ a second and exits on its own (see the worker's lifecycle notes).
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import subprocess
@@ -32,7 +34,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import repro
 from repro.gateway.frontend import BrokerFrontend
@@ -48,55 +50,39 @@ class WorkerPool:
     """N gateway worker processes behind one listen address."""
 
     def __init__(
-        self,
-        frontend: BrokerFrontend,
-        *,
-        workers: int,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        verbose: bool = False,
-        trace_slow_ms: Optional[float] = None,
-        max_connections: Optional[int] = None,
+        self, frontend: BrokerFrontend, config: dict, *, workers: int
     ) -> None:
-        # With SO_REUSEPORT this process holds a bound (never listening)
-        # reservation socket for its whole lifetime, so the port cannot be
-        # stolen between worker restarts and ``port=0`` resolves to one
-        # concrete port every worker binds.
-        self.reuse_port = hasattr(socket, "SO_REUSEPORT")
-        if self.reuse_port:
-            if port != 0:
-                # SO_REUSEPORT would also let the reservation bind beside a
-                # live supervisor's workers, and the kernel would split
-                # connections between two brokers.  A probe without it is
-                # refused (EADDRINUSE) while anything listens on the port,
-                # and not by a bare reservation or TIME_WAIT leftovers.
-                with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-                    probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                    probe.bind((host, port))
-            self._reservation = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            self._reservation.bind((host, port))
-        else:
-            self._reservation = socket.create_server((host, port), backlog=128)
-            self._reservation.set_inheritable(True)
+        """``config`` is ``{"gateway": ScaliaGateway keywords, "logging":
+        configure_logging keywords}``, as plain JSON values."""
+        host, port = config["gateway"]["host"], config["gateway"]["port"]
+        if port != 0:
+            # SO_REUSEPORT would also let the reservation bind beside a
+            # live supervisor's workers, and the kernel would split
+            # connections between two brokers.  A probe without it is
+            # refused (EADDRINUSE) while anything listens on the port,
+            # and not by a bare reservation or TIME_WAIT leftovers.
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+                probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                probe.bind((host, port))
+        # This process holds a bound (never listening) reservation socket
+        # for its whole lifetime, so the port cannot be stolen between
+        # worker restarts and ``port=0`` resolves to one concrete port
+        # every worker binds.
+        self._reservation = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        self._reservation.bind((host, port))
         self.address: Tuple[str, int] = self._reservation.getsockname()[:2]
         aggregator = WorkerMetricsAggregator(frontend.broker.metrics)
         self._ops = OpsService(frontend, aggregator=aggregator)
         self._rpc = self._ops.serve("127.0.0.1", 0)
 
-        ops_host, ops_port = self._rpc.address
+        gateway = dict(config["gateway"], port=self.address[1], reuse_port=True)
+        self._config = json.dumps(dict(config, gateway=gateway)).encode("utf-8")
         self._argv = [
             sys.executable, "-m", "repro.gateway.worker",
-            "--host", str(self.address[0]), "--port", str(self.address[1]),
-            "--ops-host", ops_host, "--ops-port", str(ops_port),
+            "--ops-port", str(self._rpc.address[1]),
         ]
-        if max_connections is not None:
-            self._argv += ["--max-connections", str(max_connections)]
-        if verbose:
-            self._argv += ["--verbose"]
-        if trace_slow_ms is not None:
-            self._argv += ["--trace-slow-ms", str(trace_slow_ms)]
         env = dict(os.environ)
         src_root = str(Path(repro.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = (
@@ -104,14 +90,8 @@ class WorkerPool:
             if env.get("PYTHONPATH")
             else src_root
         )
-        self._popen_kwargs: dict = {"env": env}
-        if self.reuse_port:
-            self._argv += ["--reuse-port"]
-        else:
-            fd = self._reservation.fileno()
-            self._argv += ["--inherit-fd", str(fd)]
-            self._popen_kwargs["pass_fds"] = (fd,)
-        self.max_connections = max_connections
+        self._env = env
+        self.max_connections = gateway.get("max_connections")
         # slot -> [process, incarnation, consecutive_failures, respawn_not_before]
         self._slots: Dict[int, list] = {
             slot: [self._spawn(slot, 1), 1, 0, 0.0] for slot in range(workers)
@@ -127,16 +107,25 @@ class WorkerPool:
         ops_host, ops_port = self._rpc.address
         cap = self.max_connections if self.max_connections is not None else "unbounded"
         return (
-            f"pre-forked workers: {len(self._slots)} "
-            f"({'SO_REUSEPORT' if self.reuse_port else 'inherited socket'}, "
+            f"pre-forked workers: {len(self._slots)} (SO_REUSEPORT, "
             f"ops rpc {ops_host}:{ops_port}, max connections/worker {cap})"
         )
 
     def _spawn(self, slot: int, incarnation: int) -> subprocess.Popen:
-        return subprocess.Popen(
+        proc = subprocess.Popen(
             self._argv + ["--slot", str(slot), "--incarnation", str(incarnation)],
-            **self._popen_kwargs,
+            stdin=subprocess.PIPE,
+            env=self._env,
+            bufsize=0,
         )
+        # One small unbuffered write: it fits the pipe, so it never waits
+        # on the worker.
+        try:
+            proc.stdin.write(self._config)
+        except BrokenPipeError:
+            pass  # it died before reading; supervision sees the exit
+        proc.stdin.close()
+        return proc
 
     def serve_forever(self) -> None:
         """Supervise on the calling thread until interrupted."""

@@ -4,10 +4,12 @@ Spawned by ``repro serve --workers N``: each worker owns a full HTTP
 gateway (parsing, streaming, erasure coding, checksumming) over a
 :class:`~repro.gateway.remote.RemoteBrokerFrontend`, while the parent
 process keeps the broker and supervises.  Workers accept on a shared
-``SO_REUSEPORT`` address when the platform has it, or on a listening
-socket inherited from the supervisor (``--inherit-fd``) when it does
-not; either way the kernel spreads connections across workers and no
-userspace accept lock exists.
+``SO_REUSEPORT`` address, so the kernel spreads connections across them
+and no userspace accept lock exists.  Argv carries only what differs per
+worker (the ops RPC port, the slot, the incarnation); the gateway and
+logging options arrive as one JSON document on stdin, the configuration
+``repro serve`` built once for every worker (see
+:class:`~repro.gateway.supervisor.WorkerPool`).
 
 Lifecycle:
 
@@ -17,7 +19,7 @@ Lifecycle:
   worker begins carry the same tag: the supervisor aborts them when it
   sees this process exit, so a SIGKILL mid-PUT strands no chunk.
 * SIGTERM (and SIGINT) trigger a graceful drain: stop accepting, finish
-  requests already in flight (bounded by ``--drain-timeout``), push the
+  requests already in flight (bounded by :data:`DRAIN_TIMEOUT_S`), push the
   final metrics snapshot, retire the slot, exit 0.  The supervisor
   treats exit 0 as clean; anything else is a crash and the slot is
   respawned with a fresh incarnation.
@@ -31,36 +33,28 @@ Lifecycle:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import signal
-import socket
 import sys
 import threading
 
 from repro.gateway.remote import RemoteBrokerFrontend
 from repro.gateway.server import ScaliaGateway
+from repro.obs.logging import configure_logging
 from repro.replication.rpc import RpcError
 
 METRICS_PUSH_INTERVAL_S = 1.0
 
+#: How long a draining worker waits for its in-flight requests.
+DRAIN_TIMEOUT_S = 15.0
+
 
 def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="repro-gateway-worker")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0)
-    parser.add_argument("--ops-host", default="127.0.0.1")
     parser.add_argument("--ops-port", type=int, required=True)
     parser.add_argument("--slot", type=int, required=True)
     parser.add_argument("--incarnation", type=int, default=1)
-    parser.add_argument("--max-connections", type=int, default=None)
-    parser.add_argument("--reuse-port", action="store_true")
-    parser.add_argument(
-        "--inherit-fd", type=int, default=None,
-        help="adopt this listening socket fd instead of binding",
-    )
-    parser.add_argument("--drain-timeout", type=float, default=15.0)
-    parser.add_argument("--verbose", action="store_true")
-    parser.add_argument("--trace-slow-ms", type=float, default=None)
     return parser.parse_args(argv)
 
 
@@ -69,29 +63,20 @@ def main(argv=None) -> int:
     # Read before connecting: had the supervisor died earlier still, the
     # connect below fails and the worker never starts.
     supervisor = os.getppid()
+    config = json.load(sys.stdin)
+    configure_logging(**config["logging"])
     try:
-        # The supervisor's ops RPC listens before it spawns any worker, so
-        # one attempt is enough; a failure exits into its respawn back-off.
+        # The supervisor's ops RPC listens on loopback before it spawns
+        # any worker, so one attempt is enough; a failure exits into its
+        # respawn back-off.
         frontend = RemoteBrokerFrontend(
-            args.ops_host, args.ops_port, owner=(args.slot, args.incarnation)
+            "127.0.0.1", args.ops_port, owner=(args.slot, args.incarnation)
         )
     except (RpcError, OSError) as exc:
         print(f"worker {args.slot}: cannot reach the broker: {exc}", file=sys.stderr)
         return 1
 
-    inherited = None
-    if args.inherit_fd is not None:
-        inherited = socket.socket(fileno=args.inherit_fd)
-    gateway = ScaliaGateway(
-        frontend,
-        host=args.host,
-        port=args.port,
-        verbose=args.verbose,
-        trace_slow_ms=args.trace_slow_ms,
-        max_connections=args.max_connections,
-        reuse_port=args.reuse_port and inherited is None,
-        inherited_socket=inherited,
-    )
+    gateway = ScaliaGateway(frontend, **config["gateway"])
 
     stop = threading.Event()
 
@@ -121,7 +106,7 @@ def main(argv=None) -> int:
 
     # Graceful drain: no new connections, finish what is in flight.
     gateway.begin_drain()
-    gateway.wait_idle(max(0.0, args.drain_timeout))
+    gateway.wait_idle(DRAIN_TIMEOUT_S)
     try:
         frontend.push_metrics(args.slot, args.incarnation)
         frontend.retire_metrics(args.slot)

@@ -17,6 +17,8 @@ Real ``repro serve --workers N`` process trees over loopback:
   restarted supervisor on the same ``--port`` serves alone.
 * A second supervisor started on a live supervisor's port must not bind
   beside it: it exits 2 and the first one keeps every connection.
+* The serve options reach the workers: ``--log-format json`` and
+  ``--trace-slow-ms`` shape the request lines a worker logs.
 """
 
 import ctypes
@@ -327,3 +329,25 @@ def test_second_supervisor_on_a_live_port_exits_2_and_leaves_it_alone():
         for process in (second, proc):
             if process is not None and process.poll() is None:
                 _shut_down(process)
+
+
+def test_serve_log_options_reach_the_worker():
+    proc, port = _boot(0, "--log-format", "json", "--trace-slow-ms", "0")
+    try:
+        _put(port, "logs", "one.bin", b"logged by a worker")
+        proc.send_signal(signal.SIGTERM)
+        output, _ = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=10)
+    records, text = [], []
+    for line in output.splitlines():
+        if "request.complete" in line or "request.slow" in line:
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError:
+                text.append(line)
+    assert not text, f"worker request lines are not JSON: {text[:2]}"
+    put_events = {r["event"] for r in records if r.get("method") == "PUT"}
+    assert put_events == {"request.complete", "request.slow"}

@@ -33,12 +33,12 @@ def capped_gateway():
 def _wait_for_connections(gw, count, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if gw._server.active_connections >= count:
+        if gw.active_connections >= count:
             return
         time.sleep(0.01)
     raise AssertionError(
         f"gateway never reached {count} connections "
-        f"(at {gw._server.active_connections})"
+        f"(at {gw.active_connections})"
     )
 
 
@@ -87,7 +87,7 @@ class TestConnectionCap:
         finally:
             for sock in holders:
                 sock.close()
-        text = capped_gateway._server.frontend.metrics.render_text()
+        text = capped_gateway.frontend.metrics.render_text()
         assert "scalia_gateway_overload_rejections_total 1" in text
 
     def test_slot_release_readmits(self, capped_gateway):

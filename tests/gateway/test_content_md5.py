@@ -11,8 +11,10 @@ import hashlib
 import http.client
 import json
 import random
+import socket
 import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +22,7 @@ import pytest
 from repro.cluster import writepath
 from repro.cluster.engine import BadDigestError
 from repro.core.broker import Scalia
+from repro.gateway import server as gateway_server
 from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.ops import OpsService
 from repro.gateway.remote import RemoteBrokerFrontend
@@ -140,6 +143,41 @@ class TestStreamedPutDigest:
         assert status == 200
         assert doc["stripes"] == 3
         assert doc["etag"] == hashlib.md5(data).hexdigest()
+
+
+class TestStalledBody:
+    def test_a_put_that_stalls_mid_body_releases_its_write_session(
+        self, stack, monkeypatch
+    ):
+        """The head timeout bounds each body read too: a chunked PUT that
+        sends a stripe and a half and then stalls fails, and the write
+        driver aborts the session it opened."""
+        monkeypatch.setattr(gateway_server, "HEAD_TIMEOUT_S", 0.3)
+        body = payload_of(96 * 1024, seed=8)
+        in_flight = stack.broker.cluster.locks.in_flight
+
+        def session_open():
+            return len(in_flight) > 0 or stack.stored_chunks() != []
+
+        with socket.create_connection(stack.gateway.address) as sock:
+            sock.sendall(
+                b"PUT /bkt/stalled.bin HTTP/1.1\r\nHost: gw\r\n"
+                b"x-scalia-tenant: " + TENANT.encode() + b"\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n" % len(body) + body + b"\r\n"
+            )
+            deadline = time.monotonic() + 2.0
+            while not session_open():
+                assert time.monotonic() < deadline, "the PUT never began its write"
+                time.sleep(0.01)
+            deadline = time.monotonic() + 2.0
+            while session_open():
+                assert time.monotonic() < deadline, (
+                    f"a stalled body still holds {len(in_flight)} in-flight "
+                    f"skey(s) and {len(stack.stored_chunks())} staged chunk(s)"
+                )
+                time.sleep(0.01)
+        assert stack.frontend.head(TENANT, "bkt", "stalled.bin") is None
 
 
 class TestBrokerDigest:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import random
+import socket
 
 import pytest
 
@@ -233,6 +234,21 @@ class TestServeFaultFlags:
         # a traceback.
         assert main(["serve", "--port", "0", "--hedge-deadline-ms", "3000"]) == 2
         assert "bad --hedge-deadline-ms" in capsys.readouterr().err
+
+
+class TestServeWorkers:
+    def test_workers_without_so_reuseport_exit_2_before_anything_starts(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        data_dir = tmp_path / "data"
+        assert main(
+            ["serve", "--port", "0", "--workers", "2", "--data-dir", str(data_dir)]
+        ) == 2
+        out, err = capsys.readouterr()
+        assert err.count("SO_REUSEPORT") == 1 and len(err.splitlines()) == 1
+        assert out == ""
+        assert not data_dir.exists()  # no broker was built
 
 
 class TestObservabilityCommands:
