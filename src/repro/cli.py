@@ -187,7 +187,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "gateway": dict(
             host=args.host,
             port=args.port,
-            verbose=args.verbose,
             trace_slow_ms=args.trace_slow_ms,
             max_connections=args.max_connections,
         ),
@@ -1187,7 +1186,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or 'p99:target=250ms,fast=60,slow=300' or 'cost_gb:target=0.05' "
         "(repeatable; see docs/OBSERVABILITY.md)",
     )
-    serve.add_argument("--verbose", action="store_true", help="log every request")
     serve.set_defaults(func=_cmd_serve)
 
     def add_gateway_args(p: argparse.ArgumentParser) -> None:

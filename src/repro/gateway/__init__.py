@@ -14,7 +14,7 @@ simple key/value access interface offered by most cloud storage providers"
   namespaces, translates errors and counts operations, and serializes
   nothing (the broker's own striped locks keep parallel requests safe).
 * :mod:`repro.gateway.routes` — the S3-flavored route table and the
-  exception -> HTTP status mapping.
+  exception -> HTTP answer (status and headers) mapping.
 * :mod:`repro.gateway.server` — the gateway's own HTTP/1.1 server: one
   accept loop, a thread per connection, a one-pass request-head parser
   and one write per small response (``repro serve`` boots one).
@@ -24,7 +24,7 @@ simple key/value access interface offered by most cloud storage providers"
 from repro.gateway.client import GatewayClient, GatewayError
 from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.namespace import NamespaceError, NamespaceMapper
-from repro.gateway.routes import Route, status_for_exception
+from repro.gateway.routes import Route, error_answer
 from repro.gateway.server import ScaliaGateway
 
 __all__ = [
@@ -35,5 +35,5 @@ __all__ = [
     "NamespaceMapper",
     "Route",
     "ScaliaGateway",
-    "status_for_exception",
+    "error_answer",
 ]

@@ -23,7 +23,6 @@ from repro.core.optimizer import OptimizationReport
 from repro.gateway.namespace import NamespaceError, NamespaceMapper
 from repro.gateway.routes import (
     FrontendClosedError,
-    RouteError,
     check_preconditions,
     requires_leader,
     resolve_byte_range,
@@ -32,14 +31,17 @@ from repro.types import ListPage, ObjectMeta
 
 
 def _tenant_facing(fn: Callable[[], Any], bucket: str, key: str) -> Callable[[], Any]:
-    """``fn``, reporting a missing object by the tenant's name for it
-    and not by the internal container."""
+    """``fn``, reporting a missing object by the tenant's name for it and
+    an unsatisfiable range in the words of HTTP, never by the internal
+    container."""
 
     def call():
         try:
             return fn()
         except ObjectNotFoundError:
             raise ObjectNotFoundError(f"{bucket}/{key} not found") from None
+        except InvalidRangeError as exc:
+            raise InvalidRangeError("requested range not satisfiable", exc.object_size) from None
 
     return call
 
@@ -197,11 +199,9 @@ class BrokerFrontend:
         """
 
         def validate(meta: ObjectMeta):
+            # Preconditions before Range (RFC 9110 §13.2.2).
             check_preconditions(meta.etag, if_match, if_none_match)
-            try:
-                return resolve_byte_range(range_spec, meta.size)
-            except RouteError as exc:  # a 416: an empty object satisfies no range
-                raise InvalidRangeError(str(exc), meta.size) from exc
+            return resolve_byte_range(range_spec, meta.size)
 
         return self._run("get", _tenant_facing(
             lambda: self.broker.open_get(container, key, validate=validate, raw=raw),

@@ -199,17 +199,17 @@ def from_wire(value):
     return value
 
 
-def _guarded(fn: Callable) -> Callable:
-    """Turn typed broker exceptions into structured ``err`` responses.
+def _guarded(handler: Callable) -> Callable:
+    """``handler``, turning typed broker exceptions into structured
+    ``err`` responses.
 
     Anything unmapped propagates to the RPC server's generic ``ok: false``
     path — a worker treats that as an internal error (HTTP 500).
     """
 
-    @functools.wraps(fn)
-    def wrapper(self, *args):
+    def wrapper(request: dict):
         try:
-            return fn(self, *args)
+            return handler(request)
         except Exception as exc:  # noqa: BLE001 — mapped or re-raised
             doc = error_doc(exc)
             if doc is None:
@@ -283,7 +283,7 @@ class OpsService:
         forwarded = {
             op.target: functools.partial(self._forward, op) for op in OPERATIONS
         }
-        table = {**framed, **forwarded}
+        table = {op: _guarded(fn) for op, fn in {**framed, **forwarded}.items()}
         # The broker's registry; a stand-in frontend without one (the
         # engine tests serve a bare stager) is served uncounted.
         metrics = getattr(self.frontend, "metrics", None)
@@ -300,7 +300,6 @@ class OpsService:
         """Start the ops RPC server; read the port off ``.address``."""
         return RpcServer(host, port, self.handlers())
 
-    @_guarded
     def _forward(self, op: Op, request: dict) -> dict:
         """The handler of every :data:`OPERATIONS` row.
 
@@ -388,7 +387,6 @@ class OpsService:
 
     # -- staged writes --------------------------------------------------
 
-    @_guarded
     def _op_write_begin(self, request: dict) -> dict:
         # A follower refuses before anything is planned or landed; the
         # commit's own gate covers a leader deposed in between.
@@ -405,7 +403,6 @@ class OpsService:
             request.get("owner"),
         )
 
-    @_guarded
     def _op_write_stripe(self, request: dict) -> dict:
         session = self._session(request["sid"])
         payload = request.get("_payload")
@@ -432,7 +429,6 @@ class OpsService:
         self.broker.stager().write_stripe(session, request.get("tag"), chunks, roots)
         return {"written": len(chunks)}
 
-    @_guarded
     def _op_write_replan(self, request: dict) -> dict:
         """Re-plan a session forward; its successor takes its table entry
         and its owner.  The session is out of the table while it moves,
@@ -451,7 +447,6 @@ class OpsService:
             raise
         return self._open_session(successor, entry[1])
 
-    @_guarded
     def _op_write_commit(self, request: dict) -> dict:
         meta = self._commit(
             request["sid"],
@@ -468,7 +463,6 @@ class OpsService:
         )
         return {"meta": meta.to_dict()}
 
-    @_guarded
     def _op_staged_abort(self, request: dict) -> dict:
         entry = self._take_session(request["sid"])
         if entry is None:
@@ -477,7 +471,6 @@ class OpsService:
 
     # -- staged multipart -----------------------------------------------
 
-    @_guarded
     def _op_part_begin(self, request: dict) -> dict:
         self.frontend.ensure_leader()  # before the begin row is journaled
         return self._open_session(
@@ -490,7 +483,6 @@ class OpsService:
             request.get("owner"),
         )
 
-    @_guarded
     def _op_part_commit(self, request: dict) -> dict:
         part = self._commit(
             request["sid"],
@@ -506,7 +498,6 @@ class OpsService:
 
     # -- reads ----------------------------------------------------------
 
-    @_guarded
     def _op_open_get(self, request: dict):
         """A GET up to and including its first segment, in one frame: the
         plan, and the first segment as ``read_stripe`` would answer it."""
@@ -526,7 +517,6 @@ class OpsService:
         body, buffers = self._stripe_reply(plan.meta.stripe_lengths[stripe], lo, hi, *first)
         return {"plan": plan.to_dict(), **body}, buffers
 
-    @_guarded
     def _op_read_stripe(self, request: dict):
         meta = ObjectMeta.from_dict(request["meta"])
         stripe = int(request["stripe"])

@@ -458,10 +458,9 @@ class RemoteBrokerFrontend(_stubs("frontend"), BrokerFrontend):
         *,
         mapper=None,
         metrics: Optional[MetricsRegistry] = None,
-        rpc_timeout: float = 60.0,
         owner: Optional[Tuple[int, int]] = None,
     ) -> None:
-        pool = _RpcPool(host, port, timeout=rpc_timeout)
+        pool = _RpcPool(host, port)
         self._pool = pool  # what the inherited stubs call through
         BrokerFrontend.__init__(self, _RemoteBroker(pool, owner), mapper=mapper)
         self.clustered = self.broker.clustered  # said once, by ``hello``

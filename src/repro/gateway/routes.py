@@ -7,9 +7,9 @@ end could reuse them unchanged.
 Each route is one row of :data:`ROUTES` and each typed error one row of
 :data:`ERRORS`.  Parsing, the ``405`` and its ``Allow``, a cluster
 follower's forwarding and the handler a request runs all read the first;
-the HTTP status and the error's kind on the ops RPC
-(:mod:`repro.gateway.ops`) read the second.  docs/GATEWAY.md documents
-both tables.
+the HTTP status, the headers of the answer and the error's kind on the
+ops RPC (:mod:`repro.gateway.ops`) read the second.  docs/GATEWAY.md
+documents both tables.
 
 Object keys may contain ``/`` (S3 style): everything after the first path
 segment is the key.  Keys are percent-decoded after the query split, so
@@ -19,7 +19,7 @@ segment is the key.  Keys are percent-decoded after the query split, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.cluster.engine import (
@@ -65,7 +65,8 @@ class NotModifiedError(Exception):
 
 
 class RouteError(ValueError):
-    """A request that matches no route (HTTP 4xx).
+    """A request the gateway refuses itself (HTTP 4xx and 5xx): one that
+    matches no route, a malformed head or body, a body that stalls.
 
     ``allow`` carries the method set for ``405`` responses — the server
     surfaces it as the mandatory ``Allow`` header.
@@ -230,9 +231,8 @@ def parse_range_header(value: Optional[str]) -> Optional[Tuple[Optional[int], Op
     multi-range request — per RFC 9110 an uninterpretable ``Range`` is
     *ignored* and the full object served with 200.  The returned pair is
     inclusive; ``(start, None)`` is open-ended and ``(None, n)`` is the
-    suffix form ``bytes=-n`` (resolved against the object size by the
-    caller).  A syntactically valid but senseless range raises
-    :class:`RouteError` with status 416.
+    suffix form ``bytes=-n``.  Whether any byte satisfies it is judged
+    against the version read (:func:`resolve_byte_range`, the engine).
     """
     if value is None:
         return None
@@ -248,19 +248,11 @@ def parse_range_header(value: Optional[str]) -> Optional[Tuple[Optional[int], Op
     first, last = first.strip(), last.strip()
     try:
         if first == "":
-            if last == "":
-                return None
-            suffix = int(last)
-            if suffix <= 0:
-                raise RouteError("unsatisfiable suffix range", status=416)
-            return (None, suffix)
-        start = int(first)
-        end = int(last) if last else None
+            suffix = int(last) if last else -1
+            return (None, suffix) if suffix >= 0 else None  # bytes=--n is no range
+        return (int(first), int(last) if last else None)
     except ValueError:
         return None
-    if start < 0 or (end is not None and end < start):
-        raise RouteError(f"unsatisfiable byte range {spec!r}", status=416)
-    return (start, end)
 
 
 def resolve_byte_range(
@@ -269,16 +261,16 @@ def resolve_byte_range(
     """Turn a parsed ``Range`` into the broker's inclusive ``(start, end)``.
 
     Suffix ranges need the object size; an empty object satisfies no
-    range at all (416, like S3).
+    range at all (416, like S3).  The engine refuses an inverted range
+    and one past the end.
     """
     if spec is None:
         return None
     start, end = spec
     if start is None:
         # bytes=-n — the last n bytes
-        assert end is not None
         if size <= 0:
-            raise RouteError("unsatisfiable range on empty object", status=416)
+            raise InvalidRangeError("unsatisfiable range on empty object", size)
         return (max(0, size - end), None)
     return (start, end)
 
@@ -341,12 +333,22 @@ class ErrorRow(NamedTuple):
     kind: Optional[str] = None
     #: Exception attributes that cross the RPC too: name -> (to wire, from wire).
     fields: Dict[str, Tuple[Callable, Callable]] = {}
+    #: Headers its answer carries: name -> the value, read off the
+    #: exception; ``None`` leaves the header out.
+    headers: Dict[str, Callable[[Any], Optional[str]]] = {}
+
+
+def _retry_after(exc) -> str:
+    # Elections settle within a couple of timeouts: tell the client when
+    # to come back instead of letting it hang.
+    return str(max(1, int(round(exc.retry_after))))
 
 
 _PROVIDER = {"provider_name": (_same, _same)}
 _ETAG = {"etag": (_same, _same)}
+_RETRY = {"Retry-After": _retry_after}
 
-#: Every typed error, declared once: :func:`status_for_exception` and the
+#: Every typed error, declared once: :func:`error_answer` and the
 #: ops RPC's :func:`~repro.gateway.ops.error_doc` and
 #: :func:`~repro.gateway.ops.error_from_doc` all read it.  The first row
 #: whose class matches wins, so a subclass goes before its base; decode
@@ -355,13 +357,16 @@ ERRORS: Tuple[ErrorRow, ...] = (
     ErrorRow(ObjectNotFoundError, 404, "object_not_found"),
     ErrorRow(NoSuchUploadError, 404, "no_such_upload"),
     ErrorRow(UnknownProviderError, 404, "unknown_provider"),
-    ErrorRow(RouteError, 400),
+    ErrorRow(RouteError, 400, headers={"Allow": lambda exc: exc.allow}),
     ErrorRow(NamespaceError, 400),
-    ErrorRow(InvalidRangeError, 416, "invalid_range", {"object_size": (_size, _size)}),
+    ErrorRow(
+        InvalidRangeError, 416, "invalid_range", {"object_size": (_size, _size)},
+        {"Content-Range": lambda exc: f"bytes */{exc.object_size}"},
+    ),
     # The two answers ``open_get`` gives before it reads: each fixes its
     # own message and is rebuilt around the ``etag`` it carries.
     ErrorRow(PreconditionFailedError, 412, "precondition_failed", _ETAG),
-    ErrorRow(NotModifiedError, 304, "not_modified", _ETAG),
+    ErrorRow(NotModifiedError, 304, "not_modified", _ETAG, {"ETag": lambda exc: f'"{exc.etag}"'}),
     ErrorRow(MultipartError, 400, "multipart"),
     ErrorRow(InvalidContinuationTokenError, 400, "bad_token"),
     ErrorRow(BadDigestError, 400, "bad_digest"),
@@ -374,9 +379,12 @@ ERRORS: Tuple[ErrorRow, ...] = (
     ErrorRow(ChunkCorruptionError, 503),
     # A follower's (or a deposed leader's) broker refusing a write: the
     # worker answers the 503 the single-process node would.
-    ErrorRow(NotLeaderError, 503, "not_leader", {"leader_url": (_same, _same)}),
-    ErrorRow(ClusterUnavailableError, 503, "cluster_unavailable", {"retry_after": (_same, _same)}),
-    ErrorRow(RpcUnreachableError, 503),
+    ErrorRow(NotLeaderError, 503, "not_leader", {"leader_url": (_same, _same)}, _RETRY),
+    ErrorRow(
+        ClusterUnavailableError, 503, "cluster_unavailable", {"retry_after": (_same, _same)},
+        _RETRY,
+    ),
+    ErrorRow(RpcUnreachableError, 503, headers=_RETRY),
     # Server bugs, on either side of the RPC: an unexpected ValueError or
     # TypeError deep in the broker is not the client's mistake.
     ErrorRow(FrontendClosedError, 500, "closed"),
@@ -385,8 +393,8 @@ ERRORS: Tuple[ErrorRow, ...] = (
 )
 
 
-def status_for_exception(exc: BaseException) -> int:
-    """Map a broker/gateway exception to its HTTP status code.
+def error_answer(exc: BaseException) -> Tuple[int, Dict[str, str]]:
+    """The HTTP status and headers that answer ``exc``: its row's.
 
     The mapping is part of the gateway contract (``docs/GATEWAY.md``):
     placement infeasibility and provider pools that are genuinely full are
@@ -399,5 +407,10 @@ def status_for_exception(exc: BaseException) -> int:
     """
     for row in ERRORS:
         if isinstance(exc, row.cls):
-            return getattr(exc, "status", row.status)
-    return 500
+            headers = {}
+            for name, value in row.headers.items():
+                text = value(exc)
+                if text is not None:
+                    headers[name] = text
+            return getattr(exc, "status", row.status), headers
+    return 500, {}

@@ -50,19 +50,18 @@ from typing import Any, Iterator, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro import __version__
-from repro.cluster.engine import InvalidRangeError
+from repro.cluster.engine import ObjectNotFoundError
 from repro.obs.logging import StructuredLogger, get_logger
 from repro.obs.trace import end_trace, span, start_trace
 from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.routes import (
-    NotModifiedError,
     Route,
     RouteError,
     check_preconditions,
+    error_answer,
     int_param,
     parse_range_header,
     parse_route,
-    status_for_exception,
 )
 from repro.providers.registry import UnknownProviderError
 from repro.replication.errors import ClusterUnavailableError, NotLeaderError
@@ -88,7 +87,7 @@ MAX_TICK_PERIODS = 10_000
 #: accept or from the end of its previous response; a silent client is
 #: then closed and its ``max_connections`` slot freed.  The same bound
 #: holds for each read of the body, so a client that stalls mid-body
-#: fails its request (and a write it began is aborted); it is cleared
+#: gets a 408 (and a write it began is aborted); it is cleared
 #: before the response is written, so slow readers are not cut off.
 HEAD_TIMEOUT_S = 60.0
 
@@ -189,7 +188,6 @@ class ScaliaGateway:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        verbose: bool = False,
         logger: Optional[StructuredLogger] = None,
         trace_slow_ms: Optional[float] = None,
         max_connections: Optional[int] = None,
@@ -236,9 +234,6 @@ class ScaliaGateway:
         self._idle = threading.Condition(self._activity_lock)
         self.draining = False
         self.logger = logger if logger is not None else get_logger("gateway")
-        # ``http.access`` lines: silent at the default level, visible at
-        # debug (or info when the gateway was asked to be verbose).
-        self.access_level = "info" if verbose else "debug"
         self.trace_slow_ms = trace_slow_ms
         self.started_at = time.time()
         # Request metric families, resolved once per gateway; None when
@@ -439,20 +434,19 @@ class ScaliaGateway:
                 self._idle.notify_all()
 
 
+def _message(exc: BaseException) -> str:
+    """What a failed request's answer says: the exception's own argument,
+    so a ``KeyError`` subclass reads ``photos/cat.gif not found``, not its
+    quoted ``repr``."""
+    return str(exc.args[0]) if exc.args else str(exc)
+
+
 def _close_connection(conn: socket.socket) -> None:
     try:
         conn.shutdown(socket.SHUT_WR)
     except OSError:
         pass  # the peer may already be gone
     conn.close()
-
-
-class _BadRequest(Exception):
-    """A request head the connection layer answers itself, then closes."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
 
 
 class GatewayHandler:
@@ -480,9 +474,9 @@ class GatewayHandler:
                 try:
                     if not self._read_head():
                         break
-                except _BadRequest as exc:
+                except RouteError as exc:  # a head refused: answered, then closed
                     self.close_connection = True
-                    self._send_error(exc.status, str(exc))
+                    self._send_error(exc)
                     break
                 self._dispatch()
         except OSError:
@@ -497,11 +491,10 @@ class GatewayHandler:
         """Parse one request head into ``command``, ``path`` and ``headers``.
 
         False when the connection ended cleanly between requests; raises
-        :class:`_BadRequest` for a head to refuse, ``socket.timeout``
+        :class:`RouteError` for a head to refuse, ``socket.timeout``
         when none arrived within :data:`HEAD_TIMEOUT_S`.
         """
         self.command: Optional[str] = None
-        self.requestline = ""
         self._trace_id: Optional[str] = None
         self._status: Optional[int] = None
         self._headers_sent = False
@@ -517,11 +510,11 @@ class GatewayHandler:
         if not line:
             return False
         if len(line) > _MAX_LINE:
-            raise _BadRequest(414, "request line too long")
-        self.requestline = requestline = line.decode("latin-1").rstrip("\r\n")
+            raise RouteError("request line too long", status=414)
+        requestline = line.decode("latin-1").rstrip("\r\n")
         words = requestline.split()
         if len(words) != 3:
-            raise _BadRequest(400, f"malformed request line {requestline!r}")
+            raise RouteError(f"malformed request line {requestline!r}")
         command, path, version = words
         if version == "HTTP/1.1":
             http11 = True
@@ -532,27 +525,27 @@ class GatewayHandler:
             if len(number) != 2 or not all(
                 part.isdigit() and len(part) <= 10 for part in number
             ):
-                raise _BadRequest(400, f"malformed HTTP version {version!r}")
+                raise RouteError(f"malformed HTTP version {version!r}")
             major, minor = int(number[0]), int(number[1])
             if major >= 2:
-                raise _BadRequest(505, f"HTTP version {version[5:]} not supported")
+                raise RouteError(f"HTTP version {version[5:]} not supported", status=505)
             http11 = (major, minor) >= (1, 1)
         headers: dict = {}
         count = 0
         while True:
             line = rfile.readline(_MAX_LINE + 1)
             if len(line) > _MAX_LINE:
-                raise _BadRequest(431, "header line too long")
+                raise RouteError("header line too long", status=431)
             if line in (b"\r\n", b"\n"):
                 break
             if not line:
                 return False  # the client left mid-head
             count += 1
             if count > _MAX_HEADERS:
-                raise _BadRequest(431, f"more than {_MAX_HEADERS} headers")
+                raise RouteError(f"more than {_MAX_HEADERS} headers", status=431)
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep or not name or name[0] in " \t" or name[-1] in " \t":
-                raise _BadRequest(400, "malformed header line")
+                raise RouteError("malformed header line")
             name = name.lower()
             if name not in headers:
                 headers[name] = value.strip(" \t\r\n")
@@ -568,7 +561,7 @@ class GatewayHandler:
         else:
             self.close_connection = not http11
         if command not in _METHODS:
-            raise _BadRequest(501, f"unsupported method {command!r}")
+            raise RouteError(f"unsupported method {command!r}", status=501)
         if path.startswith("//"):
             path = "/" + path.lstrip("/")
         self.path = path
@@ -607,29 +600,14 @@ class GatewayHandler:
                     # only honest signal left is an aborted connection.
                     self.close_connection = True
                     return
-                if isinstance(exc, NotModifiedError):  # a 304 has no body
-                    self._respond(304, {"ETag": f'"{exc.etag}"', "Content-Length": "0"})
-                    return
-                # KeyError subclasses repr() their message in __str__; use the
-                # raw argument so clients see "photos/cat.gif not found" unquoted.
-                message = str(exc.args[0]) if exc.args else str(exc)
-                extra = {}
-                allow = getattr(exc, "allow", None)
-                if getattr(exc, "status", None) == 405 and allow:
-                    extra["Allow"] = allow
-                retry_after = getattr(exc, "retry_after", None)
-                if retry_after is not None:
-                    # Elections settle within a couple of timeouts; tell
-                    # the client when to come back instead of hanging.
-                    extra["Retry-After"] = str(max(1, int(round(retry_after))))
                 if isinstance(exc, (ClusterUnavailableError, NotLeaderError)):
                     server.frontend.events.emit(
                         "cluster.unavailable",
-                        reason=message,
+                        reason=_message(exc),
                         method=self.command,
                         route=route_kind,
                     )
-                self._send_error(status_for_exception(exc), message, extra_headers=extra)
+                self._send_error(exc)
         finally:
             duration = time.perf_counter() - started
             self._account(trace, route_kind, duration)
@@ -662,6 +640,7 @@ class GatewayHandler:
             logger.info(
                 "request.complete",
                 trace_id=trace.trace_id,
+                client=self.client_address[0],
                 method=self.command,
                 path=self.path,
                 route=route_kind,
@@ -967,8 +946,7 @@ class GatewayHandler:
     def _handle_head(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
         meta = frontend.head(tenant, route.bucket, route.key)
         if meta is None:
-            self._send_error(404, f"{route.bucket}/{route.key} not found")
-            return
+            raise ObjectNotFoundError(f"{route.bucket}/{route.key} not found")
         check_preconditions(
             meta.etag, self.headers.get("if-match"), self.headers.get("if-none-match")
         )
@@ -1081,31 +1059,15 @@ class GatewayHandler:
         )
 
     def _handle_get(self, route: Route, frontend: BrokerFrontend, tenant: str) -> None:
-        bucket, key = route.bucket, route.key
-        try:
-            range_spec = parse_range_header(self.headers.get("range"))
-        except RouteError as exc:
-            if exc.status != 416:
-                raise
-            # Syntactically invalid-but-parsed ranges (inverted, -0) are
-            # 416s too, and the spec wants Content-Range: bytes */size.
-            meta = frontend.head(tenant, bucket, key)
-            if meta is None:
-                raise RouteError(f"{bucket}/{key} not found", status=404) from None
-            self._send_range_unsatisfiable(meta.size)
-            return
-        try:
-            plan, blocks = frontend.stream_get(
-                tenant,
-                bucket,
-                key,
-                range_spec=range_spec,
-                if_match=self.headers.get("if-match"),
-                if_none_match=self.headers.get("if-none-match"),
-            )
-        except InvalidRangeError as exc:
-            self._send_range_unsatisfiable(getattr(exc, "object_size", 0))
-            return
+        range_spec = parse_range_header(self.headers.get("range"))
+        plan, blocks = frontend.stream_get(
+            tenant,
+            route.bucket,
+            route.key,
+            range_spec=range_spec,
+            if_match=self.headers.get("if-match"),
+            if_none_match=self.headers.get("if-none-match"),
+        )
         meta = plan.meta  # resolved under the read lock
         # Synthetic objects (cost simulations) carry sizes, not payloads:
         # the response advertises a zero-length body, as it always has.
@@ -1128,13 +1090,6 @@ class GatewayHandler:
         for block in block_iter:
             if block:
                 conn.sendall(block)
-
-    def _send_range_unsatisfiable(self, size: int) -> None:
-        self._send_error(
-            416,
-            "requested range not satisfiable",
-            extra_headers={"Content-Range": f"bytes */{size}"},
-        )
 
     # -- plumbing ----------------------------------------------------------
 
@@ -1188,7 +1143,7 @@ class GatewayHandler:
         te = self.headers.get("transfer-encoding", "").lower()
         if "chunked" in te:
             self._body_read = False
-            return self._chunked_blocks(), None
+            return self._client_paced(self._chunked_blocks()), None
         try:
             length = int(self.headers.get("content-length", 0) or 0)
         except ValueError:
@@ -1198,7 +1153,16 @@ class GatewayHandler:
             raise RouteError("negative content-length")
         if length > MAX_BODY_BYTES:
             raise RouteError(f"payload exceeds {MAX_BODY_BYTES} bytes", status=413)
-        return self._sized_blocks(length), length
+        return self._client_paced(self._sized_blocks(length)), length
+
+    def _client_paced(self, blocks: Iterator[bytes]) -> Iterator[bytes]:
+        """``blocks``, answering a read that waits out :data:`HEAD_TIMEOUT_S`
+        with a 408: the client stalled, not the server."""
+        try:
+            yield from blocks
+        except TimeoutError:
+            self.close_connection = True
+            raise RouteError("request body timed out", status=408) from None
 
     def _sized_blocks(self, length: int) -> Iterator[bytes]:
         # Partially-consumed streams poison the keep-alive framing; the
@@ -1329,13 +1293,17 @@ class GatewayHandler:
             headers.update(extra_headers)
         self._respond(status, headers, body)
 
-    def _send_error(
-        self, status: int, message: str, *, extra_headers: Optional[dict] = None
-    ) -> None:
-        payload = json.dumps({"error": message, "status": status}).encode("utf-8")
-        self._send_bytes(
-            status, payload, content_type="application/json", extra_headers=extra_headers
-        )
+    def _send_error(self, exc: BaseException) -> None:
+        """Answer a failed request: the status and headers of its
+        :data:`~repro.gateway.routes.ERRORS` row, and a JSON body naming
+        the failure, except after a 304, which has no body."""
+        status, headers = error_answer(exc)
+        if status == 304:
+            headers["Content-Length"] = "0"
+            self._respond(304, headers)
+        else:
+            body = {"error": _message(exc), "status": status}
+            self._send_json(status, body, extra_headers=headers)
 
     def _respond(self, status: int, headers: dict, body=None) -> None:
         """Send a response head and any body already in hand in one write.
@@ -1362,13 +1330,6 @@ class GatewayHandler:
                 b"\r\n",
             )
         )
-        if server.logger.enabled_for(server.access_level):
-            server.logger.log(
-                server.access_level,
-                "http.access",
-                client=self.client_address[0],
-                message=f'"{self.requestline}" {status}',
-            )
         if body and self.command != "HEAD":
             _send_with_head(self.connection, head, body)
         else:

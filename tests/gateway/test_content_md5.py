@@ -146,14 +146,11 @@ class TestStreamedPutDigest:
 
 
 class TestStalledBody:
-    def test_a_put_that_stalls_mid_body_releases_its_write_session(
-        self, stack, monkeypatch
-    ):
-        """The head timeout bounds each body read too: a chunked PUT that
-        sends a stripe and a half and then stalls fails, and the write
-        driver aborts the session it opened."""
+    def _stall(self, stack, monkeypatch, framing, sent):
+        """Send a PUT head with ``framing`` and the ``sent`` body bytes,
+        then stall: the write session the PUT began is released, and the
+        client gets a 408 on a closed connection."""
         monkeypatch.setattr(gateway_server, "HEAD_TIMEOUT_S", 0.3)
-        body = payload_of(96 * 1024, seed=8)
         in_flight = stack.broker.cluster.locks.in_flight
 
         def session_open():
@@ -163,8 +160,7 @@ class TestStalledBody:
             sock.sendall(
                 b"PUT /bkt/stalled.bin HTTP/1.1\r\nHost: gw\r\n"
                 b"x-scalia-tenant: " + TENANT.encode() + b"\r\n"
-                b"Transfer-Encoding: chunked\r\n\r\n"
-                + b"%x\r\n" % len(body) + body + b"\r\n"
+                + framing + b"\r\n" + sent
             )
             deadline = time.monotonic() + 2.0
             while not session_open():
@@ -177,7 +173,31 @@ class TestStalledBody:
                     f"skey(s) and {len(stack.stored_chunks())} staged chunk(s)"
                 )
                 time.sleep(0.01)
+            sock.settimeout(5.0)
+            answer = b""
+            while chunk := sock.recv(65536):  # the server closes after it
+                answer += chunk
+        head = answer.partition(b"\r\n\r\n")[0].split(b"\r\n")
+        assert head[0] == b"HTTP/1.1 408 Request Timeout"
+        assert b"Connection: close" in head[1:]
         assert stack.frontend.head(TENANT, "bkt", "stalled.bin") is None
+
+    def test_a_put_that_stalls_mid_body_releases_its_write_session(
+        self, stack, monkeypatch
+    ):
+        """The head timeout bounds each body read too: a chunked PUT that
+        sends a stripe and a half and then stalls gets a 408, and the
+        write driver aborts the session it opened."""
+        body = payload_of(96 * 1024, seed=8)
+        chunk = b"%x\r\n" % len(body) + body + b"\r\n"
+        self._stall(stack, monkeypatch, b"Transfer-Encoding: chunked\r\n", chunk)
+
+    def test_a_sized_put_that_stalls_mid_body_releases_its_write_session(
+        self, stack, monkeypatch
+    ):
+        # More than one 256 KiB socket read, so stripes land before the stall.
+        body = payload_of(300 * 1024, seed=9)
+        self._stall(stack, monkeypatch, b"Content-Length: %d\r\n" % (2 * len(body)), body)
 
 
 class TestBrokerDigest:

@@ -189,6 +189,7 @@ class TestRequestTracing:
         client.put("photos", "a.bin", b"x")
         [complete] = _wait_events(log, "request.complete")[-1:]
         assert re.fullmatch(r"[0-9a-f]{16}", complete["trace_id"])
+        assert complete["client"] == "127.0.0.1"  # the peer address
         assert complete["route"] == "object"
         assert complete["status"] == 200
         assert "lock_wait" in complete["phases"]

@@ -42,7 +42,7 @@ from repro.gateway.remote import RemoteBrokerFrontend
 from repro.gateway.routes import (
     NotModifiedError,
     PreconditionFailedError,
-    status_for_exception,
+    error_answer,
 )
 from repro.gateway.server import ScaliaGateway
 from repro.obs.workers import WorkerMetricsAggregator
@@ -172,10 +172,17 @@ class TestObjectRoundTrip:
         ("GET", "/bkt/a", None, {"Range": "bytes=4000-5000"}),  # spans two stripes
         ("GET", "/bkt/a", None, {"Range": "bytes=-300"}),
         ("GET", "/bkt/a", None, {"Range": "bytes=20000-"}),
+        ("GET", "/bkt/a", None, {"Range": "bytes=500-100"}),
+        ("GET", "/bkt/a", None, {"Range": "bytes=-0"}),
+        # Preconditions before Range (RFC 9110 §13.2.2).
+        ("GET", "/bkt/a", None, {"Range": "bytes=500-100", "If-None-Match": _A_ETAG}),
+        ("HEAD", "/bkt/a", None, {"If-None-Match": _A_ETAG}),
+        ("PATCH", "/bkt/a", None),
         ("PUT", "/bkt/empty", b""),
         ("GET", "/bkt/empty", None),
         ("GET", "/bkt/empty", None, {"Range": "bytes=-5"}),
         ("GET", "/bkt/ghost", None),
+        ("GET", "/bkt/ghost", None, {"Range": "bytes=500-100"}),
         ("HEAD", "/bkt/ghost", None),
         ("DELETE", "/bkt/ghost", None),
         ("GET", "/bkt", None),
@@ -217,10 +224,11 @@ class TestObjectRoundTrip:
 
     def test_http_answers_match_local_frontend(self, rig):
         """Two gateways over one broker, one per frontend: every route
-        answers with the same status and the same error message, and the
-        broker counts the same operations and errors for it (``ops`` and
-        ``errors`` of ``/stats``).  An object GET also answers with the
-        same headers and body for the same provider traffic.  Each side
+        answers with the same status, the same error message and the
+        same headers the error table declares, and the broker counts the
+        same operations and errors for it (``ops`` and ``errors`` of
+        ``/stats``).  An object GET also answers with the same headers
+        and body for the same provider traffic.  Each side
         writes as its own tenant, so neither sees the other's keys."""
         sides = {
             name: ScaliaGateway(rig[name], port=0).start() for name in ("local", "remote")
@@ -262,6 +270,7 @@ class TestObjectRoundTrip:
                 stable = TestRangedReadDifferential.STABLE
                 traffic = tuple(b - a for a, b in zip(billed, _billed(rig["broker"])))
                 answer += [{h: response.headers.get(h) for h in stable}, raw, traffic]
+            answer.append({h: response.headers.get(h) for h in ("Allow", "ETag", "Retry-After")})
             return answer
 
         try:
@@ -277,16 +286,17 @@ class TestObjectRoundTrip:
         diverged = {k: v for k, v in answers.items() if v[0] != v[1]}
         assert not diverged
         statuses = {local[0] for local, _ in answers.values()}
-        assert {200, 206, 304, 400, 404, 412, 416} <= statuses  # all in the list
+        assert {200, 206, 304, 400, 404, 405, 412, 416} <= statuses  # all in the list
 
-        reads = [local for local, _ in answers.values() if len(local) > 3]
-        for status, error, _moved, headers, body, traffic in reads:
+        reads = [local for local, _ in answers.values() if len(local) > 4]
+        for status, error, _moved, headers, body, traffic, _ in reads:
             if status in (304, 404, 412, 416):
                 assert traffic == (0, 0), (status, traffic)  # refused before any read
             if status == 404:
                 assert error == "bkt/ghost not found"  # the tenant's name for it
             if status == 416:
                 assert headers["Content-Range"] in ("bytes */10000", "bytes */0")
+                assert error == "requested range not satisfiable"  # no internal name
 
         def worker_read(path, **headers):
             return answers["GET", path, "None", str([headers] if headers else [])][1]
@@ -305,6 +315,14 @@ class TestObjectRoundTrip:
         assert worker_read("/bkt/a")[2] == [{"get": 1, "get_stripe": 2}, {}]
         assert spanning[2] == [{"get": 1, "get_stripe": 1}, {}]
         assert worker_read("/bkt/ghost")[2] == [{}, {"get": 1}]
+        # An unsatisfiable range is judged by the one ``get``: no ``head``.
+        assert worker_read("/bkt/a", Range="bytes=500-100")[2] == [{}, {"get": 1}]
+        assert worker_read("/bkt/ghost", Range="bytes=500-100")[2] == [{}, {"get": 1}]
+        assert answers["PATCH", "/bkt/a", "None", "[]"][1][3] == {
+            "Allow": "DELETE, GET, HEAD, POST, PUT", "ETag": None, "Retry-After": None,
+        }
+        head_304 = answers["HEAD", "/bkt/a", "None", str([{"If-None-Match": self._A_ETAG}])][1]
+        assert (head_304[0], head_304[3]["ETag"]) == (304, self._A_ETAG)
 
 
 class TestStreamGet:
@@ -549,7 +567,7 @@ class TestErrorCodec:
         for attr in fields:
             setattr(original, attr, _FIELD_SAMPLES[attr])
         decoded = error_from_doc(error_doc(original))
-        assert status_for_exception(decoded) == status_for_exception(original)
+        assert error_answer(decoded) == error_answer(original)
         for attr in fields:
             sent, arrived = getattr(original, attr), getattr(decoded, attr)
             if attr == "causes":

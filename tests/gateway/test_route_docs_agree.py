@@ -1,14 +1,14 @@
 """The route and error tables of docs/GATEWAY.md name what the gateway does.
 
 A documented route that parses to no declared one, a declared route the
-table does not list, and a documented status the gateway does not answer
-are bugs.
+table does not list, and a documented status or header the gateway does
+not answer with are bugs.
 """
 
 import re
 from pathlib import Path
 
-from repro.gateway.routes import ERRORS, ROUTES, parse_route, status_for_exception
+from repro.gateway.routes import ERRORS, ROUTES, error_answer, parse_route
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "GATEWAY.md"
 
@@ -43,17 +43,25 @@ def test_every_route_is_documented_once_and_every_documented_one_is_declared():
     assert sorted(documented) == sorted(declared)
 
 
+#: What the header values of a row read off its exception.
+_CARRIED = {"allow": "GET, HEAD", "etag": "e", "object_size": 7, "retry_after": 1.0}
+
+
 def test_every_documented_error_answers_its_status():
     classes = {row.cls.__name__: row.cls for row in ERRORS}
     documented = set()
-    for _condition, exception, status in _table("Condition"):
+    for _condition, exception, status, headers in _table("Condition"):
         statuses = {int(code) for code in re.findall(r"\b\d{3}\b", status)}
+        names = set(re.findall(r"`([A-Za-z-]+):", headers))
         if exception == "—":
-            assert status_for_exception(RuntimeError("unmapped")) in statuses
-            continue
-        name = exception.strip("`")
-        cls = classes[name]
-        assert status_for_exception(cls.__new__(cls)) in statuses, name
-        documented.add(name)
+            exc = RuntimeError("unmapped")
+        else:
+            name = exception.strip("`")
+            exc = classes[name].__new__(classes[name])
+            exc.__dict__.update(_CARRIED)
+            documented.add(name)
+        answer_status, answer_headers = error_answer(exc)
+        assert answer_status in statuses, exception
+        assert set(answer_headers) == names, exception
     # A typed error whose answer is not a plain 500 is documented.
     assert {row.cls.__name__ for row in ERRORS if row.status != 500} <= documented

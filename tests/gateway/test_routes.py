@@ -12,6 +12,8 @@ from repro.cluster.engine import (
     ReadFailedError,
     WriteFailedError,
 )
+from repro.core.broker import Scalia
+from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.namespace import NamespaceError
 from repro.gateway.routes import (
     ROUTES,
@@ -19,8 +21,8 @@ from repro.gateway.routes import (
     etag_matches,
     parse_range_header,
     parse_route,
+    error_answer,
     resolve_byte_range,
-    status_for_exception,
 )
 from repro.gateway.server import GatewayHandler
 from repro.providers.provider import (
@@ -182,7 +184,7 @@ class TestStatusMapping:
         ],
     )
     def test_mapping(self, exc, status):
-        assert status_for_exception(exc) == status
+        assert error_answer(exc)[0] == status
 
 
 class TestRangeHeader:
@@ -203,14 +205,25 @@ class TestRangeHeader:
         assert parse_range_header("bytes=0-1,5-9") is None
 
     def test_inverted_range_is_416(self):
-        with pytest.raises(RouteError) as err:
-            parse_range_header("bytes=500-100")
-        assert err.value.status == 416
+        # Parsed as sent; the version being read refuses it, after the
+        # preconditions, and the 416 names that version's size.
+        assert parse_range_header("bytes=500-100") == (500, 100)
+        broker = Scalia()
+        try:
+            frontend = BrokerFrontend(broker)
+            frontend.put("t", "bkt", "k", b"x" * 1000)
+            with pytest.raises(InvalidRangeError) as err:
+                frontend.stream_get("t", "bkt", "k", range_spec=(500, 100))
+        finally:
+            broker.close()
+        assert err.value.object_size == 1000
+        assert error_answer(err.value) == (416, {"Content-Range": "bytes */1000"})
 
     def test_suffix_on_empty_object_is_416(self):
-        with pytest.raises(RouteError) as err:
+        assert parse_range_header("bytes=-10") == (None, 10)
+        with pytest.raises(InvalidRangeError) as err:
             resolve_byte_range((None, 10), 0)
-        assert err.value.status == 416
+        assert err.value.object_size == 0
 
 
 class TestEtagMatching:

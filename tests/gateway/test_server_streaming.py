@@ -115,22 +115,24 @@ class TestRangeRequests:
         lo, hi = STRIPE - 100, STRIPE * 2 + 100
         assert client.get_range("photos", "big.bin", lo, hi) == data[lo : hi + 1]
 
+    def assert_416(self, gateway, key, spec, size):
+        status, headers, body = raw_request(
+            gateway, "GET", f"/photos/{key}", headers={"Range": spec}
+        )
+        assert status == 416, spec
+        assert headers["content-range"] == f"bytes */{size}"
+        assert json.loads(body) == {"error": "requested range not satisfiable", "status": 416}
+
     def test_unsatisfiable_range_is_416(self, gateway, client):
         data = self.put_big(client)
-        status, headers, _ = raw_request(
-            gateway, "GET", "/photos/big.bin",
-            headers={"Range": f"bytes={len(data) * 2}-"},
-        )
-        assert status == 416
-        assert headers["content-range"] == f"bytes */{len(data)}"
+        self.assert_416(gateway, "big.bin", f"bytes={len(data) * 2}-", len(data))
+        self.assert_416(gateway, "big.bin", "bytes=-0", len(data))
 
     def test_inverted_range_also_416_with_content_range(self, gateway, client):
         data = self.put_big(client, size=1000)
-        status, headers, _ = raw_request(
-            gateway, "GET", "/photos/big.bin", headers={"Range": "bytes=500-100"}
-        )
-        assert status == 416
-        assert headers["content-range"] == f"bytes */{len(data)}"
+        self.assert_416(gateway, "big.bin", "bytes=500-100", len(data))
+        client.put("photos", "empty.bin", b"")
+        self.assert_416(gateway, "empty.bin", "bytes=-10", 0)
 
     def test_multi_range_ignored_serves_200(self, gateway, client):
         data = self.put_big(client, size=1000)
