@@ -15,12 +15,14 @@ Checks, in order:
 3. ``/metrics`` is whole-system truthful: the aggregated
    ``scalia_gateway_requests_total`` matches the number of requests the
    clients actually made, and ``scalia_gateway_workers_live`` is 2;
-4. broker-side ``/stats`` op counters account for the workload;
+4. ``/stats`` op counters account for the workload (the workers count
+   it, and their pushes fold into the broker's registry);
 5. a GET is one ops-RPC frame plus one per further stripe: over ``K`` GETs
    of a one-stripe object and ``K`` of a two-stripe one,
    ``scalia_ops_rpc_frames_total`` rises by ``2K`` for ``open_get``, by
    ``K`` for ``read_stripe`` and not at all for ``broker.head``, and
-   ``ops.get`` in ``/stats`` rises by ``2K``;
+   ``ops.get`` in ``/stats`` rises by exactly ``2K`` once the workers'
+   next push has landed;
 6. admin calls answer from a worker as they do in process: a typed broker
    error keeps its status and message across the ops RPC (``POST /faults``
    for an unknown provider is 404, a bad profile is a 400 naming the field)
@@ -244,7 +246,10 @@ def check_accounting(port, counters, healthz_requests):
 
 
 def frames_served(port):
-    """``scalia_ops_rpc_frames_total`` by op, plus ``ops.get`` of ``/stats``."""
+    """``scalia_ops_rpc_frames_total`` by op, plus ``ops.get`` of ``/stats``,
+    read two push intervals on: a worker counts its GETs, and ``/stats``
+    has them with its next push."""
+    time.sleep(2.5)
     status, _, body = request(port, "GET", "/metrics")
     if status != 200:
         fail(f"/metrics -> {status}")

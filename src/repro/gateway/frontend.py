@@ -7,13 +7,13 @@ claims objects in batches (docs/CONCURRENCY.md).  The frontend therefore
 serializes nothing: every request thread calls straight into the broker,
 and non-conflicting operations on different keys run in parallel under
 the broker's own lock hierarchy.  What is left here is mapping tenant
-namespaces, translating errors and counting operations (under a
-dedicated counter mutex, so no update is lost).
+namespaces, translating errors and counting operations, once each, in
+the metrics registry of the process that ran them
+(``scalia_frontend_ops_total``, which ``/stats`` reads back).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.engine import InvalidRangeError, ObjectNotFoundError
@@ -64,35 +64,48 @@ class BrokerFrontend:
             raise ValueError(f"unknown frontend mode {mode!r}; want 'direct'")
         self.broker = broker if broker is not None else Scalia()
         self.mapper = mapper if mapper is not None else NamespaceMapper()
-        self.op_counts: Dict[str, int] = {}
-        self.error_counts: Dict[str, int] = {}
-        self._counter_lock = threading.Lock()
         self._closed = False
+        self._ops = self.metrics.counter(
+            "scalia_frontend_ops_total",
+            "Frontend operations, by op and outcome (ok or error).",
+            ("op", "outcome"),
+        )
+        # (op, outcome) -> label child, so a counted call never pays a
+        # labels() lookup after the first of its kind.
+        self._op_children: Dict[tuple, Any] = {}
 
     # -- dispatch ---------------------------------------------------------
 
     def _run(self, op: str, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` on the calling thread and count it under ``op``."""
+        """Run ``fn`` on the calling thread, through :meth:`gate`, and
+        count it under ``op`` in this process's registry."""
         if self._closed:
             raise FrontendClosedError("frontend is closed")
         try:
-            result = fn()
+            result = self.gate(op, fn)
         except Exception:
-            with self._counter_lock:
-                self.error_counts[op] = self.error_counts.get(op, 0) + 1
+            self._count(op, "error")
             raise
-        with self._counter_lock:
-            self.op_counts[op] = self.op_counts.get(op, 0) + 1
+        self._count(op, "ok")
         return result
 
-    def run_op(self, op: str, fn: Callable[[], Any]) -> Any:
-        """Run a broker operation under the frontend's gate and counters.
+    def _count(self, op: str, outcome: str) -> None:
+        child = self._op_children.get((op, outcome))
+        if child is None:
+            # Racing first touches are idempotent: labels() hands every
+            # caller the same child.
+            child = self._op_children[op, outcome] = self._ops.labels(op, outcome)
+        child.inc()
 
-        The ops RPC service drives staged worker operations through this
-        so the broker-side op/error counters stay whole-system truthful
-        whichever process did the encoding.
+    def gate(self, op: str, fn: Callable[[], Any]) -> Any:
+        """Run ``fn``, the operation named ``op``, and count nothing.
+
+        Standalone there is nothing to gate; ``ClusterFrontend`` holds a
+        write to the leader and to quorum commit here.  The ops service
+        serves a worker's frames through this alone: the worker counts
+        the operation in its own ``_run``.
         """
-        return self._run(op, fn)
+        return fn()
 
     # -- tenant-facing object API ----------------------------------------
 
@@ -152,10 +165,10 @@ class BrokerFrontend:
         ``object_size``.
         """
         container = self.mapper.internal_container(tenant, bucket)
-        plan, first = self.open_get(
+        plan, first = self._run("get", lambda: self.open_get(
             container, bucket, key,
             range_spec=range_spec, if_match=if_match, if_none_match=if_none_match,
-        )
+        ))
 
         def blocks():
             if isinstance(first, (bytes, bytearray, memoryview)):
@@ -181,10 +194,11 @@ class BrokerFrontend:
         if_none_match: Optional[str] = None,
         raw: bool = False,
     ):
-        """A GET up to and including its first block, as ``(plan, first)``.
+        """A GET up to and including its first block, as ``(plan, first)``;
+        :meth:`stream_get` counts it as the GET's one ``get``.
 
-        One ``get``: :meth:`Scalia.open_get` resolves the row once and,
-        under one shared hold of the object, applies ``If-Match`` /
+        :meth:`Scalia.open_get` resolves the row once and, under one
+        shared hold of the object, applies ``If-Match`` /
         ``If-None-Match`` (a 304 or 412 bills no read) and the range to
         that version, plans the covering stripes, fetches the first
         planned segment and logs the read.  ``first`` is that segment's
@@ -192,10 +206,10 @@ class BrokerFrontend:
         zero-length read), or the whole object when the engine's cache
         served it.  With ``raw`` it is what
         :meth:`Scalia.fetch_stripe_window` returns, for a caller that cuts
-        and decodes elsewhere: the ops service, on behalf of a worker
-        (one frame, docs/API.md), which is also never served from the
-        whole-object cache.  ``bucket`` is only the name a missing object
-        is reported by.
+        and decodes elsewhere: the ops service, serving a worker's
+        ``open_get`` frame (docs/API.md), which the worker counts and
+        which is never served from the whole-object cache.  ``bucket``
+        is only the name a missing object is reported by.
         """
 
         def validate(meta: ObjectMeta):
@@ -203,10 +217,10 @@ class BrokerFrontend:
             check_preconditions(meta.etag, if_match, if_none_match)
             return resolve_byte_range(range_spec, meta.size)
 
-        return self._run("get", _tenant_facing(
+        return _tenant_facing(
             lambda: self.broker.open_get(container, key, validate=validate, raw=raw),
             bucket, key,
-        ))
+        )()
 
     def head(self, tenant: str, bucket: str, key: str) -> Optional[ObjectMeta]:
         container = self.mapper.internal_container(tenant, bucket)
@@ -455,15 +469,18 @@ class BrokerFrontend:
     def _snapshot(self) -> Dict[str, Any]:
         broker = self.broker
         costs = broker.costs()
-        with self._counter_lock:
-            ops = dict(self.op_counts)
-            errors = dict(self.error_counts)
+        # One collect() folds every worker's last push in beside this
+        # process's own counts.
+        counts: Dict[str, Dict[str, int]] = {"ok": {}, "error": {}}
+        family = broker.metrics.collect().get("scalia_frontend_ops_total", {"children": ()})
+        for (op, outcome), count in family["children"]:
+            counts[outcome][op] = int(count)
         return {
             "period": broker.period,
             "now_hours": broker.now,
             "providers": broker.registry.names(),
-            "ops": ops,
-            "errors": errors,
+            "ops": counts["ok"],
+            "errors": counts["error"],
             "stats_records": broker.cluster.stats.record_count(),
             "pending_deletes": len(broker.cluster.pending_deletes),
             "cost_total": costs.total,

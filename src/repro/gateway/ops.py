@@ -27,11 +27,11 @@ Typed broker errors cross the RPC as structured ``err`` documents
 (``kind`` + message + optional fields) so the worker re-raises the exact
 exception type its HTTP layer already maps to status codes.
 
-Every operation that has a direct-mode counterpart runs under
-:meth:`BrokerFrontend.run_op` with the matching op name, so the broker's
-op/error counters — and everything layered on them (``/stats``,
-``repro top``) — stay whole-system truthful regardless of which process
-did the encoding.
+A frame served for a worker counts nothing: the worker counted the
+operation in its own frontend, and its registry reaches ``/stats``
+through the aggregator.  A frame that writes still passes
+:meth:`BrokerFrontend.gate` under its op name, so in a cluster it runs
+on the leader and waits for quorum commit.
 
 Everything else a worker asks of the broker is plain call forwarding,
 declared once in :data:`OPERATIONS`: the handler here, the worker's stub
@@ -95,11 +95,12 @@ class Op(NamedTuple):
     #: Dotted path from the :class:`OpsService` to the callable
     #: (``broker.head``); also the op's name on the wire.
     target: str
-    #: The :class:`BrokerFrontend` counter the call runs under, if any.  A
-    #: ``broker.*`` target is wrapped in ``run_op(counter, …)`` by the
-    #: handler; a ``frontend.*`` method counts itself, under this name.
+    #: The op name :meth:`BrokerFrontend.gate` keys on, if any.  A
+    #: ``broker.*`` target is run through ``gate(counter, …)`` by the
+    #: handler (the worker counted it); a ``frontend.*`` method gates and
+    #: counts itself, under this name.
     counter: Optional[str] = None
-    #: Mutates broker state: its counter is gated to the leader and waits
+    #: Mutates broker state: its op name is gated to the leader and waits
     #: for quorum commit in a cluster (:data:`WRITE_OPS`).
     write: bool = False
 
@@ -145,11 +146,12 @@ OPERATIONS: Tuple[Op, ...] = (
     Op("aggregator.retire"),
 )
 
-#: Counters of the two staged commits, the hand-framed writes.
+#: The op names the two staged commits, the hand-framed writes, are
+#: gated under.
 _COMMIT_COUNTERS = {"write_commit": "put", "part_commit": "upload_part"}
 
-#: Frontend counters that mutate broker state: in a cluster they run on
-#: the leader and wait for quorum commit (``ClusterFrontend._run``).
+#: Op names that mutate broker state: in a cluster they run on the
+#: leader and wait for quorum commit (``ClusterFrontend.gate``).
 WRITE_OPS = frozenset(
     {op.counter for op in OPERATIONS if op.write} | set(_COMMIT_COUNTERS.values())
 )
@@ -312,10 +314,8 @@ class OpsService:
             target, *from_wire(request.get("args", [])), **from_wire(request.get("kwargs", {}))
         )
         if op.counter is not None and not op.target.startswith("frontend."):
-            result = self.frontend.run_op(op.counter, call)
-        else:
-            result = call()
-        return {"result": to_wire(result)}
+            call = functools.partial(self.frontend.gate, op.counter, call)
+        return {"result": to_wire(call())}
 
     # -- session bookkeeping --------------------------------------------
 
@@ -351,14 +351,14 @@ class OpsService:
             return self._sessions.pop(sid, None)
 
     def _commit(self, sid: str, op: str, commit: Callable[[StagedWrite], Any]):
-        """Run a staged commit under its counter, on a session taken out of
+        """Run a staged commit through the gate, on a session taken out of
         the table: aborting a dead worker's sessions cannot race the
         journaling.  A failed commit puts it back for the driver's abort."""
         entry = self._take_session(sid)
         if entry is None:
             raise ValueError(f"unknown staged session {sid!r}")
         try:
-            return self.frontend.run_op(_COMMIT_COUNTERS[op], lambda: commit(entry[0]))
+            return self.frontend.gate(_COMMIT_COUNTERS[op], lambda: commit(entry[0]))
         except BaseException:
             self._open_session(*entry)
             raise
@@ -383,6 +383,7 @@ class OpsService:
         return {
             "stripe_size": self.broker.stripe_size_bytes,
             "clustered": self.frontend.clustered,
+            "metrics": self.frontend.metrics.enabled,
         }
 
     # -- staged writes --------------------------------------------------
@@ -522,9 +523,7 @@ class OpsService:
         stripe = int(request["stripe"])
         length = meta.stripe_lengths[stripe]
         lo, hi = int(request.get("lo", 0)), int(request.get("hi", length))
-        fetched = self.frontend.run_op(
-            "get_stripe", lambda: self.broker.fetch_stripe_window(meta, stripe, lo, hi)
-        )
+        fetched = self.broker.fetch_stripe_window(meta, stripe, lo, hi)
         return self._stripe_reply(length, lo, hi, *fetched)
 
     @staticmethod

@@ -212,7 +212,9 @@ class _RemoteBroker(_stubs("broker")):
     Implements exactly the broker surface :class:`BrokerFrontend`'s
     tenant-facing operations use, backed by the ops RPC: the forwarded
     calls are the inherited stubs, what is written out here runs in the
-    worker process (all erasure coding and checksumming).
+    worker process (all erasure coding and checksumming).  ``metrics``
+    instruments a registry of this process's own, enabled when ``hello``
+    says the broker keeps metrics; ``events`` is the broker's journal.
     """
 
     def __init__(self, pool: _RpcPool, owner: Optional[Tuple[int, int]] = None) -> None:
@@ -223,6 +225,8 @@ class _RemoteBroker(_stubs("broker")):
         hello = self._call("hello")
         self.stripe_size_bytes = int(hello["stripe_size"])
         self.clustered = bool(hello["clustered"])
+        self.metrics = _WorkerMetrics(MetricsRegistry(enabled=bool(hello["metrics"])), pool)
+        self.events = _RemoteJournal(pool)
 
     # -- write path -----------------------------------------------------
 
@@ -442,13 +446,17 @@ class RemoteBrokerFrontend(_stubs("frontend"), BrokerFrontend):
 
     Data-plane operations inherit ``BrokerFrontend`` verbatim (they only
     touch the duck-typed ``self.broker``), except that :meth:`open_get`
-    runs in the broker process, as one frame; the admin and observability
-    surfaces are the stubs, which ask the broker process, so ``/stats``,
-    ``/history``, ``/alerts`` et al. report whole-system truth no matter
-    which worker answers.  So does the cluster surface (``is_leader``,
-    ``leader_gateway_url``, ``cluster_status``), except that whether
-    there is a cluster at all is learnt once, from ``hello``: an
-    unclustered worker never pays an RPC to hear that it leads.
+    runs in the broker process, as one frame.  Each is counted here, in
+    the worker's registry, which reaches the broker's with the next
+    push.  The admin and observability surfaces are the stubs, which ask
+    the broker process, so ``/stats``, ``/history``, ``/alerts`` et al.
+    report whole-system truth no matter which worker answers.  So does
+    the cluster surface (``is_leader``, ``leader_gateway_url``,
+    ``cluster_status``), except that whether there is a cluster at all
+    is learnt once, from ``hello``: an unclustered worker never pays an
+    RPC to hear that it leads.  Whether the broker keeps metrics is
+    learnt there too: a worker over a ``--no-metrics`` broker
+    instruments nothing and pushes nothing.
     """
 
     def __init__(
@@ -457,44 +465,29 @@ class RemoteBrokerFrontend(_stubs("frontend"), BrokerFrontend):
         port: int,
         *,
         mapper=None,
-        metrics: Optional[MetricsRegistry] = None,
         owner: Optional[Tuple[int, int]] = None,
     ) -> None:
         pool = _RpcPool(host, port)
         self._pool = pool  # what the inherited stubs call through
         BrokerFrontend.__init__(self, _RemoteBroker(pool, owner), mapper=mapper)
         self.clustered = self.broker.clustered  # said once, by ``hello``
-        self.local_metrics = (
-            metrics if metrics is not None else MetricsRegistry(enabled=True)
-        )
-        self._metrics = _WorkerMetrics(self.local_metrics, pool)
-        self._events = _RemoteJournal(pool)
         self._aggregator = _RemoteAggregator(pool)
-
-    # -- observability behind the broker process -------------------------
-
-    @property
-    def metrics(self):
-        return self._metrics
-
-    @property
-    def events(self):
-        return self._events
 
     def tick(self, periods: int = 1):
         raise NotImplementedError("worker frontends tick via tick_report()")
 
     def open_get(self, container: str, bucket: str, key: str, **conditions):
         """The whole sequence as one frame: it runs where the broker is."""
-        return self._run(
-            "get", lambda: self.broker.open_get(container, bucket, key, **conditions)
-        )
+        return self.broker.open_get(container, bucket, key, **conditions)
 
     # -- worker metric shipping ------------------------------------------
 
     def push_metrics(self, slot: int, incarnation: int) -> None:
-        """Ship the local registry snapshot to the broker aggregator."""
-        self._aggregator.push(slot, incarnation, self.local_metrics.collect())
+        """Ship the local registry snapshot to the broker aggregator
+        (nothing when the broker keeps no metrics)."""
+        local = self.metrics.local
+        if local.enabled:
+            self._aggregator.push(slot, incarnation, local.collect())
 
     def retire_metrics(self, slot: int) -> None:
         """Fold this worker's last snapshot into the broker's retired

@@ -14,10 +14,11 @@ logging options arrive as one JSON document on stdin, the configuration
 Lifecycle:
 
 * A pusher thread ships the local metrics registry to the broker's
-  aggregator about once a second, tagged ``(slot, incarnation)`` so a
-  restarted worker never double-counts.  The staged write sessions this
-  worker begins carry the same tag: the supervisor aborts them when it
-  sees this process exit, so a SIGKILL mid-PUT strands no chunk.
+  aggregator about once a second (never, when the broker keeps no
+  metrics), tagged ``(slot, incarnation)`` so a restarted worker never
+  double-counts.  The staged write sessions this worker begins carry
+  the same tag: the supervisor aborts them when it sees this process
+  exit, so a SIGKILL mid-PUT strands no chunk.
 * SIGTERM (and SIGINT) trigger a graceful drain: stop accepting, finish
   requests already in flight (bounded by :data:`DRAIN_TIMEOUT_S`), push the
   final metrics snapshot, retire the slot, exit 0.  The supervisor

@@ -32,11 +32,11 @@ class ClusterFrontend(BrokerFrontend):
         super().__init__(broker, **kwargs)
         self.node = node
 
-    def _run(self, op: str, fn: Callable[[], Any]) -> Any:
+    def gate(self, op: str, fn: Callable[[], Any]) -> Any:
         if op not in WRITE_OPS:
-            return super()._run(op, fn)
+            return fn()
         self.node.ensure_leader()
-        result = super()._run(op, fn)
+        result = fn()
         # Barrier: everything this operation journaled has a sequence at
         # or below the WAL's current head; waiting for the head is at
         # worst waiting for a few unrelated-but-concurrent records that

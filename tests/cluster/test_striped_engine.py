@@ -93,7 +93,7 @@ class Harness:
         if stager == "rpc":
             frontend = SimpleNamespace(
                 broker=SimpleNamespace(stager=self.engine.stager),
-                run_op=lambda _op, fn: fn(),
+                gate=lambda _op, fn: fn(),
                 ensure_leader=lambda: None,  # standalone: its own leader
             )
             self.server = OpsService(frontend).serve("127.0.0.1", 0)

@@ -27,6 +27,7 @@ from repro.gateway.frontend import BrokerFrontend
 from repro.gateway.ops import OpsService
 from repro.gateway.remote import RemoteBrokerFrontend
 from repro.gateway.server import ScaliaGateway
+from repro.obs.workers import WorkerMetricsAggregator
 
 TENANT = "alice"
 MiB = 1024 * 1024
@@ -42,7 +43,8 @@ def b64_md5(data):
 
 class Stack:
     """A gateway over ``topology``: ``direct`` (the broker's own
-    frontend) or ``workers`` (a worker's frontend over the ops RPC)."""
+    frontend) or ``workers`` (a worker's frontend over the ops RPC, whose
+    metrics reach the broker when :meth:`push` ships them)."""
 
     def __init__(self, topology, stripe_size, **broker_options):
         self.broker = Scalia(stripe_size_bytes=stripe_size, **broker_options)
@@ -50,7 +52,8 @@ class Stack:
         self.server = None
         frontend = self.local
         if topology == "workers":
-            self.server = OpsService(self.local).serve("127.0.0.1", 0)
+            aggregator = WorkerMetricsAggregator(self.broker.metrics)
+            self.server = OpsService(self.local, aggregator=aggregator).serve("127.0.0.1", 0)
             frontend = RemoteBrokerFrontend(*self.server.address)
         self.frontend = frontend
         self.gateway = ScaliaGateway(frontend, port=0).start()
@@ -62,6 +65,11 @@ class Stack:
             self.server.close()
         self.local.close()
         self.broker.close()
+
+    def push(self):
+        """What a worker's pusher does each second; nothing in process."""
+        if self.server is not None:
+            self.frontend.push_metrics(0, 1)
 
     def request(self, method, path, body=None, headers=None, *, chunked=False):
         conn = http.client.HTTPConnection(*self.gateway.address, timeout=30)
@@ -181,6 +189,10 @@ class TestStalledBody:
         assert head[0] == b"HTTP/1.1 408 Request Timeout"
         assert b"Connection: close" in head[1:]
         assert stack.frontend.head(TENANT, "bkt", "stalled.bin") is None
+        # Counted where it failed, and read back from one registry.
+        stack.push()
+        status, stats = stack.request("GET", "/stats")
+        assert (status, stats["errors"].get("put")) == (200, 1)
 
     def test_a_put_that_stalls_mid_body_releases_its_write_session(
         self, stack, monkeypatch

@@ -54,7 +54,7 @@ class TestObjectAPI:
     def test_bad_bucket_rejected_before_broker(self, frontend):
         with pytest.raises(NamespaceError):
             frontend.put("alice", "Bad_Bucket", "k", b"v")
-        assert frontend.op_counts.get("put", 0) == 0
+        assert frontend.stats()["ops"].get("put", 0) == 0
 
 
 class TestRangeAcrossAReput:
@@ -127,8 +127,9 @@ class TestAdminAPI:
     def test_error_counter(self, frontend):
         with pytest.raises(ObjectNotFoundError):
             frontend.get("alice", "photos", "missing")
-        assert frontend.error_counts["get"] == 1
-        assert frontend.op_counts.get("get", 0) == 0
+        stats = frontend.stats()
+        assert stats["errors"]["get"] == 1
+        assert stats["ops"].get("get", 0) == 0
 
 
 class TestLifecycle:

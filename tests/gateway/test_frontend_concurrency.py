@@ -59,9 +59,10 @@ def test_no_lost_updates_under_parallel_load(mode):
         total_gets = sum(r["gets"] for r in results)
 
         # 1. Frontend counters: every operation counted exactly once.
-        assert frontend.op_counts["put"] == total_puts
-        assert frontend.op_counts["get"] == total_gets
-        assert frontend.error_counts == {}
+        stats = frontend.stats()
+        assert stats["ops"]["put"] == total_puts
+        assert stats["ops"]["get"] == total_gets
+        assert stats["errors"] == {}
 
         # 2. Statistics pipeline: one record per operation, none torn.
         broker.cluster.flush_logs()
@@ -105,9 +106,10 @@ def test_ticks_interleaved_with_requests(mode):
             assert tick_future.result() == 5
 
         assert broker.period == 5
-        assert frontend.op_counts["put"] + frontend.op_counts["get"] == total_requests
-        assert frontend.op_counts["tick"] == 5
-        assert frontend.error_counts == {}
+        stats = frontend.stats()
+        assert stats["ops"]["put"] + stats["ops"]["get"] == total_requests
+        assert stats["ops"]["tick"] == 5
+        assert stats["errors"] == {}
 
 
 @pytest.mark.parametrize("mode", MODES)
